@@ -33,7 +33,12 @@ from .atlas import (
     parse_chart,
     transition,
 )
-from .equilibrium import CHECK_TOL, EnumerationResult, enumerate_nash
+from .equilibrium import (
+    CHECK_TOL,
+    EnumerationResult,
+    enumerate_nash,
+    support_label,
+)
 from .forms import lambda_decomposition, payoff_form
 from .game import (
     FLOAT,
@@ -50,7 +55,6 @@ from .genericity import (
     RANK_TOL,
     canonical_equilibrium_family,
     good_family,
-    is_good,
     transversal_at,
     witness_cycle,
 )
@@ -92,10 +96,6 @@ def _fmt_weights(weights) -> str:
     return " | ".join(
         "(" + ", ".join(_fmt(x) for x in w) + ")" for w in weights
     )
-
-
-def _fmt_support(support) -> str:
-    return " | ".join(",".join(map(str, s)) for s in support.supports)
 
 
 def _load_game(args) -> FiniteGame:
@@ -247,7 +247,7 @@ def _cmd_solve(args):
                 if cert.smallest_singular_value is not None
                 else ""
             )
-            lines.append(f"#{idx} support {{{_fmt_support(cert.support)}}}")
+            lines.append(f"#{idx} support {{{support_label(cert.support)}}}")
             lines.append(f"   point: {_fmt_weights(cert.point.weights)}")
             lines.append(f"   payoffs: {payoffs}")
             lines.append(
@@ -256,20 +256,12 @@ def _cmd_solve(args):
             )
             flag = " [boundary-degenerate]" if cert.boundary_degenerate else ""
             lines.append(f"   jacobian: {cert.jacobian_verdict}{sv}{flag}")
-    degenerate = (
-        result.continuum
-        or bool(result.warnings)
-        or any(
-            c.jacobian_verdict == "singular" or c.boundary_degenerate
-            for c in result.equilibria
-        )
-    )
     meta = _meta(args, command="solve", mode=game.mode)
     return (
         {"meta": meta, "results": _solve_payload(game, result),
          "warnings": list(result.warnings)},
         lines + [f"warning: {w}" for w in result.warnings],
-        EXIT_DEGENERATE if degenerate else EXIT_OK,
+        EXIT_DEGENERATE if result.degenerate else EXIT_OK,
     )
 
 
@@ -313,8 +305,8 @@ def _cmd_lambda(args):
 def _cmd_goodcheck(args):
     game = _zero_game(args.shape)
     family = _parse_family(game, args.t, args.r)
-    good = is_good(family)
-    cycle = None if good else witness_cycle(family)
+    cycle = witness_cycle(family)
+    good = cycle is None
     if good:
         lines = ["good"]
     else:
@@ -344,28 +336,20 @@ def _cmd_sample(args):
         result = enumerate_nash(
             game, seed=seed, tol=args.tol, rank_tol=args.rank_tol
         )
-        degenerate = (
-            result.continuum
-            or bool(result.warnings)
-            or any(
-                c.jacobian_verdict == "singular" or c.boundary_degenerate
-                for c in result.equilibria
-            )
-        )
         count = None if result.continuum else result.count
         odd = count is not None and count % 2 == 1
         all_regular = all(
             c.jacobian_verdict == "regular" for c in result.equilibria
         )
         odd_hits += odd
-        witness_hits += degenerate
+        witness_hits += result.degenerate
         rows.append(
             {
                 "seed": seed,
                 "count": count,
                 "odd": odd,
                 "all_regular": all_regular,
-                "degeneracy_witnessed": degenerate,
+                "degeneracy_witnessed": result.degenerate,
                 "warnings": len(result.warnings),
             }
         )

@@ -7,7 +7,11 @@ against the opponents' mixture. Fixing a support profile turns the
 equality part into a square polynomial system on the product of open
 faces. Two-player systems are linear per player block and solved
 exactly over the rationals (float payoffs are converted exactly);
-anything larger runs a damped multistart Newton in face coordinates.
+anything larger runs the damped multistart Newton loop of
+genericity._newton_roots in face coordinates. Player i's residual is
+the spread of its contracted slope vector over the support, and its
+Jacobian block for player q comes from the contraction of its payoff
+tensor that keeps the axes of i and q (forms.contract, one einsum each).
 
 Rank-deficient strata raise SingularSystem instead of guessing: a
 positive-dimensional solution set or a singular Jacobian at a root is
@@ -25,8 +29,16 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import AffineSolutionSet, solve_affine
-from .forms import MultilinearForm, lambda_decomposition, payoff_slice_values
-from .genericity import RANK_TOL, certify_equilibrium
+from .forms import contract, payoff_slice_values
+from .genericity import (
+    DEDUP_TOL,
+    RANDOM_STARTS,
+    RANK_TOL,
+    RESIDUAL_TOL,
+    _newton_roots,
+    _svd_rank,
+    certify_equilibrium,
+)
 from .game import (
     RATIONAL,
     FiniteGame,
@@ -38,12 +50,8 @@ from .game import (
 )
 
 STRICTNESS = 1e-9
-RESIDUAL_TOL = 1e-10
-DEDUP_TOL = 1e-6
 CHECK_TOL = 1e-8
 BOUNDARY_BAND = 1e-8
-NEWTON_MAX_ITERS = 100
-RANDOM_STARTS = 32
 
 
 class SingularSystem(RuntimeError):
@@ -92,48 +100,6 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile,
         residuals.append(residual)
         margins.append(margin)
     return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins))
-
-
-@dataclass(frozen=True)
-class SupportSystem:
-    """The square equality system attached to a support profile.
-
-    For each player with a mixed support, the slope differences
-    between the minimal supported strategy and every other supported
-    one; unknowns are the supported weights minus one eliminated per
-    player by the sum rule.
-    """
-
-    support: SupportProfile
-    star_pairs: tuple[tuple[tuple[int, int], ...], ...]
-    equality_forms: tuple[tuple[MultilinearForm, ...], ...]
-    unknowns: tuple[tuple[int, int], ...]
-
-    @property
-    def num_equations(self) -> int:
-        return sum(len(fs) for fs in self.equality_forms)
-
-
-def build_support_system(game: FiniteGame, support: SupportProfile) -> SupportSystem:
-    pairs, forms, unknowns = [], [], []
-    for i, supp in enumerate(support.supports):
-        jstar = supp[0]
-        own_pairs, own_forms = [], []
-        if len(supp) >= 2:
-            dec = lambda_decomposition(game, i)
-            for j in supp[1:]:
-                own_pairs.append((jstar, j))
-                diff = MultilinearForm(
-                    dec.lambdas[j].blocks,
-                    dec.lambdas[j].coeffs - dec.lambdas[jstar].coeffs,
-                    dec.lambdas[j].pinned,
-                    owner=i,
-                )
-                own_forms.append(diff)
-            unknowns.extend((i, s) for s in supp[:-1])
-        pairs.append(tuple(own_pairs))
-        forms.append(tuple(own_forms))
-    return SupportSystem(support, tuple(pairs), tuple(forms), tuple(unknowns))
 
 
 def enumerate_supports(game: FiniteGame):
@@ -262,17 +228,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
         if len(supports[i]) == 1:
             base[i][supports[i][0]] = 1.0
 
-    pairs = []
-    diff = {}
-    for i in mixed:
-        jstar = supports[i][0]
-        for j in supports[i][1:]:
-            pairs.append((i, j))
-            diff[(i, j)] = np.take(u_float[i], j, axis=i) - np.take(
-                u_float[i], jstar, axis=i
-            )
-
-    if not pairs:
+    if not mixed:
         return [profile_from_weights([b.copy() for b in base])]
 
     sizes = {i: len(supports[i]) for i in mixed}
@@ -291,28 +247,32 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
             w[i][supports[i][-1]] = 1.0 - vals.sum()
         return w
 
-    def contract(tensor, w, skip_player, keep_player=None):
-        others = [p for p in range(m) if p != skip_player]
-        t = tensor
-        for idx in range(len(others) - 1, -1, -1):
-            if others[idx] == keep_player:
-                continue
-            t = np.tensordot(t, w[others[idx]], axes=([idx], [0]))
-        return t
+    def slopes(w, i, q=None):
+        """Player i's payoff slopes, as a matrix over (i, q) when q is given."""
+        c = contract(u_float[i], [None if k in (i, q) else w[k] for k in range(m)])
+        return c.T if q is not None and q < i else c
 
-    def residual(w):
-        return np.array([contract(diff[p], w, p[0]) for p in pairs], dtype=float)
+    def residual(x):
+        w = weights_from(x)
+        rows = []
+        for i in mixed:
+            c = slopes(w, i)
+            rows.append(c[list(supports[i][1:])] - c[supports[i][0]])
+        return np.concatenate(rows)
 
-    def jacobian(w):
-        jac = np.zeros((len(pairs), nfree))
-        for r, (i, j) in enumerate(pairs):
+    def jacobian(x):
+        w = weights_from(x)
+        jac = np.zeros((nfree, nfree))
+        for i in mixed:
+            rows = slice(offsets[i], offsets[i] + sizes[i] - 1)
             for q in mixed:
                 if q == i:
                     continue
-                v = contract(diff[(i, j)], w, i, keep_player=q)
-                last = supports[q][-1]
-                for t, s in enumerate(supports[q][:-1]):
-                    jac[r, offsets[q] + t] = v[s] - v[last]
+                c = slopes(w, i, q)
+                d = c[list(supports[i][1:])] - c[supports[i][0]]
+                jac[rows, offsets[q]: offsets[q] + sizes[q] - 1] = (
+                    d[:, list(supports[q][:-1])] - d[:, [supports[q][-1]]]
+                )
         return jac
 
     def starts():
@@ -333,41 +293,16 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
             )
             yield x
 
-    roots = []
-    for x in starts():
-        fval = residual(weights_from(x))
-        converged = False
-        for _ in range(NEWTON_MAX_ITERS):
-            if np.max(np.abs(fval)) <= RESIDUAL_TOL:
-                converged = True
-                break
-            jac = jacobian(weights_from(x))
-            step = np.linalg.lstsq(jac, -fval, rcond=None)[0]
-            if np.max(np.abs(step)) <= 1e-14:
-                break
-            norm0 = np.linalg.norm(fval)
-            t = 1.0
-            for _ in range(25):
-                xn = x + t * step
-                fn = residual(weights_from(xn))
-                if np.linalg.norm(fn) <= (1.0 - 0.25 * t) * norm0:
-                    break
-                t *= 0.5
-            else:
-                break
-            x, fval = xn, fn
-        if not converged and np.max(np.abs(fval)) > RESIDUAL_TOL:
-            continue
+    def positive(x):
         w = weights_from(x)
-        if all(w[i][s] > STRICTNESS for i in mixed for s in supports[i]):
-            if all(np.max(np.abs(x - r)) > DEDUP_TOL for r in roots):
-                roots.append(x)
+        return all(w[i][s] > STRICTNESS for i in mixed for s in supports[i])
 
+    roots = _newton_roots(residual, jacobian, starts(), accept=positive)
     profiles = [profile_from_weights(weights_from(r)) for r in roots]
 
     for a, b in itertools.combinations(range(len(roots)), 2):
         mid = 0.5 * (roots[a] + roots[b])
-        if np.max(np.abs(residual(weights_from(mid)))) <= RESIDUAL_TOL:
+        if np.max(np.abs(residual(mid))) <= RESIDUAL_TOL:
             raise SingularSystem(
                 support,
                 "continuum of solutions (midpoint of two roots also solves)",
@@ -375,15 +310,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
                 candidates=profiles,
             )
 
-    singular = []
-    for r in roots:
-        jac = jacobian(weights_from(r))
-        sv = np.linalg.svd(jac, compute_uv=False)
-        smax = sv[0] if len(sv) else 0.0
-        smin = sv[-1] if len(sv) else 0.0
-        if len(sv) < len(pairs) or smin <= 1e-8 * max(1.0, smax):
-            singular.append(r)
-    if singular:
+    if any(_svd_rank(jacobian(r), RANK_TOL)[0] < nfree for r in roots):
         raise SingularSystem(
             support,
             "singular Jacobian at a root",
@@ -438,10 +365,15 @@ class EnumerationResult:
 
     @property
     def degenerate(self) -> bool:
-        return self.continuum or bool(self.warnings)
+        """Witnessed degeneracy: a continuum, a warning, or a singular or
+        boundary-degenerate certificate."""
+        return self.continuum or bool(self.warnings) or any(
+            c.jacobian_verdict == "singular" or c.boundary_degenerate
+            for c in self.equilibria
+        )
 
 
-def _support_label(support: SupportProfile) -> str:
+def support_label(support: SupportProfile) -> str:
     return " | ".join(",".join(map(str, s)) for s in support.supports)
 
 
@@ -466,7 +398,7 @@ def enumerate_nash(
         try:
             candidates = solve_support(game, support, seed=seed)
         except SingularSystem as exc:
-            result.warnings.append(f"support {_support_label(support)}: {exc.reason}")
+            result.warnings.append(f"support {support_label(support)}: {exc.reason}")
             candidates = exc.candidates
             if exc.witness is not None and not result.continuum:
                 if best_reply_check(game, exc.witness, tol).all_ok:

@@ -73,21 +73,29 @@ class MultilinearForm:
             return max(abs(x) for x in flat)
         return float(np.max(np.abs(flat)))
 
+    def _inputs(self, points, keep: int | None = None) -> list:
+        """Lifted, length-checked block vectors, None at position keep."""
+        out = []
+        for k in range(len(self.blocks)):
+            if k == keep:
+                out.append(None)
+                continue
+            vec = self.lift_input(k, points[k])
+            if len(vec) != self.coeffs.shape[k]:
+                raise ValueError(
+                    f"block {self.blocks[k]}: expected length {self.input_length(k)}"
+                )
+            out.append(vec)
+        return out
+
     def eval(self, points) -> float | Fraction:
         """Evaluate at one coordinate vector per participating block."""
         if len(points) != len(self.blocks):
             raise ValueError(
                 f"form takes {len(self.blocks)} block vectors, got {len(points)}"
             )
-        t = self.coeffs
-        for k in range(len(self.blocks) - 1, -1, -1):
-            vec = self.lift_input(k, points[k])
-            if len(vec) != t.shape[k]:
-                raise ValueError(
-                    f"block {self.blocks[k]}: expected length {self.input_length(k)}"
-                )
-            t = np.tensordot(t, vec, axes=([k], [0]))
-        return t.item() if isinstance(t, np.ndarray) else t
+        t = contract(self.coeffs, self._inputs(points))
+        return t.item() if isinstance(t, (np.ndarray, np.generic)) else t
 
     def grad(self, points, block: int) -> np.ndarray:
         """Gradient with respect to one block's (free) coordinates.
@@ -98,24 +106,13 @@ class MultilinearForm:
         if block not in self.blocks:
             raise ValueError(f"form does not depend on block {block}")
         pos = self.blocks.index(block)
-        t = self.coeffs
-        for k in range(len(self.blocks) - 1, -1, -1):
-            if k == pos:
-                continue
-            vec = self.lift_input(k, points[k])
-            if len(vec) != t.shape[k]:
-                raise ValueError(
-                    f"block {self.blocks[k]}: expected length {self.input_length(k)}"
-                )
-            t = np.tensordot(t, vec, axes=([k], [0]))
+        t = contract(self.coeffs, self._inputs(points, keep=pos))
         if self.pinned[pos] is not None:
             t = np.delete(t, self.pinned[pos])
         return t
 
     def eval_batch(self, mats) -> np.ndarray:
         """Vectorized float evaluation: mats[t] has shape (B, input_length(t))."""
-        letters = "abcdefghij"
-        subs = letters[: len(self.blocks)]
         lifted = []
         for k, mat in enumerate(mats):
             mat = np.asarray(mat, dtype=float)
@@ -123,8 +120,28 @@ class MultilinearForm:
             if p is not None:
                 mat = np.insert(mat, p, 1.0, axis=1)
             lifted.append(mat)
-        spec = subs + "," + ",".join("z" + c for c in subs) + "->z"
-        return np.einsum(spec, np.asarray(self.coeffs, dtype=float), *lifted)
+        return contract(np.asarray(self.coeffs, dtype=float), lifted)
+
+
+def contract(tensor: np.ndarray, vectors) -> np.ndarray:
+    """Contract axis k of tensor with vectors[k]; a None entry keeps axis k.
+
+    Kept axes stay in their original order. A vector of shape (B, s)
+    carries a batch axis shared by all such vectors, which comes first in
+    the result. One einsum call in integer-sublist form, so the number of
+    axes is not bound to an alphabet; object (Fraction) arrays contract
+    exactly.
+    """
+    n = tensor.ndim
+    operands = [tensor, list(range(n))]
+    kept, batched = [], False
+    for k, vec in enumerate(vectors):
+        if vec is None:
+            kept.append(k)
+            continue
+        batched = batched or vec.ndim == 2
+        operands += [vec, [n, k] if vec.ndim == 2 else [k]]
+    return np.einsum(*operands, ([n] if batched else []) + kept)
 
 
 def _coerce_vector(vec, rational: bool) -> np.ndarray:
@@ -299,9 +316,7 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
     t = game.utilities[i]
     if not rational and t.dtype == object:
         t = np.asarray([float(x) for x in t.reshape(-1)]).reshape(t.shape)
-    for k in range(game.num_players - 1, -1, -1):
-        if k == i:
-            continue
-        vec = _coerce_vector(weights[k], rational)
-        t = np.tensordot(t, vec, axes=([k], [0]))
-    return t
+    return contract(t, [
+        None if k == i else _coerce_vector(weights[k], rational)
+        for k in range(game.num_players)
+    ])

@@ -12,6 +12,11 @@ full rank means transversal. Equilibria get a canonical square family
 (off-support coordinate hyperplanes plus the star of in-support
 equality hypersurfaces); its Jacobian being nondegenerate is the
 regularity certificate.
+
+Regular-value probes hunt roots with _newton_roots, a damped
+least-squares multistart Newton loop that the m != 2 equilibrium solver
+shares; its tolerances (RESIDUAL_TOL, DEDUP_TOL, NEWTON_MAX_ITERS,
+RANDOM_STARTS) serve both callers.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ if TYPE_CHECKING:
     from .equilibrium import EquilibriumCertificate
 
 RANK_TOL = 1e-8
-PROBE_STARTS = 32
-PROBE_RESIDUAL_TOL = 1e-10
-PROBE_MAX_ITERS = 100
-PROBE_DEDUP_TOL = 1e-6
+RESIDUAL_TOL = 1e-10
+DEDUP_TOL = 1e-6
+NEWTON_MAX_ITERS = 100
+RANDOM_STARTS = 32
 
 
 @dataclass(frozen=True)
@@ -133,22 +138,8 @@ def _forest_path(adj, start: int, goal: int) -> list[int] | None:
 
 
 def is_good(family: GoodFamily) -> bool:
-    """Forest condition per player, via union-find on the pair edges."""
-    for pairs in family.R:
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for j, k in pairs:
-            rj, rk = find(j), find(k)
-            if rj == rk:
-                return False
-            parent[rj] = rk
-    return True
+    """Forest condition per player: no pair graph has a cycle."""
+    return witness_cycle(family) is None
 
 
 def witness_cycle(family: GoodFamily) -> tuple[int, list[int]] | None:
@@ -201,6 +192,45 @@ def _svd_rank(matrix: np.ndarray, rank_tol: float) -> tuple[int, float, float]:
     cutoff = rank_tol * max(1.0, smax)
     rank = int(np.sum(sv > cutoff))
     return rank, float(sv[-1]), smax
+
+
+def _inf_norm(v) -> float:
+    return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
+    """Damped least-squares Newton from every start.
+
+    Each step solves jacobian(x) step = -residual(x) in the least-squares
+    sense and halves its length until the residual norm drops enough.
+    Returns the starts' limits with residual within RESIDUAL_TOL that pass
+    `accept`, deduplicated at DEDUP_TOL, in start order.
+    """
+    roots: list[np.ndarray] = []
+    for x in starts:
+        fval = residual(x)
+        for _ in range(NEWTON_MAX_ITERS):
+            if _inf_norm(fval) <= RESIDUAL_TOL:
+                break
+            step = np.linalg.lstsq(jacobian(x), -fval, rcond=None)[0]
+            if _inf_norm(step) <= 1e-14:
+                break
+            norm0 = np.linalg.norm(fval)
+            t = 1.0
+            for _ in range(25):
+                xn = x + t * step
+                fn = residual(xn)
+                if np.linalg.norm(fn) <= (1.0 - 0.25 * t) * norm0:
+                    break
+                t *= 0.5
+            else:
+                break
+            x, fval = xn, fn
+        if _inf_norm(fval) > RESIDUAL_TOL or (accept is not None and not accept(x)):
+            continue
+        if all(_inf_norm(x - r) > DEDUP_TOL for r in roots):
+            roots.append(x)
+    return roots
 
 
 def transversal_at(
@@ -417,40 +447,10 @@ def regular_value_probe(
                 pos += dims[i]
         return jac
 
-    def inf_norm(v) -> float:
-        return float(np.max(np.abs(v))) if v.size else 0.0
-
     rng = np.random.default_rng(seed)
     starts = [np.zeros(total_dim)]
-    starts.extend(rng.normal(0.0, 1.0, total_dim) for _ in range(PROBE_STARTS))
-
-    roots: list[np.ndarray] = []
-    for z in starts:
-        fval = residual(z)
-        converged = False
-        for _ in range(PROBE_MAX_ITERS):
-            if inf_norm(fval) <= PROBE_RESIDUAL_TOL:
-                converged = True
-                break
-            jac = jacobian(z)
-            step = np.linalg.lstsq(jac, -fval, rcond=None)[0]
-            if inf_norm(step) <= 1e-14:
-                break
-            norm0 = np.linalg.norm(fval)
-            t = 1.0
-            for _ in range(25):
-                zn = z + t * step
-                fn = residual(zn)
-                if np.linalg.norm(fn) <= (1.0 - 0.25 * t) * norm0:
-                    break
-                t *= 0.5
-            else:
-                break
-            z, fval = zn, fn
-        if not converged and inf_norm(fval) > PROBE_RESIDUAL_TOL:
-            continue
-        if all(inf_norm(z - r) > PROBE_DEDUP_TOL for r in roots):
-            roots.append(z)
+    starts.extend(rng.normal(0.0, 1.0, total_dim) for _ in range(RANDOM_STARTS))
+    roots = _newton_roots(residual, jacobian, starts)
 
     out_roots = []
     all_regular = True

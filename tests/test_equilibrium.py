@@ -170,8 +170,12 @@ def test_matches_oracle_on_random_float_games():
 
 
 def test_newton_agrees_with_exact_route():
-    for seed in range(8):
-        game = random_game((2, 3), seed=seed)
+    # 3x3 and 2x4 give multi-column Jacobian blocks in both axis orders
+    cases = [((2, 3), seed) for seed in range(8)]
+    cases += [((3, 3), seed) for seed in range(2)]
+    cases += [((2, 4), seed) for seed in range(2)]
+    for shape, seed in cases:
+        game = random_game(shape, seed=seed)
         for support in enumerate_supports(game):
             try:
                 exact = _exact_pair_solve(game, support)

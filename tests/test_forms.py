@@ -197,16 +197,20 @@ def test_grad_rejects_missing_block(mp_float):
 
 
 def test_eval_batch_matches_eval():
-    game = random_game((2, 3, 2), seed=43)
-    form = payoff_form(game, 1)
-    rng = np.random.default_rng(9)
-    mats = [
-        rng.normal(size=(20, form.input_length(t)))
-        for t in range(len(form.blocks))
+    # the 11-player form has more blocks than a one-letter einsum alphabet
+    forms = [
+        payoff_form(random_game((2, 3, 2), seed=43), 1),
+        payoff_form(random_game((2,) * 11, seed=44), 5),
     ]
-    batch = form.eval_batch(mats)
-    for k in range(20):
-        assert batch[k] == pytest.approx(form.eval([m[k] for m in mats]))
+    rng = np.random.default_rng(9)
+    for form in forms:
+        mats = [
+            rng.normal(size=(20, form.input_length(t)))
+            for t in range(len(form.blocks))
+        ]
+        batch = form.eval_batch(mats)
+        for k in range(20):
+            assert batch[k] == pytest.approx(form.eval([m[k] for m in mats]))
 
 
 def test_lift_input_and_lengths():
