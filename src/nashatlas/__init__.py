@@ -28,7 +28,6 @@ from .atlas import (
     defining_map,
     excluded_hypersurfaces,
     format_chart,
-    lift,
     on_hypersurface,
     parse_chart,
     parse_hypersurface,
@@ -127,7 +126,6 @@ __all__ = [
     "homogeneous_decomposition",
     "is_good",
     "lambda_decomposition",
-    "lift",
     "make_game",
     "on_hypersurface",
     "parse_chart",

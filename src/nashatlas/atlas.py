@@ -95,10 +95,6 @@ class ChartPoint:
     def num_players(self) -> int:
         return len(self.chart)
 
-    @property
-    def is_rational(self) -> bool:
-        return any(c.dtype == object for c in self.coords)
-
     def full_vector(self, i: int) -> np.ndarray:
         one = Fraction(1) if self.coords[i].dtype == object else 1.0
         return np.insert(self.coords[i], self.chart[i], one)
@@ -149,14 +145,10 @@ def all_charts(game: FiniteGame) -> list[tuple[int, ...]]:
     return [tuple(l) for l in itertools.product(*(range(c) for c in game.strategy_counts))]
 
 
-def lift(point: ChartPoint) -> tuple[np.ndarray, ...]:
-    """Per player the full tilde vector with entry 1 in the chart slot."""
-    return point.full_vectors()
-
-
 def read_chart(vectors, chart: tuple[int, ...]) -> ChartPoint:
-    """Inverse of lift up to projective scaling: rescale each player's
-    vector so the chart slot is 1, then drop that slot."""
+    """Inverse of ChartPoint.full_vectors up to projective scaling:
+    rescale each player's vector so the chart slot is 1, then drop that
+    slot."""
     coords = []
     for i, (v, l) in enumerate(zip(vectors, chart)):
         v = np.asarray(v)
@@ -179,7 +171,7 @@ def transition(point: ChartPoint, target) -> ChartPoint:
     target = tuple(int(t) for t in target)
     if len(target) != point.num_players:
         raise ValueError("target chart has wrong length")
-    return read_chart(lift(point), target)
+    return read_chart(point.full_vectors(), target)
 
 
 def chart_zero_point(profile: MixedProfile) -> ChartPoint:

@@ -8,10 +8,12 @@ equality part into a square polynomial system on the product of open
 faces. Two-player systems are linear per player block and solved
 exactly over the rationals (float payoffs are converted exactly);
 anything larger runs the damped multistart Newton loop of
-genericity._newton_roots in face coordinates. Player i's residual is
-the spread of its contracted slope vector over the support, and its
-Jacobian block for player q comes from the contraction of its payoff
-tensor that keeps the axes of i and q (forms.contract, one einsum each).
+genericity._newton_roots in face coordinates: player b's free weights
+sit on its support minus the last strategy, which takes one minus their
+sum. The system is genericity._face_system, the same face system the
+regular-value probe solves: player i's equations are its payoff tensor
+contracted on its own axis with e_s - e_{supp[0]} for s in supp[1:], and
+its residual and Jacobian blocks are single contractions (forms.contract).
 
 Rank-deficient strata raise SingularSystem instead of guessing: a
 positive-dimensional solution set or a singular Jacobian at a root is
@@ -29,12 +31,13 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import AffineSolutionSet, solve_affine
-from .forms import contract, payoff_slice_values
+from .forms import _contract_axis, payoff_slice_values
 from .genericity import (
     DEDUP_TOL,
     RANDOM_STARTS,
     RANK_TOL,
     RESIDUAL_TOL,
+    _face_system,
     _newton_roots,
     _svd_rank,
     certify_equilibrium,
@@ -217,19 +220,27 @@ def _profile_from_fractions(game: FiniteGame, weights) -> MixedProfile:
 
 def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     """Multistart damped Newton on the face coordinates (m != 2 path)."""
-    m = game.num_players
-    counts = game.strategy_counts
     supports = support.supports
-    mixed = [i for i in range(m) if len(supports[i]) >= 2]
-    u_float = [np.asarray(u, dtype=float) for u in game.utilities]
+    mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
+    eye = [np.eye(c) for c in game.strategy_counts]
+    # (1, z) -> weights: z on supp[:-1], the last strategy takes 1 - sum(z)
+    maps = [
+        np.column_stack([e[:, s[-1]]] + [e[:, t] - e[:, s[-1]] for t in s[:-1]])
+        for e, s in zip(eye, supports)
+    ]
+    # player i's equations: slope of each supp[1:] strategy minus supp[0]'s
+    tensors = [
+        _contract_axis(np.asarray(u, dtype=float),
+                       e[:, list(s[1:])] - e[:, [s[0]]], i) if len(s) >= 2 else None
+        for i, (u, e, s) in enumerate(zip(game.utilities, eye, supports))
+    ]
+    residual, jacobian, vectors = _face_system(tensors, maps)
 
-    base = [np.zeros(c) for c in counts]
-    for i in range(m):
-        if len(supports[i]) == 1:
-            base[i][supports[i][0]] = 1.0
+    def weights_from(x):
+        return [a @ v for a, v in zip(maps, vectors(x))]
 
     if not mixed:
-        return [profile_from_weights([b.copy() for b in base])]
+        return [profile_from_weights(weights_from(np.zeros(0)))]
 
     sizes = {i: len(supports[i]) for i in mixed}
     offsets = {}
@@ -237,43 +248,6 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     for i in mixed:
         offsets[i] = nfree
         nfree += sizes[i] - 1
-
-    def weights_from(x):
-        w = [b.copy() for b in base]
-        for i in mixed:
-            vals = x[offsets[i]: offsets[i] + sizes[i] - 1]
-            for t, s in enumerate(supports[i][:-1]):
-                w[i][s] = vals[t]
-            w[i][supports[i][-1]] = 1.0 - vals.sum()
-        return w
-
-    def slopes(w, i, q=None):
-        """Player i's payoff slopes, as a matrix over (i, q) when q is given."""
-        c = contract(u_float[i], [None if k in (i, q) else w[k] for k in range(m)])
-        return c.T if q is not None and q < i else c
-
-    def residual(x):
-        w = weights_from(x)
-        rows = []
-        for i in mixed:
-            c = slopes(w, i)
-            rows.append(c[list(supports[i][1:])] - c[supports[i][0]])
-        return np.concatenate(rows)
-
-    def jacobian(x):
-        w = weights_from(x)
-        jac = np.zeros((nfree, nfree))
-        for i in mixed:
-            rows = slice(offsets[i], offsets[i] + sizes[i] - 1)
-            for q in mixed:
-                if q == i:
-                    continue
-                c = slopes(w, i, q)
-                d = c[list(supports[i][1:])] - c[supports[i][0]]
-                jac[rows, offsets[q]: offsets[q] + sizes[q] - 1] = (
-                    d[:, list(supports[q][:-1])] - d[:, [supports[q][-1]]]
-                )
-        return jac
 
     def starts():
         centroid = np.concatenate(

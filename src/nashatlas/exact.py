@@ -87,10 +87,3 @@ def solve_affine(a: list[list[Fraction]], b: list[Fraction], n: int) -> AffineSo
             vec[c] = -mat[r][f]
         nullspace.append(vec)
     return AffineSolutionSet(particular=particular, nullspace=nullspace)
-
-
-def exact_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)

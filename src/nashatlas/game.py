@@ -54,10 +54,6 @@ class FiniteGame:
     def zero_tol(self) -> float:
         return 0.0 if self.mode == RATIONAL else DEFAULT_ZERO_TOL
 
-    def payoff_dtype(self):
-        return object if self.mode == RATIONAL else np.float64
-
-
 @dataclass(frozen=True)
 class MixedProfile:
     """One weight vector per player; on A the weights sum to 1."""
@@ -95,10 +91,6 @@ class SupportProfile:
                 raise ValueError("supports must be nonempty")
             if tuple(sorted(set(supp))) != supp:
                 raise ValueError("supports must be sorted and duplicate-free")
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.supports)
-
 
 def make_game(
     strategy_counts,

@@ -13,10 +13,13 @@ full rank means transversal. Equilibria get a canonical square family
 equality hypersurfaces); its Jacobian being nondegenerate is the
 regularity certificate.
 
-Regular-value probes hunt roots with _newton_roots, a damped
-least-squares multistart Newton loop that the m != 2 equilibrium solver
-shares; its tolerances (RESIDUAL_TOL, DEDUP_TOL, NEWTON_MAX_ITERS,
-RANDOM_STARTS) serve both callers.
+An equilibrium of a support and a root of a regular-value probe are the
+same kind of object: a common zero of payoff-difference hypersurfaces
+restricted to a coordinate face. _face_system builds that restricted
+system once for both (residual, Jacobian and face vectors from one
+contraction each), and _newton_roots, a damped least-squares multistart
+Newton loop, finds its roots; its tolerances (RESIDUAL_TOL, DEDUP_TOL,
+NEWTON_MAX_ITERS, RANDOM_STARTS) serve both callers.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from .atlas import (
     chart_zero_point,
     defining_map,
     format_chart,
+    on_hypersurface,
 )
-from .forms import MultilinearForm
+from .forms import MultilinearForm, _contract_axis, contract
 from .game import FiniteGame, SupportProfile
 
 if TYPE_CHECKING:
@@ -233,6 +237,55 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
     return roots
 
 
+def _face_system(tensors, maps):
+    """The payoff-difference system restricted to a coordinate face.
+
+    maps[b] is a (c_b, 1 + d_b) matrix taking (1, z_b) to player b's full
+    vector, and z concatenates the z_b. tensors[i], or None for a player
+    without equations, holds player i's equations on axis i and full
+    coordinates on every other axis; it is composed with the other
+    players' maps once. Returns residual(z), one contraction per equation
+    player; jacobian(z), whose block (i, q) is the contraction keeping
+    axes i and q minus its constant column; and vectors(z), the per-player
+    (1, z_b).
+    """
+    m = len(maps)
+    dims = [a.shape[1] - 1 for a in maps]
+    ends = np.cumsum(dims)
+    system = []
+    for i, t in enumerate(tensors):
+        if t is not None:
+            for b in range(m):
+                if b != i:
+                    t = _contract_axis(t, maps[b], b)
+            system.append((i, t))
+
+    def vectors(z):
+        return [np.concatenate(([1.0], z[e - d: e])) for d, e in zip(dims, ends)]
+
+    def residual(z):
+        v = vectors(z)
+        return np.concatenate([
+            contract(t, [None if b == i else v[b] for b in range(m)])
+            for i, t in system
+        ])
+
+    def jacobian(z):
+        v = vectors(z)
+        rows = []
+        for i, t in system:
+            row = np.zeros((t.shape[i], len(z)))
+            for q in range(m):
+                if q == i or not dims[q]:
+                    continue
+                c = contract(t, [None if b in (i, q) else v[b] for b in range(m)])
+                row[:, ends[q] - dims[q]: ends[q]] = (c.T if q < i else c)[:, 1:]
+            rows.append(row)
+        return np.vstack(rows)
+
+    return residual, jacobian, vectors
+
+
 def transversal_at(
     game: FiniteGame,
     family: GoodFamily,
@@ -251,19 +304,11 @@ def transversal_at(
     """
     chart = point.chart
     if active is None:
-        active = []
-        for h in family.hypersurfaces():
-            if chart_excludes(chart, h):
-                continue
-            form = defining_map(game, h, chart)
-            scale = form.max_abs_coeff()
-            if scale == 0:
-                active.append(h)
-                continue
-            value = form.eval([point.coords[b] for b in form.blocks])
-            if abs(value) <= tol * scale:
-                active.append(h)
-    offsets, total = _coord_offsets(game)
+        active = [
+            h for h in family.hypersurfaces()
+            if not chart_excludes(chart, h) and on_hypersurface(game, h, point, tol)
+        ]
+    total = _coord_offsets(game)[1]
     rows = [
         full_gradient(game, defining_map(game, h, chart), point) for h in active
     ]
@@ -324,63 +369,39 @@ class ProbeReport:
     verdict: str  # "regular" (all witnessed roots regular, or none) / "degenerate"
 
 
-def _face_parametrization(game: FiniteGame, family: GoodFamily, chart):
-    """Affine map z -> chart coords of the face cut out by the T^i
-    coordinate constraints: per player a constant vector and a basis
-    matrix. Returns None when the face misses the chart."""
-    consts, bases = [], []
-    for i in range(game.num_players):
-        n = game.strategy_counts[i] - 1
-        l = chart[i]
-        slot_of_pos = [p if p < l else p + 1 for p in range(n)]
-        fixed = set()
-        affine = False
-        for t in family.T[i]:
+def _face_maps(game: FiniteGame, family: GoodFamily, chart):
+    """Per player the (c_b, 1 + d_b) matrix taking (1, z_b) to the full
+    tilde vector of the face cut out by the T^b coordinate constraints,
+    chart slot included. Returns None when the face misses the chart."""
+    maps = []
+    for i, labels in enumerate(family.T):
+        c, l = game.strategy_counts[i], chart[i]
+        fixed, affine = {l}, False
+        for t in labels:
             h = Coordinate(i, t)
             if chart_excludes(chart, h):
                 raise ValueError(
                     f"{h} is excluded from chart {format_chart(chart)}; "
                     "pick a chart whose pinned slots avoid the family"
                 )
-            if t == INF:
-                fixed.add(0)  # tilde slot 0
-            elif t == 0:
+            if t == 0:
                 affine = True
             else:
-                fixed.add(int(t))
-        c0 = np.zeros(n)
-        free_positions = [p for p in range(n) if slot_of_pos[p] not in fixed]
+                fixed.add(0 if t == INF else int(t))
+        free = [s for s in range(c) if s not in fixed]
+        a = np.zeros((c, 1 + len(free)))
+        a[l, 0] = 1.0
+        a[free, 1 + np.arange(len(free))] = 1.0
         if affine:
-            # the zeroth-weight hyperplane: tilde_0 - sum_{j>=1} tilde_j = 0
-            # with the chart slot contributing its pinned 1
-            coeff = {p: (1.0 if slot_of_pos[p] == 0 else -1.0) for p in free_positions}
-            const = 1.0 if l == 0 else -1.0
-            if not free_positions:
-                if const != 0.0:
-                    return None
-                pivot = None
-            else:
-                pivot = free_positions[0]
-            if pivot is not None:
-                c0[pivot] = -const / coeff[pivot]
-                cols = []
-                for p in free_positions[1:]:
-                    col = np.zeros(n)
-                    col[p] = 1.0
-                    col[pivot] = -coeff[p] / coeff[pivot]
-                    cols.append(col)
-                bases.append(np.array(cols).T if cols else np.zeros((n, 0)))
-            else:
-                bases.append(np.zeros((n, 0)))
-        else:
-            cols = []
-            for p in free_positions:
-                col = np.zeros(n)
-                col[p] = 1.0
-                cols.append(col)
-            bases.append(np.array(cols).T if cols else np.zeros((n, 0)))
-        consts.append(c0)
-    return consts, bases
+            # the zeroth-weight hyperplane tilde_0 - sum_{j>=1} tilde_j = 0,
+            # solved for the first free slot; the pinned slot gives +-1
+            if not free:
+                return None
+            g = np.where(np.arange(c) == 0, 1.0, -1.0)
+            a[free[0]] = -(g @ a) / g[free[0]]
+            a = np.delete(a, 1, axis=1)
+        maps.append(a)
+    return maps
 
 
 def regular_value_probe(
@@ -403,49 +424,25 @@ def regular_value_probe(
     if family.num_pairs == 0:
         raise ValueError("family has no payoff-difference pairs to probe")
 
-    param = _face_parametrization(game, family, chart)
-    if param is None:
+    maps = _face_maps(game, family, chart)
+    if maps is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
-    consts, bases = param
-    dims = [b.shape[1] for b in bases]
-    total_dim = sum(dims)
-
-    forms = []
-    for i, pairs in enumerate(family.R):
-        for pair in pairs:
-            forms.append(defining_map(game, PayoffDiff(i, pair), chart))
-    num_eq = len(forms)
-
-    def coords_of(z):
-        out, pos = [], 0
-        for i in range(game.num_players):
-            zi = z[pos: pos + dims[i]]
-            pos += dims[i]
-            out.append(consts[i] + bases[i] @ zi)
-        return out
+    tensors = [
+        np.asarray(
+            np.stack([defining_map(game, PayoffDiff(i, pair), chart).coeffs
+                      for pair in pairs], axis=i),
+            dtype=float,
+        ) if pairs else None
+        for i, pairs in enumerate(family.R)
+    ]
+    residual, jacobian, vectors = _face_system(tensors, maps)
+    total_dim = sum(a.shape[1] - 1 for a in maps)
+    num_eq = family.num_pairs
 
     def point_of(z) -> ChartPoint:
-        return ChartPoint(chart, tuple(coords_of(z)))
-
-    offsets, _ = _coord_offsets(game)
-
-    def residual(z):
-        coords = coords_of(z)
-        return np.array(
-            [f.eval([coords[b] for b in f.blocks]) for f in forms], dtype=float
-        )
-
-    def jacobian(z):
-        point = point_of(z)
-        jac = np.zeros((num_eq, total_dim))
-        for r, f in enumerate(forms):
-            g = full_gradient(game, f, point)
-            pos = 0
-            for i in range(game.num_players):
-                gi = g[offsets[i]: offsets[i] + game.strategy_counts[i] - 1]
-                jac[r, pos: pos + dims[i]] = bases[i].T @ gi
-                pos += dims[i]
-        return jac
+        return ChartPoint(chart, tuple(
+            np.delete(a @ v, l) for a, v, l in zip(maps, vectors(z), chart)
+        ))
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(total_dim)]
@@ -492,10 +489,8 @@ def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int,
         kernel = np.eye(a.shape[1])
     else:
         top = a[:b]
-        u, sv, vh = np.linalg.svd(top)
-        cutoff = rank_tol * max(1.0, float(sv[0]) if len(sv) else 0.0)
-        rank_top = int(np.sum(sv > cutoff))
-        kernel = vh[rank_top:].T
+        rank_top, _, _ = _svd_rank(top, rank_tol)
+        kernel = np.linalg.svd(top)[2][rank_top:].T
     lower = a[b:] @ kernel
     rank_lower, _, _ = _svd_rank(lower, rank_tol)
     cond_split = rank_lower == total - b

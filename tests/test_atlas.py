@@ -20,7 +20,6 @@ from nashatlas import (
     defining_map,
     excluded_hypersurfaces,
     format_chart,
-    lift,
     on_hypersurface,
     parse_chart,
     parse_hypersurface,
@@ -50,7 +49,7 @@ def test_chart_point_validation(mp_float):
 
 def test_lift_inserts_unit(mp_float):
     p = chart_point(mp_float, (1, 0), [[0.25], [4.0]])
-    vs = lift(p)
+    vs = p.full_vectors()
     np.testing.assert_array_equal(vs[0], [0.25, 1.0])
     np.testing.assert_array_equal(vs[1], [1.0, 4.0])
 

@@ -174,16 +174,32 @@ def test_newton_agrees_with_exact_route():
     cases = [((2, 3), seed) for seed in range(8)]
     cases += [((3, 3), seed) for seed in range(2)]
     cases += [((2, 4), seed) for seed in range(2)]
-    for shape, seed in cases:
-        game = random_game(shape, seed=seed)
+    runs = [(random_game(shape, seed=seed), seed, None) for shape, seed in cases]
+    # a 3-player game whose first two payoffs ignore player 3: with player
+    # 3 pure at k the Newton route solves the 2-player game, e_k appended
+    pair = random_game((2, 3), seed=4)
+    dummy = make_game((2, 3, 2), [
+        np.repeat(pair.utilities[0][:, :, None], 2, axis=2),
+        np.repeat(pair.utilities[1][:, :, None], 2, axis=2),
+        np.random.default_rng(4).uniform(-1.0, 1.0, (2, 3, 2)),
+    ])
+    runs += [(pair, 4, k) for k in range(2)]
+    for game, seed, k in runs:
         for support in enumerate_supports(game):
             try:
                 exact = _exact_pair_solve(game, support)
             except SingularSystem:
                 continue
-            newton = _newton_solve(game, support, seed=seed)
+            if k is None:
+                newton = _newton_solve(game, support, seed=seed)
+                tail = ()
+            else:
+                newton = _newton_solve(
+                    dummy, SupportProfile(support.supports + ((k,),)), seed=seed
+                )
+                tail = tuple(np.eye(2)[k])
             a = sorted(
-                tuple(float(x) for w in p.weights for x in w) for p in exact
+                tuple(float(x) for w in p.weights for x in w) + tail for p in exact
             )
             b = sorted(
                 tuple(float(x) for w in p.weights for x in w) for p in newton

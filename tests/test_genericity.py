@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nashatlas import (
     INF,
+    RATIONAL,
     Coordinate,
     EquilibriumCertificate,
     PayoffDiff,
@@ -22,6 +23,7 @@ from nashatlas import (
     good_family,
     is_good,
     make_game,
+    on_hypersurface,
     profile_from_weights,
     random_game,
     rank_split_equivalence_test,
@@ -30,6 +32,7 @@ from nashatlas import (
     transversal_at,
     witness_cycle,
 )
+from nashatlas.atlas import chart_excludes
 from nashatlas.genericity import full_gradient
 
 
@@ -270,6 +273,48 @@ def test_probe_three_player_regular():
     assert report.dimension == 3
     assert report.num_equations == 3
     assert report.verdict == "regular"
+
+
+def test_probe_exact_game_matches_float_twin():
+    rng = np.random.default_rng(2)
+    payoffs = [rng.integers(-3, 4, size=(2, 2, 2)) for _ in range(3)]
+    exact = make_game((2, 2, 2), payoffs, mode=RATIONAL)
+    twin = make_game((2, 2, 2), [u.astype(float) for u in payoffs])
+    fam = good_family(exact, R=[[(0, 1)], [(0, 1)], [(0, 1)]])
+    a = regular_value_probe(exact, fam, (0, 0, 0), seed=2)
+    b = regular_value_probe(twin, fam, (0, 0, 0), seed=2)
+    assert a.roots
+    assert a.verdict == b.verdict
+    assert [r.rank for r in a.roots] == [r.rank for r in b.roots]
+    for r, s in zip(a.roots, b.roots):
+        for x, y in zip(r.point.coords, s.point.coords):
+            np.testing.assert_allclose(np.asarray(x, dtype=float), y, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, T, R", [
+    ((3, 3), [(0,), (INF,)], [[(0, 1)], [(1, 2)]]),
+    ((3, 3), [(0, INF), ()], [[(0, 1), (1, 2)], []]),
+    ((2, 3, 2), [(0,), (INF,), ()], [[(0, 1)], [], [(0, 1)]]),
+    ((2, 3, 2), [(), (0, INF), ()], [[(0, 1)], [], [(0, 1)]]),
+    ((2, 3, 2), [(INF,), (0,), ()], [[], [(0, 2)], [(0, 1)]]),
+])
+def test_probe_roots_lie_on_the_family(shape, T, R):
+    # square families whose faces use the zeroth-weight and infinity
+    # hyperplanes, in every chart that does not exclude them
+    game = random_game(shape, seed=3)
+    fam = good_family(game, T, R)
+    hypersurfaces = fam.hypersurfaces()
+    found = 0
+    for chart in itertools.product(*(range(c) for c in shape)):
+        if any(chart_excludes(chart, h) for h in hypersurfaces):
+            continue
+        report = regular_value_probe(game, fam, chart, seed=3)
+        assert report.num_equations == report.dimension
+        for root in report.roots:
+            found += 1
+            for h in hypersurfaces:
+                assert on_hypersurface(game, h, root.point), (chart, h)
+    assert found
 
 
 def test_full_gradient_placement(mp_float):
