@@ -8,12 +8,15 @@ equality part into a square polynomial system on the product of open
 faces. Two-player systems are linear per player block and solved
 exactly over the rationals (float payoffs are converted exactly);
 anything larger runs the damped multistart Newton loop of
-genericity._newton_roots in face coordinates: player b's free weights
-sit on its support minus the last strategy, which takes one minus their
-sum. The system is genericity._face_system, the same face system the
+genericity._newton_roots in face coordinates, which steps all starts
+together while each keeps its own stopping rule and step length. Player
+b's free weights sit on its support minus the last strategy, which takes
+one minus their sum. The system is genericity._face_system, the same face system the
 regular-value probe solves: player i's equations are its payoff tensor
 contracted on its own axis with e_s - e_{supp[0]} for s in supp[1:], and
-its residual and Jacobian blocks are single contractions (forms.contract).
+its residual and Jacobian blocks are single contractions (forms.contract)
+that take one point or a stack of them; the continuum and singular-root
+checks on the roots found are one batched call each.
 
 Rank-deficient strata raise SingularSystem instead of guessing: a
 positive-dimensional solution set or a singular Jacobian at a root is
@@ -274,17 +277,24 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     roots = _newton_roots(residual, jacobian, starts(), accept=positive)
     profiles = [profile_from_weights(weights_from(r)) for r in roots]
 
-    for a, b in itertools.combinations(range(len(roots)), 2):
-        mid = 0.5 * (roots[a] + roots[b])
-        if np.max(np.abs(residual(mid))) <= RESIDUAL_TOL:
+    if not roots:
+        return profiles
+    # all root-pair midpoints at once; triu_indices lists the pairs in
+    # itertools.combinations order, so the first solving pair is the witness
+    r = np.array(roots)
+    a, b = np.triu_indices(len(r), k=1)
+    if a.size:
+        mids = 0.5 * (r[a] + r[b])
+        solves = np.max(np.abs(residual(mids)), axis=1) <= RESIDUAL_TOL
+        if solves.any():
             raise SingularSystem(
                 support,
                 "continuum of solutions (midpoint of two roots also solves)",
-                witness=profile_from_weights(weights_from(mid)),
+                witness=profile_from_weights(weights_from(mids[np.argmax(solves)])),
                 candidates=profiles,
             )
 
-    if any(_svd_rank(jacobian(r), RANK_TOL)[0] < nfree for r in roots):
+    if any(_svd_rank(jac, RANK_TOL)[0] < nfree for jac in jacobian(r)):
         raise SingularSystem(
             support,
             "singular Jacobian at a root",

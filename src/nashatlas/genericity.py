@@ -17,9 +17,12 @@ An equilibrium of a support and a root of a regular-value probe are the
 same kind of object: a common zero of payoff-difference hypersurfaces
 restricted to a coordinate face. _face_system builds that restricted
 system once for both (residual, Jacobian and face vectors from one
-contraction each), and _newton_roots, a damped least-squares multistart
-Newton loop, finds its roots; its tolerances (RESIDUAL_TOL, DEDUP_TOL,
-NEWTON_MAX_ITERS, RANDOM_STARTS) serve both callers.
+contraction each, for one point or a stack of points), and
+_newton_roots, a damped least-squares multistart Newton loop, finds its
+roots. The starts iterate together, one batched residual, Jacobian and
+pseudo-inverse per step, and each start keeps its own stopping rule and
+step length; its tolerances (RESIDUAL_TOL, DEDUP_TOL, NEWTON_MAX_ITERS,
+RANDOM_STARTS) serve both callers.
 """
 
 from __future__ import annotations
@@ -198,42 +201,58 @@ def _svd_rank(matrix: np.ndarray, rank_tol: float) -> tuple[int, float, float]:
     return rank, float(sv[-1]), smax
 
 
-def _inf_norm(v) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+def _inf_norm(v):
+    """Max-abs norm over the last axis: a float for one vector, an array
+    for a stack of them."""
+    return np.abs(v).max(axis=-1, initial=0.0)
 
 
 def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
-    """Damped least-squares Newton from every start.
+    """Damped least-squares Newton from every start, all starts at once.
 
+    The starts iterate together as the rows of one (B, n) array: residual
+    and jacobian take the live rows and return (B, n_eq) and (B, n_eq, n).
     Each step solves jacobian(x) step = -residual(x) in the least-squares
     sense and halves its length until the residual norm drops enough.
-    Returns the starts' limits with residual within RESIDUAL_TOL that pass
-    `accept`, deduplicated at DEDUP_TOL, in start order.
+    Every start keeps its own stopping rule and step length: it stops once
+    its residual is within RESIDUAL_TOL, its step is below 1e-14, 25
+    halvings fail or NEWTON_MAX_ITERS steps are taken, and it leaves the
+    line search at its own first accepted halving. Returns the limits with
+    residual within RESIDUAL_TOL that pass `accept`, deduplicated at
+    DEDUP_TOL, in start order.
     """
+    x = np.array(list(starts), dtype=float)
+    f = residual(x)
+    live = np.arange(len(x))
+    for _ in range(NEWTON_MAX_ITERS):
+        live = live[_inf_norm(f[live]) > RESIDUAL_TOL]
+        if not live.size:
+            break
+        # minimum-norm least-squares steps with np.linalg.lstsq's cutoff
+        jac = jacobian(x[live])
+        rcond = np.finfo(float).eps * max(jac.shape[-2:])
+        step = (np.linalg.pinv(jac, rcond=rcond) @ -f[live][..., None])[..., 0]
+        moving = _inf_norm(step) > 1e-14
+        live, step = live[moving], step[moving]
+        norm0 = np.linalg.norm(f[live], axis=1)
+        # halving round r tries t = 2^-r on every start still searching
+        pending, t = np.arange(len(live)), 1.0
+        for _ in range(25):
+            if not pending.size:
+                break
+            xn = x[live[pending]] + t * step[pending]
+            fn = residual(xn)
+            ok = np.linalg.norm(fn, axis=1) <= (1.0 - 0.25 * t) * norm0[pending]
+            done = live[pending[ok]]
+            x[done], f[done] = xn[ok], fn[ok]
+            pending, t = pending[~ok], 0.5 * t
+        live = np.delete(live, pending)
     roots: list[np.ndarray] = []
-    for x in starts:
-        fval = residual(x)
-        for _ in range(NEWTON_MAX_ITERS):
-            if _inf_norm(fval) <= RESIDUAL_TOL:
-                break
-            step = np.linalg.lstsq(jacobian(x), -fval, rcond=None)[0]
-            if _inf_norm(step) <= 1e-14:
-                break
-            norm0 = np.linalg.norm(fval)
-            t = 1.0
-            for _ in range(25):
-                xn = x + t * step
-                fn = residual(xn)
-                if np.linalg.norm(fn) <= (1.0 - 0.25 * t) * norm0:
-                    break
-                t *= 0.5
-            else:
-                break
-            x, fval = xn, fn
-        if _inf_norm(fval) > RESIDUAL_TOL or (accept is not None and not accept(x)):
+    for xb, fb in zip(x, f):
+        if _inf_norm(fb) > RESIDUAL_TOL or (accept is not None and not accept(xb)):
             continue
-        if all(_inf_norm(x - r) > DEDUP_TOL for r in roots):
-            roots.append(x)
+        if all(_inf_norm(xb - r) > DEDUP_TOL for r in roots):
+            roots.append(xb)
     return roots
 
 
@@ -247,7 +266,8 @@ def _face_system(tensors, maps):
     players' maps once. Returns residual(z), one contraction per equation
     player; jacobian(z), whose block (i, q) is the contraction keeping
     axes i and q minus its constant column; and vectors(z), the per-player
-    (1, z_b).
+    (1, z_b). Each takes one point z of shape (n,) or a stack of B points
+    of shape (B, n), and then puts the batch axis first in its results.
     """
     m = len(maps)
     dims = [a.shape[1] - 1 for a in maps]
@@ -261,27 +281,34 @@ def _face_system(tensors, maps):
             system.append((i, t))
 
     def vectors(z):
-        return [np.concatenate(([1.0], z[e - d: e])) for d, e in zip(dims, ends)]
+        one = np.ones(z.shape[:-1] + (1,))
+        return [np.concatenate((one, z[..., e - d: e]), axis=-1) for d, e in zip(dims, ends)]
+
+    eq_bounds = np.cumsum([0] + [t.shape[i] for i, t in system])
 
     def residual(z):
         v = vectors(z)
-        return np.concatenate([
-            contract(t, [None if b == i else v[b] for b in range(m)])
-            for i, t in system
-        ])
+        out = np.empty(z.shape[:-1] + (eq_bounds[-1],))
+        for (i, t), lo, hi in zip(system, eq_bounds, eq_bounds[1:]):
+            # with one player nothing is contracted: the block is constant
+            # and broadcasts over the batch axis
+            out[..., lo:hi] = contract(t, [None if b == i else v[b] for b in range(m)])
+        return out
 
     def jacobian(z):
         v = vectors(z)
         rows = []
         for i, t in system:
-            row = np.zeros((t.shape[i], len(z)))
+            row = np.zeros(z.shape[:-1] + (t.shape[i], z.shape[-1]))
             for q in range(m):
                 if q == i or not dims[q]:
                     continue
                 c = contract(t, [None if b in (i, q) else v[b] for b in range(m)])
-                row[:, ends[q] - dims[q]: ends[q]] = (c.T if q < i else c)[:, 1:]
+                c = np.swapaxes(c, -1, -2) if q < i else c
+                # with two players the block is constant and broadcasts
+                row[..., ends[q] - dims[q]: ends[q]] = c[..., 1:]
             rows.append(row)
-        return np.vstack(rows)
+        return np.concatenate(rows, axis=-2)
 
     return residual, jacobian, vectors
 

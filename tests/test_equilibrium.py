@@ -267,6 +267,27 @@ def test_dup_row_game_continuum(dup_row_game):
     np.testing.assert_allclose([float(x) for x in witness.weights[1]], [0, 1])
 
 
+@pytest.mark.parametrize("payoffs", [[3.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
+def test_one_player_game(payoffs):
+    # one player: the slope equalities are constant and the Jacobian is
+    # zero, so a mixed support has no root (untied payoffs) or a continuum
+    game = make_game([3], [np.array(payoffs)])
+    tied = payoffs[0] == payoffs[1]
+    for supp in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
+        if tied and supp == (0, 1):
+            with pytest.raises(SingularSystem, match="continuum"):
+                solve_support(game, SupportProfile((supp,)))
+        else:
+            assert solve_support(game, SupportProfile((supp,))) == []
+    result = enumerate_nash(game)
+    assert result.continuum == tied
+    if tied:
+        assert result.equilibria == []
+        assert best_reply_check(game, result.continuum_witness).all_ok
+    else:
+        assert _float_tuples(result) == [(1.0, 0.0, 0.0)]
+
+
 def test_witness_mentions_support(dup_row_game):
     result = enumerate_nash(dup_row_game)
     assert any("support" in w for w in result.warnings)

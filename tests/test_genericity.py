@@ -33,7 +33,14 @@ from nashatlas import (
     witness_cycle,
 )
 from nashatlas.atlas import chart_excludes
-from nashatlas.genericity import full_gradient
+from nashatlas.genericity import (
+    DEDUP_TOL,
+    NEWTON_MAX_ITERS,
+    RESIDUAL_TOL,
+    _face_system,
+    _newton_roots,
+    full_gradient,
+)
 
 
 def nx_family_is_forest(family, counts):
@@ -253,6 +260,32 @@ def test_probe_empty_face(mp_float):
     assert report.roots == ()
 
 
+def test_probe_zero_dimensional_face(zero_game, mp_float):
+    # both players pinned to strategy 0: the face is one point, z has no
+    # coordinates and the Jacobian has one row and no columns
+    fam = good_family(zero_game, T=[(1,), (1,)], R=[(), ((0, 1),)])
+    report = regular_value_probe(zero_game, fam, (0, 0), seed=0)
+    assert report.dimension == 0 and not report.empty_face
+    assert [r.rank for r in report.roots] == [0]
+    assert report.verdict == "degenerate"
+    fam = good_family(mp_float, T=[(1,), (1,)], R=[(), ((0, 1),)])
+    report = regular_value_probe(mp_float, fam, (0, 0), seed=0)
+    assert report.dimension == 0
+    assert report.roots == ()
+    assert report.verdict == "regular"
+
+
+def test_probe_one_player_game():
+    # a constant payoff difference: no root when it is nonzero, and every
+    # start a rank-0 root when it vanishes
+    game = make_game([3], [np.array([1.0, 1.0, 0.0])])
+    report = regular_value_probe(game, good_family(game, R=[((0, 2),)]), (0,), seed=0)
+    assert report.roots == () and report.verdict == "regular"
+    report = regular_value_probe(game, good_family(game, R=[((0, 1),)]), (0,), seed=0)
+    assert report.roots and {r.rank for r in report.roots} == {0}
+    assert report.verdict == "degenerate"
+
+
 def test_probe_rejects_excluded_face(mp_float):
     fam = good_family(mp_float, T=[[1], []], R=[[], [(0, 1)]])
     with pytest.raises(ValueError):
@@ -315,6 +348,64 @@ def test_probe_roots_lie_on_the_family(shape, T, R):
             for h in hypersurfaces:
                 assert on_hypersurface(game, h, root.point), (chart, h)
     assert found
+
+
+def _per_start_newton(residual, jacobian, starts, accept=None):
+    """Reference: damped least-squares Newton one start at a time, the
+    loop _newton_roots runs on all starts together."""
+    roots = []
+    for x in starts:
+        fval = residual(x)
+        for _ in range(NEWTON_MAX_ITERS):
+            if np.max(np.abs(fval)) <= RESIDUAL_TOL:
+                break
+            step = np.linalg.lstsq(jacobian(x), -fval, rcond=None)[0]
+            if np.max(np.abs(step)) <= 1e-14:
+                break
+            norm0 = np.linalg.norm(fval)
+            t = 1.0
+            for _ in range(25):
+                xn = x + t * step
+                fn = residual(xn)
+                if np.linalg.norm(fn) <= (1.0 - 0.25 * t) * norm0:
+                    break
+                t *= 0.5
+            else:
+                break
+            x, fval = xn, fn
+        if np.max(np.abs(fval)) > RESIDUAL_TOL or (accept is not None and not accept(x)):
+            continue
+        if all(np.max(np.abs(x - r)) > DEDUP_TOL for r in roots):
+            roots.append(x)
+    return roots
+
+
+@pytest.mark.parametrize("square", [True, False])
+@pytest.mark.parametrize("accept", [None, lambda x: x[2] < 0])
+def test_newton_roots_matches_per_start_reference(square, accept):
+    # three players with one free coordinate each and equations
+    # 1 + y w = 0, x w - 1 = 0 and (square only) 1 + x y = 0; the square
+    # system has the isolated roots A = (-1, 1, -1) and B = (1, -1, 1),
+    # the other one a curve of roots reached by minimum-norm steps; the
+    # comments on the starts say what they do on the square system
+    t0 = np.eye(2).reshape(1, 2, 2)
+    t1 = np.diag([-1.0, 1.0]).reshape(2, 1, 2)
+    t2 = np.eye(2).reshape(2, 2, 1)
+    residual, jacobian, _ = _face_system([t0, t1, t2 if square else None], [np.eye(2)] * 3)
+    starts = [
+        np.array([-0.1, 0.03, 0.04]),  # to A after several damped steps
+        np.array([0.0, 0.0, 0.0]),  # zero Jacobian: step below the floor
+        np.array([1.4e-5, -7e-6, 4e-6]),  # square: all 25 halvings fail
+        np.array([1.0, -1.0, 1.0]),  # B itself: no step
+        np.array([-0.7, 1.3, -1.2]),  # to A again, undamped
+        np.array([3.0, 0.1, -2.0]),  # damped steps
+    ]
+    expected = _per_start_newton(residual, jacobian, starts, accept)
+    got = _newton_roots(residual, jacobian, starts, accept)
+    assert expected
+    assert len(got) == len(expected)
+    for r, s in zip(got, expected):
+        np.testing.assert_allclose(r, s, rtol=0, atol=1e-12)
 
 
 def test_full_gradient_placement(mp_float):
