@@ -6,8 +6,11 @@ the unsupported ones, the slopes being the pure-strategy payoffs
 against the opponents' mixture. Fixing a support profile turns the
 equality part into a square polynomial system on the product of open
 faces. Two-player systems are linear per player block and solved
-exactly over the rationals (float payoffs are converted exactly);
-anything larger runs the damped multistart Newton loop of
+exactly: each payoff tensor is scaled exactly to Python ints
+(FiniteGame.integer_utilities; float payoffs are dyadic), each block is
+solved by fraction-free elimination (exact.solve_affine), and the
+answers are rationals that float mode rounds to float64. Anything
+larger runs the damped multistart Newton loop of
 genericity._newton_roots in face coordinates, which steps all starts
 together while each keeps its own stopping rule and step length. Player
 b's free weights sit on its support minus the last strategy, which takes
@@ -50,7 +53,6 @@ from .game import (
     FiniteGame,
     MixedProfile,
     SupportProfile,
-    _as_fraction,
     profile_from_weights,
     support_of,
 )
@@ -163,25 +165,22 @@ def _positive_point(sol: AffineSolutionSet, strict) -> list[Fraction] | None:
 
 def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
     """Two-player path: each player's weights solve a linear system built
-    from the opponent's slope equalities plus the sum rule. Exact."""
+    from the opponent's slope equalities plus the sum rule. Exact: the
+    payoffs enter as integers (game.integer_utilities), and the positive
+    scale they carry does not change the solution set."""
     strict = Fraction(0) if game.mode == RATIONAL else Fraction(STRICTNESS)
     blocks: list[AffineSolutionSet] = []
     for solving in (0, 1):
         other = 1 - solving
         supp = support.supports[solving]
         osupp = support.supports[other]
-        u = game.utilities[other]
+        u = game.integer_utilities[other][0]
+        if other == 1:
+            u = u.T  # u[j, s]: other plays j, solving plays s
         jstar = osupp[0]
-        rows, rhs = [], []
-        for j in osupp[1:]:
-            if other == 0:
-                row = [_as_fraction(u[j, s]) - _as_fraction(u[jstar, s]) for s in supp]
-            else:
-                row = [_as_fraction(u[s, j]) - _as_fraction(u[s, jstar]) for s in supp]
-            rows.append(row)
-            rhs.append(Fraction(0))
-        rows.append([Fraction(1)] * len(supp))
-        rhs.append(Fraction(1))
+        rows = [[u[j, s] - u[jstar, s] for s in supp] for j in osupp[1:]]
+        rows.append([1] * len(supp))
+        rhs = [0] * (len(osupp) - 1) + [1]
         blocks.append(solve_affine(rows, rhs, len(supp)))
 
     if any(b.is_empty for b in blocks):
@@ -315,7 +314,7 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
             f"{game.num_players}"
         )
     for i, supp in enumerate(support.supports):
-        if supp[-1] >= game.strategy_counts[i]:
+        if supp[0] < 0 or supp[-1] >= game.strategy_counts[i]:
             raise ValueError(f"support index out of range for player {i + 1}")
     if game.num_players == 2:
         return _exact_pair_solve(game, support)

@@ -1,8 +1,11 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers, with rational answers.
 
 Small dense systems only (support systems have at most a handful of
-unknowns), so plain fraction-free-ish Gauss-Jordan on ``Fraction``
-entries is fast enough and gives exact answers.
+unknowns). Rows are Python ints, and elimination is fraction-free
+Gauss-Jordan (Bareiss 1968): every update is an exact integer division
+by the previous pivot, so entries stay integers, and the reduced matrix
+carries one common denominator on its pivots. Answers are built as one
+canonical ``Fraction`` per entry.
 """
 
 from __future__ import annotations
@@ -36,24 +39,32 @@ class AffineSolutionSet:
         return -1 if self.particular is None else len(self.nullspace)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of an integer matrix.
+
+    Returns (matrix, pivot column indices). Every pivot entry of the
+    matrix equals the same nonzero integer d, the other entries of pivot
+    columns are zero, and matrix / d is the reduced row echelon form.
+    """
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1, 1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        top = mat[r]
+        piv = top[c]
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
+            if i != r:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                # exact: every entry is a minor of the input (Sylvester)
+                mat[i] = [(piv * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = piv
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -61,8 +72,9 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
-def solve_affine(a: list[list[Fraction]], b: list[Fraction], n: int) -> AffineSolutionSet:
-    """Full solution set of A x = b in n unknowns (A given row-wise, possibly empty)."""
+def solve_affine(a: list[list[int]], b: list[int], n: int) -> AffineSolutionSet:
+    """Full solution set of A x = b in n unknowns (integer A given
+    row-wise, possibly empty, and integer b)."""
     if not a:
         basis = []
         for f in range(n):
@@ -74,16 +86,17 @@ def solve_affine(a: list[list[Fraction]], b: list[Fraction], n: int) -> AffineSo
     mat, pivots = rref(aug)
     if n in pivots:
         return AffineSolutionSet(particular=None, nullspace=[])
+    den = mat[0][pivots[0]] if pivots else 1
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     particular = [Fraction(0)] * n
     for r, c in enumerate(pivots):
-        particular[c] = mat[r][n]
+        particular[c] = Fraction(mat[r][n], den)
     nullspace = []
     for f in free:
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            vec[c] = -mat[r][f]
+            vec[c] = Fraction(-mat[r][f], den)
         nullspace.append(vec)
     return AffineSolutionSet(particular=particular, nullspace=nullspace)

@@ -9,7 +9,9 @@ numeric modes exist: "float" (float64 tensors) and "rational"
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +55,20 @@ class FiniteGame:
     @property
     def zero_tol(self) -> float:
         return 0.0 if self.mode == RATIONAL else DEFAULT_ZERO_TOL
+
+    @cached_property
+    def integer_utilities(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """Per player, (ints, scale) with utilities[i] == ints / scale
+        exactly: ints is an object tensor of Python ints and scale is the
+        lcm of the entries' denominators (a power of two in float mode)."""
+        out = []
+        for u in self.utilities:
+            ratios = [x.as_integer_ratio() for x in u.reshape(-1).tolist()]
+            scale = math.lcm(*(d for _, d in ratios))
+            ints = np.empty(u.shape, dtype=object)
+            ints.reshape(-1)[:] = [n * (scale // d) for n, d in ratios]
+            out.append((ints, scale))
+        return tuple(out)
 
 @dataclass(frozen=True)
 class MixedProfile:

@@ -97,6 +97,12 @@ def test_solve_support_validates_indices(mp_float):
         solve_support(mp_float, SupportProfile(((0, 2), (0,))))
     with pytest.raises(ValueError):
         solve_support(mp_float, SupportProfile(((0,),)))
+    # negative indices would wrap around to other strategies
+    with pytest.raises(ValueError):
+        solve_support(mp_float, SupportProfile(((-1, 0), (0, 1))))
+    with pytest.raises(ValueError):
+        solve_support(random_game((2, 2, 2), seed=3),
+                      SupportProfile(((-2, 0), (0, 1), (0, 1))))
 
 
 def test_mp_unique_equilibrium(mp_exact):
@@ -119,8 +125,31 @@ def test_bos_three_equilibria(bos_exact):
     assert ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))) in pts
 
 
+def _sevenths_game():
+    """Exact 3x3 game with denominators 3, 5 and 7 (payoff scale lcm 105)."""
+    rng = np.random.default_rng(35)
+    tables = [
+        [[Fraction(int(rng.integers(-20, 21)), int(rng.choice([3, 5, 7])))
+          for _ in range(3)] for _ in range(3)]
+        for _ in range(2)
+    ]
+    return make_game((3, 3), tables, mode=RATIONAL)
+
+
+def _wide_float_game():
+    """Float 3x3 game with entries from 5e-324 to 1e300 (payoff scale
+    2**1074). Row 2 is strictly dominated for player 1, so player 2's
+    huge row-2 payoffs meet zero weight at every equilibrium and the
+    float best-reply check stays exact enough to match the oracle."""
+    a = [[0.5, -0.25, 0.75], [-0.5, 0.625, 0.125], [-1e300, -1e-300, -2.0]]
+    b = [[0.25, -0.5, 5e-324], [-0.75, 0.5, 1e-300], [1e300, -1e300, 3.0]]
+    return make_game((3, 3), [a, b])
+
+
 def test_matches_oracle_on_fixtures(mp_exact, bos_exact):
-    for game in (mp_exact, bos_exact):
+    sevenths = _sevenths_game()
+    assert [scale for _, scale in sevenths.integer_utilities] == [105, 105]
+    for game in (mp_exact, bos_exact, sevenths):
         expected, degenerate = oracle_enumerate_2p(game)
         assert not degenerate
         result = enumerate_nash(game)
@@ -154,19 +183,24 @@ def test_matches_oracle_on_random_games_exact():
 def test_matches_oracle_on_random_float_games():
     """Float games round their exact solutions to float64; the oracle
     keeps full precision, so compare with a tight tolerance."""
-    for shape in [(2, 2), (3, 3)]:
-        for k in range(8):
-            game = random_game(shape, seed=1300 + k)
-            result = enumerate_nash(game)
-            expected, degenerate = oracle_enumerate_2p(game)
-            if degenerate or result.warnings:
-                continue
-            got = _float_tuples(result)
-            want = sorted(
-                tuple(float(x) for side in eq for x in side) for eq in expected
-            )
-            assert len(got) == len(want)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+    games = [random_game(shape, seed=1300 + k)
+             for shape in [(2, 2), (3, 3)] for k in range(8)]
+    wide = _wide_float_game()
+    assert wide.integer_utilities[1][1] == 2 ** 1074
+    compared = []
+    for game in games + [wide]:
+        result = enumerate_nash(game)
+        expected, degenerate = oracle_enumerate_2p(game)
+        if degenerate or result.warnings:
+            continue
+        got = _float_tuples(result)
+        want = sorted(
+            tuple(float(x) for side in eq for x in side) for eq in expected
+        )
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        compared.append(game)
+    assert compared[-1] is wide
 
 
 def test_newton_agrees_with_exact_route():

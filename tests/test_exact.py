@@ -1,0 +1,120 @@
+"""Fraction-free elimination against plain Fraction Gauss-Jordan."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nashatlas.exact import rref, solve_affine
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan on Fraction entries, normalising each pivot row."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1, 1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def _reference_solve(a, b, n):
+    """(particular, nullspace) of A x = b from the reference rref."""
+    if not a:
+        return [Fraction(0)] * n, [
+            [Fraction(int(f == k)) for k in range(n)] for f in range(n)
+        ]
+    mat, pivots = _reference_rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+    if n in pivots:
+        return None, []
+    particular = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        particular[c] = mat[r][n]
+    nullspace = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -mat[r][f]
+        nullspace.append(vec)
+    return particular, nullspace
+
+
+@st.composite
+def int_systems(draw):
+    """(A, b, n) with 0-5 rows and 0-5 unknowns. Small entries make zero
+    rows, zero columns, rank deficiency and inconsistency common; a few
+    huge entries stand in for payoffs scaled by 2**1074."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 2100), 2 ** 2100))
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if a and draw(st.booleans()):  # a dependent row with a free rhs
+        k = draw(st.integers(-2, 2))
+        a.append([k * x for x in a[0]])
+    if a and n and draw(st.booleans()):  # a zero column
+        col = draw(st.integers(0, n - 1))
+        for row in a:
+            row[col] = 0
+    b = draw(st.lists(entry, min_size=len(a), max_size=len(a)))
+    return a, b, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_systems())
+def test_rref_is_scaled_reference(system):
+    a, b, _ = system
+    rows = [row + [rhs] for row, rhs in zip(a, b)]
+    mat, pivots = rref(rows)
+    want, want_pivots = _reference_rref([[Fraction(x) for x in r] for r in rows])
+    assert pivots == want_pivots
+    assert all(isinstance(x, int) for r in mat for x in r)
+    if pivots:
+        den = mat[0][pivots[0]]
+        assert all(mat[r][c] == den for r, c in enumerate(pivots))
+        assert [[Fraction(x, den) for x in r] for r in mat] == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_systems())
+def test_solve_affine_matches_reference(system):
+    a, b, n = system
+    got = solve_affine(a, b, n)
+    particular, nullspace = _reference_solve(
+        [[Fraction(x) for x in r] for r in a], [Fraction(x) for x in b], n
+    )
+    assert got.is_empty == (particular is None)
+    assert got.particular == particular
+    assert got.nullspace == nullspace
+    assert all(
+        type(x) is Fraction for v in [got.particular or []] + got.nullspace for x in v
+    )
+
+
+def test_solve_affine_examples():
+    # x + y = 1, x - y = 0
+    sol = solve_affine([[1, 1], [1, -1]], [1, 0], 2)
+    assert sol.is_unique and sol.particular == [Fraction(1, 2)] * 2
+    # 0 x = 1
+    assert solve_affine([[0]], [1], 1).is_empty
+    # no equations: everything solves
+    sol = solve_affine([], [], 2)
+    assert sol.dimension == 2 and sol.particular == [0, 0]
+    # 2 x + 4 y = 2: x = 1 - 2 y
+    sol = solve_affine([[2, 4]], [2], 2)
+    assert sol.particular == [1, 0] and sol.nullspace == [[-2, 1]]

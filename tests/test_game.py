@@ -47,6 +47,22 @@ def test_rational_mode_uses_fractions(mp_exact):
     assert isinstance(mp_exact.utilities[0][0, 0], Fraction)
 
 
+def test_integer_utilities_are_exact():
+    floats = make_game((2, 2), [[[0.5, -3.0], [0.1, 5e-324]], [[1.0, 2.0], [3.0, 4.0]]])
+    rationals = make_game(
+        (2, 2), [[["1/3", "2/5"], ["-1/7", 0]], [[1, 2], [3, 4]]], mode=RATIONAL
+    )
+    assert [s for _, s in floats.integer_utilities] == [2 ** 1074, 1]
+    assert [s for _, s in rationals.integer_utilities] == [105, 1]
+    for game in (floats, rationals):
+        for u, (ints, scale) in zip(game.utilities, game.integer_utilities):
+            assert all(type(n) is int for n in ints.reshape(-1))
+            assert [Fraction(n, scale) for n in ints.reshape(-1)] == [
+                Fraction(x) for x in u.reshape(-1)
+            ]
+    assert floats.integer_utilities is floats.integer_utilities
+
+
 def test_parse_game_float():
     text = """
     # a comment
