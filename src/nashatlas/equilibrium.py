@@ -9,7 +9,12 @@ faces. Two-player systems are linear per player block and solved
 exactly: each payoff tensor is scaled exactly to Python ints
 (FiniteGame.integer_utilities; float payoffs are dyadic), each block is
 solved by fraction-free elimination (exact.solve_affine), and the
-answers are rationals that float mode rounds to float64. Anything
+answers are rationals that float mode rounds to float64. A block with a
+positive-dimensional solution set gets its max-min point from an exact
+integer simplex (exact.max_min_point): the set has a point with every
+weight above the strictness (0 for rational games, STRICTNESS for float
+ones) exactly when the largest smallest weight on it does, and both
+blocks' points together witness a continuum. Anything
 larger runs the damped multistart Newton loop of
 genericity._newton_roots in face coordinates, which steps all starts
 together while each keeps its own stopping rule and step length. Player
@@ -36,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import AffineSolutionSet, solve_affine
+from .exact import AffineSolutionSet, max_min_point, solve_affine
 from .forms import _contract_axis, payoff_slice_values
 from .genericity import (
     DEDUP_TOL,
@@ -122,45 +127,19 @@ def enumerate_supports(game: FiniteGame):
         yield SupportProfile(tuple(combo))
 
 
-def _positive_point(sol: AffineSolutionSet, strict) -> list[Fraction] | None:
-    """A strictly positive point of a nonempty affine solution set, or None.
+def _positive_point(sol: AffineSolutionSet, rows, rhs, strict) -> list[Fraction] | None:
+    """A point of the nonempty solution set ``sol`` of rows * w = rhs whose
+    every entry exceeds ``strict``, or None.
 
-    Unique solutions are checked directly; positive-dimensional sets get
-    a small interior-point LP in floats, then the float direction is
-    snapped back onto the set exactly (any offset along the nullspace
-    stays a solution).
+    Unique solutions are checked directly. Positive-dimensional sets get
+    the exact max-min point (exact.max_min_point), whose smallest entry
+    t* is the largest on the set: such a point exists exactly when
+    t* > ``strict``, and the max-min point is then returned.
     """
-    if sol.is_empty:
-        return None
     if sol.is_unique:
         return sol.particular if all(x > strict for x in sol.particular) else None
-    from scipy.optimize import linprog
-
-    part = np.array([float(x) for x in sol.particular])
-    null = np.array([[float(x) for x in vec] for vec in sol.nullspace]).T
-    n, d = null.shape
-    # maximize t subject to part + null @ x >= t
-    a_ub = np.hstack([-null, np.ones((n, 1))])
-    res = linprog(
-        c=[0.0] * d + [-1.0],
-        A_ub=a_ub,
-        b_ub=part,
-        bounds=[(None, None)] * d + [(None, 1.0)],
-        method="highs",
-    )
-    if not res.success or res.x[-1] <= 1e-6:
-        return None
-    for snap in (1000, None):
-        xs = [
-            Fraction(v).limit_denominator(snap) if snap else Fraction(v)
-            for v in res.x[:d]
-        ]
-        point = list(sol.particular)
-        for coeff, vec in zip(xs, sol.nullspace):
-            point = [p + coeff * q for p, q in zip(point, vec)]
-        if all(x > strict for x in point):
-            return point
-    return None
+    best = max_min_point(rows, rhs)
+    return best[1] if best is not None and best[0] > strict else None
 
 
 def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
@@ -170,6 +149,7 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
     scale they carry does not change the solution set."""
     strict = Fraction(0) if game.mode == RATIONAL else Fraction(STRICTNESS)
     blocks: list[AffineSolutionSet] = []
+    systems = []
     for solving in (0, 1):
         other = 1 - solving
         supp = support.supports[solving]
@@ -181,6 +161,7 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
         rows = [[u[j, s] - u[jstar, s] for s in supp] for j in osupp[1:]]
         rows.append([1] * len(supp))
         rhs = [0] * (len(osupp) - 1) + [1]
+        systems.append((rows, rhs))
         blocks.append(solve_affine(rows, rhs, len(supp)))
 
     if any(b.is_empty for b in blocks):
@@ -202,9 +183,15 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
 
     # Positive-dimensional solution set: witness an interior point if
     # one exists, and let the caller decide what the continuum means.
-    points = [_positive_point(b, strict) for b in blocks]
+    # The search stops at the first block without one.
     witness = None
-    if all(p is not None for p in points):
+    points = []
+    for sol, (rows, rhs) in zip(blocks, systems):
+        point = _positive_point(sol, rows, rhs, strict)
+        if point is None:
+            break
+        points.append(point)
+    else:
         weights = [full_weights(p, points[p]) for p in (0, 1)]
         witness = _profile_from_fractions(game, weights)
     raise SingularSystem(

@@ -1,11 +1,14 @@
-"""Exact linear algebra over the integers, with rational answers.
+"""Exact linear algebra and linear programming over the integers, with
+rational answers.
 
 Small dense systems only (support systems have at most a handful of
-unknowns). Rows are Python ints, and elimination is fraction-free
-Gauss-Jordan (Bareiss 1968): every update is an exact integer division
-by the previous pivot, so entries stay integers, and the reduced matrix
-carries one common denominator on its pivots. Answers are built as one
-canonical ``Fraction`` per entry.
+unknowns). Rows are Python ints, and every pivot is fraction-free
+(Bareiss 1968): the update is an exact integer division by the previous
+pivot, so entries stay integers over one common denominator. rref and
+solve_affine run Gauss-Jordan elimination with it; max_min_point runs a
+two-phase simplex method with Bland's rule on the same pivot (integer
+pivoting, as in Avis's lrs). Answers are built as one canonical
+``Fraction`` per entry.
 """
 
 from __future__ import annotations
@@ -39,6 +42,18 @@ class AffineSolutionSet:
         return -1 if self.particular is None else len(self.nullspace)
 
 
+def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
+    """Fraction-free pivot on mat[r][c]: clear column c from every other
+    row, in place. The division by the previous pivot ``prev`` is exact,
+    because every entry stays a minor of the input (Sylvester)."""
+    top = mat[r]
+    piv = top[c]
+    for i, row in enumerate(mat):
+        if i != r:
+            f = row[c]
+            mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+
+
 def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free reduced row echelon form of an integer matrix.
 
@@ -53,18 +68,14 @@ def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     prev = 1
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot_row is None:
+        for pivot_row in range(r, nrows):
+            if mat[pivot_row][c]:
+                break
+        else:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        top = mat[r]
-        piv = top[c]
-        for i in range(nrows):
-            if i != r:
-                f = mat[i][c]
-                # exact: every entry is a minor of the input (Sylvester)
-                mat[i] = [(piv * x - f * y) // prev for x, y in zip(mat[i], top)]
-        prev = piv
+        _eliminate(mat, r, c, prev)
+        prev = mat[r][c]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -100,3 +111,84 @@ def solve_affine(a: list[list[int]], b: list[int], n: int) -> AffineSolutionSet:
             vec[c] = Fraction(-mat[r][f], den)
         nullspace.append(vec)
     return AffineSolutionSet(particular=particular, nullspace=nullspace)
+
+
+def max_min_point(a: list[list[int]], b: list[int]) -> tuple[Fraction, list[Fraction]] | None:
+    """The largest t with A w = b and every w_j >= t >= 0, and a point w
+    attaining it; None when A w = b has no nonnegative solution.
+
+    Exact two-phase simplex on w = s + t * 1 over the unknowns
+    (s, t) >= 0. It needs b >= 0 and a bounded t; a row of ones (a sum
+    rule) bounds t by its right-hand side over n. Phase 1 starts from one
+    artificial unknown per row and minimises their sum; artificials left
+    basic at zero are pivoted out, or their rows dropped as redundant.
+    Phase 2 maximises t from that feasible basis. Bland's rule keeps the
+    degenerate pivots of tied systems from cycling. Pivots are
+    fraction-free as in rref, over one positive common denominator, and
+    only the answer is built as Fractions.
+    """
+    n, m = len(a[0]), len(a)
+    # columns: s_0 .. s_{n-1}, t, one artificial per row, right-hand side
+    tab = [
+        list(row) + [sum(row)] + [int(i == k) for k in range(m)] + [rhs]
+        for i, (row, rhs) in enumerate(zip(a, b))
+    ]
+    basis = list(range(n + 1, n + 1 + m))
+    # phase 1 maximises -sum(artificials): its reduced costs in that basis
+    cost = [-sum(col) for col in zip(*tab)]
+    cost[n + 1:-1] = [0] * m
+    tab.append(cost)
+    d = _bland(tab, basis, 1, n + 1)
+    if tab.pop()[-1]:
+        return None
+    keep = []
+    for i, var in enumerate(basis):
+        if var > n:
+            c = next((j for j in range(n + 1) if tab[i][j]), None)
+            if c is None:  # a redundant row
+                continue
+            _eliminate(tab, i, c, d)
+            basis[i], d = c, tab[i][c]
+            if d < 0:  # a degenerate pivot may be negative; T / d is unchanged
+                tab, d = [[-x for x in row] for row in tab], -d
+        keep.append(i)
+    tab = [tab[i][:n + 1] + tab[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
+    # phase 2 maximises t: its reduced costs in the current basis, times d
+    cost = [0] * n + [-d, 0]
+    if n in basis:
+        cost = [x + y for x, y in zip(cost, tab[basis.index(n)])]
+    tab.append(cost)
+    d = _bland(tab, basis, d, n + 1)
+    value = [0] * (n + 1)
+    for i, var in enumerate(basis):
+        value[var] = tab[i][-1]
+    t = value[n]
+    return Fraction(t, d), [Fraction(v + t, d) for v in value[:n]]
+
+
+def _bland(tab: list[list[int]], basis: list[int], d: int, ncols: int) -> int:
+    """Pivot the tableau (constraint rows over the common denominator
+    d > 0, then the reduced-cost row) to an optimum, in place, and return
+    the final denominator. Bland's rule: the lowest column below ncols
+    with a negative reduced cost enters, and ratio-test ties leave by
+    the lowest basic unknown. Pivots are positive, so d stays positive."""
+    rows = range(len(tab) - 1)
+    while True:
+        c = next((j for j in range(ncols) if tab[-1][j] < 0), None)
+        if c is None:
+            return d
+        r = None
+        for i in rows:
+            x = tab[i][c]
+            if x > 0:
+                if r is None:
+                    r = i
+                    continue
+                lhs, rhs = tab[i][-1] * tab[r][c], tab[r][-1] * x
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r is None:
+            raise ValueError("unbounded linear program")
+        _eliminate(tab, r, c, d)
+        basis[r], d = c, tab[r][c]

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, and report shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nashatlas
 from nashatlas.cli import main
 
 MP_TEXT = """players 2
@@ -277,3 +282,23 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
+
+
+def test_runs_without_scipy(tmp_path):
+    # continuum witnesses come from an exact simplex: neither a library
+    # solve nor the CLI on a tied game imports scipy
+    dup = _write(tmp_path, "dup.game", DUP_ROW_TEXT)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from nashatlas import enumerate_nash, make_game\n"
+        "from nashatlas.cli import main\n"
+        "assert enumerate_nash(make_game((2, 2), [np.zeros((2, 2))] * 2)).continuum\n"
+        f"assert main(['solve', {dup!r}, '--exact', '--json']) == 2\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(nashatlas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr

@@ -21,7 +21,9 @@ from nashatlas import (
     solve_support,
     support_of,
 )
+from nashatlas import equilibrium
 from nashatlas.equilibrium import _exact_pair_solve, _newton_solve
+from nashatlas.exact import max_min_point
 
 from conftest import oracle_enumerate_2p
 
@@ -299,6 +301,50 @@ def test_dup_row_game_continuum(dup_row_game):
     assert best_reply_check(dup_row_game, witness).all_ok
     # the degenerate segment is ((t, 1-t), (0, 1))
     np.testing.assert_allclose([float(x) for x in witness.weights[1]], [0, 1])
+
+
+def test_pair_solve_stops_at_first_block_without_positive_point(monkeypatch):
+    # support ({0,1,2}, {0,1}): player 1's block is w0 + w1 = 0 on the
+    # simplex (a segment, none of it positive), player 2's block is the
+    # whole simplex; only the first needs the simplex method
+    game = make_game(
+        (3, 2),
+        [np.zeros((3, 2), dtype=object), np.array([[0, 1], [0, 1], [0, 0]], dtype=object)],
+        mode=RATIONAL,
+    )
+    runs = []
+
+    def counted(rows, rhs):
+        runs.append(rows)
+        return max_min_point(rows, rhs)
+
+    monkeypatch.setattr(equilibrium, "max_min_point", counted)
+    with pytest.raises(SingularSystem) as exc:
+        solve_support(game, SupportProfile(((0, 1, 2), (0, 1))))
+    assert exc.value.reason == "positive-dimensional solution set"
+    assert exc.value.witness is None
+    assert len(runs) == 1
+
+
+def test_continuum_with_tiny_max_min_weight_is_witnessed():
+    # Player 2's weights on the full support solve y0 - N y1 + y2 = 0, so
+    # every point has y1 = 1/(N + 1) = 1/(2 * 10**7); player 1 is held at
+    # (1/2, 1/2). The positivity test is exact (> 0 for rational games),
+    # so this continuum is witnessed although its largest smallest weight
+    # is below 1e-6, the cut-off of the float LP this route once used.
+    n = 2 * 10 ** 7 - 1
+    game = make_game(
+        (2, 3),
+        [np.array([[0, 0, 0], [1, -n, 1]], dtype=object),
+         np.array([[0, 1, 2], [0, -1, -2]], dtype=object)],
+        mode=RATIONAL,
+    )
+    result = enumerate_nash(game)
+    assert result.continuum
+    witness = result.continuum_witness
+    assert best_reply_check(game, witness).all_ok
+    assert list(witness.weights[0]) == [Fraction(1, 2)] * 2
+    assert 0 < min(witness.weights[1]) == Fraction(1, n + 1) <= 1e-6
 
 
 @pytest.mark.parametrize("payoffs", [[3.0, 1.0, 2.0], [1.0, 1.0, 0.0]])

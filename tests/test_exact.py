@@ -1,11 +1,13 @@
-"""Fraction-free elimination against plain Fraction Gauss-Jordan."""
+"""Fraction-free elimination against plain Fraction Gauss-Jordan, and the
+exact max-min simplex against a search over every basis."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashatlas.exact import rref, solve_affine
+from nashatlas.exact import max_min_point, rref, solve_affine
 
 
 def _reference_rref(rows):
@@ -118,3 +120,71 @@ def test_solve_affine_examples():
     # 2 x + 4 y = 2: x = 1 - 2 y
     sol = solve_affine([[2, 4]], [2], 2)
     assert sol.particular == [1, 0] and sol.nullspace == [[-2, 1]]
+
+
+def _reference_max_min(a, b):
+    """Largest t over every basic solution of [A | A 1] (s, t) = b with
+    (s, t) >= 0, trying every set of linearly independent columns; None
+    when no such solution is nonnegative."""
+    cols = [list(c) for c in zip(*a)] + [[sum(row) for row in a]]
+    best = None
+    for size in range(len(a) + 1):
+        for subset in itertools.combinations(range(len(cols)), size):
+            aug = [[Fraction(cols[j][i]) for j in subset] + [Fraction(b[i])]
+                   for i in range(len(a))]
+            mat, pivots = _reference_rref(aug)
+            if pivots != list(range(size)):  # dependent columns or no solution
+                continue
+            x = [Fraction(0)] * len(cols)
+            for r, j in enumerate(subset):
+                x[j] = mat[r][size]
+            if min(x) >= 0 and (best is None or x[-1] > best):
+                best = x[-1]
+    return best
+
+
+@st.composite
+def block_systems(draw):
+    """(rows, rhs) shaped like a two-player support block: 0-4 payoff
+    difference rows over 1-5 weights, then the sum row, rhs [0, ..., 0, 1].
+    Small entries make ties (degenerate bases) and particular solutions
+    with negative entries common; some systems get a scaled duplicate
+    row or a zero row."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 2100), 2 ** 2100))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        rows[1] = [draw(st.integers(-2, 2)) * x for x in rows[0]]
+    if k and draw(st.booleans()):
+        rows[-1] = [0] * n
+    return rows + [[1] * n], [0] * k + [1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_systems())
+def test_max_min_point_matches_basis_search(system):
+    rows, rhs = system
+    got = max_min_point(rows, rhs)
+    want = _reference_max_min(rows, rhs)
+    if want is None:
+        assert got is None
+        return
+    t, point = got
+    assert t == want
+    assert all(type(x) is Fraction for x in point)
+    assert all(sum(a * w for a, w in zip(row, point)) == r for row, r in zip(rows, rhs))
+    assert min(point) >= t
+
+
+def test_max_min_point_examples():
+    # w0 + w2 = 3 w1 on the simplex: w1 = 1/4 is the smallest entry
+    assert max_min_point([[1, -3, 1], [1, 1, 1]], [0, 1]) == (
+        Fraction(1, 4), [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    # w0 + w1 = 0 forces a zero weight: optimum t = 0, still a point
+    assert max_min_point([[1, 1, 0], [1, 1, 1]], [0, 1]) == (0, [0, 0, 1])
+    # w0 - w1 = 3 with w0 + w1 = 1 has no nonnegative solution
+    assert max_min_point([[1, -1], [1, 1]], [3, 1]) is None
+    # zero and repeated rows are redundant
+    assert max_min_point([[0, 0], [2, -2], [1, -1], [1, 1]], [0, 0, 0, 1]) == (
+        Fraction(1, 2), [Fraction(1, 2), Fraction(1, 2)])
