@@ -16,15 +16,17 @@ weight above the strictness (0 for rational games, STRICTNESS for float
 ones) exactly when the largest smallest weight on it does, and both
 blocks' points together witness a continuum. Anything
 larger runs the damped multistart Newton loop of
-genericity._newton_roots in face coordinates, which steps all starts
-together while each keeps its own stopping rule and step length. Player
-b's free weights sit on its support minus the last strategy, which takes
-one minus their sum. The system is genericity._face_system, the same face system the
+genericity._newton_roots in face coordinates from one array of starts
+(_newton_starts), which steps all starts together while each keeps its
+own stopping rule and step length; one residual call per step covers
+every halving of every start. Player b's free weights sit on its
+support minus the last strategy, which takes one minus their sum. The
+system is genericity._face_system, the same face system the
 regular-value probe solves: player i's equations are its payoff tensor
 contracted on its own axis with e_s - e_{supp[0]} for s in supp[1:], and
 its residual and Jacobian blocks are single contractions (forms.contract)
-that take one point or a stack of them; the continuum and singular-root
-checks on the roots found are one batched call each.
+that take one point or a stack of them; the positivity, continuum and
+singular-root checks on the roots found are one batched call each.
 
 Rank-deficient strata raise SingularSystem instead of guessing: a
 positive-dimensional solution set or a singular Jacobian at a root is
@@ -145,8 +147,9 @@ def _positive_point(sol: AffineSolutionSet, rows, rhs, strict) -> list[Fraction]
 def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
     """Two-player path: each player's weights solve a linear system built
     from the opponent's slope equalities plus the sum rule. Exact: the
-    payoffs enter as integers (game.integer_utilities), and the positive
-    scale they carry does not change the solution set."""
+    payoffs enter as integers (game.integer_pair_tables, the nested-list
+    form of game.integer_utilities), and the positive scale they carry
+    does not change the solution set."""
     strict = Fraction(0) if game.mode == RATIONAL else Fraction(STRICTNESS)
     blocks: list[AffineSolutionSet] = []
     systems = []
@@ -154,11 +157,9 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
         other = 1 - solving
         supp = support.supports[solving]
         osupp = support.supports[other]
-        u = game.integer_utilities[other][0]
-        if other == 1:
-            u = u.T  # u[j, s]: other plays j, solving plays s
-        jstar = osupp[0]
-        rows = [[u[j, s] - u[jstar, s] for s in supp] for j in osupp[1:]]
+        u = game.integer_pair_tables[other]  # u[j][s]: other plays j, solving plays s
+        base = u[osupp[0]]
+        rows = [[u[j][s] - base[s] for s in supp] for j in osupp[1:]]
         rows.append([1] * len(supp))
         rhs = [0] * (len(osupp) - 1) + [1]
         systems.append((rows, rhs))
@@ -207,6 +208,24 @@ def _profile_from_fractions(game: FiniteGame, weights) -> MixedProfile:
     return profile_from_weights([[float(x) for x in w] for w in weights])
 
 
+def _newton_starts(sizes, seed: int) -> np.ndarray:
+    """The (B, sum(sizes) - len(sizes)) Newton starts for mixed players
+    with the given support sizes: the centroid, one start pulled towards
+    each vertex of the product of simplices, then RANDOM_STARTS uniform
+    draws. Each simplex point keeps all but its last weight. The random
+    rows are the stream of one rng.dirichlet(np.ones(s)) call per player
+    and start: a block of gammas divided by its left-to-right sum."""
+    centroid = np.concatenate([np.full(s - 1, 1.0 / s) for s in sizes])
+    choice = np.array(list(itertools.product(*map(range, sizes))))
+    corners = np.concatenate(
+        [np.eye(s)[choice[:, k], :-1] for k, s in enumerate(sizes)], axis=1
+    )
+    gammas = np.random.default_rng(seed).standard_gamma(1.0, (RANDOM_STARTS, sum(sizes)))
+    draws = np.split(gammas, np.cumsum(sizes)[:-1], axis=1)
+    uniform = [g[:, :-1] * (1.0 / np.cumsum(g, axis=1)[:, -1:]) for g in draws]
+    return np.vstack([centroid, 0.1 * centroid + 0.9 * corners, np.hstack(uniform)])
+
+
 def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     """Multistart damped Newton on the face coordinates (m != 2 path)."""
     supports = support.supports
@@ -226,41 +245,19 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     residual, jacobian, vectors = _face_system(tensors, maps)
 
     def weights_from(x):
-        return [a @ v for a, v in zip(maps, vectors(x))]
+        return [v @ a.T for a, v in zip(maps, vectors(x))]
 
     if not mixed:
         return [profile_from_weights(weights_from(np.zeros(0)))]
-
-    sizes = {i: len(supports[i]) for i in mixed}
-    offsets = {}
-    nfree = 0
-    for i in mixed:
-        offsets[i] = nfree
-        nfree += sizes[i] - 1
-
-    def starts():
-        centroid = np.concatenate(
-            [np.full(sizes[i] - 1, 1.0 / sizes[i]) for i in mixed]
-        )
-        yield centroid
-        for choice in itertools.product(*(range(sizes[i]) for i in mixed)):
-            x = centroid.copy() * 0.1
-            for i, c in zip(mixed, choice):
-                if c < sizes[i] - 1:
-                    x[offsets[i] + c] += 0.9
-            yield x
-        rng = np.random.default_rng(seed)
-        for _ in range(RANDOM_STARTS):
-            x = np.concatenate(
-                [rng.dirichlet(np.ones(sizes[i]))[:-1] for i in mixed]
-            )
-            yield x
+    nfree = sum(len(supports[i]) - 1 for i in mixed)
 
     def positive(x):
+        # (k, n) stack of roots -> mask of those inside the open face
         w = weights_from(x)
-        return all(w[i][s] > STRICTNESS for i in mixed for s in supports[i])
+        return np.all([(w[i][:, supports[i]] > STRICTNESS).all(axis=1) for i in mixed], axis=0)
 
-    roots = _newton_roots(residual, jacobian, starts(), accept=positive)
+    starts = _newton_starts([len(supports[i]) for i in mixed], seed)
+    roots = _newton_roots(residual, jacobian, starts, accept=positive)
     profiles = [profile_from_weights(weights_from(r)) for r in roots]
 
     if not roots:

@@ -70,6 +70,14 @@ class FiniteGame:
             out.append((ints, scale))
         return tuple(out)
 
+    @cached_property
+    def integer_pair_tables(self) -> tuple[list[list[int]], ...]:
+        """Two-player games: per player, its integer_utilities ints as
+        nested lists of Python ints indexed [own strategy][opponent
+        strategy] (player 2's table transposed)."""
+        (u0, _), (u1, _) = self.integer_utilities
+        return u0.tolist(), u1.T.tolist()
+
 @dataclass(frozen=True)
 class MixedProfile:
     """One weight vector per player; on A the weights sum to 1."""

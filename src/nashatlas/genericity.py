@@ -19,10 +19,12 @@ restricted to a coordinate face. _face_system builds that restricted
 system once for both (residual, Jacobian and face vectors from one
 contraction each, for one point or a stack of points), and
 _newton_roots, a damped least-squares multistart Newton loop, finds its
-roots. The starts iterate together, one batched residual, Jacobian and
-pseudo-inverse per step, and each start keeps its own stopping rule and
-step length; its tolerances (RESIDUAL_TOL, DEDUP_TOL, NEWTON_MAX_ITERS,
-RANDOM_STARTS) serve both callers.
+roots. The starts iterate together, one batched Jacobian and
+pseudo-inverse per step, and one residual call per step covers every
+halving of the line search for every start, each start taking its own
+first accepted step length and keeping its own stopping rule; its
+tolerances (RESIDUAL_TOL, DEDUP_TOL, NEWTON_MAX_ITERS, RANDOM_STARTS)
+serve both callers.
 """
 
 from __future__ import annotations
@@ -211,19 +213,22 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
     """Damped least-squares Newton from every start, all starts at once.
 
     The starts iterate together as the rows of one (B, n) array: residual
-    and jacobian take the live rows and return (B, n_eq) and (B, n_eq, n).
-    Each step solves jacobian(x) step = -residual(x) in the least-squares
-    sense and halves its length until the residual norm drops enough.
-    Every start keeps its own stopping rule and step length: it stops once
-    its residual is within RESIDUAL_TOL, its step is below 1e-14, 25
-    halvings fail or NEWTON_MAX_ITERS steps are taken, and it leaves the
-    line search at its own first accepted halving. Returns the limits with
-    residual within RESIDUAL_TOL that pass `accept`, deduplicated at
-    DEDUP_TOL, in start order.
+    and jacobian take a stack of rows and return (B, n_eq) and
+    (B, n_eq, n). Each step solves jacobian(x) step = -residual(x) in the
+    least-squares sense and tries the lengths t = 2^-r, r = 0..24: the
+    trial points of every live start and every halving go to residual as
+    one stack, and each start takes its first t whose residual norm is at
+    most (1 - t/4) times the current one. So a step costs one residual and
+    one jacobian call. Every start keeps its own stopping rule: it stops
+    once its residual is within RESIDUAL_TOL, its step is below 1e-14, no
+    halving passes or NEWTON_MAX_ITERS steps are taken. `accept` takes the
+    (k, n) stack of converged limits and returns a mask of those to keep;
+    the kept limits come back deduplicated at DEDUP_TOL, in start order.
     """
-    x = np.array(list(starts), dtype=float)
+    x = np.array(starts, dtype=float)
     f = residual(x)
     live = np.arange(len(x))
+    t = 0.5 ** np.arange(25)
     for _ in range(NEWTON_MAX_ITERS):
         live = live[_inf_norm(f[live]) > RESIDUAL_TOL]
         if not live.size:
@@ -234,23 +239,21 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
         step = (np.linalg.pinv(jac, rcond=rcond) @ -f[live][..., None])[..., 0]
         moving = _inf_norm(step) > 1e-14
         live, step = live[moving], step[moving]
-        norm0 = np.linalg.norm(f[live], axis=1)
-        # halving round r tries t = 2^-r on every start still searching
-        pending, t = np.arange(len(live)), 1.0
-        for _ in range(25):
-            if not pending.size:
-                break
-            xn = x[live[pending]] + t * step[pending]
-            fn = residual(xn)
-            ok = np.linalg.norm(fn, axis=1) <= (1.0 - 0.25 * t) * norm0[pending]
-            done = live[pending[ok]]
-            x[done], f[done] = xn[ok], fn[ok]
-            pending, t = pending[~ok], 0.5 * t
-        live = np.delete(live, pending)
+        if not live.size:
+            break
+        # (L, 25, n) trial points, halving r of start l in row (l, r)
+        xn = x[live][:, None] + t[:, None] * step[:, None]
+        fn = residual(xn.reshape(-1, x.shape[1])).reshape(len(live), len(t), -1)
+        norm0 = np.linalg.norm(f[live], axis=1)[:, None]
+        ok = np.linalg.norm(fn, axis=2) <= (1.0 - 0.25 * t) * norm0
+        passed = ok.any(axis=1)
+        live, first = live[passed], ok[passed].argmax(axis=1)
+        x[live], f[live] = xn[passed, first], fn[passed, first]
+    keep = _inf_norm(f) <= RESIDUAL_TOL
+    if accept is not None:
+        keep[keep] = accept(x[keep])
     roots: list[np.ndarray] = []
-    for xb, fb in zip(x, f):
-        if _inf_norm(fb) > RESIDUAL_TOL or (accept is not None and not accept(xb)):
-            continue
+    for xb in x[keep]:
         if all(_inf_norm(xb - r) > DEDUP_TOL for r in roots):
             roots.append(xb)
     return roots
@@ -472,23 +475,18 @@ def regular_value_probe(
         ))
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(total_dim)]
-    starts.extend(rng.normal(0.0, 1.0, total_dim) for _ in range(RANDOM_STARTS))
+    starts = np.vstack([np.zeros(total_dim), rng.normal(0.0, 1.0, (RANDOM_STARTS, total_dim))])
     roots = _newton_roots(residual, jacobian, starts)
+    roots = np.array(roots).reshape(len(roots), total_dim)
 
     out_roots = []
     all_regular = True
-    for z in roots:
-        rank, _, _ = _svd_rank(jacobian(z), rank_tol)
+    for z, jac, res in zip(roots, jacobian(roots), _inf_norm(residual(roots))):
+        rank, _, _ = _svd_rank(jac, rank_tol)
         regular = rank == num_eq
         all_regular = all_regular and regular
         out_roots.append(
-            ProbeRoot(
-                point=point_of(z),
-                residual=float(np.max(np.abs(residual(z)))),
-                rank=rank,
-                regular=regular,
-            )
+            ProbeRoot(point=point_of(z), residual=float(res), rank=rank, regular=regular)
         )
     return ProbeReport(
         chart=chart,

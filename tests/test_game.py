@@ -63,6 +63,15 @@ def test_integer_utilities_are_exact():
     assert floats.integer_utilities is floats.integer_utilities
 
 
+def test_integer_pair_tables_index_own_then_opponent():
+    game = make_game((2, 3), [np.arange(6.0).reshape(2, 3) / 4, -np.arange(6.0).reshape(2, 3)])
+    own, opp = game.integer_pair_tables
+    assert own == [[0, 1, 2], [3, 4, 5]]
+    assert opp == [[0, -3], [-1, -4], [-2, -5]]
+    assert all(type(n) is int for row in own + opp for n in row)
+    assert game.integer_pair_tables is game.integer_pair_tables
+
+
 def test_parse_game_float():
     text = """
     # a comment

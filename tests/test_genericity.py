@@ -32,10 +32,14 @@ from nashatlas import (
     transversal_at,
     witness_cycle,
 )
+from nashatlas import equilibrium
 from nashatlas.atlas import chart_excludes
+from nashatlas.equilibrium import SingularSystem, _newton_starts, solve_support
+from nashatlas.game import SupportProfile
 from nashatlas.genericity import (
     DEDUP_TOL,
     NEWTON_MAX_ITERS,
+    RANDOM_STARTS,
     RESIDUAL_TOL,
     _face_system,
     _newton_roots,
@@ -373,7 +377,7 @@ def _per_start_newton(residual, jacobian, starts, accept=None):
             else:
                 break
             x, fval = xn, fn
-        if np.max(np.abs(fval)) > RESIDUAL_TOL or (accept is not None and not accept(x)):
+        if np.max(np.abs(fval)) > RESIDUAL_TOL or (accept is not None and not accept(x[None])[0]):
             continue
         if all(np.max(np.abs(x - r)) > DEDUP_TOL for r in roots):
             roots.append(x)
@@ -381,7 +385,7 @@ def _per_start_newton(residual, jacobian, starts, accept=None):
 
 
 @pytest.mark.parametrize("square", [True, False])
-@pytest.mark.parametrize("accept", [None, lambda x: x[2] < 0])
+@pytest.mark.parametrize("accept", [None, lambda x: x[:, 2] < 0])
 def test_newton_roots_matches_per_start_reference(square, accept):
     # three players with one free coordinate each and equations
     # 1 + y w = 0, x w - 1 = 0 and (square only) 1 + x y = 0; the square
@@ -406,6 +410,94 @@ def test_newton_roots_matches_per_start_reference(square, accept):
     assert len(got) == len(expected)
     for r, s in zip(got, expected):
         np.testing.assert_allclose(r, s, rtol=0, atol=1e-12)
+
+
+def _square_test_system():
+    # the square system of the test above
+    t0 = np.eye(2).reshape(1, 2, 2)
+    t1 = np.diag([-1.0, 1.0]).reshape(2, 1, 2)
+    t2 = np.eye(2).reshape(2, 2, 1)
+    return _face_system([t0, t1, t2], [np.eye(2)] * 3)
+
+
+def test_newton_roots_all_starts_on_step_floor():
+    # the Jacobian vanishes at the origin, so every start stops on the
+    # step floor in the first step and no trial point is left to evaluate
+    residual, jacobian, _ = _square_test_system()
+    starts = [np.zeros(3)] * 3
+    assert _per_start_newton(residual, jacobian, starts) == []
+    assert _newton_roots(residual, jacobian, starts) == []
+    assert _newton_roots(residual, jacobian, starts, lambda x: x[:, 0] < 1) == []
+
+
+def test_newton_step_makes_one_residual_call(monkeypatch):
+    # every halving of every start is tried in the one residual call of
+    # its step, besides the call on the starts
+    calls = {"residual": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(z):
+            calls[name] += 1
+            return fn(z)
+        return wrapper
+
+    def newton_roots(residual, jacobian, starts, accept=None):
+        return _newton_roots(
+            counted("residual", residual), counted("jacobian", jacobian), starts, accept
+        )
+
+    monkeypatch.setattr(equilibrium, "_newton_roots", newton_roots)
+    solve_support(random_game((2, 2, 2), seed=1), SupportProfile(((0, 1),) * 3))
+    assert calls["jacobian"] > 1
+    assert calls["residual"] <= calls["jacobian"] + 1
+
+
+def _per_start_newton_starts(sizes, seed):
+    """Reference: the Newton starts one at a time, each random start one
+    rng.dirichlet call per player."""
+    centroid = np.concatenate([np.full(s - 1, 1.0 / s) for s in sizes])
+    offsets = np.cumsum([0] + [s - 1 for s in sizes])
+    out = [centroid]
+    for choice in itertools.product(*(range(s) for s in sizes)):
+        x = centroid.copy() * 0.1
+        for o, s, c in zip(offsets, sizes, choice):
+            if c < s - 1:
+                x[o + c] += 0.9
+        out.append(x)
+    rng = np.random.default_rng(seed)
+    for _ in range(RANDOM_STARTS):
+        out.append(np.concatenate([rng.dirichlet(np.ones(s))[:-1] for s in sizes]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 2, 2), (3, 2), (2, 3, 2), (3, 3, 3)])
+def test_newton_starts_match_per_start_dirichlet(sizes):
+    for seed in range(50):
+        got = _newton_starts(sizes, seed)
+        expected = _per_start_newton_starts(sizes, seed)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), seed
+
+
+@pytest.mark.xfail(strict=True, raises=SingularSystem,
+                   reason="Newton reports an isolated double root as a continuum")
+def test_isolated_double_root_is_not_a_continuum():
+    # x, y, w are the weights of strategy 0; the full-support slope
+    # differences y - w, x - w and (x - 1/2)(y - 1/2) meet only at
+    # (1/2, 1/2, 1/2), where the last one vanishes to second order.
+    # Newton converges linearly there, and several starts stop at
+    # distinct points whose midpoints also pass the residual test.
+    u = [np.zeros((2, 2, 2)) for _ in range(3)]
+    for a, b, c in itertools.product(range(2), repeat=3):
+        x, y, w = a == 0, b == 0, c == 0
+        u[0][1, b, c] = y - w
+        u[1][a, 1, c] = x - w
+        u[2][a, b, 1] = (x - 0.5) * (y - 0.5)
+    game = make_game((2, 2, 2), u)
+    found = solve_support(game, SupportProfile(((0, 1),) * 3))
+    assert len(found) == 1
+    for weights in found[0].weights:
+        np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-6)
 
 
 def test_full_gradient_placement(mp_float):
