@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import MultilinearForm, homogeneous_decomposition
+from .forms import MultilinearForm, _as_numbers, homogeneous_decomposition
 from .game import FLOAT, RATIONAL, FiniteGame, MixedProfile
 
 INF = float("inf")
@@ -226,25 +226,12 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
             f"{h} does not meet chart {','.join(map(str, chart))}"
         )
     i = h.player
-    c_i = game.strategy_counts[i]
-    rational = game.mode == RATIONAL
-
-    def scalar(x):
-        return Fraction(x) if rational else float(x)
-
     if isinstance(h, Coordinate):
-        vec = np.empty(c_i, dtype=object) if rational else np.zeros(c_i)
-        if rational:
-            vec[:] = [Fraction(0)] * c_i
-        if h.index == INF:
-            vec[0] = scalar(1)
-        elif h.index == 0:
-            vec[0] = scalar(1)
-            for j in range(1, c_i):
-                vec[j] = scalar(-1)
-        else:
-            vec[int(h.index)] = scalar(1)
-        return MultilinearForm((i,), vec, (chart[i],), owner=None)
+        vec = np.zeros(game.strategy_counts[i], dtype=int)
+        vec[0 if h.index == INF else h.index] = 1
+        if h.index == 0:
+            vec[1:] = -1
+        return MultilinearForm((i,), _as_numbers(vec, game.mode == RATIONAL), (chart[i],))
 
     j, k = h.pair
     decomp = homogeneous_decomposition(game, i)

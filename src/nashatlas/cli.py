@@ -189,16 +189,14 @@ def _point_from_lists(game: FiniteGame, blocks):
     return profile
 
 
-def _solve_payload(game: FiniteGame, result: EnumerationResult) -> dict:
-    forms = [payoff_form(game, i) for i in range(game.num_players)]
+def _solve_payload(result: EnumerationResult, payoffs) -> dict:
     items = []
-    for cert in result.equilibria:
-        w = list(cert.point.weights)
+    for cert, values in zip(result.equilibria, payoffs):
         items.append(
             {
-                "point": [[_jnum(x) for x in block] for block in w],
+                "point": [[_jnum(x) for x in block] for block in cert.point.weights],
                 "support": [list(s) for s in cert.support.supports],
-                "payoffs": [_jnum(f.eval(w)) for f in forms],
+                "payoffs": [_jnum(v) for v in values],
                 "equality_residual": _jnum(cert.equality_residual),
                 "margins": [_jnum(m) for m in cert.inequality_margins],
                 "jacobian_verdict": cert.jacobian_verdict,
@@ -226,6 +224,9 @@ def _cmd_solve(args):
         game, seed=args.seed, tol=args.tol, rank_tol=args.rank_tol
     )
     forms = [payoff_form(game, i) for i in range(game.num_players)]
+    payoffs = [
+        [f.eval(list(cert.point.weights)) for f in forms] for cert in result.equilibria
+    ]
     lines = [
         f"game: {game.num_players} players, strategies "
         + "x".join(map(str, game.strategy_counts))
@@ -239,9 +240,7 @@ def _cmd_solve(args):
             )
     else:
         lines.append(f"equilibria: {result.count}")
-        for idx, cert in enumerate(result.equilibria, start=1):
-            w = list(cert.point.weights)
-            payoffs = " ".join(_fmt(f.eval(w)) for f in forms)
+        for idx, (cert, values) in enumerate(zip(result.equilibria, payoffs), start=1):
             sv = (
                 f" (smallest singular value {_fmt(cert.smallest_singular_value)})"
                 if cert.smallest_singular_value is not None
@@ -249,7 +248,7 @@ def _cmd_solve(args):
             )
             lines.append(f"#{idx} support {{{support_label(cert.support)}}}")
             lines.append(f"   point: {_fmt_weights(cert.point.weights)}")
-            lines.append(f"   payoffs: {payoffs}")
+            lines.append(f"   payoffs: {' '.join(_fmt(v) for v in values)}")
             lines.append(
                 f"   equality residual: {_fmt(cert.equality_residual)}; margins: "
                 + " | ".join(_fmt(m) for m in cert.inequality_margins)
@@ -258,7 +257,7 @@ def _cmd_solve(args):
             lines.append(f"   jacobian: {cert.jacobian_verdict}{sv}{flag}")
     meta = _meta(args, command="solve", mode=game.mode)
     return (
-        {"meta": meta, "results": _solve_payload(game, result),
+        {"meta": meta, "results": _solve_payload(result, payoffs),
          "warnings": list(result.warnings)},
         lines + [f"warning: {w}" for w in result.warnings],
         EXIT_DEGENERATE if result.degenerate else EXIT_OK,

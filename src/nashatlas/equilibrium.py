@@ -9,17 +9,21 @@ faces. Two-player systems are linear per player block and solved
 exactly: each payoff tensor is scaled exactly to Python ints
 (FiniteGame.integer_utilities; float payoffs are dyadic), each block is
 solved by fraction-free elimination (exact.solve_affine), and the
-answers are rationals that float mode rounds to float64. A block with a
-positive-dimensional solution set gets its max-min point from an exact
-integer simplex (exact.max_min_point): the set has a point with every
-weight above the strictness (0 for rational games, STRICTNESS for float
-ones) exactly when the largest smallest weight on it does, and both
-blocks' points together witness a continuum. Anything
+answers are rationals that float mode rounds to float64. A weight
+counts as positive above the game's zero tolerance (game.zero_tol: 0
+for rational games, DEFAULT_ZERO_TOL for float ones). One pass looks
+for a positive point block by block and stops at the first block
+without one: a unique solution is checked directly, and a
+positive-dimensional one gets its max-min point from an exact integer
+simplex (exact.max_min_point), since the set has a positive point
+exactly when its largest smallest weight is above the tolerance. Both
+blocks' points make the one candidate, or witness a continuum. Anything
 larger runs the damped multistart Newton loop of
 genericity._newton_roots in face coordinates from one array of starts
 (_newton_starts), which steps all starts together while each keeps its
 own stopping rule and step length; one residual call per step covers
-every halving of every start. Player b's free weights sit on its
+every halving of every start. Its roots count as positive above
+DEFAULT_ZERO_TOL in every mode. Player b's free weights sit on its
 support minus the last strategy, which takes one minus their sum. The
 system is genericity._face_system, the same face system the
 regular-value probe solves: player i's equations are its payoff tensor
@@ -56,6 +60,7 @@ from .genericity import (
     certify_equilibrium,
 )
 from .game import (
+    DEFAULT_ZERO_TOL,
     RATIONAL,
     FiniteGame,
     MixedProfile,
@@ -64,7 +69,6 @@ from .game import (
     support_of,
 )
 
-STRICTNESS = 1e-9
 CHECK_TOL = 1e-8
 BOUNDARY_BAND = 1e-8
 
@@ -150,9 +154,7 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
     payoffs enter as integers (game.integer_pair_tables, the nested-list
     form of game.integer_utilities), and the positive scale they carry
     does not change the solution set."""
-    strict = Fraction(0) if game.mode == RATIONAL else Fraction(STRICTNESS)
-    blocks: list[AffineSolutionSet] = []
-    systems = []
+    blocks = []
     for solving in (0, 1):
         other = 1 - solving
         supp = support.supports[solving]
@@ -162,43 +164,32 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
         rows = [[u[j][s] - base[s] for s in supp] for j in osupp[1:]]
         rows.append([1] * len(supp))
         rhs = [0] * (len(osupp) - 1) + [1]
-        systems.append((rows, rhs))
-        blocks.append(solve_affine(rows, rhs, len(supp)))
+        blocks.append((rows, rhs, solve_affine(rows, rhs, len(supp))))
 
-    if any(b.is_empty for b in blocks):
+    if any(sol.is_empty for _, _, sol in blocks):
         return []
 
-    def full_weights(solving: int, values) -> list[Fraction]:
-        w = [Fraction(0)] * game.strategy_counts[solving]
-        for s, v in zip(support.supports[solving], values):
-            w[s] = v
-        return w
-
-    if all(b.is_unique for b in blocks):
-        if all(
-            all(x > strict for x in b.particular) for b in blocks
-        ):
-            weights = [full_weights(p, blocks[p].particular) for p in (0, 1)]
-            return [_profile_from_fractions(game, weights)]
-        return []
-
-    # Positive-dimensional solution set: witness an interior point if
-    # one exists, and let the caller decide what the continuum means.
-    # The search stops at the first block without one.
-    witness = None
-    points = []
-    for sol, (rows, rhs) in zip(blocks, systems):
+    # One positivity pass, stopping at the first block without a positive
+    # point: both points make the unique candidate or the continuum witness.
+    strict = Fraction(game.zero_tol)
+    weights = []
+    for (rows, rhs, sol), supp, count in zip(blocks, support.supports, game.strategy_counts):
         point = _positive_point(sol, rows, rhs, strict)
         if point is None:
             break
-        points.append(point)
-    else:
-        weights = [full_weights(p, points[p]) for p in (0, 1)]
-        witness = _profile_from_fractions(game, weights)
+        w = [Fraction(0)] * count
+        for s, v in zip(supp, point):
+            w[s] = v
+        weights.append(w)
+    profile = _profile_from_fractions(game, weights) if len(weights) == 2 else None
+
+    if all(sol.is_unique for _, _, sol in blocks):
+        return [] if profile is None else [profile]
+    # positive-dimensional solution set: the caller decides what it means
     raise SingularSystem(
         support,
         "positive-dimensional solution set",
-        witness=witness,
+        witness=profile,
     )
 
 
@@ -254,7 +245,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     def positive(x):
         # (k, n) stack of roots -> mask of those inside the open face
         w = weights_from(x)
-        return np.all([(w[i][:, supports[i]] > STRICTNESS).all(axis=1) for i in mixed], axis=0)
+        return np.all([(w[i][:, supports[i]] > DEFAULT_ZERO_TOL).all(axis=1) for i in mixed], axis=0)
 
     starts = _newton_starts([len(supports[i]) for i in mixed], seed)
     roots = _newton_roots(residual, jacobian, starts, accept=positive)

@@ -5,7 +5,9 @@ Small dense systems only (support systems have at most a handful of
 unknowns). Rows are Python ints, and every pivot is fraction-free
 (Bareiss 1968): the update is an exact integer division by the previous
 pivot, so entries stay integers over one common denominator. rref and
-solve_affine run Gauss-Jordan elimination with it; max_min_point runs a
+solve_affine run Gauss-Jordan elimination with it; solve_affine reports
+an AffineSolutionSet, one particular solution and the number of free
+unknowns, which is all a support block needs. max_min_point runs a
 two-phase simplex method with Bland's rule on the same pivot (integer
 pivoting, as in Avis's lrs). Answers are built as one canonical
 ``Fraction`` per entry.
@@ -22,12 +24,13 @@ class AffineSolutionSet:
     """Solution set of A x = b over the rationals.
 
     ``particular`` is one solution (None when the system is inconsistent);
-    ``nullspace`` is a basis of the homogeneous solution space, so the full
-    set is ``particular + span(nullspace)``.
+    ``free`` is the number of non-pivot unknowns, the dimension of the
+    set when it is nonempty. No basis of the homogeneous solutions is
+    built: a support block only asks for none, one or many.
     """
 
     particular: list[Fraction] | None
-    nullspace: list[list[Fraction]]
+    free: int
 
     @property
     def is_empty(self) -> bool:
@@ -35,11 +38,7 @@ class AffineSolutionSet:
 
     @property
     def is_unique(self) -> bool:
-        return self.particular is not None and not self.nullspace
-
-    @property
-    def dimension(self) -> int:
-        return -1 if self.particular is None else len(self.nullspace)
+        return self.particular is not None and not self.free
 
 
 def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
@@ -84,33 +83,16 @@ def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def solve_affine(a: list[list[int]], b: list[int], n: int) -> AffineSolutionSet:
-    """Full solution set of A x = b in n unknowns (integer A given
-    row-wise, possibly empty, and integer b)."""
-    if not a:
-        basis = []
-        for f in range(n):
-            vec = [Fraction(0)] * n
-            vec[f] = Fraction(1)
-            basis.append(vec)
-        return AffineSolutionSet(particular=[Fraction(0)] * n, nullspace=basis)
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    mat, pivots = rref(aug)
+    """Solution set of A x = b in n unknowns (integer A given row-wise,
+    possibly empty, and integer b)."""
+    mat, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)])
     if n in pivots:
-        return AffineSolutionSet(particular=None, nullspace=[])
+        return AffineSolutionSet(particular=None, free=0)
     den = mat[0][pivots[0]] if pivots else 1
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
     particular = [Fraction(0)] * n
     for r, c in enumerate(pivots):
         particular[c] = Fraction(mat[r][n], den)
-    nullspace = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = Fraction(-mat[r][f], den)
-        nullspace.append(vec)
-    return AffineSolutionSet(particular=particular, nullspace=nullspace)
+    return AffineSolutionSet(particular=particular, free=n - len(pivots))
 
 
 def max_min_point(a: list[list[int]], b: list[int]) -> tuple[Fraction, list[Fraction]] | None:

@@ -154,13 +154,16 @@ def _coerce_vector(vec, rational: bool) -> np.ndarray:
     return np.asarray(vec, dtype=float)
 
 
+def _as_numbers(ints: np.ndarray, rational: bool) -> np.ndarray:
+    """An integer array as a form's numbers: Fraction objects or floats."""
+    if not rational:
+        return ints.astype(float)
+    return np.array([Fraction(int(x)) for x in ints.flat], dtype=object).reshape(ints.shape)
+
+
 def zero_form(game: FiniteGame, blocks: tuple[int, ...], pinned=None, owner=None) -> MultilinearForm:
     shape = tuple(game.strategy_counts[b] for b in blocks)
-    if game.mode == RATIONAL:
-        coeffs = np.empty(shape, dtype=object)
-        coeffs.reshape(-1)[:] = [Fraction(0)] * coeffs.size
-    else:
-        coeffs = np.zeros(shape)
+    coeffs = _as_numbers(np.zeros(shape, dtype=int), game.mode == RATIONAL)
     return MultilinearForm(blocks, coeffs, pinned or (None,) * len(blocks), owner)
 
 
@@ -176,35 +179,15 @@ def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
 
 # Basis change between the natural weights gamma and the homogenized
 # coordinates tilde(gamma): tilde_0 = sum_j gamma_j, tilde_j = gamma_j.
-# gamma = M tilde with M row 0 = (1, -1, ..., -1), row j = e_j.
+# gamma = M tilde with M row 0 = (1, -1, ..., -1), row j = e_j; the
+# inverse M^-1 has row 0 = (1, 1, ..., 1), row j = e_j.
 
 
-def _gamma_from_tilde_matrix(size: int, rational: bool) -> np.ndarray:
-    if rational:
-        m = np.empty((size, size), dtype=object)
-        m.reshape(-1)[:] = [Fraction(0)] * size * size
-        m[0, 0] = Fraction(1)
-        for j in range(1, size):
-            m[0, j] = Fraction(-1)
-            m[j, j] = Fraction(1)
-        return m
-    m = np.eye(size)
-    m[0, 1:] = -1.0
-    return m
-
-
-def _tilde_from_gamma_matrix(size: int, rational: bool) -> np.ndarray:
-    if rational:
-        m = np.empty((size, size), dtype=object)
-        m.reshape(-1)[:] = [Fraction(0)] * size * size
-        for j in range(size):
-            m[0, j] = Fraction(1)
-            if j:
-                m[j, j] = Fraction(1)
-        return m
-    m = np.eye(size)
-    m[0, :] = 1.0
-    return m
+def _basis_matrix(size: int, rational: bool, inverse: bool = False) -> np.ndarray:
+    """M (gamma from tilde), or M^-1 (tilde from gamma) when inverse."""
+    m = np.eye(size, dtype=int)
+    m[0, 1:] = 1 if inverse else -1
+    return _as_numbers(m, rational)
 
 
 def _contract_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -212,26 +195,23 @@ def _contract_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndar
     return np.moveaxis(out, -1, axis)
 
 
-def to_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
-    """Coefficients of the same polynomial in homogenized coordinates."""
+def _change_basis(form: MultilinearForm, inverse: bool) -> MultilinearForm:
     if any(p is not None for p in form.pinned):
         raise ValueError("basis change applies to homogeneous forms only")
     t = form.coeffs
     for axis in range(t.ndim):
-        m = _gamma_from_tilde_matrix(t.shape[axis], form.is_rational)
-        t = _contract_axis(t, m, axis)
+        t = _contract_axis(t, _basis_matrix(t.shape[axis], form.is_rational, inverse), axis)
     return MultilinearForm(form.blocks, t, form.pinned, form.owner)
+
+
+def to_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
+    """Coefficients of the same polynomial in homogenized coordinates."""
+    return _change_basis(form, inverse=False)
 
 
 def from_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
     """Inverse of to_tilde_coordinates."""
-    if any(p is not None for p in form.pinned):
-        raise ValueError("basis change applies to homogeneous forms only")
-    t = form.coeffs
-    for axis in range(t.ndim):
-        m = _tilde_from_gamma_matrix(t.shape[axis], form.is_rational)
-        t = _contract_axis(t, m, axis)
-    return MultilinearForm(form.blocks, t, form.pinned, form.owner)
+    return _change_basis(form, inverse=True)
 
 
 @dataclass(frozen=True)
@@ -278,8 +258,7 @@ def lambda_decomposition(game: FiniteGame, i: int) -> LambdaDecomposition:
     def restrict(slice_tensor: np.ndarray) -> MultilinearForm:
         t = slice_tensor
         for axis, k in enumerate(others):
-            m = _gamma_from_tilde_matrix(game.strategy_counts[k], rational)
-            t = _contract_axis(t, m, axis)
+            t = _contract_axis(t, _basis_matrix(game.strategy_counts[k], rational), axis)
         return MultilinearForm(others, t, (0,) * len(others), owner=i)
 
     own = [np.take(u, j, axis=i) for j in range(game.strategy_counts[i])]

@@ -42,6 +42,7 @@ from .atlas import (
     Coordinate,
     Hypersurface,
     PayoffDiff,
+    _validate_chart,
     chart_excludes,
     chart_zero_point,
     defining_map,
@@ -448,7 +449,7 @@ def regular_value_probe(
     An empty root set is a regular outcome; the probe only ever
     witnesses degeneracy, it cannot prove its absence.
     """
-    chart = tuple(int(x) for x in chart)
+    chart = _validate_chart(game, chart)
     if not is_good(family):
         raise ValueError("family is not good (some pair graph has a cycle)")
     if family.num_pairs == 0:

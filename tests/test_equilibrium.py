@@ -306,12 +306,14 @@ def test_dup_row_game_continuum(dup_row_game):
 def test_pair_solve_stops_at_first_block_without_positive_point(monkeypatch):
     # support ({0,1,2}, {0,1}): player 1's block is w0 + w1 = 0 on the
     # simplex (a segment, none of it positive), player 2's block is the
-    # whole simplex; only the first needs the simplex method
-    game = make_game(
-        (3, 2),
-        [np.zeros((3, 2), dtype=object), np.array([[0, 1], [0, 1], [0, 0]], dtype=object)],
-        mode=RATIONAL,
-    )
+    # whole simplex; only the first needs the simplex method. Mirrored
+    # (players swapped), the segment is the second block, so both blocks
+    # run the simplex method once.
+    u2 = np.array([[0, 1], [0, 1], [0, 0]], dtype=object)
+    cases = [
+        ([np.zeros((3, 2), dtype=object), u2], ((0, 1, 2), (0, 1)), 1),
+        ([u2.T.copy(), np.zeros((2, 3), dtype=object)], ((0, 1), (0, 1, 2)), 2),
+    ]
     runs = []
 
     def counted(rows, rhs):
@@ -319,11 +321,14 @@ def test_pair_solve_stops_at_first_block_without_positive_point(monkeypatch):
         return max_min_point(rows, rhs)
 
     monkeypatch.setattr(equilibrium, "max_min_point", counted)
-    with pytest.raises(SingularSystem) as exc:
-        solve_support(game, SupportProfile(((0, 1, 2), (0, 1))))
-    assert exc.value.reason == "positive-dimensional solution set"
-    assert exc.value.witness is None
-    assert len(runs) == 1
+    for utilities, support, simplex_runs in cases:
+        game = make_game(utilities[0].shape, utilities, mode=RATIONAL)
+        runs.clear()
+        with pytest.raises(SingularSystem) as exc:
+            solve_support(game, SupportProfile(support))
+        assert exc.value.reason == "positive-dimensional solution set"
+        assert exc.value.witness is None
+        assert len(runs) == simplex_runs
 
 
 def test_continuum_with_tiny_max_min_weight_is_witnessed():

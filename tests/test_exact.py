@@ -102,24 +102,22 @@ def test_solve_affine_matches_reference(system):
     )
     assert got.is_empty == (particular is None)
     assert got.particular == particular
-    assert got.nullspace == nullspace
-    assert all(
-        type(x) is Fraction for v in [got.particular or []] + got.nullspace for x in v
-    )
+    assert got.free == len(nullspace)
+    assert all(type(x) is Fraction for x in got.particular or [])
 
 
 def test_solve_affine_examples():
     # x + y = 1, x - y = 0
     sol = solve_affine([[1, 1], [1, -1]], [1, 0], 2)
-    assert sol.is_unique and sol.particular == [Fraction(1, 2)] * 2
+    assert sol.is_unique and sol.free == 0 and sol.particular == [Fraction(1, 2)] * 2
     # 0 x = 1
     assert solve_affine([[0]], [1], 1).is_empty
     # no equations: everything solves
     sol = solve_affine([], [], 2)
-    assert sol.dimension == 2 and sol.particular == [0, 0]
+    assert sol.free == 2 and sol.particular == [0, 0]
     # 2 x + 4 y = 2: x = 1 - 2 y
     sol = solve_affine([[2, 4]], [2], 2)
-    assert sol.particular == [1, 0] and sol.nullspace == [[-2, 1]]
+    assert sol.particular == [1, 0] and sol.free == 1 and not sol.is_unique
 
 
 def _reference_max_min(a, b):

@@ -303,6 +303,15 @@ def test_probe_requires_good_family(mp_float):
         regular_value_probe(g, bad, (0, 0), seed=0)
 
 
+def test_probe_rejects_short_chart():
+    # one index short of a 2x2x2 game: a ValueError up front, not an
+    # IndexError from inside the face maps
+    g = random_game((2, 2, 2), seed=5)
+    fam = good_family(g, R=[[(0, 1)], [(0, 1)], [(0, 1)]])
+    with pytest.raises(ValueError, match="chart needs 3 indices"):
+        regular_value_probe(g, fam, (0, 0), seed=0)
+
+
 def test_probe_three_player_regular():
     g = random_game((2, 2, 2), seed=5)
     fam = good_family(g, R=[[(0, 1)], [(0, 1)], [(0, 1)]])
