@@ -15,6 +15,7 @@ error, 2 degeneracy witnessed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -479,6 +480,7 @@ def _meta(args, **extra) -> dict:
     return meta
 
 
+@functools.cache  # parse_args leaves the parser as it was: build it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nashatlas", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)

@@ -8,12 +8,13 @@ equality part into a square polynomial system on the product of open
 faces. Two-player systems are linear per player block and solved
 exactly: each payoff tensor is scaled exactly to Python ints
 (FiniteGame.integer_utilities; float payoffs are dyadic), each block is
-solved by fraction-free elimination (exact.solve_affine), and the
-answers are rationals that float mode rounds to float64. A weight
-counts as positive above the game's zero tolerance (game.zero_tol: 0
-for rational games, DEFAULT_ZERO_TOL for float ones). One pass looks
-for a positive point block by block and stops at the first block
-without one: a unique solution is checked directly, and a
+solved by fraction-free elimination (exact.solve_affine, integer
+numerators over one positive denominator), and the answers are
+rationals that float mode rounds to float64. A weight counts as
+positive above the game's zero tolerance (game.zero_tol: 0 for rational
+games, DEFAULT_ZERO_TOL for float ones). One pass looks for a positive
+point block by block and stops at the first block without one: a unique
+solution is checked directly in integers, and a
 positive-dimensional one gets its max-min point from an exact integer
 simplex (exact.max_min_point), since the set has a positive point
 exactly when its largest smallest weight is above the tolerance. Both
@@ -32,6 +33,11 @@ its residual and Jacobian blocks are single contractions (forms.contract)
 that take one point or a stack of them; the positivity, continuum and
 singular-root checks on the roots found are one batched call each.
 
+The best-reply check of a rational game stays in integers as well: the
+slopes are integer_utilities contracted with the opponents' weight
+numerators over one common denominator (forms._integer_slopes), and only
+each residual and margin becomes a Fraction.
+
 Rank-deficient strata raise SingularSystem instead of guessing: a
 positive-dimensional solution set or a singular Jacobian at a root is
 evidence the game sits in the degenerate exceptional set, and the
@@ -48,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
-from .forms import _contract_axis, payoff_slice_values
+from .forms import _contract_axis, _integer_slopes, payoff_slice_values
 from .genericity import (
     DEDUP_TOL,
     RANDOM_STARTS,
@@ -104,17 +110,30 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile,
 
     For each player the supported slope values must agree within tol
     and exceed every unsupported slope value by at least -tol. Margins
-    are +inf for full supports.
+    are +inf for full supports. A rational game with int or Fraction
+    weights is checked in integers (forms._integer_slopes), and each
+    residual and margin is one Fraction; any float weight takes the
+    float path.
     """
     supports = support_of(profile, game.zero_tol).supports
+    exact = game.mode == RATIONAL and all(
+        isinstance(x, (int, Fraction)) for w in profile.weights for x in w
+    )
     oks, residuals, margins = [], [], []
     for i in range(game.num_players):
-        c = payoff_slice_values(game, i, profile.weights)
+        if exact:
+            c, den = _integer_slopes(game, i, profile.weights)
+        else:
+            c = payoff_slice_values(game, i, profile.weights)
         supp = supports[i]
         inside = [c[j] for j in supp]
         outside = [c[j] for j in range(game.strategy_counts[i]) if j not in supp]
         residual = max(inside) - min(inside)
         margin = math.inf if not outside else min(inside) - max(outside)
+        if exact:
+            residual = Fraction(residual, den)
+            if outside:
+                margin = Fraction(margin, den)
         oks.append(residual <= tol and margin >= -tol)
         residuals.append(residual)
         margins.append(margin)
@@ -133,17 +152,21 @@ def enumerate_supports(game: FiniteGame):
         yield SupportProfile(tuple(combo))
 
 
-def _positive_point(sol: AffineSolutionSet, rows, rhs, strict) -> list[Fraction] | None:
+def _positive_point(sol: AffineSolutionSet, rows, rhs,
+                    strict: Fraction) -> list[Fraction] | None:
     """A point of the nonempty solution set ``sol`` of rows * w = rhs whose
     every entry exceeds ``strict``, or None.
 
-    Unique solutions are checked directly. Positive-dimensional sets get
-    the exact max-min point (exact.max_min_point), whose smallest entry
-    t* is the largest on the set: such a point exists exactly when
-    t* > ``strict``, and the max-min point is then returned.
+    Unique solutions are checked directly, in integers: n / den > p / q
+    exactly when n * q > p * den, both denominators being positive.
+    Positive-dimensional sets get the exact max-min point
+    (exact.max_min_point), whose smallest entry t* is the largest on the
+    set: such a point exists exactly when t* > ``strict``, and the
+    max-min point is then returned.
     """
     if sol.is_unique:
-        return sol.particular if all(x > strict for x in sol.particular) else None
+        q, bound = strict.denominator, strict.numerator * sol.den
+        return sol.particular if all(n * q > bound for n in sol.nums) else None
     best = max_min_point(rows, rhs)
     return best[1] if best is not None and best[0] > strict else None
 

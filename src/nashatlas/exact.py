@@ -6,11 +6,12 @@ unknowns). Rows are Python ints, and every pivot is fraction-free
 (Bareiss 1968): the update is an exact integer division by the previous
 pivot, so entries stay integers over one common denominator. rref and
 solve_affine run Gauss-Jordan elimination with it; solve_affine reports
-an AffineSolutionSet, one particular solution and the number of free
-unknowns, which is all a support block needs. max_min_point runs a
-two-phase simplex method with Bland's rule on the same pivot (integer
-pivoting, as in Avis's lrs). Answers are built as one canonical
-``Fraction`` per entry.
+an AffineSolutionSet: one particular solution as integer numerators over
+one positive denominator, and the number of free unknowns, which is all
+a support block needs. Its ``particular`` builds the canonical
+``Fraction`` entries only when asked. max_min_point runs a two-phase
+simplex method with Bland's rule on the same pivot (integer pivoting, as
+in Avis's lrs), and builds its answer as one ``Fraction`` per entry.
 """
 
 from __future__ import annotations
@@ -23,22 +24,31 @@ from fractions import Fraction
 class AffineSolutionSet:
     """Solution set of A x = b over the rationals.
 
-    ``particular`` is one solution (None when the system is inconsistent);
+    One solution is ``nums`` over ``den``: integer numerators (None when
+    the system is inconsistent) over one positive integer denominator.
     ``free`` is the number of non-pivot unknowns, the dimension of the
     set when it is nonempty. No basis of the homogeneous solutions is
     built: a support block only asks for none, one or many.
     """
 
-    particular: list[Fraction] | None
+    nums: list[int] | None
+    den: int
     free: int
 
     @property
+    def particular(self) -> list[Fraction] | None:
+        """The solution ``nums`` / ``den`` as Fractions (None when empty)."""
+        if self.nums is None:
+            return None
+        return [Fraction(n, self.den) for n in self.nums]
+
+    @property
     def is_empty(self) -> bool:
-        return self.particular is None
+        return self.nums is None
 
     @property
     def is_unique(self) -> bool:
-        return self.particular is not None and not self.free
+        return self.nums is not None and not self.free
 
 
 def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
@@ -87,12 +97,13 @@ def solve_affine(a: list[list[int]], b: list[int], n: int) -> AffineSolutionSet:
     possibly empty, and integer b)."""
     mat, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)])
     if n in pivots:
-        return AffineSolutionSet(particular=None, free=0)
+        return AffineSolutionSet(nums=None, den=1, free=0)
     den = mat[0][pivots[0]] if pivots else 1
-    particular = [Fraction(0)] * n
+    sign = -1 if den < 0 else 1  # a pivot may be negative; keep den > 0
+    nums = [0] * n
     for r, c in enumerate(pivots):
-        particular[c] = Fraction(mat[r][n], den)
-    return AffineSolutionSet(particular=particular, free=n - len(pivots))
+        nums[c] = sign * mat[r][n]
+    return AffineSolutionSet(nums=nums, den=sign * den, free=n - len(pivots))
 
 
 def max_min_point(a: list[list[int]], b: list[int]) -> tuple[Fraction, list[Fraction]] | None:

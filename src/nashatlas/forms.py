@@ -13,10 +13,17 @@ The payoff of player i is a homogeneous form in all m blocks. Its
 decomposition into an own-weight-free part plus own-weight multiples
 (both on the strategy simplex product and on the homogenized space)
 comes out of one basis change per block.
+
+payoff_slice_values gives player i's payoff slopes, one per own pure
+strategy, against the others' weights. For a rational game with exact
+weights they are contracted in Python ints (_integer_slopes: the integer
+payoff tensor and integer weight numerators over one positive common
+denominator); float weights or a float game contract float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +49,9 @@ class MultilinearForm:
     owner: int | None = None
 
     def __post_init__(self):
+        # a form in no blocks may arrive as a scalar (np.take or arithmetic
+        # on a 0-d object array gives a bare Fraction): keep it an array
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
         if not self.pinned:
             object.__setattr__(self, "pinned", (None,) * len(self.blocks))
         if len(self.blocks) != self.coeffs.ndim or len(self.pinned) != self.coeffs.ndim:
@@ -288,14 +298,45 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
+    A rational game with no float weight gives Fractions, contracted in
+    integers by _integer_slopes; otherwise the floats are contracted.
     """
     rational = game.mode == RATIONAL and not any(
         isinstance(x, (float, np.floating)) for w in weights for x in w
     )
+    if rational:
+        nums, den = _integer_slopes(game, i, [
+            w if k == i else _coerce_vector(w, True) for k, w in enumerate(weights)
+        ])
+        return np.array([Fraction(n, den) for n in nums], dtype=object)
     t = game.utilities[i]
-    if not rational and t.dtype == object:
+    if t.dtype == object:
         t = np.asarray([float(x) for x in t.reshape(-1)]).reshape(t.shape)
     return contract(t, [
-        None if k == i else _coerce_vector(weights[k], rational)
+        None if k == i else _coerce_vector(weights[k], False)
         for k in range(game.num_players)
     ])
+
+
+def _integer_slopes(game: FiniteGame, i: int, weights) -> tuple[list[int], int]:
+    """Player i's payoff slopes (payoff_slice_values) of a rational game
+    as integer numerators over one positive denominator ``den``.
+
+    Each opponent's weights (ints or Fractions) become integer numerators
+    over the lcm of their denominators, and contract with the integer
+    payoff tensor (game.integer_utilities), so ``den`` is its scale times
+    those lcms. Player i's own weights are not read.
+    """
+    ints, den = game.integer_utilities[i]
+    vectors = []
+    for k in range(game.num_players):
+        if k == i:
+            vectors.append(None)
+            continue
+        w = weights[k]
+        lcm = math.lcm(*(x.denominator for x in w))
+        vec = np.empty(len(w), dtype=object)
+        vec[:] = [x.numerator * (lcm // x.denominator) for x in w]
+        vectors.append(vec)
+        den *= lcm
+    return contract(ints, vectors).tolist(), den

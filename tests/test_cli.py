@@ -284,6 +284,35 @@ def test_help_exits_zero(capsys):
     assert "solve" in capsys.readouterr().out
 
 
+def _fresh_python(*args):
+    """Run `python args...` in a new interpreter that imports this nashatlas."""
+    src = str(Path(nashatlas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_main_calls_in_one_process_match_fresh_calls(bos_file, capsys, monkeypatch):
+    # main builds its parser once per process; a usage error in between
+    # must leave it as a fresh interpreter would find it
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width
+    calls = [["solve", bos_file, "--exact", "--json"], ["solve"],
+             ["charts", "--shape", "2x3"]]
+    runs = []
+    for argv in calls:
+        code = main(argv)
+        got = capsys.readouterr()
+        fresh = _fresh_python(
+            "-c", "import sys; from nashatlas.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        runs.append((code, got.out, got.err))
+    assert [code for code, _, _ in runs] == [0, 1, 0]
+    assert json.loads(runs[0][1])["results"] and not runs[0][2]
+    assert not runs[1][1] and runs[1][2].startswith("usage: nashatlas solve")
+    assert runs[2][1] and not runs[2][2]
+
+
 def test_runs_without_scipy(tmp_path):
     # continuum witnesses come from an exact simplex: neither a library
     # solve nor the CLI on a tied game imports scipy
@@ -297,8 +326,5 @@ def test_runs_without_scipy(tmp_path):
         f"assert main(['solve', {dup!r}, '--exact', '--json']) == 2\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
-    src = str(Path(nashatlas.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
+    run = _fresh_python("-c", script)
     assert run.returncode == 0, run.stderr

@@ -1,6 +1,7 @@
 """Support enumeration, equilibrium solving, and degeneracy handling."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,14 +17,16 @@ from nashatlas import (
     enumerate_nash,
     enumerate_supports,
     make_game,
+    payoff_slice_values,
     profile_from_weights,
     random_game,
     solve_support,
     support_of,
 )
 from nashatlas import equilibrium
-from nashatlas.equilibrium import _exact_pair_solve, _newton_solve
+from nashatlas.equilibrium import CHECK_TOL, _exact_pair_solve, _newton_solve
 from nashatlas.exact import max_min_point
+from nashatlas.forms import contract
 
 from conftest import oracle_enumerate_2p
 
@@ -394,3 +397,83 @@ def test_reported_equilibria_are_equilibria(seed, shape):
     pts = _float_tuples(result)
     for a, b in zip(pts, pts[1:]):
         assert max(abs(x - y) for x, y in zip(a, b)) > 1e-6
+
+
+def _reference_slopes(game, i, weights):
+    """Player i's slopes as a Fraction contraction of the Fraction tensor."""
+    vectors = [None if k == i else np.array([Fraction(x) for x in w], dtype=object)
+               for k, w in enumerate(weights)]
+    return contract(game.utilities[i], vectors)
+
+
+def _reference_check(game, profile, tol):
+    """best_reply_check on Fraction slopes, as the rational route once ran."""
+    supports = support_of(profile, 0).supports
+    oks, residuals, margins = [], [], []
+    for i, supp in enumerate(supports):
+        c = _reference_slopes(game, i, profile.weights)
+        inside = [c[j] for j in supp]
+        outside = [c[j] for j in range(game.strategy_counts[i]) if j not in supp]
+        residual = max(inside) - min(inside)
+        margin = math.inf if not outside else min(inside) - max(outside)
+        oks.append(residual <= tol and margin >= -tol)
+        residuals.append(residual)
+        margins.append(margin)
+    return tuple(oks), tuple(residuals), tuple(margins)
+
+
+@st.composite
+def rational_cases(draw):
+    """A rational 2x3, 3x3 or 2x2x2 game and a profile of ints and
+    Fractions: random weights (zero and negative ones included, each
+    player with a nonzero weight), a pure profile, or, for two players,
+    an equilibrium or continuum witness that enumerate_nash found."""
+    shape = draw(st.sampled_from([(2, 3), (3, 3), (2, 2, 2)]))
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-3, 3, max_denominator=6))
+    size = int(np.prod(shape))
+    payoffs = [draw(st.lists(entry, min_size=size, max_size=size)) for _ in shape]
+    game = make_game(shape, payoffs, mode=RATIONAL)
+    kind = draw(st.sampled_from(["random", "pure", "found"]))
+    if kind == "found" and len(shape) == 2:
+        result = enumerate_nash(game, certify=False)
+        found = [c.point for c in result.equilibria] + [result.continuum_witness]
+        point = draw(st.sampled_from(found))
+        if point is not None:
+            return game, [list(w) for w in point.weights]
+    if kind == "pure":
+        pure = [draw(st.integers(0, c - 1)) for c in shape]
+        return game, [[int(j == p) for j in range(c)] for p, c in zip(pure, shape)]
+    weight = st.one_of(st.sampled_from([0, 1, Fraction(1, 2)]), st.integers(-2, 2),
+                       st.fractions(-2, 2, max_denominator=9))
+    return game, [draw(st.lists(weight, min_size=c, max_size=c).filter(any)) for c in shape]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rational_cases(), tol=st.sampled_from([CHECK_TOL, 0.0, 0.5, math.inf]))
+def test_exact_best_reply_check_matches_fraction_reference(case, tol):
+    game, weights = case
+    profile = profile_from_weights(weights, RATIONAL)
+    report = best_reply_check(game, profile, tol)
+    got = (report.ok, report.equality_residuals, report.inequality_margins)
+    assert got == _reference_check(game, profile, tol)
+    assert all(type(x) is Fraction for x in report.equality_residuals)
+    for i in range(game.num_players):
+        values = payoff_slice_values(game, i, weights)
+        assert values.dtype == object and all(type(x) is Fraction for x in values)
+        assert list(values) == list(_reference_slopes(game, i, weights))
+
+
+def test_float_weights_on_rational_game_stay_float(bos_exact):
+    exact = profile_from_weights([[Fraction(2, 3), Fraction(1, 3)],
+                                  [Fraction(1, 3), Fraction(2, 3)]], RATIONAL)
+    floats = profile_from_weights([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+    for i in range(2):
+        values = payoff_slice_values(bos_exact, i, floats.weights)
+        assert values.dtype == float
+        want = _reference_slopes(bos_exact, i, exact.weights)
+        np.testing.assert_allclose(values, want.astype(float))
+    report = best_reply_check(bos_exact, floats)
+    assert report.all_ok
+    assert all(isinstance(x, float)
+               for x in report.equality_residuals + report.inequality_margins)
+    assert best_reply_check(bos_exact, exact).equality_residuals == (0, 0)

@@ -4,9 +4,11 @@ exact max-min simplex against a search over every basis."""
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashatlas.equilibrium import _positive_point
 from nashatlas.exact import max_min_point, rref, solve_affine
 
 
@@ -101,7 +103,11 @@ def test_solve_affine_matches_reference(system):
         [[Fraction(x) for x in r] for r in a], [Fraction(x) for x in b], n
     )
     assert got.is_empty == (particular is None)
+    assert got.den > 0
     assert got.particular == particular
+    if particular is not None:
+        assert got.particular == [Fraction(n, got.den) for n in got.nums]
+        assert all(type(n) is int for n in got.nums)
     assert got.free == len(nullspace)
     assert all(type(x) is Fraction for x in got.particular or [])
 
@@ -118,6 +124,29 @@ def test_solve_affine_examples():
     # 2 x + 4 y = 2: x = 1 - 2 y
     sol = solve_affine([[2, 4]], [2], 2)
     assert sol.particular == [1, 0] and sol.free == 1 and not sol.is_unique
+    # x = 1, -y = 1: the last fraction-free pivot is -1, the common
+    # denominator of rref; the solution set carries it as +1
+    a, b = [[1, 0], [0, -1]], [1, 1]
+    mat, pivots = rref([row + [rhs] for row, rhs in zip(a, b)])
+    assert mat[0][pivots[0]] == -1
+    sol = solve_affine(a, b, 2)
+    assert (sol.nums, sol.den, sol.free) == ([1, -1], 1, 0)
+    assert sol.particular == [1, -1]
+
+
+@pytest.mark.parametrize("strict", [Fraction(0), Fraction(1e-9)])
+def test_positive_point_is_strict(strict):
+    # x + y = 1, -q y = -p: y = p / q over a negative pivot, with p / q
+    # strict times 7 / 7 so the integers are not in lowest terms. y ==
+    # strict is rejected; one more in the numerator is accepted
+    q = strict.denominator * 7
+    p = strict.numerator * 7
+    rows = [[1, 1], [0, -q]]
+    for num, accepted in ((p, False), (p + 1, True)):
+        sol = solve_affine(rows, [1, -num], 2)
+        assert sol.is_unique and sol.particular[1] == Fraction(num, q)
+        point = _positive_point(sol, rows, [1, -num], strict)
+        assert point == (sol.particular if accepted else None)
 
 
 def _reference_max_min(a, b):

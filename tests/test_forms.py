@@ -8,6 +8,7 @@ basis.
 """
 
 import itertools
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,28 @@ def test_two_decomposition_routes_agree():
         assert hom.K.pinned == (None,) * len(hom.K.blocks)
         for lam, Lam in zip(dec.lambdas, hom.Lambdas):
             np.testing.assert_array_equal(lam.coeffs, Lam.coeffs)
+
+
+@pytest.mark.parametrize("decompose", [lambda_decomposition, homogeneous_decomposition])
+@pytest.mark.parametrize("shape,payoffs", [
+    ((3,), [[3, 1, 2]]),
+    ((2, 3), [[[1, Fraction(-1, 2), 0], [2, 3, Fraction(3, 4)]],
+              [[0, 1, -2], [Fraction(5, 8), 1, 1]]]),
+])
+def test_rational_decomposition_matches_float_twin(decompose, shape, payoffs):
+    # one player: every part is a form in no blocks, a 0-d coefficient array
+    exact = decompose(make_game(shape, payoffs, mode=RATIONAL), 0)
+    twin = decompose(make_game(shape, [np.asarray(p, dtype=object).astype(float)
+                                       for p in payoffs]), 0)
+
+    def parts(dec):  # kappa and lambdas, or K and Lambdas
+        one, many = (getattr(dec, f.name) for f in fields(dec)[1:])
+        return [one, *many]
+
+    for a, b in zip(parts(exact), parts(twin), strict=True):
+        assert a.is_rational and not b.is_rational
+        assert (a.blocks, a.pinned, a.coeffs.shape) == (b.blocks, b.pinned, b.coeffs.shape)
+        assert [float(x) for x in a.coeffs.flat] == b.coeffs.reshape(-1).tolist()
 
 
 def test_tilde_round_trip_exact():
