@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import MultilinearForm, _as_numbers, homogeneous_decomposition
-from .game import FLOAT, RATIONAL, FiniteGame, MixedProfile
+from .game import FLOAT, RATIONAL, FiniteGame, MixedProfile, _as_fraction
 
 INF = float("inf")
 
@@ -127,7 +127,7 @@ def chart_point(game: FiniteGame, chart, coords, mode: str = FLOAT) -> ChartPoin
     for i, c in enumerate(coords):
         if mode == RATIONAL:
             arr = np.empty(len(c), dtype=object)
-            arr[:] = [x if isinstance(x, Fraction) else Fraction(x) for x in c]
+            arr[:] = [_as_fraction(x) for x in c]
         else:
             arr = np.asarray(c, dtype=float)
             if not np.isfinite(arr).all():

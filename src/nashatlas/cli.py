@@ -25,7 +25,6 @@ import numpy as np
 
 from .atlas import (
     INF,
-    ChartExcludesHypersurface,
     all_charts,
     chart_excludes,
     chart_zero_point,
@@ -556,10 +555,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         report, lines, code = args.handler(args)
-    except GameFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ChartExcludesHypersurface, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:

@@ -33,10 +33,12 @@ its residual and Jacobian blocks are single contractions (forms.contract)
 that take one point or a stack of them; the positivity, continuum and
 singular-root checks on the roots found are one batched call each.
 
-The best-reply check of a rational game stays in integers as well: the
-slopes are integer_utilities contracted with the opponents' weight
-numerators over one common denominator (forms._integer_slopes), and only
-each residual and margin becomes a Fraction.
+A point is exact when forms._exact says so (a rational game, int or
+Fraction weights); its best-reply check then stays in integers
+(forms._integer_slopes) and a certificate's `exact` is that same test
+on its own point. Equilibria are told apart by support: each candidate
+has the support it was solved on, and Newton roots of one support are
+already merged at DEDUP_TOL.
 
 Rank-deficient strata raise SingularSystem instead of guessing: a
 positive-dimensional solution set or a singular Jacobian at a root is
@@ -54,9 +56,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
-from .forms import _contract_axis, _integer_slopes, payoff_slice_values
+from .forms import _contract_axis, _exact, _integer_slopes, payoff_slice_values
 from .genericity import (
-    DEDUP_TOL,
     RANDOM_STARTS,
     RANK_TOL,
     RESIDUAL_TOL,
@@ -76,7 +77,6 @@ from .game import (
 )
 
 CHECK_TOL = 1e-8
-BOUNDARY_BAND = 1e-8
 
 
 class SingularSystem(RuntimeError):
@@ -110,15 +110,12 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile,
 
     For each player the supported slope values must agree within tol
     and exceed every unsupported slope value by at least -tol. Margins
-    are +inf for full supports. A rational game with int or Fraction
-    weights is checked in integers (forms._integer_slopes), and each
-    residual and margin is one Fraction; any float weight takes the
-    float path.
+    are +inf for full supports. Exact weights (forms._exact) are
+    checked in integers (forms._integer_slopes), and each residual and
+    margin is one Fraction; any other weights take the float path.
     """
     supports = support_of(profile, game.zero_tol).supports
-    exact = game.mode == RATIONAL and all(
-        isinstance(x, (int, Fraction)) for w in profile.weights for x in w
-    )
+    exact = _exact(game, profile.weights)
     oks, residuals, margins = [], [], []
     for i in range(game.num_players):
         if exact:
@@ -391,16 +388,9 @@ def enumerate_nash(
             report = best_reply_check(game, cand, tol)
             if not report.all_ok:
                 continue
-            if any(
-                np.max(np.abs(np.concatenate(cand.as_floats())
-                              - np.concatenate(other.point.as_floats())))
-                <= DEDUP_TOL
-                for other in found
-            ):
-                continue
             residual = max(report.equality_residuals)
             boundary = any(
-                m != math.inf and abs(m) < BOUNDARY_BAND
+                m != math.inf and abs(m) < CHECK_TOL
                 for m in report.inequality_margins
             )
             found.append(
@@ -409,7 +399,7 @@ def enumerate_nash(
                     support=support,
                     equality_residual=residual,
                     inequality_margins=report.inequality_margins,
-                    exact=game.mode == RATIONAL,
+                    exact=_exact(game, cand.weights),
                     boundary_degenerate=boundary,
                 )
             )

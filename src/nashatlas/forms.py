@@ -10,26 +10,27 @@ exactly composition with the chart embedding that sets the l-th
 homogeneous coordinate to 1.
 
 The payoff of player i is a homogeneous form in all m blocks. Its
-decomposition into an own-weight-free part plus own-weight multiples
-(both on the strategy simplex product and on the homogenized space)
-comes out of one basis change per block.
+decomposition into an own-weight-free part plus own-weight multiples on
+the homogenized space (K, Lambda) comes out of one basis change per
+block; on the simplex product (kappa, lambda) it is the same tensors
+read in each opponent's chart tilde_0 = 1.
 
 payoff_slice_values gives player i's payoff slopes, one per own pure
-strategy, against the others' weights. For a rational game with exact
-weights they are contracted in Python ints (_integer_slopes: the integer
-payoff tensor and integer weight numerators over one positive common
-denominator); float weights or a float game contract float64.
+strategy, against the others' weights. When _exact holds (a rational
+game, int or Fraction weights) they are contracted in Python ints
+(_integer_slopes: the integer payoff tensor and integer weight
+numerators over one positive common denominator); otherwise float64.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .game import RATIONAL, FiniteGame
+from .game import RATIONAL, FiniteGame, _as_fraction
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def _coerce_vector(vec, rational: bool) -> np.ndarray:
         return vec
     if rational:
         out = np.empty(len(vec), dtype=object)
-        out[:] = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
+        out[:] = [_as_fraction(x) for x in vec]
         return out
     return np.asarray(vec, dtype=float)
 
@@ -171,10 +172,10 @@ def _as_numbers(ints: np.ndarray, rational: bool) -> np.ndarray:
     return np.array([Fraction(int(x)) for x in ints.flat], dtype=object).reshape(ints.shape)
 
 
-def zero_form(game: FiniteGame, blocks: tuple[int, ...], pinned=None, owner=None) -> MultilinearForm:
+def zero_form(game: FiniteGame, blocks: tuple[int, ...], owner=None) -> MultilinearForm:
     shape = tuple(game.strategy_counts[b] for b in blocks)
     coeffs = _as_numbers(np.zeros(shape, dtype=int), game.mode == RATIONAL)
-    return MultilinearForm(blocks, coeffs, pinned or (None,) * len(blocks), owner)
+    return MultilinearForm(blocks, coeffs, owner=owner)
 
 
 def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
@@ -253,30 +254,15 @@ def _other_blocks(game: FiniteGame, i: int) -> tuple[int, ...]:
 
 
 def lambda_decomposition(game: FiniteGame, i: int) -> LambdaDecomposition:
-    """Split player i's payoff on the simplex product.
-
-    Works on own-index slices of the payoff tensor: slice j minus slice 0
-    is the coefficient of the j-th own weight once every opponent block is
-    restricted to its affine chart (weight 0 eliminated by the sum rule).
-    """
-    if not 0 <= i < game.num_players:
-        raise ValueError(f"no player {i}")
-    u = game.utilities[i]
-    others = _other_blocks(game, i)
-    rational = game.mode == RATIONAL
-
-    def restrict(slice_tensor: np.ndarray) -> MultilinearForm:
-        t = slice_tensor
-        for axis, k in enumerate(others):
-            t = _contract_axis(t, _basis_matrix(game.strategy_counts[k], rational), axis)
-        return MultilinearForm(others, t, (0,) * len(others), owner=i)
-
-    own = [np.take(u, j, axis=i) for j in range(game.strategy_counts[i])]
-    kappa = restrict(own[0])
-    lambdas = [zero_form(game, others, (0,) * len(others), owner=i)]
-    for j in range(1, game.strategy_counts[i]):
-        lambdas.append(restrict(own[j] - own[0]))
-    return LambdaDecomposition(i, kappa, tuple(lambdas))
+    """Split player i's payoff on the simplex product: the homogeneous
+    split with slot 0 (the weight sum tilde_0) of every part pinned to 1."""
+    hom = homogeneous_decomposition(game, i)
+    pinned = (0,) * (game.num_players - 1)
+    return LambdaDecomposition(
+        i,
+        replace(hom.K, pinned=pinned),
+        tuple(replace(Lam, pinned=pinned) for Lam in hom.Lambdas),
+    )
 
 
 def homogeneous_decomposition(game: FiniteGame, i: int) -> HomogeneousDecomposition:
@@ -298,16 +284,11 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
-    A rational game with no float weight gives Fractions, contracted in
-    integers by _integer_slopes; otherwise the floats are contracted.
+    Exact weights (_exact) give Fractions, contracted in integers by
+    _integer_slopes; otherwise the floats are contracted.
     """
-    rational = game.mode == RATIONAL and not any(
-        isinstance(x, (float, np.floating)) for w in weights for x in w
-    )
-    if rational:
-        nums, den = _integer_slopes(game, i, [
-            w if k == i else _coerce_vector(w, True) for k, w in enumerate(weights)
-        ])
+    if _exact(game, weights):
+        nums, den = _integer_slopes(game, i, weights)
         return np.array([Fraction(n, den) for n in nums], dtype=object)
     t = game.utilities[i]
     if t.dtype == object:
@@ -316,6 +297,14 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
         None if k == i else _coerce_vector(weights[k], False)
         for k in range(game.num_players)
     ])
+
+
+def _exact(game: FiniteGame, weights) -> bool:
+    """A rational game and weights that are all ints or Fractions (a NumPy
+    integer is not): the one test of whether numbers are exact."""
+    return game.mode == RATIONAL and all(
+        isinstance(x, (int, Fraction)) for w in weights for x in w
+    )
 
 
 def _integer_slopes(game: FiniteGame, i: int, weights) -> tuple[list[int], int]:

@@ -46,7 +46,6 @@ class FiniteGame:
     strategy_counts: tuple[int, ...]
     utilities: tuple[np.ndarray, ...]
     mode: str = FLOAT
-    labels: tuple[tuple[str, ...], ...] | None = None
 
     @property
     def num_players(self) -> int:
@@ -120,7 +119,6 @@ def make_game(
     strategy_counts,
     utilities,
     mode: str = FLOAT,
-    labels=None,
 ) -> FiniteGame:
     """Validate shapes and entries and build a FiniteGame.
 
@@ -161,12 +159,7 @@ def make_game(
             if not np.isfinite(arr).all():
                 raise ValueError(f"utility tensor {i} contains non-finite entries")
         tensors.append(arr)
-    if labels is not None:
-        labels = tuple(tuple(str(x) for x in lab) for lab in labels)
-        for c, lab in zip(counts, labels):
-            if len(lab) != c:
-                raise ValueError("label count does not match strategy count")
-    return FiniteGame(counts, tuple(tensors), mode=mode, labels=labels)
+    return FiniteGame(counts, tuple(tensors), mode=mode)
 
 
 def _as_fraction(x) -> Fraction:

@@ -43,13 +43,14 @@ from .atlas import (
     Hypersurface,
     PayoffDiff,
     _validate_chart,
+    _validate_hypersurface,
     chart_excludes,
     chart_zero_point,
     defining_map,
     format_chart,
     on_hypersurface,
 )
-from .forms import MultilinearForm, _contract_axis, contract
+from .forms import MultilinearForm, _contract_axis, contract, homogeneous_decomposition
 from .game import FiniteGame, SupportProfile
 
 if TYPE_CHECKING:
@@ -446,8 +447,11 @@ def regular_value_probe(
     cut out by its coordinate constraints, and check that every found
     root is a regular point (full-rank Jacobian of the restricted map).
 
-    An empty root set is a regular outcome; the probe only ever
-    witnesses degeneracy, it cannot prove its absence.
+    Player i's equations are read from its Lambda once
+    (forms.homogeneous_decomposition): the PayoffDiff(i, pair) defining
+    maps of atlas.defining_map, stacked on axis i. An empty root set is
+    a regular outcome; the probe only ever witnesses degeneracy, it
+    cannot prove its absence.
     """
     chart = _validate_chart(game, chart)
     if not is_good(family):
@@ -458,14 +462,14 @@ def regular_value_probe(
     maps = _face_maps(game, family, chart)
     if maps is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
-    tensors = [
-        np.asarray(
-            np.stack([defining_map(game, PayoffDiff(i, pair), chart).coeffs
-                      for pair in pairs], axis=i),
-            dtype=float,
-        ) if pairs else None
-        for i, pairs in enumerate(family.R)
-    ]
+    tensors = [None] * len(family.R)
+    for i, pairs in enumerate(family.R):
+        if pairs:
+            Lambdas = homogeneous_decomposition(game, i).Lambdas
+            for pair in pairs:
+                _validate_hypersurface(game, PayoffDiff(i, pair))
+            diffs = [Lambdas[j].coeffs - Lambdas[k].coeffs for j, k in pairs]
+            tensors[i] = np.asarray(np.stack(diffs, axis=i), dtype=float)
     residual, jacobian, vectors = _face_system(tensors, maps)
     total_dim = sum(a.shape[1] - 1 for a in maps)
     num_eq = family.num_pairs

@@ -24,6 +24,7 @@ from nashatlas import (
     support_of,
 )
 from nashatlas import equilibrium
+from nashatlas.game import MixedProfile
 from nashatlas.equilibrium import CHECK_TOL, _exact_pair_solve, _newton_solve
 from nashatlas.exact import max_min_point
 from nashatlas.forms import contract
@@ -477,3 +478,34 @@ def test_float_weights_on_rational_game_stay_float(bos_exact):
     assert all(isinstance(x, float)
                for x in report.equality_residuals + report.inequality_margins)
     assert best_reply_check(bos_exact, exact).equality_residuals == (0, 0)
+
+
+@pytest.mark.parametrize("mode", ["float", RATIONAL])
+def test_equilibria_of_different_supports_are_not_merged(mode):
+    # a regular coordination game: the mixed equilibrium sits within 1e-7
+    # of the pure one on strategy 0, yet it is a third equilibrium
+    game = make_game((2, 2), [[[1, 0], [0, 10**7]]] * 2, mode=mode)
+    result = enumerate_nash(game)
+    assert result.count == 3
+    assert result.warnings == [] and not result.degenerate
+    assert len({c.support for c in result.equilibria}) == 3
+
+
+def test_certificate_exact_follows_the_point(bos_exact):
+    # a rational 2x2x2 game takes the float Newton route
+    game = make_game((2, 2, 2), random_game((2, 2, 2), seed=3).utilities, mode=RATIONAL)
+    result = enumerate_nash(game)
+    assert result.equilibria
+    for cert in result.equilibria:
+        assert cert.exact is False
+        assert all(w.dtype == float for w in cert.point.weights)
+    result = enumerate_nash(bos_exact)
+    assert result.equilibria and all(c.exact is True for c in result.equilibria)
+
+
+def test_best_reply_check_accepts_numpy_integer_weights(bos_exact):
+    pure = MixedProfile(tuple(np.array([np.int64(1), np.int64(0)], dtype=object)
+                              for _ in range(2)))
+    report = best_reply_check(bos_exact, pure)
+    assert report.all_ok
+    assert report.equality_residuals == (0.0, 0.0)

@@ -128,10 +128,14 @@ def test_homogeneous_reconstruction():
                 assert recon == pytest.approx(form.eval(w), rel=1e-12, abs=1e-12)
 
 
-def test_two_decomposition_routes_agree():
+@pytest.mark.parametrize("game", [
+    random_game((2, 3, 2), seed=31),
+    random_game((2, 3, 2), seed=12),
+    make_game((2, 3, 2), random_game((2, 3, 2), seed=12).utilities, mode=RATIONAL),
+], ids=["seed31", "seed12", "rational"])
+def test_two_decomposition_routes_agree(game):
     """The affine slopes are the homogeneous slopes with the sum slot
     pinned: identical coefficient tensors, different pinning."""
-    game = random_game((2, 3, 2), seed=31)
     for i in range(game.num_players):
         dec = lambda_decomposition(game, i)
         hom = homogeneous_decomposition(game, i)
@@ -264,6 +268,16 @@ def test_payoff_slice_values_exact(mp_exact):
     vals = payoff_slice_values(mp_exact, 0, w)
     assert vals[0] == Fraction(-1, 3)
     assert vals[1] == Fraction(1, 3)
+
+
+def test_numpy_integer_weights_on_rational_game_do_not_wrap():
+    """NumPy int64 weights are not exact weights: the slopes take the
+    float path and the form turns them into Python-int Fractions, so
+    neither wraps around at 2**63."""
+    game = make_game((2, 2), [[[10**18, 0], [0, 0]], [[0, 0], [0, 0]]], mode=RATIONAL)
+    w = [np.array([1, 0]), np.array([10, 0])]
+    assert payoff_slice_values(game, 0, w)[0] == 10**19
+    assert payoff_form(game, 0).eval(w) == 10**19
 
 
 @settings(max_examples=40, deadline=None)

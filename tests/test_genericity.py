@@ -32,8 +32,8 @@ from nashatlas import (
     transversal_at,
     witness_cycle,
 )
-from nashatlas import equilibrium
-from nashatlas.atlas import chart_excludes
+from nashatlas import equilibrium, genericity
+from nashatlas.atlas import chart_excludes, defining_map
 from nashatlas.equilibrium import SingularSystem, _newton_starts, solve_support
 from nashatlas.game import SupportProfile
 from nashatlas.genericity import (
@@ -41,6 +41,7 @@ from nashatlas.genericity import (
     NEWTON_MAX_ITERS,
     RANDOM_STARTS,
     RESIDUAL_TOL,
+    GoodFamily,
     _face_system,
     _newton_roots,
     full_gradient,
@@ -303,6 +304,14 @@ def test_probe_requires_good_family(mp_float):
         regular_value_probe(g, bad, (0, 0), seed=0)
 
 
+@pytest.mark.parametrize("pair", [(0, 5), (-1, 1)])
+def test_probe_rejects_bad_pairs(pair):
+    # a family built without good_family still has its pairs checked
+    g = random_game((3, 3), seed=1)
+    with pytest.raises(ValueError, match="pair"):
+        regular_value_probe(g, GoodFamily(((), ()), ((pair,), ())), (0, 0), seed=0)
+
+
 def test_probe_rejects_short_chart():
     # one index short of a 2x2x2 game: a ValueError up front, not an
     # IndexError from inside the face maps
@@ -335,6 +344,34 @@ def test_probe_exact_game_matches_float_twin():
     for r, s in zip(a.roots, b.roots):
         for x, y in zip(r.point.coords, s.point.coords):
             np.testing.assert_allclose(np.asarray(x, dtype=float), y, atol=1e-12)
+
+
+def test_probe_equations_are_the_defining_maps(monkeypatch):
+    # the probe reads each player's Lambda once; its equation tensors are
+    # bitwise the PayoffDiff defining maps stacked on the player's axis
+    game = random_game((2, 3, 2), seed=7)
+    fam = good_family(game, T=[(), (INF,), (1,)], R=[[(0, 1)], [(0, 1), (1, 2)], []])
+    seen = []
+
+    def spy(tensors, maps):
+        seen.append(tensors)
+        return _face_system(tensors, maps)
+
+    monkeypatch.setattr(genericity, "_face_system", spy)
+    charts = [c for c in itertools.product(*map(range, game.strategy_counts))
+              if not any(chart_excludes(c, h) for h in fam.hypersurfaces())]
+    assert len(charts) == 4
+    for chart in charts:
+        regular_value_probe(game, fam, chart, seed=0)
+        got = seen.pop()
+        assert [t is None for t in got] == [not pairs for pairs in fam.R]
+        for i, pairs in enumerate(fam.R):
+            if pairs:
+                want = np.asarray(np.stack(
+                    [defining_map(game, PayoffDiff(i, p), chart).coeffs for p in pairs],
+                    axis=i), dtype=float)
+                assert (got[i].dtype, got[i].shape) == (want.dtype, want.shape)
+                assert got[i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape, T, R", [
