@@ -102,11 +102,6 @@ class ChartPoint:
     def full_vectors(self) -> tuple[np.ndarray, ...]:
         return tuple(self.full_vector(i) for i in range(self.num_players))
 
-    def as_floats(self) -> "ChartPoint":
-        return ChartPoint(
-            self.chart, tuple(np.asarray(c, dtype=float) for c in self.coords)
-        )
-
 
 def _validate_chart(game: FiniteGame, chart) -> tuple[int, ...]:
     chart = tuple(int(l) for l in chart)
@@ -238,7 +233,7 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
     coeffs = decomp.Lambdas[j].coeffs - decomp.Lambdas[k].coeffs
     blocks = tuple(b for b in range(game.num_players) if b != i)
     pinned = tuple(chart[b] for b in blocks)
-    return MultilinearForm(blocks, coeffs, pinned, owner=i)
+    return MultilinearForm(blocks, coeffs, pinned)
 
 
 def on_hypersurface(

@@ -6,10 +6,16 @@ of a family spec), sample (random-game statistics), certify
 (transversality of a family at a point), charts (the atlas and each
 chart's complement).
 
+Each subcommand defines only the options it reads: --seed on solve and
+sample; --tol and --rank-tol on solve, sample and certify; a game file
+and --exact on solve, lambda and certify; --t and --r on goodcheck and
+certify. Any other option is a usage error.
+
 Reports are human text by default, or machine-readable with --json
 (top-level keys meta/results/warnings; exact rationals as "p/q"
-strings, infinities as null). Exit codes: 0 success, 1 usage or parse
-error, 2 degeneracy witnessed.
+strings, infinities as null). meta echoes the options the subcommand
+defines, then what it worked on. Exit codes: 0 success, 1 usage or
+parse error, 2 degeneracy witnessed.
 """
 
 from __future__ import annotations
@@ -104,9 +110,8 @@ def _load_game(args) -> FiniteGame:
             text = fh.read()
     except OSError as e:
         raise GameFormatError(f"cannot read {args.file}: {e.strerror}") from e
-    exact = getattr(args, "exact", False)
-    game = parse_game(text, RATIONAL if exact else FLOAT)
-    if exact and game.num_players != 2:
+    game = parse_game(text, RATIONAL if args.exact else FLOAT)
+    if args.exact and game.num_players != 2:
         raise GameFormatError("--exact is only supported for 2-player games")
     return game
 
@@ -184,7 +189,9 @@ def _point_from_lists(game: FiniteGame, blocks):
             )
         weights.append([Fraction(str(x)) if rational else float(x) for x in b])
     profile = profile_from_weights(weights, RATIONAL if rational else FLOAT)
-    if not profile.in_A(1e-9):
+    # a p/q point sums to exactly 1; a float point within rounding
+    sums_to_one = all(sum(w) == 1 for w in weights) if rational else profile.in_A(1e-9)
+    if not sums_to_one:
         raise ValueError("point weights must sum to 1 per player")
     return profile
 
@@ -301,6 +308,13 @@ def _cmd_lambda(args):
     return {"meta": meta, "results": payload, "warnings": []}, lines, EXIT_OK
 
 
+def _family_payload(family) -> dict:
+    return {
+        "T": [["inf" if t == INF else t for t in ts] for ts in family.T],
+        "R": [[list(p) for p in ps] for ps in family.R],
+    }
+
+
 def _cmd_goodcheck(args):
     game = _zero_game(args.shape)
     family = _parse_family(game, args.t, args.r)
@@ -314,8 +328,7 @@ def _cmd_goodcheck(args):
         lines = [f"not good: player {player + 1} has cycle {path}"]
     payload = {
         "good": good,
-        "T": [["inf" if t == INF else t for t in ts] for ts in family.T],
-        "R": [[list(p) for p in ps] for ps in family.R],
+        **_family_payload(family),
         "cycle": None if good else {"player": cycle[0] + 1, "vertices": list(cycle[1])},
     }
     meta = _meta(args, command="goodcheck", shape=args.shape)
@@ -398,7 +411,7 @@ def _cmd_certify(args):
     game = _load_game(args)
     if args.point is not None:
         profile = _parse_point(game, args.point)
-    elif getattr(args, "from_json", None) is not None:
+    elif args.from_json is not None:
         profile = _point_from_solve_json(game, args.from_json, args.index)
     else:
         raise ValueError("supply --point or --from-json")
@@ -435,10 +448,7 @@ def _cmd_certify(args):
     ]
     payload = {
         "chart": format_chart(chart),
-        "family": {
-            "T": [["inf" if t == INF else t for t in ts] for ts in family.T],
-            "R": [[list(p) for p in ps] for ps in family.R],
-        },
+        "family": _family_payload(family),
         "active": [str(h) for h in report.active],
         "rank": report.rank,
         "smallest_singular_value": _jnum(report.smallest_singular_value),
@@ -467,14 +477,12 @@ def _cmd_charts(args):
 
 
 def _meta(args, **extra) -> dict:
+    """The subcommand's own options that the report echoes, then extra."""
     meta = {
-        "seed": getattr(args, "seed", None),
-        "tol": getattr(args, "tol", None),
-        "rank_tol": getattr(args, "rank_tol", None),
-        "exact": getattr(args, "exact", False),
+        key: getattr(args, key)
+        for key in ("seed", "tol", "rank_tol", "exact", "file")
+        if hasattr(args, key)
     }
-    if getattr(args, "file", None):
-        meta["file"] = args.file
     meta.update(extra)
     return meta
 
@@ -482,39 +490,43 @@ def _meta(args, **extra) -> dict:
 @functools.cache  # parse_args leaves the parser as it was: build it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nashatlas", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable report")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--tol", type=float, default=CHECK_TOL,
-                        help="membership/best-reply tolerance")
-    common.add_argument("--rank-tol", type=float, default=RANK_TOL,
-                        help="singular-value rank threshold")
+    # one parent per option group, each given only to the subcommands that
+    # read it
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="machine-readable report")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--tol", type=float, default=CHECK_TOL,
+                            help="membership/best-reply tolerance")
+    tolerances.add_argument("--rank-tol", type=float, default=RANK_TOL,
+                            help="singular-value rank threshold")
+    game_file = argparse.ArgumentParser(add_help=False)
+    game_file.add_argument("file", help="game file")
+    game_file.add_argument("--exact", action="store_true",
+                           help="exact rational arithmetic (2-player games only)")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--t", action="append", metavar="i:j[,j...]",
+                        help="coordinate labels per player (inf allowed)")
+    family.add_argument("--r", action="append", metavar="i:j-k[,j-k...]",
+                        help="strategy pairs per player")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("solve", parents=[common], help="enumerate Nash equilibria")
-    p.add_argument("file", help="game file")
-    p.add_argument("--exact", action="store_true",
-                   help="exact rational arithmetic (2-player games only)")
+    p = sub.add_parser("solve", parents=[report, seeded, tolerances, game_file],
+                       help="enumerate Nash equilibria")
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("lambda", parents=[common],
+    p = sub.add_parser("lambda", parents=[report, game_file],
                        help="print a player's payoff decomposition")
-    p.add_argument("file", help="game file")
     p.add_argument("--player", type=int, required=True, help="player number (1-based)")
-    p.add_argument("--exact", action="store_true",
-                   help="exact rational arithmetic (2-player games only)")
     p.set_defaults(handler=_cmd_lambda)
 
-    p = sub.add_parser("goodcheck", parents=[common],
+    p = sub.add_parser("goodcheck", parents=[report, family],
                        help="check the forest condition of a family")
     p.add_argument("--shape", required=True, help="strategy counts, like 3x3")
-    p.add_argument("--t", action="append", metavar="i:j[,j...]",
-                   help="coordinate labels per player (inf allowed)")
-    p.add_argument("--r", action="append", metavar="i:j-k[,j-k...]",
-                   help="strategy pairs per player")
     p.set_defaults(handler=_cmd_goodcheck)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[report, seeded, tolerances],
                        help="random-game equilibrium statistics")
     p.add_argument("shape", help="strategy counts, like 2x2x2")
     p.add_argument("--count", type=int, default=1, help="number of games")
@@ -522,24 +534,17 @@ def _build_parser() -> _Parser:
                    default="uniform", help="payoff entry distribution")
     p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[report, tolerances, game_file, family],
                        help="transversality of a family at a point")
-    p.add_argument("file", help="game file")
     p.add_argument("--point", help="weights, players ';'-separated: 0.5,0.5;0.5,0.5")
     p.add_argument("--from-json", dest="from_json",
                    help="read the point from a solve --json report")
     p.add_argument("--index", type=int, default=0,
                    help="equilibrium index in the solve report")
     p.add_argument("--chart", help="chart spec l1,l2,... (default all zeros)")
-    p.add_argument("--t", action="append", metavar="i:j[,j...]",
-                   help="coordinate labels per player (inf allowed)")
-    p.add_argument("--r", action="append", metavar="i:j-k[,j-k...]",
-                   help="strategy pairs per player")
-    p.add_argument("--exact", action="store_true",
-                   help="exact rational arithmetic (2-player games only)")
     p.set_defaults(handler=_cmd_certify)
 
-    p = sub.add_parser("charts", parents=[common],
+    p = sub.add_parser("charts", parents=[report],
                        help="print the atlas and each chart's complement")
     p.add_argument("--shape", required=True, help="strategy counts, like 2x3")
     p.set_defaults(handler=_cmd_charts)

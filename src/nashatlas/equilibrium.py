@@ -68,7 +68,6 @@ from .genericity import (
 )
 from .game import (
     DEFAULT_ZERO_TOL,
-    RATIONAL,
     FiniteGame,
     MixedProfile,
     SupportProfile,
@@ -116,6 +115,8 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile,
     """
     supports = support_of(profile, game.zero_tol).supports
     exact = _exact(game, profile.weights)
+    if exact and math.isfinite(tol):
+        tol = Fraction(tol)  # once, not at every Fraction comparison
     oks, residuals, margins = [], [], []
     for i in range(game.num_players):
         if exact:
@@ -150,22 +151,23 @@ def enumerate_supports(game: FiniteGame):
 
 
 def _positive_point(sol: AffineSolutionSet, rows, rhs,
-                    strict: Fraction) -> list[Fraction] | None:
+                    strict: float | Fraction) -> list[Fraction] | None:
     """A point of the nonempty solution set ``sol`` of rows * w = rhs whose
     every entry exceeds ``strict``, or None.
 
-    Unique solutions are checked directly, in integers: n / den > p / q
-    exactly when n * q > p * den, both denominators being positive.
+    ``strict`` (a float or a Fraction) is read once, as the integer ratio
+    p / q. Unique solutions are checked directly, in integers: n / den >
+    p / q exactly when n * q > p * den, both denominators being positive.
     Positive-dimensional sets get the exact max-min point
     (exact.max_min_point), whose smallest entry t* is the largest on the
-    set: such a point exists exactly when t* > ``strict``, and the
-    max-min point is then returned.
+    set: such a point exists exactly when t* * q > p, and the max-min
+    point is then returned.
     """
+    p, q = strict.as_integer_ratio()
     if sol.is_unique:
-        q, bound = strict.denominator, strict.numerator * sol.den
-        return sol.particular if all(n * q > bound for n in sol.nums) else None
+        return sol.particular if all(n * q > p * sol.den for n in sol.nums) else None
     best = max_min_point(rows, rhs)
-    return best[1] if best is not None and best[0] > strict else None
+    return best[1] if best is not None and best[0] * q > p else None
 
 
 def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
@@ -191,17 +193,16 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
 
     # One positivity pass, stopping at the first block without a positive
     # point: both points make the unique candidate or the continuum witness.
-    strict = Fraction(game.zero_tol)
     weights = []
     for (rows, rhs, sol), supp, count in zip(blocks, support.supports, game.strategy_counts):
-        point = _positive_point(sol, rows, rhs, strict)
+        point = _positive_point(sol, rows, rhs, game.zero_tol)
         if point is None:
             break
-        w = [Fraction(0)] * count
+        w = [0] * count
         for s, v in zip(supp, point):
             w[s] = v
         weights.append(w)
-    profile = _profile_from_fractions(game, weights) if len(weights) == 2 else None
+    profile = profile_from_weights(weights, game.mode) if len(weights) == 2 else None
 
     if all(sol.is_unique for _, _, sol in blocks):
         return [] if profile is None else [profile]
@@ -211,12 +212,6 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
         "positive-dimensional solution set",
         witness=profile,
     )
-
-
-def _profile_from_fractions(game: FiniteGame, weights) -> MixedProfile:
-    if game.mode == RATIONAL:
-        return profile_from_weights(weights, RATIONAL)
-    return profile_from_weights([[float(x) for x in w] for w in weights])
 
 
 def _newton_starts(sizes, seed: int) -> np.ndarray:

@@ -147,11 +147,8 @@ def max_min_point(a: list[list[int]], b: list[int]) -> tuple[Fraction, list[Frac
         keep.append(i)
     tab = [tab[i][:n + 1] + tab[i][-1:] for i in keep]
     basis = [basis[i] for i in keep]
-    # phase 2 maximises t: its reduced costs in the current basis, times d
-    cost = [0] * n + [-d, 0]
-    if n in basis:
-        cost = [x + y for x, y in zip(cost, tab[basis.index(n)])]
-    tab.append(cost)
+    # phase 2 maximises t, not yet basic: its column sums the s columns, so s pivots first
+    tab.append([0] * n + [-d, 0])
     d = _bland(tab, basis, d, n + 1)
     value = [0] * (n + 1)
     for i, var in enumerate(basis):

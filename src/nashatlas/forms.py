@@ -41,13 +41,11 @@ class MultilinearForm:
     pinned: per block, the coordinate index fixed to 1, or None for a
         homogeneous block. A pinned block of full size s takes input
         vectors of length s - 1.
-    owner: the player whose payoff the form came from, if any.
     """
 
     blocks: tuple[int, ...]
     coeffs: np.ndarray
     pinned: tuple[int | None, ...] = ()
-    owner: int | None = None
 
     def __post_init__(self):
         # a form in no blocks may arrive as a scalar (np.take or arithmetic
@@ -76,13 +74,8 @@ class MultilinearForm:
         one = Fraction(1) if self.is_rational else 1.0
         return np.insert(vec, p, one)
 
-    def max_abs_coeff(self):
-        flat = self.coeffs.reshape(-1)
-        if flat.size == 0:
-            return 0.0
-        if self.is_rational:
-            return max(abs(x) for x in flat)
-        return float(np.max(np.abs(flat)))
+    def max_abs_coeff(self) -> float:
+        return float(np.abs(self.coeffs).max(initial=0.0))
 
     def _inputs(self, points, keep: int | None = None) -> list:
         """Lifted, length-checked block vectors, None at position keep."""
@@ -172,10 +165,10 @@ def _as_numbers(ints: np.ndarray, rational: bool) -> np.ndarray:
     return np.array([Fraction(int(x)) for x in ints.flat], dtype=object).reshape(ints.shape)
 
 
-def zero_form(game: FiniteGame, blocks: tuple[int, ...], owner=None) -> MultilinearForm:
+def zero_form(game: FiniteGame, blocks: tuple[int, ...]) -> MultilinearForm:
     shape = tuple(game.strategy_counts[b] for b in blocks)
     coeffs = _as_numbers(np.zeros(shape, dtype=int), game.mode == RATIONAL)
-    return MultilinearForm(blocks, coeffs, owner=owner)
+    return MultilinearForm(blocks, coeffs)
 
 
 def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
@@ -183,9 +176,7 @@ def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
     multilinear extension of the pure payoff tensor)."""
     if not 0 <= i < game.num_players:
         raise ValueError(f"no player {i}")
-    return MultilinearForm(
-        tuple(range(game.num_players)), game.utilities[i].copy(), owner=i
-    )
+    return MultilinearForm(tuple(range(game.num_players)), game.utilities[i].copy())
 
 
 # Basis change between the natural weights gamma and the homogenized
@@ -212,7 +203,7 @@ def _change_basis(form: MultilinearForm, inverse: bool) -> MultilinearForm:
     t = form.coeffs
     for axis in range(t.ndim):
         t = _contract_axis(t, _basis_matrix(t.shape[axis], form.is_rational, inverse), axis)
-    return MultilinearForm(form.blocks, t, form.pinned, form.owner)
+    return MultilinearForm(form.blocks, t, form.pinned)
 
 
 def to_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
@@ -271,10 +262,10 @@ def homogeneous_decomposition(game: FiniteGame, i: int) -> HomogeneousDecomposit
     tilde = to_tilde_coordinates(payoff_form(game, i))
     others = _other_blocks(game, i)
     slices = [np.take(tilde.coeffs, j, axis=i) for j in range(game.strategy_counts[i])]
-    K = MultilinearForm(others, slices[0], owner=i)
-    Lambdas = [zero_form(game, others, owner=i)]
+    K = MultilinearForm(others, slices[0])
+    Lambdas = [zero_form(game, others)]
     for j in range(1, game.strategy_counts[i]):
-        Lambdas.append(MultilinearForm(others, slices[j], owner=i))
+        Lambdas.append(MultilinearForm(others, slices[j]))
     return HomogeneousDecomposition(i, K, tuple(Lambdas))
 
 

@@ -194,15 +194,13 @@ def full_gradient(game: FiniteGame, form: MultilinearForm, point: ChartPoint) ->
     return out
 
 
-def _svd_rank(matrix: np.ndarray, rank_tol: float) -> tuple[int, float, float]:
-    """(rank, smallest sv, largest sv) with the scale-relative cutoff."""
+def _svd_rank(matrix: np.ndarray, rank_tol: float) -> tuple[int, float]:
+    """(rank, smallest sv) with the scale-relative cutoff."""
     if matrix.size == 0:
-        return 0, math.inf, 0.0
+        return 0, math.inf
     sv = np.linalg.svd(matrix, compute_uv=False)
-    smax = float(sv[0])
-    cutoff = rank_tol * max(1.0, smax)
-    rank = int(np.sum(sv > cutoff))
-    return rank, float(sv[-1]), smax
+    cutoff = rank_tol * max(1.0, float(sv[0]))
+    return int(np.sum(sv > cutoff)), float(sv[-1])
 
 
 def _inf_norm(v):
@@ -345,7 +343,7 @@ def transversal_at(
         full_gradient(game, defining_map(game, h, chart), point) for h in active
     ]
     jac = np.array(rows, dtype=float) if rows else np.zeros((0, total))
-    rank, smin, _ = _svd_rank(jac, rank_tol)
+    rank, smin = _svd_rank(jac, rank_tol)
     verdict = "transversal" if rank == len(active) else "degenerate"
     return TransversalityReport(
         chart=chart,
@@ -487,7 +485,7 @@ def regular_value_probe(
     out_roots = []
     all_regular = True
     for z, jac, res in zip(roots, jacobian(roots), _inf_norm(residual(roots))):
-        rank, _, _ = _svd_rank(jac, rank_tol)
+        rank = _svd_rank(jac, rank_tol)[0]
         regular = rank == num_eq
         all_regular = all_regular and regular
         out_roots.append(
@@ -513,15 +511,13 @@ def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int,
     a = np.asarray(full_jacobian, dtype=float)
     b = int(coordinate_block_size)
     total = a.shape[0]
-    cond_full, _, _ = _svd_rank(a, rank_tol)
-    cond_full = cond_full == total
+    cond_full = _svd_rank(a, rank_tol)[0] == total
     if b == 0:
         kernel = np.eye(a.shape[1])
     else:
         top = a[:b]
-        rank_top, _, _ = _svd_rank(top, rank_tol)
+        rank_top = _svd_rank(top, rank_tol)[0]
         kernel = np.linalg.svd(top)[2][rank_top:].T
     lower = a[b:] @ kernel
-    rank_lower, _, _ = _svd_rank(lower, rank_tol)
-    cond_split = rank_lower == total - b
+    cond_split = _svd_rank(lower, rank_tol)[0] == total - b
     return cond_full == cond_split

@@ -265,6 +265,30 @@ def test_certify_bad_point(mp_file, capsys):
     assert main(["certify", mp_file, "--point", "0.5,0.5"]) == 1
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("chart, smallest", [("0,0", 4), ("0,1", 2), ("1,0", 2), ("1,1", 2)])
+def test_certify_in_every_chart(mp_file, capsys, chart, smallest, exact):
+    # the point moves into the chart by transition; with --exact the
+    # membership test scales a rational form
+    argv = ["certify", mp_file, "--point", "1/2,1/2;1/2,1/2", "--chart", chart]
+    assert main(argv + ["--exact"] * exact) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"chart: {chart}",
+        "active: D:1:0:1, D:2:0:1",
+        "rank: 2 of 2",
+        f"smallest singular value: {smallest}",
+        "verdict: transversal",
+    ]
+
+
+def test_certify_point_sums(mp_file, capsys):
+    # a p/q point must sum to exactly 1; a float point may be off by rounding
+    off = ["--point", "1/2,1000000001/2000000000;1/2,1/2"]
+    assert main(["certify", mp_file, "--exact", *off]) == 1
+    assert "sum to 1" in capsys.readouterr().err
+    assert main(["certify", mp_file, "--point", "0.5,0.5000000001;0.5,0.5"]) == 0
+
+
 def test_charts_output(capsys):
     assert main(["charts", "--shape", "2x3"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -277,6 +301,46 @@ def test_usage_errors_exit_one(capsys):
     assert main(["nosuchcommand"]) == 1
     assert main([]) == 1
     assert main(["solve"]) == 1
+
+
+def _argv(command, path):
+    return {
+        "solve": ["solve", path],
+        "lambda": ["lambda", path, "--player", "1"],
+        "goodcheck": ["goodcheck", "--shape", "2x2"],
+        "sample": ["sample", "2x2"],
+        "certify": ["certify", path, "--point", "0.5,0.5;0.5,0.5"],
+        "charts": ["charts", "--shape", "2x2"],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in ("lambda", "goodcheck", "charts") for f in ("--seed", "--tol", "--rank-tol")]
+    + [("certify", "--seed")],
+)
+def test_options_only_where_they_act(mp_file, capsys, command, flag):
+    assert main(_argv(command, mp_file) + [flag, "3"]) == 1
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "sample"])
+def test_seed_and_tolerances_accepted(mp_file, capsys, command):
+    tuned = ["--seed", "5", "--tol", "1e-7", "--rank-tol", "1e-9"]
+    assert main(_argv(command, mp_file) + tuned) == 0
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("solve", ["seed", "tol", "rank_tol", "exact", "file", "command", "mode"]),
+    ("lambda", ["exact", "file", "command", "mode", "player"]),
+    ("goodcheck", ["command", "shape"]),
+    ("sample", ["seed", "tol", "rank_tol", "command", "shape", "count", "distribution"]),
+    ("certify", ["tol", "rank_tol", "exact", "file", "command", "mode"]),
+    ("charts", ["command", "shape"]),
+])
+def test_meta_lists_the_subcommand_options(mp_file, capsys, command, keys):
+    assert main(_argv(command, mp_file) + ["--json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["meta"]) == keys
 
 
 def test_help_exits_zero(capsys):
