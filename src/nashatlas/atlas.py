@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import MultilinearForm, _as_numbers, homogeneous_decomposition
+from .forms import MultilinearForm, _as_numbers, _exact, homogeneous_decomposition
 from .game import FLOAT, RATIONAL, FiniteGame, MixedProfile, _as_fraction
 
 INF = float("inf")
@@ -239,16 +239,17 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
 def on_hypersurface(
     game: FiniteGame, h: Hypersurface, point: ChartPoint, tol: float = MEMBERSHIP_TOL
 ) -> bool:
-    """Membership test: |defining value| <= tol after normalizing the
-    form by its largest coefficient. An identically zero form means the
-    hypersurface degenerated to the whole space, so every point passes.
+    """Membership test. An exact form (a rational game) at an exact point
+    (forms._exact) is a member only when its value is 0; otherwise
+    |defining value| <= tol after normalizing the form by its largest
+    coefficient. An identically zero form means the hypersurface
+    degenerated to the whole space, so every point passes.
     """
     form = defining_map(game, h, point.chart)
-    scale = form.max_abs_coeff()
-    if scale == 0:
-        return True
     value = form.eval([point.coords[b] for b in form.blocks])
-    return abs(value) <= tol * scale
+    if form.is_rational and _exact(point.coords):
+        return value == 0
+    return abs(value) <= tol * form.max_abs_coeff()
 
 
 def format_chart(chart) -> str:

@@ -423,9 +423,7 @@ def _cmd_certify(args):
     if args.t or args.r:
         family = _parse_family(game, args.t, args.r)
     else:
-        family = canonical_equilibrium_family(
-            game, support_of(profile, game.zero_tol)
-        )
+        family = canonical_equilibrium_family(game, support_of(profile))
     for h in family.hypersurfaces():
         if chart_excludes(chart, h):
             raise ValueError(

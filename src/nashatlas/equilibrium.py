@@ -10,35 +10,34 @@ exactly: each payoff tensor is scaled exactly to Python ints
 (FiniteGame.integer_utilities; float payoffs are dyadic), each block is
 solved by fraction-free elimination (exact.solve_affine, integer
 numerators over one positive denominator), and the answers are
-rationals that float mode rounds to float64. A weight counts as
-positive above the game's zero tolerance (game.zero_tol: 0 for rational
-games, DEFAULT_ZERO_TOL for float ones). One pass looks for a positive
-point block by block and stops at the first block without one: a unique
-solution is checked directly in integers, and a
-positive-dimensional one gets its max-min point from an exact integer
-simplex (exact.max_min_point), since the set has a positive point
-exactly when its largest smallest weight is above the tolerance. Both
-blocks' points make the one candidate, or witness a continuum. Anything
-larger runs the damped multistart Newton loop of
-genericity._newton_roots in face coordinates from one array of starts
-(_newton_starts), which steps all starts together while each keeps its
-own stopping rule and step length; one residual call per step covers
-every halving of every start. Its roots count as positive above
-DEFAULT_ZERO_TOL in every mode. Player b's free weights sit on its
-support minus the last strategy, which takes one minus their sum. The
-system is genericity._face_system, the same face system the
+Fractions in either mode. Exact numbers take no tolerance: a weight is
+positive when it is > 0. One pass looks for a positive point block by
+block and stops at the first block without one: a unique solution is
+checked directly in integers, and a positive-dimensional one gets its
+max-min point from an exact integer simplex (exact.max_min_point),
+since the set has a positive point exactly when its largest smallest
+weight is > 0. Both blocks' points make the one candidate, or witness a
+continuum; enumerate_nash rounds a float game's answers to float64
+once, at the end. Anything larger runs the damped multistart Newton
+loop of genericity._newton_roots in face coordinates from one array of
+starts (_newton_starts), which steps all starts together while each
+keeps its own stopping rule and step length; one residual call per step
+covers every halving of every start. Its roots are floats, positive
+above DEFAULT_ZERO_TOL. Player b's free weights sit on its support
+minus the last strategy, which takes one minus their sum. The system
+is genericity._face_system, the same face system the
 regular-value probe solves: player i's equations are its payoff tensor
 contracted on its own axis with e_s - e_{supp[0]} for s in supp[1:], and
 its residual and Jacobian blocks are single contractions (forms.contract)
 that take one point or a stack of them; the positivity, continuum and
 singular-root checks on the roots found are one batched call each.
 
-A point is exact when forms._exact says so (a rational game, int or
-Fraction weights); its best-reply check then stays in integers
-(forms._integer_slopes) and a certificate's `exact` is that same test
-on its own point. Equilibria are told apart by support: each candidate
-has the support it was solved on, and Newton roots of one support are
-already merged at DEDUP_TOL.
+A point is exact when forms._exact says so (int or Fraction weights,
+in either mode); its best-reply check then stays in integers
+(forms._integer_slopes) with no tolerance, and a certificate's `exact`
+is that same test on its reported point. Equilibria are told apart by
+support: each candidate has the support it was solved on, and Newton
+roots of one support are already merged at DEDUP_TOL.
 
 Rank-deficient strata raise SingularSystem instead of guessing: a
 positive-dimensional solution set or a singular Jacobian at a root is
@@ -68,6 +67,8 @@ from .genericity import (
 )
 from .game import (
     DEFAULT_ZERO_TOL,
+    FLOAT,
+    RATIONAL,
     FiniteGame,
     MixedProfile,
     SupportProfile,
@@ -107,16 +108,15 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile,
                      tol: float = CHECK_TOL) -> BestReplyReport:
     """Check the equilibrium conditions player by player.
 
-    For each player the supported slope values must agree within tol
-    and exceed every unsupported slope value by at least -tol. Margins
-    are +inf for full supports. Exact weights (forms._exact) are
-    checked in integers (forms._integer_slopes), and each residual and
-    margin is one Fraction; any other weights take the float path.
+    For each player the supported slope values must agree and be at
+    least every unsupported slope value. Margins are +inf for full
+    supports. Exact weights (forms._exact, in either mode) are checked
+    in integers (forms._integer_slopes): residual 0 and margin >= 0,
+    each reported as one Fraction. tol applies to float weights only:
+    residual <= tol and margin >= -tol.
     """
-    supports = support_of(profile, game.zero_tol).supports
-    exact = _exact(game, profile.weights)
-    if exact and math.isfinite(tol):
-        tol = Fraction(tol)  # once, not at every Fraction comparison
+    supports = support_of(profile).supports
+    exact = _exact(profile.weights)
     oks, residuals, margins = [], [], []
     for i in range(game.num_players):
         if exact:
@@ -129,10 +129,12 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile,
         residual = max(inside) - min(inside)
         margin = math.inf if not outside else min(inside) - max(outside)
         if exact:
+            oks.append(residual == 0 and margin >= 0)
             residual = Fraction(residual, den)
             if outside:
                 margin = Fraction(margin, den)
-        oks.append(residual <= tol and margin >= -tol)
+        else:
+            oks.append(residual <= tol and margin >= -tol)
         residuals.append(residual)
         margins.append(margin)
     return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins))
@@ -150,24 +152,20 @@ def enumerate_supports(game: FiniteGame):
         yield SupportProfile(tuple(combo))
 
 
-def _positive_point(sol: AffineSolutionSet, rows, rhs,
-                    strict: float | Fraction) -> list[Fraction] | None:
+def _positive_point(sol: AffineSolutionSet, rows, rhs) -> list[Fraction] | None:
     """A point of the nonempty solution set ``sol`` of rows * w = rhs whose
-    every entry exceeds ``strict``, or None.
+    every entry is > 0, or None.
 
-    ``strict`` (a float or a Fraction) is read once, as the integer ratio
-    p / q. Unique solutions are checked directly, in integers: n / den >
-    p / q exactly when n * q > p * den, both denominators being positive.
-    Positive-dimensional sets get the exact max-min point
-    (exact.max_min_point), whose smallest entry t* is the largest on the
-    set: such a point exists exactly when t* * q > p, and the max-min
-    point is then returned.
+    A unique solution n / den is checked on its integer numerators, the
+    denominator being positive. A positive-dimensional set gets the exact
+    max-min point (exact.max_min_point), whose smallest entry t* is the
+    largest on the set: a positive point exists exactly when t* > 0, and
+    the max-min point is then returned.
     """
-    p, q = strict.as_integer_ratio()
     if sol.is_unique:
-        return sol.particular if all(n * q > p * sol.den for n in sol.nums) else None
+        return sol.particular if all(n > 0 for n in sol.nums) else None
     best = max_min_point(rows, rhs)
-    return best[1] if best is not None and best[0] * q > p else None
+    return best[1] if best is not None and best[0] > 0 else None
 
 
 def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
@@ -175,7 +173,8 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
     from the opponent's slope equalities plus the sum rule. Exact: the
     payoffs enter as integers (game.integer_pair_tables, the nested-list
     form of game.integer_utilities), and the positive scale they carry
-    does not change the solution set."""
+    does not change the solution set. Candidates and the continuum witness
+    are Fraction profiles in either mode."""
     blocks = []
     for solving in (0, 1):
         other = 1 - solving
@@ -195,14 +194,14 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
     # point: both points make the unique candidate or the continuum witness.
     weights = []
     for (rows, rhs, sol), supp, count in zip(blocks, support.supports, game.strategy_counts):
-        point = _positive_point(sol, rows, rhs, game.zero_tol)
+        point = _positive_point(sol, rows, rhs)
         if point is None:
             break
         w = [0] * count
         for s, v in zip(supp, point):
             w[s] = v
         weights.append(w)
-    profile = profile_from_weights(weights, game.mode) if len(weights) == 2 else None
+    profile = profile_from_weights(weights, RATIONAL) if len(weights) == 2 else None
 
     if all(sol.is_unique for _, _, sol in blocks):
         return [] if profile is None else [profile]
@@ -354,15 +353,16 @@ def enumerate_nash(
     game: FiniteGame,
     seed: int = 0,
     tol: float = CHECK_TOL,
-    certify: bool = True,
     rank_tol: float = RANK_TOL,
 ) -> EnumerationResult:
     """Enumerate all Nash equilibria support by support.
 
-    Candidates must pass the best-reply check at `tol`. Degenerate
-    strata become warnings; a witnessed equilibrium continuum makes
-    the result report the continuum instead of a (meaningless) finite
-    list. With certify=True each certificate carries the verdict of
+    Candidates must pass the best-reply check (`tol` applies to float
+    candidates only; two-player ones are exact). A margin is on the
+    boundary when it is 0 (exact) or below CHECK_TOL in absolute value
+    (float). Degenerate strata become warnings; a witnessed equilibrium
+    continuum makes the result report the continuum instead of a
+    (meaningless) finite list. Each certificate carries the verdict of
     the square-Jacobian regularity check.
     """
     result = EnumerationResult()
@@ -376,25 +376,32 @@ def enumerate_nash(
             if exc.witness is not None and not result.continuum:
                 if best_reply_check(game, exc.witness, tol).all_ok:
                     result.continuum = True
-                    result.continuum_witness = exc.witness
+                    witness = exc.witness
+                    if game.mode == FLOAT:
+                        witness = profile_from_weights(witness.weights)
+                    result.continuum_witness = witness
         for cand in candidates:
-            if support_of(cand, game.zero_tol) != support:
-                continue
             report = best_reply_check(game, cand, tol)
             if not report.all_ok:
                 continue
             residual = max(report.equality_residuals)
-            boundary = any(
-                m != math.inf and abs(m) < CHECK_TOL
-                for m in report.inequality_margins
-            )
+            margins = report.inequality_margins
+            exact = _exact(cand.weights)
+            if exact:
+                boundary = any(m == 0 for m in margins)
+            else:
+                boundary = any(m != math.inf and abs(m) < CHECK_TOL for m in margins)
+            if exact and game.mode == FLOAT:
+                # the one place a float game's exact answer becomes floats
+                cand = profile_from_weights(cand.weights)
+                residual, margins = float(residual), tuple(map(float, margins))
             found.append(
                 EquilibriumCertificate(
                     point=cand,
                     support=support,
                     equality_residual=residual,
-                    inequality_margins=report.inequality_margins,
-                    exact=_exact(game, cand.weights),
+                    inequality_margins=margins,
+                    exact=_exact(cand.weights),
                     boundary_degenerate=boundary,
                 )
             )
@@ -406,20 +413,12 @@ def enumerate_nash(
         result.equilibria = []
         return result
 
-    if certify:
-        certified = []
-        for cert in found:
-            report = certify_equilibrium(game, cert, rank_tol=rank_tol)
-            certified.append(
-                replace(
-                    cert,
-                    jacobian_verdict=(
-                        "regular" if report.verdict == "transversal" else "singular"
-                    ),
-                    smallest_singular_value=report.smallest_singular_value,
-                )
-            )
-        found = certified
-
+    for k, cert in enumerate(found):
+        report = certify_equilibrium(game, cert, rank_tol=rank_tol)
+        found[k] = replace(
+            cert,
+            jacobian_verdict="regular" if report.verdict == "transversal" else "singular",
+            smallest_singular_value=report.smallest_singular_value,
+        )
     result.equilibria = found
     return result

@@ -16,10 +16,11 @@ block; on the simplex product (kappa, lambda) it is the same tensors
 read in each opponent's chart tilde_0 = 1.
 
 payoff_slice_values gives player i's payoff slopes, one per own pure
-strategy, against the others' weights. When _exact holds (a rational
-game, int or Fraction weights) they are contracted in Python ints
-(_integer_slopes: the integer payoff tensor and integer weight
-numerators over one positive common denominator); otherwise float64.
+strategy, against the others' weights. When _exact holds (int or
+Fraction weights, in either mode: float payoffs are dyadic) they are
+contracted in Python ints (_integer_slopes: the integer payoff tensor
+and integer weight numerators over one positive common denominator);
+otherwise float64.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
     Exact weights (_exact) give Fractions, contracted in integers by
     _integer_slopes; otherwise the floats are contracted.
     """
-    if _exact(game, weights):
+    if _exact(weights):
         nums, den = _integer_slopes(game, i, weights)
         return np.array([Fraction(n, den) for n in nums], dtype=object)
     t = game.utilities[i]
@@ -290,17 +291,16 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
     ])
 
 
-def _exact(game: FiniteGame, weights) -> bool:
-    """A rational game and weights that are all ints or Fractions (a NumPy
-    integer is not): the one test of whether numbers are exact."""
-    return game.mode == RATIONAL and all(
-        isinstance(x, (int, Fraction)) for w in weights for x in w
-    )
+def _exact(weights) -> bool:
+    """Weights that are all ints or Fractions (a NumPy integer is not),
+    whatever the game's mode: the one test of whether numbers are exact,
+    so compared exactly, while float numbers get a tolerance."""
+    return all(isinstance(x, (int, Fraction)) for w in weights for x in w)
 
 
 def _integer_slopes(game: FiniteGame, i: int, weights) -> tuple[list[int], int]:
-    """Player i's payoff slopes (payoff_slice_values) of a rational game
-    as integer numerators over one positive denominator ``den``.
+    """Player i's payoff slopes (payoff_slice_values) at exact weights as
+    integer numerators over one positive denominator ``den``.
 
     Each opponent's weights (ints or Fractions) become integer numerators
     over the lcm of their denominators, and contract with the integer

@@ -19,7 +19,8 @@ import numpy as np
 FLOAT = "float"
 RATIONAL = "rational"
 
-#: Entries with |weight| at or below this count as zero in float mode.
+#: Float weights with |weight| at or below this count as zero; exact
+#: weights are zero only when they equal 0.
 DEFAULT_ZERO_TOL = 1e-9
 
 
@@ -50,10 +51,6 @@ class FiniteGame:
     @property
     def num_players(self) -> int:
         return len(self.strategy_counts)
-
-    @property
-    def zero_tol(self) -> float:
-        return 0.0 if self.mode == RATIONAL else DEFAULT_ZERO_TOL
 
     @cached_property
     def integer_utilities(self) -> tuple[tuple[np.ndarray, int], ...]:
@@ -187,19 +184,18 @@ def profile_from_weights(weights, mode: str = FLOAT) -> MixedProfile:
     return MixedProfile(tuple(out))
 
 
-def support_of(profile: MixedProfile, zero_tol: float = DEFAULT_ZERO_TOL) -> SupportProfile:
-    """Indices with |weight| > zero_tol, per player.
+def support_of(profile: MixedProfile) -> SupportProfile:
+    """Indices of the weights that count as nonzero, per player.
 
-    Rational profiles are compared exactly (pass zero_tol=0).
+    Exact (object) weights are compared exactly, != 0; float weights
+    count when |weight| > DEFAULT_ZERO_TOL.
     """
     supports = []
     for w in profile.weights:
         if w.dtype == object:
-            supp = tuple(j for j, x in enumerate(w) if x != 0) if zero_tol == 0 else tuple(
-                j for j, x in enumerate(w) if abs(x) > zero_tol
-            )
+            supp = tuple(j for j, x in enumerate(w) if x != 0)
         else:
-            supp = tuple(int(j) for j in np.nonzero(np.abs(w) > zero_tol)[0])
+            supp = tuple(int(j) for j in np.nonzero(np.abs(w) > DEFAULT_ZERO_TOL)[0])
         if not supp:
             raise ValueError("profile has an all-zero weight vector")
         supports.append(supp)

@@ -52,6 +52,26 @@ payoff 2
 5 6
 """
 
+NEAR_TIE_TEXT = """players 2
+strategies 2 2
+payoff 1
+1 0
+0 4999999999/5000000000
+payoff 2
+1 -1
+-1 1
+"""
+
+EPS_DOMINANCE_TEXT = """players 2
+strategies 2 2
+payoff 1
+0 0
+1/10000000000 1/10000000000
+payoff 2
+1 0
+1 0
+"""
+
 
 @pytest.fixture
 def mp_file(tmp_path):
@@ -233,6 +253,27 @@ def test_certify_from_json_bad_index(bos_file, tmp_path, capsys):
         ["certify", bos_file, "--from-json", str(report_path), "--index", "9"]
     )
     assert code == 1
+
+
+def test_certify_exact_point_on_exact_form(tmp_path, capsys):
+    # D:1:0:1 is 1/10**10 at the centre: off the hypersurface, however
+    # close to 0, when an exact form is evaluated at an exact point
+    near = _write(tmp_path, "near.game", NEAR_TIE_TEXT)
+    code = main(["certify", near, "--exact", "--point", "1/2,1/2;1/2,1/2",
+                 "--r", "1:0-1", "--r", "2:0-1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "active: D:2:0:1\n" in out
+    assert "rank: 1 of 1" in out
+
+
+def test_solve_exact_tiny_dominance_is_not_degenerate(tmp_path, capsys):
+    # player 1's row 1 beats row 0 by exactly 1/10**10: one strict equilibrium
+    game = _write(tmp_path, "eps.game", EPS_DOMINANCE_TEXT)
+    assert main(["solve", game, "--exact", "--json"]) == 0
+    eqs = json.loads(capsys.readouterr().out)["results"]["equilibria"]
+    assert [e["point"] for e in eqs] == [[["0", "1"], ["1", "0"]]]
+    assert not eqs[0]["boundary_degenerate"]
 
 
 def test_certify_requires_point(mp_file, capsys):

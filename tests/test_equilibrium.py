@@ -25,7 +25,7 @@ from nashatlas import (
 )
 from nashatlas import equilibrium
 from nashatlas.game import MixedProfile
-from nashatlas.equilibrium import CHECK_TOL, _exact_pair_solve, _newton_solve
+from nashatlas.equilibrium import _exact_pair_solve, _newton_solve
 from nashatlas.exact import max_min_point
 from nashatlas.forms import contract
 
@@ -401,15 +401,18 @@ def test_reported_equilibria_are_equilibria(seed, shape):
 
 
 def _reference_slopes(game, i, weights):
-    """Player i's slopes as a Fraction contraction of the Fraction tensor."""
+    """Player i's slopes as a Fraction contraction of the payoff tensor
+    read exactly as Fractions (a float as its exact binary value)."""
     vectors = [None if k == i else np.array([Fraction(x) for x in w], dtype=object)
                for k, w in enumerate(weights)]
-    return contract(game.utilities[i], vectors)
+    u = game.utilities[i]
+    exact = np.array([Fraction(x) for x in u.flat], dtype=object).reshape(u.shape)
+    return contract(exact, vectors)
 
 
-def _reference_check(game, profile, tol):
-    """best_reply_check on Fraction slopes, as the rational route once ran."""
-    supports = support_of(profile, 0).supports
+def _reference_check(game, profile):
+    """best_reply_check on Fraction slopes, compared exactly."""
+    supports = support_of(profile).supports
     oks, residuals, margins = [], [], []
     for i, supp in enumerate(supports):
         c = _reference_slopes(game, i, profile.weights)
@@ -417,7 +420,7 @@ def _reference_check(game, profile, tol):
         outside = [c[j] for j in range(game.strategy_counts[i]) if j not in supp]
         residual = max(inside) - min(inside)
         margin = math.inf if not outside else min(inside) - max(outside)
-        oks.append(residual <= tol and margin >= -tol)
+        oks.append(residual == 0 and margin >= 0)
         residuals.append(residual)
         margins.append(margin)
     return tuple(oks), tuple(residuals), tuple(margins)
@@ -425,18 +428,19 @@ def _reference_check(game, profile, tol):
 
 @st.composite
 def rational_cases(draw):
-    """A rational 2x3, 3x3 or 2x2x2 game and a profile of ints and
-    Fractions: random weights (zero and negative ones included, each
+    """A rational or float 2x3, 3x3 or 2x2x2 game and a profile of ints
+    and Fractions: random weights (zero and negative ones included, each
     player with a nonzero weight), a pure profile, or, for two players,
-    an equilibrium or continuum witness that enumerate_nash found."""
+    an equilibrium or continuum witness that enumerate_nash found on the
+    game's exact rational twin."""
     shape = draw(st.sampled_from([(2, 3), (3, 3), (2, 2, 2)]))
     entry = st.one_of(st.integers(-2, 2), st.fractions(-3, 3, max_denominator=6))
     size = int(np.prod(shape))
     payoffs = [draw(st.lists(entry, min_size=size, max_size=size)) for _ in shape]
-    game = make_game(shape, payoffs, mode=RATIONAL)
+    game = make_game(shape, payoffs, mode=draw(st.sampled_from([RATIONAL, "float"])))
     kind = draw(st.sampled_from(["random", "pure", "found"]))
     if kind == "found" and len(shape) == 2:
-        result = enumerate_nash(game, certify=False)
+        result = enumerate_nash(make_game(shape, game.utilities, mode=RATIONAL))
         found = [c.point for c in result.equilibria] + [result.continuum_witness]
         point = draw(st.sampled_from(found))
         if point is not None:
@@ -450,13 +454,13 @@ def rational_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=rational_cases(), tol=st.sampled_from([CHECK_TOL, 0.0, 0.5, math.inf]))
-def test_exact_best_reply_check_matches_fraction_reference(case, tol):
+@given(case=rational_cases())
+def test_exact_best_reply_check_matches_fraction_reference(case):
     game, weights = case
     profile = profile_from_weights(weights, RATIONAL)
-    report = best_reply_check(game, profile, tol)
+    report = best_reply_check(game, profile)
     got = (report.ok, report.equality_residuals, report.inequality_margins)
-    assert got == _reference_check(game, profile, tol)
+    assert got == _reference_check(game, profile)
     assert all(type(x) is Fraction for x in report.equality_residuals)
     for i in range(game.num_players):
         values = payoff_slice_values(game, i, weights)
@@ -509,3 +513,47 @@ def test_best_reply_check_accepts_numpy_integer_weights(bos_exact):
     report = best_reply_check(bos_exact, pure)
     assert report.all_ok
     assert report.equality_residuals == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["float", RATIONAL])
+def test_tiny_strict_dominance_is_not_a_tie(mode):
+    # row 1 beats row 0 by exactly eps against everything: one strict
+    # equilibrium, not a second one at margin -eps, and no boundary flag
+    eps = Fraction(1, 10**10) if mode == RATIONAL else 1e-10
+    game = make_game((2, 2), [[[0, 0], [eps, eps]], [[1, 0], [1, 0]]], mode=mode)
+    result = enumerate_nash(game)
+    assert _float_tuples(result) == [(0.0, 1.0, 1.0, 0.0)]
+    assert not result.equilibria[0].boundary_degenerate
+    assert not result.degenerate
+
+
+_dyadic = st.one_of(st.integers(-4, 4), st.integers(-2**20, 2**20).map(lambda n: n / 2**20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+    data=st.data(),
+    mode=st.sampled_from(["float", RATIONAL]),
+    powers=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+)
+def test_two_player_answers_do_not_depend_on_payoff_scale(shape, data, mode, powers):
+    # integers in -4..4 give ties and continua; 21-bit dyadic entries stay
+    # exact when scaled by 2**k for any |k| <= 1000 (no overflow, no
+    # subnormal), so the scaled game is the same game
+    size = shape[0] * shape[1]
+    payoffs = [data.draw(st.lists(_dyadic, min_size=size, max_size=size)) for _ in shape]
+    scale = [Fraction(2) ** k if mode == RATIONAL else 2.0 ** k for k in powers]
+    base = make_game(shape, payoffs, mode=mode)
+    scaled = make_game(shape, [u * s for u, s in zip(base.utilities, scale)], mode=mode)
+
+    def answer(game):
+        result = enumerate_nash(game)
+        return (
+            [(c.support, [w.tobytes() for w in c.point.as_floats()], c.boundary_degenerate)
+             for c in result.equilibria],
+            result.warnings,
+            result.continuum,
+        )
+
+    assert answer(scaled) == answer(base)

@@ -137,22 +137,24 @@ def test_solve_affine_examples():
 @pytest.mark.parametrize("strict", [Fraction(0), Fraction(1e-9), 0.0, 1e-9])
 def test_positive_point_is_strict(strict):
     # x + y = 1, -q y = -p: y = p / q over a negative pivot, with p / q
-    # strict times 7 / 7 so the integers are not in lowest terms. y ==
-    # strict is rejected; one more in the numerator is accepted. A float
-    # strict (a game's zero_tol) is compared as its exact binary value
+    # the value ``strict`` times 7 / 7 so the integers are not in lowest
+    # terms (a float as its exact binary value). Positivity takes no
+    # tolerance: y = strict is accepted exactly when strict > 0, however
+    # small (DEFAULT_ZERO_TOL = 1e-9 included), and y = strict + 1 / q
+    # always is.
     p, q = (7 * x for x in strict.as_integer_ratio())
     rows = [[1, 1], [0, -q]]
-    for num, accepted in ((p, False), (p + 1, True)):
+    for num, accepted in ((p, strict > 0), (p + 1, True)):
         sol = solve_affine(rows, [1, -num], 2)
         assert sol.is_unique and sol.particular[1] == Fraction(num, q)
-        point = _positive_point(sol, rows, [1, -num], strict)
+        point = _positive_point(sol, rows, [1, -num])
         assert point == (sol.particular if accepted else None)
         # one free unknown: x + y + z = 1 and q y = num, so the max-min
         # point of the simplex method has t* = y = num / q (below 1/3)
         free_rows = [[1, 1, 1], [0, q, 0]]
         free = solve_affine(free_rows, [1, num], 3)
         assert free.free == 1
-        point = _positive_point(free, free_rows, [1, num], strict)
+        point = _positive_point(free, free_rows, [1, num])
         assert (point is not None) == accepted
 
 

@@ -221,4 +221,7 @@ def test_support_of():
     assert s.supports == ((0, 1), (0,))
     q = profile_from_weights([[0.5, 0.5], [1.0 - 1e-12, 1e-12]])
     assert support_of(q).supports == ((0, 1), (0,))
-    assert support_of(q, zero_tol=0).supports == ((0, 1), (0, 1))
+    # exact weights are compared exactly: the 1e-12 weight counts
+    exact = profile_from_weights([[Fraction(1, 2)] * 2, [1 - Fraction(1e-12), Fraction(1e-12)]],
+                                 RATIONAL)
+    assert support_of(exact).supports == ((0, 1), (0, 1))

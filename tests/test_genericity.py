@@ -232,12 +232,6 @@ def test_certify_zero_game_singular(zero_game):
     assert report.rank == 0
 
 
-def test_enumerate_without_certify(mp_float):
-    result = enumerate_nash(mp_float, certify=False)
-    assert result.equilibria[0].jacobian_verdict is None
-    assert result.equilibria[0].smallest_singular_value is None
-
-
 def test_probe_mp_regular(mp_float):
     fam = good_family(mp_float, R=[[(0, 1)], []])
     report = regular_value_probe(mp_float, fam, (0, 0), seed=0)
