@@ -17,7 +17,6 @@ The public surface groups into four layers:
 
 from .atlas import (
     INF,
-    MEMBERSHIP_TOL,
     ChartExcludesHypersurface,
     ChartPoint,
     Coordinate,
@@ -57,6 +56,8 @@ from .forms import (
 )
 from .game import (
     FLOAT,
+    MEMBERSHIP_TOL,
+    RANK_TOL,
     RATIONAL,
     FiniteGame,
     GameFormatError,
@@ -70,7 +71,6 @@ from .game import (
     support_of,
 )
 from .genericity import (
-    RANK_TOL,
     GoodFamily,
     ProbeReport,
     TransversalityReport,

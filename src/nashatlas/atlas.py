@@ -30,11 +30,9 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import MultilinearForm, _as_numbers, _exact, homogeneous_decomposition
-from .game import FLOAT, RATIONAL, FiniteGame, MixedProfile, _as_fraction
+from .game import FLOAT, MEMBERSHIP_TOL, RATIONAL, FiniteGame, MixedProfile, _as_fraction
 
 INF = float("inf")
-
-MEMBERSHIP_TOL = 1e-8
 
 
 class ChartExcludesHypersurface(ValueError):
@@ -236,20 +234,18 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
     return MultilinearForm(blocks, coeffs, pinned)
 
 
-def on_hypersurface(
-    game: FiniteGame, h: Hypersurface, point: ChartPoint, tol: float = MEMBERSHIP_TOL
-) -> bool:
+def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
     """Membership test. An exact form (a rational game) at an exact point
     (forms._exact) is a member only when its value is 0; otherwise
-    |defining value| <= tol after normalizing the form by its largest
-    coefficient. An identically zero form means the hypersurface
+    |defining value| <= MEMBERSHIP_TOL after normalizing the form by its
+    largest coefficient. An identically zero form means the hypersurface
     degenerated to the whole space, so every point passes.
     """
     form = defining_map(game, h, point.chart)
     value = form.eval([point.coords[b] for b in form.blocks])
     if form.is_rational and _exact(point.coords):
         return value == 0
-    return abs(value) <= tol * form.max_abs_coeff()
+    return abs(value) <= MEMBERSHIP_TOL * form.max_abs_coeff()
 
 
 def format_chart(chart) -> str:

@@ -7,9 +7,9 @@ of a family spec), sample (random-game statistics), certify
 chart's complement).
 
 Each subcommand defines only the options it reads: --seed on solve and
-sample; --tol and --rank-tol on solve, sample and certify; a game file
-and --exact on solve, lambda and certify; --t and --r on goodcheck and
-certify. Any other option is a usage error.
+sample; a game file and --exact on solve, lambda and certify; --t and
+--r on goodcheck and certify. Any other option is a usage error. No
+tolerance is settable: each is a constant of the table in nashatlas.game.
 
 Reports are human text by default, or machine-readable with --json
 (top-level keys meta/results/warnings; exact rationals as "p/q"
@@ -39,15 +39,11 @@ from .atlas import (
     parse_chart,
     transition,
 )
-from .equilibrium import (
-    CHECK_TOL,
-    EnumerationResult,
-    enumerate_nash,
-    support_label,
-)
+from .equilibrium import EnumerationResult, enumerate_nash, support_label
 from .forms import lambda_decomposition, payoff_form
 from .game import (
     FLOAT,
+    POINT_SUM_TOL,
     RATIONAL,
     FiniteGame,
     GameFormatError,
@@ -58,7 +54,6 @@ from .game import (
     support_of,
 )
 from .genericity import (
-    RANK_TOL,
     canonical_equilibrium_family,
     good_family,
     transversal_at,
@@ -190,7 +185,7 @@ def _point_from_lists(game: FiniteGame, blocks):
         weights.append([Fraction(str(x)) if rational else float(x) for x in b])
     profile = profile_from_weights(weights, RATIONAL if rational else FLOAT)
     # a p/q point sums to exactly 1; a float point within rounding
-    sums_to_one = all(sum(w) == 1 for w in weights) if rational else profile.in_A(1e-9)
+    sums_to_one = all(sum(w) == 1 for w in weights) if rational else profile.in_A(POINT_SUM_TOL)
     if not sums_to_one:
         raise ValueError("point weights must sum to 1 per player")
     return profile
@@ -227,9 +222,7 @@ def _solve_payload(result: EnumerationResult, payoffs) -> dict:
 
 def _cmd_solve(args):
     game = _load_game(args)
-    result = enumerate_nash(
-        game, seed=args.seed, tol=args.tol, rank_tol=args.rank_tol
-    )
+    result = enumerate_nash(game, seed=args.seed)
     forms = [payoff_form(game, i) for i in range(game.num_players)]
     payoffs = [
         [f.eval(list(cert.point.weights)) for f in forms] for cert in result.equilibria
@@ -345,9 +338,7 @@ def _cmd_sample(args):
     for k in range(args.count):
         seed = args.seed + k
         game = random_game(counts, seed=seed, distribution=args.distribution)
-        result = enumerate_nash(
-            game, seed=seed, tol=args.tol, rank_tol=args.rank_tol
-        )
+        result = enumerate_nash(game, seed=seed)
         count = None if result.continuum else result.count
         odd = count is not None and count % 2 == 1
         all_regular = all(
@@ -434,9 +425,7 @@ def _cmd_certify(args):
     point = chart_zero_point(profile)
     if chart != point.chart:
         point = transition(point, chart)
-    report = transversal_at(
-        game, family, point, tol=args.tol, rank_tol=args.rank_tol
-    )
+    report = transversal_at(game, family, point)
     lines = [
         f"chart: {format_chart(chart)}",
         "active: " + (", ".join(str(h) for h in report.active) or "(none)"),
@@ -478,7 +467,7 @@ def _meta(args, **extra) -> dict:
     """The subcommand's own options that the report echoes, then extra."""
     meta = {
         key: getattr(args, key)
-        for key in ("seed", "tol", "rank_tol", "exact", "file")
+        for key in ("seed", "exact", "file")
         if hasattr(args, key)
     }
     meta.update(extra)
@@ -494,11 +483,6 @@ def _build_parser() -> _Parser:
     report.add_argument("--json", action="store_true", help="machine-readable report")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
-    tolerances = argparse.ArgumentParser(add_help=False)
-    tolerances.add_argument("--tol", type=float, default=CHECK_TOL,
-                            help="membership/best-reply tolerance")
-    tolerances.add_argument("--rank-tol", type=float, default=RANK_TOL,
-                            help="singular-value rank threshold")
     game_file = argparse.ArgumentParser(add_help=False)
     game_file.add_argument("file", help="game file")
     game_file.add_argument("--exact", action="store_true",
@@ -510,7 +494,7 @@ def _build_parser() -> _Parser:
                         help="strategy pairs per player")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("solve", parents=[report, seeded, tolerances, game_file],
+    p = sub.add_parser("solve", parents=[report, seeded, game_file],
                        help="enumerate Nash equilibria")
     p.set_defaults(handler=_cmd_solve)
 
@@ -524,7 +508,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--shape", required=True, help="strategy counts, like 3x3")
     p.set_defaults(handler=_cmd_goodcheck)
 
-    p = sub.add_parser("sample", parents=[report, seeded, tolerances],
+    p = sub.add_parser("sample", parents=[report, seeded],
                        help="random-game equilibrium statistics")
     p.add_argument("shape", help="strategy counts, like 2x2x2")
     p.add_argument("--count", type=int, default=1, help="number of games")
@@ -532,7 +516,7 @@ def _build_parser() -> _Parser:
                    default="uniform", help="payoff entry distribution")
     p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("certify", parents=[report, tolerances, game_file, family],
+    p = sub.add_parser("certify", parents=[report, game_file, family],
                        help="transversality of a family at a point")
     p.add_argument("--point", help="weights, players ';'-separated: 0.5,0.5;0.5,0.5")
     p.add_argument("--from-json", dest="from_json",

@@ -23,11 +23,12 @@ loop of genericity._newton_roots in face coordinates from one array of
 starts (_newton_starts), which steps all starts together while each
 keeps its own stopping rule and step length; one residual call per step
 covers every halving of every start. Its roots are floats, positive
-above DEFAULT_ZERO_TOL. Player b's free weights sit on its support
+above ZERO_WEIGHT_TOL. Player b's free weights sit on its support
 minus the last strategy, which takes one minus their sum. The system
 is genericity._face_system, the same face system the
 regular-value probe solves: player i's equations are its payoff tensor
-contracted on its own axis with e_s - e_{supp[0]} for s in supp[1:], and
+in its payoff unit (FiniteGame.payoff_exponents) contracted on its own
+axis with e_s - e_{supp[0]} for s in supp[1:], and
 its residual and Jacobian blocks are single contractions (forms.contract)
 that take one point or a stack of them; the positivity, continuum and
 singular-root checks on the roots found are one batched call each.
@@ -35,9 +36,11 @@ singular-root checks on the roots found are one batched call each.
 A point is exact when forms._exact says so (int or Fraction weights,
 in either mode); its best-reply check then stays in integers
 (forms._integer_slopes) with no tolerance, and a certificate's `exact`
-is that same test on its reported point. Equilibria are told apart by
-support: each candidate has the support it was solved on, and Newton
-roots of one support are already merged at DEDUP_TOL.
+is that same test on its reported point. Float points are checked at
+CHECK_TOL in each player's payoff unit (tolerances: nashatlas.game).
+Equilibria are told apart by support: each candidate has the support
+it was solved on, and Newton roots of one support are already merged
+at DEDUP_TOL.
 
 Rank-deficient strata raise SingularSystem instead of guessing: a
 positive-dimensional solution set or a singular Jacobian at a root is
@@ -56,27 +59,20 @@ import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
 from .forms import _contract_axis, _exact, _integer_slopes, payoff_slice_values
-from .genericity import (
-    RANDOM_STARTS,
-    RANK_TOL,
-    RESIDUAL_TOL,
-    _face_system,
-    _newton_roots,
-    _svd_rank,
-    certify_equilibrium,
-)
+from .genericity import _face_system, _newton_roots, _svd_rank, certify_equilibrium
 from .game import (
-    DEFAULT_ZERO_TOL,
+    CHECK_TOL,
     FLOAT,
+    RANDOM_STARTS,
     RATIONAL,
+    RESIDUAL_TOL,
+    ZERO_WEIGHT_TOL,
     FiniteGame,
     MixedProfile,
     SupportProfile,
     profile_from_weights,
     support_of,
 )
-
-CHECK_TOL = 1e-8
 
 
 class SingularSystem(RuntimeError):
@@ -104,16 +100,15 @@ class BestReplyReport:
         return all(self.ok)
 
 
-def best_reply_check(game: FiniteGame, profile: MixedProfile,
-                     tol: float = CHECK_TOL) -> BestReplyReport:
+def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport:
     """Check the equilibrium conditions player by player.
 
     For each player the supported slope values must agree and be at
     least every unsupported slope value. Margins are +inf for full
     supports. Exact weights (forms._exact, in either mode) are checked
     in integers (forms._integer_slopes): residual 0 and margin >= 0,
-    each reported as one Fraction. tol applies to float weights only:
-    residual <= tol and margin >= -tol.
+    each reported as one Fraction. Float weights: residual <= tol and
+    margin >= -tol, with tol CHECK_TOL in player i's payoff unit.
     """
     supports = support_of(profile).supports
     exact = _exact(profile.weights)
@@ -134,6 +129,7 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile,
             if outside:
                 margin = Fraction(margin, den)
         else:
+            tol = math.ldexp(CHECK_TOL, game.payoff_exponents[i])
             oks.append(residual <= tol and margin >= -tol)
         residuals.append(residual)
         margins.append(margin)
@@ -241,9 +237,10 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
         np.column_stack([e[:, s[-1]]] + [e[:, t] - e[:, s[-1]] for t in s[:-1]])
         for e, s in zip(eye, supports)
     ]
-    # player i's equations: slope of each supp[1:] strategy minus supp[0]'s
+    # player i's equations, in its payoff unit: slope of each supp[1:]
+    # strategy minus supp[0]'s
     tensors = [
-        _contract_axis(np.asarray(u, dtype=float),
+        _contract_axis(np.ldexp(np.asarray(u, dtype=float), -game.payoff_exponents[i]),
                        e[:, list(s[1:])] - e[:, [s[0]]], i) if len(s) >= 2 else None
         for i, (u, e, s) in enumerate(zip(game.utilities, eye, supports))
     ]
@@ -259,7 +256,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     def positive(x):
         # (k, n) stack of roots -> mask of those inside the open face
         w = weights_from(x)
-        return np.all([(w[i][:, supports[i]] > DEFAULT_ZERO_TOL).all(axis=1) for i in mixed], axis=0)
+        return np.all([(w[i][:, supports[i]] > ZERO_WEIGHT_TOL).all(axis=1) for i in mixed], axis=0)
 
     starts = _newton_starts([len(supports[i]) for i in mixed], seed)
     roots = _newton_roots(residual, jacobian, starts, accept=positive)
@@ -282,7 +279,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
                 candidates=profiles,
             )
 
-    if any(_svd_rank(jac, RANK_TOL)[0] < nfree for jac in jacobian(r)):
+    if any(_svd_rank(jac)[0] < nfree for jac in jacobian(r)):
         raise SingularSystem(
             support,
             "singular Jacobian at a root",
@@ -349,19 +346,13 @@ def support_label(support: SupportProfile) -> str:
     return " | ".join(",".join(map(str, s)) for s in support.supports)
 
 
-def enumerate_nash(
-    game: FiniteGame,
-    seed: int = 0,
-    tol: float = CHECK_TOL,
-    rank_tol: float = RANK_TOL,
-) -> EnumerationResult:
+def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
     """Enumerate all Nash equilibria support by support.
 
-    Candidates must pass the best-reply check (`tol` applies to float
-    candidates only; two-player ones are exact). A margin is on the
-    boundary when it is 0 (exact) or below CHECK_TOL in absolute value
-    (float). Degenerate strata become warnings; a witnessed equilibrium
-    continuum makes the result report the continuum instead of a
+    Candidates must pass the best-reply check. A margin is on the
+    boundary when it is 0 (exact) or below CHECK_TOL in its player's
+    payoff unit in absolute value (float). Degenerate strata become
+    warnings; a witnessed equilibrium continuum makes the result report the continuum instead of a
     (meaningless) finite list. Each certificate carries the verdict of
     the square-Jacobian regularity check.
     """
@@ -374,14 +365,14 @@ def enumerate_nash(
             result.warnings.append(f"support {support_label(support)}: {exc.reason}")
             candidates = exc.candidates
             if exc.witness is not None and not result.continuum:
-                if best_reply_check(game, exc.witness, tol).all_ok:
+                if best_reply_check(game, exc.witness).all_ok:
                     result.continuum = True
                     witness = exc.witness
                     if game.mode == FLOAT:
                         witness = profile_from_weights(witness.weights)
                     result.continuum_witness = witness
         for cand in candidates:
-            report = best_reply_check(game, cand, tol)
+            report = best_reply_check(game, cand)
             if not report.all_ok:
                 continue
             residual = max(report.equality_residuals)
@@ -390,7 +381,8 @@ def enumerate_nash(
             if exact:
                 boundary = any(m == 0 for m in margins)
             else:
-                boundary = any(m != math.inf and abs(m) < CHECK_TOL for m in margins)
+                boundary = any(abs(m) < math.ldexp(CHECK_TOL, x)
+                               for m, x in zip(margins, game.payoff_exponents))
             if exact and game.mode == FLOAT:
                 # the one place a float game's exact answer becomes floats
                 cand = profile_from_weights(cand.weights)
@@ -414,7 +406,7 @@ def enumerate_nash(
         return result
 
     for k, cert in enumerate(found):
-        report = certify_equilibrium(game, cert, rank_tol=rank_tol)
+        report = certify_equilibrium(game, cert)
         found[k] = replace(
             cert,
             jacobian_verdict="regular" if report.verdict == "transversal" else "singular",

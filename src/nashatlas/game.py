@@ -19,9 +19,19 @@ import numpy as np
 FLOAT = "float"
 RATIONAL = "rational"
 
-#: Float weights with |weight| at or below this count as zero; exact
-#: weights are zero only when they equal 0.
-DEFAULT_ZERO_TOL = 1e-9
+# Tolerances, the one table. Exact numbers (ints, Fractions) take none. Player
+# i's payoff unit is 2**FiniteGame.payoff_exponents[i].
+ZERO_WEIGHT_TOL = 1e-9  # weights: a float weight at or below it is zero
+SIMPLEX_TOL = 1e-12  # weights: MixedProfile.in_A / in_G default
+POINT_SUM_TOL = 1e-9  # weights: a float point given to the CLI sums to 1
+CHECK_TOL = 1e-8  # payoff unit: float best-reply residuals, margins, boundary
+RESIDUAL_TOL = 1e-10  # payoff unit: a Newton point within it is a root
+DEDUP_TOL = 1e-6  # face coordinates: Newton roots closer than it are one
+STEP_TOL = 1e-14  # face coordinates: Newton stops on a shorter step
+MEMBERSHIP_TOL = 1e-8  # the defining form's largest coefficient: membership
+RANK_TOL = 1e-8  # the largest singular value (at least 1): rank cutoff
+NEWTON_MAX_ITERS = 100  # a count: Newton steps per start
+RANDOM_STARTS = 32  # a count: random Newton starts per system
 
 
 class GameFormatError(ValueError):
@@ -67,6 +77,18 @@ class FiniteGame:
         return tuple(out)
 
     @cached_property
+    def payoff_exponents(self) -> tuple[int, ...]:
+        """Per player, the e of its payoff unit 2**e: the largest range of
+        its payoffs along its own axis, ptp(u_i, axis=i).max(), lies in
+        [2**e, 2**(e + 1)), or e = 0 if that range is 0. Offsets leave e
+        alone; a factor 2**k adds k."""
+        out = []
+        for i, u in enumerate(self.utilities):
+            spread = np.ptp(u, axis=i, keepdims=True).max()
+            out.append(math.frexp(spread)[1] - 1 if spread else 0)
+        return tuple(out)
+
+    @cached_property
     def integer_pair_tables(self) -> tuple[list[list[int]], ...]:
         """Two-player games: per player, its integer_utilities ints as
         nested lists of Python ints indexed [own strategy][opponent
@@ -87,13 +109,13 @@ class MixedProfile:
     def as_floats(self) -> tuple[np.ndarray, ...]:
         return tuple(np.asarray(w, dtype=float) for w in self.weights)
 
-    def in_A(self, tol: float = 1e-12) -> bool:
+    def in_A(self, tol: float = SIMPLEX_TOL) -> bool:
         for w in self.as_floats():
             if abs(w.sum() - 1.0) > tol:
                 return False
         return True
 
-    def in_G(self, tol: float = 1e-12) -> bool:
+    def in_G(self, tol: float = SIMPLEX_TOL) -> bool:
         if not self.in_A(tol):
             return False
         return all((w >= -tol).all() and (w <= 1 + tol).all() for w in self.as_floats())
@@ -188,14 +210,14 @@ def support_of(profile: MixedProfile) -> SupportProfile:
     """Indices of the weights that count as nonzero, per player.
 
     Exact (object) weights are compared exactly, != 0; float weights
-    count when |weight| > DEFAULT_ZERO_TOL.
+    count when |weight| > ZERO_WEIGHT_TOL.
     """
     supports = []
     for w in profile.weights:
         if w.dtype == object:
             supp = tuple(j for j, x in enumerate(w) if x != 0)
         else:
-            supp = tuple(int(j) for j in np.nonzero(np.abs(w) > DEFAULT_ZERO_TOL)[0])
+            supp = tuple(int(j) for j in np.nonzero(np.abs(w) > ZERO_WEIGHT_TOL)[0])
         if not supp:
             raise ValueError("profile has an all-zero weight vector")
         supports.append(supp)

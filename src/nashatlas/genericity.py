@@ -22,9 +22,10 @@ _newton_roots, a damped least-squares multistart Newton loop, finds its
 roots. The starts iterate together, one batched Jacobian and
 pseudo-inverse per step, and one residual call per step covers every
 halving of the line search for every start, each start taking its own
-first accepted step length and keeping its own stopping rule; its
-tolerances (RESIDUAL_TOL, DEDUP_TOL, NEWTON_MAX_ITERS, RANDOM_STARTS)
-serve both callers.
+first accepted step length and keeping its own stopping rule. Both
+callers state each player's equations in its payoff unit
+(FiniteGame.payoff_exponents), so the loop's tolerances (from the
+table in nashatlas.game) act the same at every payoff scale.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 
 from .atlas import (
     INF,
-    MEMBERSHIP_TOL,
     ChartPoint,
     Coordinate,
     Hypersurface,
@@ -51,16 +51,19 @@ from .atlas import (
     on_hypersurface,
 )
 from .forms import MultilinearForm, _contract_axis, contract, homogeneous_decomposition
-from .game import FiniteGame, SupportProfile
+from .game import (
+    DEDUP_TOL,
+    NEWTON_MAX_ITERS,
+    RANDOM_STARTS,
+    RANK_TOL,
+    RESIDUAL_TOL,
+    STEP_TOL,
+    FiniteGame,
+    SupportProfile,
+)
 
 if TYPE_CHECKING:
     from .equilibrium import EquilibriumCertificate
-
-RANK_TOL = 1e-8
-RESIDUAL_TOL = 1e-10
-DEDUP_TOL = 1e-6
-NEWTON_MAX_ITERS = 100
-RANDOM_STARTS = 32
 
 
 @dataclass(frozen=True)
@@ -194,12 +197,12 @@ def full_gradient(game: FiniteGame, form: MultilinearForm, point: ChartPoint) ->
     return out
 
 
-def _svd_rank(matrix: np.ndarray, rank_tol: float) -> tuple[int, float]:
+def _svd_rank(matrix: np.ndarray) -> tuple[int, float]:
     """(rank, smallest sv) with the scale-relative cutoff."""
     if matrix.size == 0:
         return 0, math.inf
     sv = np.linalg.svd(matrix, compute_uv=False)
-    cutoff = rank_tol * max(1.0, float(sv[0]))
+    cutoff = RANK_TOL * max(1.0, float(sv[0]))
     return int(np.sum(sv > cutoff)), float(sv[-1])
 
 
@@ -220,7 +223,7 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
     one stack, and each start takes its first t whose residual norm is at
     most (1 - t/4) times the current one. So a step costs one residual and
     one jacobian call. Every start keeps its own stopping rule: it stops
-    once its residual is within RESIDUAL_TOL, its step is below 1e-14, no
+    once its residual is within RESIDUAL_TOL, its step is below STEP_TOL, no
     halving passes or NEWTON_MAX_ITERS steps are taken. `accept` takes the
     (k, n) stack of converged limits and returns a mask of those to keep;
     the kept limits come back deduplicated at DEDUP_TOL, in start order.
@@ -237,7 +240,7 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
         jac = jacobian(x[live])
         rcond = np.finfo(float).eps * max(jac.shape[-2:])
         step = (np.linalg.pinv(jac, rcond=rcond) @ -f[live][..., None])[..., 0]
-        moving = _inf_norm(step) > 1e-14
+        moving = _inf_norm(step) > STEP_TOL
         live, step = live[moving], step[moving]
         if not live.size:
             break
@@ -320,8 +323,6 @@ def transversal_at(
     game: FiniteGame,
     family: GoodFamily,
     point: ChartPoint,
-    tol: float = MEMBERSHIP_TOL,
-    rank_tol: float = RANK_TOL,
     active: list[Hypersurface] | None = None,
 ) -> TransversalityReport:
     """Transversality of the family at one chart point.
@@ -336,14 +337,14 @@ def transversal_at(
     if active is None:
         active = [
             h for h in family.hypersurfaces()
-            if not chart_excludes(chart, h) and on_hypersurface(game, h, point, tol)
+            if not chart_excludes(chart, h) and on_hypersurface(game, h, point)
         ]
     total = _coord_offsets(game)[1]
     rows = [
         full_gradient(game, defining_map(game, h, chart), point) for h in active
     ]
     jac = np.array(rows, dtype=float) if rows else np.zeros((0, total))
-    rank, smin = _svd_rank(jac, rank_tol)
+    rank, smin = _svd_rank(jac)
     verdict = "transversal" if rank == len(active) else "degenerate"
     return TransversalityReport(
         chart=chart,
@@ -368,16 +369,13 @@ def canonical_equilibrium_family(game: FiniteGame, support: SupportProfile) -> G
     return GoodFamily(tuple(T), tuple(R))
 
 
-def certify_equilibrium(game: FiniteGame, cert: "EquilibriumCertificate",
-                        rank_tol: float = RANK_TOL) -> TransversalityReport:
+def certify_equilibrium(game: FiniteGame, cert: "EquilibriumCertificate") -> TransversalityReport:
     """Square-Jacobian regularity check of an enumerated equilibrium in
     the standard chart. All family hypersurfaces pass through the
     equilibrium by construction, so the active set is pinned."""
     family = canonical_equilibrium_family(game, cert.support)
     point = chart_zero_point(cert.point)
-    return transversal_at(
-        game, family, point, rank_tol=rank_tol, active=family.hypersurfaces()
-    )
+    return transversal_at(game, family, point, active=family.hypersurfaces())
 
 
 @dataclass(frozen=True)
@@ -439,7 +437,6 @@ def regular_value_probe(
     family: GoodFamily,
     chart,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
 ) -> ProbeReport:
     """Hunt roots of the family's payoff-difference system on the face
     cut out by its coordinate constraints, and check that every found
@@ -447,7 +444,8 @@ def regular_value_probe(
 
     Player i's equations are read from its Lambda once
     (forms.homogeneous_decomposition): the PayoffDiff(i, pair) defining
-    maps of atlas.defining_map, stacked on axis i. An empty root set is
+    maps of atlas.defining_map, stacked on axis i, in player i's payoff
+    unit; root residuals are in payoff units. An empty root set is
     a regular outcome; the probe only ever witnesses degeneracy, it
     cannot prove its absence.
     """
@@ -467,7 +465,8 @@ def regular_value_probe(
             for pair in pairs:
                 _validate_hypersurface(game, PayoffDiff(i, pair))
             diffs = [Lambdas[j].coeffs - Lambdas[k].coeffs for j, k in pairs]
-            tensors[i] = np.asarray(np.stack(diffs, axis=i), dtype=float)
+            tensors[i] = np.ldexp(np.asarray(np.stack(diffs, axis=i), dtype=float),
+                                  -game.payoff_exponents[i])
     residual, jacobian, vectors = _face_system(tensors, maps)
     total_dim = sum(a.shape[1] - 1 for a in maps)
     num_eq = family.num_pairs
@@ -481,11 +480,14 @@ def regular_value_probe(
     starts = np.vstack([np.zeros(total_dim), rng.normal(0.0, 1.0, (RANDOM_STARTS, total_dim))])
     roots = _newton_roots(residual, jacobian, starts)
     roots = np.array(roots).reshape(len(roots), total_dim)
+    # each equation's residual back in its player's payoff unit
+    exponents = np.repeat(game.payoff_exponents, [len(pairs) for pairs in family.R])
+    residuals = _inf_norm(np.ldexp(residual(roots), exponents))
 
     out_roots = []
     all_regular = True
-    for z, jac, res in zip(roots, jacobian(roots), _inf_norm(residual(roots))):
-        rank = _svd_rank(jac, rank_tol)[0]
+    for z, jac, res in zip(roots, jacobian(roots), residuals):
+        rank = _svd_rank(jac)[0]
         regular = rank == num_eq
         all_regular = all_regular and regular
         out_roots.append(
@@ -502,8 +504,7 @@ def regular_value_probe(
     )
 
 
-def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int,
-                                rank_tol: float = RANK_TOL) -> bool:
+def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int) -> bool:
     """Check that full rank of the stacked matrix is equivalent to full
     rank of the lower block restricted to the kernel of the (full-rank)
     coordinate block. Must hold whenever the first rows have full rank;
@@ -511,13 +512,13 @@ def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int,
     a = np.asarray(full_jacobian, dtype=float)
     b = int(coordinate_block_size)
     total = a.shape[0]
-    cond_full = _svd_rank(a, rank_tol)[0] == total
+    cond_full = _svd_rank(a)[0] == total
     if b == 0:
         kernel = np.eye(a.shape[1])
     else:
         top = a[:b]
-        rank_top = _svd_rank(top, rank_tol)[0]
+        rank_top = _svd_rank(top)[0]
         kernel = np.linalg.svd(top)[2][rank_top:].T
     lower = a[b:] @ kernel
-    cond_split = _svd_rank(lower, rank_tol)[0] == total - b
+    cond_split = _svd_rank(lower)[0] == total - b
     return cond_full == cond_split

@@ -7,12 +7,27 @@ Fractions, and gradients come from central finite differences.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nashatlas
 from nashatlas import FLOAT, RATIONAL, make_game
+
+
+def fresh_python(*args, timeout=None):
+    """Run `python args...` in a new interpreter that imports this nashatlas;
+    subprocess.TimeoutExpired after `timeout` seconds, if given."""
+    src = str(Path(nashatlas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+
 
 MP_PAYOFFS = [[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]
 BOS_PAYOFFS = [[[2, 0], [0, 1]], [[1, 0], [0, 2]]]

@@ -1,16 +1,13 @@
 """Command-line interface: subcommands, exit codes, and report shapes."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import nashatlas
 from nashatlas.cli import main
+
+from conftest import fresh_python
 
 MP_TEXT = """players 2
 strategies 2 2
@@ -357,8 +354,9 @@ def _argv(command, path):
 
 @pytest.mark.parametrize(
     "command, flag",
-    [(c, f) for c in ("lambda", "goodcheck", "charts") for f in ("--seed", "--tol", "--rank-tol")]
-    + [("certify", "--seed")],
+    [(c, "--seed") for c in ("lambda", "goodcheck", "charts", "certify")]
+    + [(c, f) for c in ("solve", "lambda", "goodcheck", "sample", "certify", "charts")
+       for f in ("--tol", "--rank-tol")],
 )
 def test_options_only_where_they_act(mp_file, capsys, command, flag):
     assert main(_argv(command, mp_file) + [flag, "3"]) == 1
@@ -366,17 +364,16 @@ def test_options_only_where_they_act(mp_file, capsys, command, flag):
 
 
 @pytest.mark.parametrize("command", ["solve", "sample"])
-def test_seed_and_tolerances_accepted(mp_file, capsys, command):
-    tuned = ["--seed", "5", "--tol", "1e-7", "--rank-tol", "1e-9"]
-    assert main(_argv(command, mp_file) + tuned) == 0
+def test_seed_accepted(mp_file, capsys, command):
+    assert main(_argv(command, mp_file) + ["--seed", "5"]) == 0
 
 
 @pytest.mark.parametrize("command, keys", [
-    ("solve", ["seed", "tol", "rank_tol", "exact", "file", "command", "mode"]),
+    ("solve", ["seed", "exact", "file", "command", "mode"]),
     ("lambda", ["exact", "file", "command", "mode", "player"]),
     ("goodcheck", ["command", "shape"]),
-    ("sample", ["seed", "tol", "rank_tol", "command", "shape", "count", "distribution"]),
-    ("certify", ["tol", "rank_tol", "exact", "file", "command", "mode"]),
+    ("sample", ["seed", "command", "shape", "count", "distribution"]),
+    ("certify", ["exact", "file", "command", "mode"]),
     ("charts", ["command", "shape"]),
 ])
 def test_meta_lists_the_subcommand_options(mp_file, capsys, command, keys):
@@ -389,14 +386,6 @@ def test_help_exits_zero(capsys):
     assert "solve" in capsys.readouterr().out
 
 
-def _fresh_python(*args):
-    """Run `python args...` in a new interpreter that imports this nashatlas."""
-    src = str(Path(nashatlas.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-
-
 def test_main_calls_in_one_process_match_fresh_calls(bos_file, capsys, monkeypatch):
     # main builds its parser once per process; a usage error in between
     # must leave it as a fresh interpreter would find it
@@ -407,7 +396,7 @@ def test_main_calls_in_one_process_match_fresh_calls(bos_file, capsys, monkeypat
     for argv in calls:
         code = main(argv)
         got = capsys.readouterr()
-        fresh = _fresh_python(
+        fresh = fresh_python(
             "-c", "import sys; from nashatlas.cli import main; sys.exit(main(sys.argv[1:]))",
             *argv)
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
@@ -431,5 +420,5 @@ def test_runs_without_scipy(tmp_path):
         f"assert main(['solve', {dup!r}, '--exact', '--json']) == 2\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
-    run = _fresh_python("-c", script)
+    run = fresh_python("-c", script)
     assert run.returncode == 0, run.stderr

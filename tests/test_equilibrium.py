@@ -29,7 +29,7 @@ from nashatlas.equilibrium import _exact_pair_solve, _newton_solve
 from nashatlas.exact import max_min_point
 from nashatlas.forms import contract
 
-from conftest import oracle_enumerate_2p
+from conftest import fresh_python, oracle_enumerate_2p
 
 
 def _weight_tuples(result):
@@ -530,30 +530,66 @@ def test_tiny_strict_dominance_is_not_a_tie(mode):
 _dyadic = st.one_of(st.integers(-4, 4), st.integers(-2**20, 2**20).map(lambda n: n / 2**20))
 
 
+def _scaled(game, powers):
+    """game with player i's payoffs times 2**powers[i], in its own mode."""
+    two = Fraction(2) if game.mode == RATIONAL else 2.0
+    return make_game(game.strategy_counts,
+                     [u * two ** k for u, k in zip(game.utilities, powers)], mode=game.mode)
+
+
+def _scale_free_answer(game):
+    """What must not depend on the payoff scale: supports, bitwise points
+    and boundary flags of the equilibria, warnings and the continuum flag.
+    Jacobian verdicts and singular values are left out."""
+    result = enumerate_nash(game)
+    return (
+        [(c.support, [w.tobytes() for w in c.point.as_floats()], c.boundary_degenerate)
+         for c in result.equilibria],
+        result.warnings,
+        result.continuum,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    shape=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+    shape=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
     data=st.data(),
     mode=st.sampled_from(["float", RATIONAL]),
-    powers=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
 )
-def test_two_player_answers_do_not_depend_on_payoff_scale(shape, data, mode, powers):
+def test_answers_do_not_depend_on_payoff_scale(shape, data, mode):
     # integers in -4..4 give ties and continua; 21-bit dyadic entries stay
     # exact when scaled by 2**k for any |k| <= 1000 (no overflow, no
     # subnormal), so the scaled game is the same game
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     payoffs = [data.draw(st.lists(_dyadic, min_size=size, max_size=size)) for _ in shape]
-    scale = [Fraction(2) ** k if mode == RATIONAL else 2.0 ** k for k in powers]
+    powers = [data.draw(st.integers(-1000, 1000)) for _ in shape]
     base = make_game(shape, payoffs, mode=mode)
-    scaled = make_game(shape, [u * s for u, s in zip(base.utilities, scale)], mode=mode)
+    assert _scale_free_answer(_scaled(base, powers)) == _scale_free_answer(base)
 
-    def answer(game):
-        result = enumerate_nash(game)
-        return (
-            [(c.support, [w.tobytes() for w in c.point.as_floats()], c.boundary_degenerate)
-             for c in result.equilibria],
-            result.warnings,
-            result.continuum,
-        )
 
-    assert answer(scaled) == answer(base)
+def test_three_player_answers_do_not_depend_on_payoff_scale():
+    # seeds whose answers moved, or were lost without a warning, when
+    # every payoff was scaled by 2**30, 2**20 or 2**-20; at 2**-1000 every
+    # residual passed and most supports warned
+    answers = {}
+    for seed in range(500, 520):
+        game = random_game((2, 2, 2), seed)
+        answers[seed] = _scale_free_answer(game)
+        for k in (-20, 20, 30) + ((-1000,) if seed < 504 else ()):
+            assert _scale_free_answer(_scaled(game, [k] * 3)) == answers[seed], (seed, k)
+    assert [(len(answers[s][0]), answers[s][1]) for s in range(500, 504)] == [
+        (1, []), (3, []), (3, []), (1, [])]
+
+
+def test_three_player_game_at_huge_scale_finishes():
+    # Newton on raw payoffs near 1e301 never came back from its SVD, so
+    # the run gets its own interpreter and a time limit
+    script = (
+        "from nashatlas import enumerate_nash, make_game, random_game\n"
+        "game = random_game((2, 2, 2), 501)\n"
+        "huge = make_game((2, 2, 2), [u * 2.0 ** 1000 for u in game.utilities])\n"
+        "print(enumerate_nash(huge).count, enumerate_nash(game).count)\n"
+    )
+    run = fresh_python("-c", script, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["3", "3"]

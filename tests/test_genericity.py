@@ -41,6 +41,7 @@ from nashatlas.genericity import (
     NEWTON_MAX_ITERS,
     RANDOM_STARTS,
     RESIDUAL_TOL,
+    STEP_TOL,
     GoodFamily,
     _face_system,
     _newton_roots,
@@ -368,23 +369,30 @@ def test_probe_equations_are_the_defining_maps(monkeypatch):
                 assert got[i].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("shape, T, R", [
+# square families whose faces use the zeroth-weight and infinity hyperplanes
+SQUARE_FAMILIES = [
     ((3, 3), [(0,), (INF,)], [[(0, 1)], [(1, 2)]]),
     ((3, 3), [(0, INF), ()], [[(0, 1), (1, 2)], []]),
     ((2, 3, 2), [(0,), (INF,), ()], [[(0, 1)], [], [(0, 1)]]),
     ((2, 3, 2), [(), (0, INF), ()], [[(0, 1)], [], [(0, 1)]]),
     ((2, 3, 2), [(INF,), (0,), ()], [[], [(0, 2)], [(0, 1)]]),
-])
+]
+
+
+def _open_charts(shape, family):
+    """The charts that exclude no hypersurface of the family."""
+    return [chart for chart in itertools.product(*(range(c) for c in shape))
+            if not any(chart_excludes(chart, h) for h in family.hypersurfaces())]
+
+
+@pytest.mark.parametrize("shape, T, R", SQUARE_FAMILIES)
 def test_probe_roots_lie_on_the_family(shape, T, R):
-    # square families whose faces use the zeroth-weight and infinity
-    # hyperplanes, in every chart that does not exclude them
+    # in every chart that does not exclude the family
     game = random_game(shape, seed=3)
     fam = good_family(game, T, R)
     hypersurfaces = fam.hypersurfaces()
     found = 0
-    for chart in itertools.product(*(range(c) for c in shape)):
-        if any(chart_excludes(chart, h) for h in hypersurfaces):
-            continue
+    for chart in _open_charts(shape, fam):
         report = regular_value_probe(game, fam, chart, seed=3)
         assert report.num_equations == report.dimension
         for root in report.roots:
@@ -392,6 +400,24 @@ def test_probe_roots_lie_on_the_family(shape, T, R):
             for h in hypersurfaces:
                 assert on_hypersurface(game, h, root.point), (chart, h)
     assert found
+
+
+@pytest.mark.parametrize("shape, T, R", SQUARE_FAMILIES)
+@pytest.mark.parametrize("powers", [(-1000, 30, -20), (1000, -20, 30)])
+def test_probe_does_not_depend_on_payoff_scale(shape, T, R, powers):
+    # each player's payoffs times its own power of two: the same roots,
+    # ranks and verdicts in every chart
+    game = random_game(shape, seed=3)
+    scaled = make_game(shape, [u * 2.0 ** k for u, k in zip(game.utilities, powers)])
+    fam = good_family(game, T, R)
+
+    def answer(g, chart):
+        report = regular_value_probe(g, fam, chart, seed=3)
+        return report.verdict, [
+            (r.rank, [c.tobytes() for c in r.point.coords]) for r in report.roots]
+
+    for chart in _open_charts(shape, fam):
+        assert answer(scaled, chart) == answer(game, chart), chart
 
 
 def _per_start_newton(residual, jacobian, starts, accept=None):
@@ -404,7 +430,7 @@ def _per_start_newton(residual, jacobian, starts, accept=None):
             if np.max(np.abs(fval)) <= RESIDUAL_TOL:
                 break
             step = np.linalg.lstsq(jacobian(x), -fval, rcond=None)[0]
-            if np.max(np.abs(step)) <= 1e-14:
+            if np.max(np.abs(step)) <= STEP_TOL:
                 break
             norm0 = np.linalg.norm(fval)
             t = 1.0
