@@ -28,7 +28,7 @@ minus the last strategy, which takes one minus their sum. The system
 is genericity._face_system, the same face system the
 regular-value probe solves: player i's equations are its payoff tensor
 in its payoff unit (FiniteGame.payoff_exponents) contracted on its own
-axis with e_s - e_{supp[0]} for s in supp[1:], and
+axis with e_s - e_{supp[0]} for s in supp[1:], rounded after that, and
 its residual and Jacobian blocks are single contractions (forms.contract)
 that take one point or a stack of them; the positivity, continuum and
 singular-root checks on the roots found are one batched call each.
@@ -37,7 +37,8 @@ A point is exact when forms._exact says so (int or Fraction weights,
 in either mode); its best-reply check then stays in integers
 (forms._integer_slopes) with no tolerance, and a certificate's `exact`
 is that same test on its reported point. Float points are checked at
-CHECK_TOL in each player's payoff unit (tolerances: nashatlas.game).
+CHECK_TOL in each player's payoff unit (tolerances: nashatlas.game), on
+offset-free slopes (payoff_slice_values with relative=True).
 Equilibria are told apart by support: each candidate has the support
 it was solved on, and Newton roots of one support are already merged
 at DEDUP_TOL.
@@ -108,7 +109,7 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     supports. Exact weights (forms._exact, in either mode) are checked
     in integers (forms._integer_slopes): residual 0 and margin >= 0,
     each reported as one Fraction. Float weights: residual <= tol and
-    margin >= -tol, with tol CHECK_TOL in player i's payoff unit.
+    margin >= -tol, tol CHECK_TOL in player i's unit, on offset-free slopes.
     """
     supports = support_of(profile).supports
     exact = _exact(profile.weights)
@@ -117,7 +118,7 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
         if exact:
             c, den = _integer_slopes(game, i, profile.weights)
         else:
-            c = payoff_slice_values(game, i, profile.weights)
+            c = payoff_slice_values(game, i, profile.weights, relative=True)
         supp = supports[i]
         inside = [c[j] for j in supp]
         outside = [c[j] for j in range(game.strategy_counts[i]) if j not in supp]
@@ -238,10 +239,10 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
         for e, s in zip(eye, supports)
     ]
     # player i's equations, in its payoff unit: slope of each supp[1:]
-    # strategy minus supp[0]'s
+    # strategy minus supp[0]'s, subtracted before rounding
     tensors = [
-        _contract_axis(np.ldexp(np.asarray(u, dtype=float), -game.payoff_exponents[i]),
-                       e[:, list(s[1:])] - e[:, [s[0]]], i) if len(s) >= 2 else None
+        np.ldexp(np.asarray(_contract_axis(u, (e[:, list(s[1:])] - e[:, [s[0]]]).astype(int), i),
+                            dtype=float), -game.payoff_exponents[i]) if len(s) >= 2 else None
         for i, (u, e, s) in enumerate(zip(game.utilities, eye, supports))
     ]
     residual, jacobian, vectors = _face_system(tensors, maps)

@@ -270,21 +270,23 @@ def homogeneous_decomposition(game: FiniteGame, i: int) -> HomogeneousDecomposit
     return HomogeneousDecomposition(i, K, tuple(Lambdas))
 
 
-def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
+def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = False) -> np.ndarray:
     """Vector over player i's own strategies: entry j is the payoff of
-    playing pure strategy j against the others' mixed weights.
+    playing pure strategy j against the others' mixed weights, or with
+    ``relative`` that payoff minus strategy 0's.
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
     Exact weights (_exact) give Fractions, contracted in integers by
-    _integer_slopes; otherwise the floats are contracted.
+    _integer_slopes; otherwise the floats are contracted, relative ones
+    subtracted before rounding, so that an offset adds no rounding error.
     """
     if _exact(weights):
         nums, den = _integer_slopes(game, i, weights)
-        return np.array([Fraction(n, den) for n in nums], dtype=object)
+        base = nums[0] if relative else 0
+        return np.array([Fraction(n - base, den) for n in nums], dtype=object)
     t = game.utilities[i]
-    if t.dtype == object:
-        t = np.asarray([float(x) for x in t.reshape(-1)]).reshape(t.shape)
+    t = np.asarray(t - t.take([0], axis=i) if relative else t, dtype=float)
     return contract(t, [
         None if k == i else _coerce_vector(weights[k], False)
         for k in range(game.num_players)

@@ -581,6 +581,27 @@ def test_three_player_answers_do_not_depend_on_payoff_scale():
         (1, []), (3, []), (3, []), (1, [])]
 
 
+@pytest.mark.parametrize("offset, grid", [(1000.0, 40), (Fraction(1000, 3), 60)])
+def test_three_player_answers_do_not_depend_on_payoff_offset(offset, grid):
+    # payoffs of range about 2**-20 under a large offset: slopes contracted
+    # from the raw payoffs carried rounding of about 1e-13 against a check
+    # tolerance of about 1e-14, and mixed equilibria were lost unflagged.
+    # Float: on the 2**-40 grid 1000 + u is exact. Rational: 1000/3 + u is
+    # exact, but u on the 2**-60 grid makes its float rounding differ entry
+    # by entry, so only differences taken before rounding cancel the offset
+    mode = RATIONAL if isinstance(offset, Fraction) else "float"
+    mixed = 0
+    for seed in range(500, 520):
+        small = [np.round(u * 2**(grid - 20)) / 2**grid
+                 for u in random_game((2, 2, 2), seed).utilities]
+        base = make_game((2, 2, 2), small, mode=mode)
+        shifted = make_game((2, 2, 2), [u + offset for u in base.utilities], mode=mode)
+        answer = _scale_free_answer(base)
+        assert _scale_free_answer(shifted) == answer, seed
+        mixed += sum(len(s) > 1 for c, _, _ in answer[0] for s in c.supports)
+    assert mixed > 0
+
+
 def test_three_player_game_at_huge_scale_finishes():
     # Newton on raw payoffs near 1e301 never came back from its SVD, so
     # the run gets its own interpreter and a time limit

@@ -258,6 +258,8 @@ def test_payoff_slice_values_match_pure_payoffs():
     for j in range(3):
         pure = [np.eye(3)[j], w[1], w[2]]
         assert slices[j] == pytest.approx(loop_payoff(game, 0, pure))
+    relative = payoff_slice_values(game, 0, w, relative=True)
+    np.testing.assert_allclose(relative, slices - slices[0], atol=1e-15)
 
 
 def test_payoff_slice_values_exact(mp_exact):
@@ -268,6 +270,7 @@ def test_payoff_slice_values_exact(mp_exact):
     vals = payoff_slice_values(mp_exact, 0, w)
     assert vals[0] == Fraction(-1, 3)
     assert vals[1] == Fraction(1, 3)
+    assert list(payoff_slice_values(mp_exact, 0, w, relative=True)) == [0, Fraction(2, 3)]
 
 
 def test_numpy_integer_weights_on_rational_game_do_not_wrap():
