@@ -20,11 +20,13 @@ weight is > 0. Both blocks' points make the one candidate, or witness a
 continuum; enumerate_nash rounds a float game's answers to float64
 once, at the end. Anything larger runs the damped multistart Newton
 loop of genericity._newton_roots in face coordinates from one array of
-starts (_newton_starts), which steps all starts together while each
-keeps its own stopping rule and step length; one residual call per step
-covers every halving of every start. Its roots are floats, positive
-above ZERO_WEIGHT_TOL. Player b's free weights sit on its support
-minus the last strategy, which takes one minus their sum. The system
+starts (_newton_starts, built once per tuple of mixed support sizes),
+which steps all starts together while each keeps its own stopping rule
+and step length; one residual call per step covers the NEWTON_HALVINGS
+step lengths of every start, and a start that none of them helps has
+stalled and stops. Its roots are floats, positive above
+ZERO_WEIGHT_TOL. Player b's free weights sit on its support minus the
+last strategy, which takes one minus their sum. The system
 is genericity._face_system, the same face system the
 regular-value probe solves: player i's equations are its payoff tensor
 in its payoff unit (FiniteGame.payoff_exponents) contracted on its own
@@ -51,6 +53,7 @@ enumerator surfaces it as a warning with a witness where it has one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -210,13 +213,16 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
     )
 
 
-def _newton_starts(sizes, seed: int) -> np.ndarray:
+@functools.lru_cache(maxsize=128)
+def _newton_starts(sizes: tuple[int, ...], seed: int) -> np.ndarray:
     """The (B, sum(sizes) - len(sizes)) Newton starts for mixed players
     with the given support sizes: the centroid, one start pulled towards
     each vertex of the product of simplices, then RANDOM_STARTS uniform
     draws. Each simplex point keeps all but its last weight. The random
     rows are the stream of one rng.dirichlet(np.ones(s)) call per player
-    and start: a block of gammas divided by its left-to-right sum."""
+    and start: a block of gammas divided by its left-to-right sum. Built
+    once per (sizes, seed) and returned read-only, since every support
+    with these mixed sizes shares it."""
     centroid = np.concatenate([np.full(s - 1, 1.0 / s) for s in sizes])
     choice = np.array(list(itertools.product(*map(range, sizes))))
     corners = np.concatenate(
@@ -225,7 +231,9 @@ def _newton_starts(sizes, seed: int) -> np.ndarray:
     gammas = np.random.default_rng(seed).standard_gamma(1.0, (RANDOM_STARTS, sum(sizes)))
     draws = np.split(gammas, np.cumsum(sizes)[:-1], axis=1)
     uniform = [g[:, :-1] * (1.0 / np.cumsum(g, axis=1)[:, -1:]) for g in draws]
-    return np.vstack([centroid, 0.1 * centroid + 0.9 * corners, np.hstack(uniform)])
+    starts = np.vstack([centroid, 0.1 * centroid + 0.9 * corners, np.hstack(uniform)])
+    starts.flags.writeable = False
+    return starts
 
 
 def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
@@ -259,7 +267,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
         w = weights_from(x)
         return np.all([(w[i][:, supports[i]] > ZERO_WEIGHT_TOL).all(axis=1) for i in mixed], axis=0)
 
-    starts = _newton_starts([len(supports[i]) for i in mixed], seed)
+    starts = _newton_starts(tuple(len(supports[i]) for i in mixed), seed)
     roots = _newton_roots(residual, jacobian, starts, accept=positive)
     profiles = [profile_from_weights(weights_from(r)) for r in roots]
 

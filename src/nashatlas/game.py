@@ -31,6 +31,7 @@ STEP_TOL = 1e-14  # face coordinates: Newton stops on a shorter step
 MEMBERSHIP_TOL = 1e-8  # the defining form's largest coefficient: membership
 RANK_TOL = 1e-8  # the largest singular value (at least 1): rank cutoff
 NEWTON_MAX_ITERS = 100  # a count: Newton steps per start
+NEWTON_HALVINGS = 9  # a count: step lengths 2**-r tried per Newton step
 RANDOM_STARTS = 32  # a count: random Newton starts per system
 
 

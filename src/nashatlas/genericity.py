@@ -20,9 +20,10 @@ system once for both (residual, Jacobian and face vectors from one
 contraction each, for one point or a stack of points), and
 _newton_roots, a damped least-squares multistart Newton loop, finds its
 roots. The starts iterate together, one batched Jacobian and
-pseudo-inverse per step, and one residual call per step covers every
-halving of the line search for every start, each start taking its own
-first accepted step length and keeping its own stopping rule. Both
+pseudo-inverse per step, and one residual call per step covers the
+NEWTON_HALVINGS step lengths of the line search for every start, each
+start taking its own first accepted step length and keeping its own
+stopping rule; a start that none of them helps has stalled. Both
 callers state each player's equations in its payoff unit
 (FiniteGame.payoff_exponents), so the loop's tolerances (from the
 table in nashatlas.game) act the same at every payoff scale.
@@ -53,6 +54,7 @@ from .atlas import (
 from .forms import MultilinearForm, _contract_axis, contract, homogeneous_decomposition
 from .game import (
     DEDUP_TOL,
+    NEWTON_HALVINGS,
     NEWTON_MAX_ITERS,
     RANDOM_STARTS,
     RANK_TOL,
@@ -218,20 +220,22 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
     The starts iterate together as the rows of one (B, n) array: residual
     and jacobian take a stack of rows and return (B, n_eq) and
     (B, n_eq, n). Each step solves jacobian(x) step = -residual(x) in the
-    least-squares sense and tries the lengths t = 2^-r, r = 0..24: the
-    trial points of every live start and every halving go to residual as
-    one stack, and each start takes its first t whose residual norm is at
-    most (1 - t/4) times the current one. So a step costs one residual and
-    one jacobian call. Every start keeps its own stopping rule: it stops
-    once its residual is within RESIDUAL_TOL, its step is below STEP_TOL, no
-    halving passes or NEWTON_MAX_ITERS steps are taken. `accept` takes the
-    (k, n) stack of converged limits and returns a mask of those to keep;
-    the kept limits come back deduplicated at DEDUP_TOL, in start order.
+    least-squares sense and tries the lengths t = 2^-r, r = 0 ..
+    NEWTON_HALVINGS - 1: the trial points of every live start and every
+    halving go to residual as one stack, and each start takes its first t
+    whose residual norm is at most (1 - t/4) times the current one. So a
+    step costs one residual and one jacobian call. Every start keeps its
+    own stopping rule: it stops once its residual is within RESIDUAL_TOL,
+    its step is below STEP_TOL, no length passes (the start has stalled;
+    near a regular root the full step passes) or NEWTON_MAX_ITERS steps
+    are taken. `accept` takes the (k, n) stack of converged limits and
+    returns a mask of those to keep; the kept limits come back
+    deduplicated at DEDUP_TOL, in start order.
     """
     x = np.array(starts, dtype=float)
     f = residual(x)
     live = np.arange(len(x))
-    t = 0.5 ** np.arange(25)
+    t = 0.5 ** np.arange(NEWTON_HALVINGS)
     for _ in range(NEWTON_MAX_ITERS):
         live = live[_inf_norm(f[live]) > RESIDUAL_TOL]
         if not live.size:
@@ -244,7 +248,7 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
         live, step = live[moving], step[moving]
         if not live.size:
             break
-        # (L, 25, n) trial points, halving r of start l in row (l, r)
+        # (L, NEWTON_HALVINGS, n) trial points, halving r of start l in row (l, r)
         xn = x[live][:, None] + t[:, None] * step[:, None]
         fn = residual(xn.reshape(-1, x.shape[1])).reshape(len(live), len(t), -1)
         norm0 = np.linalg.norm(f[live], axis=1)[:, None]

@@ -38,6 +38,7 @@ from nashatlas.equilibrium import SingularSystem, _newton_starts, solve_support
 from nashatlas.game import SupportProfile
 from nashatlas.genericity import (
     DEDUP_TOL,
+    NEWTON_HALVINGS,
     NEWTON_MAX_ITERS,
     RANDOM_STARTS,
     RESIDUAL_TOL,
@@ -434,7 +435,7 @@ def _per_start_newton(residual, jacobian, starts, accept=None):
                 break
             norm0 = np.linalg.norm(fval)
             t = 1.0
-            for _ in range(25):
+            for _ in range(NEWTON_HALVINGS):
                 xn = x + t * step
                 fn = residual(xn)
                 if np.linalg.norm(fn) <= (1.0 - 0.25 * t) * norm0:
@@ -465,7 +466,7 @@ def test_newton_roots_matches_per_start_reference(square, accept):
     starts = [
         np.array([-0.1, 0.03, 0.04]),  # to A after several damped steps
         np.array([0.0, 0.0, 0.0]),  # zero Jacobian: step below the floor
-        np.array([1.4e-5, -7e-6, 4e-6]),  # square: all 25 halvings fail
+        np.array([1.4e-5, -7e-6, 4e-6]),  # square: no halving passes
         np.array([1.0, -1.0, 1.0]),  # B itself: no step
         np.array([-0.7, 1.3, -1.2]),  # to A again, undamped
         np.array([3.0, 0.1, -2.0]),  # damped steps
@@ -516,6 +517,68 @@ def test_newton_step_makes_one_residual_call(monkeypatch):
     solve_support(random_game((2, 2, 2), seed=1), SupportProfile(((0, 1),) * 3))
     assert calls["jacobian"] > 1
     assert calls["residual"] <= calls["jacobian"] + 1
+
+
+def _first_passing_halving(x, residual, jacobian):
+    # the r of the first step length 2^-r the line search accepts at x
+    fval = residual(x)
+    step = np.linalg.lstsq(jacobian(x), -fval, rcond=None)[0]
+    for r in range(60):
+        t = 0.5 ** r
+        if np.linalg.norm(residual(x + t * step)) <= (1.0 - 0.25 * t) * np.linalg.norm(fval):
+            return r
+    return None
+
+
+def test_newton_roots_drops_a_start_that_needs_a_shorter_step():
+    # arctan(x) = 0: far out the Newton step overshoots, and the further
+    # out, the shorter the first step length that lowers the residual. A
+    # face system in one coordinate is affine, so its full steps always
+    # pass; this scalar equation exercises the stall rule instead.
+    def residual(x):
+        return np.arctan(x)
+
+    def jacobian(x):
+        return (1.0 / (1.0 + x * x))[..., None]
+
+    last = NEWTON_HALVINGS - 1
+    near, far = np.array([200.0]), np.array([400.0])
+    assert _first_passing_halving(near, residual, jacobian) == last
+    assert _first_passing_halving(far, residual, jacobian) == last + 1
+    roots = _newton_roots(residual, jacobian, [near, far])
+    assert len(roots) == 1 and abs(roots[0][0]) <= RESIDUAL_TOL
+    np.testing.assert_array_equal(_per_start_newton(residual, jacobian, [near, far]), roots)
+    assert _newton_roots(residual, jacobian, [far]) == []
+
+
+def test_fixture_games_bound_newton_steps(monkeypatch):
+    # stalled starts stop early instead of running to the step limit: one
+    # jacobian call per Newton step, counted over the 2x2x2 games of the
+    # acceptance fixture's first 20 seeds (1,383 calls with 25 halvings)
+    calls = [0]
+
+    def newton_roots(residual, jacobian, starts, accept=None):
+        def counted(z):
+            calls[0] += 1
+            return jacobian(z)
+        return _newton_roots(residual, counted, starts, accept)
+
+    monkeypatch.setattr(equilibrium, "_newton_roots", newton_roots)
+    for seed in range(40_000, 40_020):
+        enumerate_nash(random_game((2, 2, 2), seed=seed), seed=seed)
+    assert calls[0] <= 800
+
+
+def test_newton_starts_built_once_per_size_tuple():
+    # 19 of the 27 supports of a 2x2x2 game have a mixed player, with
+    # mixed sizes (2,), (2, 2) or (2, 2, 2); the one shared array of each
+    # is read-only
+    _newton_starts.cache_clear()
+    enumerate_nash(random_game((2, 2, 2), seed=9), seed=9)
+    info = _newton_starts.cache_info()
+    assert (info.misses, info.hits) == (3, 16)
+    with pytest.raises(ValueError):
+        _newton_starts((2, 2), 9)[0, 0] = 0.0
 
 
 def _per_start_newton_starts(sizes, seed):
