@@ -39,6 +39,7 @@ from .equilibrium import (
     EquilibriumCertificate,
     SingularSystem,
     best_reply_check,
+    certify_equilibrium,
     enumerate_nash,
     enumerate_supports,
     solve_support,
@@ -75,7 +76,6 @@ from .genericity import (
     ProbeReport,
     TransversalityReport,
     canonical_equilibrium_family,
-    certify_equilibrium,
     good_family,
     is_good,
     rank_split_equivalence_test,

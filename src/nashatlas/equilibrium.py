@@ -19,21 +19,19 @@ since the set has a positive point exactly when its largest smallest
 weight is > 0. Both blocks' points make the one candidate, or witness a
 continuum; enumerate_nash rounds a float game's answers to float64
 once, at the end. Anything larger runs the damped multistart Newton
-loop of genericity._newton_roots in face coordinates from one array of
-starts (_newton_starts, built once per tuple of mixed support sizes),
-which steps all starts together while each keeps its own stopping rule
-and step length; one residual call per step covers the NEWTON_HALVINGS
-step lengths of every start, and a start that none of them helps has
-stalled and stops. Its roots are floats, positive above
-ZERO_WEIGHT_TOL. Player b's free weights sit on its support minus the
-last strategy, which takes one minus their sum. The system
-is genericity._face_system, the same face system the
-regular-value probe solves: player i's equations are its payoff tensor
-in its payoff unit (FiniteGame.payoff_exponents) contracted on its own
-axis with e_s - e_{supp[0]} for s in supp[1:], rounded after that, and
-its residual and Jacobian blocks are single contractions (forms.contract)
-that take one point or a stack of them; the positivity, continuum and
-singular-root checks on the roots found are one batched call each.
+loop of genericity._newton_roots from one array of starts
+(_newton_starts, built once per tuple of mixed support sizes) on the
+support's face system (_support_system): its unknowns are each player's
+weights on its support minus the last strategy, and player i's
+equations are slope differences in its payoff unit
+(FiniteGame.payoff_exponents), taken before rounding. The roots are
+floats, positive above ZERO_WEIGHT_TOL; the positivity, continuum and
+singular-root checks on them are one batched call each.
+
+Every equilibrium is certified from that same face system
+(certify_equilibrium): regular iff its Jacobian at the equilibrium has
+full rank. Rank and smallest singular value are in payoff units, so
+neither moves under a power-of-two payoff scaling.
 
 A point is exact when forms._exact says so (int or Fraction weights,
 in either mode); its best-reply check then stays in integers
@@ -63,7 +61,7 @@ import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
 from .forms import _contract_axis, _exact, _integer_slopes, payoff_slice_values
-from .genericity import _face_system, _newton_roots, _svd_rank, certify_equilibrium
+from .genericity import _face_system, _newton_roots, _svd_rank
 from .game import (
     CHECK_TOL,
     FLOAT,
@@ -236,18 +234,19 @@ def _newton_starts(sizes: tuple[int, ...], seed: int) -> np.ndarray:
     return starts
 
 
-def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
-    """Multistart damped Newton on the face coordinates (m != 2 path)."""
-    supports = support.supports
-    mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
+def _support_system(game: FiniteGame, supports):
+    """The face system (genericity._face_system) of a support profile,
+    solved by the Newton route and ranked by certify_equilibrium. Its
+    unknowns z are each player's weights on supp[:-1], the last strategy
+    taking one minus their sum; player i's equations, in its payoff unit,
+    are the slopes of supp[1:] minus supp[0]'s, subtracted before
+    rounding. Returns residual(z), jacobian(z) and weights(z)."""
     eye = [np.eye(c) for c in game.strategy_counts]
     # (1, z) -> weights: z on supp[:-1], the last strategy takes 1 - sum(z)
     maps = [
         np.column_stack([e[:, s[-1]]] + [e[:, t] - e[:, s[-1]] for t in s[:-1]])
         for e, s in zip(eye, supports)
     ]
-    # player i's equations, in its payoff unit: slope of each supp[1:]
-    # strategy minus supp[0]'s, subtracted before rounding
     tensors = [
         np.ldexp(np.asarray(_contract_axis(u, (e[:, list(s[1:])] - e[:, [s[0]]]).astype(int), i),
                             dtype=float), -game.payoff_exponents[i]) if len(s) >= 2 else None
@@ -255,12 +254,20 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     ]
     residual, jacobian, vectors = _face_system(tensors, maps)
 
-    def weights_from(x):
-        return [v @ a.T for a, v in zip(maps, vectors(x))]
+    def weights(z):
+        return [v @ a.T for a, v in zip(maps, vectors(z))]
+
+    return residual, jacobian, weights
+
+
+def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
+    """Multistart damped Newton on the face coordinates (m != 2 path)."""
+    supports = support.supports
+    mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
+    residual, jacobian, weights_from = _support_system(game, supports)
 
     if not mixed:
         return [profile_from_weights(weights_from(np.zeros(0)))]
-    nfree = sum(len(supports[i]) - 1 for i in mixed)
 
     def positive(x):
         # (k, n) stack of roots -> mask of those inside the open face
@@ -288,13 +295,8 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
                 candidates=profiles,
             )
 
-    if any(_svd_rank(jac)[0] < nfree for jac in jacobian(r)):
-        raise SingularSystem(
-            support,
-            "singular Jacobian at a root",
-            witness=None,
-            candidates=profiles,
-        )
+    if any(_svd_rank(jac)[0] < r.shape[1] for jac in jacobian(r)):
+        raise SingularSystem(support, "singular Jacobian at a root", candidates=profiles)
 
     return profiles
 
@@ -330,6 +332,20 @@ class EquilibriumCertificate:
     boundary_degenerate: bool = False
 
 
+def certify_equilibrium(game: FiniteGame, cert: EquilibriumCertificate) -> EquilibriumCertificate:
+    """cert with its regularity verdict: regular iff the Jacobian of its
+    support's face system (_support_system), in payoff units, has full
+    rank at the equilibrium's free weights. By the block-triangular rank
+    lemma (genericity.rank_split_equivalence_test) that is transversality
+    of the support's canonical family. A pure equilibrium has no free
+    weights: regular, with smallest singular value inf."""
+    supports = cert.support.supports
+    z = np.concatenate([w[list(s[:-1])] for w, s in zip(cert.point.as_floats(), supports)])
+    rank, smin = _svd_rank(_support_system(game, supports)[1](z)) if z.size else (0, math.inf)
+    return replace(cert, jacobian_verdict="regular" if rank == z.size else "singular",
+                   smallest_singular_value=smin)
+
+
 @dataclass
 class EnumerationResult:
     equilibria: list[EquilibriumCertificate] = field(default_factory=list)
@@ -363,7 +379,7 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
     payoff unit in absolute value (float). Degenerate strata become
     warnings; a witnessed equilibrium continuum makes the result report the continuum instead of a
     (meaningless) finite list. Each certificate carries the verdict of
-    the square-Jacobian regularity check.
+    certify_equilibrium.
     """
     result = EnumerationResult()
     found: list[EquilibriumCertificate] = []
@@ -414,12 +430,5 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
         result.equilibria = []
         return result
 
-    for k, cert in enumerate(found):
-        report = certify_equilibrium(game, cert)
-        found[k] = replace(
-            cert,
-            jacobian_verdict="regular" if report.verdict == "transversal" else "singular",
-            smallest_singular_value=report.smallest_singular_value,
-        )
-    result.equilibria = found
+    result.equilibria = [certify_equilibrium(game, cert) for cert in found]
     return result

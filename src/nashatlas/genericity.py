@@ -7,11 +7,12 @@ pair graph is a forest; good families are the ones whose transversality
 generic payoffs guarantee.
 
 Transversality at a point is checked through the stacked Jacobian of
-the defining maps of the hypersurfaces that actually contain the point:
-full rank means transversal. Equilibria get a canonical square family
-(off-support coordinate hyperplanes plus the star of in-support
-equality hypersurfaces); its Jacobian being nondegenerate is the
-regularity certificate.
+the defining maps of the hypersurfaces that contain the point, each
+payoff-difference row in its player's payoff unit: full rank means
+transversal. An equilibrium's canonical square family is transversal
+iff its support's face system has a nonsingular Jacobian there
+(rank_split_equivalence_test); equilibrium.certify_equilibrium checks
+the latter.
 
 An equilibrium of a support and a root of a regular-value probe are the
 same kind of object: a common zero of payoff-difference hypersurfaces
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .atlas import (
     _validate_chart,
     _validate_hypersurface,
     chart_excludes,
-    chart_zero_point,
     defining_map,
     format_chart,
     on_hypersurface,
@@ -63,9 +62,6 @@ from .game import (
     FiniteGame,
     SupportProfile,
 )
-
-if TYPE_CHECKING:
-    from .equilibrium import EquilibriumCertificate
 
 
 @dataclass(frozen=True)
@@ -333,9 +329,10 @@ def transversal_at(
 
     Hypersurfaces not containing the point are ignored; hypersurfaces
     the chart excludes cannot contain it and are skipped. Pass `active`
-    to pin the active set instead of detecting it by membership (used
-    by the equilibrium certificate, where activity is known). Verdict
-    is transversal iff the stacked Jacobian has full row rank.
+    to pin the active set instead of detecting it by membership (where
+    activity is known, as for an equilibrium's canonical family). Verdict
+    is transversal iff the stacked Jacobian (payoff-difference rows in
+    payoff units) has full row rank.
     """
     chart = point.chart
     if active is None:
@@ -344,9 +341,9 @@ def transversal_at(
             if not chart_excludes(chart, h) and on_hypersurface(game, h, point)
         ]
     total = _coord_offsets(game)[1]
-    rows = [
-        full_gradient(game, defining_map(game, h, chart), point) for h in active
-    ]
+    rows = [np.ldexp(full_gradient(game, defining_map(game, h, chart), point),
+                     -game.payoff_exponents[h.player] if isinstance(h, PayoffDiff) else 0)
+            for h in active]
     jac = np.array(rows, dtype=float) if rows else np.zeros((0, total))
     rank, smin = _svd_rank(jac)
     verdict = "transversal" if rank == len(active) else "degenerate"
@@ -371,15 +368,6 @@ def canonical_equilibrium_family(game: FiniteGame, support: SupportProfile) -> G
         jstar = supp[0]
         R.append(tuple((jstar, j) for j in supp[1:]))
     return GoodFamily(tuple(T), tuple(R))
-
-
-def certify_equilibrium(game: FiniteGame, cert: "EquilibriumCertificate") -> TransversalityReport:
-    """Square-Jacobian regularity check of an enumerated equilibrium in
-    the standard chart. All family hypersurfaces pass through the
-    equilibrium by construction, so the active set is pinned."""
-    family = canonical_equilibrium_family(game, cert.support)
-    point = chart_zero_point(cert.point)
-    return transversal_at(game, family, point, active=family.hypersurfaces())
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nashatlas import make_game, random_game, serialize_game
 from nashatlas.cli import main
 
 from conftest import fresh_python
@@ -242,6 +243,32 @@ def test_certify_json_round_trip(bos_file, tmp_path, capsys):
     assert "transversal" in capsys.readouterr().out
 
 
+def test_solve_json_pure_singular_value_is_null(bos_file, capsys):
+    # a pure equilibrium has no free weights: its smallest singular value
+    # is inf, serialized as null like an infinite margin
+    assert main(["solve", bos_file, "--exact", "--json"]) == 0
+    eqs = json.loads(capsys.readouterr().out)["results"]["equilibria"]
+    pure = [eq for eq in eqs if all(len(s) == 1 for s in eq["support"])]
+    assert len(pure) == 2
+    assert all(eq["smallest_singular_value"] is None for eq in pure)
+
+
+def test_solve_and_certify_at_huge_payoff_scale(tmp_path, capsys):
+    # a generic game times 2**40: both certificates rank their Jacobians
+    # in payoff units, so no verdict reads singular or degenerate
+    base = random_game((3, 3), seed=0)
+    game = _write(tmp_path, "big.game", serialize_game(
+        make_game((3, 3), [u * 2.0 ** 40 for u in base.utilities])))
+    assert main(["solve", game, "--json"]) == 0
+    out = capsys.readouterr().out
+    eqs = json.loads(out)["results"]["equilibria"]
+    assert len(eqs) == 3
+    assert all(eq["jacobian_verdict"] == "regular" for eq in eqs)
+    report = _write(tmp_path, "solve.json", out)
+    assert main(["certify", game, "--from-json", report, "--index", "1"]) == 0
+    assert "verdict: transversal" in capsys.readouterr().out
+
+
 def test_certify_from_json_bad_index(bos_file, tmp_path, capsys):
     assert main(["solve", bos_file, "--json"]) == 0
     report_path = tmp_path / "solve.json"
@@ -304,17 +331,19 @@ def test_certify_bad_point(mp_file, capsys):
 
 
 @pytest.mark.parametrize("exact", [False, True])
-@pytest.mark.parametrize("chart, smallest", [("0,0", 4), ("0,1", 2), ("1,0", 2), ("1,1", 2)])
-def test_certify_in_every_chart(mp_file, capsys, chart, smallest, exact):
+@pytest.mark.parametrize("chart, raw", [("0,0", 4), ("0,1", 2), ("1,0", 2), ("1,1", 2)])
+def test_certify_in_every_chart(mp_file, capsys, chart, raw, exact):
     # the point moves into the chart by transition; with --exact the
-    # membership test scales a rational form
+    # membership test scales a rational form. `raw` is the smallest
+    # singular value on the payoffs as given: rows in matching pennies'
+    # payoff unit, 2, halve it exactly
     argv = ["certify", mp_file, "--point", "1/2,1/2;1/2,1/2", "--chart", chart]
     assert main(argv + ["--exact"] * exact) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"chart: {chart}",
         "active: D:1:0:1, D:2:0:1",
         "rank: 2 of 2",
-        f"smallest singular value: {smallest}",
+        f"smallest singular value: {raw // 2}",
         "verdict: transversal",
     ]
 

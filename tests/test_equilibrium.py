@@ -538,12 +538,13 @@ def _scaled(game, powers):
 
 
 def _scale_free_answer(game):
-    """What must not depend on the payoff scale: supports, bitwise points
-    and boundary flags of the equilibria, warnings and the continuum flag.
-    Jacobian verdicts and singular values are left out."""
+    """What must not depend on the payoff scale: supports, bitwise points,
+    boundary flags, Jacobian verdicts and bitwise smallest singular values
+    of the equilibria, warnings and the continuum flag."""
     result = enumerate_nash(game)
     return (
-        [(c.support, [w.tobytes() for w in c.point.as_floats()], c.boundary_degenerate)
+        [(c.support, [w.tobytes() for w in c.point.as_floats()], c.boundary_degenerate,
+          c.jacobian_verdict, np.float64(c.smallest_singular_value).tobytes())
          for c in result.equilibria],
         result.warnings,
         result.continuum,
@@ -598,7 +599,7 @@ def test_three_player_answers_do_not_depend_on_payoff_offset(offset, grid):
         shifted = make_game((2, 2, 2), [u + offset for u in base.utilities], mode=mode)
         answer = _scale_free_answer(base)
         assert _scale_free_answer(shifted) == answer, seed
-        mixed += sum(len(s) > 1 for c, _, _ in answer[0] for s in c.supports)
+        mixed += sum(len(s) > 1 for c, *_ in answer[0] for s in c.supports)
     assert mixed > 0
 
 

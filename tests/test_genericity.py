@@ -2,6 +2,7 @@
 equivalence."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import networkx as nx
@@ -170,9 +171,10 @@ def test_transversal_at_mp_frozen(mp_float):
     report = transversal_at(
         mp_float, fam, chart_zero_point(prof), active=list(fam.hypersurfaces())
     )
-    np.testing.assert_allclose(report.jacobian, [[0.0, -4.0], [4.0, 0.0]])
+    # payoff-difference rows in matching pennies' payoff unit, 2
+    np.testing.assert_allclose(report.jacobian, [[0.0, -2.0], [2.0, 0.0]])
     assert report.rank == 2
-    assert report.smallest_singular_value == pytest.approx(4.0)
+    assert report.smallest_singular_value == pytest.approx(2.0)
     assert report.verdict == "transversal"
 
 
@@ -209,16 +211,22 @@ def test_transversal_pigeonhole_degenerate():
 
 
 def test_certify_mp_regular(mp_exact):
+    # the face-system Jacobian [[0, -2], [2, 0]] in the payoff unit 2
     result = enumerate_nash(mp_exact)
     cert = result.equilibria[0]
     assert cert.jacobian_verdict == "regular"
-    assert cert.smallest_singular_value == pytest.approx(4.0)
+    assert cert.smallest_singular_value == pytest.approx(2.0)
 
 
 def test_certify_bos_pure_regular(bos_exact):
     result = enumerate_nash(bos_exact)
     assert all(c.jacobian_verdict == "regular" for c in result.equilibria)
     assert all(c.smallest_singular_value > 1e-8 for c in result.equilibria)
+    # a pure equilibrium has no free weights: an empty Jacobian, like its
+    # infinite margins
+    pure = [c for c in result.equilibria if all(len(s) == 1 for s in c.support.supports)]
+    assert len(pure) == 2
+    assert all(c.smallest_singular_value == math.inf for c in pure)
 
 
 def test_certify_zero_game_singular(zero_game):
@@ -229,9 +237,40 @@ def test_certify_zero_game_singular(zero_game):
         equality_residual=0.0,
         inequality_margins=(float("inf"), float("inf")),
     )
-    report = certify_equilibrium(zero_game, cert)
-    assert report.verdict == "degenerate"
-    assert report.rank == 0
+    certified = certify_equilibrium(zero_game, cert)
+    assert certified.jacobian_verdict == "singular"
+    assert certified.smallest_singular_value == 0.0
+    assert certified.point is prof
+
+
+def _chart_verdict(game, cert):
+    family = canonical_equilibrium_family(game, cert.support)
+    report = transversal_at(game, family, chart_zero_point(cert.point),
+                            active=list(family.hypersurfaces()))
+    return "regular" if report.verdict == "transversal" else "singular"
+
+
+def test_face_system_verdict_is_the_chart_verdict():
+    # enumerate_nash certifies from the support's face system; the
+    # canonical family's transversality in chart (0, ..., 0) must agree
+    # (the block-triangular rank lemma), at every power-of-two scale
+    verdicts = []
+    for shape in [(2, 2), (3, 3), (2, 2, 2)]:
+        for seed in range(40_000, 40_030):
+            base = random_game(shape, seed=seed)
+            for k in (0, -30, 40):
+                game = make_game(shape, [u * 2.0 ** k for u in base.utilities])
+                for cert in enumerate_nash(game, seed=seed).equilibria:
+                    assert cert.jacobian_verdict == _chart_verdict(game, cert), (shape, seed, k)
+                    verdicts.append(cert.jacobian_verdict)
+    # tied integer games: the 2x2x2 ones have singular equilibria too
+    rng = np.random.default_rng(0)
+    for shape, low in [((3, 3), -4)] * 10 + [((2, 2, 2), -1)] * 10:
+        game = make_game(shape, [rng.integers(low, 1 - low, shape) for _ in shape], mode=RATIONAL)
+        for cert in enumerate_nash(game).equilibria:
+            assert cert.jacobian_verdict == _chart_verdict(game, cert), shape
+            verdicts.append(cert.jacobian_verdict)
+    assert set(verdicts) == {"regular", "singular"}
 
 
 def test_probe_mp_regular(mp_float):
