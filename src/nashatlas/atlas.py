@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import MultilinearForm, _as_numbers, _exact, homogeneous_decomposition
-from .game import FLOAT, MEMBERSHIP_TOL, RATIONAL, FiniteGame, MixedProfile, _as_fraction
+from .forms import MultilinearForm, _as_numbers, homogeneous_decomposition
+from .game import FLOAT, MEMBERSHIP_TOL, RATIONAL, FiniteGame, MixedProfile, _as_fraction, _exact
 
 INF = float("inf")
 
@@ -236,7 +236,7 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
 
 def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
     """Membership test. An exact form (a rational game) at an exact point
-    (forms._exact) is a member only when its value is 0; otherwise
+    (game._exact) is a member only when its value is 0; otherwise
     |defining value| <= MEMBERSHIP_TOL after normalizing the form by its
     largest coefficient. An identically zero form means the hypersurface
     degenerated to the whole space, so every point passes.

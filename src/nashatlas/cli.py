@@ -43,7 +43,6 @@ from .equilibrium import EnumerationResult, enumerate_nash, support_label
 from .forms import lambda_decomposition, payoff_form
 from .game import (
     FLOAT,
-    POINT_SUM_TOL,
     RATIONAL,
     FiniteGame,
     GameFormatError,
@@ -185,8 +184,7 @@ def _point_from_lists(game: FiniteGame, blocks):
         weights.append([Fraction(str(x)) if rational else float(x) for x in b])
     profile = profile_from_weights(weights, RATIONAL if rational else FLOAT)
     # a p/q point sums to exactly 1; a float point within rounding
-    sums_to_one = all(sum(w) == 1 for w in weights) if rational else profile.in_A(POINT_SUM_TOL)
-    if not sums_to_one:
+    if not profile.in_A():
         raise ValueError("point weights must sum to 1 per player")
     return profile
 
@@ -202,9 +200,7 @@ def _solve_payload(result: EnumerationResult, payoffs) -> dict:
                 "equality_residual": _jnum(cert.equality_residual),
                 "margins": [_jnum(m) for m in cert.inequality_margins],
                 "jacobian_verdict": cert.jacobian_verdict,
-                "smallest_singular_value": _jnum(cert.smallest_singular_value)
-                if cert.smallest_singular_value is not None
-                else None,
+                "smallest_singular_value": _jnum(cert.smallest_singular_value),
                 "exact": cert.exact,
                 "boundary_degenerate": cert.boundary_degenerate,
             }
@@ -241,11 +237,7 @@ def _cmd_solve(args):
     else:
         lines.append(f"equilibria: {result.count}")
         for idx, (cert, values) in enumerate(zip(result.equilibria, payoffs), start=1):
-            sv = (
-                f" (smallest singular value {_fmt(cert.smallest_singular_value)})"
-                if cert.smallest_singular_value is not None
-                else ""
-            )
+            sv = f" (smallest singular value {_fmt(cert.smallest_singular_value)})"
             lines.append(f"#{idx} support {{{support_label(cert.support)}}}")
             lines.append(f"   point: {_fmt_weights(cert.point.weights)}")
             lines.append(f"   payoffs: {' '.join(_fmt(v) for v in values)}")

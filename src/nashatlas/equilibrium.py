@@ -23,7 +23,8 @@ loop of genericity._newton_roots from one array of starts
 (_newton_starts, built once per tuple of mixed support sizes) on the
 support's face system (_support_system): its unknowns are each player's
 weights on its support minus the last strategy, and player i's
-equations are slope differences in its payoff unit
+equations are the slope differences of the strategy pairs (t, supp[0]),
+which genericity._face_system forms in its payoff unit
 (FiniteGame.payoff_exponents), taken before rounding. The roots are
 floats, positive above ZERO_WEIGHT_TOL; the positivity, continuum and
 singular-root checks on them are one batched call each.
@@ -33,12 +34,14 @@ Every equilibrium is certified from that same face system
 full rank. Rank and smallest singular value are in payoff units, so
 neither moves under a power-of-two payoff scaling.
 
-A point is exact when forms._exact says so (int or Fraction weights,
+A point is exact when game._exact says so (int or Fraction weights,
 in either mode); its best-reply check then stays in integers
 (forms._integer_slopes) with no tolerance, and a certificate's `exact`
 is that same test on its reported point. Float points are checked at
 CHECK_TOL in each player's payoff unit (tolerances: nashatlas.game), on
-offset-free slopes (payoff_slice_values with relative=True).
+offset-free slopes (payoff_slice_values with relative=True). The check
+also says which margins are on the boundary (0 exactly, or below that
+tolerance), and so which certificates are boundary-degenerate.
 Equilibria are told apart by support: each candidate has the support
 it was solved on, and Newton roots of one support are already merged
 at DEDUP_TOL.
@@ -60,7 +63,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
-from .forms import _contract_axis, _exact, _integer_slopes, payoff_slice_values
+from .forms import _integer_slopes, payoff_slice_values
 from .genericity import _face_system, _newton_roots, _svd_rank
 from .game import (
     CHECK_TOL,
@@ -72,6 +75,7 @@ from .game import (
     FiniteGame,
     MixedProfile,
     SupportProfile,
+    _exact,
     profile_from_weights,
     support_of,
 )
@@ -91,11 +95,12 @@ class SingularSystem(RuntimeError):
 
 @dataclass(frozen=True)
 class BestReplyReport:
-    """Per-player equality residuals and in-vs-out margins."""
+    """Per-player equality residuals, in-vs-out margins and boundary flags."""
 
     ok: tuple[bool, ...]
     equality_residuals: tuple
     inequality_margins: tuple
+    boundary: tuple[bool, ...]
 
     @property
     def all_ok(self) -> bool:
@@ -107,14 +112,16 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
 
     For each player the supported slope values must agree and be at
     least every unsupported slope value. Margins are +inf for full
-    supports. Exact weights (forms._exact, in either mode) are checked
+    supports. Exact weights (game._exact, in either mode) are checked
     in integers (forms._integer_slopes): residual 0 and margin >= 0,
-    each reported as one Fraction. Float weights: residual <= tol and
-    margin >= -tol, tol CHECK_TOL in player i's unit, on offset-free slopes.
+    each reported as one Fraction, and the margin is on the boundary when
+    it is 0. Float weights: residual <= tol and margin >= -tol, tol
+    CHECK_TOL in player i's unit, on offset-free slopes, and the margin
+    is on the boundary when |margin| < tol.
     """
     supports = support_of(profile).supports
     exact = _exact(profile.weights)
-    oks, residuals, margins = [], [], []
+    oks, residuals, margins, boundary = [], [], [], []
     for i in range(game.num_players):
         if exact:
             c, den = _integer_slopes(game, i, profile.weights)
@@ -127,15 +134,17 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
         margin = math.inf if not outside else min(inside) - max(outside)
         if exact:
             oks.append(residual == 0 and margin >= 0)
+            boundary.append(margin == 0)
             residual = Fraction(residual, den)
             if outside:
                 margin = Fraction(margin, den)
         else:
             tol = math.ldexp(CHECK_TOL, game.payoff_exponents[i])
             oks.append(residual <= tol and margin >= -tol)
+            boundary.append(abs(margin) < tol)
         residuals.append(residual)
         margins.append(margin)
-    return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins))
+    return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins), tuple(boundary))
 
 
 def enumerate_supports(game: FiniteGame):
@@ -238,21 +247,17 @@ def _support_system(game: FiniteGame, supports):
     """The face system (genericity._face_system) of a support profile,
     solved by the Newton route and ranked by certify_equilibrium. Its
     unknowns z are each player's weights on supp[:-1], the last strategy
-    taking one minus their sum; player i's equations, in its payoff unit,
-    are the slopes of supp[1:] minus supp[0]'s, subtracted before
-    rounding. Returns residual(z), jacobian(z) and weights(z)."""
+    taking one minus their sum; player i's equations are the slopes of
+    supp[1:] minus supp[0]'s. Returns residual(z), jacobian(z) and
+    weights(z)."""
     eye = [np.eye(c) for c in game.strategy_counts]
     # (1, z) -> weights: z on supp[:-1], the last strategy takes 1 - sum(z)
     maps = [
         np.column_stack([e[:, s[-1]]] + [e[:, t] - e[:, s[-1]] for t in s[:-1]])
         for e, s in zip(eye, supports)
     ]
-    tensors = [
-        np.ldexp(np.asarray(_contract_axis(u, (e[:, list(s[1:])] - e[:, [s[0]]]).astype(int), i),
-                            dtype=float), -game.payoff_exponents[i]) if len(s) >= 2 else None
-        for i, (u, e, s) in enumerate(zip(game.utilities, eye, supports))
-    ]
-    residual, jacobian, vectors = _face_system(tensors, maps)
+    pairs = [[(t, s[0]) for t in s[1:]] for s in supports]
+    residual, jacobian, vectors = _face_system(game, pairs, maps)
 
     def weights(z):
         return [v @ a.T for a, v in zip(maps, vectors(z))]
@@ -374,11 +379,11 @@ def support_label(support: SupportProfile) -> str:
 def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
     """Enumerate all Nash equilibria support by support.
 
-    Candidates must pass the best-reply check. A margin is on the
-    boundary when it is 0 (exact) or below CHECK_TOL in its player's
-    payoff unit in absolute value (float). Degenerate strata become
-    warnings; a witnessed equilibrium continuum makes the result report the continuum instead of a
-    (meaningless) finite list. Each certificate carries the verdict of
+    Candidates must pass the best-reply check, whose boundary flags
+    (BestReplyReport.boundary) make a certificate boundary-degenerate.
+    Degenerate strata become warnings; a witnessed equilibrium continuum
+    makes the result report the continuum instead of a (meaningless)
+    finite list. Each certificate carries the verdict of
     certify_equilibrium.
     """
     result = EnumerationResult()
@@ -402,13 +407,7 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
                 continue
             residual = max(report.equality_residuals)
             margins = report.inequality_margins
-            exact = _exact(cand.weights)
-            if exact:
-                boundary = any(m == 0 for m in margins)
-            else:
-                boundary = any(abs(m) < math.ldexp(CHECK_TOL, x)
-                               for m, x in zip(margins, game.payoff_exponents))
-            if exact and game.mode == FLOAT:
+            if _exact(cand.weights) and game.mode == FLOAT:
                 # the one place a float game's exact answer becomes floats
                 cand = profile_from_weights(cand.weights)
                 residual, margins = float(residual), tuple(map(float, margins))
@@ -419,7 +418,7 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
                     equality_residual=residual,
                     inequality_margins=margins,
                     exact=_exact(cand.weights),
-                    boundary_degenerate=boundary,
+                    boundary_degenerate=any(report.boundary),
                 )
             )
 

@@ -16,7 +16,7 @@ block; on the simplex product (kappa, lambda) it is the same tensors
 read in each opponent's chart tilde_0 = 1.
 
 payoff_slice_values gives player i's payoff slopes, one per own pure
-strategy, against the others' weights. When _exact holds (int or
+strategy, against the others' weights. When game._exact holds (int or
 Fraction weights, in either mode: float payoffs are dyadic) they are
 contracted in Python ints (_integer_slopes: the integer payoff tensor
 and integer weight numerators over one positive common denominator);
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import RATIONAL, FiniteGame, _as_fraction
+from .game import RATIONAL, FiniteGame, _as_fraction, _exact
 
 
 @dataclass(frozen=True)
@@ -291,13 +291,6 @@ def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = Fals
         None if k == i else _coerce_vector(weights[k], False)
         for k in range(game.num_players)
     ])
-
-
-def _exact(weights) -> bool:
-    """Weights that are all ints or Fractions (a NumPy integer is not),
-    whatever the game's mode: the one test of whether numbers are exact,
-    so compared exactly, while float numbers get a tolerance."""
-    return all(isinstance(x, (int, Fraction)) for w in weights for x in w)
 
 
 def _integer_slopes(game: FiniteGame, i: int, weights) -> tuple[list[int], int]:

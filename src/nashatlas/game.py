@@ -22,8 +22,7 @@ RATIONAL = "rational"
 # Tolerances, the one table. Exact numbers (ints, Fractions) take none. Player
 # i's payoff unit is 2**FiniteGame.payoff_exponents[i].
 ZERO_WEIGHT_TOL = 1e-9  # weights: a float weight at or below it is zero
-SIMPLEX_TOL = 1e-12  # weights: MixedProfile.in_A / in_G default
-POINT_SUM_TOL = 1e-9  # weights: a float point given to the CLI sums to 1
+SIMPLEX_TOL = 1e-9  # weights: float weights in MixedProfile.in_A / in_G
 CHECK_TOL = 1e-8  # payoff unit: float best-reply residuals, margins, boundary
 RESIDUAL_TOL = 1e-10  # payoff unit: a Newton point within it is a root
 DEDUP_TOL = 1e-6  # face coordinates: Newton roots closer than it are one
@@ -110,16 +109,16 @@ class MixedProfile:
     def as_floats(self) -> tuple[np.ndarray, ...]:
         return tuple(np.asarray(w, dtype=float) for w in self.weights)
 
-    def in_A(self, tol: float = SIMPLEX_TOL) -> bool:
-        for w in self.as_floats():
-            if abs(w.sum() - 1.0) > tol:
-                return False
-        return True
+    def in_A(self) -> bool:
+        """Each player's weights sum to 1: exactly when _exact, else within SIMPLEX_TOL."""
+        if _exact(self.weights):
+            return all(sum(w) == 1 for w in self.weights)
+        return all(abs(w.sum() - 1.0) <= SIMPLEX_TOL for w in self.as_floats())
 
-    def in_G(self, tol: float = SIMPLEX_TOL) -> bool:
-        if not self.in_A(tol):
-            return False
-        return all((w >= -tol).all() and (w <= 1 + tol).all() for w in self.as_floats())
+    def in_G(self) -> bool:
+        """in_A, and every weight in [0, 1] (within SIMPLEX_TOL unless _exact)."""
+        tol = 0 if _exact(self.weights) else SIMPLEX_TOL
+        return self.in_A() and all(-tol <= x <= 1 + tol for w in self.weights for x in w)
 
 
 @dataclass(frozen=True)
@@ -207,15 +206,23 @@ def profile_from_weights(weights, mode: str = FLOAT) -> MixedProfile:
     return MixedProfile(tuple(out))
 
 
+def _exact(weights) -> bool:
+    """Weights that are all ints or Fractions (a NumPy integer is not),
+    whatever the game's mode: the one test of whether numbers are exact,
+    so compared exactly, while float numbers get a tolerance."""
+    return all(isinstance(x, (int, Fraction)) for w in weights for x in w)
+
+
 def support_of(profile: MixedProfile) -> SupportProfile:
     """Indices of the weights that count as nonzero, per player.
 
-    Exact (object) weights are compared exactly, != 0; float weights
+    Exact weights (_exact) are compared exactly, != 0; float weights
     count when |weight| > ZERO_WEIGHT_TOL.
     """
+    exact = _exact(profile.weights)
     supports = []
     for w in profile.weights:
-        if w.dtype == object:
+        if exact:
             supp = tuple(j for j, x in enumerate(w) if x != 0)
         else:
             supp = tuple(int(j) for j in np.nonzero(np.abs(w) > ZERO_WEIGHT_TOL)[0])

@@ -16,16 +16,16 @@ the latter.
 
 An equilibrium of a support and a root of a regular-value probe are the
 same kind of object: a common zero of payoff-difference hypersurfaces
-restricted to a coordinate face. _face_system builds that restricted
-system once for both (residual, Jacobian and face vectors from one
-contraction each, for one point or a stack of points), and
-_newton_roots, a damped least-squares multistart Newton loop, finds its
-roots. The starts iterate together, one batched Jacobian and
-pseudo-inverse per step, and one residual call per step covers the
-NEWTON_HALVINGS step lengths of the line search for every start, each
-start taking its own first accepted step length and keeping its own
-stopping rule; a start that none of them helps has stalled. Both
-callers state each player's equations in its payoff unit
+restricted to a coordinate face. _face_system forms that system for
+both from the payoffs, given each player's strategy pairs and face map
+(residual, Jacobian and face vectors from one contraction each, for one
+point or a stack of points), and _newton_roots, a damped least-squares
+multistart Newton loop, finds its roots. The starts iterate together,
+one batched Jacobian and pseudo-inverse per step, and one residual call
+per step covers the NEWTON_HALVINGS step lengths of the line search for
+every start, each start taking its own first accepted step length and
+keeping its own stopping rule; a start that none of them helps has
+stalled. The equations are in each player's payoff unit
 (FiniteGame.payoff_exponents), so the loop's tolerances (from the
 table in nashatlas.game) act the same at every payoff scale.
 """
@@ -50,7 +50,7 @@ from .atlas import (
     format_chart,
     on_hypersurface,
 )
-from .forms import MultilinearForm, _contract_axis, contract, homogeneous_decomposition
+from .forms import MultilinearForm, _contract_axis, contract
 from .game import (
     DEDUP_TOL,
     NEWTON_HALVINGS,
@@ -262,15 +262,16 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
     return roots
 
 
-def _face_system(tensors, maps):
+def _face_system(game: FiniteGame, pairs, maps):
     """The payoff-difference system restricted to a coordinate face.
 
-    maps[b] is a (c_b, 1 + d_b) matrix taking (1, z_b) to player b's full
-    vector, and z concatenates the z_b. tensors[i], or None for a player
-    without equations, holds player i's equations on axis i and full
-    coordinates on every other axis; it is composed with the other
-    players' maps once. Returns residual(z), one contraction per equation
-    player; jacobian(z), whose block (i, q) is the contraction keeping
+    maps[b] is a (c_b, 1 + d_b) matrix taking (1, z_b) to player b's
+    weights, and z concatenates the z_b. Player i's equations are
+    slope_j - slope_k, (j, k) in pairs[i]: its payoffs contracted on axis
+    i with the integer columns e_j - e_k (so taken before rounding), as
+    float, in its payoff unit, and composed with the other players' maps
+    once. Returns residual(z), one contraction per player with
+    equations; jacobian(z), whose block (i, q) is the contraction keeping
     axes i and q minus its constant column; and vectors(z), the per-player
     (1, z_b). Each takes one point z of shape (n,) or a stack of B points
     of shape (B, n), and then puts the batch axis first in its results.
@@ -279,12 +280,17 @@ def _face_system(tensors, maps):
     dims = [a.shape[1] - 1 for a in maps]
     ends = np.cumsum(dims)
     system = []
-    for i, t in enumerate(tensors):
-        if t is not None:
-            for b in range(m):
-                if b != i:
-                    t = _contract_axis(t, maps[b], b)
-            system.append((i, t))
+    for i, (u, own) in enumerate(zip(game.utilities, pairs)):
+        if not own:
+            continue
+        eye = np.eye(game.strategy_counts[i], dtype=int)
+        cols = eye[:, [j for j, _ in own]] - eye[:, [k for _, k in own]]
+        t = np.ldexp(np.asarray(_contract_axis(u, cols, i), dtype=float),
+                     -game.payoff_exponents[i])
+        for b in range(m):
+            if b != i:
+                t = _contract_axis(t, maps[b], b)
+        system.append((i, t))
 
     def vectors(z):
         one = np.ones(z.shape[:-1] + (1,))
@@ -434,12 +440,12 @@ def regular_value_probe(
     cut out by its coordinate constraints, and check that every found
     root is a regular point (full-rank Jacobian of the restricted map).
 
-    Player i's equations are read from its Lambda once
-    (forms.homogeneous_decomposition): the PayoffDiff(i, pair) defining
-    maps of atlas.defining_map, stacked on axis i, in player i's payoff
-    unit; root residuals are in payoff units. An empty root set is
-    a regular outcome; the probe only ever witnesses degeneracy, it
-    cannot prove its absence.
+    The equations are the PayoffDiff(i, pair) defining maps of
+    atlas.defining_map, formed by _face_system with the face maps turned
+    into weights (gamma_0 = tilde_0 - sum_{j>=1} tilde_j, gamma_j =
+    tilde_j); root residuals are in payoff units. An empty root set is a
+    regular outcome; the probe only ever witnesses degeneracy, it cannot
+    prove its absence.
     """
     chart = _validate_chart(game, chart)
     if not is_good(family):
@@ -450,16 +456,11 @@ def regular_value_probe(
     maps = _face_maps(game, family, chart)
     if maps is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
-    tensors = [None] * len(family.R)
     for i, pairs in enumerate(family.R):
-        if pairs:
-            Lambdas = homogeneous_decomposition(game, i).Lambdas
-            for pair in pairs:
-                _validate_hypersurface(game, PayoffDiff(i, pair))
-            diffs = [Lambdas[j].coeffs - Lambdas[k].coeffs for j, k in pairs]
-            tensors[i] = np.ldexp(np.asarray(np.stack(diffs, axis=i), dtype=float),
-                                  -game.payoff_exponents[i])
-    residual, jacobian, vectors = _face_system(tensors, maps)
+        for pair in pairs:
+            _validate_hypersurface(game, PayoffDiff(i, pair))
+    weights = [np.vstack([a[0] - a[1:].sum(axis=0), a[1:]]) for a in maps]
+    residual, jacobian, vectors = _face_system(game, family.R, weights)
     total_dim = sum(a.shape[1] - 1 for a in maps)
     num_eq = family.num_pairs
 

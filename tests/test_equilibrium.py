@@ -85,6 +85,16 @@ def test_best_reply_check_exact(bos_exact):
     report = best_reply_check(bos_exact, mixed)
     assert report.all_ok
     assert all(r == 0 for r in report.equality_residuals)
+    # the boundary flag at pure (0, 0), where player 1's margin is eps: on
+    # at an exact 0, off at an exact 10^-10, on at a float margin below
+    # CHECK_TOL (player 1's payoff unit is 1)
+    for eps, mode, boundary in [(Fraction(0), RATIONAL, True),
+                                (Fraction(1, 10**10), RATIONAL, False),
+                                (1e-10, "float", True)]:
+        game = make_game((2, 2), [[[eps, 1], [0, 0]], [[1, 0], [1, 0]]], mode=mode)
+        report = best_reply_check(game, profile_from_weights([[1, 0], [1, 0]], mode))
+        assert report.all_ok
+        assert report.boundary == (boundary, False)
 
 
 def test_solve_support_mismatched_sizes_empty(mp_float):
@@ -247,6 +257,29 @@ def test_newton_agrees_with_exact_route():
             assert len(a) == len(b)
             for u, v in zip(a, b):
                 np.testing.assert_allclose(u, v, atol=1e-8)
+
+
+def test_support_system_residual_is_the_slope_differences():
+    # the Newton equations against an independent reference: at a random
+    # point of the open face, player i's residual is c[t] - c[supp[0]]
+    # for t in supp[1:], in its payoff unit, c its offset-free slopes
+    rng = np.random.default_rng(0)
+    games = []
+    for shape, powers in [((2, 2, 2), (0, -20, 7)), ((2, 3, 2), (3, 0, -9))]:
+        for seed in range(2):
+            base = random_game(shape, seed=seed)
+            games.append(make_game(shape, [u * 2.0 ** k for u, k in zip(base.utilities, powers)]))
+    for game in games:
+        for support in enumerate_supports(game):
+            supports = support.supports
+            residual, _, weights_from = equilibrium._support_system(game, supports)
+            z = np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports])
+            weights = weights_from(z)
+            want = []
+            for i, s in enumerate(supports):
+                c = payoff_slice_values(game, i, weights, relative=True)
+                want.extend(np.ldexp(c[list(s[1:])] - c[s[0]], -game.payoff_exponents[i]))
+            np.testing.assert_allclose(residual(z), want, rtol=1e-12, atol=1e-14)
 
 
 def test_cyclic_three_player_frozen(cyclic_mp3):

@@ -211,8 +211,19 @@ def test_profile_exact_membership():
         [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1), Fraction(0)]],
         mode=RATIONAL,
     )
-    assert p.in_A(0)
-    assert p.in_G(0)
+    assert p.in_A()
+    assert p.in_G()
+    # exact weights are compared exactly: 10^-15 off is off
+    off = profile_from_weights(
+        [[Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**15)], [Fraction(1), Fraction(0)]],
+        mode=RATIONAL,
+    )
+    assert not off.in_A()
+    assert not off.in_G()
+    # float weights get SIMPLEX_TOL: 1e-10 off is in A
+    near = profile_from_weights([[0.5, 0.5 + 1e-10], [1.0, 0.0]])
+    assert near.in_A()
+    assert near.in_G()
 
 
 def test_support_of():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nashatlas import (
     INF,
     RATIONAL,
+    ChartPoint,
     Coordinate,
     EquilibriumCertificate,
     PayoffDiff,
@@ -382,31 +383,37 @@ def test_probe_exact_game_matches_float_twin():
 
 
 def test_probe_equations_are_the_defining_maps(monkeypatch):
-    # the probe reads each player's Lambda once; its equation tensors are
-    # bitwise the PayoffDiff defining maps stacked on the player's axis
-    game = random_game((2, 3, 2), seed=7)
+    # at random points of the face, in every chart that does not exclude
+    # the family, each probe residual entry times its player's payoff unit
+    # is the value of that PayoffDiff's defining map at the chart point
+    base = random_game((2, 3, 2), seed=7)
+    game = make_game(base.strategy_counts,
+                     [u * 2.0 ** k for u, k in zip(base.utilities, (5, -7, 0))])
     fam = good_family(game, T=[(), (INF,), (1,)], R=[[(0, 1)], [(0, 1), (1, 2)], []])
     seen = []
 
-    def spy(tensors, maps):
-        seen.append(tensors)
-        return _face_system(tensors, maps)
+    def spy(*args):
+        seen.append(_face_system(*args))
+        return seen[-1]
 
     monkeypatch.setattr(genericity, "_face_system", spy)
-    charts = [c for c in itertools.product(*map(range, game.strategy_counts))
-              if not any(chart_excludes(c, h) for h in fam.hypersurfaces())]
+    diffs = [h for h in fam.hypersurfaces() if isinstance(h, PayoffDiff)]
+    exponents = [game.payoff_exponents[h.player] for h in diffs]
+    rng = np.random.default_rng(7)
+    charts = _open_charts(game.strategy_counts, fam)
     assert len(charts) == 4
     for chart in charts:
         regular_value_probe(game, fam, chart, seed=0)
-        got = seen.pop()
-        assert [t is None for t in got] == [not pairs for pairs in fam.R]
-        for i, pairs in enumerate(fam.R):
-            if pairs:
-                want = np.asarray(np.stack(
-                    [defining_map(game, PayoffDiff(i, p), chart).coeffs for p in pairs],
-                    axis=i), dtype=float)
-                assert (got[i].dtype, got[i].shape) == (want.dtype, want.shape)
-                assert got[i].tobytes() == want.tobytes()
+        residual, _, vectors = seen.pop()
+        tilde_maps = genericity._face_maps(game, fam, chart)
+        forms = [defining_map(game, h, chart) for h in diffs]
+        n = sum(a.shape[1] - 1 for a in tilde_maps)
+        for z in rng.normal(0.0, 1.0, (5, n)):
+            point = ChartPoint(chart, tuple(
+                np.delete(a @ v, l) for a, v, l in zip(tilde_maps, vectors(z), chart)))
+            want = [f.eval([point.coords[b] for b in f.blocks]) for f in forms]
+            np.testing.assert_allclose(np.ldexp(residual(z), exponents), want,
+                                       rtol=1e-13, atol=0)
 
 
 # square families whose faces use the zeroth-weight and infinity hyperplanes
@@ -490,6 +497,20 @@ def _per_start_newton(residual, jacobian, starts, accept=None):
     return roots
 
 
+def _square_test_game():
+    """A 2x2x2 game whose pair-(0, 1) payoff differences, with the maps
+    (1, z_b) -> (1, z_b), are the equations of the test below: u_0[0] = I,
+    u_1[:, 0, :] = diag(-1, 1), u_2[:, :, 0] = I, every other entry 0;
+    each player's payoff unit is 1."""
+    u = np.zeros((3, 2, 2, 2))
+    u[0][0] = np.eye(2)
+    u[1][:, 0, :] = np.diag([-1.0, 1.0])
+    u[2][:, :, 0] = np.eye(2)
+    game = make_game((2, 2, 2), list(u))
+    assert game.payoff_exponents == (0, 0, 0)
+    return game
+
+
 @pytest.mark.parametrize("square", [True, False])
 @pytest.mark.parametrize("accept", [None, lambda x: x[:, 2] < 0])
 def test_newton_roots_matches_per_start_reference(square, accept):
@@ -498,10 +519,8 @@ def test_newton_roots_matches_per_start_reference(square, accept):
     # system has the isolated roots A = (-1, 1, -1) and B = (1, -1, 1),
     # the other one a curve of roots reached by minimum-norm steps; the
     # comments on the starts say what they do on the square system
-    t0 = np.eye(2).reshape(1, 2, 2)
-    t1 = np.diag([-1.0, 1.0]).reshape(2, 1, 2)
-    t2 = np.eye(2).reshape(2, 2, 1)
-    residual, jacobian, _ = _face_system([t0, t1, t2 if square else None], [np.eye(2)] * 3)
+    pairs = [[(0, 1)], [(0, 1)], [(0, 1)] if square else []]
+    residual, jacobian, _ = _face_system(_square_test_game(), pairs, [np.eye(2)] * 3)
     starts = [
         np.array([-0.1, 0.03, 0.04]),  # to A after several damped steps
         np.array([0.0, 0.0, 0.0]),  # zero Jacobian: step below the floor
@@ -520,10 +539,7 @@ def test_newton_roots_matches_per_start_reference(square, accept):
 
 def _square_test_system():
     # the square system of the test above
-    t0 = np.eye(2).reshape(1, 2, 2)
-    t1 = np.diag([-1.0, 1.0]).reshape(2, 1, 2)
-    t2 = np.eye(2).reshape(2, 2, 1)
-    return _face_system([t0, t1, t2], [np.eye(2)] * 3)
+    return _face_system(_square_test_game(), [[(0, 1)]] * 3, [np.eye(2)] * 3)
 
 
 def test_newton_roots_all_starts_on_step_floor():
