@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import MultilinearForm, _as_numbers, homogeneous_decomposition
-from .game import FLOAT, MEMBERSHIP_TOL, RATIONAL, FiniteGame, MixedProfile, _as_fraction, _exact
+from .forms import MultilinearForm, _basis_matrix, homogeneous_decomposition
+from .game import FLOAT, MEMBERSHIP_TOL, RATIONAL, FiniteGame, MixedProfile, _exact, _numbers
 
 INF = float("inf")
 
@@ -118,13 +118,9 @@ def chart_point(game: FiniteGame, chart, coords, mode: str = FLOAT) -> ChartPoin
         raise ValueError("one coordinate vector per player required")
     out = []
     for i, c in enumerate(coords):
-        if mode == RATIONAL:
-            arr = np.empty(len(c), dtype=object)
-            arr[:] = [_as_fraction(x) for x in c]
-        else:
-            arr = np.asarray(c, dtype=float)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite coordinate for player {i + 1}")
+        arr = _numbers(c, mode)
+        if mode != RATIONAL and not np.isfinite(arr).all():
+            raise ValueError(f"non-finite coordinate for player {i + 1}")
         if len(arr) != game.strategy_counts[i] - 1:
             raise ValueError(
                 f"player {i + 1} takes {game.strategy_counts[i] - 1} chart coordinates"
@@ -220,11 +216,11 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
         )
     i = h.player
     if isinstance(h, Coordinate):
-        vec = np.zeros(game.strategy_counts[i], dtype=int)
-        vec[0 if h.index == INF else h.index] = 1
-        if h.index == 0:
-            vec[1:] = -1
-        return MultilinearForm((i,), _as_numbers(vec, game.mode == RATIONAL), (chart[i],))
+        # weight_j = 0 is row j of M (gamma = M tilde, forms._basis_matrix);
+        # the hyperplane at infinity is tilde_0 = 0
+        c = game.strategy_counts[i]
+        vec = np.eye(c)[0] if h.index == INF else _basis_matrix(c, False)[h.index]
+        return MultilinearForm((i,), _numbers(vec, game.mode), (chart[i],))
 
     j, k = h.pair
     decomp = homogeneous_decomposition(game, i)
@@ -236,10 +232,11 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
 
 def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
     """Membership test. An exact form (a rational game) at an exact point
-    (game._exact) is a member only when its value is 0; otherwise
-    |defining value| <= MEMBERSHIP_TOL after normalizing the form by its
-    largest coefficient. An identically zero form means the hypersurface
-    degenerated to the whole space, so every point passes.
+    (game._exact on its chart coordinates) is a member only when its
+    value is 0; otherwise |defining value| <= MEMBERSHIP_TOL after
+    normalizing the form by its largest coefficient. An identically zero
+    form means the hypersurface degenerated to the whole space, so every
+    point passes.
     """
     form = defining_map(game, h, point.chart)
     value = form.eval([point.coords[b] for b in form.blocks])

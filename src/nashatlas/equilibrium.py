@@ -34,14 +34,15 @@ Every equilibrium is certified from that same face system
 full rank. Rank and smallest singular value are in payoff units, so
 neither moves under a power-of-two payoff scaling.
 
-A point is exact when game._exact says so (int or Fraction weights,
-in either mode); its best-reply check then stays in integers
-(forms._integer_slopes) with no tolerance, and a certificate's `exact`
-is that same test on its reported point. Float points are checked at
-CHECK_TOL in each player's payoff unit (tolerances: nashatlas.game), on
-offset-free slopes (payoff_slice_values with relative=True). The check
-also says which margins are on the boundary (0 exactly, or below that
-tolerance), and so which certificates are boundary-degenerate.
+A point is exact when MixedProfile.exact says so (int or Fraction
+weights, in either mode), decided once per profile; its best-reply
+check then stays in integers (forms._integer_slopes) with no tolerance,
+and a certificate's `exact` is its reported point's. Float points are
+checked at CHECK_TOL in each player's payoff unit (tolerances:
+nashatlas.game), on offset-free slopes (payoff_slice_values with
+relative=True). The check also says which margins are on the boundary
+(0 exactly, or below that tolerance), and so which certificates are
+boundary-degenerate.
 Equilibria are told apart by support: each candidate has the support
 it was solved on, and Newton roots of one support are already merged
 at DEDUP_TOL.
@@ -75,7 +76,6 @@ from .game import (
     FiniteGame,
     MixedProfile,
     SupportProfile,
-    _exact,
     profile_from_weights,
     support_of,
 )
@@ -112,18 +112,17 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
 
     For each player the supported slope values must agree and be at
     least every unsupported slope value. Margins are +inf for full
-    supports. Exact weights (game._exact, in either mode) are checked
-    in integers (forms._integer_slopes): residual 0 and margin >= 0,
-    each reported as one Fraction, and the margin is on the boundary when
-    it is 0. Float weights: residual <= tol and margin >= -tol, tol
-    CHECK_TOL in player i's unit, on offset-free slopes, and the margin
-    is on the boundary when |margin| < tol.
+    supports. Exact weights (MixedProfile.exact, in either mode) are
+    checked in integers (forms._integer_slopes): residual 0 and margin
+    >= 0, each reported as one Fraction, and the margin is on the
+    boundary when it is 0. Float weights: residual <= tol and margin >=
+    -tol, tol CHECK_TOL in player i's unit, on offset-free slopes, and
+    the margin is on the boundary when |margin| < tol.
     """
     supports = support_of(profile).supports
-    exact = _exact(profile.weights)
     oks, residuals, margins, boundary = [], [], [], []
     for i in range(game.num_players):
-        if exact:
+        if profile.exact:
             c, den = _integer_slopes(game, i, profile.weights)
         else:
             c = payoff_slice_values(game, i, profile.weights, relative=True)
@@ -132,7 +131,7 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
         outside = [c[j] for j in range(game.strategy_counts[i]) if j not in supp]
         residual = max(inside) - min(inside)
         margin = math.inf if not outside else min(inside) - max(outside)
-        if exact:
+        if profile.exact:
             oks.append(residual == 0 and margin >= 0)
             boundary.append(margin == 0)
             residual = Fraction(residual, den)
@@ -325,7 +324,8 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
 
 @dataclass(frozen=True)
 class EquilibriumCertificate:
-    """An enumerated equilibrium with its numerical evidence."""
+    """An enumerated equilibrium with its numerical evidence; `exact` is
+    its point's MixedProfile.exact."""
 
     point: MixedProfile
     support: SupportProfile
@@ -333,8 +333,11 @@ class EquilibriumCertificate:
     inequality_margins: tuple
     jacobian_verdict: str | None = None
     smallest_singular_value: float | None = None
-    exact: bool = False
     boundary_degenerate: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.point.exact
 
 
 def certify_equilibrium(game: FiniteGame, cert: EquilibriumCertificate) -> EquilibriumCertificate:
@@ -407,7 +410,7 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
                 continue
             residual = max(report.equality_residuals)
             margins = report.inequality_margins
-            if _exact(cand.weights) and game.mode == FLOAT:
+            if cand.exact and game.mode == FLOAT:
                 # the one place a float game's exact answer becomes floats
                 cand = profile_from_weights(cand.weights)
                 residual, margins = float(residual), tuple(map(float, margins))
@@ -417,7 +420,6 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
                     support=support,
                     equality_residual=residual,
                     inequality_margins=margins,
-                    exact=_exact(cand.weights),
                     boundary_degenerate=any(report.boundary),
                 )
             )

@@ -16,8 +16,9 @@ block; on the simplex product (kappa, lambda) it is the same tensors
 read in each opponent's chart tilde_0 = 1.
 
 payoff_slice_values gives player i's payoff slopes, one per own pure
-strategy, against the others' weights. When game._exact holds (int or
-Fraction weights, in either mode: float payoffs are dyadic) they are
+strategy, against the others' weights. When the weights are exact
+(game._exact, the test behind MixedProfile.exact: int or Fraction
+weights, in either mode, since float payoffs are dyadic) they are
 contracted in Python ints (_integer_slopes: the integer payoff tensor
 and integer weight numerators over one positive common denominator);
 otherwise float64.
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import RATIONAL, FiniteGame, _as_fraction, _exact
+from .game import FLOAT, RATIONAL, FiniteGame, _exact, _numbers
 
 
 @dataclass(frozen=True)
@@ -152,24 +153,12 @@ def contract(tensor: np.ndarray, vectors) -> np.ndarray:
 def _coerce_vector(vec, rational: bool) -> np.ndarray:
     if isinstance(vec, np.ndarray) and (vec.dtype == object) == rational:
         return vec
-    if rational:
-        out = np.empty(len(vec), dtype=object)
-        out[:] = [_as_fraction(x) for x in vec]
-        return out
-    return np.asarray(vec, dtype=float)
-
-
-def _as_numbers(ints: np.ndarray, rational: bool) -> np.ndarray:
-    """An integer array as a form's numbers: Fraction objects or floats."""
-    if not rational:
-        return ints.astype(float)
-    return np.array([Fraction(int(x)) for x in ints.flat], dtype=object).reshape(ints.shape)
+    return _numbers(vec, RATIONAL if rational else FLOAT)
 
 
 def zero_form(game: FiniteGame, blocks: tuple[int, ...]) -> MultilinearForm:
     shape = tuple(game.strategy_counts[b] for b in blocks)
-    coeffs = _as_numbers(np.zeros(shape, dtype=int), game.mode == RATIONAL)
-    return MultilinearForm(blocks, coeffs)
+    return MultilinearForm(blocks, _numbers(np.zeros(shape, dtype=int), game.mode).reshape(shape))
 
 
 def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
@@ -190,7 +179,7 @@ def _basis_matrix(size: int, rational: bool, inverse: bool = False) -> np.ndarra
     """M (gamma from tilde), or M^-1 (tilde from gamma) when inverse."""
     m = np.eye(size, dtype=int)
     m[0, 1:] = 1 if inverse else -1
-    return _as_numbers(m, rational)
+    return _numbers(m, RATIONAL if rational else FLOAT).reshape(m.shape)
 
 
 def _contract_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -277,7 +266,7 @@ def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = Fals
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
-    Exact weights (_exact) give Fractions, contracted in integers by
+    Exact weights (game._exact) give Fractions, contracted in integers by
     _integer_slopes; otherwise the floats are contracted, relative ones
     subtracted before rounding, so that an offset adds no rounding error.
     """

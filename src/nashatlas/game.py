@@ -106,18 +106,26 @@ class MixedProfile:
     def num_players(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def exact(self) -> bool:
+        """Whether the weights are exact (_exact), decided once per profile:
+        exact weights are compared exactly, float weights with a tolerance."""
+        return _exact(self.weights)
+
     def as_floats(self) -> tuple[np.ndarray, ...]:
         return tuple(np.asarray(w, dtype=float) for w in self.weights)
 
     def in_A(self) -> bool:
-        """Each player's weights sum to 1: exactly when _exact, else within SIMPLEX_TOL."""
-        if _exact(self.weights):
+        """Each player's weights sum to 1: exactly when MixedProfile.exact,
+        else within SIMPLEX_TOL."""
+        if self.exact:
             return all(sum(w) == 1 for w in self.weights)
         return all(abs(w.sum() - 1.0) <= SIMPLEX_TOL for w in self.as_floats())
 
     def in_G(self) -> bool:
-        """in_A, and every weight in [0, 1] (within SIMPLEX_TOL unless _exact)."""
-        tol = 0 if _exact(self.weights) else SIMPLEX_TOL
+        """in_A, and every weight in [0, 1] (within SIMPLEX_TOL unless
+        MixedProfile.exact)."""
+        tol = 0 if self.exact else SIMPLEX_TOL
         return self.in_A() and all(-tol <= x <= 1 + tol for w in self.weights for x in w)
 
 
@@ -141,8 +149,9 @@ def make_game(
 ) -> FiniteGame:
     """Validate shapes and entries and build a FiniteGame.
 
-    utilities may be nested sequences or arrays; entries are coerced to
-    float64 or Fraction according to mode.
+    utilities may be nested sequences or arrays of any shape with the
+    right number of entries, read row-major; entries become the mode's
+    numbers (_numbers).
     """
     counts = tuple(int(c) for c in strategy_counts)
     if len(counts) < 1:
@@ -156,27 +165,15 @@ def make_game(
         raise ValueError(
             f"expected {len(counts)} utility tensors, got {len(utilities)}"
         )
+    size = math.prod(counts)
     tensors = []
     for i, u in enumerate(utilities):
-        if mode == RATIONAL:
-            arr = np.empty(counts, dtype=object)
-            flat = np.asarray(u, dtype=object).reshape(-1)
-            if flat.size != arr.size:
-                raise ValueError(
-                    f"utility tensor {i} has {flat.size} entries, expected {arr.size}"
-                )
-            arr.reshape(-1)[:] = [_as_fraction(x) for x in flat]
-        else:
-            arr = np.asarray(u, dtype=float)
-            if arr.shape != counts:
-                if arr.size == int(np.prod(counts)):
-                    arr = arr.reshape(counts)
-                else:
-                    raise ValueError(
-                        f"utility tensor {i} has shape {arr.shape}, expected {counts}"
-                    )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"utility tensor {i} contains non-finite entries")
+        flat = np.asarray(u, dtype=object).reshape(-1)
+        if flat.size != size:
+            raise ValueError(f"utility tensor {i} has {flat.size} entries, expected {size}")
+        arr = _numbers(flat, mode).reshape(counts)
+        if mode == FLOAT and not np.isfinite(arr).all():
+            raise ValueError(f"utility tensor {i} contains non-finite entries")
         tensors.append(arr)
     return FiniteGame(counts, tuple(tensors), mode=mode)
 
@@ -193,17 +190,19 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot convert {x!r} to Fraction")
 
 
+def _numbers(values, mode: str) -> np.ndarray:
+    """values, flattened row-major, as the mode's numbers: a 1-D object
+    array of Fractions (_as_fraction) in RATIONAL mode, float64 otherwise."""
+    if mode != RATIONAL:
+        return np.asarray(values, dtype=float).reshape(-1)
+    out = np.array(values, dtype=object).reshape(-1)
+    out[:] = [_as_fraction(x) for x in out]
+    return out
+
+
 def profile_from_weights(weights, mode: str = FLOAT) -> MixedProfile:
     """Build a MixedProfile from per-player weight sequences."""
-    out = []
-    for w in weights:
-        if mode == RATIONAL:
-            arr = np.empty(len(w), dtype=object)
-            arr[:] = [_as_fraction(x) for x in w]
-        else:
-            arr = np.asarray(w, dtype=float)
-        out.append(arr)
-    return MixedProfile(tuple(out))
+    return MixedProfile(tuple(_numbers(w, mode) for w in weights))
 
 
 def _exact(weights) -> bool:
@@ -216,13 +215,12 @@ def _exact(weights) -> bool:
 def support_of(profile: MixedProfile) -> SupportProfile:
     """Indices of the weights that count as nonzero, per player.
 
-    Exact weights (_exact) are compared exactly, != 0; float weights
-    count when |weight| > ZERO_WEIGHT_TOL.
+    Exact weights (MixedProfile.exact) are compared exactly, != 0; float
+    weights count when |weight| > ZERO_WEIGHT_TOL.
     """
-    exact = _exact(profile.weights)
     supports = []
     for w in profile.weights:
-        if exact:
+        if profile.exact:
             supp = tuple(j for j, x in enumerate(w) if x != 0)
         else:
             supp = tuple(int(j) for j in np.nonzero(np.abs(w) > ZERO_WEIGHT_TOL)[0])

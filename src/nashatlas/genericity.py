@@ -50,7 +50,7 @@ from .atlas import (
     format_chart,
     on_hypersurface,
 )
-from .forms import MultilinearForm, _contract_axis, contract
+from .forms import MultilinearForm, _basis_matrix, _contract_axis, contract
 from .game import (
     DEDUP_TOL,
     NEWTON_HALVINGS,
@@ -190,7 +190,6 @@ def full_gradient(game: FiniteGame, form: MultilinearForm, point: ChartPoint) ->
     inputs = [point.coords[b] for b in form.blocks]
     for b in form.blocks:
         grad = form.grad(inputs, b)
-        grad = np.asarray([float(x) for x in grad]) if grad.dtype == object else grad
         out[offsets[b]: offsets[b] + len(grad)] = grad
     return out
 
@@ -423,7 +422,7 @@ def _face_maps(game: FiniteGame, family: GoodFamily, chart):
             # solved for the first free slot; the pinned slot gives +-1
             if not free:
                 return None
-            g = np.where(np.arange(c) == 0, 1.0, -1.0)
+            g = _basis_matrix(c, False)[0]
             a[free[0]] = -(g @ a) / g[free[0]]
             a = np.delete(a, 1, axis=1)
         maps.append(a)
@@ -442,10 +441,10 @@ def regular_value_probe(
 
     The equations are the PayoffDiff(i, pair) defining maps of
     atlas.defining_map, formed by _face_system with the face maps turned
-    into weights (gamma_0 = tilde_0 - sum_{j>=1} tilde_j, gamma_j =
-    tilde_j); root residuals are in payoff units. An empty root set is a
-    regular outcome; the probe only ever witnesses degeneracy, it cannot
-    prove its absence.
+    into weights by M of forms._basis_matrix (gamma_0 = tilde_0 -
+    sum_{j>=1} tilde_j, gamma_j = tilde_j); root residuals are in payoff
+    units. An empty root set is a regular outcome; the probe only ever
+    witnesses degeneracy, it cannot prove its absence.
     """
     chart = _validate_chart(game, chart)
     if not is_good(family):
@@ -459,7 +458,7 @@ def regular_value_probe(
     for i, pairs in enumerate(family.R):
         for pair in pairs:
             _validate_hypersurface(game, PayoffDiff(i, pair))
-    weights = [np.vstack([a[0] - a[1:].sum(axis=0), a[1:]]) for a in maps]
+    weights = [_basis_matrix(len(a), False) @ a for a in maps]
     residual, jacobian, vectors = _face_system(game, family.R, weights)
     total_dim = sum(a.shape[1] - 1 for a in maps)
     num_eq = family.num_pairs

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nashatlas import (
     RATIONAL,
+    EquilibriumCertificate,
     SingularSystem,
     SupportProfile,
     best_reply_check,
@@ -538,6 +539,19 @@ def test_certificate_exact_follows_the_point(bos_exact):
         assert all(w.dtype == float for w in cert.point.weights)
     result = enumerate_nash(bos_exact)
     assert result.equilibria and all(c.exact is True for c in result.equilibria)
+
+
+def test_certificate_exact_is_its_points_flag():
+    fractions = profile_from_weights([[Fraction(1, 2)] * 2] * 2, RATIONAL)
+    floats = profile_from_weights([[0.5, 0.5]] * 2)
+    for point, exact in ((fractions, True), (floats, False)):
+        cert = EquilibriumCertificate(point=point, support=support_of(point),
+                                      equality_residual=0, inequality_margins=(math.inf,) * 2)
+        assert cert.exact is exact
+    with pytest.raises(TypeError):
+        EquilibriumCertificate(point=fractions, support=support_of(fractions),
+                               equality_residual=0, inequality_margins=(math.inf,) * 2,
+                               exact=True)
 
 
 def test_best_reply_check_accepts_numpy_integer_weights(bos_exact):

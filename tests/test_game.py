@@ -11,6 +11,8 @@ from nashatlas import (
     FLOAT,
     RATIONAL,
     GameFormatError,
+    MixedProfile,
+    best_reply_check,
     make_game,
     parse_game,
     profile_from_weights,
@@ -18,6 +20,7 @@ from nashatlas import (
     serialize_game,
     support_of,
 )
+from nashatlas import game as game_module
 
 
 def test_make_game_basic(mp_float):
@@ -33,8 +36,9 @@ def test_make_game_rejects_single_strategy():
 
 
 def test_make_game_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        make_game((2, 2), [np.zeros((2, 3)), np.zeros((2, 2))])
+    for mode in (FLOAT, RATIONAL):
+        with pytest.raises(ValueError, match=r"^utility tensor 0 has 6 entries, expected 4$"):
+            make_game((2, 2), [np.zeros((2, 3)), np.zeros((2, 2))], mode=mode)
 
 
 def test_make_game_rejects_wrong_table_count():
@@ -236,3 +240,48 @@ def test_support_of():
     exact = profile_from_weights([[Fraction(1, 2)] * 2, [1 - Fraction(1e-12), Fraction(1e-12)]],
                                  RATIONAL)
     assert support_of(exact).supports == ((0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("weights, exact", [
+    ([[1, 0], [Fraction(1, 3), Fraction(2, 3)]], True),
+    ([[1.0, 0.0], [0.5, 0.5]], False),
+    # NumPy integers are not exact numbers
+    ([[np.int64(1), np.int64(0)], [np.int64(0), np.int64(1)]], False),
+])
+def test_profile_exact_names_the_branch(bos_exact, weights, exact):
+    dtype = float if isinstance(weights[0][0], float) else object
+    p = MixedProfile(tuple(np.array(w, dtype=dtype) for w in weights))
+    assert p.exact is exact
+    assert p.in_A() and p.in_G()
+    # exact weights are checked in integers and reported as Fractions
+    report = best_reply_check(bos_exact, p)
+    assert all(isinstance(r, Fraction) is exact for r in report.equality_residuals)
+
+
+def test_support_and_membership_read_the_exact_flag():
+    # the sum is 1 + 10^-12 and the second weight 2 * 10^-12: exact
+    # weights count both, the float tolerances neither
+    tiny = Fraction(1, 10**12)
+    weights = (np.array([1 - tiny, 2 * tiny], dtype=object),
+               np.array([Fraction(1), Fraction(0)], dtype=object))
+    exact = MixedProfile(weights)
+    assert exact.exact
+    assert support_of(exact).supports == ((0, 1), (0,))
+    assert not exact.in_A() and not exact.in_G()
+    as_float = MixedProfile(weights)
+    as_float.__dict__["exact"] = False  # the same numbers, read as floats
+    assert support_of(as_float).supports == ((0,), (0,))
+    assert as_float.in_A() and as_float.in_G()
+
+
+def test_profile_decides_exactness_once(monkeypatch, bos_exact):
+    calls = []
+    scan = game_module._exact
+    monkeypatch.setattr(game_module, "_exact", lambda w: calls.append(w) or scan(w))
+    p = profile_from_weights([[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]],
+                             RATIONAL)
+    support_of(p)
+    p.in_A()
+    p.in_G()
+    best_reply_check(bos_exact, p)
+    assert len(calls) == 1
