@@ -5,29 +5,33 @@ the supported own strategies agree and weakly dominate the slopes of
 the unsupported ones, the slopes being the pure-strategy payoffs
 against the opponents' mixture. Fixing a support profile turns the
 equality part into a square polynomial system on the product of open
-faces. Two-player systems are linear per player block and solved
-exactly: each payoff tensor is scaled exactly to Python ints
-(FiniteGame.integer_utilities; float payoffs are dyadic), each block is
-solved by fraction-free elimination (exact.solve_affine, integer
-numerators over one positive denominator), and the answers are
-Fractions in either mode. Exact numbers take no tolerance: a weight is
-positive when it is > 0. One pass looks for a positive point block by
-block and stops at the first block without one: a unique solution is
-checked directly in integers, and a positive-dimensional one gets its
-max-min point from an exact integer simplex (exact.max_min_point),
-since the set has a positive point exactly when its largest smallest
-weight is > 0. Both blocks' points make the one candidate, or witness a
-continuum; enumerate_nash rounds a float game's answers to float64
-once, at the end. Anything larger runs the damped multistart Newton
-loop of genericity._newton_roots from one array of starts
-(_newton_starts, built once per tuple of mixed support sizes) on the
-support's face system (_support_system): its unknowns are each player's
-weights on its support minus the last strategy, and player i's
-equations are the slope differences of the strategy pairs (t, supp[0]),
-which genericity._face_system forms in its payoff unit
-(FiniteGame.payoff_exponents), taken before rounding. The roots are
-floats, positive above ZERO_WEIGHT_TOL; the positivity, continuum and
-singular-root checks on them are one batched call each.
+faces. When at most two players mix (every support of a two-player
+game), the other players are held at their one strategy, and the system
+is linear per player block and solved exactly: each payoff tensor is
+scaled exactly to Python ints (FiniteGame.integer_utilities; float
+payoffs are dyadic) and sliced to the two players
+(FiniteGame.integer_pair_tables), each block is solved by
+fraction-free elimination (exact.solve_affine, integer numerators over
+one positive denominator), and the answers are Fractions in either
+mode. Exact numbers take no tolerance: a weight is positive when it is
+> 0. One pass looks for a positive point block by block and stops at
+the first block without one: a unique solution is checked directly in
+integers, and a positive-dimensional one gets its max-min point from an
+exact integer simplex (exact.max_min_point), since the set has a
+positive point exactly when its largest smallest weight is > 0. Both
+blocks' points make the one candidate, or witness a continuum;
+enumerate_nash rounds a float game's answers to float64 once, at the
+end. When three or more players mix the system is multilinear, and it
+(like a one-player game's mixed support, whose slopes are constants)
+runs the damped multistart Newton loop of genericity._newton_roots from
+one array of starts (_newton_starts, built once per tuple of mixed
+support sizes) on the support's face system (_support_system): its
+unknowns are each player's weights on its support minus the last
+strategy, and player i's equations are the slope differences of the
+strategy pairs (t, supp[0]), which genericity._face_system forms in its
+payoff unit (FiniteGame.payoff_exponents), taken before rounding. The
+roots are floats, positive above ZERO_WEIGHT_TOL; the positivity,
+continuum and singular-root checks on them are one batched call each.
 
 Every equilibrium is certified from that same face system
 (certify_equilibrium): regular iff its Jacobian at the equilibrium has
@@ -174,24 +178,33 @@ def _positive_point(sol: AffineSolutionSet, rows, rhs) -> list[Fraction] | None:
     return best[1] if best is not None and best[0] > 0 else None
 
 
-def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
-    """Two-player path: each player's weights solve a linear system built
-    from the opponent's slope equalities plus the sum rule. Exact: the
-    payoffs enter as integers (game.integer_pair_tables, the nested-list
-    form of game.integer_utilities), and the positive scale they carry
-    does not change the solution set. Candidates and the continuum witness
-    are Fraction profiles in either mode."""
+def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at=()):
+    """Supports on which at most two players mix. The players in `pair`
+    = (i, j), i < j, are solved for: the mixed ones, with a pure partner
+    when one mixes, or none when no player mixes. Every other player is
+    held at its one strategy, listed in `at` in player order. So each
+    solved player's weights solve a linear system built from the other
+    solved player's slope equalities plus the sum rule. Exact: the
+    payoffs enter as integers (game.integer_pair_tables, integer_utilities
+    sliced at `at`), and the positive scale they carry does not change
+    the solution set. Candidates and the continuum witness are Fraction
+    profiles in either mode, with e_s on every held player."""
+    supports, counts = support.supports, game.strategy_counts
+    if at:
+        supports, counts = [supports[k] for k in pair], [counts[k] for k in pair]
     blocks = []
-    for solving in (0, 1):
-        other = 1 - solving
-        supp = support.supports[solving]
-        osupp = support.supports[other]
-        u = game.integer_pair_tables[other]  # u[j][s]: other plays j, solving plays s
-        base = u[osupp[0]]
-        rows = [[u[j][s] - base[s] for s in supp] for j in osupp[1:]]
-        rows.append([1] * len(supp))
-        rhs = [0] * (len(osupp) - 1) + [1]
-        blocks.append((rows, rhs, solve_affine(rows, rhs, len(supp))))
+    if pair:
+        tables = game.integer_pair_tables(pair, at)
+        for solving in (0, 1):
+            other = 1 - solving
+            supp = supports[solving]
+            osupp = supports[other]
+            u = tables[other]  # u[j][s]: other plays j, solving plays s
+            base = u[osupp[0]]
+            rows = [[u[j][s] - base[s] for s in supp] for j in osupp[1:]]
+            rows.append([1] * len(supp))
+            rhs = [0] * (len(osupp) - 1) + [1]
+            blocks.append((rows, rhs, solve_affine(rows, rhs, len(supp))))
 
     if any(sol.is_empty for _, _, sol in blocks):
         return []
@@ -199,7 +212,7 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
     # One positivity pass, stopping at the first block without a positive
     # point: both points make the unique candidate or the continuum witness.
     weights = []
-    for (rows, rhs, sol), supp, count in zip(blocks, support.supports, game.strategy_counts):
+    for (rows, rhs, sol), supp, count in zip(blocks, supports, counts):
         point = _positive_point(sol, rows, rhs)
         if point is None:
             break
@@ -207,7 +220,13 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile):
         for s, v in zip(supp, point):
             w[s] = v
         weights.append(w)
-    profile = profile_from_weights(weights, RATIONAL) if len(weights) == 2 else None
+    profile = None
+    if len(weights) == len(pair):
+        if at:  # e_s on every held player
+            solved = dict(zip(pair, weights))
+            weights = [solved[k] if k in solved else [int(t == supp[0]) for t in range(c)]
+                       for k, (supp, c) in enumerate(zip(support.supports, game.strategy_counts))]
+        profile = profile_from_weights(weights, RATIONAL)
 
     if all(sol.is_unique for _, _, sol in blocks):
         return [] if profile is None else [profile]
@@ -265,13 +284,11 @@ def _support_system(game: FiniteGame, supports):
 
 
 def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
-    """Multistart damped Newton on the face coordinates (m != 2 path)."""
+    """Multistart damped Newton on the face coordinates: supports on which
+    three or more players mix, and a one-player game's mixed supports."""
     supports = support.supports
     mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
     residual, jacobian, weights_from = _support_system(game, supports)
-
-    if not mixed:
-        return [profile_from_weights(weights_from(np.zeros(0)))]
 
     def positive(x):
         # (k, n) stack of roots -> mask of those inside the open face
@@ -308,18 +325,35 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
 def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     """All isolated candidate profiles with the given support: strictly
     positive weights on the support, zero elsewhere, slope equalities
-    satisfied. Raises SingularSystem on degenerate strata."""
-    if len(support.supports) != game.num_players:
+    satisfied. Raises SingularSystem on degenerate strata.
+
+    A support on which at most two players mix has linear slope
+    equations and is solved exactly (_exact_pair_solve): every support
+    of a two-player game, and those of a larger game on which the other
+    players are pure. Three or more mixed players make the system
+    multilinear; those supports, and a one-player game's mixed ones
+    (constant slopes, told apart by the midpoint test), take multistart
+    Newton (_newton_solve)."""
+    supports = support.supports
+    if len(supports) != game.num_players:
         raise ValueError(
-            f"support has {len(support.supports)} blocks, expected "
-            f"{game.num_players}"
+            f"support has {len(supports)} blocks, expected {game.num_players}"
         )
-    for i, supp in enumerate(support.supports):
+    for i, supp in enumerate(supports):
         if supp[0] < 0 or supp[-1] >= game.strategy_counts[i]:
             raise ValueError(f"support index out of range for player {i + 1}")
     if game.num_players == 2:
         return _exact_pair_solve(game, support)
-    return _newton_solve(game, support, seed)
+    mixed = [k for k, s in enumerate(supports) if len(s) > 1]
+    if len(mixed) > 2 or mixed and game.num_players == 1:
+        return _newton_solve(game, support, seed)
+    if len(mixed) == 1:
+        # a pure partner: its block holds the lone mixed player's slope
+        # differences, constants that tie or not
+        mixed.append(next(k for k, s in enumerate(supports) if len(s) == 1))
+    pair = tuple(sorted(mixed))
+    at = tuple(s[0] for k, s in enumerate(supports) if k not in pair)
+    return _exact_pair_solve(game, support, pair, at)
 
 
 @dataclass(frozen=True)

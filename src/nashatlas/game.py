@@ -89,12 +89,23 @@ class FiniteGame:
         return tuple(out)
 
     @cached_property
-    def integer_pair_tables(self) -> tuple[list[list[int]], ...]:
-        """Two-player games: per player, its integer_utilities ints as
-        nested lists of Python ints indexed [own strategy][opponent
-        strategy] (player 2's table transposed)."""
-        (u0, _), (u1, _) = self.integer_utilities
-        return u0.tolist(), u1.T.tolist()
+    def _pair_tables(self) -> dict:
+        return {}
+
+    def integer_pair_tables(self, pair=(0, 1), at=()) -> tuple[list[list[int]], ...]:
+        """The integer_utilities ints of the players pair = (i, j), i < j,
+        sliced with every other player held at its strategy in `at` (in
+        player order): per player of the pair, nested lists of Python ints
+        indexed [own strategy][partner strategy] (j's table transposed).
+        Built once per (pair, at)."""
+        tables = self._pair_tables.get((pair, at))
+        if tables is None:
+            fixed = iter(at)
+            index = tuple(slice(None) if k in pair else next(fixed)
+                          for k in range(self.num_players))
+            (ui, _), (uj, _) = (self.integer_utilities[k] for k in pair)
+            tables = self._pair_tables[pair, at] = (ui[index].tolist(), uj[index].T.tolist())
+        return tables
 
 @dataclass(frozen=True)
 class MixedProfile:

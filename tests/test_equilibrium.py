@@ -237,6 +237,8 @@ def test_newton_agrees_with_exact_route():
     runs += [(pair, 4, k) for k in range(2)]
     for game, seed, k in runs:
         for support in enumerate_supports(game):
+            if all(len(s) == 1 for s in support.supports):
+                continue  # no equations: only the exact route takes pure supports
             try:
                 exact = _exact_pair_solve(game, support)
             except SingularSystem:
@@ -258,6 +260,72 @@ def test_newton_agrees_with_exact_route():
             assert len(a) == len(b)
             for u, v in zip(a, b):
                 np.testing.assert_allclose(u, v, atol=1e-8)
+
+
+def _solved(solve):
+    # (candidates, raised): a SingularSystem's candidates count too
+    try:
+        return solve(), False
+    except SingularSystem as exc:
+        return exc.candidates, True
+
+
+def _points(profiles):
+    return sorted(tuple(float(x) for w in p.weights for x in w) for p in profiles)
+
+
+def test_linear_supports_agree_with_newton():
+    # with at most two players mixing the slope equations are linear:
+    # solve_support solves them exactly, and Newton finds the same
+    # candidates and raises on the same supports; a pure support's one
+    # candidate is its vertex
+    solved = 0
+    for shape, seeds in [((2, 2, 2), range(4)), ((2, 3, 2), range(2)), ((2, 2, 2, 2), [0])]:
+        for seed in seeds:
+            game = random_game(shape, seed=seed)
+            for support in enumerate_supports(game):
+                mixed = sum(len(s) > 1 for s in support.supports)
+                if mixed > 2:
+                    continue
+                found, raised = _solved(lambda: solve_support(game, support, seed=seed))
+                assert all(p.exact for p in found)
+                got = _points(found)
+                if mixed == 0:
+                    vertex = [float(s == supp[0]) for supp, c in
+                              zip(support.supports, shape) for s in range(c)]
+                    assert (got, raised) == ([tuple(vertex)], False)
+                    continue
+                newton, newton_raised = _solved(lambda: _newton_solve(game, support, seed))
+                want = _points(newton)
+                assert raised == newton_raised and len(got) == len(want), support
+                for a, b in zip(got, want):
+                    np.testing.assert_allclose(a, b, atol=1e-8)
+                solved += mixed == 2 and bool(got)
+    assert solved >= 10
+
+
+def test_linear_supports_of_a_rational_game_are_exact():
+    game = make_game((2, 2, 2), random_game((2, 2, 2), seed=20).utilities, mode=RATIONAL)
+    linear = [c for c in enumerate_nash(game).equilibria
+              if sum(len(s) > 1 for s in c.support.supports) <= 2]
+    assert len(linear) == 2
+    for cert in linear:
+        assert cert.exact is True
+        assert all(type(x) is Fraction for w in cert.point.weights for x in w)
+        report = best_reply_check(game, cert.point)
+        assert report.all_ok and all(r == 0 for r in report.equality_residuals)
+    # one mixed player: its slopes are constants against pure opponents;
+    # tied (player 1 at (., 0, 0)) they give a face of its simplex, untied
+    # (at (., 1, 0)) nothing
+    u = [np.array(random_game((2, 2, 2), seed=5).utilities[k] * 8, dtype=int) for k in range(3)]
+    u[0][1, 0, 0] = u[0][0, 0, 0]
+    assert u[0][1, 1, 0] != u[0][0, 1, 0]
+    tied = make_game((2, 2, 2), u, mode=RATIONAL)
+    with pytest.raises(SingularSystem, match="positive-dimensional solution set") as exc:
+        solve_support(tied, SupportProfile(((0, 1), (0,), (0,))))
+    witness = exc.value.witness
+    assert [list(w) for w in witness.weights] == [[Fraction(1, 2)] * 2, [1, 0], [1, 0]]
+    assert solve_support(tied, SupportProfile(((0, 1), (1,), (0,)))) == []
 
 
 def test_support_system_residual_is_the_slope_differences():
@@ -530,13 +598,19 @@ def test_equilibria_of_different_supports_are_not_merged(mode):
 
 
 def test_certificate_exact_follows_the_point(bos_exact):
-    # a rational 2x2x2 game takes the float Newton route
-    game = make_game((2, 2, 2), random_game((2, 2, 2), seed=3).utilities, mode=RATIONAL)
+    # a rational 2x2x2 game: supports on which at most two players mix take
+    # the exact route, the full support the float Newton route
+    game = make_game((2, 2, 2), random_game((2, 2, 2), seed=20).utilities, mode=RATIONAL)
     result = enumerate_nash(game)
-    assert result.equilibria
+    mixed = sorted(sum(len(s) > 1 for s in c.support.supports) for c in result.equilibria)
+    assert mixed == [2, 2, 3]
     for cert in result.equilibria:
-        assert cert.exact is False
-        assert all(w.dtype == float for w in cert.point.weights)
+        linear = sum(len(s) > 1 for s in cert.support.supports) <= 2
+        assert cert.exact is linear
+        if linear:
+            assert all(type(x) is Fraction for w in cert.point.weights for x in w)
+        else:
+            assert all(w.dtype == float for w in cert.point.weights)
     result = enumerate_nash(bos_exact)
     assert result.equilibria and all(c.exact is True for c in result.equilibria)
 

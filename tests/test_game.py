@@ -69,11 +69,23 @@ def test_integer_utilities_are_exact():
 
 def test_integer_pair_tables_index_own_then_opponent():
     game = make_game((2, 3), [np.arange(6.0).reshape(2, 3) / 4, -np.arange(6.0).reshape(2, 3)])
-    own, opp = game.integer_pair_tables
+    own, opp = game.integer_pair_tables()
     assert own == [[0, 1, 2], [3, 4, 5]]
     assert opp == [[0, -3], [-1, -4], [-2, -5]]
     assert all(type(n) is int for row in own + opp for n in row)
-    assert game.integer_pair_tables is game.integer_pair_tables
+    assert game.integer_pair_tables() is game.integer_pair_tables()
+    # three players: the pair's tables sliced at the held player's strategy,
+    # each still indexed [own strategy][partner strategy]
+    u = [np.arange(12.0).reshape(2, 3, 2) * (k + 1) for k in range(3)]
+    triple = make_game((2, 3, 2), u)
+    for pair, at, index in [((0, 1), (1,), np.s_[:, :, 1]), ((0, 2), (2,), np.s_[:, 2, :]),
+                            ((1, 2), (0,), np.s_[0, :, :])]:
+        i, j = pair
+        own, opp = triple.integer_pair_tables(pair, at)
+        assert own == u[i][index].astype(int).tolist()
+        assert opp == u[j][index].T.astype(int).tolist()
+        assert triple.integer_pair_tables(pair, at) is triple.integer_pair_tables(pair, at)
+    assert triple.integer_pair_tables((0, 1), (0,)) != triple.integer_pair_tables((0, 1), (1,))
 
 
 def test_parse_game_float():

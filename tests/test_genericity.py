@@ -264,12 +264,20 @@ def test_face_system_verdict_is_the_chart_verdict():
                 for cert in enumerate_nash(game, seed=seed).equilibria:
                     assert cert.jacobian_verdict == _chart_verdict(game, cert), (shape, seed, k)
                     verdicts.append(cert.jacobian_verdict)
-    # tied integer games: the 2x2x2 ones have singular equilibria too
+    # tied integer games; the last has singular equilibria: player 1's
+    # payoffs ignore its own strategy, so its full support holds a curve of
+    # equilibria, and Newton reports points of it
     rng = np.random.default_rng(0)
+    games = []
     for shape, low in [((3, 3), -4)] * 10 + [((2, 2, 2), -1)] * 10:
-        game = make_game(shape, [rng.integers(low, 1 - low, shape) for _ in shape], mode=RATIONAL)
+        games.append(make_game(shape, [rng.integers(low, 1 - low, shape) for _ in shape],
+                               mode=RATIONAL))
+    games.append(make_game((2, 2, 2), [[[[-1, 2], [-2, 1]], [[-1, 2], [-2, 1]]],
+                                       [[[0, 1], [-1, 1]], [[0, -2], [-2, -1]]],
+                                       [[[-1, 1], [2, -1]], [[1, 2], [-1, -2]]]], mode=RATIONAL))
+    for game in games:
         for cert in enumerate_nash(game).equilibria:
-            assert cert.jacobian_verdict == _chart_verdict(game, cert), shape
+            assert cert.jacobian_verdict == _chart_verdict(game, cert), game.strategy_counts
             verdicts.append(cert.jacobian_verdict)
     assert set(verdicts) == {"regular", "singular"}
 
@@ -607,9 +615,11 @@ def test_newton_roots_drops_a_start_that_needs_a_shorter_step():
 
 
 def test_fixture_games_bound_newton_steps(monkeypatch):
-    # stalled starts stop early instead of running to the step limit: one
+    # stalled starts stop early instead of running to the step limit, and
+    # only supports on which all three players mix take Newton: one
     # jacobian call per Newton step, counted over the 2x2x2 games of the
-    # acceptance fixture's first 20 seeds (1,383 calls with 25 halvings)
+    # acceptance fixture's first 20 seeds (1,383 calls with 25 halvings,
+    # 726 with every support on Newton, 366 with the full support only)
     calls = [0]
 
     def newton_roots(residual, jacobian, starts, accept=None):
@@ -621,19 +631,19 @@ def test_fixture_games_bound_newton_steps(monkeypatch):
     monkeypatch.setattr(equilibrium, "_newton_roots", newton_roots)
     for seed in range(40_000, 40_020):
         enumerate_nash(random_game((2, 2, 2), seed=seed), seed=seed)
-    assert calls[0] <= 800
+    assert calls[0] <= 400
 
 
 def test_newton_starts_built_once_per_size_tuple():
-    # 19 of the 27 supports of a 2x2x2 game have a mixed player, with
-    # mixed sizes (2,), (2, 2) or (2, 2, 2); the one shared array of each
-    # is read-only
+    # 9 of the 81 supports of a 2x2x2x2 game have three or more mixed
+    # players, with mixed sizes (2, 2, 2) or (2, 2, 2, 2); the one shared
+    # array of each is read-only
     _newton_starts.cache_clear()
-    enumerate_nash(random_game((2, 2, 2), seed=9), seed=9)
+    enumerate_nash(random_game((2, 2, 2, 2), seed=9), seed=9)
     info = _newton_starts.cache_info()
-    assert (info.misses, info.hits) == (3, 16)
+    assert (info.misses, info.hits) == (2, 7)
     with pytest.raises(ValueError):
-        _newton_starts((2, 2), 9)[0, 0] = 0.0
+        _newton_starts((2, 2, 2), 9)[0, 0] = 0.0
 
 
 def _per_start_newton_starts(sizes, seed):
