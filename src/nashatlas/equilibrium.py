@@ -23,15 +23,15 @@ blocks' points make the one candidate, or witness a continuum;
 enumerate_nash rounds a float game's answers to float64 once, at the
 end. When three or more players mix the system is multilinear, and it
 (like a one-player game's mixed support, whose slopes are constants)
-runs the damped multistart Newton loop of genericity._newton_roots from
-one array of starts (_newton_starts, built once per tuple of mixed
-support sizes) on the support's face system (_support_system): its
-unknowns are each player's weights on its support minus the last
-strategy, and player i's equations are the slope differences of the
-strategy pairs (t, supp[0]), which genericity._face_system forms in its
-payoff unit (FiniteGame.payoff_exponents), taken before rounding. The
-roots are floats, positive above ZERO_WEIGHT_TOL; the positivity,
-continuum and singular-root checks on them are one batched call each.
+runs the damped multistart Newton loop of genericity._newton_roots on
+its canonical family's face in chart (0, ..., 0), the system the probe
+solves too (genericity._family_system): the unknowns are each player's
+weights on supp[1:], and player i's equations are slope(supp[0]) -
+slope(t), t in supp[1:], in its payoff unit, from payoffs taken before
+rounding. The starts (_newton_starts, built per support, not cached)
+are simplex points without their first weight. The roots are floats,
+positive above ZERO_WEIGHT_TOL; the positivity, continuum and
+singular-root checks on them are one batched call each.
 
 Every equilibrium is certified from that same face system
 (certify_equilibrium): regular iff its Jacobian at the equilibrium has
@@ -59,7 +59,6 @@ enumerator surfaces it as a warning with a witness where it has one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -69,7 +68,7 @@ import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
 from .forms import _integer_slopes, payoff_slice_values
-from .genericity import _face_system, _newton_roots, _svd_rank
+from .genericity import _family_system, _newton_roots, _svd_rank, canonical_equilibrium_family
 from .game import (
     CHECK_TOL,
     FLOAT,
@@ -189,16 +188,14 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
     sliced at `at`), and the positive scale they carry does not change
     the solution set. Candidates and the continuum witness are Fraction
     profiles in either mode, with e_s on every held player."""
-    supports, counts = support.supports, game.strategy_counts
-    if at:
-        supports, counts = [supports[k] for k in pair], [counts[k] for k in pair]
+    supports = support.supports
     blocks = []
     if pair:
         tables = game.integer_pair_tables(pair, at)
         for solving in (0, 1):
             other = 1 - solving
-            supp = supports[solving]
-            osupp = supports[other]
+            supp = supports[pair[solving]]
+            osupp = supports[pair[other]]
             u = tables[other]  # u[j][s]: other plays j, solving plays s
             base = u[osupp[0]]
             rows = [[u[j][s] - base[s] for s in supp] for j in osupp[1:]]
@@ -211,21 +208,20 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
 
     # One positivity pass, stopping at the first block without a positive
     # point: both points make the unique candidate or the continuum witness.
-    weights = []
-    for (rows, rhs, sol), supp, count in zip(blocks, supports, counts):
+    points = []
+    for rows, rhs, sol in blocks:
         point = _positive_point(sol, rows, rhs)
         if point is None:
             break
-        w = [0] * count
-        for s, v in zip(supp, point):
-            w[s] = v
-        weights.append(w)
+        points.append(point)
     profile = None
-    if len(weights) == len(pair):
-        if at:  # e_s on every held player
-            solved = dict(zip(pair, weights))
-            weights = [solved[k] if k in solved else [int(t == supp[0]) for t in range(c)]
-                       for k, (supp, c) in enumerate(zip(support.supports, game.strategy_counts))]
+    if len(points) == len(pair):
+        # the support's vertex, the solved players' points written over it
+        weights = [[int(t == s[0]) for t in range(c)]
+                   for s, c in zip(supports, game.strategy_counts)]
+        for k, point in zip(pair, points):
+            for s, v in zip(supports[k], point):
+                weights[k][s] = v
         profile = profile_from_weights(weights, RATIONAL)
 
     if all(sol.is_unique for _, _, sol in blocks):
@@ -238,57 +234,35 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
     )
 
 
-@functools.lru_cache(maxsize=128)
 def _newton_starts(sizes: tuple[int, ...], seed: int) -> np.ndarray:
     """The (B, sum(sizes) - len(sizes)) Newton starts for mixed players
     with the given support sizes: the centroid, one start pulled towards
     each vertex of the product of simplices, then RANDOM_STARTS uniform
-    draws. Each simplex point keeps all but its last weight. The random
+    draws. Each simplex point keeps all but its first weight. The random
     rows are the stream of one rng.dirichlet(np.ones(s)) call per player
-    and start: a block of gammas divided by its left-to-right sum. Built
-    once per (sizes, seed) and returned read-only, since every support
-    with these mixed sizes shares it."""
+    and start: a block of gammas divided by its left-to-right sum."""
     centroid = np.concatenate([np.full(s - 1, 1.0 / s) for s in sizes])
     choice = np.array(list(itertools.product(*map(range, sizes))))
     corners = np.concatenate(
-        [np.eye(s)[choice[:, k], :-1] for k, s in enumerate(sizes)], axis=1
+        [np.eye(s)[choice[:, k], 1:] for k, s in enumerate(sizes)], axis=1
     )
     gammas = np.random.default_rng(seed).standard_gamma(1.0, (RANDOM_STARTS, sum(sizes)))
     draws = np.split(gammas, np.cumsum(sizes)[:-1], axis=1)
-    uniform = [g[:, :-1] * (1.0 / np.cumsum(g, axis=1)[:, -1:]) for g in draws]
-    starts = np.vstack([centroid, 0.1 * centroid + 0.9 * corners, np.hstack(uniform)])
-    starts.flags.writeable = False
-    return starts
-
-
-def _support_system(game: FiniteGame, supports):
-    """The face system (genericity._face_system) of a support profile,
-    solved by the Newton route and ranked by certify_equilibrium. Its
-    unknowns z are each player's weights on supp[:-1], the last strategy
-    taking one minus their sum; player i's equations are the slopes of
-    supp[1:] minus supp[0]'s. Returns residual(z), jacobian(z) and
-    weights(z)."""
-    eye = [np.eye(c) for c in game.strategy_counts]
-    # (1, z) -> weights: z on supp[:-1], the last strategy takes 1 - sum(z)
-    maps = [
-        np.column_stack([e[:, s[-1]]] + [e[:, t] - e[:, s[-1]] for t in s[:-1]])
-        for e, s in zip(eye, supports)
-    ]
-    pairs = [[(t, s[0]) for t in s[1:]] for s in supports]
-    residual, jacobian, vectors = _face_system(game, pairs, maps)
-
-    def weights(z):
-        return [v @ a.T for a, v in zip(maps, vectors(z))]
-
-    return residual, jacobian, weights
+    uniform = [g[:, 1:] * (1.0 / np.cumsum(g, axis=1)[:, -1:]) for g in draws]
+    return np.vstack([centroid, 0.1 * centroid + 0.9 * corners, np.hstack(uniform)])
 
 
 def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
-    """Multistart damped Newton on the face coordinates: supports on which
-    three or more players mix, and a one-player game's mixed supports."""
+    """Multistart damped Newton on the support's canonical face in chart
+    (0, ..., 0) (genericity._family_system): supports on which three or
+    more players mix, and a one-player game's mixed supports."""
     supports = support.supports
     mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
-    residual, jacobian, weights_from = _support_system(game, supports)
+    residual, jacobian, vectors, _, maps = _family_system(
+        game, canonical_equilibrium_family(game, support), (0,) * game.num_players)
+
+    def weights_from(z):
+        return [v @ a.T for a, v in zip(maps, vectors(z))]
 
     def positive(x):
         # (k, n) stack of roots -> mask of those inside the open face
@@ -375,15 +349,19 @@ class EquilibriumCertificate:
 
 
 def certify_equilibrium(game: FiniteGame, cert: EquilibriumCertificate) -> EquilibriumCertificate:
-    """cert with its regularity verdict: regular iff the Jacobian of its
-    support's face system (_support_system), in payoff units, has full
-    rank at the equilibrium's free weights. By the block-triangular rank
-    lemma (genericity.rank_split_equivalence_test) that is transversality
-    of the support's canonical family. A pure equilibrium has no free
-    weights: regular, with smallest singular value inf."""
-    supports = cert.support.supports
-    z = np.concatenate([w[list(s[:-1])] for w, s in zip(cert.point.as_floats(), supports)])
-    rank, smin = _svd_rank(_support_system(game, supports)[1](z)) if z.size else (0, math.inf)
+    """cert with its regularity verdict: regular iff its Jacobian, which
+    is the Jacobian of its support's canonical family's face in chart
+    (0, ..., 0) (genericity._family_system, unknowns z the weights on
+    supp[1:]), in payoff units, has full rank at the equilibrium: by the
+    block-triangular rank lemma, transversality of that family. A pure
+    equilibrium has no unknowns: regular, smallest singular value inf."""
+    support = cert.support
+    z = np.concatenate([w[list(s[1:])] for w, s in zip(cert.point.as_floats(), support.supports)])
+    if z.size:
+        family = canonical_equilibrium_family(game, support)
+        rank, smin = _svd_rank(_family_system(game, family, (0,) * game.num_players)[1](z))
+    else:
+        rank, smin = 0, math.inf
     return replace(cert, jacobian_verdict="regular" if rank == z.size else "singular",
                    smallest_singular_value=smin)
 

@@ -10,22 +10,23 @@ Transversality at a point is checked through the stacked Jacobian of
 the defining maps of the hypersurfaces that contain the point, each
 payoff-difference row in its player's payoff unit: full rank means
 transversal. An equilibrium's canonical square family is transversal
-iff its support's face system has a nonsingular Jacobian there
-(rank_split_equivalence_test); equilibrium.certify_equilibrium checks
-the latter.
+iff the family's face system in chart (0, ..., 0) has a nonsingular
+Jacobian there (rank_split_equivalence_test);
+equilibrium.certify_equilibrium checks the latter.
 
 An equilibrium of a support and a root of a regular-value probe are the
-same kind of object: a common zero of payoff-difference hypersurfaces
-restricted to a coordinate face. _face_system forms that system for
-both from the payoffs, given each player's strategy pairs and face map
-(residual, Jacobian and face vectors from one contraction each, for one
-point or a stack of points), and _newton_roots, a damped least-squares
-multistart Newton loop, finds its roots. The starts iterate together,
-one batched Jacobian and pseudo-inverse per step, and one residual call
-per step covers the NEWTON_HALVINGS step lengths of the line search for
-every start, each start taking its own first accepted step length and
-keeping its own stopping rule; a start that none of them helps has
-stalled. The equations are in each player's payoff unit
+same kind of object: a common zero of a family's payoff-difference
+hypersurfaces on the face its coordinate hyperplanes cut out in a chart
+(an equilibrium's: its canonical family in chart (0, ..., 0), unknowns
+the weights on supp[1:], rows slope(supp[0]) - slope(t)).
+_family_system builds that system for both, and _newton_roots, a damped
+least-squares multistart Newton loop, finds its roots from the caller's
+starts (the equilibrium route's are built per support, not cached).
+The starts iterate together, one batched Jacobian and pseudo-inverse
+per step, and one residual call per step covers the NEWTON_HALVINGS
+step lengths of the line search for every start, each start taking its
+own first accepted step length and keeping its own stopping rule; a
+start that none of them helps has stalled. The equations are in each player's payoff unit
 (FiniteGame.payoff_exponents), so the loop's tolerances (from the
 table in nashatlas.game) act the same at every payoff scale.
 """
@@ -429,6 +430,19 @@ def _face_maps(game: FiniteGame, family: GoodFamily, chart):
     return maps
 
 
+def _family_system(game: FiniteGame, family: GoodFamily, chart):
+    """The family's system on its face in the chart: _face_maps' maps
+    ((1, z_b) -> tilde), turned into weights by forms._basis_matrix's M
+    (gamma_0 = tilde_0 - sum_{j>=1} tilde_j, gamma_j = tilde_j), go to
+    _face_system. Returns its residual, jacobian and vectors, the face
+    maps and the weight maps; None when the face misses the chart."""
+    maps = _face_maps(game, family, chart)
+    if maps is None:
+        return None
+    weights = [_basis_matrix(len(a), False) @ a for a in maps]
+    return (*_face_system(game, family.R, weights), maps, weights)
+
+
 def regular_value_probe(
     game: FiniteGame,
     family: GoodFamily,
@@ -440,11 +454,9 @@ def regular_value_probe(
     root is a regular point (full-rank Jacobian of the restricted map).
 
     The equations are the PayoffDiff(i, pair) defining maps of
-    atlas.defining_map, formed by _face_system with the face maps turned
-    into weights by M of forms._basis_matrix (gamma_0 = tilde_0 -
-    sum_{j>=1} tilde_j, gamma_j = tilde_j); root residuals are in payoff
-    units. An empty root set is a regular outcome; the probe only ever
-    witnesses degeneracy, it cannot prove its absence.
+    atlas.defining_map, formed by _family_system; root residuals are in
+    payoff units. An empty root set is a regular outcome; the probe only
+    ever witnesses degeneracy, it cannot prove its absence.
     """
     chart = _validate_chart(game, chart)
     if not is_good(family):
@@ -452,14 +464,13 @@ def regular_value_probe(
     if family.num_pairs == 0:
         raise ValueError("family has no payoff-difference pairs to probe")
 
-    maps = _face_maps(game, family, chart)
-    if maps is None:
-        return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
     for i, pairs in enumerate(family.R):
         for pair in pairs:
             _validate_hypersurface(game, PayoffDiff(i, pair))
-    weights = [_basis_matrix(len(a), False) @ a for a in maps]
-    residual, jacobian, vectors = _face_system(game, family.R, weights)
+    face = _family_system(game, family, chart)
+    if face is None:
+        return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
+    residual, jacobian, vectors, maps, _ = face
     total_dim = sum(a.shape[1] - 1 for a in maps)
     num_eq = family.num_pairs
 

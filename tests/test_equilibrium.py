@@ -328,29 +328,6 @@ def test_linear_supports_of_a_rational_game_are_exact():
     assert solve_support(tied, SupportProfile(((0, 1), (1,), (0,)))) == []
 
 
-def test_support_system_residual_is_the_slope_differences():
-    # the Newton equations against an independent reference: at a random
-    # point of the open face, player i's residual is c[t] - c[supp[0]]
-    # for t in supp[1:], in its payoff unit, c its offset-free slopes
-    rng = np.random.default_rng(0)
-    games = []
-    for shape, powers in [((2, 2, 2), (0, -20, 7)), ((2, 3, 2), (3, 0, -9))]:
-        for seed in range(2):
-            base = random_game(shape, seed=seed)
-            games.append(make_game(shape, [u * 2.0 ** k for u, k in zip(base.utilities, powers)]))
-    for game in games:
-        for support in enumerate_supports(game):
-            supports = support.supports
-            residual, _, weights_from = equilibrium._support_system(game, supports)
-            z = np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports])
-            weights = weights_from(z)
-            want = []
-            for i, s in enumerate(supports):
-                c = payoff_slice_values(game, i, weights, relative=True)
-                want.extend(np.ldexp(c[list(s[1:])] - c[s[0]], -game.payoff_exponents[i]))
-            np.testing.assert_allclose(residual(z), want, rtol=1e-12, atol=1e-14)
-
-
 def test_cyclic_three_player_frozen(cyclic_mp3):
     result = enumerate_nash(cyclic_mp3)
     assert not result.degenerate

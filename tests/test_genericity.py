@@ -22,10 +22,12 @@ from nashatlas import (
     certify_equilibrium,
     chart_zero_point,
     enumerate_nash,
+    enumerate_supports,
     good_family,
     is_good,
     make_game,
     on_hypersurface,
+    payoff_slice_values,
     profile_from_weights,
     random_game,
     rank_split_equivalence_test,
@@ -282,6 +284,32 @@ def test_face_system_verdict_is_the_chart_verdict():
     assert set(verdicts) == {"regular", "singular"}
 
 
+def test_face_jacobian_signs_are_indices():
+    # the indices of a nondegenerate game's equilibria sum to +1 (Shapley
+    # 1974). On the canonical face in chart (0, ..., 0), unknowns the
+    # weights on supp[1:] and rows slope(supp[0]) - slope(t), the sign of
+    # the Jacobian's determinant is the index; a pure equilibrium has no
+    # unknowns and index +1
+    for shape in [(2, 2), (3, 3), (4, 4), (2, 2, 2), (2, 3, 2)]:
+        chart = (0,) * len(shape)
+        for seed in range(40_000, 40_060):
+            game = random_game(shape, seed=seed)
+            result = enumerate_nash(game, seed=seed)
+            assert not result.degenerate, (shape, seed)
+            total = 0
+            for cert in result.equilibria:
+                supports = cert.support.supports
+                z = np.concatenate([w[list(s[1:])]
+                                    for w, s in zip(cert.point.as_floats(), supports)])
+                if not z.size:
+                    total += 1
+                    continue
+                family = canonical_equilibrium_family(game, cert.support)
+                jacobian = genericity._family_system(game, family, chart)[1]
+                total += int(np.sign(np.linalg.det(jacobian(z))))
+            assert total == 1, (shape, seed)
+
+
 def test_probe_mp_regular(mp_float):
     fam = good_family(mp_float, R=[[(0, 1)], []])
     report = regular_value_probe(mp_float, fam, (0, 0), seed=0)
@@ -390,33 +418,48 @@ def test_probe_exact_game_matches_float_twin():
             np.testing.assert_allclose(np.asarray(x, dtype=float), y, atol=1e-12)
 
 
-def test_probe_equations_are_the_defining_maps(monkeypatch):
-    # at random points of the face, in every chart that does not exclude
-    # the family, each probe residual entry times its player's payoff unit
-    # is the value of that PayoffDiff's defining map at the chart point
+def test_probe_equations_are_the_defining_maps():
+    # _family_system builds the probe's equations and the equilibrium
+    # route's. At random points of the face, in every chart that does not
+    # exclude the family, each residual entry times its player's payoff
+    # unit is the value of that PayoffDiff's defining map at the chart
+    # point. On the canonical family of every support, in chart (0, 0, 0),
+    # the unknowns are the weights on supp[1:], and player i's residual at
+    # weights drawn on the support is c[supp[0]] - c[t], t in supp[1:], in
+    # its payoff unit, c its offset-free slopes.
     base = random_game((2, 3, 2), seed=7)
     game = make_game(base.strategy_counts,
                      [u * 2.0 ** k for u, k in zip(base.utilities, (5, -7, 0))])
     fam = good_family(game, T=[(), (INF,), (1,)], R=[[(0, 1)], [(0, 1), (1, 2)], []])
-    seen = []
-
-    def spy(*args):
-        seen.append(_face_system(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(genericity, "_face_system", spy)
-    diffs = [h for h in fam.hypersurfaces() if isinstance(h, PayoffDiff)]
-    exponents = [game.payoff_exponents[h.player] for h in diffs]
-    rng = np.random.default_rng(7)
     charts = _open_charts(game.strategy_counts, fam)
     assert len(charts) == 4
-    for chart in charts:
-        regular_value_probe(game, fam, chart, seed=0)
-        residual, _, vectors = seen.pop()
-        tilde_maps = genericity._face_maps(game, fam, chart)
+    inputs = [(fam, chart, None) for chart in charts] + [
+        (canonical_equilibrium_family(game, s), (0, 0, 0), s.supports)
+        for s in enumerate_supports(game)
+    ]
+    rng = np.random.default_rng(7)
+    for family, chart, supports in inputs:
+        residual, _, vectors, tilde_maps, weight_maps = genericity._family_system(
+            game, family, chart)
+        diffs = [h for h in family.hypersurfaces() if isinstance(h, PayoffDiff)]
+        exponents = np.array([game.payoff_exponents[h.player] for h in diffs], dtype=int)
         forms = [defining_map(game, h, chart) for h in diffs]
         n = sum(a.shape[1] - 1 for a in tilde_maps)
-        for z in rng.normal(0.0, 1.0, (5, n)):
+        for _ in range(5):
+            if supports is None:
+                z = rng.normal(0.0, 1.0, n)
+            else:
+                weights = [np.zeros(c) for c in game.strategy_counts]
+                for w, s in zip(weights, supports):
+                    w[list(s)] = rng.dirichlet(np.ones(len(s)))
+                z = np.concatenate([w[list(s[1:])] for w, s in zip(weights, supports)])
+                for w, a, v in zip(weights, weight_maps, vectors(z)):
+                    np.testing.assert_allclose(a @ v, w, rtol=0, atol=1e-15)
+                want = []
+                for i, s in enumerate(supports):
+                    c = payoff_slice_values(game, i, weights, relative=True)
+                    want.extend(np.ldexp(c[s[0]] - c[list(s[1:])], -game.payoff_exponents[i]))
+                np.testing.assert_allclose(residual(z), want, rtol=1e-12, atol=1e-14)
             point = ChartPoint(chart, tuple(
                 np.delete(a @ v, l) for a, v, l in zip(tilde_maps, vectors(z), chart)))
             want = [f.eval([point.coords[b] for b in f.blocks]) for f in forms]
@@ -634,33 +677,22 @@ def test_fixture_games_bound_newton_steps(monkeypatch):
     assert calls[0] <= 400
 
 
-def test_newton_starts_built_once_per_size_tuple():
-    # 9 of the 81 supports of a 2x2x2x2 game have three or more mixed
-    # players, with mixed sizes (2, 2, 2) or (2, 2, 2, 2); the one shared
-    # array of each is read-only
-    _newton_starts.cache_clear()
-    enumerate_nash(random_game((2, 2, 2, 2), seed=9), seed=9)
-    info = _newton_starts.cache_info()
-    assert (info.misses, info.hits) == (2, 7)
-    with pytest.raises(ValueError):
-        _newton_starts((2, 2, 2), 9)[0, 0] = 0.0
-
-
 def _per_start_newton_starts(sizes, seed):
     """Reference: the Newton starts one at a time, each random start one
-    rng.dirichlet call per player."""
+    rng.dirichlet call per player, each simplex point without its first
+    weight."""
     centroid = np.concatenate([np.full(s - 1, 1.0 / s) for s in sizes])
     offsets = np.cumsum([0] + [s - 1 for s in sizes])
     out = [centroid]
     for choice in itertools.product(*(range(s) for s in sizes)):
         x = centroid.copy() * 0.1
-        for o, s, c in zip(offsets, sizes, choice):
-            if c < s - 1:
-                x[o + c] += 0.9
+        for o, c in zip(offsets, choice):
+            if c > 0:
+                x[o + c - 1] += 0.9
         out.append(x)
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_STARTS):
-        out.append(np.concatenate([rng.dirichlet(np.ones(s))[:-1] for s in sizes]))
+        out.append(np.concatenate([rng.dirichlet(np.ones(s))[1:] for s in sizes]))
     return np.array(out)
 
 
