@@ -15,6 +15,7 @@ from nashatlas import (
     SingularSystem,
     SupportProfile,
     best_reply_check,
+    canonical_equilibrium_family,
     enumerate_nash,
     enumerate_supports,
     make_game,
@@ -24,7 +25,7 @@ from nashatlas import (
     solve_support,
     support_of,
 )
-from nashatlas import equilibrium
+from nashatlas import equilibrium, genericity
 from nashatlas.game import MixedProfile
 from nashatlas.equilibrium import _exact_pair_solve, _newton_solve
 from nashatlas.exact import max_min_point
@@ -326,6 +327,37 @@ def test_linear_supports_of_a_rational_game_are_exact():
     witness = exc.value.witness
     assert [list(w) for w in witness.weights] == [[Fraction(1, 2)] * 2, [1, 0], [1, 0]]
     assert solve_support(tied, SupportProfile(((0, 1), (1,), (0,)))) == []
+
+
+def test_support_system_residual_is_the_slope_differences():
+    # the Newton equations against an independent reference: each support
+    # is solved on its canonical family's face in chart (0, ..., 0), whose
+    # unknowns are the weights on supp[1:]; at a random point of the open
+    # face, player i's residual is c[supp[0]] - c[t] for t in supp[1:], in
+    # its payoff unit, c its offset-free slopes
+    rng = np.random.default_rng(0)
+    games = []
+    for shape, powers in [((2, 2, 2), (0, -20, 7)), ((2, 3, 2), (3, 0, -9))]:
+        for seed in range(2):
+            base = random_game(shape, seed=seed)
+            games.append(make_game(shape, [u * 2.0 ** k for u, k in zip(base.utilities, powers)]))
+    for game in games:
+        chart = (0,) * game.num_players
+        for support in enumerate_supports(game):
+            supports = support.supports
+            family = canonical_equilibrium_family(game, support)
+            residual, _, vectors, _, weight_maps = genericity._family_system(game, family, chart)
+            weights = [np.zeros(c) for c in game.strategy_counts]
+            for w, s in zip(weights, supports):
+                w[list(s)] = rng.dirichlet(np.ones(len(s)))
+            z = np.concatenate([w[list(s[1:])] for w, s in zip(weights, supports)])
+            for w, a, v in zip(weights, weight_maps, vectors(z)):
+                np.testing.assert_allclose(a @ v, w, rtol=0, atol=1e-15)
+            want = []
+            for i, s in enumerate(supports):
+                c = payoff_slice_values(game, i, weights, relative=True)
+                want.extend(np.ldexp(c[s[0]] - c[list(s[1:])], -game.payoff_exponents[i]))
+            np.testing.assert_allclose(residual(z), want, rtol=1e-12, atol=1e-14)
 
 
 def test_cyclic_three_player_frozen(cyclic_mp3):
