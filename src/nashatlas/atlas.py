@@ -18,7 +18,8 @@ Three kinds of hypersurface get chart-local defining functions:
 
 Chart l misses exactly the hyperplanes tilde^i_{l_i} = 0, i.e.
 Coordinate(i, l_i) for l_i >= 1 and Coordinate(i, INF) for l_i = 0;
-asking for their defining maps raises ChartExcludesHypersurface.
+posing one of them in the chart (its defining map, or a family that
+lists it) raises ChartExcludesHypersurface.
 """
 
 from __future__ import annotations
@@ -170,23 +171,19 @@ def chart_zero_point(profile: MixedProfile) -> ChartPoint:
     return ChartPoint((0,) * profile.num_players, coords)
 
 
+def _pinned_hyperplane(i: int, l: int) -> Coordinate:
+    """The hyperplane tilde^i_l = 0 that chart slot l of player i misses."""
+    return Coordinate(i, INF if l == 0 else l)
+
+
 def chart_excludes(chart: tuple[int, ...], h: Hypersurface) -> bool:
     """Whether the hypersurface misses the chart entirely."""
-    if not isinstance(h, Coordinate):
-        return False
-    l = chart[h.player]
-    if h.index == INF:
-        return l == 0
-    return h.index >= 1 and l == h.index
+    return h == _pinned_hyperplane(h.player, chart[h.player])
 
 
 def excluded_hypersurfaces(game: FiniteGame, chart) -> list[Coordinate]:
     """The coordinate hyperplanes forming the chart's complement."""
-    chart = _validate_chart(game, chart)
-    out = []
-    for i, l in enumerate(chart):
-        out.append(Coordinate(i, INF if l == 0 else l))
-    return out
+    return [_pinned_hyperplane(i, l) for i, l in enumerate(_validate_chart(game, chart))]
 
 
 def _validate_hypersurface(game: FiniteGame, h: Hypersurface) -> None:
@@ -202,18 +199,32 @@ def _validate_hypersurface(game: FiniteGame, h: Hypersurface) -> None:
             raise ValueError(f"pair index {k} out of range")
 
 
+def _check_in_chart(game: FiniteGame, hypersurfaces, chart) -> tuple[int, ...]:
+    """The validated chart, once each hypersurface is checked against the
+    game and the chart: ValueError for one listed twice,
+    ChartExcludesHypersurface for one the chart misses."""
+    chart = _validate_chart(game, chart)
+    seen = set()
+    for h in hypersurfaces:
+        _validate_hypersurface(game, h)
+        if h in seen:
+            raise ValueError(f"{h} is listed twice")
+        seen.add(h)
+        if chart_excludes(chart, h):
+            raise ChartExcludesHypersurface(
+                f"{h} has no points in chart {format_chart(chart)}: the chart "
+                "pins that tilde coordinate to 1"
+            )
+    return chart
+
+
 def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
     """Chart-local defining function, as a form ready for eval/grad.
 
     The returned form's blocks say which players' chart coordinates it
     reads; its pinned indices are the chart slots.
     """
-    chart = _validate_chart(game, chart)
-    _validate_hypersurface(game, h)
-    if chart_excludes(chart, h):
-        raise ChartExcludesHypersurface(
-            f"{h} does not meet chart {','.join(map(str, chart))}"
-        )
+    chart = _check_in_chart(game, (h,), chart)
     i = h.player
     if isinstance(h, Coordinate):
         # weight_j = 0 is row j of M (gamma = M tilde, forms._basis_matrix);

@@ -31,8 +31,8 @@ import numpy as np
 
 from .atlas import (
     INF,
+    _check_in_chart,
     all_charts,
-    chart_excludes,
     chart_zero_point,
     excluded_hypersurfaces,
     format_chart,
@@ -373,6 +373,8 @@ def _cmd_sample(args):
 
 
 def _point_from_solve_json(game: FiniteGame, path: str, index: int):
+    if index < 0:
+        raise ValueError("--index must be >= 0")
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -407,13 +409,7 @@ def _cmd_certify(args):
         family = _parse_family(game, args.t, args.r)
     else:
         family = canonical_equilibrium_family(game, support_of(profile))
-    for h in family.hypersurfaces():
-        if chart_excludes(chart, h):
-            raise ValueError(
-                f"{h} has no points in chart {format_chart(chart)}: the chart "
-                "pins that tilde coordinate to 1, and its complement is exactly "
-                "the pinned coordinate hyperplanes"
-            )
+    _check_in_chart(game, family.hypersurfaces(), chart)
     point = chart_zero_point(profile)
     if chart != point.chart:
         point = transition(point, chart)

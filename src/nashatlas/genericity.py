@@ -44,11 +44,9 @@ from .atlas import (
     Coordinate,
     Hypersurface,
     PayoffDiff,
-    _validate_chart,
-    _validate_hypersurface,
+    _check_in_chart,
     chart_excludes,
     defining_map,
-    format_chart,
     on_hypersurface,
 )
 from .forms import MultilinearForm, _basis_matrix, _contract_axis, contract
@@ -334,18 +332,20 @@ def transversal_at(
     """Transversality of the family at one chart point.
 
     Hypersurfaces not containing the point are ignored; hypersurfaces
-    the chart excludes cannot contain it and are skipped. Pass `active`
-    to pin the active set instead of detecting it by membership (where
-    activity is known, as for an equilibrium's canonical family). Verdict
+    the chart excludes cannot contain it and are skipped, and one listed
+    twice raises ValueError. Pass `active` to pin the active set instead
+    of detecting it by membership (where activity is known, as for an
+    equilibrium's canonical family). Verdict
     is transversal iff the stacked Jacobian (payoff-difference rows in
     payoff units) has full row rank.
     """
     chart = point.chart
     if active is None:
-        active = [
-            h for h in family.hypersurfaces()
-            if not chart_excludes(chart, h) and on_hypersurface(game, h, point)
-        ]
+        members = [h for h in family.hypersurfaces() if not chart_excludes(chart, h)]
+        _check_in_chart(game, members, chart)
+        active = [h for h in members if on_hypersurface(game, h, point)]
+    else:
+        _check_in_chart(game, active, chart)
     total = _coord_offsets(game)[1]
     rows = [np.ldexp(full_gradient(game, defining_map(game, h, chart), point),
                      -game.payoff_exponents[h.player] if isinstance(h, PayoffDiff) else 0)
@@ -404,12 +404,6 @@ def _face_maps(game: FiniteGame, family: GoodFamily, chart):
         c, l = game.strategy_counts[i], chart[i]
         fixed, affine = {l}, False
         for t in labels:
-            h = Coordinate(i, t)
-            if chart_excludes(chart, h):
-                raise ValueError(
-                    f"{h} is excluded from chart {format_chart(chart)}; "
-                    "pick a chart whose pinned slots avoid the family"
-                )
             if t == 0:
                 affine = True
             else:
@@ -454,19 +448,17 @@ def regular_value_probe(
     root is a regular point (full-rank Jacobian of the restricted map).
 
     The equations are the PayoffDiff(i, pair) defining maps of
-    atlas.defining_map, formed by _family_system; root residuals are in
-    payoff units. An empty root set is a regular outcome; the probe only
-    ever witnesses degeneracy, it cannot prove its absence.
+    atlas.defining_map, formed by _family_system. A root's residual is
+    the largest absolute value of those maps there: in the game's own
+    payoffs, not in payoff units, so it scales with the payoffs. An
+    empty root set is a regular outcome; the probe only ever witnesses
+    degeneracy, it cannot prove its absence.
     """
-    chart = _validate_chart(game, chart)
+    chart = _check_in_chart(game, family.hypersurfaces(), chart)
     if not is_good(family):
         raise ValueError("family is not good (some pair graph has a cycle)")
     if family.num_pairs == 0:
         raise ValueError("family has no payoff-difference pairs to probe")
-
-    for i, pairs in enumerate(family.R):
-        for pair in pairs:
-            _validate_hypersurface(game, PayoffDiff(i, pair))
     face = _family_system(game, family, chart)
     if face is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
@@ -483,7 +475,7 @@ def regular_value_probe(
     starts = np.vstack([np.zeros(total_dim), rng.normal(0.0, 1.0, (RANDOM_STARTS, total_dim))])
     roots = _newton_roots(residual, jacobian, starts)
     roots = np.array(roots).reshape(len(roots), total_dim)
-    # each equation's residual back in its player's payoff unit
+    # each equation's residual (in payoff units) times its player's unit 2^e_i
     exponents = np.repeat(game.payoff_exponents, [len(pairs) for pairs in family.R])
     residuals = _inf_norm(np.ldexp(residual(roots), exponents))
 

@@ -28,6 +28,7 @@ from nashatlas import (
     read_chart,
     transition,
 )
+from nashatlas.atlas import chart_excludes
 
 from conftest import fd_gradient
 
@@ -120,6 +121,13 @@ def test_excluded_hypersurfaces(mp_float):
         Coordinate(0, 1),
         Coordinate(1, INF),
     ]
+    # the complement is exactly what chart_excludes rejects
+    g = random_game((3, 2), seed=0)
+    surfaces = [Coordinate(i, j) for i, c in enumerate(g.strategy_counts)
+                for j in [*range(c), INF]] + [PayoffDiff(0, (0, 2)), PayoffDiff(1, (0, 1))]
+    for chart in all_charts(g):
+        excluded = excluded_hypersurfaces(g, chart)
+        assert [h for h in surfaces if chart_excludes(chart, h)] == excluded
 
 
 def test_defining_map_coordinate_forms(mp_float):

@@ -5,7 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from nashatlas import make_game, random_game, serialize_game
+from nashatlas import (
+    FLOAT,
+    ChartExcludesHypersurface,
+    Coordinate,
+    defining_map,
+    good_family,
+    make_game,
+    parse_game,
+    random_game,
+    regular_value_probe,
+    serialize_game,
+)
 from nashatlas.cli import main
 
 from conftest import fresh_python
@@ -279,6 +290,17 @@ def test_certify_from_json_bad_index(bos_file, tmp_path, capsys):
     assert code == 1
 
 
+def test_certify_from_json_negative_index(bos_file, tmp_path, capsys):
+    # -1 would otherwise count from the end of the report
+    assert main(["solve", bos_file, "--json"]) == 0
+    report_path = tmp_path / "solve.json"
+    report_path.write_text(capsys.readouterr().out)
+    for index in ("-1", "-4"):
+        code = main(["certify", bos_file, "--from-json", str(report_path), "--index", index])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --index must be >= 0\n"
+
+
 def test_certify_exact_point_on_exact_form(tmp_path, capsys):
     # D:1:0:1 is 1/10**10 at the centre: off the hypersurface, however
     # close to 0, when an exact form is evaluated at an exact point
@@ -305,6 +327,8 @@ def test_certify_requires_point(mp_file, capsys):
 
 
 def test_certify_excluded_family(mp_file, capsys):
+    # chart 1,1 misses C:1:1: certify, defining_map and the probe give one
+    # message, naming the hypersurface and the chart
     code = main(
         [
             "certify", mp_file,
@@ -315,7 +339,15 @@ def test_certify_excluded_family(mp_file, capsys):
         ]
     )
     assert code == 1
-    assert "chart" in capsys.readouterr().err
+    game = parse_game(MP_TEXT, FLOAT)
+    with pytest.raises(ChartExcludesHypersurface) as direct:
+        defining_map(game, Coordinate(0, 1), (1, 1))
+    with pytest.raises(ChartExcludesHypersurface) as probe:
+        regular_value_probe(game, good_family(game, [[1], []], [[], [(0, 1)]]), (1, 1))
+    message = str(direct.value)
+    assert "C:1:1" in message and "chart 1,1" in message
+    assert str(probe.value) == message
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_certify_degenerate_exit(tmp_path, capsys):

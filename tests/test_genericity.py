@@ -39,6 +39,7 @@ from nashatlas import (
 from nashatlas import equilibrium, genericity
 from nashatlas.atlas import chart_excludes, defining_map
 from nashatlas.equilibrium import SingularSystem, _newton_starts, solve_support
+from nashatlas.forms import _basis_matrix
 from nashatlas.game import SupportProfile
 from nashatlas.genericity import (
     DEDUP_TOL,
@@ -376,6 +377,32 @@ def test_probe_requires_good_family(mp_float):
         regular_value_probe(g, bad, (0, 0), seed=0)
 
 
+def test_probe_rejects_out_of_range_label():
+    # a family built without good_family has its coordinate labels checked
+    # like its pairs: an unchecked label 5 would be dropped from the face
+    g = random_game((2, 3), seed=1)
+    fam = GoodFamily(((5,), ()), ((), ((0, 1),)))
+    with pytest.raises(ValueError, match="coordinate index 5 out of range"):
+        regular_value_probe(g, fam, (0, 0), seed=0)
+
+
+def test_a_repeated_hypersurface_is_rejected(mp_float):
+    # D:1:0:1 listed twice would give two equal Jacobian rows: a false
+    # "degenerate" at matching pennies' regular equilibrium, and in the
+    # probe of a family whose deduplicated form is regular
+    twice = GoodFamily(((), ()), (((0, 1), (0, 1)), ((0, 1),)))
+    point = chart_zero_point(profile_from_weights([[0.5, 0.5], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="D:1:0:1 is listed twice"):
+        transversal_at(mp_float, twice, point)
+    with pytest.raises(ValueError, match="D:1:0:1 is listed twice"):
+        transversal_at(mp_float, twice, point, active=twice.hypersurfaces())
+    g = random_game((2, 2, 2), seed=3)
+    twice = GoodFamily(((),) * 3, (((0, 1), (0, 1)), ((0, 1),), ((0, 1),)))
+    with pytest.raises(ValueError, match="D:1:0:1 is listed twice"):
+        regular_value_probe(g, twice, (0, 0, 0), seed=0)
+    assert regular_value_probe(g, good_family(g, R=twice.R), (0, 0, 0)).verdict == "regular"
+
+
 @pytest.mark.parametrize("pair", [(0, 5), (-1, 1)])
 def test_probe_rejects_bad_pairs(pair):
     # a family built without good_family still has its pairs checked
@@ -516,6 +543,56 @@ def test_probe_does_not_depend_on_payoff_scale(shape, T, R, powers):
 
     for chart in _open_charts(shape, fam):
         assert answer(scaled, chart) == answer(game, chart), chart
+
+
+@pytest.mark.parametrize("k", [20, -40])
+def test_probe_residuals_scale_with_the_payoffs(k):
+    # a root's residual is the defining maps' value, in the game's own
+    # payoffs: payoffs times 2^k give the same roots, each residual times
+    # 2^k exactly
+    game = random_game((2, 2, 2), seed=3)
+    scaled = make_game(game.strategy_counts, [u * 2.0 ** k for u in game.utilities])
+    fam = good_family(game, R=[[(0, 1)]] * 3)
+    residuals = []
+    for chart in itertools.product(range(2), repeat=3):
+        want = [r.residual * 2.0 ** k for r in regular_value_probe(game, fam, chart, seed=3).roots]
+        got = [r.residual for r in regular_value_probe(scaled, fam, chart, seed=3).roots]
+        assert got == want, chart
+        residuals += got
+    assert any(residuals)
+
+
+def test_transversal_jacobian_is_coordinate_rows_over_the_face_jacobian():
+    # transversal_at builds its rows one defining map at a time. They are
+    # the active coordinate rows (row t of forms._basis_matrix, or e_0 for
+    # INF, chart slot dropped) stacked on the Jacobian of the face system
+    # of the family with T emptied, at z = the chart coordinates
+    T = [(2,), (INF,), ()]
+    R = [((0, 1), (1, 2)), ((0, 1),), ((0, 2),)]
+    rng = np.random.default_rng(0)
+    points = 0
+    for seed in range(20):
+        game = random_game((3, 2, 3), seed=seed)
+        family = good_family(game, T, R)
+        bounds = np.cumsum([0] + [c - 1 for c in game.strategy_counts])
+        for chart in _open_charts(game.strategy_counts, family):
+            coords = tuple(rng.normal(size=c - 1) for c in game.strategy_counts)
+            got = transversal_at(game, family, ChartPoint(chart, coords),
+                                 active=family.hypersurfaces()).jacobian
+            rows = []
+            for h in family.hypersurfaces():
+                if isinstance(h, Coordinate):
+                    i = h.player
+                    c = game.strategy_counts[i]
+                    vec = np.eye(c)[0] if h.index == INF else _basis_matrix(c, False)[h.index]
+                    row = np.zeros(bounds[-1])
+                    row[bounds[i]: bounds[i + 1]] = np.delete(vec, chart[i])
+                    rows.append(row)
+            jacobian = genericity._family_system(game, good_family(game, R=R), chart)[1]
+            want = np.vstack([rows, jacobian(np.concatenate(coords))])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (seed, chart)
+            points += 1
+    assert points == 120
 
 
 def _per_start_newton(residual, jacobian, starts, accept=None):
