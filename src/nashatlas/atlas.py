@@ -49,10 +49,10 @@ class Coordinate:
 
     def __post_init__(self):
         if self.player < 0:
-            raise ValueError("player index must be >= 0")
+            raise ValueError(f"{self}: player index must be >= 0")
         if self.index != INF:
             if self.index < 0:
-                raise ValueError("coordinate index must be >= 0 or INF")
+                raise ValueError(f"{self}: coordinate index must be >= 0 or INF")
             object.__setattr__(self, "index", int(self.index))
 
     def __str__(self) -> str:
@@ -69,10 +69,10 @@ class PayoffDiff:
 
     def __post_init__(self):
         if self.player < 0:
-            raise ValueError("player index must be >= 0")
+            raise ValueError(f"{self}: player index must be >= 0")
         j, k = self.pair
         if not 0 <= j < k:
-            raise ValueError("pair must satisfy 0 <= j < k")
+            raise ValueError(f"{self}: pair must satisfy 0 <= j < k")
 
     def __str__(self) -> str:
         j, k = self.pair
@@ -187,16 +187,15 @@ def excluded_hypersurfaces(game: FiniteGame, chart) -> list[Coordinate]:
 
 
 def _validate_hypersurface(game: FiniteGame, h: Hypersurface) -> None:
+    """Raise ValueError, naming h, unless h is a hypersurface of the game."""
     if not 0 <= h.player < game.num_players:
-        raise ValueError(f"no player {h.player}")
+        raise ValueError(f"{h}: no player {h.player + 1}")
     n = game.strategy_counts[h.player] - 1
     if isinstance(h, Coordinate):
-        if h.index != INF and not 0 <= h.index <= n:
-            raise ValueError(f"coordinate index {h.index} out of range")
-    else:
-        j, k = h.pair
-        if k > n:
-            raise ValueError(f"pair index {k} out of range")
+        if h.index != INF and h.index > n:
+            raise ValueError(f"{h}: coordinate index {h.index} out of range")
+    elif h.pair[1] > n:
+        raise ValueError(f"{h}: pair index {h.pair[1]} out of range")
 
 
 def _check_in_chart(game: FiniteGame, hypersurfaces, chart) -> tuple[int, ...]:

@@ -104,10 +104,7 @@ def _load_game(args) -> FiniteGame:
             text = fh.read()
     except OSError as e:
         raise GameFormatError(f"cannot read {args.file}: {e.strerror}") from e
-    game = parse_game(text, RATIONAL if args.exact else FLOAT)
-    if args.exact and game.num_players != 2:
-        raise GameFormatError("--exact is only supported for 2-player games")
-    return game
+    return parse_game(text, RATIONAL if args.exact else FLOAT)
 
 
 def _zero_game(shape_text: str) -> FiniteGame:
@@ -120,8 +117,6 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         counts = tuple(int(p) for p in text.lower().split("x"))
     except ValueError:
         raise ValueError(f"bad shape {text!r}: expected like 2x3x2") from None
-    if not counts:
-        raise ValueError("empty shape")
     for c in counts:
         if c < 2:
             raise ValueError(
@@ -135,32 +130,29 @@ def _parse_family(game: FiniteGame, t_specs, r_specs):
     T = [[] for _ in range(m)]
     R = [[] for _ in range(m)]
 
-    def player_of(head: str) -> int:
-        i = int(head) - 1
+    def entries(spec: str, flag: str, form: str, item):
+        """Player index and parsed items of one --t or --r spec."""
+        try:
+            head, rest = spec.split(":")
+            i = int(head) - 1
+            items = [item(part) for part in rest.split(",") if part]
+        except ValueError:
+            raise ValueError(f"bad {flag} spec {spec!r}: expected {form}") from None
         if not 0 <= i < m:
             raise ValueError(f"no player {head}")
-        return i
+        return i, items
+
+    def pair(part: str) -> tuple[int, int]:
+        j, k = part.split("-")
+        return int(j), int(k)
 
     for spec in t_specs or ():
-        head, sep, rest = spec.partition(":")
-        if not sep:
-            raise ValueError(f"bad --t spec {spec!r}: expected i:j[,j...]")
-        i = player_of(head)
-        for part in rest.split(","):
-            if part:
-                T[i].append(INF if part == "inf" else int(part))
+        i, labels = entries(spec, "--t", "i:j[,j...]",
+                            lambda part: INF if part == "inf" else int(part))
+        T[i] += labels
     for spec in r_specs or ():
-        head, sep, rest = spec.partition(":")
-        if not sep:
-            raise ValueError(f"bad --r spec {spec!r}: expected i:j-k[,j-k...]")
-        i = player_of(head)
-        for part in rest.split(","):
-            if not part:
-                continue
-            j, sep2, k = part.partition("-")
-            if not sep2:
-                raise ValueError(f"bad pair {part!r} in --r spec")
-            R[i].append((int(j), int(k)))
+        i, pairs = entries(spec, "--r", "i:j-k[,j-k...]", pair)
+        R[i] += pairs
     return good_family(game, T, R)
 
 
@@ -181,7 +173,12 @@ def _point_from_lists(game: FiniteGame, blocks):
             raise ValueError(
                 f"player {i + 1} needs {game.strategy_counts[i]} weights"
             )
-        weights.append([Fraction(str(x)) if rational else float(x) for x in b])
+        weights.append([])
+        for x in b:
+            try:
+                weights[i].append(Fraction(str(x)) if rational else float(x))
+            except (ValueError, ZeroDivisionError, TypeError):
+                raise ValueError(f"player {i + 1}: bad weight {x!r}") from None
     profile = profile_from_weights(weights, RATIONAL if rational else FLOAT)
     # a p/q point sums to exactly 1; a float point within rounding
     if not profile.in_A():
@@ -474,7 +471,7 @@ def _build_parser() -> _Parser:
     game_file = argparse.ArgumentParser(add_help=False)
     game_file.add_argument("file", help="game file")
     game_file.add_argument("--exact", action="store_true",
-                           help="exact rational arithmetic (2-player games only)")
+                           help="exact rational arithmetic")
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--t", action="append", metavar="i:j[,j...]",
                         help="coordinate labels per player (inf allowed)")

@@ -45,6 +45,8 @@ from .atlas import (
     Hypersurface,
     PayoffDiff,
     _check_in_chart,
+    _validate_chart,
+    _validate_hypersurface,
     chart_excludes,
     defining_map,
     on_hypersurface,
@@ -84,33 +86,29 @@ class GoodFamily:
         return sum(len(p) for p in self.R)
 
 
-def good_family(game: FiniteGame, T=None, R=None) -> GoodFamily:
-    """Validated family; missing players default to empty selections."""
-    m = game.num_players
-    T = list(T) if T is not None else [()] * m
-    R = list(R) if R is not None else [()] * m
-    if len(T) != m or len(R) != m:
+def _family_members(game: FiniteGame, family: GoodFamily) -> list[Hypersurface]:
+    """The family's hypersurfaces, once it has one T and one R entry per
+    player and each member is a hypersurface of the game."""
+    if not len(family.T) == len(family.R) == game.num_players:
         raise ValueError("family needs one T and one R entry per player")
-    t_out, r_out = [], []
-    for i in range(m):
-        n = game.strategy_counts[i] - 1
-        labels = []
-        for t in T[i]:
-            if t != INF:
-                t = int(t)
-                if not 0 <= t <= n:
-                    raise ValueError(f"player {i + 1}: label {t} out of range")
-            labels.append(t)
-        labels = tuple(sorted(set(labels), key=float))
-        pairs = []
-        for j, k in R[i]:
-            j, k = int(j), int(k)
-            if not 0 <= j < k <= n:
-                raise ValueError(f"player {i + 1}: bad pair ({j},{k})")
-            pairs.append((j, k))
-        t_out.append(labels)
-        r_out.append(tuple(sorted(set(pairs))))
-    return GoodFamily(tuple(t_out), tuple(r_out))
+    members = family.hypersurfaces()
+    for h in members:
+        _validate_hypersurface(game, h)
+    return members
+
+
+def good_family(game: FiniteGame, T=None, R=None) -> GoodFamily:
+    """Validated family (_family_members), labels and pairs sorted and
+    deduplicated per player; a missing T or R selects nothing."""
+    empty = [()] * game.num_players
+    T = empty if T is None else T
+    R = empty if R is None else R
+    family = GoodFamily(
+        tuple(tuple(sorted({t if t == INF else int(t) for t in ts}, key=float)) for ts in T),
+        tuple(tuple(sorted({(int(j), int(k)) for j, k in ps})) for ps in R),
+    )
+    _family_members(game, family)
+    return family
 
 
 def _find_cycle(edges) -> list[int] | None:
@@ -331,17 +329,18 @@ def transversal_at(
 ) -> TransversalityReport:
     """Transversality of the family at one chart point.
 
-    Hypersurfaces not containing the point are ignored; hypersurfaces
-    the chart excludes cannot contain it and are skipped, and one listed
-    twice raises ValueError. Pass `active` to pin the active set instead
-    of detecting it by membership (where activity is known, as for an
-    equilibrium's canonical family). Verdict
-    is transversal iff the stacked Jacobian (payoff-difference rows in
+    The chart, and the family unless `active` is given, are checked
+    against the game first. Hypersurfaces not containing the point are
+    ignored; those the chart excludes cannot contain it and are skipped,
+    and one listed twice raises ValueError. Pass `active` to pin the
+    active set instead of detecting it by membership (where activity is
+    known, as for an equilibrium's canonical family). Verdict is
+    transversal iff the stacked Jacobian (payoff-difference rows in
     payoff units) has full row rank.
     """
-    chart = point.chart
+    chart = _validate_chart(game, point.chart)
     if active is None:
-        members = [h for h in family.hypersurfaces() if not chart_excludes(chart, h)]
+        members = [h for h in _family_members(game, family) if not chart_excludes(chart, h)]
         _check_in_chart(game, members, chart)
         active = [h for h in members if on_hypersurface(game, h, point)]
     else:
@@ -454,7 +453,7 @@ def regular_value_probe(
     empty root set is a regular outcome; the probe only ever witnesses
     degeneracy, it cannot prove its absence.
     """
-    chart = _check_in_chart(game, family.hypersurfaces(), chart)
+    chart = _check_in_chart(game, _family_members(game, family), chart)
     if not is_good(family):
         raise ValueError("family is not good (some pair graph has a cycle)")
     if family.num_pairs == 0:

@@ -270,6 +270,24 @@ def test_hypersurface_names_round_trip():
         parse_hypersurface("X:1:2")
 
 
+def test_hypersurface_errors_name_the_member():
+    # players are 1-based in the name and in the message: player 3 of a
+    # 2-player game, not "no player 2"
+    g = random_game((2, 3), seed=0)
+    with pytest.raises(ValueError, match="^C:3:1: no player 3$"):
+        parse_hypersurface("C:3:1", g)
+    with pytest.raises(ValueError, match="^D:3:0:1: no player 3$"):
+        defining_map(g, PayoffDiff(2, (0, 1)), (0, 0))
+    with pytest.raises(ValueError, match="^C:2:3: coordinate index 3 out of range$"):
+        defining_map(g, Coordinate(1, 3), (0, 0))
+    with pytest.raises(ValueError, match="^D:1:0:2: pair index 2 out of range$"):
+        parse_hypersurface("D:1:0:2", g)
+    with pytest.raises(ValueError, match="^D:1:1:1: pair must satisfy 0 <= j < k$"):
+        PayoffDiff(0, (1, 1))
+    with pytest.raises(ValueError, match="^C:1:-1: coordinate index must be >= 0 or INF$"):
+        Coordinate(0, -1)
+
+
 def test_payoff_diff_validates_pair():
     with pytest.raises(ValueError):
         PayoffDiff(0, (2, 1))

@@ -1,15 +1,18 @@
 """Command-line interface: subcommands, exit codes, and report shapes."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nashatlas import (
     FLOAT,
+    RATIONAL,
     ChartExcludesHypersurface,
     Coordinate,
     defining_map,
+    enumerate_nash,
     good_family,
     make_game,
     parse_game,
@@ -145,16 +148,35 @@ def test_solve_degenerate_exit_code(tmp_path, capsys):
     assert report["warnings"]
 
 
-def test_solve_exact_rejects_three_players(tmp_path, capsys):
-    text = (
-        "players 3\nstrategies 2 2 2\n"
-        + "payoff 1\n1 0 0 1 0 1 1 0\n"
-        + "payoff 2\n1 0 0 1 0 1 1 0\n"
-        + "payoff 3\n1 0 0 1 0 1 1 0\n"
-    )
+def _integer_game_text(shape, seed):
+    """A seeded game file with integer payoffs in -9..9."""
+    rng = np.random.default_rng(seed)
+    lines = [f"players {len(shape)}", "strategies " + " ".join(map(str, shape))]
+    for i in range(len(shape)):
+        lines += [f"payoff {i + 1}", " ".join(map(str, rng.integers(-9, 10, np.prod(shape))))]
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_exact_three_players(tmp_path, capsys):
+    # --exact takes any number of players: the report is the library's
+    # answer on the rational game, exact where at most two players mix and
+    # from Newton in floats on the full support, and certify accepts each
+    text = _integer_game_text((2, 2, 2), seed=27)
     path = _write(tmp_path, "three.game", text)
-    assert main(["solve", path, "--exact"]) == 1
-    assert "2-player" in capsys.readouterr().err
+    assert main(["solve", path, "--exact", "--json"]) == 0
+    out = capsys.readouterr().out
+    got = json.loads(out)["results"]["equilibria"]
+    want = enumerate_nash(parse_game(text, RATIONAL)).equilibria
+    assert [e["point"] for e in got] == [
+        [[str(x) if isinstance(x, Fraction) else float(x) for x in w] for w in c.point.weights]
+        for c in want
+    ]
+    assert [e["exact"] for e in got] == [c.exact for c in want] == [True, False, True]
+    report = _write(tmp_path, "solve.json", out)
+    for index in range(len(want)):
+        argv = ["certify", path, "--exact", "--from-json", report, "--index", str(index)]
+        assert main(argv) == 0
+        assert "verdict: transversal" in capsys.readouterr().out
 
 
 def test_solve_missing_file(capsys):
@@ -209,6 +231,24 @@ def test_goodcheck_bad_shape(capsys):
 def test_goodcheck_bad_spec(capsys):
     assert main(["goodcheck", "--shape", "2x2", "--r", "1:01"]) == 1
     assert main(["goodcheck", "--shape", "2x2", "--r", "5:0-1"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["goodcheck", "--shape", "2x2", "--t", "1:a"], "bad --t spec '1:a': expected i:j[,j...]"),
+    (["goodcheck", "--shape", "2x2", "--r", "1:0-a"],
+     "bad --r spec '1:0-a': expected i:j-k[,j-k...]"),
+    (["goodcheck", "--shape", "2x2", "--r", "1:01"],
+     "bad --r spec '1:01': expected i:j-k[,j-k...]"),
+    (["goodcheck", "--shape", "", "--t", "1:0"], "bad shape '': expected like 2x3x2"),
+    (["goodcheck", "--shape", "2x2", "--t", "1:5"], "C:1:5: coordinate index 5 out of range"),
+    (["goodcheck", "--shape", "2x2", "--r", "1:1-0"], "D:1:1:0: pair must satisfy 0 <= j < k"),
+    (["goodcheck", "--shape", "2x3", "--r", "1:0-2"], "D:1:0:2: pair index 2 out of range"),
+    (["certify", "{mp}", "--point", "1/0,1;1,0"], "player 1: bad weight '1/0'"),
+    (["certify", "{mp}", "--point", "0.5,0.5;x,0.5"], "player 2: bad weight 'x'"),
+])
+def test_input_errors_name_the_bad_input(mp_file, capsys, argv, message):
+    assert main([a.format(mp=mp_file) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sample_deterministic(capsys):

@@ -403,6 +403,72 @@ def test_a_repeated_hypersurface_is_rejected(mp_float):
     assert regular_value_probe(g, good_family(g, R=twice.R), (0, 0, 0)).verdict == "regular"
 
 
+@pytest.mark.parametrize("shape, family", [
+    # one player short, and one player too many
+    ((2, 2, 2), GoodFamily(((), ()), (((0, 1),), ((0, 1),)))),
+    ((2, 2), GoodFamily(((), (), ()), (((0, 1),), ((0, 1),), ((0, 1),)))),
+])
+def test_family_needs_one_entry_per_player(shape, family):
+    # a hand-built family is checked against the game like good_family's:
+    # not a numpy broadcast error in the probe, not a player read as empty
+    # or an IndexError in transversal_at
+    g = random_game(shape, seed=3)
+    point = chart_zero_point(profile_from_weights([[0.5, 0.5]] * len(shape)))
+    message = "^family needs one T and one R entry per player$"
+    with pytest.raises(ValueError, match=message):
+        regular_value_probe(g, family, (0,) * len(shape), seed=0)
+    with pytest.raises(ValueError, match=message):
+        transversal_at(g, family, point)
+    with pytest.raises(ValueError, match=message):
+        good_family(g, family.T, family.R)
+
+
+def test_transversal_at_checks_the_chart():
+    # a one-entry chart on a 2x3 game: a ValueError up front, not an
+    # IndexError from reading player 2's chart slot
+    g = random_game((2, 3), seed=0)
+    point = ChartPoint((0,), (np.array([0.5]),))
+    with pytest.raises(ValueError, match="^chart needs 2 indices$"):
+        transversal_at(g, good_family(g, R=[[], [(0, 1)]]), point)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_malformed_family_is_a_value_error(data):
+    # a wrong entry count, an out-of-range label or pair, or a reversed
+    # pair: good_family, the probe and transversal_at each raise a
+    # ValueError that names the defect, never an IndexError or a numpy error
+    shape = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2, 2)]), label="shape")
+    m = len(shape)
+    T, R = [[] for _ in shape], [[(0, 1)] for _ in shape]
+    i = data.draw(st.integers(0, m - 1), label="player")
+    n = shape[i] - 1
+    defect = data.draw(st.sampled_from(["T count", "R count", "label", "pair", "reversed"]))
+    if defect.endswith("count"):
+        entries = T if defect == "T count" else R
+        if data.draw(st.booleans(), label="short"):
+            entries.pop()
+        else:
+            entries.append([])
+    elif defect == "label":
+        T[i].append(data.draw(st.one_of(st.integers(n + 1, n + 4), st.integers(-3, -1))))
+    elif defect == "pair":
+        R[i].append((data.draw(st.integers(0, n)), data.draw(st.integers(n + 1, n + 3))))
+    else:
+        k = data.draw(st.integers(1, n))
+        R[i].append((k, data.draw(st.integers(0, k - 1))))
+    g = random_game(shape, seed=1)
+    family = GoodFamily(tuple(map(tuple, T)), tuple(map(tuple, R)))
+    point = chart_zero_point(profile_from_weights([[1 / c] * c for c in shape]))
+    message = "family needs one T and one R entry per player|out of range|must satisfy|>= 0"
+    with pytest.raises(ValueError, match=message):
+        good_family(g, T, R)
+    with pytest.raises(ValueError, match=message):
+        regular_value_probe(g, family, (0,) * m, seed=0)
+    with pytest.raises(ValueError, match=message):
+        transversal_at(g, family, point)
+
+
 @pytest.mark.parametrize("pair", [(0, 5), (-1, 1)])
 def test_probe_rejects_bad_pairs(pair):
     # a family built without good_family still has its pairs checked
