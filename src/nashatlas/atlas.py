@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import MultilinearForm, _basis_matrix, homogeneous_decomposition
-from .game import FLOAT, MEMBERSHIP_TOL, RATIONAL, FiniteGame, MixedProfile, _exact, _numbers
+from .game import FLOAT, MEMBERSHIP_TOL, FiniteGame, MixedProfile, _exact, _numbers
 
 INF = float("inf")
 
@@ -112,22 +112,28 @@ def _validate_chart(game: FiniteGame, chart) -> tuple[int, ...]:
     return chart
 
 
-def chart_point(game: FiniteGame, chart, coords, mode: str = FLOAT) -> ChartPoint:
-    """Validated chart point; coords has one length-n_i vector per player."""
-    chart = _validate_chart(game, chart)
+def _validate_coords(game: FiniteGame, coords) -> None:
+    """One finite length-n_i coordinate array per player, or a ValueError
+    naming the 1-based player."""
     if len(coords) != game.num_players:
-        raise ValueError("one coordinate vector per player required")
-    out = []
-    for i, c in enumerate(coords):
-        arr = _numbers(c, mode)
-        if mode != RATIONAL and not np.isfinite(arr).all():
+        k = min(len(coords), game.num_players) + 1
+        missing = "has none" if len(coords) < game.num_players else "is not in the game"
+        raise ValueError(f"one coordinate vector per player required: player {k} {missing}")
+    for i, arr in enumerate(coords):
+        if arr.dtype != object and not np.isfinite(arr).all():
             raise ValueError(f"non-finite coordinate for player {i + 1}")
-        if len(arr) != game.strategy_counts[i] - 1:
+        if arr.shape != (game.strategy_counts[i] - 1,):
             raise ValueError(
                 f"player {i + 1} takes {game.strategy_counts[i] - 1} chart coordinates"
             )
-        out.append(arr)
-    return ChartPoint(chart, tuple(out))
+
+
+def chart_point(game: FiniteGame, chart, coords, mode: str = FLOAT) -> ChartPoint:
+    """Validated chart point; coords has one length-n_i vector per player."""
+    chart = _validate_chart(game, chart)
+    out = tuple(_numbers(c, mode) for c in coords)
+    _validate_coords(game, out)
+    return ChartPoint(chart, out)
 
 
 def all_charts(game: FiniteGame) -> list[tuple[int, ...]]:

@@ -12,16 +12,19 @@ scaled exactly to Python ints (FiniteGame.integer_utilities; float
 payoffs are dyadic) and sliced to the two players
 (FiniteGame.integer_pair_tables), each block is solved by
 fraction-free elimination (exact.solve_affine, integer numerators over
-one positive denominator), and the answers are Fractions in either
-mode. Exact numbers take no tolerance: a weight is positive when it is
-> 0. One pass looks for a positive point block by block and stops at
-the first block without one: a unique solution is checked directly in
-integers, and a positive-dimensional one gets its max-min point from an
-exact integer simplex (exact.max_min_point), since the set has a
-positive point exactly when its largest smallest weight is > 0. Both
-blocks' points make the one candidate, or witness a continuum;
-enumerate_nash rounds a float game's answers to float64 once, at the
-end. When three or more players mix the system is multilinear, and it
+one positive denominator) in the face coordinates of chart (0, ..., 0)
+that the Newton route uses, the solving player's weights on supp[1:]
+(_face_block), with w_{supp[0]} recovered from the sum rule, and the
+answers are Fractions in either mode. Exact numbers take no tolerance:
+a weight is positive when it is > 0. One pass looks for a positive
+point block by block and stops at the first block without one: a
+unique solution is checked directly in integers, and a
+positive-dimensional one gets its max-min point from an exact integer
+simplex (exact.max_min_point) on the whole block, sum rule included,
+since the set has a positive point exactly when its largest smallest
+weight is > 0. Both blocks' points make the one candidate, or witness
+a continuum; enumerate_nash rounds a float game's answers to float64
+once, at the end. When three or more players mix the system is multilinear, and it
 (like a one-player game's mixed support, whose slopes are constants)
 runs the damped multistart Newton loop of genericity._newton_roots on
 its canonical family's face in chart (0, ..., 0), the system the probe
@@ -161,19 +164,45 @@ def enumerate_supports(game: FiniteGame):
         yield SupportProfile(tuple(combo))
 
 
-def _positive_point(sol: AffineSolutionSet, rows, rhs) -> list[Fraction] | None:
-    """A point of the nonempty solution set ``sol`` of rows * w = rhs whose
-    every entry is > 0, or None.
+def _face_block(u, supp, osupp) -> tuple[list[list[int]], list[int]]:
+    """The solving player's block in face coordinates, its weights z on
+    supp[1:] (chart (0, ..., 0)): with a_js = u[j][s] - u[osupp[0]][s],
+    one row (a_js - a_{j,supp[0]}, s in supp[1:]) per j in osupp[1:],
+    right-hand side -a_{j,supp[0]}. It is the partner's slope equalities
+    with w_{supp[0]} = 1 - sum(z) substituted."""
+    base, s0, tail = u[osupp[0]], supp[0], supp[1:]
+    rows, rhs = [], []
+    for j in osupp[1:]:
+        uj = u[j]
+        c = base[s0] - uj[s0]
+        rows.append([uj[s] - base[s] + c for s in tail])
+        rhs.append(c)
+    return rows, rhs
 
-    A unique solution n / den is checked on its integer numerators, the
-    denominator being positive. A positive-dimensional set gets the exact
-    max-min point (exact.max_min_point), whose smallest entry t* is the
-    largest on the set: a positive point exists exactly when t* > 0, and
-    the max-min point is then returned.
+
+def _simplex_nums(sol: AffineSolutionSet) -> list[int]:
+    """The numerators over sol.den of the whole weight vector at the face
+    solution ``sol``: w_{supp[0]} = (den - sum(nums)) / den, then nums."""
+    return [sol.den - sum(sol.nums), *sol.nums]
+
+
+def _positive_point(sol: AffineSolutionSet, rows, rhs) -> list[Fraction] | None:
+    """A weight vector whose every entry is > 0 in the nonempty solution
+    set ``sol`` of the face block rows * z = rhs (_face_block), or None.
+
+    A unique solution is checked on its integer numerators
+    (_simplex_nums), the denominator being positive. A positive-dimensional
+    set gets the exact max-min point (exact.max_min_point) of the whole
+    block, each row (-rhs_j, row_j - rhs_j) = 0 plus the sum rule, whose
+    smallest entry t* is the largest on the set: a positive point exists
+    exactly when t* > 0, and the max-min point is then returned.
     """
     if sol.is_unique:
-        return sol.particular if all(n > 0 for n in sol.nums) else None
-    best = max_min_point(rows, rhs)
+        nums = _simplex_nums(sol)
+        return [Fraction(n, sol.den) for n in nums] if all(n > 0 for n in nums) else None
+    full = [[-c] + [x - c for x in row] for row, c in zip(rows, rhs)]
+    full.append([1] * (len(sol.nums) + 1))
+    best = max_min_point(full, [0] * len(rows) + [1])
     return best[1] if best is not None and best[0] > 0 else None
 
 
@@ -183,7 +212,8 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
     when one mixes, or none when no player mixes. Every other player is
     held at its one strategy, listed in `at` in player order. So each
     solved player's weights solve a linear system built from the other
-    solved player's slope equalities plus the sum rule. Exact: the
+    solved player's slope equalities, solved in face coordinates
+    (_face_block) as the Newton route is. Exact: the
     payoffs enter as integers (game.integer_pair_tables, integer_utilities
     sliced at `at`), and the positive scale they carry does not change
     the solution set. Candidates and the continuum witness are Fraction
@@ -195,13 +225,9 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
         for solving in (0, 1):
             other = 1 - solving
             supp = supports[pair[solving]]
-            osupp = supports[pair[other]]
-            u = tables[other]  # u[j][s]: other plays j, solving plays s
-            base = u[osupp[0]]
-            rows = [[u[j][s] - base[s] for s in supp] for j in osupp[1:]]
-            rows.append([1] * len(supp))
-            rhs = [0] * (len(osupp) - 1) + [1]
-            blocks.append((rows, rhs, solve_affine(rows, rhs, len(supp))))
+            # tables[other][j][s]: other plays j, solving plays s
+            rows, rhs = _face_block(tables[other], supp, supports[pair[other]])
+            blocks.append((rows, rhs, solve_affine(rows, rhs, len(supp) - 1)))
 
     if any(sol.is_empty for _, _, sol in blocks):
         return []

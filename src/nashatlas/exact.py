@@ -2,16 +2,20 @@
 rational answers.
 
 Small dense systems only (support systems have at most a handful of
-unknowns). Rows are Python ints, and every pivot is fraction-free
-(Bareiss 1968): the update is an exact integer division by the previous
-pivot, so entries stay integers over one common denominator. rref and
-solve_affine run Gauss-Jordan elimination with it; solve_affine reports
-an AffineSolutionSet: one particular solution as integer numerators over
-one positive denominator, and the number of free unknowns, which is all
-a support block needs. Its ``particular`` builds the canonical
-``Fraction`` entries only when asked. max_min_point runs a two-phase
-simplex method with Bland's rule on the same pivot (integer pivoting, as
-in Avis's lrs), and builds its answer as one ``Fraction`` per entry.
+unknowns). A two-player support block reaches solve_affine in face
+coordinates, chart (0, ..., 0), without its sum rule: |O| - 1 slope
+rows over the |S| - 1 weights on supp[1:]. Only max_min_point takes a
+whole block, sum row included. Rows are Python ints, and every pivot is
+fraction-free (Bareiss 1968): the update is an exact integer division by
+the previous pivot, so entries stay integers over one common
+denominator. rref and solve_affine run Gauss-Jordan elimination with
+it; solve_affine reports an AffineSolutionSet: one particular solution
+as integer numerators over one positive denominator, and the number of
+free unknowns, which is all a support block needs. Its ``particular``
+builds the canonical ``Fraction`` entries only when asked. max_min_point
+runs a two-phase simplex method with Bland's rule on the same pivot
+(integer pivoting, as in Avis's lrs), and builds its answer as one
+``Fraction`` per entry.
 """
 
 from __future__ import annotations

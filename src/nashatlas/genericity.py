@@ -46,6 +46,7 @@ from .atlas import (
     PayoffDiff,
     _check_in_chart,
     _validate_chart,
+    _validate_coords,
     _validate_hypersurface,
     chart_excludes,
     defining_map,
@@ -329,16 +330,17 @@ def transversal_at(
 ) -> TransversalityReport:
     """Transversality of the family at one chart point.
 
-    The chart, and the family unless `active` is given, are checked
-    against the game first. Hypersurfaces not containing the point are
-    ignored; those the chart excludes cannot contain it and are skipped,
-    and one listed twice raises ValueError. Pass `active` to pin the
-    active set instead of detecting it by membership (where activity is
-    known, as for an equilibrium's canonical family). Verdict is
-    transversal iff the stacked Jacobian (payoff-difference rows in
-    payoff units) has full row rank.
+    The point (its chart and coordinates), and the family unless
+    `active` is given, are checked against the game first. Hypersurfaces
+    not containing the point are ignored; those the chart excludes cannot
+    contain it and are skipped, and one listed twice raises ValueError.
+    Pass `active` to pin the active set instead of detecting it by
+    membership (where activity is known, as for an equilibrium's
+    canonical family). Verdict is transversal iff the stacked Jacobian
+    (payoff-difference rows in payoff units) has full row rank.
     """
     chart = _validate_chart(game, point.chart)
+    _validate_coords(game, point.coords)
     if active is None:
         members = [h for h in _family_members(game, family) if not chart_excludes(chart, h)]
         _check_in_chart(game, members, chart)

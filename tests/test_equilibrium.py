@@ -28,7 +28,7 @@ from nashatlas import (
 from nashatlas import equilibrium, genericity
 from nashatlas.game import MixedProfile
 from nashatlas.equilibrium import _exact_pair_solve, _newton_solve
-from nashatlas.exact import max_min_point
+from nashatlas.exact import max_min_point, rref
 from nashatlas.forms import contract
 
 from conftest import fresh_python, oracle_enumerate_2p
@@ -444,6 +444,29 @@ def test_pair_solve_stops_at_first_block_without_positive_point(monkeypatch):
         assert exc.value.reason == "positive-dimensional solution set"
         assert exc.value.witness is None
         assert len(runs) == simplex_runs
+
+
+def test_exact_blocks_are_solved_in_face_coordinates(monkeypatch):
+    # every support of a 4x4 game: two eliminations, one per block, each
+    # on |O| - 1 slope rows over the |S| - 1 face weights plus the
+    # right-hand side, so no matrix carries a sum row
+    shapes = []
+
+    def counted(rows):
+        shapes.append((len(rows), {len(r) for r in rows}))
+        return rref(rows)
+
+    monkeypatch.setattr("nashatlas.exact.rref", counted)
+    game = random_game((4, 4), seed=5)
+    enumerate_nash(game)
+    supports = list(enumerate_supports(game))
+    assert len(shapes) == 2 * len(supports) == 450
+    for k, support in enumerate(supports):
+        for solving in (0, 1):
+            supp, osupp = support.supports[solving], support.supports[1 - solving]
+            rows, widths = shapes[2 * k + solving]
+            assert rows == len(osupp) - 1
+            assert widths <= {len(supp)}
 
 
 def test_continuum_with_tiny_max_min_weight_is_witnessed():

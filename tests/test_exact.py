@@ -1,4 +1,5 @@
-"""Fraction-free elimination against plain Fraction Gauss-Jordan, and the
+"""Fraction-free elimination against plain Fraction Gauss-Jordan, a
+support block in face coordinates against the whole block, and the
 exact max-min simplex against a search over every basis."""
 
 import itertools
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashatlas.equilibrium import _positive_point
+from nashatlas.equilibrium import _face_block, _positive_point, _simplex_nums
 from nashatlas.exact import max_min_point, rref, solve_affine
 
 
@@ -136,26 +137,77 @@ def test_solve_affine_examples():
 
 @pytest.mark.parametrize("strict", [Fraction(0), Fraction(1e-9), 0.0, 1e-9])
 def test_positive_point_is_strict(strict):
-    # x + y = 1, -q y = -p: y = p / q over a negative pivot, with p / q
-    # the value ``strict`` times 7 / 7 so the integers are not in lowest
-    # terms (a float as its exact binary value). Positivity takes no
-    # tolerance: y = strict is accepted exactly when strict > 0, however
-    # small (ZERO_WEIGHT_TOL = 1e-9 included), and y = strict + 1 / q
-    # always is.
+    # face block -q y = -p (x = 1 - y is recovered): y = p / q over a
+    # negative pivot, with p / q the value ``strict`` times 7 / 7 so the
+    # integers are not in lowest terms (a float as its exact binary
+    # value). Positivity takes no tolerance: y = strict is accepted
+    # exactly when strict > 0, however small (ZERO_WEIGHT_TOL = 1e-9
+    # included), and y = strict + 1 / q always is.
     p, q = (7 * x for x in strict.as_integer_ratio())
-    rows = [[1, 1], [0, -q]]
+    rows = [[-q]]
     for num, accepted in ((p, strict > 0), (p + 1, True)):
-        sol = solve_affine(rows, [1, -num], 2)
-        assert sol.is_unique and sol.particular[1] == Fraction(num, q)
-        point = _positive_point(sol, rows, [1, -num])
-        assert point == (sol.particular if accepted else None)
-        # one free unknown: x + y + z = 1 and q y = num, so the max-min
-        # point of the simplex method has t* = y = num / q (below 1/3)
-        free_rows = [[1, 1, 1], [0, q, 0]]
-        free = solve_affine(free_rows, [1, num], 3)
+        sol = solve_affine(rows, [-num], 1)
+        assert sol.is_unique and sol.particular[0] == Fraction(num, q)
+        point = _positive_point(sol, rows, [-num])
+        assert point == ([1 - Fraction(num, q), Fraction(num, q)] if accepted else None)
+        # one free unknown: x + y + z = 1 and q y = num, in face
+        # coordinates (y, z), so the max-min point of the simplex method
+        # has t* = y = num / q (below 1/3)
+        free_rows = [[q, 0]]
+        free = solve_affine(free_rows, [num], 2)
         assert free.free == 1
-        point = _positive_point(free, free_rows, [1, num])
+        point = _positive_point(free, free_rows, [num])
         assert (point is not None) == accepted
+
+
+@st.composite
+def pair_tables(draw):
+    """(u, supp, osupp) for one support block: u[j][s] the partner's
+    payoff at (j, s) for 1-5 partner strategies (osupp, all of them) and
+    1-5 solver strategies, supp a subset of the latter. Small entries
+    make ties common; some tables get a row on the line through the
+    first two (a dependent face row) or a copy of the first (a zero face
+    row), and a few huge entries stand in for payoffs scaled by 2**1074."""
+    ns, no = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 2100), 2 ** 2100))
+    u = [draw(st.lists(entry, min_size=ns, max_size=ns)) for _ in range(no)]
+    if no >= 3 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        u[2] = [a + k * (b - a) for a, b in zip(u[0], u[1])]
+    if no >= 2 and draw(st.booleans()):
+        u[-1] = list(u[0])
+    supp = sorted(draw(st.sets(st.integers(0, ns - 1), min_size=1)))
+    return u, tuple(supp), tuple(range(no))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_tables())
+def test_face_block_matches_the_whole_block(table):
+    # the face block (|O| - 1 rows, |S| - 1 unknowns) with w_{supp[0]}
+    # recovered agrees with the whole block (the partner's slope
+    # equalities plus the sum rule) on emptiness, dimension, particular
+    # point and positive point
+    u, supp, osupp = table
+    rows, rhs = _face_block(u, supp, osupp)
+    assert len(rows) == len(osupp) - 1 and all(len(r) == len(supp) - 1 for r in rows)
+    whole = [[u[j][s] - u[osupp[0]][s] for s in supp] for j in osupp[1:]] + [[1] * len(supp)]
+    whole_rhs = [0] * (len(osupp) - 1) + [1]
+    sol = solve_affine(rows, rhs, len(supp) - 1)
+    particular, nullspace = _reference_solve(
+        [[Fraction(x) for x in r] for r in whole], [Fraction(x) for x in whole_rhs], len(supp)
+    )
+    assert sol.is_empty == (particular is None)
+    if particular is None:
+        return
+    assert sol.free == len(nullspace)
+    assert [Fraction(n, sol.den) for n in _simplex_nums(sol)] == particular
+    point = _positive_point(sol, rows, rhs)
+    if sol.is_unique:
+        assert point == (particular if min(particular) > 0 else None)
+    else:
+        best, t = max_min_point(whole, whole_rhs), _reference_max_min(whole, whole_rhs)
+        assert point == (best[1] if best is not None and best[0] > 0 else None)
+        assert (point is not None) == (t is not None and t > 0)
 
 
 def _reference_max_min(a, b):

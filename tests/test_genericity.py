@@ -20,6 +20,7 @@ from nashatlas import (
     PayoffDiff,
     canonical_equilibrium_family,
     certify_equilibrium,
+    chart_point,
     chart_zero_point,
     enumerate_nash,
     enumerate_supports,
@@ -430,6 +431,30 @@ def test_transversal_at_checks_the_chart():
     point = ChartPoint((0,), (np.array([0.5]),))
     with pytest.raises(ValueError, match="^chart needs 2 indices$"):
         transversal_at(g, good_family(g, R=[[], [(0, 1)]]), point)
+
+
+def test_transversal_at_checks_the_coordinate_count():
+    # one coordinate vector for two players: a ValueError naming the
+    # missing player, not an IndexError from reading its vector
+    g = random_game((2, 2), seed=0)
+    family = good_family(g, R=[[(0, 1)]] * 2)
+    point = ChartPoint((0, 0), (np.array([0.5]),))
+    with pytest.raises(ValueError, match="^one coordinate vector per player required: "
+                                         "player 2 has none$"):
+        transversal_at(g, family, point)
+
+
+def test_transversal_at_checks_the_coordinate_lengths():
+    # a length-2 vector for a two-strategy player: a ValueError naming the
+    # 1-based player, as chart_point raises, not a 0-based block from forms
+    g = random_game((2, 2), seed=0)
+    family = good_family(g, R=[[(0, 1)]] * 2)
+    point = ChartPoint((0, 0), (np.array([0.5, 0.5]), np.array([0.5])))
+    message = "^player 1 takes 1 chart coordinates$"
+    with pytest.raises(ValueError, match=message):
+        transversal_at(g, family, point)
+    with pytest.raises(ValueError, match=message):
+        chart_point(g, (0, 0), [[0.5, 0.5], [0.5]])
 
 
 @settings(max_examples=80, deadline=None)
