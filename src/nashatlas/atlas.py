@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import MultilinearForm, _basis_matrix, homogeneous_decomposition
-from .game import FLOAT, MEMBERSHIP_TOL, FiniteGame, MixedProfile, _exact, _numbers
+from .game import FLOAT, MEMBERSHIP_TOL, FiniteGame, MixedProfile, _exact, _integral, _numbers
 
 INF = float("inf")
 
@@ -53,7 +53,7 @@ class Coordinate:
         if self.index != INF:
             if self.index < 0:
                 raise ValueError(f"{self}: coordinate index must be >= 0 or INF")
-            object.__setattr__(self, "index", int(self.index))
+            object.__setattr__(self, "index", _integral(self.index, f"{self}: coordinate index"))
 
     def __str__(self) -> str:
         j = "inf" if self.index == INF else str(self.index)
@@ -70,7 +70,8 @@ class PayoffDiff:
     def __post_init__(self):
         if self.player < 0:
             raise ValueError(f"{self}: player index must be >= 0")
-        j, k = self.pair
+        j, k = (_integral(x, f"{self}: pair entry") for x in self.pair)
+        object.__setattr__(self, "pair", (j, k))
         if not 0 <= j < k:
             raise ValueError(f"{self}: pair must satisfy 0 <= j < k")
 
@@ -103,7 +104,7 @@ class ChartPoint:
 
 
 def _validate_chart(game: FiniteGame, chart) -> tuple[int, ...]:
-    chart = tuple(int(l) for l in chart)
+    chart = tuple(_integral(l, "chart index") for l in chart)
     if len(chart) != game.num_players:
         raise ValueError(f"chart needs {game.num_players} indices")
     for i, l in enumerate(chart):
@@ -164,7 +165,7 @@ def transition(point: ChartPoint, target) -> ChartPoint:
     Raises ZeroDivisionError when the point lies on a hyperplane
     tilde^i_{t_i} = 0 excluded from the target chart.
     """
-    target = tuple(int(t) for t in target)
+    target = tuple(_integral(t, "chart index") for t in target)
     if len(target) != point.num_players:
         raise ValueError("target chart has wrong length")
     return read_chart(point.full_vectors(), target)

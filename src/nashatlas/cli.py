@@ -390,13 +390,13 @@ def _point_from_solve_json(game: FiniteGame, path: str, index: int):
 
 
 def _cmd_certify(args):
+    if args.index is not None and args.from_json is None:
+        raise ValueError("--index needs --from-json")
     game = _load_game(args)
     if args.point is not None:
         profile = _parse_point(game, args.point)
-    elif args.from_json is not None:
-        profile = _point_from_solve_json(game, args.from_json, args.index)
     else:
-        raise ValueError("supply --point or --from-json")
+        profile = _point_from_solve_json(game, args.from_json, args.index or 0)
     chart = (
         parse_chart(args.chart, game)
         if args.chart
@@ -503,11 +503,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", parents=[report, game_file, family],
                        help="transversality of a family at a point")
-    p.add_argument("--point", help="weights, players ';'-separated: 0.5,0.5;0.5,0.5")
-    p.add_argument("--from-json", dest="from_json",
-                   help="read the point from a solve --json report")
-    p.add_argument("--index", type=int, default=0,
-                   help="equilibrium index in the solve report")
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--point", help="weights, players ';'-separated: 0.5,0.5;0.5,0.5")
+    point.add_argument("--from-json", dest="from_json",
+                       help="read the point from a solve --json report")
+    p.add_argument("--index", type=int,
+                   help="equilibrium index in the --from-json report (default 0)")
     p.add_argument("--chart", help="chart spec l1,l2,... (default all zeros)")
     p.set_defaults(handler=_cmd_certify)
 

@@ -14,24 +14,24 @@ payoffs are dyadic) and sliced to the two players
 fraction-free elimination (exact.solve_affine, integer numerators over
 one positive denominator) in the face coordinates of chart (0, ..., 0)
 that the Newton route uses, the solving player's weights on supp[1:]
-(_face_block), with w_{supp[0]} recovered from the sum rule, and the
-answers are Fractions in either mode. Exact numbers take no tolerance:
-a weight is positive when it is > 0. One pass looks for a positive
-point block by block and stops at the first block without one: a
-unique solution is checked directly in integers, and a
+(_face_block, integer rows [A | b]), with w_{supp[0]} recovered from the
+sum rule, and the answers are Fractions in either mode. Exact numbers
+take no tolerance: a weight is positive when it is > 0. One pass looks
+for a positive point block by block and stops at the first block without
+one: a unique solution is checked directly in integers, and a
 positive-dimensional one gets its max-min point from an exact integer
 simplex (exact.max_min_point) on the whole block, sum rule included,
 since the set has a positive point exactly when its largest smallest
-weight is > 0. Both blocks' points make the one candidate, or witness
-a continuum; enumerate_nash rounds a float game's answers to float64
-once, at the end. When three or more players mix the system is multilinear, and it
-(like a one-player game's mixed support, whose slopes are constants)
-runs the damped multistart Newton loop of genericity._newton_roots on
-its canonical family's face in chart (0, ..., 0), the system the probe
-solves too (genericity._family_system): the unknowns are each player's
-weights on supp[1:], and player i's equations are slope(supp[0]) -
-slope(t), t in supp[1:], in its payoff unit, from payoffs taken before
-rounding. The starts (_newton_starts, built per support, not cached)
+weight is > 0. Both blocks' points make the one candidate, or witness a
+continuum; enumerate_nash rounds a float game's answers to float64 once,
+at the end. When three or more players mix the system is multilinear,
+and it (like a one-player game's mixed support, whose slopes are
+constants) runs the damped multistart Newton loop of
+genericity._newton_roots on its canonical family's face in chart (0,
+..., 0), the system the probe solves too (genericity._family_system):
+the unknowns are each player's weights on supp[1:], and player i's
+equations are slope(supp[0]) - slope(t), t in supp[1:], in its payoff
+unit, from payoffs taken before rounding. The starts (_newton_starts)
 are simplex points without their first weight. The roots are floats,
 positive above ZERO_WEIGHT_TOL; the positivity, continuum and
 singular-root checks on them are one batched call each.
@@ -164,20 +164,19 @@ def enumerate_supports(game: FiniteGame):
         yield SupportProfile(tuple(combo))
 
 
-def _face_block(u, supp, osupp) -> tuple[list[list[int]], list[int]]:
+def _face_block(u, supp, osupp) -> list[list[int]]:
     """The solving player's block in face coordinates, its weights z on
-    supp[1:] (chart (0, ..., 0)): with a_js = u[j][s] - u[osupp[0]][s],
-    one row (a_js - a_{j,supp[0]}, s in supp[1:]) per j in osupp[1:],
-    right-hand side -a_{j,supp[0]}. It is the partner's slope equalities
-    with w_{supp[0]} = 1 - sum(z) substituted."""
+    supp[1:] (chart (0, ..., 0)), as integer rows [A | b]: with a_js =
+    u[j][s] - u[osupp[0]][s], one row (a_js - a_{j,supp[0]}, s in
+    supp[1:] | -a_{j,supp[0]}) per j in osupp[1:]. It is the partner's
+    slope equalities with w_{supp[0]} = 1 - sum(z) substituted."""
     base, s0, tail = u[osupp[0]], supp[0], supp[1:]
-    rows, rhs = [], []
+    rows = []
     for j in osupp[1:]:
         uj = u[j]
         c = base[s0] - uj[s0]
-        rows.append([uj[s] - base[s] + c for s in tail])
-        rhs.append(c)
-    return rows, rhs
+        rows.append([uj[s] - base[s] + c for s in tail] + [c])
+    return rows
 
 
 def _simplex_nums(sol: AffineSolutionSet) -> list[int]:
@@ -186,23 +185,22 @@ def _simplex_nums(sol: AffineSolutionSet) -> list[int]:
     return [sol.den - sum(sol.nums), *sol.nums]
 
 
-def _positive_point(sol: AffineSolutionSet, rows, rhs) -> list[Fraction] | None:
+def _positive_point(sol: AffineSolutionSet, rows) -> list[Fraction] | None:
     """A weight vector whose every entry is > 0 in the nonempty solution
-    set ``sol`` of the face block rows * z = rhs (_face_block), or None.
+    set ``sol`` of the face block ``rows`` = [A | b] (_face_block), or None.
 
     A unique solution is checked on its integer numerators
     (_simplex_nums), the denominator being positive. A positive-dimensional
     set gets the exact max-min point (exact.max_min_point) of the whole
-    block, each row (-rhs_j, row_j - rhs_j) = 0 plus the sum rule, whose
-    smallest entry t* is the largest on the set: a positive point exists
-    exactly when t* > 0, and the max-min point is then returned.
+    block, a row [-b_j, a_j - b_j | 0] (x - b_j over [a_j | b_j] ends in
+    0) per row and the sum row, whose smallest entry t* is the largest on
+    the set: a positive point exists exactly when t* > 0, and is returned.
     """
     if sol.is_unique:
         nums = _simplex_nums(sol)
         return [Fraction(n, sol.den) for n in nums] if all(n > 0 for n in nums) else None
-    full = [[-c] + [x - c for x in row] for row, c in zip(rows, rhs)]
-    full.append([1] * (len(sol.nums) + 1))
-    best = max_min_point(full, [0] * len(rows) + [1])
+    full = [[-row[-1]] + [x - row[-1] for x in row] for row in rows]
+    best = max_min_point(full + [[1] * (len(sol.nums) + 2)])
     return best[1] if best is not None and best[0] > 0 else None
 
 
@@ -226,17 +224,17 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
             other = 1 - solving
             supp = supports[pair[solving]]
             # tables[other][j][s]: other plays j, solving plays s
-            rows, rhs = _face_block(tables[other], supp, supports[pair[other]])
-            blocks.append((rows, rhs, solve_affine(rows, rhs, len(supp) - 1)))
+            rows = _face_block(tables[other], supp, supports[pair[other]])
+            blocks.append((rows, solve_affine(rows, len(supp) - 1)))
 
-    if any(sol.is_empty for _, _, sol in blocks):
+    if any(sol.is_empty for _, sol in blocks):
         return []
 
     # One positivity pass, stopping at the first block without a positive
     # point: both points make the unique candidate or the continuum witness.
     points = []
-    for rows, rhs, sol in blocks:
-        point = _positive_point(sol, rows, rhs)
+    for rows, sol in blocks:
+        point = _positive_point(sol, rows)
         if point is None:
             break
         points.append(point)
@@ -250,7 +248,7 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
                 weights[k][s] = v
         profile = profile_from_weights(weights, RATIONAL)
 
-    if all(sol.is_unique for _, _, sol in blocks):
+    if all(sol.is_unique for _, sol in blocks):
         return [] if profile is None else [profile]
     # positive-dimensional solution set: the caller decides what it means
     raise SingularSystem(

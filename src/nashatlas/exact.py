@@ -1,16 +1,17 @@
 """Exact linear algebra and linear programming over the integers, with
 rational answers.
 
-Small dense systems only (support systems have at most a handful of
-unknowns). A two-player support block reaches solve_affine in face
-coordinates, chart (0, ..., 0), without its sum rule: |O| - 1 slope
-rows over the |S| - 1 weights on supp[1:]. Only max_min_point takes a
-whole block, sum row included. Rows are Python ints, and every pivot is
-fraction-free (Bareiss 1968): the update is an exact integer division by
-the previous pivot, so entries stay integers over one common
-denominator. rref and solve_affine run Gauss-Jordan elimination with
-it; solve_affine reports an AffineSolutionSet: one particular solution
-as integer numerators over one positive denominator, and the number of
+Small dense systems only (at most a handful of unknowns), each one list
+of Python int rows [A | b], right-hand side last. A two-player support
+block reaches solve_affine in face coordinates, chart (0, ..., 0),
+without its sum rule: |O| - 1 slope rows over the |S| - 1 weights on
+supp[1:]. Only max_min_point takes a whole block, sum row included.
+Every pivot is fraction-free (Bareiss 1968): the update is an exact
+integer division by the previous pivot, so entries stay integers over
+one common denominator. rref and solve_affine run Gauss-Jordan
+elimination with it, which replaces rows and never edits an input row;
+solve_affine reports an AffineSolutionSet: one particular solution as
+integer numerators over one positive denominator, and the number of
 free unknowns, which is all a support block needs. Its ``particular``
 builds the canonical ``Fraction`` entries only when asked. max_min_point
 runs a two-phase simplex method with Bland's rule on the same pivot
@@ -56,9 +57,9 @@ class AffineSolutionSet:
 
 
 def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
-    """Fraction-free pivot on mat[r][c]: clear column c from every other
-    row, in place. The division by the previous pivot ``prev`` is exact,
-    because every entry stays a minor of the input (Sylvester)."""
+    """Fraction-free pivot on mat[r][c]: replace every other row of mat
+    by one with column c cleared, editing no row. The division by the
+    previous pivot ``prev`` is exact: every entry stays a minor (Sylvester)."""
     top = mat[r]
     piv = top[c]
     for i, row in enumerate(mat):
@@ -68,13 +69,14 @@ def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
 
 
 def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free reduced row echelon form of an integer matrix.
+    """Fraction-free reduced row echelon form of integer rows, such as a
+    system's [A | b], which it never edits (the result may share them).
 
     Returns (matrix, pivot column indices). Every pivot entry of the
     matrix equals the same nonzero integer d, the other entries of pivot
     columns are zero, and matrix / d is the reduced row echelon form.
     """
-    mat = [list(r) for r in rows]
+    mat = list(rows)
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
@@ -96,10 +98,10 @@ def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
-def solve_affine(a: list[list[int]], b: list[int], n: int) -> AffineSolutionSet:
-    """Solution set of A x = b in n unknowns (integer A given row-wise,
-    possibly empty, and integer b)."""
-    mat, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+def solve_affine(rows: list[list[int]], n: int) -> AffineSolutionSet:
+    """Solution set of A x = b in n unknowns, given as the integer rows
+    [A | b] (possibly none)."""
+    mat, pivots = rref(rows)
     if n in pivots:
         return AffineSolutionSet(nums=None, den=1, free=0)
     den = mat[0][pivots[0]] if pivots else 1
@@ -110,9 +112,10 @@ def solve_affine(a: list[list[int]], b: list[int], n: int) -> AffineSolutionSet:
     return AffineSolutionSet(nums=nums, den=sign * den, free=n - len(pivots))
 
 
-def max_min_point(a: list[list[int]], b: list[int]) -> tuple[Fraction, list[Fraction]] | None:
-    """The largest t with A w = b and every w_j >= t >= 0, and a point w
-    attaining it; None when A w = b has no nonnegative solution.
+def max_min_point(rows: list[list[int]]) -> tuple[Fraction, list[Fraction]] | None:
+    """The largest t with A w = b, given as integer rows [A | b], and every
+    w_j >= t >= 0, and a point w attaining it; None when A w = b has no
+    nonnegative solution.
 
     Exact two-phase simplex on w = s + t * 1 over the unknowns
     (s, t) >= 0. It needs b >= 0 and a bounded t; a row of ones (a sum
@@ -124,12 +127,10 @@ def max_min_point(a: list[list[int]], b: list[int]) -> tuple[Fraction, list[Frac
     fraction-free as in rref, over one positive common denominator, and
     only the answer is built as Fractions.
     """
-    n, m = len(a[0]), len(a)
+    n, m = len(rows[0]) - 1, len(rows)
     # columns: s_0 .. s_{n-1}, t, one artificial per row, right-hand side
-    tab = [
-        list(row) + [sum(row)] + [int(i == k) for k in range(m)] + [rhs]
-        for i, (row, rhs) in enumerate(zip(a, b))
-    ]
+    tab = [row[:n] + [sum(row[:n])] + [int(i == k) for k in range(m)] + row[n:]
+           for i, row in enumerate(rows)]
     basis = list(range(n + 1, n + 1 + m))
     # phase 1 maximises -sum(artificials): its reduced costs in that basis
     cost = [-sum(col) for col in zip(*tab)]

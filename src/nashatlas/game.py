@@ -153,6 +153,16 @@ class SupportProfile:
             if tuple(sorted(set(supp))) != supp:
                 raise ValueError("supports must be sorted and duplicate-free")
 
+
+def _integral(x, what: str) -> int:
+    """x as an int when it is integral (2, 2.0, a NumPy integer), or a
+    ValueError naming it: an index or a count is never truncated."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{what} {x} is not an integer")
+    return i
+
+
 def make_game(
     strategy_counts,
     utilities,
@@ -164,7 +174,7 @@ def make_game(
     right number of entries, read row-major; entries become the mode's
     numbers (_numbers).
     """
-    counts = tuple(int(c) for c in strategy_counts)
+    counts = tuple(_integral(c, "strategy count") for c in strategy_counts)
     if len(counts) < 1:
         raise ValueError("need at least one player")
     if any(c < 2 for c in counts):
@@ -246,7 +256,7 @@ def random_game(strategy_counts, seed: int, distribution: str = "uniform") -> Fi
 
     distribution: "uniform" for uniform[-1, 1], "normal" for standard normal.
     """
-    counts = tuple(int(c) for c in strategy_counts)
+    counts = tuple(_integral(c, "strategy count") for c in strategy_counts)
     rng = np.random.default_rng(seed)
     tensors = []
     for _ in counts:

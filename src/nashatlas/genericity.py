@@ -21,14 +21,14 @@ hypersurfaces on the face its coordinate hyperplanes cut out in a chart
 the weights on supp[1:], rows slope(supp[0]) - slope(t)).
 _family_system builds that system for both, and _newton_roots, a damped
 least-squares multistart Newton loop, finds its roots from the caller's
-starts (the equilibrium route's are built per support, not cached).
-The starts iterate together, one batched Jacobian and pseudo-inverse
-per step, and one residual call per step covers the NEWTON_HALVINGS
-step lengths of the line search for every start, each start taking its
-own first accepted step length and keeping its own stopping rule; a
-start that none of them helps has stalled. The equations are in each player's payoff unit
-(FiniteGame.payoff_exponents), so the loop's tolerances (from the
-table in nashatlas.game) act the same at every payoff scale.
+starts. The starts iterate together, one batched Jacobian and
+pseudo-inverse per step, and one residual call per step covers the
+NEWTON_HALVINGS step lengths of the line search for every start, each
+start taking its own first accepted step length and keeping its own
+stopping rule; a start that none of them helps has stalled. The
+equations are in each player's payoff unit
+(FiniteGame.payoff_exponents), so the loop's tolerances (from the table
+in nashatlas.game) act the same at every payoff scale.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .game import (
     STEP_TOL,
     FiniteGame,
     SupportProfile,
+    _integral,
 )
 
 
@@ -100,13 +101,16 @@ def _family_members(game: FiniteGame, family: GoodFamily) -> list[Hypersurface]:
 
 def good_family(game: FiniteGame, T=None, R=None) -> GoodFamily:
     """Validated family (_family_members), labels and pairs sorted and
-    deduplicated per player; a missing T or R selects nothing."""
+    deduplicated per player; a missing T or R selects nothing, and a
+    label or pair entry that is not an integer is a ValueError."""
     empty = [()] * game.num_players
     T = empty if T is None else T
     R = empty if R is None else R
     family = GoodFamily(
-        tuple(tuple(sorted({t if t == INF else int(t) for t in ts}, key=float)) for ts in T),
-        tuple(tuple(sorted({(int(j), int(k)) for j, k in ps})) for ps in R),
+        tuple(tuple(sorted({t if t == INF else _integral(t, "coordinate label") for t in ts},
+                           key=float)) for ts in T),
+        tuple(tuple(sorted({(_integral(j, "pair entry"), _integral(k, "pair entry"))
+                            for j, k in ps})) for ps in R),
     )
     _family_members(game, family)
     return family

@@ -46,6 +46,10 @@ def test_chart_point_validation(mp_float):
         chart_point(mp_float, (0, 2), [[0.5], [0.5]])
     with pytest.raises(ValueError):
         chart_point(mp_float, (0, 0), [[0.5, 0.5], [0.5]])
+    # a chart index is never truncated: (1.9, 0) is no chart (1, 0)
+    with pytest.raises(ValueError, match="^chart index 1.9 is not an integer$"):
+        chart_point(mp_float, (1.9, 0), [[0.5], [0.5]])
+    assert chart_point(mp_float, (np.int64(1), 0.0), [[0.5], [0.5]]).chart == (1, 0)
 
 
 def test_lift_inserts_unit(mp_float):

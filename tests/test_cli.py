@@ -366,6 +366,23 @@ def test_certify_requires_point(mp_file, capsys):
     assert main(["certify", mp_file]) == 1
 
 
+def test_certify_takes_one_point_source(mp_file, tmp_path, capsys):
+    # --point and --from-json together, or --index without --from-json,
+    # is a usage error, not a silently ignored option: (1,0;1,0) is no
+    # equilibrium of matching pennies, the report's one point is
+    assert main(["solve", mp_file, "--json"]) == 0
+    report = tmp_path / "solve.json"
+    report.write_text(capsys.readouterr().out)
+    both = ["certify", mp_file, "--point", "1,0;1,0", "--from-json", str(report)]
+    assert main(both) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    for argv in (["--point", "1,0;1,0", "--index", "7"], ["--point", "1,0;1,0", "--index", "0"]):
+        assert main(["certify", mp_file, *argv]) == 1
+        assert capsys.readouterr().err == "error: --index needs --from-json\n"
+    assert main(["certify", mp_file, "--from-json", str(report)]) == 0
+    assert "verdict: transversal" in capsys.readouterr().out
+
+
 def test_certify_excluded_family(mp_file, capsys):
     # chart 1,1 misses C:1:1: certify, defining_map and the probe give one
     # message, naming the hypersurface and the chart

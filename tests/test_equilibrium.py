@@ -27,7 +27,7 @@ from nashatlas import (
 )
 from nashatlas import equilibrium, genericity
 from nashatlas.game import MixedProfile
-from nashatlas.equilibrium import _exact_pair_solve, _newton_solve
+from nashatlas.equilibrium import _exact_pair_solve, _newton_solve, support_label
 from nashatlas.exact import max_min_point, rref
 from nashatlas.forms import contract
 
@@ -371,22 +371,45 @@ def test_cyclic_three_player_frozen(cyclic_mp3):
     assert all(c.jacobian_verdict == "regular" for c in result.equilibria)
 
 
-def test_permutation_equivariance():
-    game = random_game((3, 2), seed=77)
-    perm = [2, 0, 1]
-    permuted = make_game(
-        (3, 2),
-        [game.utilities[0][perm, :], game.utilities[1][perm, :]],
-    )
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_permutation_equivariance(data):
+    # relabelling each player's strategies, and swapping the players, moves
+    # every equilibrium and warning with them. The exact route gives the
+    # same Fractions, so the same floats: points compare equal exactly.
+    # Generic games only: on tied games the continuum verdict still
+    # depends on the labels.
+    shape = tuple(data.draw(st.integers(2, 4), label=f"n{k}") for k in (1, 2))
+    game = random_game(shape, seed=data.draw(st.integers(0, 2 ** 16), label="seed"))
+    perms = [data.draw(st.permutations(range(c)), label="perm") for c in shape]
+    swap = data.draw(st.booleans(), label="swap")
+    # strategy s of player k in the moved game is strategy perms[k][s] here
+    tables = [u[np.ix_(*perms)] for u in game.utilities]
+    if swap:
+        tables = [tables[1].T, tables[0].T]
+    moved = enumerate_nash(make_game(tables[0].shape, tables))
     base = enumerate_nash(game)
-    moved = enumerate_nash(permuted)
-    assert base.count == moved.count
+
+    def move(blocks, pick):
+        out = [pick(block, perm) for block, perm in zip(blocks, perms)]
+        return out[::-1] if swap else out
+
+    def moved_warning(text):
+        if not text.startswith("support "):
+            return text
+        label, reason = text[len("support "):].split(": ", 1)
+        supports = [tuple(map(int, s.split(","))) for s in label.split(" | ")]
+        supports = move(supports, lambda supp, perm: tuple(
+            s for s, p in enumerate(perm) if p in supp))
+        return f"support {support_label(SupportProfile(tuple(supports)))}: {reason}"
+
     expect = sorted(
-        tuple(float(w[0][p]) for p in perm) + tuple(float(x) for x in w[1])
-        for w in (c.point.weights for c in base.equilibria)
+        tuple(float(x) for w in move(c.point.weights, lambda w, perm: [w[p] for p in perm])
+              for x in w)
+        for c in base.equilibria
     )
-    got = _float_tuples(moved)
-    np.testing.assert_allclose(got, expect, atol=1e-9)
+    assert _float_tuples(moved) == expect
+    assert sorted(moved.warnings) == sorted(map(moved_warning, base.warnings))
 
 
 def test_zero_game_raises_on_full_support(zero_game):
@@ -431,9 +454,9 @@ def test_pair_solve_stops_at_first_block_without_positive_point(monkeypatch):
     ]
     runs = []
 
-    def counted(rows, rhs):
+    def counted(rows):
         runs.append(rows)
-        return max_min_point(rows, rhs)
+        return max_min_point(rows)
 
     monkeypatch.setattr(equilibrium, "max_min_point", counted)
     for utilities, support, simplex_runs in cases:

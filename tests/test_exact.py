@@ -1,7 +1,9 @@
 """Fraction-free elimination against plain Fraction Gauss-Jordan, a
 support block in face coordinates against the whole block, and the
-exact max-min simplex against a search over every basis."""
+exact max-min simplex against a search over every basis. Every system
+is a list of integer rows [A | b], the right-hand side last."""
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -38,13 +40,14 @@ def _reference_rref(rows):
     return mat, pivots
 
 
-def _reference_solve(a, b, n):
-    """(particular, nullspace) of A x = b from the reference rref."""
-    if not a:
+def _reference_solve(rows, n):
+    """(particular, nullspace) of A x = b, given as rows [A | b], from
+    the reference rref."""
+    if not rows:
         return [Fraction(0)] * n, [
             [Fraction(int(f == k)) for k in range(n)] for f in range(n)
         ]
-    mat, pivots = _reference_rref([list(row) + [rhs] for row, rhs in zip(a, b)])
+    mat, pivots = _reference_rref(rows)
     if n in pivots:
         return None, []
     particular = [Fraction(0)] * n
@@ -62,7 +65,7 @@ def _reference_solve(a, b, n):
 
 @st.composite
 def int_systems(draw):
-    """(A, b, n) with 0-5 rows and 0-5 unknowns. Small entries make zero
+    """([A | b], n) with 0-5 rows and 0-5 unknowns. Small entries make zero
     rows, zero columns, rank deficiency and inconsistency common; a few
     huge entries stand in for payoffs scaled by 2**1074."""
     n = draw(st.integers(0, 5))
@@ -77,14 +80,13 @@ def int_systems(draw):
         for row in a:
             row[col] = 0
     b = draw(st.lists(entry, min_size=len(a), max_size=len(a)))
-    return a, b, n
+    return [row + [rhs] for row, rhs in zip(a, b)], n
 
 
 @settings(max_examples=400, deadline=None)
 @given(int_systems())
 def test_rref_is_scaled_reference(system):
-    a, b, _ = system
-    rows = [row + [rhs] for row, rhs in zip(a, b)]
+    rows, _ = system
     mat, pivots = rref(rows)
     want, want_pivots = _reference_rref([[Fraction(x) for x in r] for r in rows])
     assert pivots == want_pivots
@@ -98,11 +100,9 @@ def test_rref_is_scaled_reference(system):
 @settings(max_examples=400, deadline=None)
 @given(int_systems())
 def test_solve_affine_matches_reference(system):
-    a, b, n = system
-    got = solve_affine(a, b, n)
-    particular, nullspace = _reference_solve(
-        [[Fraction(x) for x in r] for r in a], [Fraction(x) for x in b], n
-    )
+    rows, n = system
+    got = solve_affine(rows, n)
+    particular, nullspace = _reference_solve([[Fraction(x) for x in r] for r in rows], n)
     assert got.is_empty == (particular is None)
     assert got.den > 0
     assert got.particular == particular
@@ -115,22 +115,22 @@ def test_solve_affine_matches_reference(system):
 
 def test_solve_affine_examples():
     # x + y = 1, x - y = 0
-    sol = solve_affine([[1, 1], [1, -1]], [1, 0], 2)
+    sol = solve_affine([[1, 1, 1], [1, -1, 0]], 2)
     assert sol.is_unique and sol.free == 0 and sol.particular == [Fraction(1, 2)] * 2
     # 0 x = 1
-    assert solve_affine([[0]], [1], 1).is_empty
+    assert solve_affine([[0, 1]], 1).is_empty
     # no equations: everything solves
-    sol = solve_affine([], [], 2)
+    sol = solve_affine([], 2)
     assert sol.free == 2 and sol.particular == [0, 0]
     # 2 x + 4 y = 2: x = 1 - 2 y
-    sol = solve_affine([[2, 4]], [2], 2)
+    sol = solve_affine([[2, 4, 2]], 2)
     assert sol.particular == [1, 0] and sol.free == 1 and not sol.is_unique
     # x = 1, -y = 1: the last fraction-free pivot is -1, the common
     # denominator of rref; the solution set carries it as +1
-    a, b = [[1, 0], [0, -1]], [1, 1]
-    mat, pivots = rref([row + [rhs] for row, rhs in zip(a, b)])
+    rows = [[1, 0, 1], [0, -1, 1]]
+    mat, pivots = rref(rows)
     assert mat[0][pivots[0]] == -1
-    sol = solve_affine(a, b, 2)
+    sol = solve_affine(rows, 2)
     assert (sol.nums, sol.den, sol.free) == ([1, -1], 1, 0)
     assert sol.particular == [1, -1]
 
@@ -144,19 +144,19 @@ def test_positive_point_is_strict(strict):
     # exactly when strict > 0, however small (ZERO_WEIGHT_TOL = 1e-9
     # included), and y = strict + 1 / q always is.
     p, q = (7 * x for x in strict.as_integer_ratio())
-    rows = [[-q]]
     for num, accepted in ((p, strict > 0), (p + 1, True)):
-        sol = solve_affine(rows, [-num], 1)
+        rows = [[-q, -num]]
+        sol = solve_affine(rows, 1)
         assert sol.is_unique and sol.particular[0] == Fraction(num, q)
-        point = _positive_point(sol, rows, [-num])
+        point = _positive_point(sol, rows)
         assert point == ([1 - Fraction(num, q), Fraction(num, q)] if accepted else None)
         # one free unknown: x + y + z = 1 and q y = num, in face
         # coordinates (y, z), so the max-min point of the simplex method
         # has t* = y = num / q (below 1/3)
-        free_rows = [[q, 0]]
-        free = solve_affine(free_rows, [num], 2)
+        free_rows = [[q, 0, num]]
+        free = solve_affine(free_rows, 2)
         assert free.free == 1
-        point = _positive_point(free, free_rows, [num])
+        point = _positive_point(free, free_rows)
         assert (point is not None) == accepted
 
 
@@ -188,37 +188,37 @@ def test_face_block_matches_the_whole_block(table):
     # equalities plus the sum rule) on emptiness, dimension, particular
     # point and positive point
     u, supp, osupp = table
-    rows, rhs = _face_block(u, supp, osupp)
-    assert len(rows) == len(osupp) - 1 and all(len(r) == len(supp) - 1 for r in rows)
-    whole = [[u[j][s] - u[osupp[0]][s] for s in supp] for j in osupp[1:]] + [[1] * len(supp)]
-    whole_rhs = [0] * (len(osupp) - 1) + [1]
-    sol = solve_affine(rows, rhs, len(supp) - 1)
-    particular, nullspace = _reference_solve(
-        [[Fraction(x) for x in r] for r in whole], [Fraction(x) for x in whole_rhs], len(supp)
-    )
+    rows = _face_block(u, supp, osupp)
+    assert len(rows) == len(osupp) - 1 and all(len(r) == len(supp) for r in rows)
+    whole = ([[u[j][s] - u[osupp[0]][s] for s in supp] + [0] for j in osupp[1:]]
+             + [[1] * (len(supp) + 1)])
+    sol = solve_affine(rows, len(supp) - 1)
+    particular, nullspace = _reference_solve([[Fraction(x) for x in r] for r in whole], len(supp))
     assert sol.is_empty == (particular is None)
     if particular is None:
         return
     assert sol.free == len(nullspace)
     assert [Fraction(n, sol.den) for n in _simplex_nums(sol)] == particular
-    point = _positive_point(sol, rows, rhs)
+    point = _positive_point(sol, rows)
     if sol.is_unique:
         assert point == (particular if min(particular) > 0 else None)
     else:
-        best, t = max_min_point(whole, whole_rhs), _reference_max_min(whole, whole_rhs)
+        best, t = max_min_point(whole), _reference_max_min(whole)
         assert point == (best[1] if best is not None and best[0] > 0 else None)
         assert (point is not None) == (t is not None and t > 0)
 
 
-def _reference_max_min(a, b):
-    """Largest t over every basic solution of [A | A 1] (s, t) = b with
-    (s, t) >= 0, trying every set of linearly independent columns; None
-    when no such solution is nonnegative."""
+def _reference_max_min(rows):
+    """Largest t over every basic solution of [A | A 1] (s, t) = b, the
+    system given as rows [A | b], with (s, t) >= 0, trying every set of
+    linearly independent columns; None when no such solution is
+    nonnegative."""
+    a = [row[:-1] for row in rows]
     cols = [list(c) for c in zip(*a)] + [[sum(row) for row in a]]
     best = None
     for size in range(len(a) + 1):
         for subset in itertools.combinations(range(len(cols)), size):
-            aug = [[Fraction(cols[j][i]) for j in subset] + [Fraction(b[i])]
+            aug = [[Fraction(cols[j][i]) for j in subset] + [Fraction(rows[i][-1])]
                    for i in range(len(a))]
             mat, pivots = _reference_rref(aug)
             if pivots != list(range(size)):  # dependent columns or no solution
@@ -233,8 +233,8 @@ def _reference_max_min(a, b):
 
 @st.composite
 def block_systems(draw):
-    """(rows, rhs) shaped like a two-player support block: 0-4 payoff
-    difference rows over 1-5 weights, then the sum row, rhs [0, ..., 0, 1].
+    """Rows [A | b] shaped like a two-player support block: 0-4 payoff
+    difference rows over 1-5 weights, then the sum row, b = (0, ..., 0, 1).
     Small entries make ties (degenerate bases) and particular solutions
     with negative entries common; some systems get a scaled duplicate
     row or a zero row."""
@@ -246,33 +246,51 @@ def block_systems(draw):
         rows[1] = [draw(st.integers(-2, 2)) * x for x in rows[0]]
     if k and draw(st.booleans()):
         rows[-1] = [0] * n
-    return rows + [[1] * n], [0] * k + [1]
+    return [row + [0] for row in rows] + [[1] * (n + 1)]
 
 
 @settings(max_examples=400, deadline=None)
 @given(block_systems())
-def test_max_min_point_matches_basis_search(system):
-    rows, rhs = system
-    got = max_min_point(rows, rhs)
-    want = _reference_max_min(rows, rhs)
+def test_max_min_point_matches_basis_search(rows):
+    got = max_min_point(rows)
+    want = _reference_max_min(rows)
     if want is None:
         assert got is None
         return
     t, point = got
     assert t == want
     assert all(type(x) is Fraction for x in point)
-    assert all(sum(a * w for a, w in zip(row, point)) == r for row, r in zip(rows, rhs))
+    assert all(sum(a * w for a, w in zip(row[:-1], point)) == row[-1] for row in rows)
     assert min(point) >= t
 
 
 def test_max_min_point_examples():
     # w0 + w2 = 3 w1 on the simplex: w1 = 1/4 is the smallest entry
-    assert max_min_point([[1, -3, 1], [1, 1, 1]], [0, 1]) == (
+    assert max_min_point([[1, -3, 1, 0], [1, 1, 1, 1]]) == (
         Fraction(1, 4), [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     # w0 + w1 = 0 forces a zero weight: optimum t = 0, still a point
-    assert max_min_point([[1, 1, 0], [1, 1, 1]], [0, 1]) == (0, [0, 0, 1])
+    assert max_min_point([[1, 1, 0, 0], [1, 1, 1, 1]]) == (0, [0, 0, 1])
     # w0 - w1 = 3 with w0 + w1 = 1 has no nonnegative solution
-    assert max_min_point([[1, -1], [1, 1]], [3, 1]) is None
+    assert max_min_point([[1, -1, 3], [1, 1, 1]]) is None
     # zero and repeated rows are redundant
-    assert max_min_point([[0, 0], [2, -2], [1, -1], [1, 1]], [0, 0, 0, 1]) == (
+    assert max_min_point([[0, 0, 0], [2, -2, 0], [1, -1, 0], [1, 1, 1]]) == (
         Fraction(1, 2), [Fraction(1, 2), Fraction(1, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_systems())
+def test_exact_routines_leave_their_input_rows_unchanged(system):
+    # rref copies only the list of rows: elimination must replace rows,
+    # never edit one. max_min_point gets the system as a block it can
+    # take, A w = |b| with the sum row w_1 + ... + w_n = 1 appended.
+    rows, n = system
+    before = copy.deepcopy(rows)
+    rref(rows)
+    assert rows == before
+    solve_affine(rows, n)
+    assert rows == before
+    if n:
+        block = [row[:n] + [abs(row[n])] for row in rows] + [[1] * (n + 1)]
+        before = copy.deepcopy(block)
+        max_min_point(block)
+        assert block == before

@@ -35,6 +35,14 @@ def test_make_game_rejects_single_strategy():
         make_game((1, 2), [np.zeros((1, 2)), np.zeros((1, 2))])
 
 
+def test_make_game_rejects_fractional_strategy_count():
+    # 2.5 strategies is an error, not a 2x2 game; integral counts of any
+    # numeric type are accepted
+    with pytest.raises(ValueError, match="^strategy count 2.5 is not an integer$"):
+        make_game((2.5, 2), [np.zeros(4), np.zeros(4)])
+    assert make_game((2.0, np.int64(2)), [np.zeros(4), np.zeros(4)]).strategy_counts == (2, 2)
+
+
 def test_make_game_rejects_shape_mismatch():
     for mode in (FLOAT, RATIONAL):
         with pytest.raises(ValueError, match=r"^utility tensor 0 has 6 entries, expected 4$"):

@@ -460,15 +460,17 @@ def test_transversal_at_checks_the_coordinate_lengths():
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_a_malformed_family_is_a_value_error(data):
-    # a wrong entry count, an out-of-range label or pair, or a reversed
-    # pair: good_family, the probe and transversal_at each raise a
-    # ValueError that names the defect, never an IndexError or a numpy error
+    # a wrong entry count, an out-of-range label or pair, a reversed pair,
+    # or a label or pair entry that is not an integer (never truncated):
+    # good_family, the probe and transversal_at each raise a ValueError
+    # that names the defect, never an IndexError or a numpy error
     shape = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2, 2)]), label="shape")
     m = len(shape)
     T, R = [[] for _ in shape], [[(0, 1)] for _ in shape]
     i = data.draw(st.integers(0, m - 1), label="player")
     n = shape[i] - 1
-    defect = data.draw(st.sampled_from(["T count", "R count", "label", "pair", "reversed"]))
+    defect = data.draw(st.sampled_from(
+        ["T count", "R count", "label", "pair", "reversed", "fractional label", "fractional pair"]))
     if defect.endswith("count"):
         entries = T if defect == "T count" else R
         if data.draw(st.booleans(), label="short"):
@@ -479,13 +481,19 @@ def test_a_malformed_family_is_a_value_error(data):
         T[i].append(data.draw(st.one_of(st.integers(n + 1, n + 4), st.integers(-3, -1))))
     elif defect == "pair":
         R[i].append((data.draw(st.integers(0, n)), data.draw(st.integers(n + 1, n + 3))))
-    else:
+    elif defect == "reversed":
         k = data.draw(st.integers(1, n))
         R[i].append((k, data.draw(st.integers(0, k - 1))))
+    elif defect == "fractional label":
+        T[i].append(data.draw(st.integers(0, n - 1)) + 0.5)
+    else:
+        j = data.draw(st.integers(0, n - 1))
+        R[i].append((float(j), j + data.draw(st.sampled_from([0.5, 0.7, 1.7]))))
     g = random_game(shape, seed=1)
     family = GoodFamily(tuple(map(tuple, T)), tuple(map(tuple, R)))
     point = chart_zero_point(profile_from_weights([[1 / c] * c for c in shape]))
-    message = "family needs one T and one R entry per player|out of range|must satisfy|>= 0"
+    message = ("family needs one T and one R entry per player|out of range|must satisfy|>= 0"
+               "|is not an integer")
     with pytest.raises(ValueError, match=message):
         good_family(g, T, R)
     with pytest.raises(ValueError, match=message):
