@@ -4,7 +4,9 @@ Per player, the weight space is compactified projectively in the
 homogenized coordinates (tilde basis): tilde_0 is the weight sum and
 tilde_j (j >= 1) are the plain weights. Chart l = (l_1, ..., l_m) is
 the affine piece where every player's tilde coordinate l_i equals 1;
-its free coordinates are the remaining tilde entries.
+its free coordinates are the remaining tilde entries. Every chart label
+that comes in, a transition target included, is checked by
+_validate_chart: one integral index per player, each in range.
 
 Three kinds of hypersurface get chart-local defining functions:
 
@@ -15,6 +17,8 @@ Three kinds of hypersurface get chart-local defining functions:
 * PayoffDiff(i, (j, k)): the zero set of Lambda^i_j - Lambda^i_k, the
   homogeneous payoff-slope difference of player i between own
   strategies j and k (index 0 contributing the zero form).
+
+Players (0-based), indices and pair entries are integral, stored as ints.
 
 Chart l misses exactly the hyperplanes tilde^i_{l_i} = 0, i.e.
 Coordinate(i, l_i) for l_i >= 1 and Coordinate(i, INF) for l_i = 0;
@@ -48,8 +52,7 @@ class Coordinate:
     index: float  # int-valued, or INF
 
     def __post_init__(self):
-        if self.player < 0:
-            raise ValueError(f"{self}: player index must be >= 0")
+        _normalise_player(self)
         if self.index != INF:
             if self.index < 0:
                 raise ValueError(f"{self}: coordinate index must be >= 0 or INF")
@@ -68,8 +71,7 @@ class PayoffDiff:
     pair: tuple[int, int]
 
     def __post_init__(self):
-        if self.player < 0:
-            raise ValueError(f"{self}: player index must be >= 0")
+        _normalise_player(self)
         j, k = (_integral(x, f"{self}: pair entry") for x in self.pair)
         object.__setattr__(self, "pair", (j, k))
         if not 0 <= j < k:
@@ -81,6 +83,15 @@ class PayoffDiff:
 
 
 Hypersurface = Coordinate | PayoffDiff
+
+
+def _normalise_player(h: Hypersurface) -> None:
+    """Make h.player an int (_integral), or raise a ValueError naming h
+    when it is not an integer >= 0."""
+    if type(h.player) is not int:
+        object.__setattr__(h, "player", _integral(h.player, f"{h}: player index"))
+    if h.player < 0:
+        raise ValueError(f"{h}: player index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,12 +114,14 @@ class ChartPoint:
         return tuple(self.full_vector(i) for i in range(self.num_players))
 
 
-def _validate_chart(game: FiniteGame, chart) -> tuple[int, ...]:
+def _validate_chart(chart, counts) -> tuple[int, ...]:
+    """The chart label as ints, once it has one integral index l_i per
+    player with 0 <= l_i < counts[i]; otherwise a ValueError."""
     chart = tuple(_integral(l, "chart index") for l in chart)
-    if len(chart) != game.num_players:
-        raise ValueError(f"chart needs {game.num_players} indices")
-    for i, l in enumerate(chart):
-        if not 0 <= l < game.strategy_counts[i]:
+    if len(chart) != len(counts):
+        raise ValueError(f"chart needs {len(counts)} indices")
+    for i, (l, c) in enumerate(zip(chart, counts)):
+        if not 0 <= l < c:
             raise ValueError(f"chart index {l} out of range for player {i + 1}")
     return chart
 
@@ -131,7 +144,7 @@ def _validate_coords(game: FiniteGame, coords) -> None:
 
 def chart_point(game: FiniteGame, chart, coords, mode: str = FLOAT) -> ChartPoint:
     """Validated chart point; coords has one length-n_i vector per player."""
-    chart = _validate_chart(game, chart)
+    chart = _validate_chart(chart, game.strategy_counts)
     out = tuple(_numbers(c, mode) for c in coords)
     _validate_coords(game, out)
     return ChartPoint(chart, out)
@@ -142,10 +155,12 @@ def all_charts(game: FiniteGame) -> list[tuple[int, ...]]:
     return [tuple(l) for l in itertools.product(*(range(c) for c in game.strategy_counts))]
 
 
-def read_chart(vectors, chart: tuple[int, ...]) -> ChartPoint:
+def read_chart(vectors, chart) -> ChartPoint:
     """Inverse of ChartPoint.full_vectors up to projective scaling:
     rescale each player's vector so the chart slot is 1, then drop that
-    slot."""
+    slot. The chart is checked against the vectors' lengths
+    (_validate_chart)."""
+    chart = _validate_chart(chart, [len(v) for v in vectors])
     coords = []
     for i, (v, l) in enumerate(zip(vectors, chart)):
         v = np.asarray(v)
@@ -156,18 +171,16 @@ def read_chart(vectors, chart: tuple[int, ...]) -> ChartPoint:
             )
         scaled = v * (1 / Fraction(d)) if v.dtype == object else v / d
         coords.append(np.delete(scaled, l))
-    return ChartPoint(tuple(chart), tuple(coords))
+    return ChartPoint(chart, tuple(coords))
 
 
 def transition(point: ChartPoint, target) -> ChartPoint:
     """The same projective point read in another chart.
 
-    Raises ZeroDivisionError when the point lies on a hyperplane
-    tilde^i_{t_i} = 0 excluded from the target chart.
+    Raises ValueError for a target that is not a chart of the point's
+    game (read_chart), and ZeroDivisionError when the point lies on a
+    hyperplane tilde^i_{t_i} = 0 excluded from the target chart.
     """
-    target = tuple(_integral(t, "chart index") for t in target)
-    if len(target) != point.num_players:
-        raise ValueError("target chart has wrong length")
     return read_chart(point.full_vectors(), target)
 
 
@@ -190,7 +203,8 @@ def chart_excludes(chart: tuple[int, ...], h: Hypersurface) -> bool:
 
 def excluded_hypersurfaces(game: FiniteGame, chart) -> list[Coordinate]:
     """The coordinate hyperplanes forming the chart's complement."""
-    return [_pinned_hyperplane(i, l) for i, l in enumerate(_validate_chart(game, chart))]
+    chart = _validate_chart(chart, game.strategy_counts)
+    return [_pinned_hyperplane(i, l) for i, l in enumerate(chart)]
 
 
 def _validate_hypersurface(game: FiniteGame, h: Hypersurface) -> None:
@@ -209,7 +223,7 @@ def _check_in_chart(game: FiniteGame, hypersurfaces, chart) -> tuple[int, ...]:
     """The validated chart, once each hypersurface is checked against the
     game and the chart: ValueError for one listed twice,
     ChartExcludesHypersurface for one the chart misses."""
-    chart = _validate_chart(game, chart)
+    chart = _validate_chart(chart, game.strategy_counts)
     seen = set()
     for h in hypersurfaces:
         _validate_hypersurface(game, h)
@@ -271,7 +285,7 @@ def parse_chart(text: str, game: FiniteGame) -> tuple[int, ...]:
         chart = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad chart spec {text!r}: expected l1,l2,...") from None
-    return _validate_chart(game, chart)
+    return _validate_chart(chart, game.strategy_counts)
 
 
 def parse_hypersurface(text: str, game: FiniteGame | None = None) -> Hypersurface:

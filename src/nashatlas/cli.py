@@ -244,10 +244,8 @@ def _cmd_solve(args):
             )
             flag = " [boundary-degenerate]" if cert.boundary_degenerate else ""
             lines.append(f"   jacobian: {cert.jacobian_verdict}{sv}{flag}")
-    meta = _meta(args, command="solve", mode=game.mode)
     return (
-        {"meta": meta, "results": _solve_payload(result, payoffs),
-         "warnings": list(result.warnings)},
+        _report(args, _solve_payload(result, payoffs), result.warnings, mode=game.mode),
         lines + [f"warning: {w}" for w in result.warnings],
         EXIT_DEGENERATE if result.degenerate else EXIT_OK,
     )
@@ -268,10 +266,7 @@ def _monomial_entries(form):
 
 def _cmd_lambda(args):
     game = _load_game(args)
-    if not 1 <= args.player <= game.num_players:
-        raise ValueError(f"no player {args.player}")
-    i = args.player - 1
-    dec = lambda_decomposition(game, i)
+    dec = lambda_decomposition(game, args.player - 1)
 
     def render(name, form):
         entries = _monomial_entries(form)
@@ -286,8 +281,7 @@ def _cmd_lambda(args):
         line, entry = render(f"lambda^{args.player}_{j}", lam)
         lines.append(line)
         payload["lambdas"].append(entry)
-    meta = _meta(args, command="lambda", mode=game.mode, player=args.player)
-    return {"meta": meta, "results": payload, "warnings": []}, lines, EXIT_OK
+    return _report(args, payload, mode=game.mode, player=args.player), lines, EXIT_OK
 
 
 def _family_payload(family) -> dict:
@@ -313,8 +307,7 @@ def _cmd_goodcheck(args):
         **_family_payload(family),
         "cycle": None if good else {"player": cycle[0] + 1, "vertices": list(cycle[1])},
     }
-    meta = _meta(args, command="goodcheck", shape=args.shape)
-    return {"meta": meta, "results": payload, "warnings": []}, lines, EXIT_OK
+    return _report(args, payload, shape=args.shape), lines, EXIT_OK
 
 
 def _cmd_sample(args):
@@ -364,9 +357,8 @@ def _cmd_sample(args):
         "oddness_rate": oddness_rate,
         "degeneracy_witness_rate": witness_rate,
     }
-    meta = _meta(args, command="sample", shape=args.shape, count=args.count,
-                 distribution=args.distribution)
-    return {"meta": meta, "results": payload, "warnings": []}, lines, EXIT_OK
+    return _report(args, payload, shape=args.shape, count=args.count,
+                   distribution=args.distribution), lines, EXIT_OK
 
 
 def _point_from_solve_json(game: FiniteGame, path: str, index: int):
@@ -426,9 +418,8 @@ def _cmd_certify(args):
         "smallest_singular_value": _jnum(report.smallest_singular_value),
         "verdict": report.verdict,
     }
-    meta = _meta(args, command="certify", mode=game.mode)
     code = EXIT_OK if report.verdict == "transversal" else EXIT_DEGENERATE
-    return {"meta": meta, "results": payload, "warnings": []}, lines, code
+    return _report(args, payload, mode=game.mode), lines, code
 
 
 def _cmd_charts(args):
@@ -444,19 +435,15 @@ def _cmd_charts(args):
             f"chart {format_chart(chart)}: complement "
             + ", ".join(str(h) for h in excluded)
         )
-    meta = _meta(args, command="charts", shape=args.shape)
-    return {"meta": meta, "results": {"charts": rows}, "warnings": []}, lines, EXIT_OK
+    return _report(args, {"charts": rows}, shape=args.shape), lines, EXIT_OK
 
 
-def _meta(args, **extra) -> dict:
-    """The subcommand's own options that the report echoes, then extra."""
-    meta = {
-        key: getattr(args, key)
-        for key in ("seed", "exact", "file")
-        if hasattr(args, key)
-    }
-    meta.update(extra)
-    return meta
+def _report(args, results, warnings=(), **extra) -> dict:
+    """The --json report of every subcommand: meta echoes the options
+    the subcommand defines, its name, then extra."""
+    meta = {key: getattr(args, key) for key in ("seed", "exact", "file") if hasattr(args, key)}
+    meta.update(command=args.command, **extra)
+    return {"meta": meta, "results": results, "warnings": list(warnings)}
 
 
 @functools.cache  # parse_args leaves the parser as it was: build it once

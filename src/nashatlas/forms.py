@@ -163,9 +163,10 @@ def zero_form(game: FiniteGame, blocks: tuple[int, ...]) -> MultilinearForm:
 
 def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
     """Player i's payoff as a homogeneous form in all blocks (the
-    multilinear extension of the pure payoff tensor)."""
+    multilinear extension of the pure payoff tensor). Player i is 0-based;
+    a ValueError for one outside the game names it 1-based."""
     if not 0 <= i < game.num_players:
-        raise ValueError(f"no player {i}")
+        raise ValueError(f"no player {i + 1}")
     return MultilinearForm(tuple(range(game.num_players)), game.utilities[i].copy())
 
 

@@ -142,11 +142,15 @@ class MixedProfile:
 
 @dataclass(frozen=True)
 class SupportProfile:
-    """Per player, the sorted indices of strategies used with nonzero weight."""
+    """Per player, the sorted indices of strategies used with nonzero
+    weight; integral entries (_integral) become ints."""
 
     supports: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not all(type(j) is int for supp in self.supports for j in supp):
+            object.__setattr__(self, "supports", tuple(
+                tuple(_integral(j, "support entry") for j in supp) for supp in self.supports))
         for supp in self.supports:
             if not supp:
                 raise ValueError("supports must be nonempty")
@@ -296,7 +300,10 @@ def _tokenize(text: str):
 
 
 def parse_game(text: str, mode: str | None = None) -> FiniteGame:
-    """Parse the game file format; mode None means infer from the tokens."""
+    """Parse the game file format; mode None means infer from the tokens.
+
+    A malformed file raises GameFormatError with the offending token's
+    line; one reader checks each keyword and one each count."""
     tokens = list(_tokenize(text))
     pos = 0
 
@@ -309,39 +316,33 @@ def parse_game(text: str, mode: str | None = None) -> FiniteGame:
         pos += 1
         return tok
 
-    tok, line = need("'players'")
-    if tok != "players":
-        raise GameFormatError(f"expected 'players', got {tok!r}", line)
-    tok, line = need("player count")
-    try:
-        m = int(tok)
-    except ValueError:
-        raise GameFormatError(f"bad player count {tok!r}", line) from None
+    def keyword(word: str) -> None:
+        tok, line = need(f"'{word}'")
+        if tok != word:
+            raise GameFormatError(f"expected '{word}', got {tok!r}", line)
+
+    def count(what: str) -> tuple[int, int]:
+        """The next token as an int, and its line."""
+        tok, line = need(what)
+        try:
+            return int(tok), line
+        except ValueError:
+            raise GameFormatError(f"bad {what} {tok!r}", line) from None
+
+    keyword("players")
+    m, line = count("player count")
     if m < 1:
         raise GameFormatError("player count must be >= 1", line)
-
-    tok, line = need("'strategies'")
-    if tok != "strategies":
-        raise GameFormatError(f"expected 'strategies', got {tok!r}", line)
-    counts = []
-    for _ in range(m):
-        tok, line = need("strategy count")
-        try:
-            counts.append(int(tok))
-        except ValueError:
-            raise GameFormatError(f"bad strategy count {tok!r}", line) from None
-    total = 1
-    for c in counts:
-        total *= c
+    keyword("strategies")
+    counts = [count("strategy count")[0] for _ in range(m)]
+    total = math.prod(counts)
 
     if mode is None:
         mode = RATIONAL if any("/" in t for t, _ in tokens[pos:]) else FLOAT
 
     tensors = []
     for i in range(1, m + 1):
-        tok, line = need("'payoff'")
-        if tok != "payoff":
-            raise GameFormatError(f"expected 'payoff', got {tok!r}", line)
+        keyword("payoff")
         tok, line = need("payoff player index")
         if tok != str(i):
             raise GameFormatError(f"expected payoff block for player {i}, got {tok!r}", line)

@@ -120,34 +120,27 @@ def _find_cycle(edges) -> list[int] | None:
     """A vertex cycle of the undirected graph given by the edge pairs,
     or None when the graph is a forest. Grows a spanning forest edge by
     edge; the first edge joining two already-connected vertices closes
-    a cycle, recovered as the forest path between its endpoints."""
+    a cycle, recovered as the forest path between its endpoints by a
+    breadth-first search from one of them."""
     adj: dict[int, list[int]] = {}
     for j, k in edges:
         if k in adj.get(j, ()):
             continue  # parallel edge cannot occur with set input
         if j in adj and k in adj:
-            path = _forest_path(adj, j, k)
-            if path is not None:
-                return path
+            prev = {j: None}
+            queue = [j]
+            for v in queue:
+                for w in adj[v]:
+                    if w not in prev:
+                        prev[w] = v
+                        queue.append(w)
+            if k in prev:
+                path = [k]
+                while path[-1] != j:
+                    path.append(prev[path[-1]])
+                return path[::-1]
         adj.setdefault(j, []).append(k)
         adj.setdefault(k, []).append(j)
-    return None
-
-
-def _forest_path(adj, start: int, goal: int) -> list[int] | None:
-    prev = {start: None}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        if v == goal:
-            path = [v]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for w in adj.get(v, ()):
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
     return None
 
 
@@ -343,7 +336,7 @@ def transversal_at(
     canonical family). Verdict is transversal iff the stacked Jacobian
     (payoff-difference rows in payoff units) has full row rank.
     """
-    chart = _validate_chart(game, point.chart)
+    chart = _validate_chart(point.chart, game.strategy_counts)
     _validate_coords(game, point.coords)
     if active is None:
         members = [h for h in _family_members(game, family) if not chart_excludes(chart, h)]

@@ -1,6 +1,7 @@
 """Charts, transitions, hypersurfaces, and membership."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,22 @@ def test_transition_undefined_raises(mp_float):
     p = chart_point(mp_float, (0, 0), [[0.0], [0.5]])
     with pytest.raises(ZeroDivisionError):
         transition(p, (1, 0))
+
+
+@pytest.mark.parametrize("chart, message", [
+    ((-1, 0), "chart index -1 out of range for player 1"),
+    ((0, 3), "chart index 3 out of range for player 2"),
+    ((5, 0), "chart index 5 out of range for player 1"),
+    ((0.5, 0), "chart index 0.5 is not an integer"),
+    ((0,), "chart needs 2 indices"),
+])
+def test_transition_and_read_chart_check_the_chart(chart, message):
+    # a negative index must not wrap around to another slot of the point
+    p = chart_point(random_game((3, 3), seed=0), (0, 0), [[0.25, 0.5], [0.5, 0.25]])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        transition(p, chart)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_chart(p.full_vectors(), chart)
 
 
 @settings(max_examples=40, deadline=None)
@@ -290,6 +307,14 @@ def test_hypersurface_errors_name_the_member():
         PayoffDiff(0, (1, 1))
     with pytest.raises(ValueError, match="^C:1:-1: coordinate index must be >= 0 or INF$"):
         Coordinate(0, -1)
+    # a player is an integer: 1.0 is player 1 (printed 1-based), 0.5 is
+    # no player
+    assert Coordinate(1.0, 1) == Coordinate(1, 1) and str(Coordinate(1.0, 1)) == "C:2:1"
+    assert defining_map(g, PayoffDiff(1.0, (0, 1)), (0, 0)).blocks == (0,)
+    with pytest.raises(ValueError, match="^C:1.5:1: player index 0.5 is not an integer$"):
+        Coordinate(0.5, 1)
+    with pytest.raises(ValueError, match=r"^D:1.5:0:1: player index 0.5 is not an integer$"):
+        PayoffDiff(0.5, (0, 1))
 
 
 def test_payoff_diff_validates_pair():

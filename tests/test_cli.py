@@ -198,7 +198,9 @@ def test_lambda_output(mp_file, capsys):
 
 
 def test_lambda_bad_player(mp_file, capsys):
-    assert main(["lambda", mp_file, "--player", "3"]) == 1
+    for player in ("0", "3"):
+        assert main(["lambda", mp_file, "--player", player]) == 1
+        assert capsys.readouterr().err == f"error: no player {player}\n"
 
 
 def test_goodcheck_good(capsys):

@@ -123,6 +123,16 @@ def test_solve_support_validates_indices(mp_float):
                       SupportProfile(((-2, 0), (0, 1), (0, 1))))
 
 
+def test_support_entries_are_integers():
+    # an integral entry is the same support; a fractional one names itself
+    g = random_game((3, 3), seed=0)
+    assert SupportProfile(((0, 1.0), (0, np.int64(1)))).supports == ((0, 1), (0, 1))
+    assert solve_support(g, SupportProfile(((0, 1.0), (0, 1)))) == \
+        solve_support(g, SupportProfile(((0, 1), (0, 1)))) == []
+    with pytest.raises(ValueError, match="^support entry 0.5 is not an integer$"):
+        SupportProfile(((0, 0.5), (0, 1)))
+
+
 def test_mp_unique_equilibrium(mp_exact):
     result = enumerate_nash(mp_exact)
     assert not result.degenerate

@@ -67,6 +67,12 @@ def test_mp_payoff_value(mp_float):
     assert form.eval(w) == pytest.approx(-0.08)
 
 
+@pytest.mark.parametrize("i", [-1, 2])
+def test_payoff_form_names_the_player_1_based(mp_float, i):
+    with pytest.raises(ValueError, match=f"^no player {i + 1}$"):
+        payoff_form(mp_float, i)
+
+
 def test_eval_matches_loop_oracle():
     rng = np.random.default_rng(3)
     for shape in [(2, 2), (3, 3), (2, 2, 2), (2, 3, 2)]:

@@ -141,21 +141,41 @@ def test_parse_game_three_players():
     assert g.utilities[0][1, 0, 1] == 6
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "strategies 2 2\npayoff 1\n1 1 1 1\npayoff 2\n1 1 1 1\n",
-        "players 2\nstrategies 2\npayoff 1\n1 1\npayoff 2\n1 1\n",
-        "players 2\nstrategies 2 2\npayoff 1\n1 1 1\npayoff 2\n1 1 1 1\n",
-        "players 2\nstrategies 2 2\npayoff 1\n1 1 1 1\n",
-        "players 2\nstrategies 1 2\npayoff 1\n1 1\npayoff 2\n1 1\n",
-        "players 2\nstrategies 2 2\nbogus\npayoff 1\n1 1 1 1\npayoff 2\n1 1 1 1\n",
-        "players 2\nstrategies 2 2\npayoff 1\n1 x 1 1\npayoff 2\n1 1 1 1\n",
-    ],
-)
+# each malformed file with its message, as str(GameFormatError): the
+# 1-based line of the offending token leads, where there is one
+PARSE_ERRORS = {
+    "strategies 2 2\npayoff 1\n1 1 1 1\npayoff 2\n1 1 1 1\n":
+        "line 1: expected 'players', got 'strategies'",
+    "players 2\nstrategies 2\npayoff 1\n1 1\npayoff 2\n1 1\n":
+        "line 3: bad strategy count 'payoff'",
+    "players 2\nstrategies 2 2\npayoff 1\n1 1 1\npayoff 2\n1 1 1 1\n":
+        "line 5: bad number 'payoff'",
+    "players 2\nstrategies 2 2\npayoff 1\n1 1 1 1\n":
+        "line 4: unexpected end of file, expected 'payoff'",
+    "players 2\nstrategies 1 2\npayoff 1\n1 1\npayoff 2\n1 1\n":
+        "each player needs at least 2 pure strategies (n_i >= 1)",
+    "players 2\nstrategies 2 2\nbogus\npayoff 1\n1 1 1 1\npayoff 2\n1 1 1 1\n":
+        "line 3: expected 'payoff', got 'bogus'",
+    "players 2\nstrategies 2 2\npayoff 1\n1 x 1 1\npayoff 2\n1 1 1 1\n":
+        "line 4: bad number 'x'",
+    "# empty\n": "line 1: unexpected end of file, expected 'players'",
+    "players\n": "line 1: unexpected end of file, expected player count",
+    "players two\nstrategies 2 2\n": "line 1: bad player count 'two'",
+    "players 0\nstrategies\n": "line 1: player count must be >= 1",
+    "players 2\nstrats 2 2\n": "line 2: expected 'strategies', got 'strats'",
+    "players 2\nstrategies 2 2.5\n": "line 2: bad strategy count '2.5'",
+    "players 2\nstrategies 2 2\npayoff 2\n1 1 1 1\npayoff 1\n1 1 1 1\n":
+        "line 3: expected payoff block for player 1, got '2'",
+    "players 1\nstrategies 2\npayoff 1\n1 1/0\n": "line 4: bad number '1/0'",
+    "players 1\nstrategies 2\npayoff 1\n1 2\n\n3 # extra\n": "line 6: trailing content '3'",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_game_errors(text):
-    with pytest.raises(GameFormatError):
+    with pytest.raises(GameFormatError) as exc:
         parse_game(text)
+    assert str(exc.value) == PARSE_ERRORS[text]
 
 
 def test_parse_error_reports_line_number():
