@@ -71,7 +71,13 @@ import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
 from .forms import _integer_slopes, payoff_slice_values
-from .genericity import _family_system, _newton_roots, _svd_rank, canonical_equilibrium_family
+from .genericity import (
+    _family_system,
+    _newton_roots,
+    _svd_rank,
+    _svd_ranks,
+    canonical_equilibrium_family,
+)
 from .game import (
     CHECK_TOL,
     FLOAT,
@@ -314,7 +320,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
                 candidates=profiles,
             )
 
-    if any(_svd_rank(jac)[0] < r.shape[1] for jac in jacobian(r)):
+    if (_svd_ranks(jacobian(r)) < r.shape[1]).any():
         raise SingularSystem(support, "singular Jacobian at a root", candidates=profiles)
 
     return profiles

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import FLOAT, RATIONAL, FiniteGame, _exact, _numbers
+from .game import FLOAT, RATIONAL, FiniteGame, _exact, _integral, _numbers
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,10 @@ def zero_form(game: FiniteGame, blocks: tuple[int, ...]) -> MultilinearForm:
 
 def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
     """Player i's payoff as a homogeneous form in all blocks (the
-    multilinear extension of the pure payoff tensor). Player i is 0-based;
-    a ValueError for one outside the game names it 1-based."""
+    multilinear extension of the pure payoff tensor). Player i is 0-based
+    and integral (2.0 is player 2); a ValueError for one outside the game
+    names it 1-based."""
+    i = _integral(i, "player")
     if not 0 <= i < game.num_players:
         raise ValueError(f"no player {i + 1}")
     return MultilinearForm(tuple(range(game.num_players)), game.utilities[i].copy())
@@ -241,7 +243,7 @@ def lambda_decomposition(game: FiniteGame, i: int) -> LambdaDecomposition:
     hom = homogeneous_decomposition(game, i)
     pinned = (0,) * (game.num_players - 1)
     return LambdaDecomposition(
-        i,
+        hom.player,
         replace(hom.K, pinned=pinned),
         tuple(replace(Lam, pinned=pinned) for Lam in hom.Lambdas),
     )
@@ -251,6 +253,7 @@ def homogeneous_decomposition(game: FiniteGame, i: int) -> HomogeneousDecomposit
     """Own-index slices of the homogenized payoff tensor: slice 0 is K,
     slice j >= 1 is Lambda_j."""
     tilde = to_tilde_coordinates(payoff_form(game, i))
+    i = _integral(i, "player")
     others = _other_blocks(game, i)
     slices = [np.take(tilde.coeffs, j, axis=i) for j in range(game.strategy_counts[i])]
     K = MultilinearForm(others, slices[0])

@@ -20,15 +20,19 @@ hypersurfaces on the face its coordinate hyperplanes cut out in a chart
 (an equilibrium's: its canonical family in chart (0, ..., 0), unknowns
 the weights on supp[1:], rows slope(supp[0]) - slope(t)).
 _family_system builds that system for both, and _newton_roots, a damped
-least-squares multistart Newton loop, finds its roots from the caller's
-starts. The starts iterate together, one batched Jacobian and
-pseudo-inverse per step, and one residual call per step covers the
-NEWTON_HALVINGS step lengths of the line search for every start, each
-start taking its own first accepted step length and keeping its own
-stopping rule; a start that none of them helps has stalled. The
-equations are in each player's payoff unit
-(FiniteGame.payoff_exponents), so the loop's tolerances (from the table
-in nashatlas.game) act the same at every payoff scale.
+multistart Newton loop, finds its roots from the caller's starts. Every
+equation is multilinear in the blocks (1, z_b), so _face_system holds
+the system as one coefficient matrix over the Segre monomials of the
+blocks: a residual is one matrix product, and each block of Jacobian
+columns one more. The starts iterate together, one batched Jacobian and
+one batched LU solve per step (least squares through the pseudo-inverse
+where the system is not square or a Jacobian is exactly singular), and
+one residual call per step covers the NEWTON_HALVINGS step lengths of
+the line search for every start, each start taking its own first
+accepted step length and keeping its own stopping rule; a start that
+none of them helps has stalled. The equations are in each player's
+payoff unit (FiniteGame.payoff_exponents), so the loop's tolerances
+(from the table in nashatlas.game) act the same at every payoff scale.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .atlas import (
     defining_map,
     on_hypersurface,
 )
-from .forms import MultilinearForm, _basis_matrix, _contract_axis, contract
+from .forms import MultilinearForm, _basis_matrix, _contract_axis
 from .game import (
     DEDUP_TOL,
     NEWTON_HALVINGS,
@@ -194,8 +198,19 @@ def _svd_rank(matrix: np.ndarray) -> tuple[int, float]:
     if matrix.size == 0:
         return 0, math.inf
     sv = np.linalg.svd(matrix, compute_uv=False)
-    cutoff = RANK_TOL * max(1.0, float(sv[0]))
-    return int(np.sum(sv > cutoff)), float(sv[-1])
+    return int(_ranks(sv)), float(sv[-1])
+
+
+def _ranks(sv: np.ndarray) -> np.ndarray:
+    """Ranks from descending singular values (last axis), the cutoff
+    RANK_TOL times the largest of them, at least 1."""
+    return np.sum(sv > RANK_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
+
+
+def _svd_ranks(stack: np.ndarray) -> np.ndarray:
+    """_svd_rank's ranks of a (k, r, c) stack of matrices, from one
+    batched SVD."""
+    return _ranks(np.linalg.svd(stack, compute_uv=False))
 
 
 def _inf_norm(v):
@@ -204,23 +219,50 @@ def _inf_norm(v):
     return np.abs(v).max(axis=-1, initial=0.0)
 
 
+def _newton_step(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Steps s with jac s = -f for a stack of Jacobians (L, n_eq, n) and
+    residuals (L, n_eq): one batched LU solve when the stack is square;
+    for a stack that is not square, or has a member LU finds exactly
+    singular, the minimum-norm least-squares steps of the whole stack
+    with np.linalg.lstsq's cutoff."""
+    if jac.shape[-1] == jac.shape[-2]:
+        try:
+            return np.linalg.solve(jac, -f[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            pass
+    rcond = np.finfo(float).eps * max(jac.shape[-2:])
+    return (np.linalg.pinv(jac, rcond=rcond) @ -f[..., None])[..., 0]
+
+
+def _dedup(rows: np.ndarray) -> list[np.ndarray]:
+    """The rows, in order, that are not within DEDUP_TOL (max-abs) of an
+    earlier row kept: each pass keeps the first remaining row and drops
+    every later row within DEDUP_TOL of it."""
+    kept = []
+    while len(rows):
+        kept.append(rows[0])
+        rows = rows[1:][_inf_norm(rows[1:] - rows[0]) > DEDUP_TOL]
+    return kept
+
+
 def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
-    """Damped least-squares Newton from every start, all starts at once.
+    """Damped Newton from every start, all starts at once.
 
     The starts iterate together as the rows of one (B, n) array: residual
     and jacobian take a stack of rows and return (B, n_eq) and
-    (B, n_eq, n). Each step solves jacobian(x) step = -residual(x) in the
-    least-squares sense and tries the lengths t = 2^-r, r = 0 ..
-    NEWTON_HALVINGS - 1: the trial points of every live start and every
-    halving go to residual as one stack, and each start takes its first t
-    whose residual norm is at most (1 - t/4) times the current one. So a
-    step costs one residual and one jacobian call. Every start keeps its
-    own stopping rule: it stops once its residual is within RESIDUAL_TOL,
-    its step is below STEP_TOL, no length passes (the start has stalled;
-    near a regular root the full step passes) or NEWTON_MAX_ITERS steps
-    are taken. `accept` takes the (k, n) stack of converged limits and
-    returns a mask of those to keep; the kept limits come back
-    deduplicated at DEDUP_TOL, in start order.
+    (B, n_eq, n). Each step solves jacobian(x) step = -residual(x)
+    (_newton_step: LU on a square stack, else least squares) and tries
+    the lengths t = 2^-r, r = 0 .. NEWTON_HALVINGS - 1: the trial points
+    of every live start and every halving go to residual as one stack,
+    and each start takes its first t whose residual norm is at most
+    (1 - t/4) times the current one. So a step costs one residual and one
+    jacobian call. Every start keeps its own stopping rule: it stops once
+    its residual is within RESIDUAL_TOL, its step is below STEP_TOL, no
+    length passes (the start has stalled; near a regular root the full
+    step passes) or NEWTON_MAX_ITERS steps are taken. `accept` takes the
+    (k, n) stack of converged limits and returns a mask of those to keep;
+    the kept limits come back deduplicated at DEDUP_TOL (_dedup), in
+    start order.
     """
     x = np.array(starts, dtype=float)
     f = residual(x)
@@ -230,10 +272,7 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
         live = live[_inf_norm(f[live]) > RESIDUAL_TOL]
         if not live.size:
             break
-        # minimum-norm least-squares steps with np.linalg.lstsq's cutoff
-        jac = jacobian(x[live])
-        rcond = np.finfo(float).eps * max(jac.shape[-2:])
-        step = (np.linalg.pinv(jac, rcond=rcond) @ -f[live][..., None])[..., 0]
+        step = _newton_step(jacobian(x[live]), f[live])
         moving = _inf_norm(step) > STEP_TOL
         live, step = live[moving], step[moving]
         if not live.size:
@@ -249,11 +288,17 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
     keep = _inf_norm(f) <= RESIDUAL_TOL
     if accept is not None:
         keep[keep] = accept(x[keep])
-    roots: list[np.ndarray] = []
-    for xb in x[keep]:
-        if all(_inf_norm(xb - r) > DEDUP_TOL for r in roots):
-            roots.append(xb)
-    return roots
+    return _dedup(x[keep])
+
+
+def _segre(vs, batch: tuple) -> np.ndarray:
+    """The Segre monomials of the block vectors vs, each of shape
+    batch + (s_b,): their outer product, flattened in C order to shape
+    batch + (prod s_b,)."""
+    out = vs[0] if vs else np.ones(batch + (1,))
+    for v in vs[1:]:
+        out = (out[..., :, None] * v[..., None, :]).reshape(batch + (out.shape[-1] * v.shape[-1],))
+    return out
 
 
 def _face_system(game: FiniteGame, pairs, maps):
@@ -263,17 +308,22 @@ def _face_system(game: FiniteGame, pairs, maps):
     weights, and z concatenates the z_b. Player i's equations are
     slope_j - slope_k, (j, k) in pairs[i]: its payoffs contracted on axis
     i with the integer columns e_j - e_k (so taken before rounding), as
-    float, in its payoff unit, and composed with the other players' maps
-    once. Returns residual(z), one contraction per player with
-    equations; jacobian(z), whose block (i, q) is the contraction keeping
-    axes i and q minus its constant column; and vectors(z), the per-player
-    (1, z_b). Each takes one point z of shape (n,) or a stack of B points
-    of shape (B, n), and then puts the batch axis first in its results.
+    float, in its payoff unit. One einsum per player composes them with
+    the other players' maps and puts e_0 on axis i, so every equation is
+    a multilinear form in the blocks (1, z_b), read off one coefficient
+    array C of shape (1 + d_0, ..., 1 + d_{m-1}, n_eq): a linear form in
+    the Segre monomials of the blocks (_segre). Returns residual(z), the
+    monomials times C as an (M, n_eq) matrix; jacobian(z), whose block of
+    columns q is the monomials of the other blocks times C's slots 1.. on
+    axis q; and vectors(z), the per-player (1, z_b). Each takes one point
+    z of shape (n,) or a stack of B points of shape (B, n), and then puts
+    the batch axis first in its results.
     """
     m = len(maps)
     dims = [a.shape[1] - 1 for a in maps]
     ends = np.cumsum(dims)
-    system = []
+    c_axes = list(range(m, 2 * m)) + [2 * m]  # block b is axis m + b, the equations 2m
+    blocks = []
     for i, (u, own) in enumerate(zip(game.utilities, pairs)):
         if not own:
             continue
@@ -281,40 +331,36 @@ def _face_system(game: FiniteGame, pairs, maps):
         cols = eye[:, [j for j, _ in own]] - eye[:, [k for _, k in own]]
         t = np.ldexp(np.asarray(_contract_axis(u, cols, i), dtype=float),
                      -game.payoff_exponents[i])
+        operands = [t, [2 * m if b == i else b for b in range(m)], np.eye(1 + dims[i])[0], [m + i]]
         for b in range(m):
             if b != i:
-                t = _contract_axis(t, maps[b], b)
-        system.append((i, t))
+                operands += [maps[b], [b, m + b]]
+        blocks.append(np.einsum(*operands, c_axes))
+    shape = tuple(d + 1 for d in dims)
+    coeffs = np.concatenate(blocks, axis=-1) if blocks else np.zeros(shape + (0,))
+    n_eq, size = coeffs.shape[-1], math.prod(shape)
+    # per block q with coordinates: C's slots 1.. on axis q, the other
+    # axes first, as a matrix from their monomials to (equation, slot);
+    # sizes are explicit, as reshape cannot infer one next to a 0
+    slices = [(q, np.moveaxis(coeffs.take(range(1, d + 1), axis=q), q, -1)
+               .reshape(size // (d + 1), n_eq * d))
+              for q, d in enumerate(dims) if d]
+    coeffs = coeffs.reshape(size, n_eq)
 
     def vectors(z):
         one = np.ones(z.shape[:-1] + (1,))
         return [np.concatenate((one, z[..., e - d: e]), axis=-1) for d, e in zip(dims, ends)]
 
-    eq_bounds = np.cumsum([0] + [t.shape[i] for i, t in system])
-
     def residual(z):
-        v = vectors(z)
-        out = np.empty(z.shape[:-1] + (eq_bounds[-1],))
-        for (i, t), lo, hi in zip(system, eq_bounds, eq_bounds[1:]):
-            # with one player nothing is contracted: the block is constant
-            # and broadcasts over the batch axis
-            out[..., lo:hi] = contract(t, [None if b == i else v[b] for b in range(m)])
-        return out
+        return _segre(vectors(z), z.shape[:-1]) @ coeffs
 
     def jacobian(z):
-        v = vectors(z)
-        rows = []
-        for i, t in system:
-            row = np.zeros(z.shape[:-1] + (t.shape[i], z.shape[-1]))
-            for q in range(m):
-                if q == i or not dims[q]:
-                    continue
-                c = contract(t, [None if b in (i, q) else v[b] for b in range(m)])
-                c = np.swapaxes(c, -1, -2) if q < i else c
-                # with two players the block is constant and broadcasts
-                row[..., ends[q] - dims[q]: ends[q]] = c[..., 1:]
-            rows.append(row)
-        return np.concatenate(rows, axis=-2)
+        v, batch = vectors(z), z.shape[:-1]
+        jac = np.empty(batch + (n_eq, z.shape[-1]))  # every column is in one block
+        for q, c in slices:
+            others = _segre(v[:q] + v[q + 1:], batch)
+            jac[..., ends[q] - dims[q]: ends[q]] = (others @ c).reshape(batch + (n_eq, dims[q]))
+        return jac
 
     return residual, jacobian, vectors
 
@@ -479,12 +525,11 @@ def regular_value_probe(
 
     out_roots = []
     all_regular = True
-    for z, jac, res in zip(roots, jacobian(roots), residuals):
-        rank = _svd_rank(jac)[0]
-        regular = rank == num_eq
+    for z, rank, res in zip(roots, _svd_ranks(jacobian(roots)), residuals):
+        regular = bool(rank == num_eq)
         all_regular = all_regular and regular
         out_roots.append(
-            ProbeRoot(point=point_of(z), residual=float(res), rank=rank, regular=regular)
+            ProbeRoot(point=point_of(z), residual=float(res), rank=int(rank), regular=regular)
         )
     return ProbeReport(
         chart=chart,

@@ -73,6 +73,20 @@ def test_payoff_form_names_the_player_1_based(mp_float, i):
         payoff_form(mp_float, i)
 
 
+def test_payoff_form_takes_an_integral_float_player(mp_float):
+    np.testing.assert_array_equal(payoff_form(mp_float, 1.0).coeffs,
+                                  payoff_form(mp_float, 1).coeffs)
+    dec, want = lambda_decomposition(mp_float, 1.0), lambda_decomposition(mp_float, 1)
+    assert type(dec.player) is int and dec.player == 1
+    np.testing.assert_array_equal(dec.kappa.coeffs, want.kappa.coeffs)
+
+
+@pytest.mark.parametrize("call", [payoff_form, lambda_decomposition])
+def test_a_fractional_player_is_a_value_error(mp_float, call):
+    with pytest.raises(ValueError, match="^player 0.5 is not an integer$"):
+        call(mp_float, 0.5)
+
+
 def test_eval_matches_loop_oracle():
     rng = np.random.default_rng(3)
     for shape in [(2, 2), (3, 3), (2, 2, 2), (2, 3, 2)]:

@@ -40,7 +40,7 @@ from nashatlas import (
 from nashatlas import equilibrium, genericity
 from nashatlas.atlas import chart_excludes, defining_map
 from nashatlas.equilibrium import SingularSystem, _newton_starts, solve_support
-from nashatlas.forms import _basis_matrix
+from nashatlas.forms import _basis_matrix, _contract_axis, contract
 from nashatlas.game import SupportProfile
 from nashatlas.genericity import (
     DEDUP_TOL,
@@ -50,8 +50,12 @@ from nashatlas.genericity import (
     RESIDUAL_TOL,
     STEP_TOL,
     GoodFamily,
+    _dedup,
     _face_system,
     _newton_roots,
+    _newton_step,
+    _svd_rank,
+    _svd_ranks,
     full_gradient,
 )
 
@@ -694,10 +698,20 @@ def test_transversal_jacobian_is_coordinate_rows_over_the_face_jacobian():
     assert points == 120
 
 
+def _greedy_dedup(rows):
+    """Reference: first fit, each row kept unless it is within DEDUP_TOL
+    of a row kept before it."""
+    kept = []
+    for x in rows:
+        if all(np.max(np.abs(x - r)) > DEDUP_TOL for r in kept):
+            kept.append(x)
+    return kept
+
+
 def _per_start_newton(residual, jacobian, starts, accept=None):
     """Reference: damped least-squares Newton one start at a time, the
     loop _newton_roots runs on all starts together."""
-    roots = []
+    limits = []
     for x in starts:
         fval = residual(x)
         for _ in range(NEWTON_MAX_ITERS):
@@ -717,11 +731,9 @@ def _per_start_newton(residual, jacobian, starts, accept=None):
             else:
                 break
             x, fval = xn, fn
-        if np.max(np.abs(fval)) > RESIDUAL_TOL or (accept is not None and not accept(x[None])[0]):
-            continue
-        if all(np.max(np.abs(x - r)) > DEDUP_TOL for r in roots):
-            roots.append(x)
-    return roots
+        if np.max(np.abs(fval)) <= RESIDUAL_TOL and (accept is None or accept(x[None])[0]):
+            limits.append(x)
+    return _greedy_dedup(limits)
 
 
 def _square_test_game():
@@ -879,6 +891,168 @@ def test_newton_starts_match_per_start_dirichlet(sizes):
         expected = _per_start_newton_starts(sizes, seed)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes(), seed
+
+
+def _pinv_step(jac, f):
+    # the minimum-norm least-squares steps, with np.linalg.lstsq's cutoff
+    rcond = np.finfo(float).eps * max(jac.shape[-2:])
+    return (np.linalg.pinv(jac, rcond=rcond) @ -f[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_newton_step_is_the_pinv_step_on_nonsingular_square_stacks(n):
+    rng = np.random.default_rng(n)
+    # singular values in [1, 4] or so: the LU and pinv steps agree to
+    # rounding
+    jac = 2.5 * np.eye(n) + rng.uniform(-1.0, 1.0, (50, n, n)) / n
+    f = rng.normal(0.0, 1.0, (50, n))
+    got, want = _newton_step(jac, f), _pinv_step(jac, f)
+    assert got.shape == want.shape == (50, n)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1))
+
+
+@pytest.mark.parametrize("singular", [np.zeros((3, 3)), [[1, 2, 3], [2, 4, 6], [1, 1, 1]]])
+def test_newton_step_takes_pinv_for_a_stack_with_a_singular_member(singular):
+    rng = np.random.default_rng(1)
+    jac = rng.normal(0.0, 1.0, (10, 3, 3))
+    jac[4] = singular
+    f = rng.normal(0.0, 1.0, (10, 3))
+    np.testing.assert_array_equal(_newton_step(jac, f), _pinv_step(jac, f))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (0, 2), (2, 0)])
+def test_newton_step_takes_pinv_for_a_stack_that_is_not_square(shape):
+    rng = np.random.default_rng(2)
+    jac = rng.normal(0.0, 1.0, (7,) + shape)
+    f = rng.normal(0.0, 1.0, (7, shape[0]))
+    np.testing.assert_array_equal(_newton_step(jac, f), _pinv_step(jac, f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=12))
+def test_dedup_matches_greedy_first_fit(cells):
+    # grid points 0.6 DEDUP_TOL apart: neighbours are one root, points two
+    # cells apart are not, so chains a ~ b ~ c with a !~ c are common
+    rows = np.array(cells, dtype=float).reshape(len(cells), 3) * (0.6 * DEDUP_TOL)
+    got, want = _dedup(rows), _greedy_dedup(rows)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_dedup_keeps_the_far_end_of_a_chain():
+    rows = np.array([[0.0], [0.6], [1.2], [0.5], [1.8]]) * DEDUP_TOL
+    np.testing.assert_array_equal(_dedup(rows), rows[[0, 2]])
+    assert _dedup(np.zeros((0, 2))) == []
+
+
+def test_batched_ranks_are_the_per_matrix_ranks():
+    rng = np.random.default_rng(4)
+    for shape in [(1, 1), (2, 2), (3, 3), (5, 5), (2, 4), (4, 2)]:
+        stack = rng.normal(0.0, 1.0, (50,) + shape)
+        stack[::3, -1] = stack[::3, 0]  # rank-deficient members
+        stack[1] *= 1e9  # a member whose cutoff scales with it
+        stack[2] *= 1e-9
+        want = [_svd_rank(jac)[0] for jac in stack]
+        assert _svd_ranks(stack).tolist() == want, shape
+    assert _svd_ranks(np.zeros((3, 2, 0))).tolist() == [0, 0, 0]
+    assert _svd_ranks(np.zeros((0, 2, 2))).tolist() == []
+
+
+def _contract_face_system(game, pairs, maps):
+    """Reference: _face_system's residual and jacobian as one tensor per
+    player with equations, the other players' maps composed one axis at a
+    time, evaluated by forms.contract."""
+    m = len(maps)
+    dims = [a.shape[1] - 1 for a in maps]
+    ends = np.cumsum(dims)
+    system = []
+    for i, (u, own) in enumerate(zip(game.utilities, pairs)):
+        if not own:
+            continue
+        eye = np.eye(game.strategy_counts[i], dtype=int)
+        cols = eye[:, [j for j, _ in own]] - eye[:, [k for _, k in own]]
+        t = np.ldexp(np.asarray(_contract_axis(u, cols, i), dtype=float),
+                     -game.payoff_exponents[i])
+        for b in range(m):
+            if b != i:
+                t = _contract_axis(t, maps[b], b)
+        system.append((i, t))
+    eq_bounds = np.cumsum([0] + [t.shape[i] for i, t in system])
+
+    def vectors(z):
+        one = np.ones(z.shape[:-1] + (1,))
+        return [np.concatenate((one, z[..., e - d: e]), axis=-1) for d, e in zip(dims, ends)]
+
+    def residual(z):
+        v = vectors(z)
+        out = np.empty(z.shape[:-1] + (eq_bounds[-1],))
+        for (i, t), lo, hi in zip(system, eq_bounds, eq_bounds[1:]):
+            out[..., lo:hi] = contract(t, [None if b == i else v[b] for b in range(m)])
+        return out
+
+    def jacobian(z):
+        v = vectors(z)
+        out = np.zeros(z.shape[:-1] + (eq_bounds[-1], z.shape[-1]))
+        for (i, t), lo, hi in zip(system, eq_bounds, eq_bounds[1:]):
+            for q in range(m):
+                if q == i or not dims[q]:
+                    continue
+                c = contract(t, [None if b in (i, q) else v[b] for b in range(m)])
+                c = np.swapaxes(c, -1, -2) if q < i else c
+                out[..., lo:hi, ends[q] - dims[q]: ends[q]] = c[..., 1:]
+        return out
+
+    return residual, jacobian
+
+
+def _random_family(game, rng):
+    # per player a random set of labels and a random star of pairs (a
+    # forest), each possibly empty
+    T, R = [], []
+    for c in game.strategy_counts:
+        labels = [*range(c), INF]
+        T.append([t for t in labels if rng.random() < 0.3])
+        R.append([(0, j) for j in range(1, c) if rng.random() < 0.5])
+    return good_family(game, T, R)
+
+
+def test_face_system_matches_the_contraction_reference():
+    # the coefficient-matrix residual and Jacobian against the per-player
+    # contractions, on random games, families and charts, at one point,
+    # a stack of points and an empty stack
+    rng = np.random.default_rng(11)
+    seen = set()
+    for shape in [(3,), (2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 2, 2)]:
+        for seed in range(4):
+            game = random_game(shape, seed=seed)
+            for _ in range(6):
+                family = _random_family(game, rng)
+                for chart in _open_charts(shape, family):
+                    face = genericity._family_system(game, family, chart)
+                    if face is None:
+                        continue
+                    maps = face[4]
+                    dims = [a.shape[1] - 1 for a in maps]
+                    n = sum(dims)
+                    got = _face_system(game, family.R, maps)[:2]
+                    want = _contract_face_system(game, family.R, maps)
+                    for z in [rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (5, n)),
+                              np.zeros((0, n))]:
+                        for g, w in zip(got, want):
+                            a, b = g(z), w(z)
+                            assert a.shape == b.shape, (shape, family, chart)
+                            assert np.abs(a - b).max(initial=0.0) <= (
+                                1e-13 * np.abs(b).max(initial=0.0)), (shape, family, chart)
+                    seen.add(f"m={len(shape)}")
+                    if family.num_pairs == 0:
+                        seen.add("no equations")
+                    elif not all(family.R):
+                        seen.add("a player without pairs")
+                    if 0 in dims:
+                        seen.add("a zero-dimensional block")
+    assert {"m=1", "m=4", "no equations", "a player without pairs",
+            "a zero-dimensional block"} <= seen
 
 
 @pytest.mark.xfail(strict=True, raises=SingularSystem,
