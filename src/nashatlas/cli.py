@@ -112,6 +112,17 @@ def _zero_game(shape_text: str) -> FiniteGame:
     return make_game(counts, [np.zeros(counts) for _ in counts])
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, checked before any work."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return seed
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
     try:
         counts = tuple(int(p) for p in text.lower().split("x"))
@@ -454,7 +465,7 @@ def _build_parser() -> _Parser:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true", help="machine-readable report")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="random seed")
+    seeded.add_argument("--seed", type=_seed, default=0, help="random seed, >= 0")
     game_file = argparse.ArgumentParser(add_help=False)
     game_file.add_argument("file", help="game file")
     game_file.add_argument("--exact", action="store_true",

@@ -73,6 +73,7 @@ from .exact import AffineSolutionSet, max_min_point, solve_affine
 from .forms import _integer_slopes, payoff_slice_values
 from .genericity import (
     _family_system,
+    _inf_norm,
     _newton_roots,
     _svd_rank,
     _svd_ranks,
@@ -303,24 +304,20 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     roots = _newton_roots(residual, jacobian, starts, accept=positive)
     profiles = [profile_from_weights(weights_from(r)) for r in roots]
 
-    if not roots:
-        return profiles
     # all root-pair midpoints at once; triu_indices lists the pairs in
     # itertools.combinations order, so the first solving pair is the witness
-    r = np.array(roots)
-    a, b = np.triu_indices(len(r), k=1)
-    if a.size:
-        mids = 0.5 * (r[a] + r[b])
-        solves = np.max(np.abs(residual(mids)), axis=1) <= RESIDUAL_TOL
-        if solves.any():
-            raise SingularSystem(
-                support,
-                "continuum of solutions (midpoint of two roots also solves)",
-                witness=profile_from_weights(weights_from(mids[np.argmax(solves)])),
-                candidates=profiles,
-            )
+    a, b = np.triu_indices(len(roots), k=1)
+    mids = 0.5 * (roots[a] + roots[b])
+    solves = _inf_norm(residual(mids)) <= RESIDUAL_TOL
+    if solves.any():
+        raise SingularSystem(
+            support,
+            "continuum of solutions (midpoint of two roots also solves)",
+            witness=profile_from_weights(weights_from(mids[np.argmax(solves)])),
+            candidates=profiles,
+        )
 
-    if (_svd_ranks(jacobian(r)) < r.shape[1]).any():
+    if (_svd_ranks(jacobian(roots)) < roots.shape[1]).any():
         raise SingularSystem(support, "singular Jacobian at a root", candidates=profiles)
 
     return profiles

@@ -129,7 +129,7 @@ def _find_cycle(edges) -> list[int] | None:
     adj: dict[int, list[int]] = {}
     for j, k in edges:
         if k in adj.get(j, ()):
-            continue  # parallel edge cannot occur with set input
+            continue  # a repeated pair is one edge
         if j in adj and k in adj:
             prev = {j: None}
             queue = [j]
@@ -194,11 +194,10 @@ def full_gradient(game: FiniteGame, form: MultilinearForm, point: ChartPoint) ->
 
 
 def _svd_rank(matrix: np.ndarray) -> tuple[int, float]:
-    """(rank, smallest sv) with the scale-relative cutoff."""
-    if matrix.size == 0:
-        return 0, math.inf
+    """(rank, smallest sv) with the scale-relative cutoff; a matrix with
+    no rows or no columns has no singular values, so (0, inf)."""
     sv = np.linalg.svd(matrix, compute_uv=False)
-    return int(_ranks(sv)), float(sv[-1])
+    return int(_ranks(sv)), float(sv.min(initial=math.inf))
 
 
 def _ranks(sv: np.ndarray) -> np.ndarray:
@@ -234,18 +233,19 @@ def _newton_step(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (np.linalg.pinv(jac, rcond=rcond) @ -f[..., None])[..., 0]
 
 
-def _dedup(rows: np.ndarray) -> list[np.ndarray]:
-    """The rows, in order, that are not within DEDUP_TOL (max-abs) of an
-    earlier row kept: each pass keeps the first remaining row and drops
+def _dedup(rows: np.ndarray) -> np.ndarray:
+    """The rows of a (B, n) array, in order, that are not within
+    DEDUP_TOL (max-abs) of an earlier row kept, as one (k, n) array (k
+    = 0 included): each pass keeps the first remaining row and drops
     every later row within DEDUP_TOL of it."""
     kept = []
     while len(rows):
         kept.append(rows[0])
         rows = rows[1:][_inf_norm(rows[1:] - rows[0]) > DEDUP_TOL]
-    return kept
+    return np.array(kept).reshape(len(kept), rows.shape[1])
 
 
-def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
+def _newton_roots(residual, jacobian, starts, accept=None) -> np.ndarray:
     """Damped Newton from every start, all starts at once.
 
     The starts iterate together as the rows of one (B, n) array: residual
@@ -262,7 +262,7 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> list[np.ndarray]:
     step passes) or NEWTON_MAX_ITERS steps are taken. `accept` takes the
     (k, n) stack of converged limits and returns a mask of those to keep;
     the kept limits come back deduplicated at DEDUP_TOL (_dedup), in
-    start order.
+    start order, as one (k, n) array, (0, n) when no start converged.
     """
     x = np.array(starts, dtype=float)
     f = residual(x)
@@ -394,7 +394,7 @@ def transversal_at(
     rows = [np.ldexp(full_gradient(game, defining_map(game, h, chart), point),
                      -game.payoff_exponents[h.player] if isinstance(h, PayoffDiff) else 0)
             for h in active]
-    jac = np.array(rows, dtype=float) if rows else np.zeros((0, total))
+    jac = np.array(rows, dtype=float).reshape(len(rows), total)
     rank, smin = _svd_rank(jac)
     verdict = "transversal" if rank == len(active) else "degenerate"
     return TransversalityReport(
@@ -518,7 +518,6 @@ def regular_value_probe(
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.zeros(total_dim), rng.normal(0.0, 1.0, (RANDOM_STARTS, total_dim))])
     roots = _newton_roots(residual, jacobian, starts)
-    roots = np.array(roots).reshape(len(roots), total_dim)
     # each equation's residual (in payoff units) times its player's unit 2^e_i
     exponents = np.repeat(game.payoff_exponents, [len(pairs) for pairs in family.R])
     residuals = _inf_norm(np.ldexp(residual(roots), exponents))
@@ -551,12 +550,9 @@ def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int) -> bo
     b = int(coordinate_block_size)
     total = a.shape[0]
     cond_full = _svd_rank(a)[0] == total
-    if b == 0:
-        kernel = np.eye(a.shape[1])
-    else:
-        top = a[:b]
-        rank_top = _svd_rank(top)[0]
-        kernel = np.linalg.svd(top)[2][rank_top:].T
+    top = a[:b]
+    # b = 0: the full SVD of the (0, n) top block has Vh = I, all kernel
+    kernel = np.linalg.svd(top)[2][_svd_rank(top)[0]:].T
     lower = a[b:] @ kernel
     cond_split = _svd_rank(lower)[0] == total - b
     return cond_full == cond_split

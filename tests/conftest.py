@@ -3,13 +3,16 @@
 The oracles here deliberately avoid the library's own numerical
 routines: payoffs are evaluated by explicit loops over pure profiles,
 the two-player enumerator runs its own Gaussian elimination over
-Fractions, and gradients come from central finite differences.
+Fractions, the full-support equilibria of a 2x2x2 game come from a
+quadratic in closed form, and gradients come from central finite
+differences.
 """
 
 import itertools
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,3 +220,61 @@ def oracle_enumerate_2p(game):
                     if all(p <= v1 for p in p1) and all(p <= v2 for p in p2):
                         found.add((tuple(xf), tuple(yf)))
     return sorted(found), degenerate
+
+
+def oracle_full_support_2x2x2(game):
+    """The full-support equilibria of a 2x2x2 game in closed form, each
+    as (x, y, z), the three players' weights on strategy 1; None when the
+    closed form does not decide them: a zero leading coefficient or
+    discriminant, or a denominator that vanishes at a root.
+
+    Each player's slope difference (strategy 1 minus strategy 0) is
+    bilinear in the other two players' weights on strategy 1. Players 1
+    and 2 give y and x as linear fractions of z; player 3's equation
+    times both denominators is a quadratic in z with exact Fraction
+    coefficients. Its real roots are taken to 40 digits, and those with
+    (x, y, z) in the open cube kept.
+    """
+    def bilinear(i):
+        # (c0, c1, c2, c3) of c0 + c1 s + c2 t + c3 s t, where s and t are
+        # the weights on strategy 1 of the other two players, in order
+        u = np.moveaxis(np.asarray(game.utilities[i]), i, 0)
+        d = [[Fraction(u[1][b][c]) - Fraction(u[0][b][c]) for c in range(2)] for b in range(2)]
+        return d[0][0], d[1][0] - d[0][0], d[0][1] - d[0][0], d[1][1] - d[1][0] - d[0][1] + d[0][0]
+
+    def times(p, q):
+        # product of two polynomials in z of degree 1, (constant, slope)
+        return [p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]]
+
+    a0, a1, a2, a3 = bilinear(0)  # in (y, z): y = ny / py
+    b0, b1, b2, b3 = bilinear(1)  # in (x, z): x = nx / px
+    c0, c1, c2, c3 = bilinear(2)  # in (x, y)
+    ny, py, nx, px = (-a0, -a2), (a1, a3), (-b0, -b2), (b1, b3)
+    terms = [(c0, times(py, px)), (c1, times(nx, py)), (c2, times(ny, px)), (c3, times(nx, ny))]
+    k0, k1, k2 = (sum(c * t[j] for c, t in terms) for j in range(3))
+    disc = k1 * k1 - 4 * k2 * k0
+    if k2 == 0 or disc == 0:
+        return None
+    for p in (py, px):
+        # the denominator's one zero, when it has one, is rational
+        if p[1] == 0 and p[0] == 0:
+            return None
+        if p[1] != 0 and k0 + k1 * (-p[0] / p[1]) + k2 * (-p[0] / p[1]) ** 2 == 0:
+            return None
+    if disc < 0:
+        return []
+
+    roots = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+
+        def dec(q):
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        sq = dec(disc).sqrt()
+        for z in ((-dec(k1) - sq) / (2 * dec(k2)), (-dec(k1) + sq) / (2 * dec(k2))):
+            y = (dec(ny[0]) + dec(ny[1]) * z) / (dec(py[0]) + dec(py[1]) * z)
+            x = (dec(nx[0]) + dec(nx[1]) * z) / (dec(px[0]) + dec(px[1]) * z)
+            if all(0 < v < 1 for v in (x, y, z)):
+                roots.append((float(x), float(y), float(z)))
+    return roots

@@ -53,6 +53,15 @@ def test_chart_point_validation(mp_float):
     assert chart_point(mp_float, (np.int64(1), 0.0), [[0.5], [0.5]]).chart == (1, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g: chart_point(g, (0, 0), [[np.inf], [0.5]]), "non-finite coordinate for player 1"),
+    (lambda g: parse_chart("a,b", g), "bad chart spec 'a,b': expected l1,l2,..."),
+])
+def test_input_errors_name_the_bad_input(mp_float, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(mp_float)
+
+
 def test_lift_inserts_unit(mp_float):
     p = chart_point(mp_float, (1, 0), [[0.25], [4.0]])
     vs = p.full_vectors()

@@ -247,10 +247,29 @@ def test_goodcheck_bad_spec(capsys):
     (["goodcheck", "--shape", "2x3", "--r", "1:0-2"], "D:1:0:2: pair index 2 out of range"),
     (["certify", "{mp}", "--point", "1/0,1;1,0"], "player 1: bad weight '1/0'"),
     (["certify", "{mp}", "--point", "0.5,0.5;x,0.5"], "player 2: bad weight 'x'"),
+    (["certify", "{mp}", "--point", "0.5,0.5;1"], "player 2 needs 2 weights"),
+    (["sample", "2x2", "--count", "0"], "--count must be >= 1"),
+    (["certify", "{mp}", "--from-json", "{mp}.missing"],
+     "cannot read {mp}.missing: No such file or directory"),
+    (["certify", "{mp}", "--from-json", "{mp}"],
+     "{mp} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
 ])
 def test_input_errors_name_the_bad_input(mp_file, capsys, argv, message):
     assert main([a.format(mp=mp_file) for a in argv]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(mp=mp_file)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{mp}", "--seed", "-1"],
+    ["solve", "{three}", "--seed", "-1"],
+    ["sample", "2x2", "--seed", "-3"],
+])
+def test_seed_must_be_non_negative(mp_file, tmp_path, capsys, argv):
+    # rejected by the parser, before any game is read or solved
+    three = _write(tmp_path, "three.game", _integer_game_text((2, 2, 2), seed=27))
+    assert main([a.format(mp=mp_file, three=three) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: argument --seed: must be >= 0\n")
 
 
 def test_sample_deterministic(capsys):

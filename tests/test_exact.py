@@ -277,6 +277,12 @@ def test_max_min_point_examples():
         Fraction(1, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
+def test_max_min_point_rejects_an_unbounded_program():
+    # w0 = w1 without the sum row: both weights grow without bound
+    with pytest.raises(ValueError, match="^unbounded linear program$"):
+        max_min_point([[1, -1, 0]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(int_systems())
 def test_exact_routines_leave_their_input_rows_unchanged(system):

@@ -8,6 +8,7 @@ basis.
 """
 
 import itertools
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from nashatlas import (
     RATIONAL,
+    MultilinearForm,
     from_tilde_coordinates,
     homogeneous_decomposition,
     lambda_decomposition,
@@ -85,6 +87,16 @@ def test_payoff_form_takes_an_integral_float_player(mp_float):
 def test_a_fractional_player_is_a_value_error(mp_float, call):
     with pytest.raises(ValueError, match="^player 0.5 is not an integer$"):
         call(mp_float, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: MultilinearForm((0,), np.zeros((2, 2))), "blocks/pinned must match tensor rank"),
+    (lambda g: payoff_form(g, 0).eval([np.zeros(3), np.zeros(2)]), "block 0: expected length 2"),
+    (lambda g: payoff_form(g, 0).eval([]), "form takes 2 block vectors, got 0"),
+])
+def test_input_errors_name_the_bad_input(mp_float, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(mp_float)
 
 
 def test_eval_matches_loop_oracle():

@@ -1,6 +1,8 @@
 """Game construction, parsing, serialization, and profile helpers."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,42 @@ from nashatlas import (
     support_of,
 )
 from nashatlas import game as game_module
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: game_module.SupportProfile(((),)), ValueError, "supports must be nonempty"),
+    (lambda: game_module.SupportProfile(((1, 0),)), ValueError,
+     "supports must be sorted and duplicate-free"),
+    (lambda: make_game((), []), ValueError, "need at least one player"),
+    (lambda: make_game((2, 2), [np.zeros((2, 2))] * 2, mode="exact"), ValueError,
+     "unknown mode 'exact'"),
+    (lambda: make_game((2, 2), [np.array([[np.inf, 0], [0, 0]]), np.zeros((2, 2))]), ValueError,
+     "utility tensor 0 contains non-finite entries"),
+    (lambda: make_game((2, 2), [np.array([[None, 0], [0, 0]]), np.zeros((2, 2))], mode=RATIONAL),
+     TypeError, "cannot convert None to Fraction"),
+    (lambda: support_of(profile_from_weights([[0.0, 0.0], [1.0, 0.0]])), ValueError,
+     "profile has an all-zero weight vector"),
+    (lambda: random_game((2, 2), seed=1, distribution="cauchy"), ValueError,
+     "unknown distribution 'cauchy'"),
+])
+def test_input_errors_name_the_bad_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_readme_lists_the_tolerance_table():
+    # README repeats the table at the top of nashatlas/game.py: the same
+    # names in the same order, each with the constant's value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("| constant | value | relative to | used for |\n")[1].split("\n\n")[0]
+    listed = re.findall(r"^\| `([A-Z_]+)` \| ([^|]+?) \|", rows, re.M)
+    source = Path(game_module.__file__).read_text(encoding="utf-8")
+    table = source.split("# Tolerances, the one table.")[1].split("\n\n")[0]
+    assert [name for name, _ in listed] == re.findall(r"^([A-Z_]+) = ", table, re.M)
+    assert len(listed) == 11
+    for name, value in listed:
+        constant = getattr(game_module, name)
+        assert type(constant)(value) == constant, name
 
 
 def test_make_game_basic(mp_float):

@@ -59,6 +59,8 @@ from nashatlas.genericity import (
     full_gradient,
 )
 
+from conftest import oracle_full_support_2x2x2
+
 
 def nx_family_is_forest(family, counts):
     """Independent acyclicity oracle built on networkx."""
@@ -116,6 +118,11 @@ def test_witness_cycle_is_real():
     for a, b in zip(closed, closed[1:]):
         assert (min(a, b), max(a, b)) in edges
     assert witness_cycle(good_family(g, R=[[(0, 1)], []])) is None
+
+
+def test_a_repeated_pair_is_one_edge():
+    # a hand-built family may list a pair twice; it is no cycle
+    assert witness_cycle(GoodFamily(((),), (((0, 1), (0, 1)),))) is None
 
 
 def test_is_good_matches_networkx_slice():
@@ -373,6 +380,11 @@ def test_probe_rejects_excluded_face(mp_float):
     fam = good_family(mp_float, T=[[1], []], R=[[], [(0, 1)]])
     with pytest.raises(ValueError):
         regular_value_probe(mp_float, fam, (1, 0), seed=0)
+
+
+def test_probe_requires_a_pair(mp_float):
+    with pytest.raises(ValueError, match="^family has no payoff-difference pairs to probe$"):
+        regular_value_probe(mp_float, good_family(mp_float, T=[[1], []]), (0, 0))
 
 
 def test_probe_requires_good_family(mp_float):
@@ -787,8 +799,8 @@ def test_newton_roots_all_starts_on_step_floor():
     residual, jacobian, _ = _square_test_system()
     starts = [np.zeros(3)] * 3
     assert _per_start_newton(residual, jacobian, starts) == []
-    assert _newton_roots(residual, jacobian, starts) == []
-    assert _newton_roots(residual, jacobian, starts, lambda x: x[:, 0] < 1) == []
+    assert _newton_roots(residual, jacobian, starts).shape == (0, 3)
+    assert _newton_roots(residual, jacobian, starts, lambda x: x[:, 0] < 1).shape == (0, 3)
 
 
 def test_newton_step_makes_one_residual_call(monkeypatch):
@@ -842,7 +854,7 @@ def test_newton_roots_drops_a_start_that_needs_a_shorter_step():
     roots = _newton_roots(residual, jacobian, [near, far])
     assert len(roots) == 1 and abs(roots[0][0]) <= RESIDUAL_TOL
     np.testing.assert_array_equal(_per_start_newton(residual, jacobian, [near, far]), roots)
-    assert _newton_roots(residual, jacobian, [far]) == []
+    assert _newton_roots(residual, jacobian, [far]).shape == (0, 1)
 
 
 def test_fixture_games_bound_newton_steps(monkeypatch):
@@ -943,7 +955,7 @@ def test_dedup_matches_greedy_first_fit(cells):
 def test_dedup_keeps_the_far_end_of_a_chain():
     rows = np.array([[0.0], [0.6], [1.2], [0.5], [1.8]]) * DEDUP_TOL
     np.testing.assert_array_equal(_dedup(rows), rows[[0, 2]])
-    assert _dedup(np.zeros((0, 2))) == []
+    assert _dedup(np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_batched_ranks_are_the_per_matrix_ranks():
@@ -1055,25 +1067,60 @@ def test_face_system_matches_the_contraction_reference():
             "a zero-dimensional block"} <= seen
 
 
-@pytest.mark.xfail(strict=True, raises=SingularSystem,
-                   reason="Newton reports an isolated double root as a continuum")
-def test_isolated_double_root_is_not_a_continuum():
-    # x, y, w are the weights of strategy 0; the full-support slope
-    # differences y - w, x - w and (x - 1/2)(y - 1/2) meet only at
-    # (1/2, 1/2, 1/2), where the last one vanishes to second order.
-    # Newton converges linearly there, and several starts stop at
-    # distinct points whose midpoints also pass the residual test.
+def _double_root_game():
+    """x, y, w are the weights of strategy 0; the full-support slope
+    differences y - w, x - w and (x - 1/2)(y - 1/2) meet only at
+    (1/2, 1/2, 1/2), where the last one vanishes to second order."""
     u = [np.zeros((2, 2, 2)) for _ in range(3)]
     for a, b, c in itertools.product(range(2), repeat=3):
         x, y, w = a == 0, b == 0, c == 0
         u[0][1, b, c] = y - w
         u[1][a, 1, c] = x - w
         u[2][a, b, 1] = (x - 0.5) * (y - 0.5)
-    game = make_game((2, 2, 2), u)
-    found = solve_support(game, SupportProfile(((0, 1),) * 3))
+    return make_game((2, 2, 2), u)
+
+
+@pytest.mark.xfail(strict=True, raises=SingularSystem,
+                   reason="Newton reports an isolated double root as a continuum")
+def test_isolated_double_root_is_not_a_continuum():
+    # Newton converges linearly at the double root of _double_root_game,
+    # and several starts stop at distinct points whose midpoints also
+    # pass the residual test.
+    found = solve_support(_double_root_game(), SupportProfile(((0, 1),) * 3))
     assert len(found) == 1
     for weights in found[0].weights:
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-6)
+
+
+# 2x2x2 games with two full-support equilibria; no seed in the ranges
+# below has two
+TWO_ROOT_GAMES = [("uniform", 100_497), ("uniform", 100_600),
+                  ("normal", 200_133), ("normal", 200_418)]
+
+
+def test_newton_finds_every_full_support_root_of_a_2x2x2_game():
+    # Newton's roots against the closed form of an independent oracle,
+    # matched one to one: none missed, none extra
+    corpus = ([("uniform", seed) for seed in range(100_000, 100_200)]
+              + [("normal", seed) for seed in range(200_000, 200_100)] + TWO_ROOT_GAMES)
+    full = SupportProfile(((0, 1),) * 3)
+    sizes, skipped = [], 0
+    for distribution, seed in corpus:
+        game = random_game((2, 2, 2), seed=seed, distribution=distribution)
+        want = oracle_full_support_2x2x2(game)
+        if want is None:
+            skipped += 1
+            continue
+        got = np.array([[w[1] for w in p.weights] for p in solve_support(game, full)])
+        got = got.reshape(len(got), 3)
+        matches = [np.flatnonzero(np.abs(got - root).max(axis=1, initial=0.0) <= 1e-7)
+                   for root in want]
+        assert all(len(m) == 1 for m in matches), (distribution, seed)
+        assert sorted(int(m[0]) for m in matches) == list(range(len(got))), (distribution, seed)
+        sizes.append(len(want))
+    assert skipped == 0
+    assert sizes.count(2) == len(TWO_ROOT_GAMES) and sizes.count(1) > 0
+    assert oracle_full_support_2x2x2(_double_root_game()) is None
 
 
 def test_full_gradient_placement(mp_float):
