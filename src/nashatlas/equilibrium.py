@@ -75,7 +75,6 @@ from .genericity import (
     _family_system,
     _inf_norm,
     _newton_roots,
-    _svd_rank,
     _svd_ranks,
     canonical_equilibrium_family,
 )
@@ -89,6 +88,7 @@ from .game import (
     FiniteGame,
     MixedProfile,
     SupportProfile,
+    _check_seed,
     profile_from_weights,
     support_of,
 )
@@ -300,7 +300,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
         w = weights_from(x)
         return np.all([(w[i][:, supports[i]] > ZERO_WEIGHT_TOL).all(axis=1) for i in mixed], axis=0)
 
-    starts = _newton_starts(tuple(len(supports[i]) for i in mixed), seed)
+    starts = _newton_starts(tuple(len(supports[i]) for i in mixed), _check_seed(seed))
     roots = _newton_roots(residual, jacobian, starts, accept=positive)
     profiles = [profile_from_weights(weights_from(r)) for r in roots]
 
@@ -317,7 +317,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
             candidates=profiles,
         )
 
-    if (_svd_ranks(jacobian(roots)) < roots.shape[1]).any():
+    if not _svd_ranks(jacobian(roots))[2].all():
         raise SingularSystem(support, "singular Jacobian at a root", candidates=profiles)
 
     return profiles
@@ -386,11 +386,11 @@ def certify_equilibrium(game: FiniteGame, cert: EquilibriumCertificate) -> Equil
     z = np.concatenate([w[list(s[1:])] for w, s in zip(cert.point.as_floats(), support.supports)])
     if z.size:
         family = canonical_equilibrium_family(game, support)
-        rank, smin = _svd_rank(_family_system(game, family, (0,) * game.num_players)[1](z))
+        _, smin, regular = _svd_ranks(_family_system(game, family, (0,) * game.num_players)[1](z))
     else:
-        rank, smin = 0, math.inf
-    return replace(cert, jacobian_verdict="regular" if rank == z.size else "singular",
-                   smallest_singular_value=smin)
+        smin, regular = math.inf, True
+    return replace(cert, jacobian_verdict="regular" if regular else "singular",
+                   smallest_singular_value=float(smin))
 
 
 @dataclass
@@ -426,8 +426,10 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
     Degenerate strata become warnings; a witnessed equilibrium continuum
     makes the result report the continuum instead of a (meaningless)
     finite list. Each certificate carries the verdict of
-    certify_equilibrium.
+    certify_equilibrium. The seed of the Newton starts is an integer >= 0
+    (game._check_seed).
     """
+    seed = _check_seed(seed)
     result = EnumerationResult()
     found: list[EquilibriumCertificate] = []
     for support in enumerate_supports(game):

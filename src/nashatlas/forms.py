@@ -79,15 +79,21 @@ class MultilinearForm:
     def max_abs_coeff(self) -> float:
         return float(np.abs(self.coeffs).max(initial=0.0))
 
-    def _inputs(self, points, keep: int | None = None) -> list:
-        """Lifted, length-checked block vectors, None at position keep."""
+    def _inputs(self, points, keep: int | None = None, lift=None) -> list:
+        """One block vector per participating block, lifted by lift(t,
+        vec) (default lift_input), None at position keep; a wrong count
+        or a wrong lifted length is a ValueError."""
+        if len(points) != len(self.blocks):
+            raise ValueError(
+                f"form takes {len(self.blocks)} block vectors, got {len(points)}"
+            )
         out = []
-        for k in range(len(self.blocks)):
+        for k, vec in enumerate(points):
             if k == keep:
                 out.append(None)
                 continue
-            vec = self.lift_input(k, points[k])
-            if len(vec) != self.coeffs.shape[k]:
+            vec = (lift or self.lift_input)(k, vec)
+            if vec.shape[-1] != self.coeffs.shape[k]:
                 raise ValueError(
                     f"block {self.blocks[k]}: expected length {self.input_length(k)}"
                 )
@@ -96,15 +102,13 @@ class MultilinearForm:
 
     def eval(self, points) -> float | Fraction:
         """Evaluate at one coordinate vector per participating block."""
-        if len(points) != len(self.blocks):
-            raise ValueError(
-                f"form takes {len(self.blocks)} block vectors, got {len(points)}"
-            )
         t = contract(self.coeffs, self._inputs(points))
         return t.item() if isinstance(t, (np.ndarray, np.generic)) else t
 
     def grad(self, points, block: int) -> np.ndarray:
-        """Gradient with respect to one block's (free) coordinates.
+        """Gradient with respect to one block's (free) coordinates, at one
+        coordinate vector per participating block (the block's own is not
+        read).
 
         Exact contraction over all other blocks; for a pinned block the
         pinned slot is dropped from the result.
@@ -119,14 +123,12 @@ class MultilinearForm:
 
     def eval_batch(self, mats) -> np.ndarray:
         """Vectorized float evaluation: mats[t] has shape (B, input_length(t))."""
-        lifted = []
-        for k, mat in enumerate(mats):
+        def lift(k, mat):
             mat = np.asarray(mat, dtype=float)
             p = self.pinned[k]
-            if p is not None:
-                mat = np.insert(mat, p, 1.0, axis=1)
-            lifted.append(mat)
-        return contract(np.asarray(self.coeffs, dtype=float), lifted)
+            return mat if p is None else np.insert(mat, p, 1.0, axis=1)
+
+        return contract(np.asarray(self.coeffs, dtype=float), self._inputs(mats, lift=lift))
 
 
 def contract(tensor: np.ndarray, vectors) -> np.ndarray:

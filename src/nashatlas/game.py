@@ -167,6 +167,15 @@ def _integral(x, what: str) -> int:
     return i
 
 
+def _check_seed(seed) -> int:
+    """A library seed as an int when it is integral (_integral) and >= 0,
+    the rule of the CLI's --seed, or a ValueError naming it."""
+    seed = _integral(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be >= 0")
+    return seed
+
+
 def make_game(
     strategy_counts,
     utilities,
@@ -261,7 +270,7 @@ def random_game(strategy_counts, seed: int, distribution: str = "uniform") -> Fi
     distribution: "uniform" for uniform[-1, 1], "normal" for standard normal.
     """
     counts = tuple(_integral(c, "strategy count") for c in strategy_counts)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     tensors = []
     for _ in counts:
         if distribution == "uniform":

@@ -67,6 +67,7 @@ from .game import (
     STEP_TOL,
     FiniteGame,
     SupportProfile,
+    _check_seed,
     _integral,
 )
 
@@ -193,23 +194,16 @@ def full_gradient(game: FiniteGame, form: MultilinearForm, point: ChartPoint) ->
     return out
 
 
-def _svd_rank(matrix: np.ndarray) -> tuple[int, float]:
-    """(rank, smallest sv) with the scale-relative cutoff; a matrix with
-    no rows or no columns has no singular values, so (0, inf)."""
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    return int(_ranks(sv)), float(sv.min(initial=math.inf))
-
-
-def _ranks(sv: np.ndarray) -> np.ndarray:
-    """Ranks from descending singular values (last axis), the cutoff
-    RANK_TOL times the largest of them, at least 1."""
-    return np.sum(sv > RANK_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
-
-
-def _svd_ranks(stack: np.ndarray) -> np.ndarray:
-    """_svd_rank's ranks of a (k, r, c) stack of matrices, from one
-    batched SVD."""
-    return _ranks(np.linalg.svd(stack, compute_uv=False))
+def _svd_ranks(a: np.ndarray):
+    """One SVD of a matrix, or of a stack of matrices on the last two
+    axes: (ranks, smallest singular values, full-row-rank verdicts). A
+    rank counts the singular values above RANK_TOL times max(1, the
+    largest of them); a matrix with no rows or no columns has rank 0 and
+    no singular values, so smallest singular value inf, and it has full
+    row rank exactly when it has no rows."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    ranks = np.sum(sv > RANK_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
+    return ranks, sv.min(axis=-1, initial=math.inf), ranks == a.shape[-2]
 
 
 def _inf_norm(v):
@@ -395,16 +389,15 @@ def transversal_at(
                      -game.payoff_exponents[h.player] if isinstance(h, PayoffDiff) else 0)
             for h in active]
     jac = np.array(rows, dtype=float).reshape(len(rows), total)
-    rank, smin = _svd_rank(jac)
-    verdict = "transversal" if rank == len(active) else "degenerate"
+    rank, smin, full = _svd_ranks(jac)
     return TransversalityReport(
         chart=chart,
         point=point,
         active=tuple(active),
         jacobian=jac,
-        rank=rank,
-        smallest_singular_value=smin,
-        verdict=verdict,
+        rank=int(rank),
+        smallest_singular_value=float(smin),
+        verdict="transversal" if full else "degenerate",
     )
 
 
@@ -496,8 +489,10 @@ def regular_value_probe(
     the largest absolute value of those maps there: in the game's own
     payoffs, not in payoff units, so it scales with the payoffs. An
     empty root set is a regular outcome; the probe only ever witnesses
-    degeneracy, it cannot prove its absence.
+    degeneracy, it cannot prove its absence. The seed of the random
+    starts is an integer >= 0 (game._check_seed).
     """
+    seed = _check_seed(seed)
     chart = _check_in_chart(game, _family_members(game, family), chart)
     if not is_good(family):
         raise ValueError("family is not good (some pair graph has a cycle)")
@@ -508,7 +503,6 @@ def regular_value_probe(
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
     residual, jacobian, vectors, maps, _ = face
     total_dim = sum(a.shape[1] - 1 for a in maps)
-    num_eq = family.num_pairs
 
     def point_of(z) -> ChartPoint:
         return ChartPoint(chart, tuple(
@@ -522,37 +516,32 @@ def regular_value_probe(
     exponents = np.repeat(game.payoff_exponents, [len(pairs) for pairs in family.R])
     residuals = _inf_norm(np.ldexp(residual(roots), exponents))
 
-    out_roots = []
-    all_regular = True
-    for z, rank, res in zip(roots, _svd_ranks(jacobian(roots)), residuals):
-        regular = bool(rank == num_eq)
-        all_regular = all_regular and regular
-        out_roots.append(
-            ProbeRoot(point=point_of(z), residual=float(res), rank=int(rank), regular=regular)
-        )
+    ranks, _, full = _svd_ranks(jacobian(roots))
+    out = tuple(ProbeRoot(point=point_of(z), residual=float(res), rank=int(rank), regular=bool(ok))
+                for z, res, rank, ok in zip(roots, residuals, ranks, full))
     return ProbeReport(
         chart=chart,
         family=family,
         dimension=total_dim,
-        num_equations=num_eq,
+        num_equations=family.num_pairs,
         empty_face=False,
-        roots=tuple(out_roots),
-        verdict="regular" if all_regular else "degenerate",
+        roots=out,
+        verdict="regular" if all(r.regular for r in out) else "degenerate",
     )
 
 
 def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int) -> bool:
     """Check that full rank of the stacked matrix is equivalent to full
     rank of the lower block restricted to the kernel of the (full-rank)
-    coordinate block. Must hold whenever the first rows have full rank;
-    returning False would falsify the block-triangular rank argument."""
+    coordinate block, its first coordinate_block_size rows (0 to all of
+    them, else ValueError). Must hold whenever the first rows have full
+    rank; returning False would falsify the block-triangular rank
+    argument."""
     a = np.asarray(full_jacobian, dtype=float)
     b = int(coordinate_block_size)
-    total = a.shape[0]
-    cond_full = _svd_rank(a)[0] == total
+    if not 0 <= b <= len(a):
+        raise ValueError(f"coordinate block size {b} outside 0..{len(a)}")
     top = a[:b]
     # b = 0: the full SVD of the (0, n) top block has Vh = I, all kernel
-    kernel = np.linalg.svd(top)[2][_svd_rank(top)[0]:].T
-    lower = a[b:] @ kernel
-    cond_split = _svd_rank(lower)[0] == total - b
-    return cond_full == cond_split
+    kernel = np.linalg.svd(top)[2][_svd_ranks(top)[0]:].T
+    return bool(_svd_ranks(a)[2] == _svd_ranks(a[b:] @ kernel)[2])

@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's own numerical
 routines: payoffs are evaluated by explicit loops over pure profiles,
 the two-player enumerator runs its own Gaussian elimination over
-Fractions, the full-support equilibria of a 2x2x2 game come from a
-quadratic in closed form, and gradients come from central finite
-differences.
+Fractions, the extreme equilibria of a two-player game, tied or not,
+come from brute-force vertex enumeration over Fractions, the
+full-support equilibria of a 2x2x2 game come from a quadratic in closed
+form, and gradients come from central finite differences.
 """
 
 import itertools
@@ -220,6 +221,60 @@ def oracle_enumerate_2p(game):
                     if all(p <= v1 for p in p1) and all(p <= v2 for p in p2):
                         found.add((tuple(xf), tuple(yf)))
     return sorted(found), degenerate
+
+
+def _labelled_vertices(rows, zero_labels, tight_labels):
+    """The vertices z != 0 of {z >= 0 : rows z <= 1}, each with its label
+    set: zero_labels[t] when z_t = 0, tight_labels[s] when (rows z)_s = 1.
+    Every set of len(z) constraints, taken as equations, with a unique
+    feasible solution is a vertex."""
+    d = len(rows[0])
+    cons = [([Fraction(int(t == s)) for t in range(d)], 0) for s in range(d)]
+    cons += [(row, 1) for row in rows]
+    labels = list(zero_labels) + list(tight_labels)
+    out = {}
+    for basis in itertools.combinations(range(len(cons)), d):
+        z, _ = _eliminate([cons[c][0] for c in basis], [cons[c][1] for c in basis])
+        if z is None or not any(z) or any(v < 0 for v in z):
+            continue
+        values = [sum(a * v for a, v in zip(row, z)) for row, _ in cons]
+        if any(v > 1 for v in values[d:]):
+            continue
+        out[tuple(z)] = {lab for lab, v, (_, b) in zip(labels, values, cons) if v == b}
+    return out
+
+
+def oracle_equilibria_2p(A, B):
+    """The extreme equilibria of the bimatrix game (A, B), tied or not, and
+    whether the equilibrium set is infinite; exact vertex enumeration (von
+    Stengel 2002, Handbook of Game Theory 3, ch. 45).
+
+    A and B (rows: player 1's strategies) are shifted so that every entry
+    is >= 1. Label i < m is player 1's strategy i, label m + j player 2's
+    strategy j. A vertex x of P = {x >= 0 : B^T x <= 1} has label i where
+    x_i = 0 and m + j where (B^T x)_j = 1; a vertex y of Q = {y >= 0 :
+    A y <= 1} has label i where (A y)_i = 1 and m + j where y_j = 0. The
+    completely labelled pairs, normalised to sum 1, are the extreme
+    equilibria, as a sorted list of ((x...), (y...)) Fraction tuples. The
+    set is infinite exactly when some vertex has two partners: each
+    partner carries every label the vertex lacks, so the segment between
+    them, against the vertex, holds only equilibria.
+    """
+    A = [[Fraction(v) for v in row] for row in A]
+    Bt = [[Fraction(v) for v in col] for col in zip(*B)]
+    m, n = len(A), len(Bt)
+    for M in (A, Bt):
+        shift = 1 - min(min(row) for row in M)
+        M[:] = [[v + shift for v in row] for row in M]
+    P = _labelled_vertices(Bt, range(m), range(m, m + n))
+    Q = _labelled_vertices(A, range(m, m + n), range(m))
+    pairs = [(x, y) for x, lx in P.items() for y, ly in Q.items()
+             if lx | ly == set(range(m + n))]
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    continuum = len(set(xs)) < len(xs) or len(set(ys)) < len(ys)
+    found = sorted((tuple(v / sum(x) for v in x), tuple(v / sum(y) for v in y))
+                   for x, y in pairs)
+    return found, continuum
 
 
 def oracle_full_support_2x2x2(game):

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, and report shapes."""
 
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,3 +563,22 @@ def test_runs_without_scipy(tmp_path):
     )
     run = fresh_python("-c", script)
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_cli_examples_run_as_documented(tmp_path, monkeypatch, capsys):
+    # every `$ nashatlas ...` line of README's CLI section, run next to
+    # README's game-file example saved as mp.game, prints the lines below it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "mp.game").write_text(
+        readme.split("## Game file format\n\n```\n")[1].split("```")[0])
+    monkeypatch.chdir(tmp_path)
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    examples = []
+    for block in section.split("```\n")[1::2]:
+        for run in block.split("$ nashatlas ")[1:]:
+            command, _, output = run.partition("\n")
+            examples.append((command, output))
+    assert len(examples) == 7
+    for command, output in examples:
+        assert main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == output, command

@@ -31,7 +31,7 @@ from nashatlas.equilibrium import _exact_pair_solve, _newton_solve, support_labe
 from nashatlas.exact import max_min_point, rref
 from nashatlas.forms import contract
 
-from conftest import fresh_python, oracle_enumerate_2p
+from conftest import fresh_python, oracle_enumerate_2p, oracle_equilibria_2p
 
 
 def _weight_tuples(result):
@@ -229,6 +229,56 @@ def test_matches_oracle_on_random_float_games():
         np.testing.assert_allclose(got, want, atol=1e-12)
         compared.append(game)
     assert compared[-1] is wide
+
+
+def _integer_games(seed, high, shapes, count):
+    """count (A, B) integer games, the shapes in turn, A then B drawn as
+    default_rng(seed).integers(-high, high + 1, shape)."""
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.integers(-high, high + 1, shapes[k % len(shapes)]).tolist()
+                  for _ in range(2)) for k in range(count)]
+
+
+#: ROADMAP item 10's examples: (A, B) of two tied 3x3 games
+ITEM_10_GAMES = [
+    ([[1, -2, -2], [-3, -1, 3], [-1, -1, 1]], [[4, -1, 1], [-1, 1, 0], [1, 0, 2]]),
+    ([[4, 1, 1], [-4, 1, -1], [3, -3, -3]], [[1, 2, 3], [0, -1, -2], [-1, 1, 0]]),
+]
+TIED_GAMES = _integer_games(7, 2, [(3, 3), (3, 4), (4, 4), (2, 4)], 100)
+
+
+def _solve_rational(a, b):
+    return enumerate_nash(make_game(np.shape(a), [a, b], mode=RATIONAL))
+
+
+def test_generic_integer_games_match_the_vertex_oracle():
+    games = _integer_games(3, 1000, [(3, 3), (4, 4), (3, 5)], 40)
+    for k, (a, b) in enumerate(games):
+        result = _solve_rational(a, b)
+        want, continuum = oracle_equilibria_2p(a, b)
+        assert (_weight_tuples(result), result.continuum) == (want, continuum), k
+
+
+def test_tied_games_match_the_vertex_oracle_where_it_is_finite():
+    # where only the oracle sees a continuum (ROADMAP item 10) the library
+    # still warns, and what it lists are extreme equilibria
+    finite = 0
+    for k, (a, b) in enumerate(TIED_GAMES):
+        result = _solve_rational(a, b)
+        want, continuum = oracle_equilibria_2p(a, b)
+        if not continuum:
+            assert (_weight_tuples(result), result.continuum) == (want, False), k
+            finite += 1
+        elif not result.continuum:
+            assert result.warnings and set(_weight_tuples(result)) <= set(want), k
+    assert finite  # 24 of the 100 games
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the exact route's continuum "
+                   "verdict is wrong on tied games, in both directions")
+def test_continuum_flags_are_the_vertex_oracles():
+    for k, (a, b) in enumerate(ITEM_10_GAMES + TIED_GAMES):
+        assert _solve_rational(a, b).continuum == oracle_equilibria_2p(a, b)[1], k
 
 
 def test_newton_agrees_with_exact_route():

@@ -99,6 +99,24 @@ def test_input_errors_name_the_bad_input(mp_float, call, message):
         call(mp_float)
 
 
+@pytest.mark.parametrize("method", ["eval", "grad", "eval_batch"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_every_method_checks_the_block_count(method, count):
+    # a missing block is not summed out, an extra one not ignored
+    form = payoff_form(random_game((2, 3), seed=1), 0)
+    vectors = [np.full(2, 0.5), np.full(3, 1 / 3), np.ones(3)][:count]
+    args = {"eval": (vectors,), "grad": (vectors, 0),
+            "eval_batch": ([np.tile(v, (2, 1)) for v in vectors],)}[method]
+    with pytest.raises(ValueError, match=f"^form takes 2 block vectors, got {count}$"):
+        getattr(form, method)(*args)
+
+
+def test_eval_batch_checks_each_block_length():
+    form = payoff_form(random_game((2, 3), seed=1), 0)
+    with pytest.raises(ValueError, match="^block 1: expected length 3$"):
+        form.eval_batch([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
+
+
 def test_eval_matches_loop_oracle():
     rng = np.random.default_rng(3)
     for shape in [(2, 2), (3, 3), (2, 2, 2), (2, 3, 2)]:

@@ -14,12 +14,17 @@ from nashatlas import (
     RATIONAL,
     GameFormatError,
     MixedProfile,
+    SupportProfile,
     best_reply_check,
+    enumerate_nash,
+    good_family,
     make_game,
     parse_game,
     profile_from_weights,
     random_game,
+    regular_value_probe,
     serialize_game,
+    solve_support,
     support_of,
 )
 from nashatlas import game as game_module
@@ -44,6 +49,27 @@ from nashatlas import game as game_module
 def test_input_errors_name_the_bad_input(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+THREE = random_game((2, 2, 2), seed=1)
+
+
+@pytest.mark.parametrize("call, seed", [
+    (lambda s: enumerate_nash(THREE, seed=s), -1),
+    (lambda s: enumerate_nash(random_game((2, 2), seed=1), seed=s), -1),
+    (lambda s: solve_support(THREE, SupportProfile(((0, 1),) * 3), seed=s), -1),
+    (lambda s: regular_value_probe(THREE, good_family(THREE, None, [[(0, 1)], [], []]),
+                                   (0, 0, 0), seed=s), -2),
+    (lambda s: random_game((2, 2), seed=s), -1),
+    (lambda s: enumerate_nash(THREE, seed=s), 1.5),
+    (lambda s: random_game((2, 2), seed=s), 1.5),
+], ids=["enumerate_nash", "enumerate_nash-2p", "solve_support", "regular_value_probe",
+        "random_game", "enumerate_nash-fraction", "random_game-fraction"])
+def test_library_seeds_are_non_negative_integers(call, seed):
+    # the rule of the CLI's --seed, checked on entry
+    message = f"seed {seed} must be >= 0" if seed < 0 else f"seed {seed} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(seed)
 
 
 def test_readme_lists_the_tolerance_table():

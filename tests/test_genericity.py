@@ -47,6 +47,7 @@ from nashatlas.genericity import (
     NEWTON_HALVINGS,
     NEWTON_MAX_ITERS,
     RANDOM_STARTS,
+    RANK_TOL,
     RESIDUAL_TOL,
     STEP_TOL,
     GoodFamily,
@@ -54,7 +55,6 @@ from nashatlas.genericity import (
     _face_system,
     _newton_roots,
     _newton_step,
-    _svd_rank,
     _svd_ranks,
     full_gradient,
 )
@@ -959,16 +959,26 @@ def test_dedup_keeps_the_far_end_of_a_chain():
 
 
 def test_batched_ranks_are_the_per_matrix_ranks():
+    # reference: numpy's matrix_rank at the cutoff RANK_TOL * max(1, sigma_max);
+    # one matrix gives what its member of a stack gives
     rng = np.random.default_rng(4)
     for shape in [(1, 1), (2, 2), (3, 3), (5, 5), (2, 4), (4, 2)]:
         stack = rng.normal(0.0, 1.0, (50,) + shape)
         stack[::3, -1] = stack[::3, 0]  # rank-deficient members
         stack[1] *= 1e9  # a member whose cutoff scales with it
         stack[2] *= 1e-9
-        want = [_svd_rank(jac)[0] for jac in stack]
-        assert _svd_ranks(stack).tolist() == want, shape
-    assert _svd_ranks(np.zeros((3, 2, 0))).tolist() == [0, 0, 0]
-    assert _svd_ranks(np.zeros((0, 2, 2))).tolist() == []
+        ranks, smins, full = _svd_ranks(stack)
+        for jac, rank, smin, ok in zip(stack, ranks, smins, full):
+            sv = np.linalg.svd(jac, compute_uv=False)
+            tol = RANK_TOL * max(1.0, sv[0])
+            assert rank == np.linalg.matrix_rank(jac, tol=tol), shape
+            assert ok == (rank == shape[0])
+            assert [x.item() for x in _svd_ranks(jac)] == [rank, smin, ok]
+    for empty, full in [((3, 2, 0), False), ((3, 0, 2), True)]:
+        ranks, smins, verdicts = _svd_ranks(np.zeros(empty))
+        assert ranks.tolist() == [0, 0, 0] and smins.tolist() == [math.inf] * 3
+        assert verdicts.tolist() == [full] * 3
+    assert [x.tolist() for x in _svd_ranks(np.zeros((0, 2, 2)))] == [[], [], []]
 
 
 def _contract_face_system(game, pairs, maps):
@@ -1156,3 +1166,9 @@ def test_rank_split_edge_shapes():
     tall = rng.normal(size=(6, 3))
     for b in range(4):
         assert rank_split_equivalence_test(tall, b)
+
+
+@pytest.mark.parametrize("b", [-1, 5])
+def test_rank_split_block_size_is_a_row_count(b):
+    with pytest.raises(ValueError, match=f"coordinate block size {b} outside 0..4"):
+        rank_split_equivalence_test(np.eye(4), b)
