@@ -62,6 +62,7 @@ enumerator surfaces it as a warning with a witness where it has one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -159,16 +160,22 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins), tuple(boundary))
 
 
-def enumerate_supports(game: FiniteGame):
-    """All nonempty-support profiles, lexicographic per player."""
+def enumerate_supports(game: FiniteGame) -> tuple[SupportProfile, ...]:
+    """All nonempty-support profiles, lexicographic per player. They
+    depend on the strategy counts alone, so they are built once per
+    strategy-count tuple (_support_profiles) and shared."""
+    return _support_profiles(tuple(game.strategy_counts))
+
+
+@functools.lru_cache(maxsize=8)
+def _support_profiles(counts: tuple[int, ...]) -> tuple[SupportProfile, ...]:
     per_player = []
-    for c in game.strategy_counts:
+    for c in counts:
         subsets = []
         for size in range(1, c + 1):
             subsets.extend(itertools.combinations(range(c), size))
         per_player.append(sorted(subsets))
-    for combo in itertools.product(*per_player):
-        yield SupportProfile(tuple(combo))
+    return tuple(SupportProfile(combo) for combo in itertools.product(*per_player))
 
 
 def _face_block(u, supp, osupp) -> list[list[int]]:
@@ -224,45 +231,38 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
     the solution set. Candidates and the continuum witness are Fraction
     profiles in either mode, with e_s on every held player."""
     supports = support.supports
-    blocks = []
+    points, unique = (), True
     if pair:
-        tables = game.integer_pair_tables(pair, at)
-        for solving in (0, 1):
-            other = 1 - solving
-            supp = supports[pair[solving]]
-            # tables[other][j][s]: other plays j, solving plays s
-            rows = _face_block(tables[other], supp, supports[pair[other]])
-            blocks.append((rows, solve_affine(rows, len(supp) - 1)))
-
-    if any(sol.is_empty for _, sol in blocks):
-        return []
-
-    # One positivity pass, stopping at the first block without a positive
-    # point: both points make the unique candidate or the continuum witness.
-    points = []
-    for rows, sol in blocks:
-        point = _positive_point(sol, rows)
-        if point is None:
-            break
-        points.append(point)
-    profile = None
-    if len(points) == len(pair):
-        # the support's vertex, the solved players' points written over it
-        weights = [[int(t == s[0]) for t in range(c)]
-                   for s, c in zip(supports, game.strategy_counts)]
-        for k, point in zip(pair, points):
-            for s, v in zip(supports[k], point):
-                weights[k][s] = v
-        profile = profile_from_weights(weights, RATIONAL)
-
-    if all(sol.is_unique for _, sol in blocks):
-        return [] if profile is None else [profile]
+        i, j = pair
+        ti, tj = game.integer_pair_tables(pair, at)
+        # tj[t][s]: j plays t, i plays s; i's weights solve j's slope equalities
+        rows_i = _face_block(tj, supports[i], supports[j])
+        sol_i = solve_affine(rows_i, len(supports[i]) - 1)
+        rows_j = _face_block(ti, supports[j], supports[i])
+        sol_j = solve_affine(rows_j, len(supports[j]) - 1)
+        if sol_i.is_empty or sol_j.is_empty:
+            return []
+        unique = sol_i.is_unique and sol_j.is_unique
+        # One positivity pass, stopping at the first block without a positive
+        # point: both points make the unique candidate or the continuum witness.
+        point_i = _positive_point(sol_i, rows_i)
+        point_j = None if point_i is None else _positive_point(sol_j, rows_j)
+        if point_j is None:
+            if unique:
+                return []
+            raise SingularSystem(support, "positive-dimensional solution set")
+        points = ((i, point_i), (j, point_j))
+    # the support's vertex, the solved players' points written over it
+    weights = [[int(t == s[0]) for t in range(c)]
+               for s, c in zip(supports, game.strategy_counts)]
+    for k, point in points:
+        for s, v in zip(supports[k], point):
+            weights[k][s] = v
+    profile = profile_from_weights(weights, RATIONAL)
+    if unique:
+        return [profile]
     # positive-dimensional solution set: the caller decides what it means
-    raise SingularSystem(
-        support,
-        "positive-dimensional solution set",
-        witness=profile,
-    )
+    raise SingularSystem(support, "positive-dimensional solution set", witness=profile)
 
 
 def _newton_starts(sizes: tuple[int, ...], seed: int) -> np.ndarray:

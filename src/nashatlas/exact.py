@@ -8,7 +8,8 @@ without its sum rule: |O| - 1 slope rows over the |S| - 1 weights on
 supp[1:]. Only max_min_point takes a whole block, sum row included.
 Every pivot is fraction-free (Bareiss 1968): the update is an exact
 integer division by the previous pivot, so entries stay integers over
-one common denominator. rref and solve_affine run Gauss-Jordan
+one common denominator. The first pivot's previous pivot is 1, and a
+division by 1 is skipped. rref and solve_affine run Gauss-Jordan
 elimination with it, which replaces rows and never edits an input row;
 solve_affine reports an AffineSolutionSet: one particular solution as
 integer numerators over one positive denominator, and the number of
@@ -59,13 +60,18 @@ class AffineSolutionSet:
 def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
     """Fraction-free pivot on mat[r][c]: replace every other row of mat
     by one with column c cleared, editing no row. The division by the
-    previous pivot ``prev`` is exact: every entry stays a minor (Sylvester)."""
+    previous pivot ``prev`` is exact: every entry stays a minor (Sylvester).
+    When ``prev`` is 1, as it is for the first pivot, the division is
+    skipped."""
     top = mat[r]
     piv = top[c]
     for i, row in enumerate(mat):
         if i != r:
             f = row[c]
-            mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+            if prev == 1:
+                mat[i] = [piv * x - f * y for x, y in zip(row, top)]
+            else:
+                mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
 
 
 def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -76,9 +82,10 @@ def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     matrix equals the same nonzero integer d, the other entries of pivot
     columns are zero, and matrix / d is the reduced row echelon form.
     """
+    if not rows:
+        return [], []
     mat = list(rows)
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    nrows, ncols = len(mat), len(mat[0])
     pivots: list[int] = []
     prev = 1
     r = 0

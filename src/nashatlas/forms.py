@@ -122,9 +122,22 @@ class MultilinearForm:
         return t
 
     def eval_batch(self, mats) -> np.ndarray:
-        """Vectorized float evaluation: mats[t] has shape (B, input_length(t))."""
+        """Vectorized float evaluation: mats[t] has shape (B, input_length(t)),
+        one batch size B for every block. A block that is not 2-D, or whose
+        batch size is not the first block's, is a ValueError naming it."""
+        batch = None
+
         def lift(k, mat):
+            nonlocal batch
             mat = np.asarray(mat, dtype=float)
+            if mat.ndim != 2:
+                raise ValueError(f"block {self.blocks[k]}: expected a (B, "
+                                 f"{self.input_length(k)}) batch, got shape {mat.shape}")
+            if batch is None:
+                batch = len(mat)
+            elif len(mat) != batch:
+                raise ValueError(f"block {self.blocks[k]}: batch size {len(mat)}, "
+                                 f"expected {batch}")
             p = self.pinned[k]
             return mat if p is None else np.insert(mat, p, 1.0, axis=1)
 

@@ -169,7 +169,9 @@ def _integral(x, what: str) -> int:
 
 def _check_seed(seed) -> int:
     """A library seed as an int when it is integral (_integral) and >= 0,
-    the rule of the CLI's --seed, or a ValueError naming it."""
+    the rule of the CLI's --seed, or a ValueError naming it (None too)."""
+    if seed is None:
+        raise ValueError("seed None is not an integer")
     seed = _integral(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed {seed} must be >= 0")

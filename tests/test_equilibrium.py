@@ -58,6 +58,12 @@ def test_enumerate_supports_counts(shape, count):
     assert len(set(s.supports for s in supports)) == count
     full = tuple(tuple(range(c)) for c in shape)
     assert any(s.supports == full for s in supports)
+    # the profiles depend on the shape alone: another game of it (here in
+    # the other mode) gets equal profiles in the same lexicographic order
+    other = make_game(shape, [np.ones(shape, dtype=int)] * len(shape), mode=RATIONAL)
+    assert list(enumerate_supports(other)) == supports
+    assert [s.supports for s in supports] == sorted(s.supports for s in supports)
+    assert all(type(j) is int for s in supports for supp in s.supports for j in supp)
 
 
 def test_best_reply_check_center(mp_float):
@@ -257,6 +263,20 @@ def test_generic_integer_games_match_the_vertex_oracle():
         result = _solve_rational(a, b)
         want, continuum = oracle_equilibria_2p(a, b)
         assert (_weight_tuples(result), result.continuum) == (want, continuum), k
+
+
+def test_float_games_match_the_vertex_oracle():
+    # float payoffs are dyadic: the exact route eliminates big integers, and
+    # its points are the oracle's, on the exact Fraction payoffs, rounded
+    # once to float64
+    rng = np.random.default_rng(29)
+    for k, shape in enumerate([(4, 4)] * 8 + [(5, 5)] * 4):
+        a, b = rng.uniform(-1.0, 1.0, (2, *shape)).tolist()
+        result = enumerate_nash(make_game(shape, [a, b]))
+        want, continuum = oracle_equilibria_2p(a, b)
+        want = sorted(tuple(tuple(map(float, w)) for w in point) for point in want)
+        assert (_weight_tuples(result), result.continuum) == (want, continuum), k
+        assert not continuum and not result.warnings, k
 
 
 def test_tied_games_match_the_vertex_oracle_where_it_is_finite():

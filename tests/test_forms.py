@@ -117,6 +117,21 @@ def test_eval_batch_checks_each_block_length():
         form.eval_batch([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
 
 
+@pytest.mark.parametrize("mats, message", [
+    ([np.full((2, 2), 0.5), np.full((3, 3), 0.2)], "block 1: batch size 3, expected 2"),
+    ([np.full((4, 2), 0.5), np.full((1, 3), 0.2)], "block 1: batch size 1, expected 4"),
+    ([np.full(2, 0.5), np.full((2, 3), 0.2)], "block 0: expected a (B, 2) batch, got shape (2,)"),
+    ([np.full((2, 2), 0.5), np.full(3, 0.2)], "block 1: expected a (B, 3) batch, got shape (3,)"),
+    ([np.full((1, 2, 2), 0.5), np.full((2, 3), 0.2)],
+     "block 0: expected a (B, 2) batch, got shape (1, 2, 2)"),
+], ids=["batch-sizes", "batch-size-1", "1-d-first", "1-d-second", "3-d"])
+def test_eval_batch_takes_one_batch_size_of_2d_blocks(mats, message):
+    # numpy would raise a bare broadcast error, or return a scalar for 1-D blocks
+    form = payoff_form(random_game((2, 3), seed=1), 0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        form.eval_batch(mats)
+
+
 def test_eval_matches_loop_oracle():
     rng = np.random.default_rng(3)
     for shape in [(2, 2), (3, 3), (2, 2, 2), (2, 3, 2)]:

@@ -63,11 +63,18 @@ THREE = random_game((2, 2, 2), seed=1)
     (lambda s: random_game((2, 2), seed=s), -1),
     (lambda s: enumerate_nash(THREE, seed=s), 1.5),
     (lambda s: random_game((2, 2), seed=s), 1.5),
+    (lambda s: enumerate_nash(THREE, seed=s), None),
+    (lambda s: enumerate_nash(random_game((2, 2), seed=1), seed=s), None),
+    (lambda s: random_game((2, 2), seed=s), None),
 ], ids=["enumerate_nash", "enumerate_nash-2p", "solve_support", "regular_value_probe",
-        "random_game", "enumerate_nash-fraction", "random_game-fraction"])
+        "random_game", "enumerate_nash-fraction", "random_game-fraction",
+        "enumerate_nash-none", "enumerate_nash-2p-none", "random_game-none"])
 def test_library_seeds_are_non_negative_integers(call, seed):
-    # the rule of the CLI's --seed, checked on entry
-    message = f"seed {seed} must be >= 0" if seed < 0 else f"seed {seed} is not an integer"
+    # the rule of the CLI's --seed, checked on entry; None is not fresh entropy
+    if isinstance(seed, int) and seed < 0:
+        message = f"seed {seed} must be >= 0"
+    else:
+        message = f"seed {seed} is not an integer"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(seed)
 
