@@ -33,7 +33,7 @@ the unknowns are each player's weights on supp[1:], and player i's
 equations are slope(supp[0]) - slope(t), t in supp[1:], in its payoff
 unit, from payoffs taken before rounding. The starts (_newton_starts)
 are simplex points without their first weight. The roots are floats,
-positive above ZERO_WEIGHT_TOL; the positivity, continuum and
+positive above WEIGHT_TOL; the positivity, continuum and
 singular-root checks on them are one batched call each.
 
 Every equilibrium is certified from that same face system
@@ -85,7 +85,7 @@ from .game import (
     RANDOM_STARTS,
     RATIONAL,
     RESIDUAL_TOL,
-    ZERO_WEIGHT_TOL,
+    WEIGHT_TOL,
     FiniteGame,
     MixedProfile,
     SupportProfile,
@@ -298,9 +298,9 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     def positive(x):
         # (k, n) stack of roots -> mask of those inside the open face
         w = weights_from(x)
-        return np.all([(w[i][:, supports[i]] > ZERO_WEIGHT_TOL).all(axis=1) for i in mixed], axis=0)
+        return np.all([(w[i][:, supports[i]] > WEIGHT_TOL).all(axis=1) for i in mixed], axis=0)
 
-    starts = _newton_starts(tuple(len(supports[i]) for i in mixed), _check_seed(seed))
+    starts = _newton_starts(tuple(len(supports[i]) for i in mixed), seed)
     roots = _newton_roots(residual, jacobian, starts, accept=positive)
     profiles = [profile_from_weights(weights_from(r)) for r in roots]
 
@@ -334,7 +334,9 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     players are pure. Three or more mixed players make the system
     multilinear; those supports, and a one-player game's mixed ones
     (constant slopes, told apart by the midpoint test), take multistart
-    Newton (_newton_solve)."""
+    Newton (_newton_solve). The seed of the Newton starts is an integer
+    >= 0 (game._check_seed), checked on every route."""
+    seed = _check_seed(seed)
     supports = support.supports
     if len(supports) != game.num_players:
         raise ValueError(

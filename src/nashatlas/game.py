@@ -21,12 +21,10 @@ RATIONAL = "rational"
 
 # Tolerances, the one table. Exact numbers (ints, Fractions) take none. Player
 # i's payoff unit is 2**FiniteGame.payoff_exponents[i].
-ZERO_WEIGHT_TOL = 1e-9  # weights: a float weight at or below it is zero
-SIMPLEX_TOL = 1e-9  # weights: float weights in MixedProfile.in_A / in_G
+WEIGHT_TOL = 1e-9  # weights: float zero weights, sums to 1 and [0, 1] bounds
 CHECK_TOL = 1e-8  # payoff unit: float best-reply residuals, margins, boundary
 RESIDUAL_TOL = 1e-10  # payoff unit: a Newton point within it is a root
 DEDUP_TOL = 1e-6  # face coordinates: Newton roots closer than it are one
-STEP_TOL = 1e-14  # face coordinates: Newton stops on a shorter step
 MEMBERSHIP_TOL = 1e-8  # the defining form's largest coefficient: membership
 RANK_TOL = 1e-8  # the largest singular value (at least 1): rank cutoff
 NEWTON_MAX_ITERS = 100  # a count: Newton steps per start
@@ -128,15 +126,15 @@ class MixedProfile:
 
     def in_A(self) -> bool:
         """Each player's weights sum to 1: exactly when MixedProfile.exact,
-        else within SIMPLEX_TOL."""
+        else within WEIGHT_TOL."""
         if self.exact:
             return all(sum(w) == 1 for w in self.weights)
-        return all(abs(w.sum() - 1.0) <= SIMPLEX_TOL for w in self.as_floats())
+        return all(abs(w.sum() - 1.0) <= WEIGHT_TOL for w in self.as_floats())
 
     def in_G(self) -> bool:
-        """in_A, and every weight in [0, 1] (within SIMPLEX_TOL unless
+        """in_A, and every weight in [0, 1] (within WEIGHT_TOL unless
         MixedProfile.exact)."""
-        tol = 0 if self.exact else SIMPLEX_TOL
+        tol = 0 if self.exact else WEIGHT_TOL
         return self.in_A() and all(-tol <= x <= 1 + tol for w in self.weights for x in w)
 
 
@@ -252,14 +250,14 @@ def support_of(profile: MixedProfile) -> SupportProfile:
     """Indices of the weights that count as nonzero, per player.
 
     Exact weights (MixedProfile.exact) are compared exactly, != 0; float
-    weights count when |weight| > ZERO_WEIGHT_TOL.
+    weights count when |weight| > WEIGHT_TOL.
     """
     supports = []
     for w in profile.weights:
         if profile.exact:
             supp = tuple(j for j, x in enumerate(w) if x != 0)
         else:
-            supp = tuple(int(j) for j in np.nonzero(np.abs(w) > ZERO_WEIGHT_TOL)[0])
+            supp = tuple(int(j) for j in np.nonzero(np.abs(w) > WEIGHT_TOL)[0])
         if not supp:
             raise ValueError("profile has an all-zero weight vector")
         supports.append(supp)

@@ -28,11 +28,12 @@ columns one more. The starts iterate together, one batched Jacobian and
 one batched LU solve per step (least squares through the pseudo-inverse
 where the system is not square or a Jacobian is exactly singular), and
 one residual call per step covers the NEWTON_HALVINGS step lengths of
-the line search for every start, each start taking its own first
-accepted step length and keeping its own stopping rule; a start that
-none of them helps has stalled. The equations are in each player's
-payoff unit (FiniteGame.payoff_exponents), so the loop's tolerances
-(from the table in nashatlas.game) act the same at every payoff scale.
+the line search for every start. Each start takes its own first
+accepted step length and stops on its own: converged (residual within
+RESIDUAL_TOL), stalled (no step length lowers the residual) or out of
+steps (NEWTON_MAX_ITERS). The equations are in each player's payoff
+unit (FiniteGame.payoff_exponents), so the loop's tolerances (from the
+table in nashatlas.game) act the same at every payoff scale.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .game import (
     RANDOM_STARTS,
     RANK_TOL,
     RESIDUAL_TOL,
-    STEP_TOL,
     FiniteGame,
     SupportProfile,
     _check_seed,
@@ -250,13 +250,14 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> np.ndarray:
     of every live start and every halving go to residual as one stack,
     and each start takes its first t whose residual norm is at most
     (1 - t/4) times the current one. So a step costs one residual and one
-    jacobian call. Every start keeps its own stopping rule: it stops once
-    its residual is within RESIDUAL_TOL, its step is below STEP_TOL, no
-    length passes (the start has stalled; near a regular root the full
-    step passes) or NEWTON_MAX_ITERS steps are taken. `accept` takes the
-    (k, n) stack of converged limits and returns a mask of those to keep;
-    the kept limits come back deduplicated at DEDUP_TOL (_dedup), in
-    start order, as one (k, n) array, (0, n) when no start converged.
+    jacobian call. Every start stops on its own rule, one of three: it
+    has converged once its residual is within RESIDUAL_TOL, stalled once
+    no length passes (near a regular root the full step passes; a zero
+    or vanishing step passes none) or run out of steps after
+    NEWTON_MAX_ITERS. `accept` takes the (k, n) stack of converged limits
+    and returns a mask of those to keep; the kept limits come back
+    deduplicated at DEDUP_TOL (_dedup), in start order, as one (k, n)
+    array, (0, n) when no start converged.
     """
     x = np.array(starts, dtype=float)
     f = residual(x)
@@ -267,13 +268,10 @@ def _newton_roots(residual, jacobian, starts, accept=None) -> np.ndarray:
         if not live.size:
             break
         step = _newton_step(jacobian(x[live]), f[live])
-        moving = _inf_norm(step) > STEP_TOL
-        live, step = live[moving], step[moving]
-        if not live.size:
-            break
-        # (L, NEWTON_HALVINGS, n) trial points, halving r of start l in row (l, r)
+        # (L, NEWTON_HALVINGS, n) trial points, halving r of start l in row
+        # (l, r); sizes are explicit, as reshape cannot infer one next to a 0
         xn = x[live][:, None] + t[:, None] * step[:, None]
-        fn = residual(xn.reshape(-1, x.shape[1])).reshape(len(live), len(t), -1)
+        fn = residual(xn.reshape(len(live) * len(t), x.shape[1])).reshape(len(live), len(t), -1)
         norm0 = np.linalg.norm(f[live], axis=1)[:, None]
         ok = np.linalg.norm(fn, axis=2) <= (1.0 - 0.25 * t) * norm0
         passed = ok.any(axis=1)

@@ -23,20 +23,31 @@ Items, in this order:
   benchmark runs it;
 - ``tied``: 50 2x2x2 then 10 2x3x2 games from ``default_rng(11)``, every
   player's payoffs ``rng.integers(-2, 3, shape)``, each solved in float
-  and in rational mode.
+  and in rational mode;
+- ``certify``: the fixture's first 40 2x2, 40 3x3 and 20 2x2x2 games,
+  written as game files and solved by ``nashatlas solve --seed SEED
+  --json``; every equilibrium k of the report is certified in every
+  chart l (``nashatlas certify FILE --from-json REPORT --index k --chart
+  l --json``), and given as ``--point`` with 5e-10 and then 2e-9 added
+  to every player's first weight, so that its sums miss 1 by about that
+  much, in the default chart.
 
 A record is the whole answer: every field of every dataclass in it
 (equilibria with their certificates, warnings, continuum flag and
 witness; probe reports with their roots), floats as hex, ``Fraction`` as
 num/den, arrays with their dtype, and errors as type and message. CLI
 tasks record the exit code and the JSON report, with the game file's
-temporary path masked. The script is not a test module: pytest does not
-collect it.
+temporary path masked; ``certify`` runs record the exit code, standard
+output and standard error, with the temporary directory masked. The
+script is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import json
 import sys
 import tempfile
 from fractions import Fraction
@@ -83,7 +94,8 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0]).resolve() if argv else HERE
     sys.path[:0] = [str(root / "src"), str(HERE / "bench")]
     import nashatlas
-    from nashatlas import FLOAT, RATIONAL, enumerate_nash, make_game, random_game
+    from nashatlas import (FLOAT, RATIONAL, all_charts, cli, enumerate_nash, make_game,
+                           random_game, serialize_game)
     if Path(nashatlas.__file__).parent != root / "src" / "nashatlas":
         raise SystemExit(f"imported nashatlas from {nashatlas.__file__}, not {root / 'src'}")
     from workloads import WORKLOADS, run_task
@@ -113,6 +125,34 @@ def main(argv: list[str]) -> int:
         for mode in (FLOAT, RATIONAL):
             record(f"tied {k} {shape} {mode}",
                    lambda: enumerate_nash(make_game(shape, payoffs, mode=mode)))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        game_file, report = Path(tmp, "game.txt"), Path(tmp, "solve.json")
+
+        def nashatlas_cli(*args):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([str(a) for a in args])
+            return code, *(buf.getvalue().replace(tmp, "<tmp>") for buf in (out, err))
+
+        for shape, count in [((2, 2), 40), ((3, 3), 40), ((2, 2, 2), 20)]:
+            for seed in range(40_000, 40_000 + count):
+                game = random_game(shape, seed=seed)
+                game_file.write_text(serialize_game(game), encoding="utf-8")
+                text = nashatlas_cli("solve", game_file, "--seed", seed, "--json")[1]
+                report.write_text(text, encoding="utf-8")
+                points = [eq["point"] for eq in json.loads(text)["results"]["equilibria"]]
+                for k, point in enumerate(points):
+                    for chart in all_charts(game):
+                        l = ",".join(map(str, chart))
+                        record(f"certify {shape} {seed} {k} chart {l}",
+                               lambda: nashatlas_cli("certify", game_file, "--from-json", report,
+                                                     "--index", k, "--chart", l, "--json"))
+                    for miss in (5e-10, 2e-9):
+                        spec = ";".join(",".join(repr(x + miss * (j == 0)) for j, x in enumerate(w))
+                                        for w in point)
+                        record(f"certify {shape} {seed} {k} point {miss}", lambda: nashatlas_cli(
+                            "certify", game_file, "--point", spec, "--json"))
     return 0
 
 

@@ -521,6 +521,33 @@ def test_dup_row_game_continuum(dup_row_game):
     np.testing.assert_allclose([float(x) for x in witness.weights[1]], [0, 1])
 
 
+def test_singular_jacobian_at_a_root():
+    # game 20 of a 2x2x2 corpus, every player's payoffs
+    # default_rng(5).integers(-1, 2, (2, 2, 2)): the full support's roots
+    # lie on a curve, player 2 at (2/3, 1/3), that is not a line: no
+    # midpoint of two roots solves, and every root Newton finds has a
+    # singular Jacobian. Other supports witness the continuum.
+    game = make_game((2, 2, 2), [
+        [[[1, 1], [-1, -1]], [[1, 0], [-1, 1]]],
+        [[[1, -1], [1, 0]], [[-1, 1], [1, -1]]],
+        [[[-1, -1], [1, 1]], [[1, 1], [-1, -1]]],
+    ])
+    support = SupportProfile(((0, 1),) * 3)
+    with pytest.raises(SingularSystem) as exc:
+        solve_support(game, support)
+    assert exc.value.reason == "singular Jacobian at a root"
+    assert exc.value.witness is None
+    candidates = exc.value.candidates
+    assert candidates
+    np.testing.assert_allclose([c.weights[1] for c in candidates],
+                               [[2 / 3, 1 / 3]] * len(candidates), rtol=0, atol=1e-9)
+    jacobian = genericity._family_system(game, canonical_equilibrium_family(game, support),
+                                         (0, 0, 0))[1]
+    z = np.array([[w[1] for w in c.weights] for c in candidates])
+    assert not genericity._svd_ranks(jacobian(z))[2].any()
+    assert enumerate_nash(game).continuum
+
+
 def test_pair_solve_stops_at_first_block_without_positive_point(monkeypatch):
     # support ({0,1,2}, {0,1}): player 1's block is w0 + w1 = 0 on the
     # simplex (a segment, none of it positive), player 2's block is the

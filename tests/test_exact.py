@@ -141,7 +141,7 @@ def test_positive_point_is_strict(strict):
     # negative pivot, with p / q the value ``strict`` times 7 / 7 so the
     # integers are not in lowest terms (a float as its exact binary
     # value). Positivity takes no tolerance: y = strict is accepted
-    # exactly when strict > 0, however small (ZERO_WEIGHT_TOL = 1e-9
+    # exactly when strict > 0, however small (WEIGHT_TOL = 1e-9
     # included), and y = strict + 1 / q always is.
     p, q = (7 * x for x in strict.as_integer_ratio())
     for num, accepted in ((p, strict > 0), (p + 1, True)):

@@ -58,6 +58,11 @@ THREE = random_game((2, 2, 2), seed=1)
     (lambda s: enumerate_nash(THREE, seed=s), -1),
     (lambda s: enumerate_nash(random_game((2, 2), seed=1), seed=s), -1),
     (lambda s: solve_support(THREE, SupportProfile(((0, 1),) * 3), seed=s), -1),
+    (lambda s: solve_support(THREE, SupportProfile(((0,), (0, 1), (0, 1))), seed=s), -1),
+    (lambda s: solve_support(random_game((2, 2), seed=1), SupportProfile(((0, 1),) * 2),
+                             seed=s), -1),
+    (lambda s: solve_support(random_game((2, 2), seed=1), SupportProfile(((0, 1),) * 2),
+                             seed=s), None),
     (lambda s: regular_value_probe(THREE, good_family(THREE, None, [[(0, 1)], [], []]),
                                    (0, 0, 0), seed=s), -2),
     (lambda s: random_game((2, 2), seed=s), -1),
@@ -66,11 +71,13 @@ THREE = random_game((2, 2, 2), seed=1)
     (lambda s: enumerate_nash(THREE, seed=s), None),
     (lambda s: enumerate_nash(random_game((2, 2), seed=1), seed=s), None),
     (lambda s: random_game((2, 2), seed=s), None),
-], ids=["enumerate_nash", "enumerate_nash-2p", "solve_support", "regular_value_probe",
-        "random_game", "enumerate_nash-fraction", "random_game-fraction",
-        "enumerate_nash-none", "enumerate_nash-2p-none", "random_game-none"])
+], ids=["enumerate_nash", "enumerate_nash-2p", "solve_support", "solve_support-two-mixed",
+        "solve_support-2p", "solve_support-2p-none", "regular_value_probe", "random_game",
+        "enumerate_nash-fraction", "random_game-fraction", "enumerate_nash-none",
+        "enumerate_nash-2p-none", "random_game-none"])
 def test_library_seeds_are_non_negative_integers(call, seed):
-    # the rule of the CLI's --seed, checked on entry; None is not fresh entropy
+    # the rule of the CLI's --seed, checked on entry, whatever route a
+    # support takes; None is not fresh entropy
     if isinstance(seed, int) and seed < 0:
         message = f"seed {seed} must be >= 0"
     else:
@@ -88,7 +95,7 @@ def test_readme_lists_the_tolerance_table():
     source = Path(game_module.__file__).read_text(encoding="utf-8")
     table = source.split("# Tolerances, the one table.")[1].split("\n\n")[0]
     assert [name for name, _ in listed] == re.findall(r"^([A-Z_]+) = ", table, re.M)
-    assert len(listed) == 11
+    assert len(listed) == 9
     for name, value in listed:
         constant = getattr(game_module, name)
         assert type(constant)(value) == constant, name
@@ -335,7 +342,7 @@ def test_profile_exact_membership():
     )
     assert not off.in_A()
     assert not off.in_G()
-    # float weights get SIMPLEX_TOL: 1e-10 off is in A
+    # float weights get WEIGHT_TOL: 1e-10 off is in A
     near = profile_from_weights([[0.5, 0.5 + 1e-10], [1.0, 0.0]])
     assert near.in_A()
     assert near.in_G()
@@ -351,6 +358,22 @@ def test_support_of():
     exact = profile_from_weights([[Fraction(1, 2)] * 2, [1 - Fraction(1e-12), Fraction(1e-12)]],
                                  RATIONAL)
     assert support_of(exact).supports == ((0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("factor, inside", [(0.9, True), (1.1, False)])
+def test_weight_tolerance_boundary(factor, inside):
+    # float weights take one tolerance: a weight, a sum or a bound off by
+    # 0.9 WEIGHT_TOL counts as on it, and off by 1.1 WEIGHT_TOL does not
+    off = factor * game_module.WEIGHT_TOL
+    # support_of: a weight that far from 0 is zero
+    p = profile_from_weights([[1.0 - off, off], [1.0, 0.0]])
+    assert support_of(p).supports == ((0,) if inside else (0, 1), (0,))
+    # in_A and in_G: a sum that far from 1
+    p = profile_from_weights([[0.5, 0.5 + off], [1.0, 0.0]])
+    assert p.in_A() is inside and p.in_G() is inside
+    # in_G: weights that far outside [0, 1], summing to 1
+    p = profile_from_weights([[-off, 1.0 + off], [1.0, 0.0]])
+    assert p.in_A() and p.in_G() is inside
 
 
 @pytest.mark.parametrize("weights, exact", [

@@ -49,7 +49,6 @@ from nashatlas.genericity import (
     RANDOM_STARTS,
     RANK_TOL,
     RESIDUAL_TOL,
-    STEP_TOL,
     GoodFamily,
     _dedup,
     _face_system,
@@ -722,7 +721,9 @@ def _greedy_dedup(rows):
 
 def _per_start_newton(residual, jacobian, starts, accept=None):
     """Reference: damped least-squares Newton one start at a time, the
-    loop _newton_roots runs on all starts together."""
+    loop _newton_roots runs on all starts together, plus a floor that
+    stops a start whose step is at most 1e-14: _newton_roots has no
+    floor, and such a start stalls there instead, with the same limit."""
     limits = []
     for x in starts:
         fval = residual(x)
@@ -730,7 +731,7 @@ def _per_start_newton(residual, jacobian, starts, accept=None):
             if np.max(np.abs(fval)) <= RESIDUAL_TOL:
                 break
             step = np.linalg.lstsq(jacobian(x), -fval, rcond=None)[0]
-            if np.max(np.abs(step)) <= STEP_TOL:
+            if np.max(np.abs(step)) <= 1e-14:
                 break
             norm0 = np.linalg.norm(fval)
             t = 1.0
@@ -769,12 +770,13 @@ def test_newton_roots_matches_per_start_reference(square, accept):
     # 1 + y w = 0, x w - 1 = 0 and (square only) 1 + x y = 0; the square
     # system has the isolated roots A = (-1, 1, -1) and B = (1, -1, 1),
     # the other one a curve of roots reached by minimum-norm steps; the
-    # comments on the starts say what they do on the square system
+    # comments on the starts say what they do on the square system; the
+    # reference's step floor gives the answers of the stall rule alone
     pairs = [[(0, 1)], [(0, 1)], [(0, 1)] if square else []]
     residual, jacobian, _ = _face_system(_square_test_game(), pairs, [np.eye(2)] * 3)
     starts = [
         np.array([-0.1, 0.03, 0.04]),  # to A after several damped steps
-        np.array([0.0, 0.0, 0.0]),  # zero Jacobian: step below the floor
+        np.array([0.0, 0.0, 0.0]),  # zero Jacobian: zero step, stalls
         np.array([1.4e-5, -7e-6, 4e-6]),  # square: no halving passes
         np.array([1.0, -1.0, 1.0]),  # B itself: no step
         np.array([-0.7, 1.3, -1.2]),  # to A again, undamped
@@ -794,8 +796,9 @@ def _square_test_system():
 
 
 def test_newton_roots_all_starts_on_step_floor():
-    # the Jacobian vanishes at the origin, so every start stops on the
-    # step floor in the first step and no trial point is left to evaluate
+    # the Jacobian vanishes at the origin, so every step is zero: every
+    # start stalls in the first step, as no trial length lowers the
+    # residual, and the reference stops each on its step floor
     residual, jacobian, _ = _square_test_system()
     starts = [np.zeros(3)] * 3
     assert _per_start_newton(residual, jacobian, starts) == []
