@@ -15,17 +15,24 @@ fraction-free elimination (exact.solve_affine, integer numerators over
 one positive denominator) in the face coordinates of chart (0, ..., 0)
 that the Newton route uses, the solving player's weights on supp[1:]
 (_face_block, integer rows [A | b]), with w_{supp[0]} recovered from the
-sum rule, and the answers are Fractions in either mode. Exact numbers
-take no tolerance: a weight is positive when it is > 0. One pass looks
-for a positive point block by block and stops at the first block without
-one: a unique solution is checked directly in integers, and a
-positive-dimensional one gets its max-min point from an exact integer
-simplex (exact.max_min_point) on the whole block, sum rule included,
-since the set has a positive point exactly when its largest smallest
-weight is > 0. Both blocks' points make the one candidate, or witness a
-continuum; enumerate_nash rounds a float game's answers to float64 once,
-at the end. When three or more players mix the system is multilinear,
-and it (like a one-player game's mixed support, whose slopes are
+sum rule. Exact numbers take no tolerance: a weight is positive when it
+is > 0. One pass looks for a positive point block by block and stops at
+the first block without one: a unique solution is decided on its
+integer numerators, and a positive-dimensional one gets its max-min
+point from an exact integer simplex (exact.max_min_point) on the whole
+block, sum rule included, since the set has a positive point exactly
+when its largest smallest weight is > 0. Both blocks' points witness a
+continuum, or make the one candidate (_integer_solution). The candidate
+is screened in Python ints before any Fraction is built
+(_integer_equilibrium): the two solved players read their best replies
+off their integer_pair_tables rows, and every held player off the one
+integer slope kernel (forms._slope_nums) that best_reply_check uses.
+Most candidates fail these off-support inequalities, so only a
+support's equilibrium becomes a Fraction profile, in either mode;
+enumerate_nash still checks it with best_reply_check, which builds its
+report, and rounds a float game's answers to float64 once, at the end.
+When three or more players mix the system is multilinear, and it (like
+a one-player game's mixed support, whose slopes are
 constants) runs the damped multistart Newton loop of
 genericity._newton_roots on its canonical family's face in chart (0,
 ..., 0), the system the probe solves too (genericity._family_system):
@@ -43,7 +50,8 @@ neither moves under a power-of-two payoff scaling.
 
 A point is exact when MixedProfile.exact says so (int or Fraction
 weights, in either mode), decided once per profile; its best-reply
-check then stays in integers (forms._integer_slopes) with no tolerance,
+check then stays in integers (forms._integer_slopes: the weights become
+integer numerators once per profile) with no tolerance,
 and a certificate's `exact` is its reported point's. Float points are
 checked at CHECK_TOL in each player's payoff unit (tolerances:
 nashatlas.game), on offset-free slopes (payoff_slice_values with
@@ -65,13 +73,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
-from .forms import _integer_slopes, payoff_slice_values
+from .forms import _integer_slopes, _integer_weights, _slope_nums, payoff_slice_values
 from .genericity import (
     _family_system,
     _inf_norm,
@@ -134,10 +143,12 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     the margin is on the boundary when |margin| < tol.
     """
     supports = support_of(profile).supports
+    if profile.exact:
+        exact = _integer_slopes(game, profile.weights, range(game.num_players))
     oks, residuals, margins, boundary = [], [], [], []
     for i in range(game.num_players):
         if profile.exact:
-            c, den = _integer_slopes(game, i, profile.weights)
+            c, den = exact[i]
         else:
             c = payoff_slice_values(game, i, profile.weights, relative=True)
         supp = supports[i]
@@ -199,39 +210,60 @@ def _simplex_nums(sol: AffineSolutionSet) -> list[int]:
     return [sol.den - sum(sol.nums), *sol.nums]
 
 
-def _positive_point(sol: AffineSolutionSet, rows) -> list[Fraction] | None:
-    """A weight vector whose every entry is > 0 in the nonempty solution
-    set ``sol`` of the face block ``rows`` = [A | b] (_face_block), or None.
+def _positive_point(sol: AffineSolutionSet, rows) -> tuple[list[int], int] | None:
+    """A weight vector whose every entry is > 0 in the positive-dimensional
+    solution set ``sol`` of the face block ``rows`` = [A | b]
+    (_face_block), as integer numerators over one positive denominator, or
+    None.
 
-    A unique solution is checked on its integer numerators
-    (_simplex_nums), the denominator being positive. A positive-dimensional
-    set gets the exact max-min point (exact.max_min_point) of the whole
+    It is the exact max-min point (exact.max_min_point) of the whole
     block, a row [-b_j, a_j - b_j | 0] (x - b_j over [a_j | b_j] ends in
     0) per row and the sum row, whose smallest entry t* is the largest on
     the set: a positive point exists exactly when t* > 0, and is returned.
     """
-    if sol.is_unique:
-        nums = _simplex_nums(sol)
-        return [Fraction(n, sol.den) for n in nums] if all(n > 0 for n in nums) else None
     full = [[-row[-1]] + [x - row[-1] for x in row] for row in rows]
     best = max_min_point(full + [[1] * (len(sol.nums) + 2)])
-    return best[1] if best is not None and best[0] > 0 else None
+    return _integer_weights(best[1]) if best is not None and best[0] > 0 else None
 
 
-def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at=()):
-    """Supports on which at most two players mix. The players in `pair`
-    = (i, j), i < j, are solved for: the mixed ones, with a pure partner
-    when one mixes, or none when no player mixes. Every other player is
-    held at its one strategy, listed in `at` in player order. So each
-    solved player's weights solve a linear system built from the other
-    solved player's slope equalities, solved in face coordinates
-    (_face_block) as the Newton route is. Exact: the
-    payoffs enter as integers (game.integer_pair_tables, integer_utilities
-    sliced at `at`), and the positive scale they carry does not change
-    the solution set. Candidates and the continuum witness are Fraction
-    profiles in either mode, with e_s on every held player."""
+def _solved_players(game: FiniteGame, support: SupportProfile):
+    """(pair, at) for a support on which at most two players mix: the
+    players pair = (i, j), i < j, whose weights are solved for, and the
+    strategies `at` of every other player, in player order, held at its
+    one strategy. Both players of a two-player game are solved; otherwise
+    the mixed players, with a pure partner when one mixes, or none when no
+    player mixes."""
     supports = support.supports
-    points, unique = (), True
+    if game.num_players == 2:
+        return (0, 1), ()
+    mixed = [k for k, s in enumerate(supports) if len(s) > 1]
+    if len(mixed) == 1:
+        # a pure partner: its block holds the lone mixed player's slope
+        # differences, constants that tie or not
+        mixed.append(next(k for k, s in enumerate(supports) if len(s) == 1))
+    return tuple(sorted(mixed)), tuple(s[0] for k, s in enumerate(supports) if k not in mixed)
+
+
+def _integer_solution(game: FiniteGame, support: SupportProfile, pair, at):
+    """The support's candidate before any best-reply test: the weights
+    that solve its slope equalities and are all > 0, as one (numerators,
+    den) per player over its whole strategy set, den > 0; None when there
+    are none. The solved players `pair` (_solved_players) solve linear
+    systems built from each other's slope equalities, in face coordinates
+    (_face_block) as the Newton route does; every held player is e_s at
+    its strategy in `at`, and with no pair the candidate is the support's
+    vertex. Exact: the payoffs enter as integers (game.integer_pair_tables,
+    integer_utilities sliced at `at`), and the positive scale they carry
+    does not change the solution set.
+
+    One pass looks for a positive point block by block and stops at the
+    first block without one: a unique solution is decided on its integer
+    numerators (_simplex_nums), a positive-dimensional one by its max-min
+    point (_positive_point). A positive-dimensional solution set raises
+    SingularSystem, with both blocks' points as its witness (a Fraction
+    profile) when both have one."""
+    supports = support.supports
+    found, unique = {}, True
     if pair:
         i, j = pair
         ti, tj = game.integer_pair_tables(pair, at)
@@ -241,28 +273,73 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile, pair=(0, 1), at
         rows_j = _face_block(ti, supports[j], supports[i])
         sol_j = solve_affine(rows_j, len(supports[j]) - 1)
         if sol_i.is_empty or sol_j.is_empty:
-            return []
+            return None
         unique = sol_i.is_unique and sol_j.is_unique
-        # One positivity pass, stopping at the first block without a positive
-        # point: both points make the unique candidate or the continuum witness.
-        point_i = _positive_point(sol_i, rows_i)
-        point_j = None if point_i is None else _positive_point(sol_j, rows_j)
-        if point_j is None:
-            if unique:
-                return []
-            raise SingularSystem(support, "positive-dimensional solution set")
-        points = ((i, point_i), (j, point_j))
+        for k, sol, rows in ((i, sol_i, rows_i), (j, sol_j, rows_j)):
+            block = (_simplex_nums(sol), sol.den) if sol.is_unique else _positive_point(sol, rows)
+            if block is None or min(block[0]) <= 0:
+                if unique:
+                    return None
+                raise SingularSystem(support, "positive-dimensional solution set")
+            found[k] = block
     # the support's vertex, the solved players' points written over it
-    weights = [[int(t == s[0]) for t in range(c)]
-               for s, c in zip(supports, game.strategy_counts)]
-    for k, point in points:
-        for s, v in zip(supports[k], point):
-            weights[k][s] = v
-    profile = profile_from_weights(weights, RATIONAL)
+    point = []
+    for k, (supp, c) in enumerate(zip(supports, game.strategy_counts)):
+        nums, den = found.get(k, ((1,), 1))
+        weights = [0] * c
+        for s, n in zip(supp, nums):
+            weights[s] = n
+        point.append((weights, den))
     if unique:
-        return [profile]
+        return point
     # positive-dimensional solution set: the caller decides what it means
-    raise SingularSystem(support, "positive-dimensional solution set", witness=profile)
+    raise SingularSystem(support, "positive-dimensional solution set",
+                         witness=_rational_profile(point))
+
+
+def _is_best_reply(slopes: list[int], supp) -> bool:
+    """Whether the strategies in supp, whose slopes agree, reach the
+    largest slope."""
+    return max(slopes) <= slopes[supp[0]]
+
+
+def _integer_equilibrium(game: FiniteGame, support: SupportProfile, point, pair, at) -> bool:
+    """Whether every player's support is a best reply at the integer
+    candidate ``point`` (_integer_solution), decided in Python ints with
+    no tolerance; best_reply_check stays the authority on what passes.
+    The solved players read their slopes off their integer_pair_tables
+    rows; every other player's come from the integer slope kernel
+    (forms._slope_nums), which indexes the pure opponents."""
+    supports = support.supports
+    if pair:
+        for k, table, other in zip(pair, game.integer_pair_tables(pair, at), pair[::-1]):
+            w = point[other][0]
+            if not _is_best_reply([sum(map(operator.mul, row, w)) for row in table], supports[k]):
+                return False
+    return all(_is_best_reply(_slope_nums(game, k, point)[0], supports[k])
+               for k in range(game.num_players) if k not in pair)
+
+
+def _rational_profile(point) -> MixedProfile:
+    """The Fraction profile of integer weights, one (numerators, den) per
+    player."""
+    return profile_from_weights([[Fraction(n, den) for n in nums] for nums, den in point],
+                                RATIONAL)
+
+
+def _exact_pair_solve(game: FiniteGame, support: SupportProfile) -> list[MixedProfile]:
+    """Supports on which at most two players mix: the support's
+    equilibrium, as a one-element list of a Fraction profile in either
+    mode, with e_s on every held player, or []. The candidate
+    (_integer_solution) is screened in integers (_integer_equilibrium)
+    and becomes a Fraction profile only when it passes; a
+    positive-dimensional solution set raises SingularSystem from
+    _integer_solution."""
+    pair, at = _solved_players(game, support)
+    point = _integer_solution(game, support, pair, at)
+    if point is None or not _integer_equilibrium(game, support, point, pair, at):
+        return []
+    return [_rational_profile(point)]
 
 
 def _newton_starts(sizes: tuple[int, ...], seed: int) -> np.ndarray:
@@ -324,15 +401,18 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
 
 
 def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
-    """All isolated candidate profiles with the given support: strictly
-    positive weights on the support, zero elsewhere, slope equalities
-    satisfied. Raises SingularSystem on degenerate strata.
+    """Isolated profiles with the given support: strictly positive
+    weights on the support, zero elsewhere, slope equalities satisfied.
+    Raises SingularSystem on degenerate strata.
 
     A support on which at most two players mix has linear slope
     equations and is solved exactly (_exact_pair_solve): every support
     of a two-player game, and those of a larger game on which the other
-    players are pure. Three or more mixed players make the system
-    multilinear; those supports, and a one-player game's mixed ones
+    players are pure. There the solution is also screened in integers
+    for every player's best reply, so the list holds the support's
+    equilibrium or nothing, not every positive solution; its profiles
+    are Fractions in either mode. Three or more mixed players make the
+    system multilinear; those supports, and a one-player game's mixed ones
     (constant slopes, told apart by the midpoint test), take multistart
     Newton (_newton_solve). The seed of the Newton starts is an integer
     >= 0 (game._check_seed), checked on every route."""
@@ -345,18 +425,11 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     for i, supp in enumerate(supports):
         if supp[0] < 0 or supp[-1] >= game.strategy_counts[i]:
             raise ValueError(f"support index out of range for player {i + 1}")
-    if game.num_players == 2:
-        return _exact_pair_solve(game, support)
-    mixed = [k for k, s in enumerate(supports) if len(s) > 1]
-    if len(mixed) > 2 or mixed and game.num_players == 1:
-        return _newton_solve(game, support, seed)
-    if len(mixed) == 1:
-        # a pure partner: its block holds the lone mixed player's slope
-        # differences, constants that tie or not
-        mixed.append(next(k for k, s in enumerate(supports) if len(s) == 1))
-    pair = tuple(sorted(mixed))
-    at = tuple(s[0] for k, s in enumerate(supports) if k not in pair)
-    return _exact_pair_solve(game, support, pair, at)
+    if game.num_players != 2:
+        mixed = sum(len(s) > 1 for s in supports)
+        if mixed > 2 or mixed and game.num_players == 1:
+            return _newton_solve(game, support, seed)
+    return _exact_pair_solve(game, support)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ payoff_slice_values gives player i's payoff slopes, one per own pure
 strategy, against the others' weights. When the weights are exact
 (game._exact, the test behind MixedProfile.exact: int or Fraction
 weights, in either mode, since float payoffs are dyadic) they are
-contracted in Python ints (_integer_slopes: the integer payoff tensor
-and integer weight numerators over one positive common denominator);
-otherwise float64.
+contracted in Python ints (_integer_slopes: each player's weights
+become integer numerators over one positive denominator once per
+profile, then the one integer slope kernel, _slope_nums, indexes the
+integer payoff tensor at pure opponents and contracts it with the
+others); otherwise float64.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = Fals
     subtracted before rounding, so that an offset adds no rounding error.
     """
     if _exact(weights):
-        nums, den = _integer_slopes(game, i, weights)
+        (nums, den), = _integer_slopes(game, weights, (i,))
         base = nums[0] if relative else 0
         return np.array([Fraction(n - base, den) for n in nums], dtype=object)
     t = game.utilities[i]
@@ -301,25 +303,52 @@ def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = Fals
     ])
 
 
-def _integer_slopes(game: FiniteGame, i: int, weights) -> tuple[list[int], int]:
-    """Player i's payoff slopes (payoff_slice_values) at exact weights as
-    integer numerators over one positive denominator ``den``.
+def _integer_slopes(game: FiniteGame, weights, players) -> list[tuple[list[int], int]]:
+    """The payoff slopes (payoff_slice_values) of each player in
+    ``players`` at exact weights, each as integer numerators over one
+    positive denominator: the weights (ints or Fractions) become integer
+    numerators (_integer_weights) once, then _slope_nums contracts them.
+    """
+    nums = [_integer_weights(w) for w in weights]
+    return [_slope_nums(game, i, nums) for i in players]
 
-    Each opponent's weights (ints or Fractions) become integer numerators
-    over the lcm of their denominators, and contract with the integer
-    payoff tensor (game.integer_utilities), so ``den`` is its scale times
-    those lcms. Player i's own weights are not read.
+
+def _integer_weights(w) -> tuple[list[int], int]:
+    """Exact weights (ints or Fractions) as integer numerators over the
+    lcm of their denominators."""
+    lcm = math.lcm(*(x.denominator for x in w))
+    return [x.numerator * (lcm // x.denominator) for x in w], lcm
+
+
+def _slope_nums(game: FiniteGame, i: int, nums) -> tuple[list[int], int]:
+    """Player i's payoff slopes against integer weights, the one integer
+    slope kernel: ``nums`` holds one (numerators, den) per player, den >
+    0, and player i's own entry is not read. The slopes are integer
+    numerators over ``den``, the scale of game.integer_utilities times
+    the opponents' dens.
+
+    An opponent whose numerators have one nonzero entry v, at strategy s,
+    is indexed at s, and v multiplies the result, so the scale is the
+    contraction's; the other opponents contract with the integer payoff
+    tensor (contract, object dtype).
     """
     ints, den = game.integer_utilities[i]
-    vectors = []
-    for k in range(game.num_players):
+    index, vectors, factor = [], [], 1
+    for k, (vec, d) in enumerate(nums):
         if k == i:
+            index.append(slice(None))
             vectors.append(None)
             continue
-        w = weights[k]
-        lcm = math.lcm(*(x.denominator for x in w))
-        vec = np.empty(len(w), dtype=object)
-        vec[:] = [x.numerator * (lcm // x.denominator) for x in w]
-        vectors.append(vec)
-        den *= lcm
-    return contract(ints, vectors).tolist(), den
+        den *= d
+        nonzero = [s for s, x in enumerate(vec) if x]
+        if len(nonzero) == 1:
+            index.append(nonzero[0])
+            factor *= vec[nonzero[0]]
+        else:
+            index.append(slice(None))
+            vectors.append(np.array(vec, dtype=object))
+    t = ints[tuple(index)]
+    if len(vectors) > 1:
+        t = contract(t, vectors)
+    slopes = t.tolist()
+    return (slopes if factor == 1 else [factor * x for x in slopes]), den

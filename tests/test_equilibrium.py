@@ -27,7 +27,7 @@ from nashatlas import (
 )
 from nashatlas import equilibrium, genericity
 from nashatlas.game import MixedProfile
-from nashatlas.equilibrium import _exact_pair_solve, _newton_solve, support_label
+from nashatlas.equilibrium import _newton_solve, support_label
 from nashatlas.exact import max_min_point, rref
 from nashatlas.forms import contract
 
@@ -301,8 +301,20 @@ def test_continuum_flags_are_the_vertex_oracles():
         assert _solve_rational(a, b).continuum == oracle_equilibria_2p(a, b)[1], k
 
 
+def _unscreened(game, support):
+    """The exact route's candidates before its best-reply screen: every
+    positive solution of the slope equalities, as Fraction profiles. A
+    positive-dimensional solution set raises SingularSystem, as
+    solve_support does."""
+    pair, at = equilibrium._solved_players(game, support)
+    point = equilibrium._integer_solution(game, support, pair, at)
+    return [] if point is None else [equilibrium._rational_profile(point)]
+
+
 def test_newton_agrees_with_exact_route():
-    # 3x3 and 2x4 give multi-column Jacobian blocks in both axis orders
+    # the exact route's unscreened candidates, non-equilibria included,
+    # are Newton's roots; 3x3 and 2x4 give multi-column Jacobian blocks in
+    # both axis orders
     cases = [((2, 3), seed) for seed in range(8)]
     cases += [((3, 3), seed) for seed in range(2)]
     cases += [((2, 4), seed) for seed in range(2)]
@@ -321,7 +333,7 @@ def test_newton_agrees_with_exact_route():
             if all(len(s) == 1 for s in support.supports):
                 continue  # no equations: only the exact route takes pure supports
             try:
-                exact = _exact_pair_solve(game, support)
+                exact = _unscreened(game, support)
             except SingularSystem:
                 continue
             if k is None:
@@ -356,10 +368,10 @@ def _points(profiles):
 
 
 def test_linear_supports_agree_with_newton():
-    # with at most two players mixing the slope equations are linear:
-    # solve_support solves them exactly, and Newton finds the same
-    # candidates and raises on the same supports; a pure support's one
-    # candidate is its vertex
+    # with at most two players mixing the slope equations are linear: the
+    # exact route solves them, and before its best-reply screen
+    # (_unscreened) Newton finds the same candidates and raises on the
+    # same supports; a pure support's one candidate is its vertex
     solved = 0
     for shape, seeds in [((2, 2, 2), range(4)), ((2, 3, 2), range(2)), ((2, 2, 2, 2), [0])]:
         for seed in seeds:
@@ -368,7 +380,7 @@ def test_linear_supports_agree_with_newton():
                 mixed = sum(len(s) > 1 for s in support.supports)
                 if mixed > 2:
                     continue
-                found, raised = _solved(lambda: solve_support(game, support, seed=seed))
+                found, raised = _solved(lambda: _unscreened(game, support))
                 assert all(p.exact for p in found)
                 got = _points(found)
                 if mixed == 0:
@@ -383,6 +395,63 @@ def test_linear_supports_agree_with_newton():
                     np.testing.assert_allclose(a, b, atol=1e-8)
                 solved += mixed == 2 and bool(got)
     assert solved >= 10
+
+
+def _assert_screen_is_the_check(game, support):
+    # solve_support returns exactly the unscreened candidates that pass
+    # best_reply_check, with the same Fractions, and raises where they do
+    try:
+        candidates = _unscreened(game, support)
+    except SingularSystem as exc:
+        with pytest.raises(SingularSystem) as got:
+            solve_support(game, support)
+        assert got.value.reason == exc.reason
+        witness = [None if w is None else [list(v) for v in w.weights]
+                   for w in (got.value.witness, exc.witness)]
+        assert witness[0] == witness[1], support
+        return 0
+    want = [[list(w) for w in p.weights] for p in candidates
+            if best_reply_check(game, p).all_ok]
+    got = [[list(w) for w in p.weights] for p in solve_support(game, support)]
+    assert got == want, support
+    assert all(type(x) is Fraction for p in got for w in p for x in w)
+    return len(candidates) - len(want)
+
+
+def test_exact_screen_returns_what_the_best_reply_check_passes():
+    # every support of the oddness fixture's 2x2 and 3x3 games, the linear
+    # supports of the tied 2x2x2 and 2x3x2 corpus in both modes, and those
+    # of random 2x2x2 and 2x3x2 games
+    games = [random_game(shape, seed) for shape in [(2, 2), (3, 3)]
+             for seed in range(40_000, 40_200)]
+    rng = np.random.default_rng(11)
+    for shape in [(2, 2, 2)] * 50 + [(2, 3, 2)] * 10:
+        payoffs = [rng.integers(-2, 3, shape) for _ in shape]
+        games += [make_game(shape, payoffs, mode=mode) for mode in ("float", RATIONAL)]
+    games += [random_game(shape, seed) for shape in [(2, 2, 2), (2, 3, 2)] for seed in range(10)]
+    screened = 0
+    for game in games:
+        for support in enumerate_supports(game):
+            if sum(len(s) > 1 for s in support.supports) <= 2:
+                screened += _assert_screen_is_the_check(game, support)
+    assert screened > 1000  # candidates the screen turned away
+
+
+def test_screen_reads_the_held_player():
+    # matching pennies between players 1 and 2 with player 3 at strategy
+    # 0, where strategy 1 pays player 3 more: the support's one candidate
+    # is a best reply for the two mixed players, and only the held player
+    # gains by deviating, so the support holds no equilibrium
+    pennies = np.array([[1, -1], [-1, 1]])
+    u = [np.stack([pennies, pennies], axis=2), np.stack([-pennies, -pennies], axis=2),
+         np.stack([np.zeros((2, 2), dtype=int), np.ones((2, 2), dtype=int)], axis=2)]
+    for mode in ("float", RATIONAL):
+        game = make_game((2, 2, 2), u, mode=mode)
+        support = SupportProfile(((0, 1), (0, 1), (0,)))
+        candidate, = _unscreened(game, support)
+        assert [list(w) for w in candidate.weights] == [[Fraction(1, 2)] * 2] * 2 + [[1, 0]]
+        assert best_reply_check(game, candidate).ok == (True, True, False)
+        assert solve_support(game, support) == []
 
 
 def test_linear_supports_of_a_rational_game_are_exact():
@@ -730,6 +799,64 @@ def test_exact_best_reply_check_matches_fraction_reference(case):
         values = payoff_slice_values(game, i, weights)
         assert values.dtype == object and all(type(x) is Fraction for x in values)
         assert list(values) == list(_reference_slopes(game, i, weights))
+
+
+def _brute_force_slopes(game, i, weights):
+    """Player i's slopes as a Fraction sum over every pure profile, each
+    payoff read exactly (a float as its exact binary value) times the
+    opponents' weights at that profile."""
+    slopes = [Fraction(0)] * game.strategy_counts[i]
+    for pure in itertools.product(*map(range, game.strategy_counts)):
+        term = Fraction(game.utilities[i][pure])
+        for k, s in enumerate(pure):
+            if k != i:
+                term *= Fraction(weights[k][s])
+        slopes[pure[i]] += term
+    return slopes
+
+
+def test_integer_slope_kernel_matches_a_brute_force_sum():
+    # the one integer slope kernel (forms._slope_nums) behind
+    # best_reply_check and payoff_slice_values, on 2-, 3- and 4-player
+    # games: a pure opponent is indexed, not contracted, and its one
+    # nonzero weight, 1 or not, keeps the slopes' scale
+    rng = np.random.default_rng(17)
+    pure_weights = [1, 2, -1, Fraction(1, 3), Fraction(-7, 2)]
+    checked = scaled = 0
+    for shape in [(2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (2, 3, 2, 2)]:
+        for trial in range(12):
+            payoffs = [[Fraction(int(n), int(d)) for n, d in zip(
+                rng.integers(-6, 7, math.prod(shape)), rng.integers(1, 5, math.prod(shape)))]
+                for _ in shape]
+            game = make_game(shape, payoffs, mode=(RATIONAL, "float")[trial % 2])
+            weights = []
+            for c in shape:
+                if rng.random() < 0.5:
+                    v = pure_weights[rng.integers(len(pure_weights))]
+                    w = [0] * c
+                    w[rng.integers(c)] = v
+                    scaled += v != 1
+                else:
+                    w = [0] * c
+                    while not any(w):
+                        w = [Fraction(int(n), int(d)) for n, d in
+                             zip(rng.integers(-2, 4, c), rng.integers(1, 6, c))]
+                weights.append(w)
+            profile = profile_from_weights(weights, RATIONAL)
+            report = best_reply_check(game, profile)
+            supports = support_of(profile).supports
+            for i, supp in enumerate(supports):
+                want = _brute_force_slopes(game, i, weights)
+                assert list(payoff_slice_values(game, i, weights)) == want
+                inside = [want[j] for j in supp]
+                outside = [want[j] for j in range(shape[i]) if j not in supp]
+                residual = max(inside) - min(inside)
+                margin = min(inside) - max(outside) if outside else math.inf
+                assert report.equality_residuals[i] == residual
+                assert report.inequality_margins[i] == margin
+                assert report.ok[i] == (residual == 0 and margin >= 0)
+            checked += 1
+    assert checked == 72 and scaled > 20
 
 
 def test_float_weights_on_rational_game_stay_float(bos_exact):

@@ -142,14 +142,17 @@ def test_positive_point_is_strict(strict):
     # integers are not in lowest terms (a float as its exact binary
     # value). Positivity takes no tolerance: y = strict is accepted
     # exactly when strict > 0, however small (WEIGHT_TOL = 1e-9
-    # included), and y = strict + 1 / q always is.
+    # included), and y = strict + 1 / q always is. A unique solution is
+    # decided on its simplex numerators (every one > 0), a free one by its
+    # max-min point.
     p, q = (7 * x for x in strict.as_integer_ratio())
     for num, accepted in ((p, strict > 0), (p + 1, True)):
         rows = [[-q, -num]]
         sol = solve_affine(rows, 1)
         assert sol.is_unique and sol.particular[0] == Fraction(num, q)
-        point = _positive_point(sol, rows)
-        assert point == ([1 - Fraction(num, q), Fraction(num, q)] if accepted else None)
+        nums = _simplex_nums(sol)
+        assert [Fraction(n, sol.den) for n in nums] == [1 - Fraction(num, q), Fraction(num, q)]
+        assert (min(nums) > 0) == accepted
         # one free unknown: x + y + z = 1 and q y = num, in face
         # coordinates (y, z), so the max-min point of the simplex method
         # has t* = y = num / q (below 1/3)
@@ -158,6 +161,10 @@ def test_positive_point_is_strict(strict):
         assert free.free == 1
         point = _positive_point(free, free_rows)
         assert (point is not None) == accepted
+        if accepted:
+            nums, den = point
+            assert den > 0 and min(nums) > 0 and sum(nums) == den
+            assert Fraction(nums[1], den) == Fraction(num, q)
 
 
 @st.composite
@@ -199,12 +206,13 @@ def test_face_block_matches_the_whole_block(table):
         return
     assert sol.free == len(nullspace)
     assert [Fraction(n, sol.den) for n in _simplex_nums(sol)] == particular
-    point = _positive_point(sol, rows)
     if sol.is_unique:
-        assert point == (particular if min(particular) > 0 else None)
+        assert (min(_simplex_nums(sol)) > 0) == (min(particular) > 0)
     else:
+        point = _positive_point(sol, rows)
         best, t = max_min_point(whole), _reference_max_min(whole)
-        assert point == (best[1] if best is not None and best[0] > 0 else None)
+        assert (None if point is None else [Fraction(n, point[1]) for n in point[0]]) == (
+            best[1] if best is not None and best[0] > 0 else None)
         assert (point is not None) == (t is not None and t > 0)
 
 
