@@ -24,13 +24,12 @@ block, sum rule included, since the set has a positive point exactly
 when its largest smallest weight is > 0. Both blocks' points witness a
 continuum, or make the one candidate (_integer_solution). The candidate
 is screened in Python ints before any Fraction is built
-(_integer_equilibrium): the two solved players read their best replies
-off their integer_pair_tables rows, and every held player off the one
-integer slope kernel (forms._slope_nums) that best_reply_check uses.
-Most candidates fail these off-support inequalities, so only a
-support's equilibrium becomes a Fraction profile, in either mode;
-enumerate_nash still checks it with best_reply_check, which builds its
-report, and rounds a float game's answers to float64 once, at the end.
+(_exact_pair_solve) by best_reply_check's exact rule (_exact_reply),
+player by player until the first who gains. Most candidates fail these
+off-support inequalities, so only a support's equilibrium becomes a
+Fraction profile, in either mode; enumerate_nash still checks it with
+best_reply_check, which builds its report, and rounds a float game's
+answers to float64 once, at the end.
 When three or more players mix the system is multilinear, and it (like
 a one-player game's mixed support, whose slopes are
 constants) runs the damped multistart Newton loop of
@@ -50,8 +49,7 @@ neither moves under a power-of-two payoff scaling.
 
 A point is exact when MixedProfile.exact says so (int or Fraction
 weights, in either mode), decided once per profile; its best-reply
-check then stays in integers (forms._integer_slopes: the weights become
-integer numerators once per profile) with no tolerance,
+check then stays in integers (_exact_reply) with no tolerance,
 and a certificate's `exact` is its reported point's. Float points are
 checked at CHECK_TOL in each player's payoff unit (tolerances:
 nashatlas.game), on offset-free slopes (payoff_slice_values with
@@ -73,14 +71,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
-from .forms import _integer_slopes, _integer_weights, _slope_nums, payoff_slice_values
+from .forms import _check_weights, _integer_weights, _slope_nums, payoff_slice_values
 from .genericity import (
     _family_system,
     _inf_norm,
@@ -134,41 +131,53 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     """Check the equilibrium conditions player by player.
 
     For each player the supported slope values must agree and be at
-    least every unsupported slope value. Margins are +inf for full
-    supports. Exact weights (MixedProfile.exact, in either mode) are
-    checked in integers (forms._integer_slopes): residual 0 and margin
-    >= 0, each reported as one Fraction, and the margin is on the
-    boundary when it is 0. Float weights: residual <= tol and margin >=
-    -tol, tol CHECK_TOL in player i's unit, on offset-free slopes, and
-    the margin is on the boundary when |margin| < tol.
+    least every unsupported slope value (_gaps); margins are +inf for
+    full supports. Exact weights (MixedProfile.exact, in either mode) are
+    checked in integers (_exact_reply): residual 0 and margin >= 0, each
+    reported as one Fraction, and the margin is on the boundary when it
+    is 0. Float weights: residual <= tol and margin >= -tol, tol
+    CHECK_TOL in player i's unit, on offset-free slopes, and the margin
+    is on the boundary when |margin| < tol.
     """
+    _check_weights(game, profile.weights)
     supports = support_of(profile).supports
     if profile.exact:
-        exact = _integer_slopes(game, profile.weights, range(game.num_players))
+        nums = [_integer_weights(w) for w in profile.weights]
     oks, residuals, margins, boundary = [], [], [], []
-    for i in range(game.num_players):
+    for i, supp in enumerate(supports):
         if profile.exact:
-            c, den = exact[i]
-        else:
-            c = payoff_slice_values(game, i, profile.weights, relative=True)
-        supp = supports[i]
-        inside = [c[j] for j in supp]
-        outside = [c[j] for j in range(game.strategy_counts[i]) if j not in supp]
-        residual = max(inside) - min(inside)
-        margin = math.inf if not outside else min(inside) - max(outside)
-        if profile.exact:
-            oks.append(residual == 0 and margin >= 0)
+            ok, residual, margin, den = _exact_reply(game, i, supp, nums)
             boundary.append(margin == 0)
             residual = Fraction(residual, den)
-            if outside:
-                margin = Fraction(margin, den)
+            margin = margin if margin == math.inf else Fraction(margin, den)
         else:
+            residual, margin = _gaps(payoff_slice_values(game, i, profile.weights, relative=True),
+                                     supp)
             tol = math.ldexp(CHECK_TOL, game.payoff_exponents[i])
-            oks.append(residual <= tol and margin >= -tol)
+            ok = residual <= tol and margin >= -tol
             boundary.append(abs(margin) < tol)
+        oks.append(ok)
         residuals.append(residual)
         margins.append(margin)
     return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins), tuple(boundary))
+
+
+def _gaps(slopes, supp) -> tuple:
+    """(residual, margin) of slopes at supp: the spread of the supported
+    slopes, and their least minus the largest unsupported one (or inf)."""
+    inside = [slopes[j] for j in supp]
+    outside = [x for j, x in enumerate(slopes) if j not in supp]
+    low = min(inside)
+    return max(inside) - low, (low - max(outside) if outside else math.inf)
+
+
+def _exact_reply(game: FiniteGame, i: int, supp, nums) -> tuple:
+    """The one exact best-reply rule at integer weights ``nums``
+    (forms._slope_nums): (ok, residual, margin, den), the _gaps over den,
+    and ok when the residual is 0 and the margin >= 0."""
+    slopes, den = _slope_nums(game, i, nums)
+    residual, margin = _gaps(slopes, supp)
+    return residual == 0 and margin >= 0, residual, margin, den
 
 
 def enumerate_supports(game: FiniteGame) -> tuple[SupportProfile, ...]:
@@ -223,38 +232,20 @@ def _positive_point(sol: AffineSolutionSet, rows) -> tuple[list[int], int] | Non
     """
     full = [[-row[-1]] + [x - row[-1] for x in row] for row in rows]
     best = max_min_point(full + [[1] * (len(sol.nums) + 2)])
-    return _integer_weights(best[1]) if best is not None and best[0] > 0 else None
+    return best[1:] if best is not None and best[0] > 0 else None
 
 
-def _solved_players(game: FiniteGame, support: SupportProfile):
-    """(pair, at) for a support on which at most two players mix: the
-    players pair = (i, j), i < j, whose weights are solved for, and the
-    strategies `at` of every other player, in player order, held at its
-    one strategy. Both players of a two-player game are solved; otherwise
-    the mixed players, with a pure partner when one mixes, or none when no
-    player mixes."""
-    supports = support.supports
-    if game.num_players == 2:
-        return (0, 1), ()
-    mixed = [k for k, s in enumerate(supports) if len(s) > 1]
-    if len(mixed) == 1:
-        # a pure partner: its block holds the lone mixed player's slope
-        # differences, constants that tie or not
-        mixed.append(next(k for k, s in enumerate(supports) if len(s) == 1))
-    return tuple(sorted(mixed)), tuple(s[0] for k, s in enumerate(supports) if k not in mixed)
-
-
-def _integer_solution(game: FiniteGame, support: SupportProfile, pair, at):
+def _integer_solution(game: FiniteGame, support: SupportProfile):
     """The support's candidate before any best-reply test: the weights
     that solve its slope equalities and are all > 0, as one (numerators,
     den) per player over its whole strategy set, den > 0; None when there
-    are none. The solved players `pair` (_solved_players) solve linear
-    systems built from each other's slope equalities, in face coordinates
-    (_face_block) as the Newton route does; every held player is e_s at
-    its strategy in `at`, and with no pair the candidate is the support's
-    vertex. Exact: the payoffs enter as integers (game.integer_pair_tables,
-    integer_utilities sliced at `at`), and the positive scale they carry
-    does not change the solution set.
+    are none. Two players i < j are solved for (both of a two-player
+    game, else the mixed ones, with a pure partner when one mixes), from
+    each other's slope equalities, in face coordinates (_face_block) as
+    the Newton route does; every other player is held at its one strategy,
+    and with none mixed the candidate is the support's vertex. Exact: the
+    payoffs enter as integers (game.integer_pair_tables), and the positive
+    scale they carry does not change the solution set.
 
     One pass looks for a positive point block by block and stops at the
     first block without one: a unique solution is decided on its integer
@@ -263,6 +254,16 @@ def _integer_solution(game: FiniteGame, support: SupportProfile, pair, at):
     SingularSystem, with both blocks' points as its witness (a Fraction
     profile) when both have one."""
     supports = support.supports
+    if game.num_players == 2:
+        pair, at = (0, 1), ()
+    else:
+        pair = [k for k, s in enumerate(supports) if len(s) > 1]
+        if len(pair) == 1:
+            # a pure partner: its block holds the lone mixed player's slope
+            # differences, constants that tie or not
+            pair.append(next(k for k, s in enumerate(supports) if len(s) == 1))
+        pair = tuple(sorted(pair))
+        at = tuple(s[0] for k, s in enumerate(supports) if k not in pair)
     found, unique = {}, True
     if pair:
         i, j = pair
@@ -297,29 +298,6 @@ def _integer_solution(game: FiniteGame, support: SupportProfile, pair, at):
                          witness=_rational_profile(point))
 
 
-def _is_best_reply(slopes: list[int], supp) -> bool:
-    """Whether the strategies in supp, whose slopes agree, reach the
-    largest slope."""
-    return max(slopes) <= slopes[supp[0]]
-
-
-def _integer_equilibrium(game: FiniteGame, support: SupportProfile, point, pair, at) -> bool:
-    """Whether every player's support is a best reply at the integer
-    candidate ``point`` (_integer_solution), decided in Python ints with
-    no tolerance; best_reply_check stays the authority on what passes.
-    The solved players read their slopes off their integer_pair_tables
-    rows; every other player's come from the integer slope kernel
-    (forms._slope_nums), which indexes the pure opponents."""
-    supports = support.supports
-    if pair:
-        for k, table, other in zip(pair, game.integer_pair_tables(pair, at), pair[::-1]):
-            w = point[other][0]
-            if not _is_best_reply([sum(map(operator.mul, row, w)) for row in table], supports[k]):
-                return False
-    return all(_is_best_reply(_slope_nums(game, k, point)[0], supports[k])
-               for k in range(game.num_players) if k not in pair)
-
-
 def _rational_profile(point) -> MixedProfile:
     """The Fraction profile of integer weights, one (numerators, den) per
     player."""
@@ -331,13 +309,13 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile) -> list[MixedPr
     """Supports on which at most two players mix: the support's
     equilibrium, as a one-element list of a Fraction profile in either
     mode, with e_s on every held player, or []. The candidate
-    (_integer_solution) is screened in integers (_integer_equilibrium)
-    and becomes a Fraction profile only when it passes; a
-    positive-dimensional solution set raises SingularSystem from
-    _integer_solution."""
-    pair, at = _solved_players(game, support)
-    point = _integer_solution(game, support, pair, at)
-    if point is None or not _integer_equilibrium(game, support, point, pair, at):
+    (_integer_solution) is screened in integers by the exact rule
+    (_exact_reply), player by player until the first who gains, and
+    becomes a Fraction profile only when it passes; a positive-dimensional
+    solution set raises SingularSystem from _integer_solution."""
+    point = _integer_solution(game, support)
+    if point is None or not all(_exact_reply(game, k, supp, point)[0]
+                                for k, supp in enumerate(support.supports)):
         return []
     return [_rational_profile(point)]
 

@@ -16,8 +16,8 @@ integer numerators over one positive denominator, and the number of
 free unknowns, which is all a support block needs. Its ``particular``
 builds the canonical ``Fraction`` entries only when asked. max_min_point
 runs a two-phase simplex method with Bland's rule on the same pivot
-(integer pivoting, as in Avis's lrs), and builds its answer as one
-``Fraction`` per entry.
+(integer pivoting, as in Avis's lrs), and answers in integer numerators
+over its final denominator.
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def solve_affine(rows: list[list[int]], n: int) -> AffineSolutionSet:
     return AffineSolutionSet(nums=nums, den=sign * den, free=n - len(pivots))
 
 
-def max_min_point(rows: list[list[int]]) -> tuple[Fraction, list[Fraction]] | None:
+def max_min_point(rows: list[list[int]]) -> tuple[int, list[int], int] | None:
     """The largest t with A w = b, given as integer rows [A | b], and every
-    w_j >= t >= 0, and a point w attaining it; None when A w = b has no
-    nonnegative solution.
+    w_j >= t >= 0, and a point w attaining it, as (t d, w d, d) over one
+    positive d; None when A w = b has no nonnegative solution.
 
     Exact two-phase simplex on w = s + t * 1 over the unknowns
     (s, t) >= 0. It needs b >= 0 and a bounded t; a row of ones (a sum
@@ -131,8 +131,8 @@ def max_min_point(rows: list[list[int]]) -> tuple[Fraction, list[Fraction]] | No
     basic at zero are pivoted out, or their rows dropped as redundant.
     Phase 2 maximises t from that feasible basis. Bland's rule keeps the
     degenerate pivots of tied systems from cycling. Pivots are
-    fraction-free as in rref, over one positive common denominator, and
-    only the answer is built as Fractions.
+    fraction-free as in rref, over one positive common denominator, the
+    answer's d.
     """
     n, m = len(rows[0]) - 1, len(rows)
     # columns: s_0 .. s_{n-1}, t, one artificial per row, right-hand side
@@ -166,7 +166,7 @@ def max_min_point(rows: list[list[int]]) -> tuple[Fraction, list[Fraction]] | No
     for i, var in enumerate(basis):
         value[var] = tab[i][-1]
     t = value[n]
-    return Fraction(t, d), [Fraction(v + t, d) for v in value[:n]]
+    return t, [v + t for v in value[:n]], d
 
 
 def _bland(tab: list[list[int]], basis: list[int], d: int, ncols: int) -> int:

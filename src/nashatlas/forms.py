@@ -18,17 +18,17 @@ read in each opponent's chart tilde_0 = 1.
 payoff_slice_values gives player i's payoff slopes, one per own pure
 strategy, against the others' weights. When the weights are exact
 (game._exact, the test behind MixedProfile.exact: int or Fraction
-weights, in either mode, since float payoffs are dyadic) they are
-contracted in Python ints (_integer_slopes: each player's weights
-become integer numerators over one positive denominator once per
-profile, then the one integer slope kernel, _slope_nums, indexes the
-integer payoff tensor at pure opponents and contracts it with the
-others); otherwise float64.
+weights, in either mode, since float payoffs are dyadic) they become
+integer numerators over one positive denominator (_integer_weights) for
+the one integer slope kernel, _slope_nums: it indexes pure opponents,
+takes row products over FiniteGame.integer_pair_tables when one
+opponent mixes, and contracts when more do; otherwise float64.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -182,11 +182,26 @@ def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
     """Player i's payoff as a homogeneous form in all blocks (the
     multilinear extension of the pure payoff tensor). Player i is 0-based
     and integral (2.0 is player 2); a ValueError for one outside the game
-    names it 1-based."""
+    names it 1-based (_player)."""
+    return MultilinearForm(tuple(range(game.num_players)), game.utilities[_player(game, i)].copy())
+
+
+def _player(game: FiniteGame, i) -> int:
     i = _integral(i, "player")
     if not 0 <= i < game.num_players:
         raise ValueError(f"no player {i + 1}")
-    return MultilinearForm(tuple(range(game.num_players)), game.utilities[i].copy())
+    return i
+
+
+def _check_weights(game: FiniteGame, weights) -> None:
+    """One weight vector per player, each of that player's strategy
+    count, or a ValueError naming the 1-based player."""
+    if len(weights) > game.num_players:
+        raise ValueError(f"no player {game.num_players + 1}")
+    for i, c in enumerate(game.strategy_counts):
+        got = len(weights[i]) if i < len(weights) else 0
+        if got != c:
+            raise ValueError(f"player {i + 1} takes {c} weights, got {got}")
 
 
 # Basis change between the natural weights gamma and the homogenized
@@ -287,12 +302,15 @@ def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = Fals
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
-    Exact weights (game._exact) give Fractions, contracted in integers by
-    _integer_slopes; otherwise the floats are contracted, relative ones
-    subtracted before rounding, so that an offset adds no rounding error.
+    Inputs are checked (_player, _check_weights). Exact weights
+    (game._exact) give Fractions, computed in integers by _slope_nums;
+    otherwise the floats are contracted, relative ones subtracted before
+    rounding, so that an offset adds no rounding error.
     """
+    i = _player(game, i)
+    _check_weights(game, weights)
     if _exact(weights):
-        (nums, den), = _integer_slopes(game, weights, (i,))
+        nums, den = _slope_nums(game, i, [_integer_weights(w) for w in weights])
         base = nums[0] if relative else 0
         return np.array([Fraction(n - base, den) for n in nums], dtype=object)
     t = game.utilities[i]
@@ -301,16 +319,6 @@ def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = Fals
         None if k == i else _coerce_vector(weights[k], False)
         for k in range(game.num_players)
     ])
-
-
-def _integer_slopes(game: FiniteGame, weights, players) -> list[tuple[list[int], int]]:
-    """The payoff slopes (payoff_slice_values) of each player in
-    ``players`` at exact weights, each as integer numerators over one
-    positive denominator: the weights (ints or Fractions) become integer
-    numerators (_integer_weights) once, then _slope_nums contracts them.
-    """
-    nums = [_integer_weights(w) for w in weights]
-    return [_slope_nums(game, i, nums) for i in players]
 
 
 def _integer_weights(w) -> tuple[list[int], int]:
@@ -328,27 +336,32 @@ def _slope_nums(game: FiniteGame, i: int, nums) -> tuple[list[int], int]:
     the opponents' dens.
 
     An opponent whose numerators have one nonzero entry v, at strategy s,
-    is indexed at s, and v multiplies the result, so the scale is the
-    contraction's; the other opponents contract with the integer payoff
+    is held at s, and v multiplies the result, so the scale is the
+    contraction's. One mixed opponent takes row products over
+    game.integer_pair_tables; more contract with the integer payoff
     tensor (contract, object dtype).
     """
     ints, den = game.integer_utilities[i]
-    index, vectors, factor = [], [], 1
+    held, mixed, factor = {}, [], 1
     for k, (vec, d) in enumerate(nums):
         if k == i:
-            index.append(slice(None))
-            vectors.append(None)
             continue
         den *= d
-        nonzero = [s for s, x in enumerate(vec) if x]
-        if len(nonzero) == 1:
-            index.append(nonzero[0])
-            factor *= vec[nonzero[0]]
+        if vec.count(0) == len(vec) - 1:
+            v = next(filter(None, vec))
+            held[k] = vec.index(v)
+            factor *= v
         else:
-            index.append(slice(None))
-            vectors.append(np.array(vec, dtype=object))
-    t = ints[tuple(index)]
-    if len(vectors) > 1:
-        t = contract(t, vectors)
-    slopes = t.tolist()
+            mixed.append(k)
+    if len(mixed) == 1:
+        j, w = mixed[0], nums[mixed[0]][0]
+        pair = (i, j) if i < j else (j, i)
+        table = game.integer_pair_tables(pair, tuple(held.values()))[pair.index(i)]
+        slopes = [sum(map(operator.mul, row, w)) for row in table]
+    else:
+        t = ints[tuple(held.get(k, slice(None)) for k in range(len(nums)))]
+        if mixed:
+            t = contract(t, [None if k == i else np.array(nums[k][0], dtype=object)
+                             for k in sorted([i, *mixed])])
+        slopes = t.tolist()
     return (slopes if factor == 1 else [factor * x for x in slopes]), den

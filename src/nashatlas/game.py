@@ -95,7 +95,8 @@ class FiniteGame:
         sliced with every other player held at its strategy in `at` (in
         player order): per player of the pair, nested lists of Python ints
         indexed [own strategy][partner strategy] (j's table transposed).
-        Built once per (pair, at)."""
+        Built once per (pair, at), for the exact support solve
+        (equilibrium._integer_solution) and forms._slope_nums."""
         tables = self._pair_tables.get((pair, at))
         if tables is None:
             fixed = iter(at)
@@ -205,8 +206,10 @@ def make_game(
         flat = np.asarray(u, dtype=object).reshape(-1)
         if flat.size != size:
             raise ValueError(f"utility tensor {i} has {flat.size} entries, expected {size}")
-        arr = _numbers(flat, mode).reshape(counts)
-        if mode == FLOAT and not np.isfinite(arr).all():
+        # inf and nan have no Fraction: rational mode tests its floats first
+        finite = mode == FLOAT or all(math.isfinite(x) for x in flat if isinstance(x, float))
+        arr = _numbers(flat, mode).reshape(counts) if finite else None
+        if not finite or mode == FLOAT and not np.isfinite(arr).all():
             raise ValueError(f"utility tensor {i} contains non-finite entries")
         tensors.append(arr)
     return FiniteGame(counts, tuple(tensors), mode=mode)
@@ -216,6 +219,8 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"cannot convert {x!r} to Fraction")
         return Fraction(x)  # exact binary value
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))

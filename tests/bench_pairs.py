@@ -16,9 +16,12 @@ in which the change reads better, by the metric's ``better`` direction
 (ties count for neither side). ``gain`` says whether a claim of a gain
 would hold: wins in at least nine tenths of the pairs, and medians apart,
 in the better direction, by more than the distance between the parent's
-quartiles. A run that fails, or whose result is not ``correct``, stops the
-script with exit code 1. The script is not a test module: pytest does not
-collect it.
+quartiles. ``worse`` says whether the change's median is worse than the
+parent's by more than the metric's ``bound``, a fraction of the parent's
+median: the no-regression test of a change that claims no gain. Several
+workloads may follow one ``--workload``. A run that fails, or whose
+result is not ``correct``, stops the script with exit code 1. The script
+is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -56,14 +59,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarise(metric: dict, parent: list[float], change: list[float]) -> str:
-    """One line: each side's median [quartiles], wins and the gain verdict."""
+    """One line: each side's median [quartiles], wins, and the gain and
+    regression verdicts."""
     sign = 1 if metric["better"] == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
     gain = wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1
+    worse = sign * (cm - pm) < -metric["bound"] * abs(pm)
     return (f"  {metric['name']:15s} parent {pm:10.4g} [{p1:.4g}, {p3:.4g}]"
             f"  change {cm:10.4g} [{c1:.4g}, {c3:.4g}]"
-            f"  wins {wins}/{len(parent)}  gain {'yes' if gain else 'no'}")
+            f"  wins {wins}/{len(parent)}  gain {'yes' if gain else 'no'}"
+            f"  worse {'yes' if worse else 'no'}")
 
 
 def main(argv: list[str]) -> int:
@@ -73,7 +79,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=names)
+    parser.add_argument("--workload", action="extend", nargs="+", choices=names)
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:

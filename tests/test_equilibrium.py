@@ -306,8 +306,7 @@ def _unscreened(game, support):
     positive solution of the slope equalities, as Fraction profiles. A
     positive-dimensional solution set raises SingularSystem, as
     solve_support does."""
-    pair, at = equilibrium._solved_players(game, support)
-    point = equilibrium._integer_solution(game, support, pair, at)
+    point = equilibrium._integer_solution(game, support)
     return [] if point is None else [equilibrium._rational_profile(point)]
 
 

@@ -211,9 +211,17 @@ def test_face_block_matches_the_whole_block(table):
     else:
         point = _positive_point(sol, rows)
         best, t = max_min_point(whole), _reference_max_min(whole)
+        best = best and _fractions(best)
         assert (None if point is None else [Fraction(n, point[1]) for n in point[0]]) == (
             best[1] if best is not None and best[0] > 0 else None)
         assert (point is not None) == (t is not None and t > 0)
+
+
+def _fractions(answer):
+    """max_min_point's integer answer (t d, w d, d) as (t, w) in Fractions."""
+    t, w, d = answer
+    assert d > 0 and all(type(x) is int for x in [t, *w, d])
+    return Fraction(t, d), [Fraction(x, d) for x in w]
 
 
 def _reference_max_min(rows):
@@ -265,23 +273,22 @@ def test_max_min_point_matches_basis_search(rows):
     if want is None:
         assert got is None
         return
-    t, point = got
+    t, point = _fractions(got)
     assert t == want
-    assert all(type(x) is Fraction for x in point)
     assert all(sum(a * w for a, w in zip(row[:-1], point)) == row[-1] for row in rows)
     assert min(point) >= t
 
 
 def test_max_min_point_examples():
     # w0 + w2 = 3 w1 on the simplex: w1 = 1/4 is the smallest entry
-    assert max_min_point([[1, -3, 1, 0], [1, 1, 1, 1]]) == (
+    assert _fractions(max_min_point([[1, -3, 1, 0], [1, 1, 1, 1]])) == (
         Fraction(1, 4), [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     # w0 + w1 = 0 forces a zero weight: optimum t = 0, still a point
-    assert max_min_point([[1, 1, 0, 0], [1, 1, 1, 1]]) == (0, [0, 0, 1])
+    assert _fractions(max_min_point([[1, 1, 0, 0], [1, 1, 1, 1]])) == (0, [0, 0, 1])
     # w0 - w1 = 3 with w0 + w1 = 1 has no nonnegative solution
     assert max_min_point([[1, -1, 3], [1, 1, 1]]) is None
     # zero and repeated rows are redundant
-    assert max_min_point([[0, 0, 0], [2, -2, 0], [1, -1, 0], [1, 1, 1]]) == (
+    assert _fractions(max_min_point([[0, 0, 0], [2, -2, 0], [1, -1, 0], [1, 1, 1]])) == (
         Fraction(1, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from nashatlas import (
     RATIONAL,
     MultilinearForm,
+    best_reply_check,
     from_tilde_coordinates,
     homogeneous_decomposition,
     lambda_decomposition,
@@ -69,10 +70,21 @@ def test_mp_payoff_value(mp_float):
     assert form.eval(w) == pytest.approx(-0.08)
 
 
+def pure_slices(game, i):
+    """payoff_slice_values of player i at every player's first strategy."""
+    return payoff_slice_values(game, i, [[1] + [0] * (c - 1) for c in game.strategy_counts])
+
+
 @pytest.mark.parametrize("i", [-1, 2])
 def test_payoff_form_names_the_player_1_based(mp_float, i):
     with pytest.raises(ValueError, match=f"^no player {i + 1}$"):
         payoff_form(mp_float, i)
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_payoff_slice_values_names_the_player_1_based(mp_float, i):
+    with pytest.raises(ValueError, match=f"^no player {i + 1}$"):
+        pure_slices(mp_float, i)
 
 
 def test_payoff_form_takes_an_integral_float_player(mp_float):
@@ -83,7 +95,7 @@ def test_payoff_form_takes_an_integral_float_player(mp_float):
     np.testing.assert_array_equal(dec.kappa.coeffs, want.kappa.coeffs)
 
 
-@pytest.mark.parametrize("call", [payoff_form, lambda_decomposition])
+@pytest.mark.parametrize("call", [payoff_form, lambda_decomposition, pure_slices])
 def test_a_fractional_player_is_a_value_error(mp_float, call):
     with pytest.raises(ValueError, match="^player 0.5 is not an integer$"):
         call(mp_float, 0.5)
@@ -93,6 +105,16 @@ def test_a_fractional_player_is_a_value_error(mp_float, call):
     (lambda g: MultilinearForm((0,), np.zeros((2, 2))), "blocks/pinned must match tensor rank"),
     (lambda g: payoff_form(g, 0).eval([np.zeros(3), np.zeros(2)]), "block 0: expected length 2"),
     (lambda g: payoff_form(g, 0).eval([]), "form takes 2 block vectors, got 0"),
+    # one weight vector per player, each of that player's length, in either mode
+    (lambda g: payoff_slice_values(g, 0, [[1, 0], [1, 0, 0]]), "player 2 takes 2 weights, got 3"),
+    (lambda g: payoff_slice_values(g, 0, [[0.5, 0.5], [1.0, 0.0, 0.0]]),
+     "player 2 takes 2 weights, got 3"),
+    (lambda g: best_reply_check(g, profile_from_weights([[1, 0], [1, 0, 0]], RATIONAL)),
+     "player 2 takes 2 weights, got 3"),
+    (lambda g: best_reply_check(g, profile_from_weights([[1, 0], [1, 0, 0]])),
+     "player 2 takes 2 weights, got 3"),
+    (lambda g: payoff_slice_values(g, 1, [[1, 0]]), "player 2 takes 2 weights, got 0"),
+    (lambda g: payoff_slice_values(g, 1, [[0.5, 0.5]] * 3), "no player 3"),
 ])
 def test_input_errors_name_the_bad_input(mp_float, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

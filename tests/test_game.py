@@ -17,6 +17,7 @@ from nashatlas import (
     SupportProfile,
     best_reply_check,
     enumerate_nash,
+    chart_point,
     good_family,
     make_game,
     parse_game,
@@ -41,6 +42,15 @@ from nashatlas import game as game_module
      "utility tensor 0 contains non-finite entries"),
     (lambda: make_game((2, 2), [np.array([[None, 0], [0, 0]]), np.zeros((2, 2))], mode=RATIONAL),
      TypeError, "cannot convert None to Fraction"),
+    # rational mode: the float mode's message, not float.as_integer_ratio's error
+    (lambda: make_game((2, 2), [[0] * 4, [np.inf, 0, 0, 0]], mode=RATIONAL), ValueError,
+     "utility tensor 1 contains non-finite entries"),
+    (lambda: make_game((2, 2), [[0] * 4, [0, np.nan, 0, 0]], mode=RATIONAL), ValueError,
+     "utility tensor 1 contains non-finite entries"),
+    (lambda: profile_from_weights([[np.inf, 0], [1, 0]], RATIONAL), ValueError,
+     "cannot convert inf to Fraction"),
+    (lambda: chart_point(random_game((2, 2), seed=1), (0, 0), [[np.nan], [0]], mode=RATIONAL),
+     ValueError, "cannot convert nan to Fraction"),
     (lambda: support_of(profile_from_weights([[0.0, 0.0], [1.0, 0.0]])), ValueError,
      "profile has an all-zero weight vector"),
     (lambda: random_game((2, 2), seed=1, distribution="cauchy"), ValueError,
