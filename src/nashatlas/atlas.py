@@ -262,18 +262,16 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
 
 
 def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
-    """Membership test. An exact form (a rational game) at an exact point
-    (game._exact on its chart coordinates) is a member only when its
-    value is 0; otherwise |defining value| <= MEMBERSHIP_TOL after
-    normalizing the form by its largest coefficient. An identically zero
-    form means the hypersurface degenerated to the whole space, so every
-    point passes.
+    """Membership test: |defining value| <= tol after normalizing the
+    form by its largest coefficient, tol 0 for an exact form (a rational
+    game) at an exact point (game._exact on its chart coordinates), else
+    MEMBERSHIP_TOL. An identically zero form means the hypersurface
+    degenerated to the whole space, so every point passes.
     """
     form = defining_map(game, h, point.chart)
     value = form.eval([point.coords[b] for b in form.blocks])
-    if form.is_rational and _exact(point.coords):
-        return value == 0
-    return abs(value) <= MEMBERSHIP_TOL * form.max_abs_coeff()
+    tol = 0 if form.is_rational and _exact(point.coords) else MEMBERSHIP_TOL
+    return abs(value) <= tol * form.max_abs_coeff()
 
 
 def format_chart(chart) -> str:

@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from .atlas import (
     transition,
 )
 from .equilibrium import EnumerationResult, enumerate_nash, support_label
-from .forms import lambda_decomposition, payoff_form
+from .forms import lambda_decomposition, payoff_slice_values
 from .game import (
     FLOAT,
     RATIONAL,
@@ -224,13 +225,19 @@ def _solve_payload(result: EnumerationResult, payoffs) -> dict:
     }
 
 
+def _payoffs(game: FiniteGame, point) -> list:
+    """Each player's payoff at point, sum_s w_s * slope_s, exactly
+    (payoff_slice_values); rounded once to float in a float game."""
+    weights = point.weights if point.exact else [[Fraction(x) for x in w] for w in point.weights]
+    values = [sum(map(operator.mul, w, payoff_slice_values(game, i, weights)))
+              for i, w in enumerate(weights)]
+    return values if game.mode == RATIONAL else list(map(float, values))
+
+
 def _cmd_solve(args):
     game = _load_game(args)
     result = enumerate_nash(game, seed=args.seed)
-    forms = [payoff_form(game, i) for i in range(game.num_players)]
-    payoffs = [
-        [f.eval(list(cert.point.weights)) for f in forms] for cert in result.equilibria
-    ]
+    payoffs = [_payoffs(game, cert.point) for cert in result.equilibria]
     lines = [
         f"game: {game.num_players} players, strategies "
         + "x".join(map(str, game.strategy_counts))

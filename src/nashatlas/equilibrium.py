@@ -24,7 +24,7 @@ block, sum rule included, since the set has a positive point exactly
 when its largest smallest weight is > 0. Both blocks' points witness a
 continuum, or make the one candidate (_integer_solution). The candidate
 is screened in Python ints before any Fraction is built
-(_exact_pair_solve) by best_reply_check's exact rule (_exact_reply),
+(_exact_pair_solve) by best_reply_check's rule (_reply) at tolerance 0,
 player by player until the first who gains. Most candidates fail these
 off-support inequalities, so only a support's equilibrium becomes a
 Fraction profile, in either mode; enumerate_nash still checks it with
@@ -47,15 +47,15 @@ Every equilibrium is certified from that same face system
 full rank. Rank and smallest singular value are in payoff units, so
 neither moves under a power-of-two payoff scaling.
 
-A point is exact when MixedProfile.exact says so (int or Fraction
-weights, in either mode), decided once per profile; its best-reply
-check then stays in integers (_exact_reply) with no tolerance,
-and a certificate's `exact` is its reported point's. Float points are
-checked at CHECK_TOL in each player's payoff unit (tolerances:
-nashatlas.game), on offset-free slopes (payoff_slice_values with
-relative=True). The check also says which margins are on the boundary
-(0 exactly, or below that tolerance), and so which certificates are
-boundary-degenerate.
+Every best-reply test, the screen's and best_reply_check's, is one
+computation in integers (_reply; a float weight is a dyadic rational)
+and one rule. Exactness (MixedProfile.exact: int or Fraction weights,
+in either mode, decided once per profile) picks only the tolerance, 0
+or CHECK_TOL in each player's payoff unit (tolerances: nashatlas.game),
+and whether the report holds Fractions or the exact values rounded once
+to float; a certificate's `exact` is its reported point's. The check
+also says which margins are on the boundary (0 exactly, or below the
+tolerance), and so which certificates are boundary-degenerate.
 Equilibria are told apart by support: each candidate has the support
 it was solved on, and Newton roots of one support are already merged
 at DEDUP_TOL.
@@ -71,12 +71,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
+# payoff_slice_values is not called here: bench/spans.py traces it under this name
 from .forms import _check_weights, _integer_weights, _slope_nums, payoff_slice_values
 from .genericity import (
     _family_system,
@@ -131,53 +133,48 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     """Check the equilibrium conditions player by player.
 
     For each player the supported slope values must agree and be at
-    least every unsupported slope value (_gaps); margins are +inf for
-    full supports. Exact weights (MixedProfile.exact, in either mode) are
-    checked in integers (_exact_reply): residual 0 and margin >= 0, each
-    reported as one Fraction, and the margin is on the boundary when it
-    is 0. Float weights: residual <= tol and margin >= -tol, tol
-    CHECK_TOL in player i's unit, on offset-free slopes, and the margin
-    is on the boundary when |margin| < tol.
+    least every unsupported slope value (_reply, one rule in integers);
+    margins are +inf for full supports. Exact weights (MixedProfile.exact,
+    in either mode) take tolerance 0 and are reported as Fractions; float
+    weights take CHECK_TOL in player i's unit and are reported as the
+    exact values rounded once to float.
     """
     _check_weights(game, profile.weights)
     supports = support_of(profile).supports
-    if profile.exact:
-        nums = [_integer_weights(w) for w in profile.weights]
+    nums = [_integer_weights(w) for w in profile.weights]
+    number = Fraction if profile.exact else operator.truediv
     oks, residuals, margins, boundary = [], [], [], []
     for i, supp in enumerate(supports):
-        if profile.exact:
-            ok, residual, margin, den = _exact_reply(game, i, supp, nums)
-            boundary.append(margin == 0)
-            residual = Fraction(residual, den)
-            margin = margin if margin == math.inf else Fraction(margin, den)
-        else:
-            residual, margin = _gaps(payoff_slice_values(game, i, profile.weights, relative=True),
-                                     supp)
-            tol = math.ldexp(CHECK_TOL, game.payoff_exponents[i])
-            ok = residual <= tol and margin >= -tol
-            boundary.append(abs(margin) < tol)
+        tol = 0 if profile.exact else math.ldexp(CHECK_TOL, game.payoff_exponents[i])
+        ok, on_boundary, residual, margin, den = _reply(game, i, supp, nums, tol)
         oks.append(ok)
-        residuals.append(residual)
-        margins.append(margin)
+        boundary.append(on_boundary)
+        residuals.append(number(residual, den))
+        margins.append(margin if margin == math.inf else number(margin, den))
     return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins), tuple(boundary))
 
 
-def _gaps(slopes, supp) -> tuple:
-    """(residual, margin) of slopes at supp: the spread of the supported
-    slopes, and their least minus the largest unsupported one (or inf)."""
+def _reply(game: FiniteGame, i: int, supp, nums, tol) -> tuple:
+    """The one best-reply rule for player i on supp at integer weights
+    ``nums`` (forms._slope_nums), at tolerance ``tol`` (an int or a float,
+    taken exactly) in payoff units: (ok, boundary, residual, margin, den),
+    the residual the spread of the supported slopes and the margin their
+    least minus the largest unsupported one (or inf), both over den. ok
+    when residual <= tol and margin >= -tol, boundary when the margin is
+    0 or |margin| < tol."""
+    slopes, den = _slope_nums(game, i, nums)
     inside = [slopes[j] for j in supp]
     outside = [x for j, x in enumerate(slopes) if j not in supp]
     low = min(inside)
-    return max(inside) - low, (low - max(outside) if outside else math.inf)
-
-
-def _exact_reply(game: FiniteGame, i: int, supp, nums) -> tuple:
-    """The one exact best-reply rule at integer weights ``nums``
-    (forms._slope_nums): (ok, residual, margin, den), the _gaps over den,
-    and ok when the residual is 0 and the margin >= 0."""
-    slopes, den = _slope_nums(game, i, nums)
-    residual, margin = _gaps(slopes, supp)
-    return residual == 0 and margin >= 0, residual, margin, den
+    residual = max(inside) - low
+    # x / den <= tol = p / q as x * q <= p * den; q may exceed any float
+    p, q = tol.as_integer_ratio()
+    limit = p * den
+    if not outside:
+        return residual * q <= limit, False, residual, math.inf, den
+    margin = low - max(outside)
+    return (residual * q <= limit and margin * q >= -limit,
+            margin == 0 or abs(margin) * q < limit, residual, margin, den)
 
 
 def enumerate_supports(game: FiniteGame) -> tuple[SupportProfile, ...]:
@@ -309,12 +306,12 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile) -> list[MixedPr
     """Supports on which at most two players mix: the support's
     equilibrium, as a one-element list of a Fraction profile in either
     mode, with e_s on every held player, or []. The candidate
-    (_integer_solution) is screened in integers by the exact rule
-    (_exact_reply), player by player until the first who gains, and
+    (_integer_solution) is screened in integers by the one rule (_reply)
+    at tolerance 0, player by player until the first who gains, and
     becomes a Fraction profile only when it passes; a positive-dimensional
     solution set raises SingularSystem from _integer_solution."""
     point = _integer_solution(game, support)
-    if point is None or not all(_exact_reply(game, k, supp, point)[0]
+    if point is None or not all(_reply(game, k, supp, point, 0)[0]
                                 for k, supp in enumerate(support.supports)):
         return []
     return [_rational_profile(point)]

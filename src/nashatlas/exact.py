@@ -13,8 +13,7 @@ division by 1 is skipped. rref and solve_affine run Gauss-Jordan
 elimination with it, which replaces rows and never edits an input row;
 solve_affine reports an AffineSolutionSet: one particular solution as
 integer numerators over one positive denominator, and the number of
-free unknowns, which is all a support block needs. Its ``particular``
-builds the canonical ``Fraction`` entries only when asked. max_min_point
+free unknowns, which is all a support block needs. max_min_point
 runs a two-phase simplex method with Bland's rule on the same pivot
 (integer pivoting, as in Avis's lrs), and answers in integer numerators
 over its final denominator.
@@ -23,7 +22,6 @@ over its final denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass
@@ -40,13 +38,6 @@ class AffineSolutionSet:
     nums: list[int] | None
     den: int
     free: int
-
-    @property
-    def particular(self) -> list[Fraction] | None:
-        """The solution ``nums`` / ``den`` as Fractions (None when empty)."""
-        if self.nums is None:
-            return None
-        return [Fraction(n, self.den) for n in self.nums]
 
     @property
     def is_empty(self) -> bool:

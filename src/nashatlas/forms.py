@@ -16,13 +16,14 @@ block; on the simplex product (kappa, lambda) it is the same tensors
 read in each opponent's chart tilde_0 = 1.
 
 payoff_slice_values gives player i's payoff slopes, one per own pure
-strategy, against the others' weights. When the weights are exact
-(game._exact, the test behind MixedProfile.exact: int or Fraction
-weights, in either mode, since float payoffs are dyadic) they become
-integer numerators over one positive denominator (_integer_weights) for
-the one integer slope kernel, _slope_nums: it indexes pure opponents,
-takes row products over FiniteGame.integer_pair_tables when one
-opponent mixes, and contracts when more do; otherwise float64.
+strategy, against the others' weights. Every weight is a rational (a
+float is a dyadic one), so the weights become integer numerators over
+one positive denominator (_integer_weights) for the one integer slope
+kernel, _slope_nums: it indexes pure opponents, takes row products over
+FiniteGame.integer_pair_tables when one opponent mixes, and contracts
+when more do. Exact weights (game._exact, the test behind
+MixedProfile.exact) get the slopes as Fractions, float ones get them
+rounded once to float64.
 """
 
 from __future__ import annotations
@@ -195,13 +196,17 @@ def _player(game: FiniteGame, i) -> int:
 
 def _check_weights(game: FiniteGame, weights) -> None:
     """One weight vector per player, each of that player's strategy
-    count, or a ValueError naming the 1-based player."""
+    count and with finite entries, or a ValueError naming the 1-based
+    player."""
     if len(weights) > game.num_players:
         raise ValueError(f"no player {game.num_players + 1}")
     for i, c in enumerate(game.strategy_counts):
         got = len(weights[i]) if i < len(weights) else 0
         if got != c:
             raise ValueError(f"player {i + 1} takes {c} weights, got {got}")
+        for x in weights[i]:
+            if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+                raise ValueError(f"player {i + 1}: weight {float(x)} is not finite")
 
 
 # Basis change between the natural weights gamma and the homogenized
@@ -302,30 +307,31 @@ def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = Fals
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
-    Inputs are checked (_player, _check_weights). Exact weights
-    (game._exact) give Fractions, computed in integers by _slope_nums;
-    otherwise the floats are contracted, relative ones subtracted before
-    rounding, so that an offset adds no rounding error.
+    Inputs are checked (_player, _check_weights). The slopes are computed
+    exactly in integers (_integer_weights, _slope_nums), for float
+    weights too: Fractions for exact weights (game._exact), else each
+    exact value rounded once to float.
     """
     i = _player(game, i)
     _check_weights(game, weights)
+    nums, den = _slope_nums(game, i, [_integer_weights(w) for w in weights])
+    base = nums[0] if relative else 0
     if _exact(weights):
-        nums, den = _slope_nums(game, i, [_integer_weights(w) for w in weights])
-        base = nums[0] if relative else 0
         return np.array([Fraction(n - base, den) for n in nums], dtype=object)
-    t = game.utilities[i]
-    t = np.asarray(t - t.take([0], axis=i) if relative else t, dtype=float)
-    return contract(t, [
-        None if k == i else _coerce_vector(weights[k], False)
-        for k in range(game.num_players)
-    ])
+    return np.array([(n - base) / den for n in nums])
 
 
 def _integer_weights(w) -> tuple[list[int], int]:
-    """Exact weights (ints or Fractions) as integer numerators over the
-    lcm of their denominators."""
-    lcm = math.lcm(*(x.denominator for x in w))
-    return [x.numerator * (lcm // x.denominator) for x in w], lcm
+    """Weights as integer numerators over the lcm of their denominators,
+    exactly: a float is a dyadic rational (float.as_integer_ratio), and a
+    NumPy integer, which has no as_integer_ratio, goes through int(), so
+    it never wraps."""
+    if _exact([w]):
+        lcm = math.lcm(*(x.denominator for x in w))
+        return [x.numerator * (lcm // x.denominator) for x in w], lcm
+    ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio() for x in w]
+    lcm = math.lcm(*(d for _, d in ratios))
+    return [n * (lcm // d) for n, d in ratios], lcm
 
 
 def _slope_nums(game: FiniteGame, i: int, nums) -> tuple[list[int], int]:

@@ -128,9 +128,8 @@ class MixedProfile:
     def in_A(self) -> bool:
         """Each player's weights sum to 1: exactly when MixedProfile.exact,
         else within WEIGHT_TOL."""
-        if self.exact:
-            return all(sum(w) == 1 for w in self.weights)
-        return all(abs(w.sum() - 1.0) <= WEIGHT_TOL for w in self.as_floats())
+        tol = 0 if self.exact else WEIGHT_TOL
+        return all(abs(np.sum(w) - 1) <= tol for w in self.weights)
 
     def in_G(self) -> bool:
         """in_A, and every weight in [0, 1] (within WEIGHT_TOL unless

@@ -11,6 +11,16 @@ with its parent, export the parent to a directory, then
     python tests/parity_records.py PARENT_DIR > parent.txt
     python tests/parity_records.py > change.txt
     diff parent.txt change.txt
+    python tests/parity_records.py --compare parent.txt change.txt
+
+``--compare A B`` reads two record files written by the same version of
+this script and summarises how they differ, field by field: for each field
+name, how many of its numbers differ, in which kinds of record (a label's
+first word), and the largest move, absolute and in ulps: units in the last
+place of the larger of the two floats ("-" when a Fraction or an integer
+moved). A number belongs to the innermost field name or JSON key that
+holds it. Records whose text differs apart from its numbers are counted
+as such and listed.
 
 Items, in this order:
 
@@ -26,11 +36,12 @@ Items, in this order:
   and in rational mode;
 - ``certify``: the fixture's first 40 2x2, 40 3x3 and 20 2x2x2 games,
   written as game files and solved by ``nashatlas solve --seed SEED
-  --json``; every equilibrium k of the report is certified in every
-  chart l (``nashatlas certify FILE --from-json REPORT --index k --chart
-  l --json``), and given as ``--point`` with 5e-10 and then 2e-9 added
-  to every player's first weight, so that its sums miss 1 by about that
-  much, in the default chart.
+  --json``, each report recorded (``solve``); every equilibrium k of the
+  report is certified in every chart l (``nashatlas certify FILE
+  --from-json REPORT --index k --chart l --json``), and given as
+  ``--point`` with 5e-10 and then 2e-9 added to every player's first
+  weight, so that its sums miss 1 by about that much, in the default
+  chart.
 
 A record is the whole answer: every field of every dataclass in it
 (equilibria with their certificates, warnings, continuum flag and
@@ -48,8 +59,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import re
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,7 +104,83 @@ def record(label: str, call) -> None:
     print(label, out, flush=True)
 
 
+# one number of a record: a float as hex (or inf, nan), a Fraction, or a
+# decimal (the CLI's JSON); and a field name (name=) or a JSON key ("name": )
+_TOKEN = re.compile(
+    r"(?P<num>-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]\d+|(?<![\w.])-?(?:inf|nan)(?!\w)"
+    r"|(?<![\w.])-?\d+(?:/\d+|(?:\.\d+)?(?:e[+-]?\d+)?)(?![\w.]))"
+    r"|(?P<field>\w+)=|\\?\"(?P<key>\w+)\\?\": |(?P<open>[\[({])|(?P<close>[\])}])",
+    re.IGNORECASE)
+
+
+def _number(text: str):
+    if text.lower().lstrip("-").startswith("0x"):
+        return float.fromhex(text)
+    if "/" in text:
+        return Fraction(text)
+    return float(text) if any(c in text.lower() for c in ".ein") else int(text)
+
+
+def _numbers(line: str) -> tuple[str, list]:
+    """The line with every number blanked out, and its (field, number)
+    pairs, each number under the innermost field name or key holding it."""
+    skeleton, values, names, last = [], [], [None], 0
+    for m in _TOKEN.finditer(line):
+        if m["num"] is not None:
+            skeleton.append(line[last:m.start()] + "#")
+            last = m.end()
+            values.append((names[-1], _number(m["num"])))
+        elif m["open"]:
+            names.append(names[-1])
+        elif m["close"] and len(names) > 1:
+            names.pop()
+        else:
+            names[-1] = m["field"] or m["key"]
+    return "".join(skeleton) + line[last:], values
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print the field-by-field summary of two record files (see the
+    module docstring); 0 when they agree, 1 when they differ."""
+    a, b = (Path(p).read_text(encoding="utf-8").splitlines() for p in (path_a, path_b))
+    if len(a) != len(b):
+        raise SystemExit(f"{len(a)} records against {len(b)}: not one script's output")
+    moved, kinds, structure, records = {}, {}, [], 0
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        records += 1
+        (sx, vx), (sy, vy) = _numbers(x), _numbers(y)
+        if sx != sy:
+            structure.append(x[:100])
+            continue
+        for (field, u), (_, v) in zip(vx, vy):
+            if u == v or u != u and v != v:
+                continue
+            count, absolute, ulps = moved.get(field, (0, 0.0, 0))
+            move = abs(float(u) - float(v))
+            if isinstance(u, float) and isinstance(v, float) and ulps != "-":
+                ulps = max(ulps, move / math.ulp(max(abs(u), abs(v))))
+            else:
+                ulps = "-"
+            moved[field] = (count + 1, max(absolute, move), ulps)
+            kinds.setdefault(field, Counter())[x.split()[0]] += 1
+    print(f"{records} of {len(a)} records differ; {len(structure)} apart from their numbers")
+    for field, (count, absolute, ulps) in sorted(moved.items(), key=lambda kv: str(kv[0])):
+        where = ", ".join(f"{k} {n}" for k, n in kinds[field].items())
+        ulps = ulps if ulps == "-" else f"{ulps:.3g}"
+        print(f"  {field}: {count} values differ ({where}), largest move {absolute:.3g}, "
+              f"{ulps} ulps of the larger")
+    for line in structure:
+        print(f"  text differs: {line}")
+    return int(bool(records))
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--compare"]:
+        if len(argv) != 3:
+            raise SystemExit("usage: parity_records.py --compare A B")
+        return compare(argv[1], argv[2])
     root = Path(argv[0]).resolve() if argv else HERE
     sys.path[:0] = [str(root / "src"), str(HERE / "bench")]
     import nashatlas
@@ -139,7 +229,9 @@ def main(argv: list[str]) -> int:
             for seed in range(40_000, 40_000 + count):
                 game = random_game(shape, seed=seed)
                 game_file.write_text(serialize_game(game), encoding="utf-8")
-                text = nashatlas_cli("solve", game_file, "--seed", seed, "--json")[1]
+                solved = nashatlas_cli("solve", game_file, "--seed", seed, "--json")
+                record(f"solve {shape} {seed}", lambda: solved)
+                text = solved[1]
                 report.write_text(text, encoding="utf-8")
                 points = [eq["point"] for eq in json.loads(text)["results"]["equilibria"]]
                 for k, point in enumerate(points):

@@ -26,7 +26,7 @@ from nashatlas import (
     support_of,
 )
 from nashatlas import equilibrium, genericity
-from nashatlas.game import MixedProfile
+from nashatlas.game import CHECK_TOL, MixedProfile
 from nashatlas.equilibrium import _newton_solve, support_label
 from nashatlas.exact import max_min_point, rref
 from nashatlas.forms import contract
@@ -814,12 +814,39 @@ def _brute_force_slopes(game, i, weights):
     return slopes
 
 
+def _assert_brute_force_reply(game, weights, mode):
+    """payoff_slice_values and best_reply_check at ``weights`` (read in
+    ``mode``) against _brute_force_slopes: the exact values for exact
+    weights, each exact value rounded once to float for float weights, and
+    ok, a bool, at tolerance 0 or CHECK_TOL in the player's unit. Returns
+    the report."""
+    profile = profile_from_weights(weights, mode)
+    report = best_reply_check(game, profile)
+    number = (lambda x: x) if mode == RATIONAL else float
+    for i, supp in enumerate(support_of(profile).supports):
+        want = _brute_force_slopes(game, i, weights)
+        assert list(payoff_slice_values(game, i, weights)) == [number(x) for x in want]
+        inside = [want[j] for j in supp]
+        outside = [want[j] for j in range(game.strategy_counts[i]) if j not in supp]
+        residual = max(inside) - min(inside)
+        margin = min(inside) - max(outside) if outside else math.inf
+        tol = 0 if mode == RATIONAL else Fraction(math.ldexp(CHECK_TOL, game.payoff_exponents[i]))
+        assert report.equality_residuals[i] == number(residual)
+        assert report.inequality_margins[i] == number(margin)
+        assert report.ok[i] is (residual <= tol and margin >= -tol)
+    return report
+
+
 def test_integer_slope_kernel_matches_a_brute_force_sum():
     # the one integer slope kernel (forms._slope_nums) behind
     # best_reply_check and payoff_slice_values, on 2-, 3- and 4-player
     # games: a pure opponent is indexed, not contracted, and its one
-    # nonzero weight, 1 or not, keeps the slopes' scale
+    # nonzero weight, 1 or not, keeps the slopes' scale. Float weights
+    # (0.1-style decimals, from their own stream) are dyadic rationals and
+    # take the same kernel: every slope, residual and margin is the exact
+    # one rounded once
     rng = np.random.default_rng(17)
+    decimals = np.random.default_rng(18)
     pure_weights = [1, 2, -1, Fraction(1, 3), Fraction(-7, 2)]
     checked = scaled = 0
     for shape in [(2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (2, 3, 2, 2)]:
@@ -841,21 +868,52 @@ def test_integer_slope_kernel_matches_a_brute_force_sum():
                         w = [Fraction(int(n), int(d)) for n, d in
                              zip(rng.integers(-2, 4, c), rng.integers(1, 6, c))]
                 weights.append(w)
-            profile = profile_from_weights(weights, RATIONAL)
-            report = best_reply_check(game, profile)
-            supports = support_of(profile).supports
-            for i, supp in enumerate(supports):
-                want = _brute_force_slopes(game, i, weights)
-                assert list(payoff_slice_values(game, i, weights)) == want
-                inside = [want[j] for j in supp]
-                outside = [want[j] for j in range(shape[i]) if j not in supp]
-                residual = max(inside) - min(inside)
-                margin = min(inside) - max(outside) if outside else math.inf
-                assert report.equality_residuals[i] == residual
-                assert report.inequality_margins[i] == margin
-                assert report.ok[i] == (residual == 0 and margin >= 0)
+            _assert_brute_force_reply(game, weights, RATIONAL)
+            floats = [[int(n) / 10 for n in decimals.integers(0, 11, c)] for c in shape]
+            for w in floats:
+                w[decimals.integers(len(w))] += 0.1
+            _assert_brute_force_reply(game, floats, "float")
             checked += 1
     assert checked == 72 and scaled > 20
+    # equilibria that Newton found on three mixed players pass at CHECK_TOL
+    newton = 0
+    for shape in [(2, 2, 2), (2, 3, 2)]:
+        for seed in range(12):
+            game = random_game(shape, seed=seed)
+            for cert in enumerate_nash(game, seed=seed).equilibria:
+                if min(map(len, cert.support.supports)) > 1:
+                    weights = [w.tolist() for w in cert.point.weights]
+                    assert _assert_brute_force_reply(game, weights, "float").all_ok
+                    newton += 1
+    assert newton > 5
+
+
+def test_best_reply_check_at_a_tiny_payoff_scale():
+    # payoffs times 2**-1000: CHECK_TOL in that unit has a denominator
+    # beyond any float, and the float point's verdicts are those at scale 1
+    game = random_game((2, 3), seed=3)
+    tiny = make_game((2, 3), [u * 2.0**-1000 for u in game.utilities])
+    for weights in ([[0.5, 0.5], [0.2, 0.3, 0.5]], [[0.5, 0.5], [0.5, 0.5, 0.0]]):
+        point = profile_from_weights(weights)
+        want, got = best_reply_check(game, point), best_reply_check(tiny, point)
+        assert (got.ok, got.boundary) == (want.ok, want.boundary)
+        assert got.equality_residuals == tuple(x * 2.0**-1000 for x in want.equality_residuals)
+
+
+@pytest.mark.parametrize("mode", ["float", RATIONAL])
+def test_tied_full_support_residual_is_exactly_zero(mode):
+    # 2x2x2 game 3 of the default_rng(11) tied corpus of
+    # tests/parity_records.py: Newton's full-support root ((1/2, 1/2), (0.8,
+    # 0.2), (1/2, 1/2)) ties every player's slopes exactly, so its residual
+    # is exactly 0.0, not a rounding error, in either game mode
+    payoffs = [[[[2, 1], [-2, -1]], [[0, 2], [2, -1]]],
+               [[[1, -2], [-2, -1]], [[0, -1], [1, 0]]],
+               [[[-1, 2], [1, 1]], [[1, -1], [2, -2]]]]
+    result = enumerate_nash(make_game((2, 2, 2), payoffs, mode=mode))
+    [full] = [c for c in result.equilibria if c.support.supports == ((0, 1),) * 3]
+    assert [w.tolist() for w in full.point.weights] == [[0.5, 0.5], [0.8, 0.2], [0.5, 0.5]]
+    assert not full.exact
+    assert type(full.equality_residual) is float and full.equality_residual == 0.0
 
 
 def test_float_weights_on_rational_game_stay_float(bos_exact):

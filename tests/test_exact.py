@@ -97,6 +97,11 @@ def test_rref_is_scaled_reference(system):
         assert [[Fraction(x, den) for x in r] for r in mat] == want
 
 
+def _particular(sol):
+    """The solution set's one solution as Fractions."""
+    return [Fraction(n, sol.den) for n in sol.nums]
+
+
 @settings(max_examples=400, deadline=None)
 @given(int_systems())
 def test_solve_affine_matches_reference(system):
@@ -105,26 +110,24 @@ def test_solve_affine_matches_reference(system):
     particular, nullspace = _reference_solve([[Fraction(x) for x in r] for r in rows], n)
     assert got.is_empty == (particular is None)
     assert got.den > 0
-    assert got.particular == particular
     if particular is not None:
-        assert got.particular == [Fraction(n, got.den) for n in got.nums]
+        assert [Fraction(n, got.den) for n in got.nums] == particular
         assert all(type(n) is int for n in got.nums)
     assert got.free == len(nullspace)
-    assert all(type(x) is Fraction for x in got.particular or [])
 
 
 def test_solve_affine_examples():
     # x + y = 1, x - y = 0
     sol = solve_affine([[1, 1, 1], [1, -1, 0]], 2)
-    assert sol.is_unique and sol.free == 0 and sol.particular == [Fraction(1, 2)] * 2
+    assert sol.is_unique and sol.free == 0 and _particular(sol) == [Fraction(1, 2)] * 2
     # 0 x = 1
     assert solve_affine([[0, 1]], 1).is_empty
     # no equations: everything solves
     sol = solve_affine([], 2)
-    assert sol.free == 2 and sol.particular == [0, 0]
+    assert sol.free == 2 and _particular(sol) == [0, 0]
     # 2 x + 4 y = 2: x = 1 - 2 y
     sol = solve_affine([[2, 4, 2]], 2)
-    assert sol.particular == [1, 0] and sol.free == 1 and not sol.is_unique
+    assert _particular(sol) == [1, 0] and sol.free == 1 and not sol.is_unique
     # x = 1, -y = 1: the last fraction-free pivot is -1, the common
     # denominator of rref; the solution set carries it as +1
     rows = [[1, 0, 1], [0, -1, 1]]
@@ -132,7 +135,7 @@ def test_solve_affine_examples():
     assert mat[0][pivots[0]] == -1
     sol = solve_affine(rows, 2)
     assert (sol.nums, sol.den, sol.free) == ([1, -1], 1, 0)
-    assert sol.particular == [1, -1]
+    assert _particular(sol) == [1, -1]
 
 
 @pytest.mark.parametrize("strict", [Fraction(0), Fraction(1e-9), 0.0, 1e-9])
@@ -149,7 +152,7 @@ def test_positive_point_is_strict(strict):
     for num, accepted in ((p, strict > 0), (p + 1, True)):
         rows = [[-q, -num]]
         sol = solve_affine(rows, 1)
-        assert sol.is_unique and sol.particular[0] == Fraction(num, q)
+        assert sol.is_unique and Fraction(sol.nums[0], sol.den) == Fraction(num, q)
         nums = _simplex_nums(sol)
         assert [Fraction(n, sol.den) for n in nums] == [1 - Fraction(num, q), Fraction(num, q)]
         assert (min(nums) > 0) == accepted

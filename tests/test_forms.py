@@ -8,6 +8,7 @@ basis.
 """
 
 import itertools
+import math
 import re
 from dataclasses import fields
 from fractions import Fraction
@@ -101,6 +102,10 @@ def test_a_fractional_player_is_a_value_error(mp_float, call):
         call(mp_float, 0.5)
 
 
+def _rational(game):
+    return make_game(game.strategy_counts, game.utilities, mode=RATIONAL)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda g: MultilinearForm((0,), np.zeros((2, 2))), "blocks/pinned must match tensor rank"),
     (lambda g: payoff_form(g, 0).eval([np.zeros(3), np.zeros(2)]), "block 0: expected length 2"),
@@ -115,6 +120,15 @@ def test_a_fractional_player_is_a_value_error(mp_float, call):
      "player 2 takes 2 weights, got 3"),
     (lambda g: payoff_slice_values(g, 1, [[1, 0]]), "player 2 takes 2 weights, got 0"),
     (lambda g: payoff_slice_values(g, 1, [[0.5, 0.5]] * 3), "no player 3"),
+    # a non-finite weight, against a float and a rational game
+    (lambda g: payoff_slice_values(g, 0, [[0.5, 0.5], [math.nan, 1.0]]),
+     "player 2: weight nan is not finite"),
+    (lambda g: payoff_slice_values(_rational(g), 1, [[math.inf, 0.0], [0.5, 0.5]]),
+     "player 1: weight inf is not finite"),
+    (lambda g: best_reply_check(g, profile_from_weights([[math.nan, 1.0], [0.5, 0.5]])),
+     "player 1: weight nan is not finite"),
+    (lambda g: best_reply_check(_rational(g), profile_from_weights([[0.5, 0.5], [-math.inf, 1]])),
+     "player 2: weight -inf is not finite"),
 ])
 def test_input_errors_name_the_bad_input(mp_float, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -361,9 +375,10 @@ def test_payoff_slice_values_exact(mp_exact):
 
 
 def test_numpy_integer_weights_on_rational_game_do_not_wrap():
-    """NumPy int64 weights are not exact weights: the slopes take the
-    float path and the form turns them into Python-int Fractions, so
-    neither wraps around at 2**63."""
+    """NumPy int64 weights are not exact weights: the slopes are computed
+    in Python ints (int() of each weight) and rounded once to float, and
+    the form turns them into Python-int Fractions, so neither wraps around
+    at 2**63."""
     game = make_game((2, 2), [[[10**18, 0], [0, 0]], [[0, 0], [0, 0]]], mode=RATIONAL)
     w = [np.array([1, 0]), np.array([10, 0])]
     assert payoff_slice_values(game, 0, w)[0] == 10**19
