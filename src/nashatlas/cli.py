@@ -533,7 +533,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         report, lines, code = args.handler(args)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:

@@ -8,28 +8,27 @@ equality part into a square polynomial system on the product of open
 faces. When at most two players mix (every support of a two-player
 game), the other players are held at their one strategy, and the system
 is linear per player block and solved exactly: each payoff tensor is
-scaled exactly to Python ints (FiniteGame.integer_utilities; float
-payoffs are dyadic) and sliced to the two players
-(FiniteGame.integer_pair_tables), each block is solved by
-fraction-free elimination (exact.solve_affine, integer numerators over
-one positive denominator) in the face coordinates of chart (0, ..., 0)
-that the Newton route uses, the solving player's weights on supp[1:]
-(_face_block, integer rows [A | b]), with w_{supp[0]} recovered from the
-sum rule. Exact numbers take no tolerance: a weight is positive when it
-is > 0. One pass looks for a positive point block by block and stops at
-the first block without one: a unique solution is decided on its
-integer numerators, and a positive-dimensional one gets its max-min
-point from an exact integer simplex (exact.max_min_point) on the whole
-block, sum rule included, since the set has a positive point exactly
-when its largest smallest weight is > 0. Both blocks' points witness a
-continuum, or make the one candidate (_integer_solution). The candidate
-is screened in Python ints before any Fraction is built
-(_exact_pair_solve) by best_reply_check's rule (_reply) at tolerance 0,
-player by player until the first who gains. Most candidates fail these
-off-support inequalities, so only a support's equilibrium becomes a
-Fraction profile, in either mode; enumerate_nash still checks it with
-best_reply_check, which builds its report, and rounds a float game's
-answers to float64 once, at the end.
+scaled exactly to Python ints (FiniteGame.integer_rows; float payoffs
+are dyadic; sliced to the pair in larger games, _pair_rows), each block
+is solved by fraction-free elimination (exact.solve_affine, integer
+numerators over one positive denominator) in the face coordinates of
+chart (0, ..., 0) that the Newton route uses, the solving player's
+weights on supp[1:] (_face_block, integer rows [A | b]), with
+w_{supp[0]} recovered from the sum rule. Exact numbers take no
+tolerance: a weight is positive when it is > 0. One pass looks for a
+positive point block by block and stops at the first block without one:
+a unique solution is decided on its integer numerators, and a
+positive-dimensional one gets its max-min point from an exact integer
+simplex (exact.max_min_point) on the whole block, sum rule included,
+since the set has a positive point exactly when its largest smallest
+weight is > 0. Both blocks' points witness a continuum, or make the one
+candidate (_integer_solution). The candidate is screened in Python ints
+before any Fraction is built (_exact_pair_solve) by best_reply_check's
+rule (_reply) at tolerance 0, player by player until the first who
+gains. Most candidates fail these off-support inequalities, so only a
+support's equilibrium becomes a Fraction profile, in either mode;
+enumerate_nash still checks it with best_reply_check, which builds its
+report, and rounds a float game's answers to float64 once, at the end.
 When three or more players mix the system is multilinear, and it (like
 a one-player game's mixed support, whose slopes are
 constants) runs the damped multistart Newton loop of
@@ -51,7 +50,8 @@ Every best-reply test, the screen's and best_reply_check's, is one
 computation in integers (_reply; a float weight is a dyadic rational)
 and one rule. Exactness (MixedProfile.exact: int or Fraction weights,
 in either mode, decided once per profile) picks only the tolerance, 0
-or CHECK_TOL in each player's payoff unit (tolerances: nashatlas.game),
+or CHECK_TOL in each player's payoff unit, scaled exactly (tolerances:
+nashatlas.game),
 and whether the report holds Fractions or the exact values rounded once
 to float; a certificate's `exact` is its reported point's. The check
 also says which margins are on the boundary (0 exactly, or below the
@@ -145,7 +145,7 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     number = Fraction if profile.exact else operator.truediv
     oks, residuals, margins, boundary = [], [], [], []
     for i, supp in enumerate(supports):
-        tol = 0 if profile.exact else math.ldexp(CHECK_TOL, game.payoff_exponents[i])
+        tol = 0 if profile.exact else CHECK_TOL
         ok, on_boundary, residual, margin, den = _reply(game, i, supp, nums, tol)
         oks.append(ok)
         boundary.append(on_boundary)
@@ -157,7 +157,7 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
 def _reply(game: FiniteGame, i: int, supp, nums, tol) -> tuple:
     """The one best-reply rule for player i on supp at integer weights
     ``nums`` (forms._slope_nums), at tolerance ``tol`` (an int or a float,
-    taken exactly) in payoff units: (ok, boundary, residual, margin, den),
+    taken exactly) in its payoff unit: (ok, boundary, residual, margin, den),
     the residual the spread of the supported slopes and the margin their
     least minus the largest unsupported one (or inf), both over den. ok
     when residual <= tol and margin >= -tol, boundary when the margin is
@@ -167,9 +167,10 @@ def _reply(game: FiniteGame, i: int, supp, nums, tol) -> tuple:
     outside = [x for j, x in enumerate(slopes) if j not in supp]
     low = min(inside)
     residual = max(inside) - low
-    # x / den <= tol = p / q as x * q <= p * den; q may exceed any float
+    # x / den <= tol * 2**e = p / q as x * q <= p * den: 2**e may lie beyond any float
     p, q = tol.as_integer_ratio()
-    limit = p * den
+    e = game.payoff_exponents[i]
+    limit, q = p * den << max(e, 0), q << max(-e, 0)
     if not outside:
         return residual * q <= limit, False, residual, math.inf, den
     margin = low - max(outside)
@@ -241,8 +242,8 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
     each other's slope equalities, in face coordinates (_face_block) as
     the Newton route does; every other player is held at its one strategy,
     and with none mixed the candidate is the support's vertex. Exact: the
-    payoffs enter as integers (game.integer_pair_tables), and the positive
-    scale they carry does not change the solution set.
+    payoffs enter as integers (game.integer_rows, _pair_rows), and the
+    positive scale they carry does not change the solution set.
 
     One pass looks for a positive point block by block and stops at the
     first block without one: a unique solution is decided on its integer
@@ -252,7 +253,7 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
     profile) when both have one."""
     supports = support.supports
     if game.num_players == 2:
-        pair, at = (0, 1), ()
+        pair, tables = (0, 1), game.integer_rows
     else:
         pair = [k for k, s in enumerate(supports) if len(s) > 1]
         if len(pair) == 1:
@@ -260,11 +261,11 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
             # differences, constants that tie or not
             pair.append(next(k for k, s in enumerate(supports) if len(s) == 1))
         pair = tuple(sorted(pair))
-        at = tuple(s[0] for k, s in enumerate(supports) if k not in pair)
+        tables = [_pair_rows(game, k, pair[1 - n], supports) for n, k in enumerate(pair)]
     found, unique = {}, True
     if pair:
         i, j = pair
-        ti, tj = game.integer_pair_tables(pair, at)
+        ti, tj = tables
         # tj[t][s]: j plays t, i plays s; i's weights solve j's slope equalities
         rows_i = _face_block(tj, supports[i], supports[j])
         sol_i = solve_affine(rows_i, len(supports[i]) - 1)
@@ -293,6 +294,18 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
     # positive-dimensional solution set: the caller decides what it means
     raise SingularSystem(support, "positive-dimensional solution set",
                          witness=_rational_profile(point))
+
+
+def _pair_rows(game: FiniteGame, k: int, partner: int, supports) -> list[list[int]]:
+    """Player k's game.integer_rows, [own][partner strategy], with every
+    other player at its first supported strategy: a strided slice of each
+    row, its strides those of the other players' C order."""
+    others = [b for b in range(game.num_players) if b != k]
+    stride = {b: math.prod(game.strategy_counts[a] for a in others[n + 1:])
+              for n, b in enumerate(others)}
+    start = sum(supports[b][0] * stride[b] for b in others if b != partner)
+    stop, step = start + stride[partner] * game.strategy_counts[partner], stride[partner]
+    return [row[start:stop:step] for row in game.integer_rows[k]]
 
 
 def _rational_profile(point) -> MixedProfile:

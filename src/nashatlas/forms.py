@@ -19,9 +19,10 @@ payoff_slice_values gives player i's payoff slopes, one per own pure
 strategy, against the others' weights. Every weight is a rational (a
 float is a dyadic one), so the weights become integer numerators over
 one positive denominator (_integer_weights) for the one integer slope
-kernel, _slope_nums: it indexes pure opponents, takes row products over
-FiniteGame.integer_pair_tables when one opponent mixes, and contracts
-when more do. Exact weights (game._exact, the test behind
+kernel, _slope_nums: one loop that multiplies each row of
+FiniteGame.integer_rows by the opponents' Segre monomials (the products
+of their numerators, one per pure profile of the opponents), held
+opponents included. Exact weights (game._exact, the test behind
 MixedProfile.exact) get the slopes as Fractions, float ones get them
 rounded once to float64.
 """
@@ -341,33 +342,16 @@ def _slope_nums(game: FiniteGame, i: int, nums) -> tuple[list[int], int]:
     numerators over ``den``, the scale of game.integer_utilities times
     the opponents' dens.
 
-    An opponent whose numerators have one nonzero entry v, at strategy s,
-    is held at s, and v multiplies the result, so the scale is the
-    contraction's. One mixed opponent takes row products over
-    game.integer_pair_tables; more contract with the integer payoff
-    tensor (contract, object dtype).
+    A slope is multilinear in the opponents' weights, so linear in their
+    Segre monomials: each slope is one row of game.integer_rows times the
+    products of the opponents' numerators, one per pure profile of the
+    opponents in C order. A held opponent (one nonzero weight) is no
+    special case: its zero weights give zero products.
     """
-    ints, den = game.integer_utilities[i]
-    held, mixed, factor = {}, [], 1
+    den = game.integer_utilities[i][1]
+    monomials = [1]
     for k, (vec, d) in enumerate(nums):
-        if k == i:
-            continue
-        den *= d
-        if vec.count(0) == len(vec) - 1:
-            v = next(filter(None, vec))
-            held[k] = vec.index(v)
-            factor *= v
-        else:
-            mixed.append(k)
-    if len(mixed) == 1:
-        j, w = mixed[0], nums[mixed[0]][0]
-        pair = (i, j) if i < j else (j, i)
-        table = game.integer_pair_tables(pair, tuple(held.values()))[pair.index(i)]
-        slopes = [sum(map(operator.mul, row, w)) for row in table]
-    else:
-        t = ints[tuple(held.get(k, slice(None)) for k in range(len(nums)))]
-        if mixed:
-            t = contract(t, [None if k == i else np.array(nums[k][0], dtype=object)
-                             for k in sorted([i, *mixed])])
-        slopes = t.tolist()
-    return (slopes if factor == 1 else [factor * x for x in slopes]), den
+        if k != i:
+            den *= d
+            monomials = [a * b for a in monomials for b in vec]
+    return [sum(map(operator.mul, row, monomials)) for row in game.integer_rows[i]], den

@@ -75,36 +75,28 @@ class FiniteGame:
         return tuple(out)
 
     @cached_property
+    def integer_rows(self) -> tuple[list[list[int]], ...]:
+        """Per player i, its integer_utilities ints as one list of Python
+        ints per own strategy over the other players' pure profiles in C
+        order ([own][partner] for two players): the one integer table, for
+        forms._slope_nums and equilibrium._integer_solution."""
+        return tuple(np.moveaxis(ints, i, 0).reshape(c, -1).tolist() for i, ((ints, _), c)
+                     in enumerate(zip(self.integer_utilities, self.strategy_counts)))
+
+    @cached_property
     def payoff_exponents(self) -> tuple[int, ...]:
         """Per player, the e of its payoff unit 2**e: the largest range of
         its payoffs along its own axis, ptp(u_i, axis=i).max(), lies in
-        [2**e, 2**(e + 1)), or e = 0 if that range is 0. Offsets leave e
-        alone; a factor 2**k adds k."""
+        [2**e, 2**(e + 1)), or e = 0 if that range is 0, decided exactly
+        by bit lengths. Offsets leave e alone; a factor 2**k adds k."""
         out = []
-        for i, u in enumerate(self.utilities):
-            spread = np.ptp(u, axis=i, keepdims=True).max()
-            out.append(math.frexp(spread)[1] - 1 if spread else 0)
+        for rows, (_, scale) in zip(self.integer_rows, self.integer_utilities):
+            spread = max(max(col) - min(col) for col in zip(*rows))
+            # floor(log2(spread / scale)) is e or e - 1
+            e = spread.bit_length() - scale.bit_length()
+            out.append(e - (spread << max(-e, 0) < scale << max(e, 0)) if spread else 0)
         return tuple(out)
 
-    @cached_property
-    def _pair_tables(self) -> dict:
-        return {}
-
-    def integer_pair_tables(self, pair=(0, 1), at=()) -> tuple[list[list[int]], ...]:
-        """The integer_utilities ints of the players pair = (i, j), i < j,
-        sliced with every other player held at its strategy in `at` (in
-        player order): per player of the pair, nested lists of Python ints
-        indexed [own strategy][partner strategy] (j's table transposed).
-        Built once per (pair, at), for the exact support solve
-        (equilibrium._integer_solution) and forms._slope_nums."""
-        tables = self._pair_tables.get((pair, at))
-        if tables is None:
-            fixed = iter(at)
-            index = tuple(slice(None) if k in pair else next(fixed)
-                          for k in range(self.num_players))
-            (ui, _), (uj, _) = (self.integer_utilities[k] for k in pair)
-            tables = self._pair_tables[pair, at] = (ui[index].tolist(), uj[index].T.tolist())
-        return tables
 
 @dataclass(frozen=True)
 class MixedProfile:

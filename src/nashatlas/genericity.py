@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .game import (
     NEWTON_MAX_ITERS,
     RANDOM_STARTS,
     RANK_TOL,
+    RATIONAL,
     RESIDUAL_TOL,
     FiniteGame,
     SupportProfile,
@@ -299,8 +301,9 @@ def _face_system(game: FiniteGame, pairs, maps):
     maps[b] is a (c_b, 1 + d_b) matrix taking (1, z_b) to player b's
     weights, and z concatenates the z_b. Player i's equations are
     slope_j - slope_k, (j, k) in pairs[i]: its payoffs contracted on axis
-    i with the integer columns e_j - e_k (so taken before rounding), as
-    float, in its payoff unit. One einsum per player composes them with
+    i with the integer columns e_j - e_k (so taken before rounding), in
+    its payoff unit (exactly, so rational payoffs of any size fit), as
+    float. One einsum per player composes them with
     the other players' maps and puts e_0 on axis i, so every equation is
     a multilinear form in the blocks (1, z_b), read off one coefficient
     array C of shape (1 + d_0, ..., 1 + d_{m-1}, n_eq): a linear form in
@@ -321,8 +324,9 @@ def _face_system(game: FiniteGame, pairs, maps):
             continue
         eye = np.eye(game.strategy_counts[i], dtype=int)
         cols = eye[:, [j for j, _ in own]] - eye[:, [k for _, k in own]]
-        t = np.ldexp(np.asarray(_contract_axis(u, cols, i), dtype=float),
-                     -game.payoff_exponents[i])
+        t, e = _contract_axis(u, cols, i), game.payoff_exponents[i]
+        t = np.asarray(t * Fraction(2) ** -e if game.mode == RATIONAL else np.ldexp(t, -e),
+                       dtype=float)
         operands = [t, [2 * m if b == i else b for b in range(m)], np.eye(1 + dims[i])[0], [m + i]]
         for b in range(m):
             if b != i:

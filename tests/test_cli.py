@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and report shapes."""
 
 import json
+import math
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -259,6 +260,23 @@ def test_goodcheck_bad_spec(capsys):
 def test_input_errors_name_the_bad_input(mp_file, capsys, argv, message):
     assert main([a.format(mp=mp_file) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message.format(mp=mp_file)}\n"
+
+
+def test_payoffs_beyond_the_float_range_solve_or_fail_with_an_error_line(tmp_path):
+    # matching pennies times 10**400, read exactly: solve certifies its
+    # equilibrium in the payoff unit (it died in OverflowError), and
+    # certifying a point, whose float rows overflow, is an error line
+    big = _write(tmp_path, "big.game", "players 2\nstrategies 2 2\n"
+                 "payoff 1\n1e400 -1e400\n-1e400 1e400\npayoff 2\n-1e400 1e400\n1e400 -1e400\n")
+    run = "import sys; from nashatlas.cli import main; sys.exit(main(sys.argv[1:]))"
+    solved = fresh_python("-c", run, "solve", big, "--exact", "--json")
+    assert solved.returncode == 0, solved.stderr
+    [eq] = json.loads(solved.stdout)["results"]["equilibria"]
+    assert eq["point"] == [["1/2", "1/2"], ["1/2", "1/2"]]
+    assert eq["jacobian_verdict"] == "regular" and 0 < eq["smallest_singular_value"] < math.inf
+    failed = fresh_python("-c", run, "certify", big, "--exact", "--point", "1/2,1/2;1/2,1/2")
+    assert failed.returncode == 1 and failed.stdout == ""
+    assert failed.stderr.startswith("error: ") and "Traceback" not in failed.stderr
 
 
 @pytest.mark.parametrize("argv", [

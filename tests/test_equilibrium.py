@@ -839,9 +839,9 @@ def _assert_brute_force_reply(game, weights, mode):
 
 def test_integer_slope_kernel_matches_a_brute_force_sum():
     # the one integer slope kernel (forms._slope_nums) behind
-    # best_reply_check and payoff_slice_values, on 2-, 3- and 4-player
-    # games: a pure opponent is indexed, not contracted, and its one
-    # nonzero weight, 1 or not, keeps the slopes' scale. Float weights
+    # best_reply_check and payoff_slice_values, on 1- to 5-player games: a
+    # held opponent is a Segre factor like any other, and its one nonzero
+    # weight, 1 or not, keeps the slopes' scale. Float weights
     # (0.1-style decimals, from their own stream) are dyadic rationals and
     # take the same kernel: every slope, residual and margin is the exact
     # one rounded once
@@ -875,6 +875,22 @@ def test_integer_slope_kernel_matches_a_brute_force_sum():
             _assert_brute_force_reply(game, floats, "float")
             checked += 1
     assert checked == 72 and scaled > 20
+    # a one-player game, whose one Segre monomial is the empty product 1,
+    # and five players, where each mixed player faces three mixed opponents
+    # and one held at weight -7/2
+    third = Fraction(1, 3)
+    for weights in ([[third, 0, 2 * third]],
+                    [[third, 2 * third], [Fraction(-1, 2), Fraction(3, 2)],
+                     [Fraction(1, 5), Fraction(4, 5)], [0, Fraction(-7, 2)],
+                     [Fraction(3, 4), Fraction(1, 4)]]):
+        shape = tuple(map(len, weights))
+        for mode in (RATIONAL, "float"):
+            payoffs = [[Fraction(int(n), int(d)) for n, d in zip(
+                rng.integers(-6, 7, math.prod(shape)), rng.integers(1, 5, math.prod(shape)))]
+                for _ in shape]
+            game = make_game(shape, payoffs, mode=mode)
+            _assert_brute_force_reply(game, weights, RATIONAL)
+            _assert_brute_force_reply(game, [[float(x) for x in w] for w in weights], "float")
     # equilibria that Newton found on three mixed players pass at CHECK_TOL
     newton = 0
     for shape in [(2, 2, 2), (2, 3, 2)]:
@@ -1068,6 +1084,26 @@ def test_three_player_answers_do_not_depend_on_payoff_offset(offset, grid):
         assert _scale_free_answer(shifted) == answer, seed
         mixed += sum(len(s) > 1 for c, *_ in answer[0] for s in c.supports)
     assert mixed > 0
+
+
+def test_rational_payoffs_of_any_size_give_the_unscaled_answers():
+    # the payoff unit is decided exactly (payoff_exponents by bit lengths)
+    # and the face system scales exact differences before their rounding,
+    # so rational payoffs beyond the float range keep the unscaled answers:
+    # at 2**-1100 the 2x2x2 game reported 0 equilibria and a continuum, at
+    # 2**1100 the 2x2 game raised OverflowError, and at 10**-400 its mixed
+    # equilibrium was certified singular with smallest singular value 0.0
+    for shape, seed, powers in [((2, 2, 2), 40005, (-1100,)), ((2, 2), 40002, (-1100, 1100))]:
+        game = make_game(shape, random_game(shape, seed).utilities, mode=RATIONAL)
+        answer = _scale_free_answer(game)
+        assert [c[3] for c in answer[0]] == ["regular"] * 3
+        for k in powers:
+            scaled = _scaled(game, [k] * len(shape))
+            assert scaled.payoff_exponents == tuple(e + k for e in game.payoff_exponents)
+            assert _scale_free_answer(scaled) == answer, (shape, k)
+    tiny = make_game((2, 2), [u / 10**400 for u in game.utilities], mode=RATIONAL)
+    assert [(c.jacobian_verdict, c.smallest_singular_value > 0)
+            for c in enumerate_nash(tiny).equilibria] == [("regular", True)] * 3
 
 
 def test_three_player_game_at_huge_scale_finishes():

@@ -1,5 +1,7 @@
 """Game construction, parsing, serialization, and profile helpers."""
 
+import itertools
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +31,7 @@ from nashatlas import (
     support_of,
 )
 from nashatlas import game as game_module
+from nashatlas.equilibrium import _pair_rows
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -163,25 +166,53 @@ def test_integer_utilities_are_exact():
     assert floats.integer_utilities is floats.integer_utilities
 
 
-def test_integer_pair_tables_index_own_then_opponent():
+def test_payoff_exponents_are_exact():
+    # floor(log2) of the largest range along the own axis, decided on the
+    # integer payoffs: exact just below a power of two and beyond the float
+    # range; the second player's range is 1
+    for spread, e in [(1, 0), (Fraction(1, 3), -2), (Fraction(2**60 - 1, 2**60), -1),
+                      (2**1100, 1100), (Fraction(3, 2**1101), -1100)]:
+        game = make_game((2, 2), [[[0, 0], [spread, -spread]], [[5, 4], [0, 1]]], mode=RATIONAL)
+        assert game.payoff_exponents == (e, 0), spread
+    # on float games, the float range's exponent
+    for seed in range(20):
+        game = random_game((2, 3, 2), seed)
+        assert game.payoff_exponents == tuple(
+            math.frexp(np.ptp(u, axis=i).max())[1] - 1 for i, u in enumerate(game.utilities))
+
+
+def test_integer_rows_index_own_then_opponents_in_c_order():
     game = make_game((2, 3), [np.arange(6.0).reshape(2, 3) / 4, -np.arange(6.0).reshape(2, 3)])
-    own, opp = game.integer_pair_tables()
+    own, opp = game.integer_rows
+    # two players: [own strategy][partner strategy], the partner's transposed
     assert own == [[0, 1, 2], [3, 4, 5]]
     assert opp == [[0, -3], [-1, -4], [-2, -5]]
     assert all(type(n) is int for row in own + opp for n in row)
-    assert game.integer_pair_tables() is game.integer_pair_tables()
-    # three players: the pair's tables sliced at the held player's strategy,
-    # each still indexed [own strategy][partner strategy]
+    assert game.integer_rows is game.integer_rows
+    # three players: per own strategy, the other players' pure profiles in
+    # C order, the last other player's strategy varying fastest
     u = [np.arange(12.0).reshape(2, 3, 2) * (k + 1) for k in range(3)]
     triple = make_game((2, 3, 2), u)
-    for pair, at, index in [((0, 1), (1,), np.s_[:, :, 1]), ((0, 2), (2,), np.s_[:, 2, :]),
-                            ((1, 2), (0,), np.s_[0, :, :])]:
-        i, j = pair
-        own, opp = triple.integer_pair_tables(pair, at)
-        assert own == u[i][index].astype(int).tolist()
-        assert opp == u[j][index].T.astype(int).tolist()
-        assert triple.integer_pair_tables(pair, at) is triple.integer_pair_tables(pair, at)
-    assert triple.integer_pair_tables((0, 1), (0,)) != triple.integer_pair_tables((0, 1), (1,))
+    for k, rows in enumerate(triple.integer_rows):
+        others = [b for b in range(3) if b != k]
+        assert rows == [[int(u[k][(*pure[:k], own, *pure[k:])])
+                         for pure in itertools.product(*(range(triple.strategy_counts[b])
+                                                          for b in others))]
+                        for own in range(triple.strategy_counts[k])]
+    # the exact solve's pair tables are strided slices of those rows: every
+    # player outside the pair at its held strategy, the partner free
+    for pair in itertools.combinations(range(3), 2):
+        [held] = [b for b in range(3) if b not in pair]
+        for h in range(triple.strategy_counts[held]):
+            supports = [(h,) if b == held else tuple(range(c))
+                        for b, c in enumerate(triple.strategy_counts)]
+            for k, partner in (pair, pair[::-1]):
+                index = [slice(None)] * 3
+                index[held] = h
+                want = u[k][tuple(index)]
+                if k > partner:
+                    want = want.T
+                assert _pair_rows(triple, k, partner, supports) == want.astype(int).tolist()
 
 
 def test_parse_game_float():
