@@ -354,7 +354,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     more players mix, and a one-player game's mixed supports."""
     supports = support.supports
     mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
-    residual, jacobian, vectors, _, maps = _family_system(
+    system, vectors, _, maps = _family_system(
         game, canonical_equilibrium_family(game, support), (0,) * game.num_players)
 
     def weights_from(z):
@@ -366,14 +366,14 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
         return np.all([(w[i][:, supports[i]] > WEIGHT_TOL).all(axis=1) for i in mixed], axis=0)
 
     starts = _newton_starts(tuple(len(supports[i]) for i in mixed), seed)
-    roots = _newton_roots(residual, jacobian, starts, accept=positive)
+    roots = _newton_roots(system, starts, accept=positive)
     profiles = [profile_from_weights(weights_from(r)) for r in roots]
 
     # all root-pair midpoints at once; triu_indices lists the pairs in
     # itertools.combinations order, so the first solving pair is the witness
     a, b = np.triu_indices(len(roots), k=1)
     mids = 0.5 * (roots[a] + roots[b])
-    solves = _inf_norm(residual(mids)) <= RESIDUAL_TOL
+    solves = _inf_norm(system(mids)[0]) <= RESIDUAL_TOL
     if solves.any():
         raise SingularSystem(
             support,
@@ -382,7 +382,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
             candidates=profiles,
         )
 
-    if not _svd_ranks(jacobian(roots))[2].all():
+    if not _svd_ranks(system(roots)[1])[2].all():
         raise SingularSystem(support, "singular Jacobian at a root", candidates=profiles)
 
     return profiles
@@ -449,7 +449,8 @@ def certify_equilibrium(game: FiniteGame, cert: EquilibriumCertificate) -> Equil
     z = np.concatenate([w[list(s[1:])] for w, s in zip(cert.point.as_floats(), support.supports)])
     if z.size:
         family = canonical_equilibrium_family(game, support)
-        _, smin, regular = _svd_ranks(_family_system(game, family, (0,) * game.num_players)[1](z))
+        system = _family_system(game, family, (0,) * game.num_players)[0]
+        _, smin, regular = _svd_ranks(system(z)[1])
     else:
         smin, regular = math.inf, True
     return replace(cert, jacobian_verdict="regular" if regular else "singular",

@@ -23,21 +23,25 @@ _family_system builds that system for both, and _newton_roots, a damped
 multistart Newton loop, finds its roots from the caller's starts. Every
 equation is multilinear in the blocks (1, z_b), so _face_system holds
 the system as one coefficient matrix over the Segre monomials of the
-blocks: a residual is one matrix product, and each block of Jacobian
-columns one more. The starts iterate together, one batched Jacobian and
-one batched LU solve per step (least squares through the pseudo-inverse
-where the system is not square or a Jacobian is exactly singular), and
-one residual call per step covers the NEWTON_HALVINGS step lengths of
-the line search for every start. Each start takes its own first
-accepted step length and stops on its own: converged (residual within
-RESIDUAL_TOL), stalled (no step length lowers the residual) or out of
-steps (NEWTON_MAX_ITERS). The equations are in each player's payoff
+blocks, and its Jacobian too (the coefficients of each derivative,
+placed at the monomials that do not involve the block differentiated
+by): the residuals and Jacobians of a stack of points are one gather of
+the monomials and one matrix product. The starts iterate together: a
+step is one batched LU solve (least squares through the pseudo-inverse
+where the system is not square or a Jacobian is exactly singular) and
+one evaluation of the trial points of all NEWTON_HALVINGS step lengths
+of every start, whose accepted rows carry their residuals and Jacobians
+into the next step. Each start takes its own first accepted step
+length and stops on its own: converged (residual within RESIDUAL_TOL),
+stalled (no step length lowers the residual) or out of steps
+(NEWTON_MAX_ITERS). The equations are in each player's payoff
 unit (FiniteGame.payoff_exponents), so the loop's tolerances (from the
 table in nashatlas.game) act the same at every payoff scale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,6 +218,12 @@ def _inf_norm(v):
     return np.abs(v).max(axis=-1, initial=0.0)
 
 
+def _norm(v):
+    """2-norm over the last axis, as np.linalg.norm(v, axis=-1) computes
+    it for real v, without its dispatch."""
+    return np.sqrt((v * v).sum(axis=-1))
+
+
 def _newton_step(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Steps s with jac s = -f for a stack of Jacobians (L, n_eq, n) and
     residuals (L, n_eq): one batched LU solve when the stack is square;
@@ -241,58 +251,88 @@ def _dedup(rows: np.ndarray) -> np.ndarray:
     return np.array(kept).reshape(len(kept), rows.shape[1])
 
 
-def _newton_roots(residual, jacobian, starts, accept=None) -> np.ndarray:
+def _newton_roots(system, starts, accept=None) -> np.ndarray:
     """Damped Newton from every start, all starts at once.
 
-    The starts iterate together as the rows of one (B, n) array: residual
-    and jacobian take a stack of rows and return (B, n_eq) and
-    (B, n_eq, n). Each step solves jacobian(x) step = -residual(x)
-    (_newton_step: LU on a square stack, else least squares) and tries
-    the lengths t = 2^-r, r = 0 .. NEWTON_HALVINGS - 1: the trial points
-    of every live start and every halving go to residual as one stack,
-    and each start takes its first t whose residual norm is at most
-    (1 - t/4) times the current one. So a step costs one residual and one
-    jacobian call. Every start stops on its own rule, one of three: it
-    has converged once its residual is within RESIDUAL_TOL, stalled once
-    no length passes (near a regular root the full step passes; a zero
-    or vanishing step passes none) or run out of steps after
-    NEWTON_MAX_ITERS. `accept` takes the (k, n) stack of converged limits
+    The live starts iterate together as the rows of one stack: system
+    takes a (B, n) stack of points and returns their residuals and
+    Jacobians, (B, n_eq) and (B, n_eq, n) (_face_system's system: one
+    gather and one matrix product). Each step solves jacobian step =
+    -residual (_newton_step: LU on a square stack, else least squares)
+    and tries the lengths t = 2^-r, r = 0 .. NEWTON_HALVINGS - 1: the
+    trial points of every live start and every halving go to system as
+    one stack, and each start takes its first t whose residual 2-norm is
+    at most (1 - t/4) times the current one, with that trial point's
+    residual, Jacobian and 2-norm. So a step is one system call and one
+    solve, besides the call on the starts. Every start stops on its own
+    rule, one of three: it has converged once its residual is within
+    RESIDUAL_TOL (max-norm), stalled once no length passes (near a
+    regular root the full step passes; a zero or vanishing step passes
+    none) or run out of steps after NEWTON_MAX_ITERS; the live stack
+    drops it then. `accept` takes the (k, n) stack of converged limits
     and returns a mask of those to keep; the kept limits come back
     deduplicated at DEDUP_TOL (_dedup), in start order, as one (k, n)
     array, (0, n) when no start converged.
     """
-    x = np.array(starts, dtype=float)
-    f = residual(x)
-    live = np.arange(len(x))
+    x = np.array(starts, dtype=float)  # a start's row takes its limit once it converges
+    converged = np.zeros(len(x), dtype=bool)
+    live, y = np.arange(len(x)), x  # the live starts and their points
+    f, jac = system(y)
+    norm = _norm(f)
     t = 0.5 ** np.arange(NEWTON_HALVINGS)
-    for _ in range(NEWTON_MAX_ITERS):
-        live = live[_inf_norm(f[live]) > RESIDUAL_TOL]
-        if not live.size:
+    shrink = 1.0 - 0.25 * t
+    for it in range(NEWTON_MAX_ITERS + 1):
+        go = _inf_norm(f) > RESIDUAL_TOL
+        if not go.all():
+            x[live[~go]], converged[live[~go]] = y[~go], True
+            live, y, f, jac, norm = live[go], y[go], f[go], jac[go], norm[go]
+        if not live.size or it == NEWTON_MAX_ITERS:
             break
-        step = _newton_step(jacobian(x[live]), f[live])
-        # (L, NEWTON_HALVINGS, n) trial points, halving r of start l in row
-        # (l, r); sizes are explicit, as reshape cannot infer one next to a 0
-        xn = x[live][:, None] + t[:, None] * step[:, None]
-        fn = residual(xn.reshape(len(live) * len(t), x.shape[1])).reshape(len(live), len(t), -1)
-        norm0 = np.linalg.norm(f[live], axis=1)[:, None]
-        ok = np.linalg.norm(fn, axis=2) <= (1.0 - 0.25 * t) * norm0
+        step = _newton_step(jac, f)
+        # row l * NEWTON_HALVINGS + r holds halving r of live start l;
+        # sizes are explicit, as reshape cannot infer one next to a 0
+        xn = (y[:, None] + t[:, None] * step[:, None]).reshape(len(live) * len(t), x.shape[1])
+        fn, jn = system(xn)
+        normn = _norm(fn)
+        ok = normn.reshape(len(live), len(t)) <= shrink * norm[:, None]
+        pick = np.arange(len(live)) * len(t) + ok.argmax(axis=1)
         passed = ok.any(axis=1)
-        live, first = live[passed], ok[passed].argmax(axis=1)
-        x[live], f[live] = xn[passed, first], fn[passed, first]
-    keep = _inf_norm(f) <= RESIDUAL_TOL
+        if not passed.all():
+            live, pick = live[passed], pick[passed]
+        y, f, jac, norm = xn[pick], fn[pick], jn[pick], normn[pick]
+    keep = converged
     if accept is not None:
         keep[keep] = accept(x[keep])
     return _dedup(x[keep])
 
 
-def _segre(vs, batch: tuple) -> np.ndarray:
-    """The Segre monomials of the block vectors vs, each of shape
-    batch + (s_b,): their outer product, flattened in C order to shape
-    batch + (prod s_b,)."""
-    out = vs[0] if vs else np.ones(batch + (1,))
-    for v in vs[1:]:
-        out = (out[..., :, None] * v[..., None, :]).reshape(batch + (out.shape[-1] * v.shape[-1],))
-    return out
+@functools.cache  # one entry per tuple of block sizes
+def _segre_tables(dims: tuple[int, ...]):
+    """Index tables of the Segre monomials of the blocks (1, z_b), z_b
+    with dims[b] coordinates, in the C order of their outer product.
+    gather[b, r] is the position of monomial r's block-b factor in the
+    vector (z, 1): the trailing 1 for slot 0, z_b's slot - 1 otherwise.
+    (rows, cols, src) place a coefficient matrix's Jacobian: its
+    derivative in coordinate cols of block q, slot k >= 1 of that block,
+    is the monomial rows (block-q slot 0, so the other blocks' monomial)
+    times coefficient row src (the same monomial with block-q slot k)."""
+    shape = tuple(d + 1 for d in dims)
+    n, size = sum(dims), math.prod(shape)
+    slots = np.indices(shape).reshape(len(dims), size)
+    offsets = np.cumsum((0,) + dims[:-1])
+    gather = np.where(slots > 0, slots + (offsets - 1)[:, None], n)
+    rows, cols, src = [], [], []
+    for q, (d, stride) in enumerate(zip(dims, size // np.cumprod(shape))):
+        base = np.flatnonzero(slots[q] == 0)
+        for k in range(1, d + 1):
+            rows.append(base)
+            cols.append(np.full(len(base), offsets[q] + k - 1))
+            src.append(base + k * stride)
+    # each table is empty when no block has coordinates
+    tables = (gather,) + tuple(np.concatenate([np.zeros(0, dtype=int)] + a) for a in (rows, cols, src))
+    for a in tables:
+        a.setflags(write=False)  # every system of these sizes shares them
+    return tables
 
 
 def _face_system(game: FiniteGame, pairs, maps):
@@ -307,15 +347,20 @@ def _face_system(game: FiniteGame, pairs, maps):
     the other players' maps and puts e_0 on axis i, so every equation is
     a multilinear form in the blocks (1, z_b), read off one coefficient
     array C of shape (1 + d_0, ..., 1 + d_{m-1}, n_eq): a linear form in
-    the Segre monomials of the blocks (_segre). Returns residual(z), the
-    monomials times C as an (M, n_eq) matrix; jacobian(z), whose block of
-    columns q is the monomials of the other blocks times C's slots 1.. on
-    axis q; and vectors(z), the per-player (1, z_b). Each takes one point
-    z of shape (n,) or a stack of B points of shape (B, n), and then puts
-    the batch axis first in its results.
+    the Segre monomials of the blocks. The Jacobian is linear in them
+    too: its column for slot k of block q is C's slot k on axis q, read
+    at the monomials whose block-q slot is 0 (v_q[0] = 1, so those are
+    the other blocks' monomials), zero at the others. So one matrix
+    K = [C | K_J], built from per-shape index tables (_segre_tables) in
+    one assignment, gives both: system(z) gathers the monomials from
+    (z, 1) in one indexing and one product, and returns monomials @ K
+    split into the residual (n_eq,) and the Jacobian (n_eq, n).
+    vectors(z) gives the per-player (1, z_b). Each takes one point z of
+    shape (n,) or a stack of B points of shape (B, n), and then puts the
+    batch axis first in its results.
     """
     m = len(maps)
-    dims = [a.shape[1] - 1 for a in maps]
+    dims = tuple(a.shape[1] - 1 for a in maps)
     ends = np.cumsum(dims)
     c_axes = list(range(m, 2 * m)) + [2 * m]  # block b is axis m + b, the equations 2m
     blocks = []
@@ -334,31 +379,25 @@ def _face_system(game: FiniteGame, pairs, maps):
         blocks.append(np.einsum(*operands, c_axes))
     shape = tuple(d + 1 for d in dims)
     coeffs = np.concatenate(blocks, axis=-1) if blocks else np.zeros(shape + (0,))
-    n_eq, size = coeffs.shape[-1], math.prod(shape)
-    # per block q with coordinates: C's slots 1.. on axis q, the other
-    # axes first, as a matrix from their monomials to (equation, slot);
+    gather, rows, cols, src = _segre_tables(dims)
+    n, n_eq, size = int(ends[-1]), coeffs.shape[-1], gather.shape[1]
     # sizes are explicit, as reshape cannot infer one next to a 0
-    slices = [(q, np.moveaxis(coeffs.take(range(1, d + 1), axis=q), q, -1)
-               .reshape(size // (d + 1), n_eq * d))
-              for q, d in enumerate(dims) if d]
     coeffs = coeffs.reshape(size, n_eq)
+    jac = np.zeros((size, n_eq, n))
+    jac[rows, :, cols] = coeffs[src]
+    kmat = np.concatenate((coeffs, jac.reshape(size, n_eq * n)), axis=1)
 
     def vectors(z):
         one = np.ones(z.shape[:-1] + (1,))
         return [np.concatenate((one, z[..., e - d: e]), axis=-1) for d, e in zip(dims, ends)]
 
-    def residual(z):
-        return _segre(vectors(z), z.shape[:-1]) @ coeffs
+    def system(z):
+        batch = z.shape[:-1]
+        padded = np.concatenate((z, np.ones(batch + (1,))), axis=-1)
+        out = padded[..., gather].prod(axis=-2) @ kmat
+        return out[..., :n_eq], out[..., n_eq:].reshape(batch + (n_eq, n))
 
-    def jacobian(z):
-        v, batch = vectors(z), z.shape[:-1]
-        jac = np.empty(batch + (n_eq, z.shape[-1]))  # every column is in one block
-        for q, c in slices:
-            others = _segre(v[:q] + v[q + 1:], batch)
-            jac[..., ends[q] - dims[q]: ends[q]] = (others @ c).reshape(batch + (n_eq, dims[q]))
-        return jac
-
-    return residual, jacobian, vectors
+    return system, vectors
 
 
 def transversal_at(
@@ -467,8 +506,8 @@ def _family_system(game: FiniteGame, family: GoodFamily, chart):
     """The family's system on its face in the chart: _face_maps' maps
     ((1, z_b) -> tilde), turned into weights by forms._basis_matrix's M
     (gamma_0 = tilde_0 - sum_{j>=1} tilde_j, gamma_j = tilde_j), go to
-    _face_system. Returns its residual, jacobian and vectors, the face
-    maps and the weight maps; None when the face misses the chart."""
+    _face_system. Returns its system and vectors, the face maps and the
+    weight maps; None when the face misses the chart."""
     maps = _face_maps(game, family, chart)
     if maps is None:
         return None
@@ -489,10 +528,11 @@ def regular_value_probe(
     The equations are the PayoffDiff(i, pair) defining maps of
     atlas.defining_map, formed by _family_system. A root's residual is
     the largest absolute value of those maps there: in the game's own
-    payoffs, not in payoff units, so it scales with the payoffs. An
-    empty root set is a regular outcome; the probe only ever witnesses
-    degeneracy, it cannot prove its absence. The seed of the random
-    starts is an integer >= 0 (game._check_seed).
+    payoffs, not in payoff units, so it scales with the payoffs; one
+    beyond the float range (rational payoffs of that size) reads inf,
+    without a warning. An empty root set is a regular outcome; the probe
+    only ever witnesses degeneracy, it cannot prove its absence. The
+    seed of the random starts is an integer >= 0 (game._check_seed).
     """
     seed = _check_seed(seed)
     chart = _check_in_chart(game, _family_members(game, family), chart)
@@ -503,7 +543,7 @@ def regular_value_probe(
     face = _family_system(game, family, chart)
     if face is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
-    residual, jacobian, vectors, maps, _ = face
+    system, vectors, maps, _ = face
     total_dim = sum(a.shape[1] - 1 for a in maps)
 
     def point_of(z) -> ChartPoint:
@@ -513,12 +553,15 @@ def regular_value_probe(
 
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.zeros(total_dim), rng.normal(0.0, 1.0, (RANDOM_STARTS, total_dim))])
-    roots = _newton_roots(residual, jacobian, starts)
-    # each equation's residual (in payoff units) times its player's unit 2^e_i
+    roots = _newton_roots(system, starts)
+    f, jac = system(roots)
+    # each equation's residual (in payoff units) times its player's unit
+    # 2^e_i, inf where that leaves the float range
     exponents = np.repeat(game.payoff_exponents, [len(pairs) for pairs in family.R])
-    residuals = _inf_norm(np.ldexp(residual(roots), exponents))
+    with np.errstate(over="ignore"):
+        residuals = _inf_norm(np.ldexp(f, exponents))
 
-    ranks, _, full = _svd_ranks(jacobian(roots))
+    ranks, _, full = _svd_ranks(jac)
     out = tuple(ProbeRoot(point=point_of(z), residual=float(res), rank=int(rank), regular=bool(ok))
                 for z, res, rank, ok in zip(roots, residuals, ranks, full))
     return ProbeReport(

@@ -17,10 +17,14 @@ built by each side's own ``make_game`` (and ``good_family``) before it is
 timed, then run on both sides back to back; the side that goes first
 alternates from task to task. Each run is timed with
 ``time.process_time``. The script prints each side's CPU seconds per
-workload and the ratio change/parent, and exits 1 if the two sides
-differ in any task's equilibrium count or continuum flag (solves and CLI
-solves) or root count (probes). It is not a test module: pytest does not
-collect it.
+workload and the ratio change/parent, and the largest move between the
+sides of a coordinate of an equilibrium point (solves and CLI solves) or
+of a probe root, over the tasks whose answers agree: 0.0 when the points
+are bitwise equal, so a performance change shows its parity in the run
+that times it. It exits 1 if the two sides differ in any task's
+equilibrium count or continuum flag (solves and CLI solves; and the exit
+code of a CLI solve) or root count (probes). It is not a test module:
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import shutil
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -53,56 +58,78 @@ def load_side(root: Path, name: str, tmp: Path):
 
 def prepare(lib, task):
     """A call that runs task on the library lib, with its game (and
-    family) already built, and turns the output into what both sides must
-    agree on."""
+    family) already built, and a digest of its output: what both sides
+    must agree on, and the coordinates of its equilibrium points or probe
+    roots as one list of floats."""
     if task.kind == "solve":
         game = lib.make_game(task.shape, task.utilities)
 
         def run():
-            result = lib.enumerate_nash(game, seed=task.lib_seed)
-            return result.count, result.continuum
+            return lib.enumerate_nash(game, seed=task.lib_seed)
+
+        def digest(result):
+            return (result.count, result.continuum), [
+                float(x) for cert in result.equilibria for w in cert.point.weights for x in w]
     elif task.kind == "cli":
         def run():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = lib.cli.main(["solve", str(task.path), "--exact", "--json"])
-            results = json.loads(buf.getvalue())["results"]
-            return code, results["count"], results["continuum"]
+            return code, buf.getvalue()
+
+        def digest(out):
+            code, text = out
+            results = json.loads(text)["results"]
+            # a weight is a float or, when exact, a "p/q" string
+            return (code, results["count"], results["continuum"]), [
+                float(Fraction(x)) for eq in results["equilibria"] for w in eq["point"] for x in w]
     else:
         game = lib.make_game(task.shape, task.utilities)
         family = lib.good_family(game, task.labels, task.pairs)
 
         def run():
-            report = lib.regular_value_probe(game, family, task.chart, seed=task.lib_seed)
-            return len(report.roots)
-    return run
+            return lib.regular_value_probe(game, family, task.chart, seed=task.lib_seed)
+
+        def digest(report):
+            return len(report.roots), [
+                float(x) for root in report.roots for c in root.point.coords for x in c]
+    return run, digest
 
 
-def interleave(libs: dict, wl, rounds: int, seed: int, tmp: Path) -> tuple[dict, list[str]]:
-    """CPU seconds per side over the workload's rounds, and the tasks
-    whose answers differ."""
+def interleave(libs: dict, wl, rounds: int, seed: int, tmp: Path) -> tuple[dict, dict, list[str]]:
+    """CPU seconds per side over the workload's rounds, the largest move
+    between the sides of a coordinate of an equilibrium point or a probe
+    root (over the tasks whose answers agree; 0.0 when bitwise equal),
+    and the tasks whose answers differ."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     cpu = dict.fromkeys(SIDES, 0.0)
+    moves = {}
     mismatches = []
     n = 0
     warm = wl.warmup_task(tmp)
     for lib in libs.values():
-        prepare(lib, warm)()
+        run, _ = prepare(lib, warm)
+        run()
     for r in range(rounds):
         for task in wl.round(rng, tmp):
             calls = {side: prepare(lib, task) for side, lib in libs.items()}
-            answers = {}
+            outputs = {}
             for side in SIDES if n % 2 == 0 else SIDES[::-1]:
                 t0 = time.process_time()
-                answers[side] = calls[side]()
+                outputs[side] = calls[side][0]()
                 cpu[side] += time.process_time() - t0
-            if answers["parent"] != answers["change"]:
-                mismatches.append(f"round {r} item {task.item}: parent {answers['parent']}, "
-                                  f"change {answers['change']}")
+            (parent, parent_points), (change, change_points) = (
+                calls[side][1](outputs[side]) for side in SIDES)
+            if parent != change:
+                mismatches.append(f"round {r} item {task.item}: parent {parent}, change {change}")
+            else:
+                kind = "probe roots" if task.kind == "probe" else "equilibrium points"
+                moves[kind] = max([moves.get(kind, 0.0)] + [
+                    abs(a - b) for a, b in zip(parent_points, change_points) if a != b])
             n += 1
-    return cpu, mismatches
+    return cpu, moves, mismatches
 
 
 def main(argv=None) -> int:
@@ -129,9 +156,11 @@ def main(argv=None) -> int:
         libs = {side: load_side(root.resolve(), side, tmp)
                 for side, root in zip(SIDES, (args.parent, HERE))}
         for name in names:
-            cpu, mismatches = interleave(libs, WORKLOADS[name](), args.rounds, args.seed, tmp)
+            cpu, moves, mismatches = interleave(libs, WORKLOADS[name](), args.rounds,
+                                                args.seed, tmp)
             print(f"{name}: parent {cpu['parent']:.3f} s, change {cpu['change']:.3f} s, "
-                  f"change/parent {cpu['change'] / cpu['parent']:.3f}")
+                  f"change/parent {cpu['change'] / cpu['parent']:.3f}"
+                  + "".join(f", largest move of {kind} {move}" for kind, move in moves.items()))
             for line in mismatches:
                 print(f"  answers differ: {line}")
             bad = bad or bool(mismatches)

@@ -494,7 +494,7 @@ def test_support_system_residual_is_the_slope_differences():
         for support in enumerate_supports(game):
             supports = support.supports
             family = canonical_equilibrium_family(game, support)
-            residual, _, vectors, _, weight_maps = genericity._family_system(game, family, chart)
+            system, vectors, _, weight_maps = genericity._family_system(game, family, chart)
             weights = [np.zeros(c) for c in game.strategy_counts]
             for w, s in zip(weights, supports):
                 w[list(s)] = rng.dirichlet(np.ones(len(s)))
@@ -505,7 +505,7 @@ def test_support_system_residual_is_the_slope_differences():
             for i, s in enumerate(supports):
                 c = payoff_slice_values(game, i, weights, relative=True)
                 want.extend(np.ldexp(c[s[0]] - c[list(s[1:])], -game.payoff_exponents[i]))
-            np.testing.assert_allclose(residual(z), want, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(system(z)[0], want, rtol=1e-12, atol=1e-14)
 
 
 def test_cyclic_three_player_frozen(cyclic_mp3):
@@ -609,10 +609,10 @@ def test_singular_jacobian_at_a_root():
     assert candidates
     np.testing.assert_allclose([c.weights[1] for c in candidates],
                                [[2 / 3, 1 / 3]] * len(candidates), rtol=0, atol=1e-9)
-    jacobian = genericity._family_system(game, canonical_equilibrium_family(game, support),
-                                         (0, 0, 0))[1]
+    system = genericity._family_system(game, canonical_equilibrium_family(game, support),
+                                       (0, 0, 0))[0]
     z = np.array([[w[1] for w in c.weights] for c in candidates])
-    assert not genericity._svd_ranks(jacobian(z))[2].any()
+    assert not genericity._svd_ranks(system(z)[1])[2].any()
     assert enumerate_nash(game).continuum
 
 

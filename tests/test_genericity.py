@@ -3,6 +3,7 @@ equivalence."""
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import networkx as nx
@@ -317,8 +318,8 @@ def test_face_jacobian_signs_are_indices():
                     total += 1
                     continue
                 family = canonical_equilibrium_family(game, cert.support)
-                jacobian = genericity._family_system(game, family, chart)[1]
-                total += int(np.sign(np.linalg.det(jacobian(z))))
+                system = genericity._family_system(game, family, chart)[0]
+                total += int(np.sign(np.linalg.det(system(z)[1])))
             assert total == 1, (shape, seed)
 
 
@@ -580,7 +581,7 @@ def test_probe_equations_are_the_defining_maps():
     ]
     rng = np.random.default_rng(7)
     for family, chart, supports in inputs:
-        residual, _, vectors, tilde_maps, weight_maps = genericity._family_system(
+        system, vectors, tilde_maps, weight_maps = genericity._family_system(
             game, family, chart)
         diffs = [h for h in family.hypersurfaces() if isinstance(h, PayoffDiff)]
         exponents = np.array([game.payoff_exponents[h.player] for h in diffs], dtype=int)
@@ -600,11 +601,11 @@ def test_probe_equations_are_the_defining_maps():
                 for i, s in enumerate(supports):
                     c = payoff_slice_values(game, i, weights, relative=True)
                     want.extend(np.ldexp(c[s[0]] - c[list(s[1:])], -game.payoff_exponents[i]))
-                np.testing.assert_allclose(residual(z), want, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(system(z)[0], want, rtol=1e-12, atol=1e-14)
             point = ChartPoint(chart, tuple(
                 np.delete(a @ v, l) for a, v, l in zip(tilde_maps, vectors(z), chart)))
             want = [f.eval([point.coords[b] for b in f.blocks]) for f in forms]
-            np.testing.assert_allclose(np.ldexp(residual(z), exponents), want,
+            np.testing.assert_allclose(np.ldexp(system(z)[0], exponents), want,
                                        rtol=1e-13, atol=0)
 
 
@@ -676,6 +677,22 @@ def test_probe_residuals_scale_with_the_payoffs(k):
     assert any(residuals)
 
 
+def test_probe_residuals_beyond_the_float_range_read_inf():
+    # a rational game scaled by 2**1100 has the unscaled game's roots and
+    # ranks; their residuals in its own payoffs leave the float range and
+    # read inf, without a NumPy overflow warning
+    game = make_game((2, 2, 2), random_game((2, 2, 2), seed=40005).utilities, mode=RATIONAL)
+    huge = make_game((2, 2, 2), [u * 2**1100 for u in game.utilities], mode=RATIONAL)
+    fam = good_family(game, R=[[(0, 1)]] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, scaled = [regular_value_probe(g, fam, (0, 0, 0)) for g in (game, huge)]
+    assert base.roots and all(0.0 < r.residual < 1e-10 for r in base.roots)
+    assert [r.residual for r in scaled.roots] == [math.inf] * len(base.roots)
+    assert [(r.rank, [c.tobytes() for c in r.point.coords]) for r in scaled.roots] == [
+        (r.rank, [c.tobytes() for c in r.point.coords]) for r in base.roots]
+
+
 def test_transversal_jacobian_is_coordinate_rows_over_the_face_jacobian():
     # transversal_at builds its rows one defining map at a time. They are
     # the active coordinate rows (row t of forms._basis_matrix, or e_0 for
@@ -702,8 +719,8 @@ def test_transversal_jacobian_is_coordinate_rows_over_the_face_jacobian():
                     row = np.zeros(bounds[-1])
                     row[bounds[i]: bounds[i + 1]] = np.delete(vec, chart[i])
                     rows.append(row)
-            jacobian = genericity._family_system(game, good_family(game, R=R), chart)[1]
-            want = np.vstack([rows, jacobian(np.concatenate(coords))])
+            system = genericity._family_system(game, good_family(game, R=R), chart)[0]
+            want = np.vstack([rows, system(np.concatenate(coords))[1]])
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (seed, chart)
             points += 1
     assert points == 120
@@ -721,9 +738,10 @@ def _greedy_dedup(rows):
 
 def _per_start_newton(residual, jacobian, starts, accept=None):
     """Reference: damped least-squares Newton one start at a time, the
-    loop _newton_roots runs on all starts together, plus a floor that
-    stops a start whose step is at most 1e-14: _newton_roots has no
-    floor, and such a start stalls there instead, with the same limit."""
+    loop _newton_roots runs on all starts together, with a Jacobian of
+    its own at every iterate, plus a floor that stops a start whose step
+    is at most 1e-14: _newton_roots has no floor, and such a start stalls
+    there instead, with the same limit."""
     limits = []
     for x in starts:
         fval = residual(x)
@@ -763,27 +781,50 @@ def _square_test_game():
     return game
 
 
-@pytest.mark.parametrize("square", [True, False])
+def _unequal_blocks_case():
+    """A 2x3x2x2 game's support system with blocks of sizes d = 1, 2, 1
+    and 0: the first three players mix on every strategy, the fourth
+    plays its first (canonical family, chart (0, 0, 0, 0)): its game,
+    pairs and weight maps, and the Newton starts of support sizes
+    (2, 3, 2). It has two real roots, one with a negative third
+    coordinate."""
+    game = random_game((2, 3, 2, 2), seed=7)
+    family = canonical_equilibrium_family(
+        game, SupportProfile(((0, 1), (0, 1, 2), (0, 1), (0,))))
+    maps = genericity._family_system(game, family, (0, 0, 0, 0))[3]
+    assert [a.shape[1] - 1 for a in maps] == [1, 2, 1, 0]
+    return game, family.R, maps, _newton_starts((2, 3, 2), 0)
+
+
+@pytest.mark.parametrize("square", [True, False, "unequal_blocks"])
 @pytest.mark.parametrize("accept", [None, lambda x: x[:, 2] < 0])
 def test_newton_roots_matches_per_start_reference(square, accept):
-    # three players with one free coordinate each and equations
-    # 1 + y w = 0, x w - 1 = 0 and (square only) 1 + x y = 0; the square
-    # system has the isolated roots A = (-1, 1, -1) and B = (1, -1, 1),
-    # the other one a curve of roots reached by minimum-norm steps; the
-    # comments on the starts say what they do on the square system; the
-    # reference's step floor gives the answers of the stall rule alone
-    pairs = [[(0, 1)], [(0, 1)], [(0, 1)] if square else []]
-    residual, jacobian, _ = _face_system(_square_test_game(), pairs, [np.eye(2)] * 3)
-    starts = [
-        np.array([-0.1, 0.03, 0.04]),  # to A after several damped steps
-        np.array([0.0, 0.0, 0.0]),  # zero Jacobian: zero step, stalls
-        np.array([1.4e-5, -7e-6, 4e-6]),  # square: no halving passes
-        np.array([1.0, -1.0, 1.0]),  # B itself: no step
-        np.array([-0.7, 1.3, -1.2]),  # to A again, undamped
-        np.array([3.0, 0.1, -2.0]),  # damped steps
-    ]
-    expected = _per_start_newton(residual, jacobian, starts, accept)
-    got = _newton_roots(residual, jacobian, starts, accept)
+    # square True / False: three players with one free coordinate each and
+    # equations 1 + y w = 0, x w - 1 = 0 and (square only) 1 + x y = 0;
+    # the square system has the isolated roots A = (-1, 1, -1) and B = (1,
+    # -1, 1), the other one a curve of roots reached by minimum-norm steps;
+    # the comments on the starts say what they do on the square system;
+    # the reference's step floor gives the answers of the stall rule
+    # alone. "unequal_blocks": a random game's square system on blocks of
+    # sizes 1, 2, 1 and 0. The reference's residual and Jacobian are the
+    # per-player contractions (_contract_face_system), not the loop's
+    # system.
+    if square == "unequal_blocks":
+        game, pairs, maps, starts = _unequal_blocks_case()
+    else:
+        game, maps = _square_test_game(), [np.eye(2)] * 3
+        pairs = [[(0, 1)], [(0, 1)], [(0, 1)] if square else []]
+        starts = [
+            np.array([-0.1, 0.03, 0.04]),  # to A after several damped steps
+            np.array([0.0, 0.0, 0.0]),  # zero Jacobian: zero step, stalls
+            np.array([1.4e-5, -7e-6, 4e-6]),  # square: no halving passes
+            np.array([1.0, -1.0, 1.0]),  # B itself: no step
+            np.array([-0.7, 1.3, -1.2]),  # to A again, undamped
+            np.array([3.0, 0.1, -2.0]),  # damped steps
+        ]
+    system = _face_system(game, pairs, maps)[0]
+    expected = _per_start_newton(*_contract_face_system(game, pairs, maps), starts, accept)
+    got = _newton_roots(system, starts, accept)
     assert expected
     assert len(got) == len(expected)
     for r, s in zip(got, expected):
@@ -791,41 +832,51 @@ def test_newton_roots_matches_per_start_reference(square, accept):
 
 
 def _square_test_system():
-    # the square system of the test above
-    return _face_system(_square_test_game(), [[(0, 1)]] * 3, [np.eye(2)] * 3)
+    # the square system of the test above, and its contraction reference
+    game, pairs, maps = _square_test_game(), [[(0, 1)]] * 3, [np.eye(2)] * 3
+    return _face_system(game, pairs, maps)[0], _contract_face_system(game, pairs, maps)
 
 
 def test_newton_roots_all_starts_on_step_floor():
     # the Jacobian vanishes at the origin, so every step is zero: every
     # start stalls in the first step, as no trial length lowers the
     # residual, and the reference stops each on its step floor
-    residual, jacobian, _ = _square_test_system()
+    system, (residual, jacobian) = _square_test_system()
     starts = [np.zeros(3)] * 3
     assert _per_start_newton(residual, jacobian, starts) == []
-    assert _newton_roots(residual, jacobian, starts).shape == (0, 3)
-    assert _newton_roots(residual, jacobian, starts, lambda x: x[:, 0] < 1).shape == (0, 3)
+    assert _newton_roots(system, starts).shape == (0, 3)
+    assert _newton_roots(system, starts, lambda x: x[:, 0] < 1).shape == (0, 3)
+
+
+def _counted_steps(monkeypatch):
+    """A counter of Newton steps: _newton_step calls, one per step."""
+    steps = [0]
+
+    def newton_step(jac, f):
+        steps[0] += 1
+        return step(jac, f)
+
+    step = genericity._newton_step
+    monkeypatch.setattr(genericity, "_newton_step", newton_step)
+    return steps
 
 
 def test_newton_step_makes_one_residual_call(monkeypatch):
-    # every halving of every start is tried in the one residual call of
-    # its step, besides the call on the starts
-    calls = {"residual": 0, "jacobian": 0}
+    # every halving of every start is tried in the one system call of its
+    # step, which also gives the Jacobians; one more call evaluates the
+    # starts
+    steps, calls = _counted_steps(monkeypatch), [0]
 
-    def counted(name, fn):
-        def wrapper(z):
-            calls[name] += 1
-            return fn(z)
-        return wrapper
-
-    def newton_roots(residual, jacobian, starts, accept=None):
-        return _newton_roots(
-            counted("residual", residual), counted("jacobian", jacobian), starts, accept
-        )
+    def newton_roots(system, starts, accept=None):
+        def counted(z):
+            calls[0] += 1
+            return system(z)
+        return _newton_roots(counted, starts, accept)
 
     monkeypatch.setattr(equilibrium, "_newton_roots", newton_roots)
     solve_support(random_game((2, 2, 2), seed=1), SupportProfile(((0, 1),) * 3))
-    assert calls["jacobian"] > 1
-    assert calls["residual"] <= calls["jacobian"] + 1
+    assert steps[0] > 1
+    assert calls[0] == steps[0] + 1
 
 
 def _first_passing_halving(x, residual, jacobian):
@@ -850,34 +901,29 @@ def test_newton_roots_drops_a_start_that_needs_a_shorter_step():
     def jacobian(x):
         return (1.0 / (1.0 + x * x))[..., None]
 
+    def system(x):
+        return residual(x), jacobian(x)
+
     last = NEWTON_HALVINGS - 1
     near, far = np.array([200.0]), np.array([400.0])
     assert _first_passing_halving(near, residual, jacobian) == last
     assert _first_passing_halving(far, residual, jacobian) == last + 1
-    roots = _newton_roots(residual, jacobian, [near, far])
+    roots = _newton_roots(system, [near, far])
     assert len(roots) == 1 and abs(roots[0][0]) <= RESIDUAL_TOL
     np.testing.assert_array_equal(_per_start_newton(residual, jacobian, [near, far]), roots)
-    assert _newton_roots(residual, jacobian, [far]).shape == (0, 1)
+    assert _newton_roots(system, [far]).shape == (0, 1)
 
 
 def test_fixture_games_bound_newton_steps(monkeypatch):
     # stalled starts stop early instead of running to the step limit, and
-    # only supports on which all three players mix take Newton: one
-    # jacobian call per Newton step, counted over the 2x2x2 games of the
-    # acceptance fixture's first 20 seeds (1,383 calls with 25 halvings,
-    # 726 with every support on Newton, 366 with the full support only)
-    calls = [0]
-
-    def newton_roots(residual, jacobian, starts, accept=None):
-        def counted(z):
-            calls[0] += 1
-            return jacobian(z)
-        return _newton_roots(residual, counted, starts, accept)
-
-    monkeypatch.setattr(equilibrium, "_newton_roots", newton_roots)
+    # only supports on which all three players mix take Newton: Newton
+    # steps (_newton_step calls) over the 2x2x2 games of the acceptance
+    # fixture's first 20 seeds (1,383 with 25 halvings, 726 with every
+    # support on Newton, 366 with the full support only)
+    steps = _counted_steps(monkeypatch)
     for seed in range(40_000, 40_020):
         enumerate_nash(random_game((2, 2, 2), seed=seed), seed=seed)
-    assert calls[0] <= 400
+    assert steps[0] <= 400
 
 
 def _per_start_newton_starts(sizes, seed):
@@ -985,7 +1031,7 @@ def test_batched_ranks_are_the_per_matrix_ranks():
 
 
 def _contract_face_system(game, pairs, maps):
-    """Reference: _face_system's residual and jacobian as one tensor per
+    """Reference: _face_system's residual and Jacobian as one tensor per
     player with equations, the other players' maps composed one axis at a
     time, evaluated by forms.contract."""
     m = len(maps)
@@ -1057,15 +1103,15 @@ def test_face_system_matches_the_contraction_reference():
                     face = genericity._family_system(game, family, chart)
                     if face is None:
                         continue
-                    maps = face[4]
+                    maps = face[3]
                     dims = [a.shape[1] - 1 for a in maps]
                     n = sum(dims)
-                    got = _face_system(game, family.R, maps)[:2]
+                    system = _face_system(game, family.R, maps)[0]
                     want = _contract_face_system(game, family.R, maps)
                     for z in [rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (5, n)),
                               np.zeros((0, n))]:
-                        for g, w in zip(got, want):
-                            a, b = g(z), w(z)
+                        for a, w in zip(system(z), want):
+                            b = w(z)
                             assert a.shape == b.shape, (shape, family, chart)
                             assert np.abs(a - b).max(initial=0.0) <= (
                                 1e-13 * np.abs(b).max(initial=0.0)), (shape, family, chart)
