@@ -71,7 +71,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -137,12 +136,13 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     margins are +inf for full supports. Exact weights (MixedProfile.exact,
     in either mode) take tolerance 0 and are reported as Fractions; float
     weights take CHECK_TOL in player i's unit and are reported as the
-    exact values rounded once to float.
+    exact values rounded once to float, +-inf beyond the float range (a
+    game whose payoffs lie beyond it); the verdicts stay in integers.
     """
     _check_weights(game, profile.weights)
     supports = support_of(profile).supports
     nums = [_integer_weights(w) for w in profile.weights]
-    number = Fraction if profile.exact else operator.truediv
+    number = Fraction if profile.exact else _rounded
     oks, residuals, margins, boundary = [], [], [], []
     for i, supp in enumerate(supports):
         tol = 0 if profile.exact else CHECK_TOL
@@ -152,6 +152,14 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
         residuals.append(number(residual, den))
         margins.append(margin if margin == math.inf else number(margin, den))
     return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins), tuple(boundary))
+
+
+def _rounded(x: int, den: int) -> float:
+    """x / den rounded once to float, or +-inf where it leaves the float range."""
+    try:
+        return x / den
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _reply(game: FiniteGame, i: int, supp, nums, tol) -> tuple:

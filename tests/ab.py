@@ -1,0 +1,342 @@
+"""Parent and change in one process: every answer compared, every run timed.
+
+    python tests/ab.py PARENT_DIR [--only SECTION ...] [--rounds N]
+
+PARENT_DIR is the root of the parent's tree (exported with ``git archive``
+or ``git clone``); the change is the tree holding this script. Each side's
+``src/nashatlas`` is copied into a temporary directory under its own
+package name (``nashatlas_parent``, ``nashatlas_change``) and imported
+into this one process, so both sides share one interpreter, one heap and
+one moment of the machine's load.
+
+Sections, in this order (``--only`` picks some of them):
+
+- ``fixture``: the 600 games of tests/test_acceptance.py's oddness
+  fixture, ``random_game(shape, seed)`` for 2x2, 3x3 and 2x2x2 and seeds
+  40000-40199, each through ``enumerate_nash(game, seed=seed)``;
+- ``pair-generic``, ``multi-newton``, ``tied-cli``, ``atlas-probe``: the
+  rounds of seeds 1..N (default 3) of this tree's benchmark workloads
+  (bench/workloads.py; a round's order and offsets come from
+  ``default_rng(seed)``, as in ``bench/run.py``), each task as the
+  benchmark runs it;
+- ``tied``: 50 2x2x2 then 10 2x3x2 games from ``default_rng(11)``, every
+  player's payoffs ``rng.integers(-2, 3, shape)``, each solved in float
+  and in rational mode;
+- ``shapes``: ``random_game`` solves of 8 2x3x2, 8 3x3x2 and 8 2x2x2x2
+  games (seeds 40000+), and per shape the square good family of the
+  largest face (bench/workloads.py's ``square_families``) of the seed
+  40000 game, probed in every chart;
+- ``cli``: the fixture's first 40 2x2, 40 3x3 and 20 2x2x2 games, written
+  as game files and solved by ``nashatlas solve --seed SEED --json``
+  (``solve``); every equilibrium k of that side's report is certified in
+  every chart l (``nashatlas certify FILE --from-json REPORT --index k
+  --chart l --json``), and given as ``--point`` with 5e-10 and then 2e-9
+  added to every player's first weight, in the default chart
+  (``certify``).
+
+Each item's inputs are built by each side's own library (``random_game``,
+``make_game``, ``good_family``, ``serialize_game``). The item then runs on
+both sides back to back, the side that goes first alternating from item
+to item, and each run is timed in process CPU time (a CLI run's time
+includes reading its JSON). An error is that side's answer. The two answers are compared as trees (``canon``): every
+field of every dataclass (a dataclass of one field stands for its
+value), arrays with their dtype, numbers (int, float, Fraction) as
+values, and a CLI run as its exit code, its standard output read as JSON
+(as text when it is not JSON) and its standard error, each side's file
+directory masked.
+
+The script prints each side's CPU seconds and the ratio change/parent
+per section, then how many records differ, and how many of those differ
+apart from their numbers (each listed with the field where it first
+does). For each field name it prints how many of its numbers differ, in
+which kinds of record (a label's first word), and the largest move,
+absolute and in ulps of the larger of the two floats ("-" when a
+Fraction or an integer moved). A number belongs to the innermost field
+name or JSON key that holds it. The exit code is 1 when any record
+differs. The script is not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import importlib
+import io
+import itertools
+import json
+import math
+import shutil
+import sys
+import tempfile
+import time
+from collections import Counter
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+NUMBERS = (int, float, Fraction)
+
+
+def load_side(root: Path, side: str, tmp: Path):
+    """The package src/nashatlas of the tree at root, copied to tmp and
+    imported as ``nashatlas_<side>`` (its imports are relative)."""
+    package = f"nashatlas_{side}"
+    shutil.copytree(root / "src" / "nashatlas", tmp / package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lib = importlib.import_module(package)
+    importlib.import_module(f"{package}.cli")  # lib.cli, which __init__ does not import
+    lib.side, lib.home = side, tmp / f"{side}-files"  # home: its game files and reports
+    lib.home.mkdir()
+    return lib
+
+
+def canon(x):
+    """The answer x as a tree to compare: a dataclass as (type name, its
+    fields as a dict, or the value of its one field), an array as (dtype,
+    list), lists and tuples as lists, and dicts, numbers, strings, bools
+    and None as themselves."""
+    if dataclasses.is_dataclass(x):
+        fields = {f.name: canon(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        return type(x).__name__, fields if len(fields) > 1 else fields.popitem()[1]
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, canon(x.tolist())
+    if isinstance(x, np.generic):
+        return x.item()
+    if isinstance(x, (list, tuple)):
+        return [canon(v) for v in x]
+    if isinstance(x, dict):
+        return {k: canon(v) for k, v in x.items()}
+    if x is None or isinstance(x, (str, *NUMBERS)):
+        return x
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
+
+def _number(x) -> bool:
+    return isinstance(x, NUMBERS) and not isinstance(x, bool)
+
+
+def walk(x, y, field: str, moves: list) -> str | None:
+    """Append (field, u, v) to moves for every number u of tree x that is
+    v != u at its place in tree y, under the innermost field name or key
+    holding it; the field where x and y differ apart from their numbers,
+    or None."""
+    if _number(x) and _number(y):
+        if type(x) is not type(y) or x != y and (x == x or y == y):  # nan equals nan here
+            moves.append((field, x, y))
+        return None
+    if type(x) is not type(y):
+        return field
+    if isinstance(x, dict):
+        if x.keys() != y.keys():
+            return field
+        pairs = [(x[k], y[k], k) for k in x]
+    elif isinstance(x, (list, tuple)):
+        if len(x) != len(y):
+            return field
+        pairs = [(u, v, field) for u, v in zip(x, y)]
+    else:
+        return None if x == y else field
+    for u, v, name in pairs:
+        bad = walk(u, v, name, moves)
+        if bad:
+            return bad
+    return None
+
+
+class AB:
+    """Runs items on both sides and keeps the CPU seconds per section and
+    side, and what the summary needs of the records that differ."""
+
+    def __init__(self, libs: dict):
+        self.libs, self.records, self.differ = libs, 0, 0
+        self.cpu = dict.fromkeys(SIDES, 0.0)
+        self.moved = {}      # field -> [count, largest move, ulps or "-", Counter of kinds]
+        self.structure = []  # (label, field) of records that differ apart from numbers
+
+    def __call__(self, label: str, prepare) -> dict:
+        """Run prepare(lib)'s call on both sides, the first side alternating,
+        and compare the answers; {side: answer}."""
+        answers = {}
+        for side in SIDES if self.records % 2 == 0 else SIDES[::-1]:
+            answers[side], seconds = answer(prepare, self.libs[side])
+            self.cpu[side] += seconds
+        self.records += 1
+        moves = []
+        bad = walk(*(canon(answers[side]) for side in SIDES), "answer", moves)
+        self.differ += bool(bad or moves)
+        if bad:  # its numbers are not counted
+            self.structure.append((label, bad))
+            return answers
+        for field, u, v in moves:
+            count, largest, ulps, kinds = self.moved.setdefault(field, [0, 0.0, 0.0, Counter()])
+            move = abs(float(u) - float(v))
+            if isinstance(u, float) and isinstance(v, float) and ulps != "-":
+                ulps = max(ulps, move / math.ulp(max(abs(u), abs(v))))
+            else:
+                ulps = "-"
+            kinds[label.split()[0]] += 1
+            self.moved[field] = [count + 1, max(largest, move), ulps, kinds]
+        return answers
+
+    def summary(self) -> None:
+        print(f"{self.differ} of {self.records} records differ; "
+              f"{len(self.structure)} apart from their numbers")
+        for field, (count, largest, ulps, kinds) in sorted(self.moved.items()):
+            where = ", ".join(f"{k} {n}" for k, n in kinds.items())
+            ulps = ulps if ulps == "-" else f"{ulps:.3g}"
+            print(f"  {field}: {count} values differ ({where}), largest move {largest:.3g}, "
+                  f"{ulps} ulps of the larger")
+        for label, field in self.structure:
+            print(f"  differs apart from its numbers: {label} (at {field})")
+
+
+def answer(prepare, lib) -> tuple:
+    """(answer, CPU seconds) of prepare(lib)'s call."""
+    start = time.process_time()
+    try:
+        call = prepare(lib)
+        start = time.process_time()
+        out = call()
+    except Exception as exc:  # an error is an answer too
+        out = ("error", f"{type(exc).__name__}: {exc}")
+    return out, time.process_time() - start
+
+
+def cli(lib, *args) -> tuple:
+    """lib's ``nashatlas`` CLI run: exit code, standard output (as JSON
+    where it is JSON) and standard error, lib.home masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = lib.cli.main([str(a) for a in args])
+    out, err = (buf.getvalue().replace(str(lib.home), "<home>") for buf in (out, err))
+    with contextlib.suppress(ValueError):
+        out = json.loads(out)
+    return code, out, err
+
+
+# -- sections: each runs its items through ab(label, prepare) --------------
+
+
+def fixture(ab, rounds):
+    for shape in [(2, 2), (3, 3), (2, 2, 2)]:
+        for seed in range(40_000, 40_200):
+            ab(f"fixture {shape} {seed}", lambda lib: partial(
+                lib.enumerate_nash, lib.random_game(shape, seed=seed), seed=seed))
+
+
+def task_call(lib, task):
+    """The benchmark task on lib, its game (and family) built by lib."""
+    if task.kind == "cli":
+        return partial(cli, lib, "solve", task.path, "--exact", "--json")
+    game = lib.make_game(task.shape, task.utilities)
+    if task.kind == "solve":
+        return partial(lib.enumerate_nash, game, seed=task.lib_seed)
+    return partial(lib.regular_value_probe, game, lib.good_family(game, task.labels, task.pairs),
+                   task.chart, seed=task.lib_seed)
+
+
+def workload(kind, ab, rounds):
+    wl = kind()
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in range(1, rounds + 1):
+            for n, task in enumerate(wl.round(np.random.default_rng(seed), Path(tmp))):
+                ab(f"{wl.name} {seed} {n} item {task.item}", partial(task_call, task=task))
+
+
+def tied(ab, rounds):
+    rng = np.random.default_rng(11)
+    for k, shape in enumerate([(2, 2, 2)] * 50 + [(2, 3, 2)] * 10):
+        payoffs = [rng.integers(-2, 3, shape) for _ in shape]
+        for mode in ("float", "rational"):
+            ab(f"tied {k} {shape} {mode}", lambda lib: partial(
+                lib.enumerate_nash, lib.make_game(shape, payoffs, mode=mode)))
+
+
+def shapes(square_families, ab, rounds):
+    for shape in [(2, 3, 2), (3, 3, 2), (2, 2, 2, 2)]:
+        for seed in range(40_000, 40_008):
+            ab(f"shapes {shape} {seed}", lambda lib: partial(
+                lib.enumerate_nash, lib.random_game(shape, seed=seed), seed=seed))
+        labels, pairs = max(square_families(shape), key=lambda f: sum(map(len, f[1])))
+        for k, chart in enumerate(itertools.product(*map(range, shape))):
+            if all(l == 0 or l not in t for l, t in zip(chart, labels)):
+                def probe(lib):
+                    game = lib.random_game(shape, seed=40_000)
+                    return partial(lib.regular_value_probe, game,
+                                   lib.good_family(game, labels, pairs), chart, seed=k)
+                ab(f"shapes {shape} probe {labels} {pairs} chart {chart}", probe)
+
+
+def cli_runs(ab, rounds):
+    for shape, count in [((2, 2), 40), ((3, 3), 40), ((2, 2, 2), 20)]:
+        for seed in range(40_000, 40_000 + count):
+            def solve(lib):
+                game = lib.random_game(shape, seed=seed)
+                (lib.home / "game.txt").write_text(lib.serialize_game(game), encoding="utf-8")
+                return partial(cli, lib, "solve", lib.home / "game.txt", "--seed", seed, "--json")
+            solved = ab(f"solve {shape} {seed}", solve)
+            points = {}
+            for side, (_, report, *_) in solved.items():  # an error's report is its message
+                (ab.libs[side].home / "solve.json").write_text(json.dumps(report),
+                                                               encoding="utf-8")
+                with contextlib.suppress(LookupError, TypeError):
+                    points[side] = [eq["point"] for eq in report["results"]["equilibria"]]
+            for k in range(max(map(len, points.values()), default=0)):
+                for chart in itertools.product(*map(range, shape)):
+                    l = ",".join(map(str, chart))
+                    ab(f"certify {shape} {seed} {k} chart {l}", lambda lib: partial(
+                        cli, lib, "certify", lib.home / "game.txt", "--from-json",
+                        lib.home / "solve.json", "--index", k, "--chart", l, "--json"))
+                for miss in (5e-10, 2e-9):
+                    def certify(lib):
+                        point = points[lib.side][k]
+                        spec = ";".join(",".join(repr(x + miss * (j == 0)) for j, x in enumerate(w))
+                                        for w in point)
+                        return partial(cli, lib, "certify", lib.home / "game.txt", "--point",
+                                       spec, "--json")
+                    ab(f"certify {shape} {seed} {k} point {miss}", certify)
+
+
+def main(argv=None) -> int:
+    # bench/workloads.py builds the workloads' tasks with this tree's nashatlas
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "bench")]
+    import workloads
+
+    sections = {"fixture": fixture,
+                **{name: partial(workload, kind) for name, kind in workloads.WORKLOADS.items()},
+                "tied": tied, "shapes": partial(shapes, workloads.square_families),
+                "cli": cli_runs}
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the parent's tree")
+    parser.add_argument("--only", nargs="+", choices=sections, help="sections (default: all)")
+    parser.add_argument("--rounds", type=int, default=3, help="rounds per workload")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        libs = {side: load_side(root.resolve(), side, Path(tmp))
+                for side, root in zip(SIDES, (args.parent, HERE))}
+        for lib in libs.values():  # the LP witness path and its lazy scipy import
+            lib.enumerate_nash(lib.make_game((2, 2), [np.zeros((2, 2))] * 2))
+        ab = AB(libs)
+        for name in args.only or sections:
+            ab.cpu = dict.fromkeys(SIDES, 0.0)
+            records = ab.records
+            sections[name](ab, args.rounds)
+            print(f"{name}: {ab.records - records} records, parent {ab.cpu['parent']:.3f} s, "
+                  f"change {ab.cpu['change']:.3f} s, "
+                  f"change/parent {ab.cpu['change'] / ab.cpu['parent']:.3f}", flush=True)
+        ab.summary()
+    print(f"wall time {time.perf_counter() - start:.1f} s")
+    return int(bool(ab.differ))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,14 +1,16 @@
 """Alternating parent/change pairs of the benchmark, summarised per metric.
 
     python tests/bench_pairs.py PARENT_DIR [--pairs N] [--seed S]
-                                [--workload NAME ...] [--seconds T]
+                                [--workload NAME ...]
 
 PARENT_DIR is the root of the parent's tree (exported with ``git archive``
 or ``git clone``); the change is the tree holding this script. Each side
 runs its own ``bench/run.py`` with its own ``src``, untraced, at the same
-run length and seed. For every workload (default: all of BENCHMARK.json's)
-the script runs N pairs (default 10); pair k uses seed S + k (default S =
-1), and the parent runs first in even pairs and second in odd ones.
+seed and at the run length ``run_seconds`` of the change's BENCHMARK.json,
+the length the benchmark itself is run at. For every workload (default:
+all of BENCHMARK.json's) the script runs N pairs (default 10); pair k uses
+seed S + k (default S = 1), and the parent runs first in even pairs and
+second in odd ones.
 
 For every end-to-end metric of the change's BENCHMARK.json it prints each
 side's median and quartiles over the N runs and the change's wins: pairs
@@ -80,7 +82,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="extend", nargs="+", choices=names)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -90,7 +91,8 @@ def main(argv: list[str]) -> int:
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(sides[side], workload, args.seed + k, args.seconds))
+                runs[side].append(run_once(sides[side], workload, args.seed + k,
+                                           spec["run_seconds"]))
         print(f"{workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}",
               flush=True)
         for metric in spec["end_to_end"]:

@@ -1,0 +1,44 @@
+"""tests/ab.py, the in-process A/B run of two trees, on its tied section."""
+
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+AB = Path(__file__).with_name("ab.py")
+ROOT = AB.parents[1]
+
+# appended to a copy's equilibrium.py: its enumerate_nash lists the same
+# equilibria in reverse order
+REVERSED = """
+
+_enumerate_nash = enumerate_nash
+
+
+def enumerate_nash(game, seed=0):
+    result = _enumerate_nash(game, seed)
+    result.equilibria.reverse()
+    return result
+"""
+
+
+def _ab(parent):
+    return subprocess.run([sys.executable, str(AB), str(parent), "--only", "tied"],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
+    same = _ab(ROOT)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "0 of 120 records differ; 0 apart from their numbers" in same.stdout
+    assert re.search(r"^tied: 120 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
+
+    shutil.copytree(ROOT / "src" / "nashatlas", tmp_path / "src" / "nashatlas",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "nashatlas" / "equilibrium.py", "a", encoding="utf-8") as f:
+        f.write(REVERSED)
+    moved = _ab(tmp_path)
+    assert moved.returncode == 1, moved.stdout + moved.stderr
+    assert re.search(r"^\d+ of 120 records differ", moved.stdout, re.M)
+    assert re.search(r"^  point: \d+ values differ \(tied \d+\)", moved.stdout, re.M)

@@ -918,10 +918,10 @@ def test_best_reply_check_at_a_tiny_payoff_scale():
 
 @pytest.mark.parametrize("mode", ["float", RATIONAL])
 def test_tied_full_support_residual_is_exactly_zero(mode):
-    # 2x2x2 game 3 of the default_rng(11) tied corpus of
-    # tests/parity_records.py: Newton's full-support root ((1/2, 1/2), (0.8,
-    # 0.2), (1/2, 1/2)) ties every player's slopes exactly, so its residual
-    # is exactly 0.0, not a rounding error, in either game mode
+    # 2x2x2 game 3 of the default_rng(11) tied section of tests/ab.py:
+    # Newton's full-support root ((1/2, 1/2), (0.8, 0.2), (1/2, 1/2))
+    # ties every player's slopes exactly, so its residual is exactly 0.0,
+    # not a rounding error, in either game mode
     payoffs = [[[[2, 1], [-2, -1]], [[0, 2], [2, -1]]],
                [[[1, -2], [-2, -1]], [[0, -1], [1, 0]]],
                [[[-1, 2], [1, 1]], [[1, -1], [2, -2]]]]
@@ -1092,8 +1092,11 @@ def test_rational_payoffs_of_any_size_give_the_unscaled_answers():
     # so rational payoffs beyond the float range keep the unscaled answers:
     # at 2**-1100 the 2x2x2 game reported 0 equilibria and a continuum, at
     # 2**1100 the 2x2 game raised OverflowError, and at 10**-400 its mixed
-    # equilibrium was certified singular with smallest singular value 0.0
-    for shape, seed, powers in [((2, 2, 2), 40005, (-1100,)), ((2, 2), 40002, (-1100, 1100))]:
+    # equilibrium was certified singular with smallest singular value 0.0;
+    # at 2**1100 the 2x2x2 game raised OverflowError in best_reply_check,
+    # whose float point's residuals in that unit lie beyond the float range
+    for shape, seed, powers in [((2, 2, 2), 40005, (-1100, 1100)),
+                                ((2, 2), 40002, (-1100, 1100))]:
         game = make_game(shape, random_game(shape, seed).utilities, mode=RATIONAL)
         answer = _scale_free_answer(game)
         assert [c[3] for c in answer[0]] == ["regular"] * 3
@@ -1101,6 +1104,14 @@ def test_rational_payoffs_of_any_size_give_the_unscaled_answers():
             scaled = _scaled(game, [k] * len(shape))
             assert scaled.payoff_exponents == tuple(e + k for e in game.payoff_exponents)
             assert _scale_free_answer(scaled) == answer, (shape, k)
+    # the 2x2x2 game's Newton point at 2**1100: its nonzero residuals read
+    # inf, its verdicts (in integers) hold
+    huge = _scaled(make_game((2, 2, 2), random_game((2, 2, 2), 40005).utilities,
+                             mode=RATIONAL), [1100] * 3)
+    [mixed] = [c for c in enumerate_nash(huge).equilibria
+               if all(len(s) == 2 for s in c.support.supports)]
+    report = best_reply_check(huge, mixed.point)
+    assert report.ok == (True,) * 3 and report.equality_residuals == (math.inf,) * 3
     tiny = make_game((2, 2), [u / 10**400 for u in game.utilities], mode=RATIONAL)
     assert [(c.jacobian_verdict, c.smallest_singular_value > 0)
             for c in enumerate_nash(tiny).equilibria] == [("regular", True)] * 3
