@@ -9,12 +9,16 @@ faces. When at most two players mix (every support of a two-player
 game), the other players are held at their one strategy, and the system
 is linear per player block and solved exactly: each payoff tensor is
 scaled exactly to Python ints (FiniteGame.integer_rows; float payoffs
-are dyadic; sliced to the pair in larger games, _pair_rows), each block
-is solved by fraction-free elimination (exact.solve_affine, integer
-numerators over one positive denominator) in the face coordinates of
-chart (0, ..., 0) that the Newton route uses, the solving player's
-weights on supp[1:] (_face_block, integer rows [A | b]), with
-w_{supp[0]} recovered from the sum rule. Exact numbers take no
+are dyadic), each block is solved by fraction-free elimination
+(exact.solve_affine, integer numerators over one positive denominator)
+in the face coordinates of chart (0, ..., 0) that the Newton route
+uses, the solving player's weights on supp[1:] (integer rows [A | b]),
+with w_{supp[0]} recovered from the sum rule. A block's rows depend
+only on the solving player's support, the partner's first supported
+strategy and the partner's other ones, so every row of every support
+is built once per game (FiniteGame._face_rows, per solving pair and
+held profile of the other players) and a support picks its rows from
+that table (_face_block). Exact numbers take no
 tolerance: a weight is positive when it is > 0. One pass looks for a
 positive point block by block and stops at the first block without one:
 a unique solution is decided on its integer numerators, and a
@@ -38,8 +42,12 @@ the unknowns are each player's weights on supp[1:], and player i's
 equations are slope(supp[0]) - slope(t), t in supp[1:], in its payoff
 unit, from payoffs taken before rounding. The starts (_newton_starts)
 are simplex points without their first weight. The roots are floats,
-positive above WEIGHT_TOL; the positivity, continuum and
-singular-root checks on them are one batched call each.
+kept when every supported weight is > 0, however small, not above
+WEIGHT_TOL: a root by a face's boundary stays, support_of reads its
+tiny weight as 0, and best_reply_check finds that strategy's margin
+within the tolerance (boundary-degenerate), where the root would
+otherwise be dropped without a word. The positivity, continuum and
+singular-root checks on the roots are one batched call each.
 
 Every equilibrium is certified from that same face system
 (certify_equilibrium): regular iff its Jacobian at the equilibrium has
@@ -92,7 +100,6 @@ from .game import (
     RANDOM_STARTS,
     RATIONAL,
     RESIDUAL_TOL,
-    WEIGHT_TOL,
     FiniteGame,
     MixedProfile,
     SupportProfile,
@@ -204,19 +211,17 @@ def _support_profiles(counts: tuple[int, ...]) -> tuple[SupportProfile, ...]:
     return tuple(SupportProfile(combo) for combo in itertools.product(*per_player))
 
 
-def _face_block(u, supp, osupp) -> list[list[int]]:
+def _face_block(table, supp, osupp) -> list[list[int]]:
     """The solving player's block in face coordinates, its weights z on
-    supp[1:] (chart (0, ..., 0)), as integer rows [A | b]: with a_js =
-    u[j][s] - u[osupp[0]][s], one row (a_js - a_{j,supp[0]}, s in
-    supp[1:] | -a_{j,supp[0]}) per j in osupp[1:]. It is the partner's
-    slope equalities with w_{supp[0]} = 1 - sum(z) substituted."""
-    base, s0, tail = u[osupp[0]], supp[0], supp[1:]
-    rows = []
-    for j in osupp[1:]:
-        uj = u[j]
-        c = base[s0] - uj[s0]
-        rows.append([uj[s] - base[s] + c for s in tail] + [c])
-    return rows
+    supp[1:] (chart (0, ..., 0)), as integer rows [A | b]: one row per j
+    in osupp[1:], read from the solving player's face table
+    (nashatlas.game._face_table, table[supp][o][j], one of the game's
+    _face_rows) at o = osupp[0]. With a_js = u[j][s] - u[o][s] and
+    s0 = supp[0], the row is (a_js - a_{j,s0}, s in supp[1:] | -a_{j,s0}):
+    the partner's slope equalities with w_{s0} = 1 - sum(z) substituted.
+    The rows are the table's own lists, which no caller edits."""
+    rows = table[supp][osupp[0]]
+    return [rows[j] for j in osupp[1:]]
 
 
 def _simplex_nums(sol: AffineSolutionSet) -> list[int]:
@@ -250,38 +255,33 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
     each other's slope equalities, in face coordinates (_face_block) as
     the Newton route does; every other player is held at its one strategy,
     and with none mixed the candidate is the support's vertex. Exact: the
-    payoffs enter as integers (game.integer_rows, _pair_rows), and the
-    positive scale they carry does not change the solution set.
+    blocks are read from the game's integer face tables, built once per
+    game (game._face_rows, keyed by the pair and the held strategies), and
+    the positive scale they carry does not change the solution set.
 
-    One pass looks for a positive point block by block and stops at the
-    first block without one: a unique solution is decided on its integer
-    numerators (_simplex_nums), a positive-dimensional one by its max-min
-    point (_positive_point). A positive-dimensional solution set raises
-    SingularSystem, with both blocks' points as its witness (a Fraction
-    profile) when both have one."""
+    Both blocks are eliminated, and an empty one ends the support before
+    anything else is built. Otherwise one pass looks for a positive point
+    block by block and stops at the first block without one: a unique
+    solution is decided on its integer numerators (_simplex_nums), a
+    positive-dimensional one by its max-min point (_positive_point). A
+    positive-dimensional solution set raises SingularSystem, with both
+    blocks' points as its witness (a Fraction profile) when both have
+    one."""
     supports = support.supports
-    if game.num_players == 2:
-        pair, tables = (0, 1), game.integer_rows
+    key = _pair_key(supports)
+    if key is None:
+        found, unique = {}, True
     else:
-        pair = [k for k, s in enumerate(supports) if len(s) > 1]
-        if len(pair) == 1:
-            # a pure partner: its block holds the lone mixed player's slope
-            # differences, constants that tie or not
-            pair.append(next(k for k, s in enumerate(supports) if len(s) == 1))
-        pair = tuple(sorted(pair))
-        tables = [_pair_rows(game, k, pair[1 - n], supports) for n, k in enumerate(pair)]
-    found, unique = {}, True
-    if pair:
-        i, j = pair
-        ti, tj = tables
-        # tj[t][s]: j plays t, i plays s; i's weights solve j's slope equalities
-        rows_i = _face_block(tj, supports[i], supports[j])
-        sol_i = solve_affine(rows_i, len(supports[i]) - 1)
-        rows_j = _face_block(ti, supports[j], supports[i])
-        sol_j = solve_affine(rows_j, len(supports[j]) - 1)
-        if sol_i.is_empty or sol_j.is_empty:
+        i, j, _ = key
+        table_i, table_j = game._face_rows[key]
+        si, sj = supports[i], supports[j]
+        rows_i = _face_block(table_i, si, sj)
+        sol_i = solve_affine(rows_i, len(si) - 1)
+        rows_j = _face_block(table_j, sj, si)
+        sol_j = solve_affine(rows_j, len(sj) - 1)
+        if sol_i.nums is None or sol_j.nums is None:  # is_empty; most supports end here
             return None
-        unique = sol_i.is_unique and sol_j.is_unique
+        found, unique = {}, sol_i.is_unique and sol_j.is_unique
         for k, sol, rows in ((i, sol_i, rows_i), (j, sol_j, rows_j)):
             block = (_simplex_nums(sol), sol.den) if sol.is_unique else _positive_point(sol, rows)
             if block is None or min(block[0]) <= 0:
@@ -304,16 +304,22 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
                          witness=_rational_profile(point))
 
 
-def _pair_rows(game: FiniteGame, k: int, partner: int, supports) -> list[list[int]]:
-    """Player k's game.integer_rows, [own][partner strategy], with every
-    other player at its first supported strategy: a strided slice of each
-    row, its strides those of the other players' C order."""
-    others = [b for b in range(game.num_players) if b != k]
-    stride = {b: math.prod(game.strategy_counts[a] for a in others[n + 1:])
-              for n, b in enumerate(others)}
-    start = sum(supports[b][0] * stride[b] for b in others if b != partner)
-    stop, step = start + stride[partner] * game.strategy_counts[partner], stride[partner]
-    return [row[start:stop:step] for row in game.integer_rows[k]]
+def _pair_key(supports) -> tuple[int, int, tuple[int, ...]] | None:
+    """The key of game._face_rows a support's blocks are read from: the
+    solving pair i < j (both players of a two-player game, else the mixed
+    ones, with the first pure player as partner when one mixes) and the
+    other players' one strategies; None when nobody mixes."""
+    if len(supports) == 2:
+        return 0, 1, ()
+    pair = [k for k, s in enumerate(supports) if len(s) > 1]
+    if not pair:
+        return None
+    if len(pair) == 1:
+        # a pure partner: its block holds the lone mixed player's slope
+        # differences, constants that tie or not
+        pair.append(next(k for k, s in enumerate(supports) if len(s) == 1))
+    i, j = sorted(pair)
+    return i, j, tuple(s[0] for k, s in enumerate(supports) if k != i and k != j)
 
 
 def _rational_profile(point) -> MixedProfile:
@@ -369,9 +375,11 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
         return [v @ a.T for a, v in zip(maps, vectors(z))]
 
     def positive(x):
-        # (k, n) stack of roots -> mask of those inside the open face
+        # (k, n) stack of roots -> mask of those inside the open face: every
+        # supported weight > 0, whatever its size (support_of and the
+        # best-reply check then flag a weight under WEIGHT_TOL as boundary)
         w = weights_from(x)
-        return np.all([(w[i][:, supports[i]] > WEIGHT_TOL).all(axis=1) for i in mixed], axis=0)
+        return np.all([(w[i][:, supports[i]] > 0).all(axis=1) for i in mixed], axis=0)
 
     starts = _newton_starts(tuple(len(supports[i]) for i in mixed), seed)
     roots = _newton_roots(system, starts, accept=positive)
@@ -413,17 +421,15 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     Newton (_newton_solve). The seed of the Newton starts is an integer
     >= 0 (game._check_seed), checked on every route."""
     seed = _check_seed(seed)
-    supports = support.supports
-    if len(supports) != game.num_players:
-        raise ValueError(
-            f"support has {len(supports)} blocks, expected {game.num_players}"
-        )
-    for i, supp in enumerate(supports):
-        if supp[0] < 0 or supp[-1] >= game.strategy_counts[i]:
+    supports, counts = support.supports, game.strategy_counts
+    if len(supports) != len(counts):
+        raise ValueError(f"support has {len(supports)} blocks, expected {len(counts)}")
+    for i, (supp, c) in enumerate(zip(supports, counts)):
+        if supp[0] < 0 or supp[-1] >= c:
             raise ValueError(f"support index out of range for player {i + 1}")
-    if game.num_players != 2:
+    if len(counts) != 2:
         mixed = sum(len(s) > 1 for s in supports)
-        if mixed > 2 or mixed and game.num_players == 1:
+        if mixed > 2 or mixed and len(counts) == 1:
             return _newton_solve(game, support, seed)
     return _exact_pair_solve(game, support)
 

@@ -10,10 +10,13 @@ Every pivot is fraction-free (Bareiss 1968): the update is an exact
 integer division by the previous pivot, so entries stay integers over
 one common denominator. The first pivot's previous pivot is 1, and a
 division by 1 is skipped. rref and solve_affine run Gauss-Jordan
-elimination with it, which replaces rows and never edits an input row;
-solve_affine reports an AffineSolutionSet: one particular solution as
-integer numerators over one positive denominator, and the number of
-free unknowns, which is all a support block needs. max_min_point
+elimination with it, which replaces rows and never edits an input row
+(a support block's rows are the game's face-table lists, shared by
+every support that reads them); solve_affine reports an
+AffineSolutionSet: one particular solution as integer numerators over
+one positive denominator, and the number of free unknowns, which is all
+a support block needs, and one shared answer for every inconsistent
+system. max_min_point
 runs a two-phase simplex method with Bland's rule on the same pivot
 (integer pivoting, as in Avis's lrs), and answers in integer numerators
 over its final denominator.
@@ -96,12 +99,16 @@ def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
+#: The one answer of every inconsistent system, shared and never edited.
+_INCONSISTENT = AffineSolutionSet(nums=None, den=1, free=0)
+
+
 def solve_affine(rows: list[list[int]], n: int) -> AffineSolutionSet:
     """Solution set of A x = b in n unknowns, given as the integer rows
-    [A | b] (possibly none)."""
+    [A | b] (possibly none); _INCONSISTENT when there is none."""
     mat, pivots = rref(rows)
-    if n in pivots:
-        return AffineSolutionSet(nums=None, den=1, free=0)
+    if pivots and pivots[-1] == n:  # pivot columns ascend; b is column n
+        return _INCONSISTENT
     den = mat[0][pivots[0]] if pivots else 1
     sign = -1 if den < 0 else 1  # a pivot may be negative; keep den > 0
     nums = [0] * n

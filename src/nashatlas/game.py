@@ -9,6 +9,7 @@ numeric modes exist: "float" (float64 tensors) and "rational"
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,10 +79,26 @@ class FiniteGame:
     def integer_rows(self) -> tuple[list[list[int]], ...]:
         """Per player i, its integer_utilities ints as one list of Python
         ints per own strategy over the other players' pure profiles in C
-        order ([own][partner] for two players): the one integer table, for
-        forms._slope_nums and equilibrium._integer_solution."""
+        order ([own][partner] for two players): the one integer table of
+        the slopes, forms._slope_nums."""
         return tuple(np.moveaxis(ints, i, 0).reshape(c, -1).tolist() for i, ((ints, _), c)
                      in enumerate(zip(self.integer_utilities, self.strategy_counts)))
+
+    @cached_property
+    def _face_rows(self) -> dict[tuple, tuple[list, list]]:
+        """The exact route's face-block rows, built once per game: per
+        solving pair i < j and held profile h of the other players (their
+        strategies in player order, () for two players), the key (i, j, h),
+        one _face_table per pair player, i's from j's payoffs and j's from
+        i's (_pair_rows). equilibrium._face_block picks a support's block
+        from them."""
+        out = {}
+        for i, j in itertools.combinations(range(self.num_players), 2):
+            held = itertools.product(*(range(c) for b, c in enumerate(self.strategy_counts)
+                                       if b != i and b != j))
+            for h, ui, uj in zip(held, _pair_rows(self, i, j), _pair_rows(self, j, i)):
+                out[i, j, h] = (_face_table(uj), _face_table(ui))
+        return out
 
     @cached_property
     def payoff_exponents(self) -> tuple[int, ...]:
@@ -96,6 +113,42 @@ class FiniteGame:
             e = spread.bit_length() - scale.bit_length()
             out.append(e - (spread << max(-e, 0) < scale << max(e, 0)) if spread else 0)
         return tuple(out)
+
+
+def _pair_rows(game: FiniteGame, k: int, partner: int) -> list[list[list[int]]]:
+    """Player k's integer_rows as one [own][partner strategy] table per
+    held profile of the other players, in the C order of their strategies
+    (one table for two players): strided slices of each row, the strides
+    those of the other players' C order."""
+    counts = game.strategy_counts
+    others = [b for b in range(len(counts)) if b != k]
+    stride = {b: math.prod(counts[a] for a in others[n + 1:]) for n, b in enumerate(others)}
+    held = [b for b in others if b != partner]
+    step = stride[partner]
+    width = step * counts[partner]
+    out = []
+    for h in itertools.product(*(range(counts[b]) for b in held)):
+        start = sum(x * stride[b] for x, b in zip(h, held))
+        out.append([row[start:start + width:step] for row in game.integer_rows[k]])
+    return out
+
+
+def _face_table(u) -> dict[tuple[int, ...], list[list[list[int] | None]]]:
+    """Every face-block row of the player solved for from its partner's
+    payoffs u[t][s] (the partner plays t, the player s): table[supp][o][t]
+    for each own support supp (a sorted tuple), the partner's base o and a
+    partner strategy t > o (None for t <= o, which no block reads). With
+    s0 = supp[0] and d_s = u[t][s] - u[o][s], the row is (d_s - d_{s0},
+    s in supp[1:] | -d_{s0}); it depends on nothing else of a support."""
+    n = len(u[0])
+    diffs = [[[x - y for x, y in zip(ut, base)] for ut in u[o + 1:]] for o, base in enumerate(u)]
+    table = {}
+    for size in range(1, n + 1):
+        for supp in itertools.combinations(range(n), size):
+            s0, tail = supp[0], supp[1:]
+            table[supp] = [[None] * (o + 1) + [[d[s] - d[s0] for s in tail] + [-d[s0]] for d in ds]
+                           for o, ds in enumerate(diffs)]
+    return table
 
 
 @dataclass(frozen=True)
@@ -160,6 +213,8 @@ def _integral(x, what: str) -> int:
 def _check_seed(seed) -> int:
     """A library seed as an int when it is integral (_integral) and >= 0,
     the rule of the CLI's --seed, or a ValueError naming it (None too)."""
+    if type(seed) is int and seed >= 0:  # the common case, every check passed
+        return seed
     if seed is None:
         raise ValueError("seed None is not an integer")
     seed = _integral(seed, "seed")

@@ -19,9 +19,11 @@ Sections, in this order (``--only`` picks some of them):
   (bench/workloads.py; a round's order and offsets come from
   ``default_rng(seed)``, as in ``bench/run.py``), each task as the
   benchmark runs it;
-- ``tied``: 50 2x2x2 then 10 2x3x2 games from ``default_rng(11)``, every
-  player's payoffs ``rng.integers(-2, 3, shape)``, each solved in float
-  and in rational mode;
+- ``tied``: 50 2x2x2, then 10 2x3x2, then 10 5x5 games from
+  ``default_rng(11)``, every player's payoffs ``rng.integers(-2, 3,
+  shape)``, each solved in float and in rational mode (the 5x5 games,
+  drawn last, leave the others' indices as they were; they bring
+  positive-dimensional two-player blocks and max-min witnesses);
 - ``shapes``: ``random_game`` solves of 8 2x3x2, 8 3x3x2 and 8 2x2x2x2
   games (seeds 40000+), and per shape the square good family of the
   largest face (bench/workloads.py's ``square_families``) of the seed
@@ -250,7 +252,7 @@ def workload(kind, ab, rounds):
 
 def tied(ab, rounds):
     rng = np.random.default_rng(11)
-    for k, shape in enumerate([(2, 2, 2)] * 50 + [(2, 3, 2)] * 10):
+    for k, shape in enumerate([(2, 2, 2)] * 50 + [(2, 3, 2)] * 10 + [(5, 5)] * 10):
         payoffs = [rng.integers(-2, 3, shape) for _ in shape]
         for mode in ("float", "rational"):
             ab(f"tied {k} {shape} {mode}", lambda lib: partial(

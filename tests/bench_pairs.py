@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, summarised per metric.
 
     python tests/bench_pairs.py PARENT_DIR [--pairs N] [--seed S]
-                                [--workload NAME ...]
+                                [--workload NAME ...] [--json PATH]
 
 PARENT_DIR is the root of the parent's tree (exported with ``git archive``
 or ``git clone``); the change is the tree holding this script. Each side
@@ -21,9 +21,12 @@ in the better direction, by more than the distance between the parent's
 quartiles. ``worse`` says whether the change's median is worse than the
 parent's by more than the metric's ``bound``, a fraction of the parent's
 median: the no-regression test of a change that claims no gain. Several
-workloads may follow one ``--workload``. A run that fails, or whose
-result is not ``correct``, stops the script with exit code 1. The script
-is not a test module: pytest does not collect it.
+workloads may follow one ``--workload``. ``--json PATH`` also writes the
+summary to PATH: the pairs and run length, then per workload its seeds
+and, per metric, each side's runs, median and quartiles, the wins and
+the gain and worse verdicts. A run that fails, or whose result is not
+``correct``, stops the script with exit code 1. The script is not a test
+module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -60,18 +63,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarise(metric: dict, parent: list[float], change: list[float]) -> str:
-    """One line: each side's median [quartiles], wins, and the gain and
-    regression verdicts."""
+def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """Each side's runs, median and quartiles, the change's wins, and the
+    gain and regression verdicts."""
     sign = 1 if metric["better"] == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-    gain = wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1
-    worse = sign * (cm - pm) < -metric["bound"] * abs(pm)
-    return (f"  {metric['name']:15s} parent {pm:10.4g} [{p1:.4g}, {p3:.4g}]"
-            f"  change {cm:10.4g} [{c1:.4g}, {c3:.4g}]"
-            f"  wins {wins}/{len(parent)}  gain {'yes' if gain else 'no'}"
-            f"  worse {'yes' if worse else 'no'}")
+    return {"parent": {"runs": parent, "median": pm, "quartiles": [p1, p3]},
+            "change": {"runs": change, "median": cm, "quartiles": [c1, c3]},
+            "wins": wins,
+            "gain": wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1,
+            "worse": sign * (cm - pm) < -metric["bound"] * abs(pm)}
+
+
+def line(name: str, summary: dict) -> str:
+    """The printed line of one metric's summary."""
+    (p1, p3), (c1, c3) = summary["parent"]["quartiles"], summary["change"]["quartiles"]
+    return (f"  {name:15s} parent {summary['parent']['median']:10.4g} [{p1:.4g}, {p3:.4g}]"
+            f"  change {summary['change']['median']:10.4g} [{c1:.4g}, {c3:.4g}]"
+            f"  wins {summary['wins']}/{len(summary['parent']['runs'])}"
+            f"  gain {'yes' if summary['gain'] else 'no'}"
+            f"  worse {'yes' if summary['worse'] else 'no'}")
 
 
 def main(argv: list[str]) -> int:
@@ -82,10 +94,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="extend", nargs="+", choices=names)
+    parser.add_argument("--json", type=Path, help="also write the summary here")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     sides = {"parent": args.parent.resolve(), "change": HERE}
+    report = {"pairs": args.pairs, "run_seconds": spec["run_seconds"], "workloads": {}}
     for workload in args.workload or names:
         runs = {side: [] for side in sides}
         for k in range(args.pairs):
@@ -93,12 +107,17 @@ def main(argv: list[str]) -> int:
             for side in order:
                 runs[side].append(run_once(sides[side], workload, args.seed + k,
                                            spec["run_seconds"]))
-        print(f"{workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}",
-              flush=True)
+        seeds = list(range(args.seed, args.seed + args.pairs))
+        print(f"{workload}: {args.pairs} pairs, seeds {seeds[0]}-{seeds[-1]}", flush=True)
+        metrics = {}
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            print(summarise(metric, [r[name] for r in runs["parent"]],
-                            [r[name] for r in runs["change"]]), flush=True)
+            metrics[name] = summarise(metric, [r[name] for r in runs["parent"]],
+                                      [r[name] for r in runs["change"]])
+            print(line(name, metrics[name]), flush=True)
+        report["workloads"][workload] = {"seeds": seeds, "metrics": metrics}
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

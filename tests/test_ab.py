@@ -31,8 +31,8 @@ def _ab(parent):
 def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
     same = _ab(ROOT)
     assert same.returncode == 0, same.stdout + same.stderr
-    assert "0 of 120 records differ; 0 apart from their numbers" in same.stdout
-    assert re.search(r"^tied: 120 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
+    assert "0 of 140 records differ; 0 apart from their numbers" in same.stdout
+    assert re.search(r"^tied: 140 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
 
     shutil.copytree(ROOT / "src" / "nashatlas", tmp_path / "src" / "nashatlas",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -40,5 +40,5 @@ def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
         f.write(REVERSED)
     moved = _ab(tmp_path)
     assert moved.returncode == 1, moved.stdout + moved.stderr
-    assert re.search(r"^\d+ of 120 records differ", moved.stdout, re.M)
+    assert re.search(r"^\d+ of 140 records differ", moved.stdout, re.M)
     assert re.search(r"^  point: \d+ values differ \(tied \d+\)", moved.stdout, re.M)

@@ -1,5 +1,6 @@
 """Support enumeration, equilibrium solving, and degeneracy handling."""
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -28,7 +29,8 @@ from nashatlas import (
 from nashatlas import equilibrium, genericity
 from nashatlas.game import CHECK_TOL, MixedProfile
 from nashatlas.equilibrium import _newton_solve, support_label
-from nashatlas.exact import max_min_point, rref
+from nashatlas import game as game_module
+from nashatlas.exact import max_min_point, rref, solve_affine
 from nashatlas.forms import contract
 
 from conftest import fresh_python, oracle_enumerate_2p, oracle_equilibria_2p
@@ -667,6 +669,98 @@ def test_exact_blocks_are_solved_in_face_coordinates(monkeypatch):
             assert widths <= {len(supp)}
 
 
+def _direct_blocks(game, supports):
+    """Reference for the exact route's two blocks of a support, built
+    straight from the payoff ints: (rows [A | b], unknowns) for each of
+    the solving pair i < j (both players of a two-player game, else the
+    mixed ones, with the first pure player as partner when one mixes),
+    i's block first, every other player at its one strategy; None when
+    nobody mixes. A solver's rows are its partner's slope equalities in
+    face coordinates: (a_ts - a_{t,s0}, s in supp[1:] | -a_{t,s0}) per t
+    in osupp[1:], with a_ts = u[t][s] - u[o][s] and o = osupp[0]."""
+    if game.num_players == 2:
+        pair = [0, 1]
+    else:
+        pair = [k for k, s in enumerate(supports) if len(s) > 1]
+        if not pair:
+            return None
+        if len(pair) == 1:
+            pair.append(next(k for k, s in enumerate(supports) if len(s) == 1))
+        pair.sort()
+    blocks = []
+    for solver, partner in (pair, pair[::-1]):
+        ints = game.integer_utilities[partner][0]
+
+        def a(t, s):
+            index = [supp[0] for supp in supports]
+            index[partner], index[solver] = t, s
+            o = list(index)
+            o[partner] = supports[partner][0]
+            return ints[tuple(index)] - ints[tuple(o)]
+
+        supp, osupp = supports[solver], supports[partner]
+        rows = [[a(t, s) - a(t, supp[0]) for s in supp[1:]] + [-a(t, supp[0])]
+                for t in osupp[1:]]
+        blocks.append((rows, len(supp) - 1))
+    return blocks
+
+
+@pytest.mark.parametrize("mode", ["float", RATIONAL])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 6), (5, 4), (6, 6), (2, 2, 2), (2, 3, 2)])
+def test_face_table_rows_are_the_direct_blocks(shape, mode, monkeypatch):
+    # every block that reaches solve_affine, read from the game's face
+    # table, is the [A | b] built straight from the payoffs, as Python
+    # ints, for every support the exact route solves; rational games have
+    # small ties, so positive-dimensional blocks are among them
+    calls = []
+
+    def recorded(rows, n):
+        calls.append((rows, n))
+        return solve_affine(rows, n)
+
+    monkeypatch.setattr(equilibrium, "solve_affine", recorded)
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    if mode == RATIONAL:
+        game = make_game(shape, [[Fraction(int(p), int(q)) for p, q in zip(
+            rng.integers(-3, 4, math.prod(shape)), rng.integers(1, 4, math.prod(shape)))]
+            for _ in shape], mode=RATIONAL)
+    else:
+        game = random_game(shape, seed=int(rng.integers(1000)))
+    exact = 0
+    for support in enumerate_supports(game):
+        supports = support.supports
+        if len(shape) > 2 and sum(len(s) > 1 for s in supports) > 2:
+            continue  # the Newton route
+        calls.clear()
+        with contextlib.suppress(SingularSystem):
+            equilibrium._integer_solution(game, support)
+        want = _direct_blocks(game, supports)
+        assert calls == (want or []), supports
+        assert all(type(x) is int for rows, _ in calls for row in rows for x in row)
+        exact += want is not None
+    total = math.prod(2 ** c - 1 for c in shape)
+    if len(shape) > 2:  # nobody mixes on the pure profiles, three mix on the rest
+        total -= math.prod(shape) + math.prod(2 ** c - 1 - c for c in shape)
+    assert exact == total
+
+
+def test_face_table_is_built_once_per_game(monkeypatch):
+    # one face table per pair player and held profile, on the first exact
+    # support: 2 for a two-player game, 3 pairs x 2 held strategies x 2
+    # players for 2x2x2; a second enumeration builds none
+    built = []
+    real = game_module._face_table
+    monkeypatch.setattr(game_module, "_face_table", lambda u: built.append(u) or real(u))
+    for shape, count in [((4, 4), 2), ((2, 2, 2), 12)]:
+        game = random_game(shape, seed=9)
+        built.clear()
+        enumerate_nash(game, seed=9)
+        assert len(built) == count
+        enumerate_nash(game, seed=9)
+        assert len(built) == count
+        assert game._face_rows is game._face_rows
+
+
 def test_continuum_with_tiny_max_min_weight_is_witnessed():
     # Player 2's weights on the full support solve y0 - N y1 + y2 = 0, so
     # every point has y1 = 1/(N + 1) = 1/(2 * 10**7); player 1 is held at
@@ -1129,3 +1223,31 @@ def test_three_player_game_at_huge_scale_finishes():
     run = fresh_python("-c", script, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["3", "3"]
+
+
+def test_games_by_a_face_crossing_are_odd_or_degenerate():
+    # ROADMAP item 22, segment 10: along G(t) = (1 - t) G0 + t G1 the count
+    # first changes between the grid points t = 0.12 and 0.14, where an
+    # equilibrium on the full support crosses a face's boundary (t near
+    # 0.1270379). Bisected to that event, each of 41 games within 2e-9 of
+    # it has an odd count or says it is degenerate: Newton keeps a root
+    # whose weight is positive but under WEIGHT_TOL, and its certificate
+    # is boundary-degenerate, where the root was once dropped unflagged
+    g0, g1 = random_game((2, 2, 2), seed=5020), random_game((2, 2, 2), seed=5021)
+
+    def game(t):
+        return make_game((2, 2, 2), [(1 - t) * a + t * b for a, b in zip(g0.utilities,
+                                                                          g1.utilities)])
+
+    def count(t):
+        return enumerate_nash(game(t)).count
+
+    assert [count(k / 50) for k in range(8)] == [3] * 7 + [1]
+    lo, hi = 0.12, 0.14
+    for _ in range(45):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if count(mid) == 3 else (lo, mid)
+    assert abs(lo - 0.1270379) < 1e-7
+    for k in range(41):
+        result = enumerate_nash(game(lo + (k - 20) * 1e-10))
+        assert result.count % 2 == 1 or result.degenerate, k

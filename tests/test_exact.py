@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from nashatlas.equilibrium import _face_block, _positive_point, _simplex_nums
 from nashatlas.exact import max_min_point, rref, solve_affine
+from nashatlas.game import _face_table
 
 
 def _reference_rref(rows):
@@ -198,7 +199,7 @@ def test_face_block_matches_the_whole_block(table):
     # equalities plus the sum rule) on emptiness, dimension, particular
     # point and positive point
     u, supp, osupp = table
-    rows = _face_block(u, supp, osupp)
+    rows = _face_block(_face_table(u), supp, osupp)
     assert len(rows) == len(osupp) - 1 and all(len(r) == len(supp) for r in rows)
     whole = ([[u[j][s] - u[osupp[0]][s] for s in supp] + [0] for j in osupp[1:]]
              + [[1] * (len(supp) + 1)])

@@ -31,7 +31,7 @@ from nashatlas import (
     support_of,
 )
 from nashatlas import game as game_module
-from nashatlas.equilibrium import _pair_rows
+from nashatlas.game import _pair_rows
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -199,20 +199,21 @@ def test_integer_rows_index_own_then_opponents_in_c_order():
                          for pure in itertools.product(*(range(triple.strategy_counts[b])
                                                           for b in others))]
                         for own in range(triple.strategy_counts[k])]
-    # the exact solve's pair tables are strided slices of those rows: every
-    # player outside the pair at its held strategy, the partner free
+    # the exact solve's pair tables, one per held profile, are strided
+    # slices of those rows: every player outside the pair at its held
+    # strategy, the partner free
     for pair in itertools.combinations(range(3), 2):
         [held] = [b for b in range(3) if b not in pair]
-        for h in range(triple.strategy_counts[held]):
-            supports = [(h,) if b == held else tuple(range(c))
-                        for b, c in enumerate(triple.strategy_counts)]
-            for k, partner in (pair, pair[::-1]):
+        for k, partner in (pair, pair[::-1]):
+            tables = _pair_rows(triple, k, partner)
+            assert len(tables) == triple.strategy_counts[held]
+            for h in range(triple.strategy_counts[held]):
                 index = [slice(None)] * 3
                 index[held] = h
                 want = u[k][tuple(index)]
                 if k > partner:
                     want = want.T
-                assert _pair_rows(triple, k, partner, supports) == want.astype(int).tolist()
+                assert tables[h] == want.astype(int).tolist()
 
 
 def test_parse_game_float():
