@@ -207,11 +207,12 @@ def excluded_hypersurfaces(game: FiniteGame, chart) -> list[Coordinate]:
     return [_pinned_hyperplane(i, l) for i, l in enumerate(chart)]
 
 
-def _validate_hypersurface(game: FiniteGame, h: Hypersurface) -> None:
-    """Raise ValueError, naming h, unless h is a hypersurface of the game."""
-    if not 0 <= h.player < game.num_players:
+def _validate_hypersurface(counts, h: Hypersurface) -> None:
+    """Raise ValueError, naming h, unless h is a hypersurface of a game
+    with these strategy counts."""
+    if not 0 <= h.player < len(counts):
         raise ValueError(f"{h}: no player {h.player + 1}")
-    n = game.strategy_counts[h.player] - 1
+    n = counts[h.player] - 1
     if isinstance(h, Coordinate):
         if h.index != INF and h.index > n:
             raise ValueError(f"{h}: coordinate index {h.index} out of range")
@@ -219,14 +220,14 @@ def _validate_hypersurface(game: FiniteGame, h: Hypersurface) -> None:
         raise ValueError(f"{h}: pair index {h.pair[1]} out of range")
 
 
-def _check_in_chart(game: FiniteGame, hypersurfaces, chart) -> tuple[int, ...]:
+def _check_in_chart(counts, hypersurfaces, chart) -> tuple[int, ...]:
     """The validated chart, once each hypersurface is checked against the
-    game and the chart: ValueError for one listed twice,
+    strategy counts and the chart: ValueError for one listed twice,
     ChartExcludesHypersurface for one the chart misses."""
-    chart = _validate_chart(chart, game.strategy_counts)
+    chart = _validate_chart(chart, counts)
     seen = set()
     for h in hypersurfaces:
-        _validate_hypersurface(game, h)
+        _validate_hypersurface(counts, h)
         if h in seen:
             raise ValueError(f"{h} is listed twice")
         seen.add(h)
@@ -244,7 +245,7 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
     The returned form's blocks say which players' chart coordinates it
     reads; its pinned indices are the chart slots.
     """
-    chart = _check_in_chart(game, (h,), chart)
+    chart = _check_in_chart(game.strategy_counts, (h,), chart)
     i = h.player
     if isinstance(h, Coordinate):
         # weight_j = 0 is row j of M (gamma = M tilde, forms._basis_matrix);
@@ -303,5 +304,5 @@ def parse_hypersurface(text: str, game: FiniteGame | None = None) -> Hypersurfac
             f"bad hypersurface {text!r}: expected C:i:j, C:i:inf, or D:i:j:k"
         ) from None
     if game is not None:
-        _validate_hypersurface(game, h)
+        _validate_hypersurface(game.strategy_counts, h)
     return h

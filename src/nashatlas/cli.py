@@ -416,7 +416,7 @@ def _cmd_certify(args):
         family = _parse_family(game, args.t, args.r)
     else:
         family = canonical_equilibrium_family(game, support_of(profile))
-    _check_in_chart(game, family.hypersurfaces(), chart)
+    _check_in_chart(game.strategy_counts, family.hypersurfaces(), chart)
     point = chart_zero_point(profile)
     if chart != point.chart:
         point = transition(point, chart)

@@ -458,13 +458,16 @@ def certify_equilibrium(game: FiniteGame, cert: EquilibriumCertificate) -> Equil
     (0, ..., 0) (genericity._family_system, unknowns z the weights on
     supp[1:]), in payoff units, has full rank at the equilibrium: by the
     block-triangular rank lemma, transversality of that family. A pure
-    equilibrium has no unknowns: regular, smallest singular value inf."""
+    equilibrium has no unknowns: regular, smallest singular value inf.
+    The point is evaluated as a stack of two copies of itself, as NumPy's
+    matmul sums one row in another order than a stack, so the
+    certificate is a function of the point alone."""
     support = cert.support
     z = np.concatenate([w[list(s[1:])] for w, s in zip(cert.point.as_floats(), support.supports)])
     if z.size:
         family = canonical_equilibrium_family(game, support)
         system = _family_system(game, family, (0,) * game.num_players)[0]
-        _, smin, regular = _svd_ranks(system(z)[1])
+        _, smin, regular = _svd_ranks(system(np.stack([z, z]))[1][0])
     else:
         smin, regular = math.inf, True
     return replace(cert, jacobian_verdict="regular" if regular else "singular",

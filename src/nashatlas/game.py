@@ -203,9 +203,15 @@ class SupportProfile:
 
 def _integral(x, what: str) -> int:
     """x as an int when it is integral (2, 2.0, a NumPy integer), or a
-    ValueError naming it: an index or a count is never truncated."""
-    i = int(x)
-    if i != x:
+    ValueError naming it: an index or a count is never truncated, and
+    what int() refuses (None, inf, nan, a string that is no number) is
+    that ValueError too."""
+    try:
+        i = int(x)
+        integral = i == x
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
         raise ValueError(f"{what} {x} is not an integer")
     return i
 
@@ -215,8 +221,6 @@ def _check_seed(seed) -> int:
     the rule of the CLI's --seed, or a ValueError naming it (None too)."""
     if type(seed) is int and seed >= 0:  # the common case, every check passed
         return seed
-    if seed is None:
-        raise ValueError("seed None is not an integer")
     seed = _integral(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed {seed} must be >= 0")

@@ -26,17 +26,35 @@ the system as one coefficient matrix over the Segre monomials of the
 blocks, and its Jacobian too (the coefficients of each derivative,
 placed at the monomials that do not involve the block differentiated
 by): the residuals and Jacobians of a stack of points are one gather of
-the monomials and one matrix product. The starts iterate together: a
-step is one batched LU solve (least squares through the pseudo-inverse
-where the system is not square or a Jacobian is exactly singular) and
-one evaluation of the trial points of all NEWTON_HALVINGS step lengths
-of every start, whose accepted rows carry their residuals and Jacobians
-into the next step. Each start takes its own first accepted step
-length and stops on its own: converged (residual within RESIDUAL_TOL),
-stalled (no step length lowers the residual) or out of steps
-(NEWTON_MAX_ITERS). The equations are in each player's payoff
-unit (FiniteGame.payoff_exponents), so the loop's tolerances (from the
-table in nashatlas.game) act the same at every payoff scale.
+the monomials and one matrix product.
+
+What does not depend on the payoffs is built once and kept. A face plan
+(_face_plan), one per (strategy counts, family, chart), holds the
+family's and the chart's checks, the face and weight maps and, per
+equation player, the payoff indices of its pairs and its einsum layout;
+a Segre table (_segre_tables), one per (block sizes, equations per
+player), holds the monomial gather table and the index that takes the
+matrix [C | K_J] from the players' coefficients in one take. So a call
+on a kept plan does only payoff arithmetic: per equation player two
+takes, a difference, the unit scaling and one einsum, then that one
+take. Each cache keeps its FACE_PLANS (1024) most recently used keys. A
+plan takes 3-4 kB for shapes up to 3x3x3, so 1024 of them about 4 MB; a
+table's largest array, the take index, has prod(1 + d_b) * n_eq * (1 +
+n) entries (32 kB for a full 6x6 support, 105 kB for 8x8), and tables
+are few (11 serve all 2,442 square (family, chart) keys of 3x3 games).
+A bad family or chart is not kept: it raises again on every call.
+
+The Newton starts iterate together: a step is one batched LU solve
+(least squares through the pseudo-inverse where the system is not
+square or a Jacobian is exactly singular) and one evaluation of the
+trial points of all NEWTON_HALVINGS step lengths of every start, whose
+accepted rows carry their residuals and Jacobians into the next step.
+Each start takes its own first accepted step length and stops on its
+own: converged (residual within RESIDUAL_TOL), stalled (no step length
+lowers the residual) or out of steps (NEWTON_MAX_ITERS). The equations
+are in each player's payoff unit (FiniteGame.payoff_exponents), so the
+loop's tolerances (from the table in nashatlas.game) act the same at
+every payoff scale.
 """
 
 from __future__ import annotations
@@ -62,7 +80,7 @@ from .atlas import (
     defining_map,
     on_hypersurface,
 )
-from .forms import MultilinearForm, _basis_matrix, _contract_axis
+from .forms import MultilinearForm, _basis_matrix
 from .game import (
     DEDUP_TOL,
     NEWTON_HALVINGS,
@@ -99,14 +117,15 @@ class GoodFamily:
         return sum(len(p) for p in self.R)
 
 
-def _family_members(game: FiniteGame, family: GoodFamily) -> list[Hypersurface]:
+def _family_members(counts, family: GoodFamily) -> list[Hypersurface]:
     """The family's hypersurfaces, once it has one T and one R entry per
-    player and each member is a hypersurface of the game."""
-    if not len(family.T) == len(family.R) == game.num_players:
+    player and each member is a hypersurface of a game with these
+    strategy counts."""
+    if not len(family.T) == len(family.R) == len(counts):
         raise ValueError("family needs one T and one R entry per player")
     members = family.hypersurfaces()
     for h in members:
-        _validate_hypersurface(game, h)
+        _validate_hypersurface(counts, h)
     return members
 
 
@@ -123,7 +142,7 @@ def good_family(game: FiniteGame, T=None, R=None) -> GoodFamily:
         tuple(tuple(sorted({(_integral(j, "pair entry"), _integral(k, "pair entry"))
                             for j, k in ps})) for ps in R),
     )
-    _family_members(game, family)
+    _family_members(game.strategy_counts, family)
     return family
 
 
@@ -306,95 +325,142 @@ def _newton_roots(system, starts, accept=None) -> np.ndarray:
     return _dedup(x[keep])
 
 
-@functools.cache  # one entry per tuple of block sizes
-def _segre_tables(dims: tuple[int, ...]):
+# Face plans (_face_plan) and Segre tables (_segre_tables) kept: each
+# cache holds its FACE_PLANS most recently used keys.
+FACE_PLANS = 1024
+
+
+@dataclass(frozen=True)
+class _SystemPlan:
+    """What _face_system needs besides the payoffs (_system_plan): the
+    weight maps, the block sizes' coordinate spans, per equation player
+    (i, js, ks, t's einsum axes, the other players' weight maps with
+    their axes, the output axes), and _segre_tables' gather table and
+    take index of K. Every array is read-only."""
+
+    weights: tuple[np.ndarray, ...]
+    spans: tuple[tuple[int, int], ...]
+    n: int
+    n_eq: int
+    players: tuple
+    gather: np.ndarray
+    place: np.ndarray
+
+
+@functools.lru_cache(maxsize=FACE_PLANS)
+def _segre_tables(dims: tuple[int, ...], eqs: tuple[tuple[int, int], ...]):
     """Index tables of the Segre monomials of the blocks (1, z_b), z_b
-    with dims[b] coordinates, in the C order of their outer product.
+    with dims[b] coordinates, in the C order of their outer product, for
+    the equation players eqs, (player, equation count) in player order.
     gather[b, r] is the position of monomial r's block-b factor in the
     vector (z, 1): the trailing 1 for slot 0, z_b's slot - 1 otherwise.
-    (rows, cols, src) place a coefficient matrix's Jacobian: its
-    derivative in coordinate cols of block q, slot k >= 1 of that block,
-    is the monomial rows (block-q slot 0, so the other blocks' monomial)
-    times coefficient row src (the same monomial with block-q slot k)."""
+    Player i's coefficients are nonzero only at the monomials whose
+    block-i slot is 0 (v_i[0] = 1), where _face_system's einsum gives
+    them, in the other blocks' C order. Those coefficients, player after
+    player, then one 0, are what K = [C | K_J] is taken from, and place
+    holds each entry's position: C's, then K_J's, whose column for slot
+    k >= 1 of block q is C's column at monomial r with its block-q slot
+    set to k, for r with block-q slot 0, and 0 elsewhere."""
     shape = tuple(d + 1 for d in dims)
-    n, size = sum(dims), math.prod(shape)
+    n, size, n_eq = sum(dims), math.prod(shape), sum(k for _, k in eqs)
     slots = np.indices(shape).reshape(len(dims), size)
     offsets = np.cumsum((0,) + dims[:-1])
     gather = np.where(slots > 0, slots + (offsets - 1)[:, None], n)
-    rows, cols, src = [], [], []
+    monomials = np.arange(size).reshape(shape)
+    zero = sum(size // shape[i] * k for i, k in eqs)  # the 0 after every coefficient
+    coeffs = np.full((size, n_eq), zero)
+    start = col = 0
+    for i, k in eqs:
+        rows = monomials.take(0, axis=i).reshape(-1)
+        coeffs[rows, col:col + k] = start + np.arange(rows.size * k).reshape(rows.size, k)
+        start, col = start + rows.size * k, col + k
+    jac = np.full((size, n_eq, n), zero)
     for q, (d, stride) in enumerate(zip(dims, size // np.cumprod(shape))):
         base = np.flatnonzero(slots[q] == 0)
         for k in range(1, d + 1):
-            rows.append(base)
-            cols.append(np.full(len(base), offsets[q] + k - 1))
-            src.append(base + k * stride)
-    # each table is empty when no block has coordinates
-    tables = (gather,) + tuple(np.concatenate([np.zeros(0, dtype=int)] + a) for a in (rows, cols, src))
-    for a in tables:
+            jac[base, :, offsets[q] + k - 1] = coeffs[base + k * stride]
+    # sizes are explicit, as reshape cannot infer one next to a 0
+    place = np.concatenate((coeffs, jac.reshape(size, n_eq * n)), axis=1)
+    for a in (gather, place):
         a.setflags(write=False)  # every system of these sizes shares them
-    return tables
+    return gather, place
 
 
-def _face_system(game: FiniteGame, pairs, maps):
-    """The payoff-difference system restricted to a coordinate face.
-
-    maps[b] is a (c_b, 1 + d_b) matrix taking (1, z_b) to player b's
-    weights, and z concatenates the z_b. Player i's equations are
-    slope_j - slope_k, (j, k) in pairs[i]: its payoffs contracted on axis
-    i with the integer columns e_j - e_k (so taken before rounding), in
-    its payoff unit (exactly, so rational payoffs of any size fit), as
-    float. One einsum per player composes them with
-    the other players' maps and puts e_0 on axis i, so every equation is
-    a multilinear form in the blocks (1, z_b), read off one coefficient
-    array C of shape (1 + d_0, ..., 1 + d_{m-1}, n_eq): a linear form in
-    the Segre monomials of the blocks. The Jacobian is linear in them
-    too: its column for slot k of block q is C's slot k on axis q, read
-    at the monomials whose block-q slot is 0 (v_q[0] = 1, so those are
-    the other blocks' monomials), zero at the others. So one matrix
-    K = [C | K_J], built from per-shape index tables (_segre_tables) in
-    one assignment, gives both: system(z) gathers the monomials from
-    (z, 1) in one indexing and one product, and returns monomials @ K
-    split into the residual (n_eq,) and the Jacobian (n_eq, n).
-    vectors(z) gives the per-player (1, z_b). Each takes one point z of
-    shape (n,) or a stack of B points of shape (B, n), and then puts the
-    batch axis first in its results.
-    """
-    m = len(maps)
-    dims = tuple(a.shape[1] - 1 for a in maps)
-    ends = np.cumsum(dims)
-    c_axes = list(range(m, 2 * m)) + [2 * m]  # block b is axis m + b, the equations 2m
-    blocks = []
-    for i, (u, own) in enumerate(zip(game.utilities, pairs)):
+def _system_plan(pairs, weights) -> _SystemPlan:
+    """The payoff-free part of _face_system for the own-strategy pairs
+    (one tuple per player) and weight maps weights[b], a (c_b, 1 + d_b)
+    matrix taking (1, z_b) to player b's weights. Player i's equations
+    slope_j - slope_k are u_i at js minus u_i at ks, flat indices into
+    u_i laid out as (the other players' axes, the pairs), and one einsum
+    with the other players' weight maps turns them into their
+    coefficients (_segre_tables)."""
+    m = len(weights)
+    counts = tuple(a.shape[0] for a in weights)
+    dims = tuple(a.shape[1] - 1 for a in weights)
+    strategies = np.arange(math.prod(counts)).reshape(counts)
+    players = []
+    for i, own in enumerate(pairs):
         if not own:
             continue
-        eye = np.eye(game.strategy_counts[i], dtype=int)
-        cols = eye[:, [j for j, _ in own]] - eye[:, [k for _, k in own]]
-        t, e = _contract_axis(u, cols, i), game.payoff_exponents[i]
+        others = [b for b in range(m) if b != i]
+        grid = strategies.transpose(others + [i])
+        js, ks = grid[..., [j for j, _ in own]], grid[..., [k for _, k in own]]
+        for a in (js, ks):
+            a.setflags(write=False)
+        operands = tuple(x for b in others for x in (weights[b], (b, m + b)))
+        players.append((i, js, ks, (*others, 2 * m), operands, (*(m + b for b in others), 2 * m)))
+    eqs = tuple((i, len(pairs[i])) for i, *_ in players)
+    ends = np.cumsum(dims).tolist()
+    return _SystemPlan(tuple(weights), tuple((e - d, e) for d, e in zip(dims, ends)),
+                       sum(dims), sum(k for _, k in eqs), tuple(players),
+                       *_segre_tables(dims, eqs))
+
+
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
+
+
+def _face_system(game: FiniteGame, plan: _SystemPlan):
+    """The payoff-difference system restricted to a coordinate face.
+
+    z concatenates the face coordinates z_b, and plan (_system_plan)
+    holds everything that does not depend on the payoffs. Player i's
+    equations are slope_j - slope_k, (j, k) in its pairs: its payoffs
+    at j minus its payoffs at k (taken before rounding), in its payoff
+    unit (exactly, so rational payoffs of any size fit), as float. One
+    einsum per player composes them with the other players' weight
+    maps, so every equation is a multilinear form in the blocks (1,
+    z_b), a linear form in their Segre monomials with coefficients C.
+    The Jacobian is linear in them too: its column for slot k of block q
+    is C's slot k on axis q, read at the monomials whose block-q slot is
+    0 (v_q[0] = 1, so those are the other blocks' monomials), zero at
+    the others. So one matrix K = [C | K_J], one take of the players'
+    coefficients (plan.place), gives both: system(z) gathers the
+    monomials from (z, 1) in one indexing and one product, and returns
+    monomials @ K split into the residual (n_eq,) and the Jacobian
+    (n_eq, n). vectors(z) gives the per-player (1, z_b). Each takes one
+    point z of shape (n,) or a stack of B points of shape (B, n), and
+    then puts the batch axis first in its results.
+    """
+    blocks = []
+    for i, js, ks, t_axes, operands, out_axes in plan.players:
+        u, e = game.utilities[i], game.payoff_exponents[i]
+        t = u.take(js) - u.take(ks)
         t = np.asarray(t * Fraction(2) ** -e if game.mode == RATIONAL else np.ldexp(t, -e),
                        dtype=float)
-        operands = [t, [2 * m if b == i else b for b in range(m)], np.eye(1 + dims[i])[0], [m + i]]
-        for b in range(m):
-            if b != i:
-                operands += [maps[b], [b, m + b]]
-        blocks.append(np.einsum(*operands, c_axes))
-    shape = tuple(d + 1 for d in dims)
-    coeffs = np.concatenate(blocks, axis=-1) if blocks else np.zeros(shape + (0,))
-    gather, rows, cols, src = _segre_tables(dims)
-    n, n_eq, size = int(ends[-1]), coeffs.shape[-1], gather.shape[1]
-    # sizes are explicit, as reshape cannot infer one next to a 0
-    coeffs = coeffs.reshape(size, n_eq)
-    jac = np.zeros((size, n_eq, n))
-    jac[rows, :, cols] = coeffs[src]
-    kmat = np.concatenate((coeffs, jac.reshape(size, n_eq * n)), axis=1)
+        blocks.append(np.einsum(t, t_axes, *operands, out_axes).reshape(-1))
+    kmat = np.concatenate(blocks + [_ZERO]).take(plan.place)
+    gather, spans, n, n_eq = plan.gather, plan.spans, plan.n, plan.n_eq
 
     def vectors(z):
         one = np.ones(z.shape[:-1] + (1,))
-        return [np.concatenate((one, z[..., e - d: e]), axis=-1) for d, e in zip(dims, ends)]
+        return [np.concatenate((one, z[..., lo:hi]), axis=-1) for lo, hi in spans]
 
     def system(z):
         batch = z.shape[:-1]
         padded = np.concatenate((z, np.ones(batch + (1,))), axis=-1)
         out = padded[..., gather].prod(axis=-2) @ kmat
+        # sizes are explicit, as reshape cannot infer one next to a 0
         return out[..., :n_eq], out[..., n_eq:].reshape(batch + (n_eq, n))
 
     return system, vectors
@@ -420,11 +486,12 @@ def transversal_at(
     chart = _validate_chart(point.chart, game.strategy_counts)
     _validate_coords(game, point.coords)
     if active is None:
-        members = [h for h in _family_members(game, family) if not chart_excludes(chart, h)]
-        _check_in_chart(game, members, chart)
+        members = [h for h in _family_members(game.strategy_counts, family)
+                   if not chart_excludes(chart, h)]
+        _check_in_chart(game.strategy_counts, members, chart)
         active = [h for h in members if on_hypersurface(game, h, point)]
     else:
-        _check_in_chart(game, active, chart)
+        _check_in_chart(game.strategy_counts, active, chart)
     total = _coord_offsets(game)[1]
     rows = [np.ldexp(full_gradient(game, defining_map(game, h, chart), point),
                      -game.payoff_exponents[h.player] if isinstance(h, PayoffDiff) else 0)
@@ -473,13 +540,12 @@ class ProbeReport:
     verdict: str  # "regular" (all witnessed roots regular, or none) / "degenerate"
 
 
-def _face_maps(game: FiniteGame, family: GoodFamily, chart):
+def _face_maps(counts, family: GoodFamily, chart):
     """Per player the (c_b, 1 + d_b) matrix taking (1, z_b) to the full
     tilde vector of the face cut out by the T^b coordinate constraints,
     chart slot included. Returns None when the face misses the chart."""
     maps = []
-    for i, labels in enumerate(family.T):
-        c, l = game.strategy_counts[i], chart[i]
+    for c, l, labels in zip(counts, chart, family.T):
         fixed, affine = {l}, False
         for t in labels:
             if t == 0:
@@ -502,17 +568,60 @@ def _face_maps(game: FiniteGame, family: GoodFamily, chart):
     return maps
 
 
+@dataclass(frozen=True)
+class _FacePlan:
+    """A family's face in a chart, for a game's strategy counts
+    (_face_plan): the validated chart, whether the family is good (the
+    probe's check), the face maps ((1, z_b) -> tilde) and the system
+    plan; maps and system are None when the face misses the chart."""
+
+    chart: tuple[int, ...]
+    good: bool
+    maps: tuple[np.ndarray, ...] | None
+    system: _SystemPlan | None
+
+
+def _build_face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
+    """The family checked against the counts and the chart (ValueError or
+    ChartExcludesHypersurface, as atlas._check_in_chart raises them);
+    then _face_maps' maps, turned into weights by forms._basis_matrix's
+    M (gamma_0 = tilde_0 - sum_{j>=1} tilde_j, gamma_j = tilde_j), and
+    their _system_plan."""
+    chart = _check_in_chart(counts, _family_members(counts, family), chart)
+    maps = _face_maps(counts, family, chart)
+    system = None
+    if maps is not None:
+        weights = [_basis_matrix(len(a), False) @ a for a in maps]
+        for a in maps + weights:
+            a.setflags(write=False)
+        maps, system = tuple(maps), _system_plan(family.R, weights)
+    return _FacePlan(chart, is_good(family), maps, system)
+
+
+_cached_face_plan = functools.lru_cache(maxsize=FACE_PLANS)(_build_face_plan)
+
+
+def _face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
+    """_build_face_plan's plan, built once per (counts, family, chart)
+    key and kept (_cached_face_plan); a bad family or chart raises on
+    every call, as nothing is kept for it. A family holding lists cannot
+    be a key: its plan is built and not kept."""
+    key = counts, family, tuple(chart)
+    try:
+        hash(key)
+    except TypeError:
+        return _build_face_plan(*key)
+    return _cached_face_plan(*key)
+
+
 def _family_system(game: FiniteGame, family: GoodFamily, chart):
-    """The family's system on its face in the chart: _face_maps' maps
-    ((1, z_b) -> tilde), turned into weights by forms._basis_matrix's M
-    (gamma_0 = tilde_0 - sum_{j>=1} tilde_j, gamma_j = tilde_j), go to
-    _face_system. Returns its system and vectors, the face maps and the
-    weight maps; None when the face misses the chart."""
-    maps = _face_maps(game, family, chart)
-    if maps is None:
+    """The family's system on its face in the chart (_face_plan, then
+    _face_system): its system and vectors, the face maps and the weight
+    maps; None when the face misses the chart."""
+    plan = _face_plan(game.strategy_counts, family, chart)
+    if plan.maps is None:
         return None
-    weights = [_basis_matrix(len(a), False) @ a for a in maps]
-    return (*_face_system(game, family.R, weights), maps, weights)
+    return (*_face_system(game, plan.system), plan.maps, plan.system.weights)
 
 
 def regular_value_probe(
@@ -535,16 +644,16 @@ def regular_value_probe(
     seed of the random starts is an integer >= 0 (game._check_seed).
     """
     seed = _check_seed(seed)
-    chart = _check_in_chart(game, _family_members(game, family), chart)
-    if not is_good(family):
+    plan = _face_plan(game.strategy_counts, family, chart)
+    if not plan.good:
         raise ValueError("family is not good (some pair graph has a cycle)")
     if family.num_pairs == 0:
         raise ValueError("family has no payoff-difference pairs to probe")
-    face = _family_system(game, family, chart)
-    if face is None:
+    chart, maps = plan.chart, plan.maps
+    if maps is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
-    system, vectors, maps, _ = face
-    total_dim = sum(a.shape[1] - 1 for a in maps)
+    system, vectors = _face_system(game, plan.system)
+    total_dim = plan.system.n
 
     def point_of(z) -> ChartPoint:
         return ChartPoint(chart, tuple(

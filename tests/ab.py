@@ -48,7 +48,10 @@ values, and a CLI run as its exit code, its standard output read as JSON
 directory masked.
 
 The script prints each side's CPU seconds and the ratio change/parent
-per section, then how many records differ, and how many of those differ
+per section; a workload section starts with every functools cache of
+both sides emptied and also prints its first round (every per-key cache
+cold) apart from its later rounds, so that work moved into a cache
+shows. Then it prints how many records differ, and how many of those differ
 apart from their numbers (each listed with the field where it first
 does). For each field name it prints how many of its numbers differ, in
 which kinds of record (a label's first word), and the largest move,
@@ -242,12 +245,33 @@ def task_call(lib, task):
                    task.chart, seed=task.lib_seed)
 
 
+def clear_caches(lib) -> None:
+    """Empty every functools cache of lib's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == lib.__name__ or name.startswith(f"{lib.__name__}."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
 def workload(kind, ab, rounds):
     wl = kind()
+    for lib in ab.libs.values():
+        clear_caches(lib)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in range(1, rounds + 1):
             for n, task in enumerate(wl.round(np.random.default_rng(seed), Path(tmp))):
                 ab(f"{wl.name} {seed} {n} item {task.item}", partial(task_call, task=task))
+            if seed == 1:
+                first = dict(ab.cpu)
+    later = {side: ab.cpu[side] - first[side] for side in SIDES}
+    print(f"{wl.name}: round 1 (caches cold) {_cpu_ratio(first)}"
+          + (f"; rounds 2-{rounds} {_cpu_ratio(later)}" if rounds > 1 else ""))
+
+
+def _cpu_ratio(cpu: dict) -> str:
+    return (f"parent {cpu['parent']:.3f} s, change {cpu['change']:.3f} s, "
+            f"change/parent {cpu['change'] / cpu['parent']:.3f}")
 
 
 def tied(ab, rounds):
@@ -332,9 +356,7 @@ def main(argv=None) -> int:
             ab.cpu = dict.fromkeys(SIDES, 0.0)
             records = ab.records
             sections[name](ab, args.rounds)
-            print(f"{name}: {ab.records - records} records, parent {ab.cpu['parent']:.3f} s, "
-                  f"change {ab.cpu['change']:.3f} s, "
-                  f"change/parent {ab.cpu['change'] / ab.cpu['parent']:.3f}", flush=True)
+            print(f"{name}: {ab.records - records} records, {_cpu_ratio(ab.cpu)}", flush=True)
         ab.summary()
     print(f"wall time {time.perf_counter() - start:.1f} s")
     return int(bool(ab.differ))

@@ -23,8 +23,8 @@ def enumerate_nash(game, seed=0):
 """
 
 
-def _ab(parent):
-    return subprocess.run([sys.executable, str(AB), str(parent), "--only", "tied"],
+def _ab(parent, *args):
+    return subprocess.run([sys.executable, str(AB), str(parent), *(args or ("--only", "tied"))],
                           capture_output=True, text=True, timeout=60)
 
 
@@ -42,3 +42,14 @@ def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
     assert moved.returncode == 1, moved.stdout + moved.stderr
     assert re.search(r"^\d+ of 140 records differ", moved.stdout, re.M)
     assert re.search(r"^  point: \d+ values differ \(tied \d+\)", moved.stdout, re.M)
+
+
+def test_ab_prints_a_workloads_cold_round_apart_from_the_others():
+    # a workload section empties both sides' caches, then prints its first
+    # round's CPU times and ratio apart from those of its later rounds
+    run = _ab(ROOT, "--only", "atlas-probe", "--rounds", "2")
+    assert run.returncode == 0, run.stdout + run.stderr
+    cpu = r"parent [\d.]+ s, change [\d.]+ s, change/parent [\d.]+"
+    assert re.search(rf"^atlas-probe: round 1 \(caches cold\) {cpu}; rounds 2-2 {cpu}$",
+                     run.stdout, re.M), run.stdout
+    assert re.search(rf"^atlas-probe: 210 records, {cpu}$", run.stdout, re.M), run.stdout

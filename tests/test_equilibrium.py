@@ -1071,6 +1071,32 @@ def test_certificate_exact_follows_the_point(bos_exact):
     assert result.equilibria and all(c.exact is True for c in result.equilibria)
 
 
+def test_certificate_margin_is_a_function_of_the_point():
+    # the 85 mixed equilibria of the 2x2x2 fixture games of seeds
+    # 40000-40099: the certificate's smallest singular value is the one of
+    # the point's Jacobian read from a stack of 2, 5 or 7 points, the point
+    # first or last; for 12 of them one point alone reads other bits, as
+    # NumPy's matmul sums a single row in another order than a stack
+    mixed = 0
+    for seed in range(40_000, 40_100):
+        game = random_game((2, 2, 2), seed=seed)
+        rng = np.random.default_rng(seed)
+        for cert in enumerate_nash(game, seed=seed).equilibria:
+            supports = cert.support.supports
+            z = np.concatenate([w[list(s[1:])] for w, s in zip(cert.point.as_floats(), supports)])
+            if not z.size:
+                continue
+            mixed += 1
+            system = genericity._family_system(
+                game, canonical_equilibrium_family(game, cert.support), (0, 0, 0))[0]
+            others = rng.normal(0.0, 1.0, (6, z.size))
+            for jac in (system(np.stack([z, z]))[1][0], system(np.stack([z] * 5))[1][0],
+                        system(np.vstack([z, others]))[1][0],
+                        system(np.vstack([others, z]))[1][-1]):
+                assert genericity._svd_ranks(jac)[1] == cert.smallest_singular_value, seed
+    assert mixed == 85
+
+
 def test_certificate_exact_is_its_points_flag():
     fractions = profile_from_weights([[Fraction(1, 2)] * 2] * 2, RATIONAL)
     floats = profile_from_weights([[0.5, 0.5]] * 2)

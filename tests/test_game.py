@@ -134,6 +134,25 @@ def test_make_game_rejects_fractional_strategy_count():
     assert make_game((2.0, np.int64(2)), [np.zeros(4), np.zeros(4)]).strategy_counts == (2, 2)
 
 
+_PROBED = random_game((2, 2), seed=1)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None, "x", "2", 2.5])
+@pytest.mark.parametrize("what, call", [
+    ("seed", lambda x: enumerate_nash(_PROBED, seed=x)),
+    ("chart index", lambda x: regular_value_probe(
+        _PROBED, good_family(_PROBED, R=[[(0, 1)], []]), (0, x))),
+    ("pair entry", lambda x: good_family(_PROBED, R=[[(0, x)], []])),
+    ("strategy count", lambda x: make_game((2, x), [np.zeros(4), np.zeros(4)])),
+], ids=["seed", "chart-index", "pair-entry", "strategy-count"])
+def test_non_integral_inputs_are_value_errors_naming_them(what, call, value):
+    # what int() refuses (None, inf, nan, a string) is the same ValueError,
+    # naming the input and its value, as a fraction; no OverflowError or
+    # TypeError, and no message of Python's own
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {value} is not an integer')}$"):
+        call(value)
+
+
 def test_make_game_rejects_shape_mismatch():
     for mode in (FLOAT, RATIONAL):
         with pytest.raises(ValueError, match=r"^utility tensor 0 has 6 entries, expected 4$"):

@@ -3,6 +3,7 @@ equivalence."""
 
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -56,6 +57,7 @@ from nashatlas.genericity import (
     _newton_roots,
     _newton_step,
     _svd_ranks,
+    _system_plan,
     full_gradient,
 )
 
@@ -822,7 +824,7 @@ def test_newton_roots_matches_per_start_reference(square, accept):
             np.array([-0.7, 1.3, -1.2]),  # to A again, undamped
             np.array([3.0, 0.1, -2.0]),  # damped steps
         ]
-    system = _face_system(game, pairs, maps)[0]
+    system = _face_system(game, _system_plan(pairs, maps))[0]
     expected = _per_start_newton(*_contract_face_system(game, pairs, maps), starts, accept)
     got = _newton_roots(system, starts, accept)
     assert expected
@@ -834,7 +836,8 @@ def test_newton_roots_matches_per_start_reference(square, accept):
 def _square_test_system():
     # the square system of the test above, and its contraction reference
     game, pairs, maps = _square_test_game(), [[(0, 1)]] * 3, [np.eye(2)] * 3
-    return _face_system(game, pairs, maps)[0], _contract_face_system(game, pairs, maps)
+    return (_face_system(game, _system_plan(pairs, maps))[0],
+            _contract_face_system(game, pairs, maps))
 
 
 def test_newton_roots_all_starts_on_step_floor():
@@ -1091,30 +1094,41 @@ def _random_family(game, rng):
 def test_face_system_matches_the_contraction_reference():
     # the coefficient-matrix residual and Jacobian against the per-player
     # contractions, on random games, families and charts, at one point,
-    # a stack of points and an empty stack
+    # a stack of points and an empty stack; every (family, chart) on a
+    # game that builds its plan, then on a second game of the same shape
+    # that reads that plan, kept; the reference's weight maps are built
+    # here, apart from the plans
+    genericity._cached_face_plan.cache_clear()
     rng = np.random.default_rng(11)
-    seen = set()
+    seen, warm = set(), 0
     for shape in [(3,), (2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 2, 2)]:
         for seed in range(4):
-            game = random_game(shape, seed=seed)
+            games = [random_game(shape, seed=seed), random_game(shape, seed=seed + 100)]
             for _ in range(6):
-                family = _random_family(game, rng)
+                family = _random_family(games[0], rng)
                 for chart in _open_charts(shape, family):
-                    face = genericity._family_system(game, family, chart)
-                    if face is None:
+                    maps = genericity._face_maps(shape, family, chart)
+                    for game in games:
+                        face = genericity._family_system(game, family, chart)
+                        if maps is None:
+                            assert face is None, (shape, family, chart)
+                            continue
+                        weights = [_basis_matrix(len(a), False) @ a for a in maps]
+                        for a, b in zip(face[2:], (maps, weights)):
+                            assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+                        n = sum(a.shape[1] - 1 for a in maps)
+                        want = _contract_face_system(game, family.R, weights)
+                        for z in [rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (5, n)),
+                                  np.zeros((0, n))]:
+                            for a, w in zip(face[0](z), want):
+                                b = w(z)
+                                assert a.shape == b.shape, (shape, family, chart)
+                                assert np.abs(a - b).max(initial=0.0) <= (
+                                    1e-13 * np.abs(b).max(initial=0.0)), (shape, family, chart)
+                    if maps is None:
                         continue
-                    maps = face[3]
+                    warm += 1
                     dims = [a.shape[1] - 1 for a in maps]
-                    n = sum(dims)
-                    system = _face_system(game, family.R, maps)[0]
-                    want = _contract_face_system(game, family.R, maps)
-                    for z in [rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (5, n)),
-                              np.zeros((0, n))]:
-                        for a, w in zip(system(z), want):
-                            b = w(z)
-                            assert a.shape == b.shape, (shape, family, chart)
-                            assert np.abs(a - b).max(initial=0.0) <= (
-                                1e-13 * np.abs(b).max(initial=0.0)), (shape, family, chart)
                     seen.add(f"m={len(shape)}")
                     if family.num_pairs == 0:
                         seen.add("no equations")
@@ -1124,6 +1138,64 @@ def test_face_system_matches_the_contraction_reference():
                         seen.add("a zero-dimensional block")
     assert {"m=1", "m=4", "no equations", "a player without pairs",
             "a zero-dimensional block"} <= seen
+    assert genericity._cached_face_plan.cache_info().hits >= warm
+
+
+def _probe_bits(report):
+    """A probe report as a tree of exact values: every float as its bits."""
+    return (report.chart, report.dimension, report.num_equations, report.empty_face,
+            report.verdict, [(r.point.chart, [c.tobytes() for c in r.point.coords],
+                              np.float64(r.residual).tobytes(), r.rank, r.regular)
+                             for r in report.roots])
+
+
+def test_face_plans_are_kept_read_only_per_chart_and_errors_are_not_kept():
+    # one plan per (strategy counts, family, chart), shared by every later
+    # call: its arrays are read-only; a probe reads the same report, bit
+    # for bit, from a plan it builds and from one kept, in every chart;
+    # and a bad family or chart raises the same error on every call
+    shape = (2, 3, 2)
+    game = random_game(shape, seed=5)
+    family = good_family(game, [[], [1], []], [[(0, 1)], [(0, 2)], [(0, 1)]])
+    charts = _open_charts(shape, family)
+    assert len(charts) == 8
+    cold = []
+    for chart in charts:
+        genericity._cached_face_plan.cache_clear()
+        cold.append(_probe_bits(regular_value_probe(game, family, chart, seed=1)))
+    for _ in range(2):  # the second pass reads every plan the first one kept
+        warm = [_probe_bits(regular_value_probe(game, family, chart, seed=1))
+                for chart in charts]
+        assert warm == cold
+    assert any(report[5] for report in cold)
+
+    plan = genericity._face_plan(shape, family, charts[-1])
+    assert genericity._face_plan(shape, family, list(charts[-1])) is plan
+    system = plan.system
+    arrays = [*plan.maps, *system.weights, system.gather, system.place,
+              *(a for player in system.players for a in player[1:3])]
+    assert len(arrays) == 3 + 3 + 2 + 2 * 3
+    for a in arrays + list(genericity._family_system(game, family, charts[-1])[2:]):
+        for x in (a if isinstance(a, tuple) else [a]):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[(0,) * x.ndim] = 1.0
+
+    cycle = GoodFamily(((), (), ()), (((0, 1),), ((0, 1), (1, 2), (0, 2)), ((0, 1),)))
+    bad_member = GoodFamily(((), (3,), ()), (((0, 1),), ((0, 1),), ((0, 1),)))
+    for fam, chart, error in [
+        (cycle, (0, 0, 0), "family is not good"),
+        (bad_member, (0, 0, 0), "C:2:3: coordinate index 3 out of range"),
+        (family, (0, 1, 0), "C:2:1 has no points in chart 0,1,0"),
+        (family, (0, 3, 0), "chart index 3 out of range for player 2"),
+        (family, (0, 0.5, 0), "chart index 0.5 is not an integer"),
+    ]:
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(error)) as info:
+                regular_value_probe(game, fam, chart)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
 
 def _double_root_game():
