@@ -33,26 +33,29 @@ gains. Most candidates fail these off-support inequalities, so only a
 support's equilibrium becomes a Fraction profile, in either mode;
 enumerate_nash still checks it with best_reply_check, which builds its
 report, and rounds a float game's answers to float64 once, at the end.
-When three or more players mix the system is multilinear, and it (like
-a one-player game's mixed support, whose slopes are
-constants) runs the damped multistart Newton loop of
+A one-player game's player is solved so too, its partner held with no
+payoffs. When three or more players mix the system is multilinear, and
+only then does it run the damped multistart Newton loop of
 genericity._newton_roots on its canonical family's face in chart (0,
-..., 0), the system the probe solves too (genericity._family_system):
-the unknowns are each player's weights on supp[1:], and player i's
-equations are slope(supp[0]) - slope(t), t in supp[1:], in its payoff
-unit, from payoffs taken before rounding. The starts (_newton_starts)
-are simplex points without their first weight. The roots are floats,
-kept when every supported weight is > 0, however small, not above
-WEIGHT_TOL: a root by a face's boundary stays, support_of reads its
-tiny weight as 0, and best_reply_check finds that strategy's margin
-within the tolerance (boundary-degenerate), where the root would
-otherwise be dropped without a word. The positivity, continuum and
-singular-root checks on the roots are one batched call each.
+..., 0), the system the probe solves too (genericity._face_plan, then
+_face_system): the unknowns are each player's weights on supp[1:], and
+player i's equations are slope(supp[0]) - slope(t), t in supp[1:], in
+its payoff unit, from payoffs taken before rounding. The starts
+(_newton_starts) are simplex points without their first weight. The
+roots are floats, kept when every supported weight is > 0, however
+small, not above WEIGHT_TOL: a root by a face's boundary stays,
+support_of reads its tiny weight as 0, and best_reply_check finds that
+strategy's margin within the tolerance (boundary-degenerate), where the
+root would otherwise be dropped without a word. The positivity,
+continuum and singular-root checks on the roots are one batched call
+each.
 
 Every equilibrium is certified from that same face system
 (certify_equilibrium): regular iff its Jacobian at the equilibrium has
 full rank. Rank and smallest singular value are in payoff units, so
-neither moves under a power-of-two payoff scaling.
+neither moves under a power-of-two payoff scaling, and, as the face
+system evaluates a lone point as a row of a stack, they are a function
+of the point alone.
 
 Every best-reply test, the screen's and best_reply_check's, is one
 computation in integers (_reply; a float weight is a dyadic rational)
@@ -88,7 +91,8 @@ from .exact import AffineSolutionSet, max_min_point, solve_affine
 # payoff_slice_values is not called here: bench/spans.py traces it under this name
 from .forms import _check_weights, _integer_weights, _slope_nums, payoff_slice_values
 from .genericity import (
-    _family_system,
+    _face_plan,
+    _face_system,
     _inf_norm,
     _newton_roots,
     _svd_ranks,
@@ -266,8 +270,12 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
     positive-dimensional one by its max-min point (_positive_point). A
     positive-dimensional solution set raises SingularSystem, with both
     blocks' points as its witness (a Fraction profile) when both have
-    one."""
+    one. A one-player game's partner has one strategy and no payoffs
+    (game._face_rows): its block holds the player's constant slope
+    differences."""
     supports = support.supports
+    if len(supports) == 1:
+        supports += ((0,),)
     key = _pair_key(supports)
     if key is None:
         found, unique = {}, True
@@ -364,15 +372,16 @@ def _newton_starts(sizes: tuple[int, ...], seed: int) -> np.ndarray:
 
 def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     """Multistart damped Newton on the support's canonical face in chart
-    (0, ..., 0) (genericity._family_system): supports on which three or
-    more players mix, and a one-player game's mixed supports."""
+    (0, ..., 0) (genericity._face_plan, then _face_system): supports on
+    which three or more players mix."""
     supports = support.supports
     mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
-    system, vectors, _, maps = _family_system(
-        game, canonical_equilibrium_family(game, support), (0,) * game.num_players)
+    plan = _face_plan(game.strategy_counts, canonical_equilibrium_family(game, support),
+                      (0,) * game.num_players).system
+    system, vectors = _face_system(game, plan)
 
     def weights_from(z):
-        return [v @ a.T for a, v in zip(maps, vectors(z))]
+        return [v @ a.T for a, v in zip(plan.weights, vectors(z))]
 
     def positive(x):
         # (k, n) stack of roots -> mask of those inside the open face: every
@@ -411,13 +420,12 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
 
     A support on which at most two players mix has linear slope
     equations and is solved exactly (_exact_pair_solve): every support
-    of a two-player game, and those of a larger game on which the other
-    players are pure. There the solution is also screened in integers
-    for every player's best reply, so the list holds the support's
-    equilibrium or nothing, not every positive solution; its profiles
-    are Fractions in either mode. Three or more mixed players make the
-    system multilinear; those supports, and a one-player game's mixed ones
-    (constant slopes, told apart by the midpoint test), take multistart
+    of a one- or two-player game, and those of a larger game on which the
+    other players are pure. There the solution is also screened in
+    integers for every player's best reply, so the list holds the
+    support's equilibrium or nothing, not every positive solution; its
+    profiles are Fractions in either mode. Three or more mixed players
+    make the system multilinear; only those supports take multistart
     Newton (_newton_solve). The seed of the Newton starts is an integer
     >= 0 (game._check_seed), checked on every route."""
     seed = _check_seed(seed)
@@ -427,10 +435,8 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     for i, (supp, c) in enumerate(zip(supports, counts)):
         if supp[0] < 0 or supp[-1] >= c:
             raise ValueError(f"support index out of range for player {i + 1}")
-    if len(counts) != 2:
-        mixed = sum(len(s) > 1 for s in supports)
-        if mixed > 2 or mixed and len(counts) == 1:
-            return _newton_solve(game, support, seed)
+    if len(counts) > 2 and sum(len(s) > 1 for s in supports) > 2:
+        return _newton_solve(game, support, seed)
     return _exact_pair_solve(game, support)
 
 
@@ -455,19 +461,17 @@ class EquilibriumCertificate:
 def certify_equilibrium(game: FiniteGame, cert: EquilibriumCertificate) -> EquilibriumCertificate:
     """cert with its regularity verdict: regular iff its Jacobian, which
     is the Jacobian of its support's canonical family's face in chart
-    (0, ..., 0) (genericity._family_system, unknowns z the weights on
-    supp[1:]), in payoff units, has full rank at the equilibrium: by the
-    block-triangular rank lemma, transversality of that family. A pure
-    equilibrium has no unknowns: regular, smallest singular value inf.
-    The point is evaluated as a stack of two copies of itself, as NumPy's
-    matmul sums one row in another order than a stack, so the
-    certificate is a function of the point alone."""
+    (0, ..., 0) (genericity._face_plan, then _face_system, unknowns z the
+    weights on supp[1:]), in payoff units, has full rank at the
+    equilibrium: by the block-triangular rank lemma, transversality of
+    that family. A pure equilibrium has no unknowns: regular, smallest
+    singular value inf."""
     support = cert.support
     z = np.concatenate([w[list(s[1:])] for w, s in zip(cert.point.as_floats(), support.supports)])
     if z.size:
-        family = canonical_equilibrium_family(game, support)
-        system = _family_system(game, family, (0,) * game.num_players)[0]
-        _, smin, regular = _svd_ranks(system(np.stack([z, z]))[1][0])
+        plan = _face_plan(game.strategy_counts, canonical_equilibrium_family(game, support),
+                          (0,) * game.num_players)
+        _, smin, regular = _svd_ranks(_face_system(game, plan.system)[0](z)[1])
     else:
         smin, regular = math.inf, True
     return replace(cert, jacobian_verdict="regular" if regular else "singular",

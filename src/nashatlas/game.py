@@ -90,14 +90,21 @@ class FiniteGame:
         solving pair i < j and held profile h of the other players (their
         strategies in player order, () for two players), the key (i, j, h),
         one _face_table per pair player, i's from j's payoffs and j's from
-        i's (_pair_rows). equilibrium._face_block picks a support's block
-        from them."""
+        i's, each from the [own][partner] tables of integer_utilities by
+        one axis move and one reshape (the held axes keep player order). A
+        one-player game's partner has one strategy and no payoffs.
+        equilibrium._face_block picks a support's block from them."""
+        counts, ints = self.strategy_counts, [u for u, _ in self.integer_utilities]
+        if len(counts) == 1:
+            counts += (1,)
+            ints = [ints[0].reshape(counts), np.zeros(counts, dtype=object)]
         out = {}
-        for i, j in itertools.combinations(range(self.num_players), 2):
-            held = itertools.product(*(range(c) for b, c in enumerate(self.strategy_counts)
-                                       if b != i and b != j))
-            for h, ui, uj in zip(held, _pair_rows(self, i, j), _pair_rows(self, j, i)):
-                out[i, j, h] = (_face_table(uj), _face_table(ui))
+        for i, j in itertools.combinations(range(len(counts)), 2):
+            held = itertools.product(*(range(c) for b, c in enumerate(counts) if b != i and b != j))
+            ui, uj = (np.moveaxis(ints[k], (k, p), (-2, -1)).reshape(-1, counts[k], counts[p])
+                      .tolist() for k, p in ((i, j), (j, i)))
+            for h, a, b in zip(held, ui, uj):
+                out[i, j, h] = (_face_table(b), _face_table(a))
         return out
 
     @cached_property
@@ -113,24 +120,6 @@ class FiniteGame:
             e = spread.bit_length() - scale.bit_length()
             out.append(e - (spread << max(-e, 0) < scale << max(e, 0)) if spread else 0)
         return tuple(out)
-
-
-def _pair_rows(game: FiniteGame, k: int, partner: int) -> list[list[list[int]]]:
-    """Player k's integer_rows as one [own][partner strategy] table per
-    held profile of the other players, in the C order of their strategies
-    (one table for two players): strided slices of each row, the strides
-    those of the other players' C order."""
-    counts = game.strategy_counts
-    others = [b for b in range(len(counts)) if b != k]
-    stride = {b: math.prod(counts[a] for a in others[n + 1:]) for n, b in enumerate(others)}
-    held = [b for b in others if b != partner]
-    step = stride[partner]
-    width = step * counts[partner]
-    out = []
-    for h in itertools.product(*(range(counts[b]) for b in held)):
-        start = sum(x * stride[b] for x, b in zip(h, held))
-        out.append([row[start:start + width:step] for row in game.integer_rows[k]])
-    return out
 
 
 def _face_table(u) -> dict[tuple[int, ...], list[list[list[int] | None]]]:

@@ -18,15 +18,17 @@ An equilibrium of a support and a root of a regular-value probe are the
 same kind of object: a common zero of a family's payoff-difference
 hypersurfaces on the face its coordinate hyperplanes cut out in a chart
 (an equilibrium's: its canonical family in chart (0, ..., 0), unknowns
-the weights on supp[1:], rows slope(supp[0]) - slope(t)).
-_family_system builds that system for both, and _newton_roots, a damped
-multistart Newton loop, finds its roots from the caller's starts. Every
-equation is multilinear in the blocks (1, z_b), so _face_system holds
-the system as one coefficient matrix over the Segre monomials of the
-blocks, and its Jacobian too (the coefficients of each derivative,
-placed at the monomials that do not involve the block differentiated
-by): the residuals and Jacobians of a stack of points are one gather of
-the monomials and one matrix product.
+the weights on supp[1:], rows slope(supp[0]) - slope(t)). The probe,
+equilibrium's Newton solve and its certificate reach it one way,
+_face_plan then _face_system, and _newton_roots, a damped multistart
+Newton loop, finds its roots from the caller's starts. Every equation is
+multilinear in the blocks (1, z_b), so _face_system holds the system as
+one coefficient matrix over the Segre monomials of the blocks, and its
+Jacobian too (the coefficients of each derivative, placed at the
+monomials that do not involve the block differentiated by): the
+residuals and Jacobians of a stack of points are one gather of the
+monomials and one matrix product, and a lone point is evaluated as a
+row of a stack, so its bits do not depend on the stack.
 
 What does not depend on the payoffs is built once and kept. A face plan
 (_face_plan), one per (strategy counts, family, chart), holds the
@@ -42,7 +44,8 @@ plan takes 3-4 kB for shapes up to 3x3x3, so 1024 of them about 4 MB; a
 table's largest array, the take index, has prod(1 + d_b) * n_eq * (1 +
 n) entries (32 kB for a full 6x6 support, 105 kB for 8x8), and tables
 are few (11 serve all 2,442 square (family, chart) keys of 3x3 games).
-A bad family or chart is not kept: it raises again on every call.
+Every key hashes (GoodFamily holds ints, the chart is validated first);
+a bad family or chart is not kept: it raises again on every call.
 
 The Newton starts iterate together: a step is one batched LU solve
 (least squares through the pseudo-inverse where the system is not
@@ -99,10 +102,21 @@ from .game import (
 @dataclass(frozen=True)
 class GoodFamily:
     """Per player: coordinate labels T^i (ints or INF) and strategy
-    pairs R^i with j < k."""
+    pairs R^i with j < k, as tuples of ints (and INF) once built, so that
+    every family is a key of the face plans: an entry of another type is
+    normalised by its member (atlas.Coordinate, atlas.PayoffDiff), whose
+    ValueError names it."""
 
     T: tuple[tuple, ...]
     R: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "T", tuple(tuple(
+            t if type(t) is int else Coordinate(i, t).index for t in ts)
+            for i, ts in enumerate(self.T)))
+        object.__setattr__(self, "R", tuple(tuple(
+            p if type(p) is tuple and set(map(type, p)) == {int} else PayoffDiff(i, p).pair
+            for p in ps) for i, ps in enumerate(self.R)))
 
     def hypersurfaces(self) -> list[Hypersurface]:
         out: list[Hypersurface] = []
@@ -440,7 +454,10 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
     monomials @ K split into the residual (n_eq,) and the Jacobian
     (n_eq, n). vectors(z) gives the per-player (1, z_b). Each takes one
     point z of shape (n,) or a stack of B points of shape (B, n), and
-    then puts the batch axis first in its results.
+    then puts the batch axis first in its results. system evaluates a
+    lone point (1-D z, or a stack of one) as row 0 of a stack of two, as
+    NumPy's matmul sums one row in another order than a stack: a point's
+    residual and Jacobian are the same bits alone or in any stack.
     """
     blocks = []
     for i, js, ks, t_axes, operands, out_axes in plan.players:
@@ -457,11 +474,13 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
         return [np.concatenate((one, z[..., lo:hi]), axis=-1) for lo, hi in spans]
 
     def system(z):
-        batch = z.shape[:-1]
-        padded = np.concatenate((z, np.ones(batch + (1,))), axis=-1)
-        out = padded[..., gather].prod(axis=-2) @ kmat
+        b = len(z) if z.ndim == 2 else 1
+        stack = np.concatenate((z, z)).reshape(2, n) if b == 1 else z  # a lone point: row 0 of two
+        padded = np.concatenate((stack, np.ones((len(stack), 1))), axis=1)
+        out = (padded[:, gather].prod(axis=1) @ kmat)[:b]
         # sizes are explicit, as reshape cannot infer one next to a 0
-        return out[..., :n_eq], out[..., n_eq:].reshape(batch + (n_eq, n))
+        f, jac = out[:, :n_eq], out[:, n_eq:].reshape(b, n_eq, n)
+        return (f[0], jac[0]) if z.ndim == 1 else (f, jac)
 
     return system, vectors
 
@@ -581,6 +600,7 @@ class _FacePlan:
     system: _SystemPlan | None
 
 
+@functools.lru_cache(maxsize=FACE_PLANS)
 def _build_face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
     """The family checked against the counts and the chart (ValueError or
     ChartExcludesHypersurface, as atlas._check_in_chart raises them);
@@ -598,30 +618,11 @@ def _build_face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
     return _FacePlan(chart, is_good(family), maps, system)
 
 
-_cached_face_plan = functools.lru_cache(maxsize=FACE_PLANS)(_build_face_plan)
-
-
 def _face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
     """_build_face_plan's plan, built once per (counts, family, chart)
-    key and kept (_cached_face_plan); a bad family or chart raises on
-    every call, as nothing is kept for it. A family holding lists cannot
-    be a key: its plan is built and not kept."""
-    key = counts, family, tuple(chart)
-    try:
-        hash(key)
-    except TypeError:
-        return _build_face_plan(*key)
-    return _cached_face_plan(*key)
-
-
-def _family_system(game: FiniteGame, family: GoodFamily, chart):
-    """The family's system on its face in the chart (_face_plan, then
-    _face_system): its system and vectors, the face maps and the weight
-    maps; None when the face misses the chart."""
-    plan = _face_plan(game.strategy_counts, family, chart)
-    if plan.maps is None:
-        return None
-    return (*_face_system(game, plan.system), plan.maps, plan.system.weights)
+    key and kept, the chart validated (as ints) before the lookup; a bad
+    family or chart raises on every call, as nothing is kept for it."""
+    return _build_face_plan(counts, family, _validate_chart(chart, counts))
 
 
 def regular_value_probe(
@@ -635,7 +636,7 @@ def regular_value_probe(
     root is a regular point (full-rank Jacobian of the restricted map).
 
     The equations are the PayoffDiff(i, pair) defining maps of
-    atlas.defining_map, formed by _family_system. A root's residual is
+    atlas.defining_map, formed by _face_system. A root's residual is
     the largest absolute value of those maps there: in the game's own
     payoffs, not in payoff units, so it scales with the payoffs; one
     beyond the float range (rational payoffs of that size) reads inf,

@@ -496,7 +496,9 @@ def test_support_system_residual_is_the_slope_differences():
         for support in enumerate_supports(game):
             supports = support.supports
             family = canonical_equilibrium_family(game, support)
-            system, vectors, _, weight_maps = genericity._family_system(game, family, chart)
+            plan = genericity._face_plan(game.strategy_counts, family, chart).system
+            system, vectors = genericity._face_system(game, plan)
+            weight_maps = plan.weights
             weights = [np.zeros(c) for c in game.strategy_counts]
             for w, s in zip(weights, supports):
                 w[list(s)] = rng.dirichlet(np.ones(len(s)))
@@ -562,6 +564,37 @@ def test_permutation_equivariance(data):
     assert sorted(moved.warnings) == sorted(map(moved_warning, base.warnings))
 
 
+def test_relabelling_three_player_games_moves_every_answer():
+    # a seeded corpus of 30 2x2x2, 12 2x3x2 and 3 3x3x2 games, each with
+    # its players and every player's strategies permuted at random: the
+    # same count, the points within 1e-9 once moved back, the same
+    # continuum flag and the same number of warnings (about 0.8 s)
+    rng = np.random.default_rng(14)
+    games = 0
+    for shape, count in [((2, 2, 2), 30), ((2, 3, 2), 12), ((3, 3, 2), 3)]:
+        for seed in range(40_000, 40_000 + count):
+            game = random_game(shape, seed=seed)
+            order = rng.permutation(3)  # player q of the moved game is player order[q] here
+            perms = [rng.permutation(c) for c in shape]  # its strategy s is perms[b][s] here
+            tables = [np.transpose(game.utilities[b][np.ix_(*perms)], order) for b in order]
+            moved = enumerate_nash(make_game(tables[0].shape, tables), seed=seed)
+            base = enumerate_nash(game, seed=seed)
+            assert moved.count == base.count, (shape, seed)
+            assert moved.continuum == base.continuum, (shape, seed)
+            assert len(moved.warnings) == len(base.warnings), (shape, seed)
+            back = []
+            for cert in moved.equilibria:
+                weights = [None] * 3
+                for q, w in enumerate(cert.point.as_floats()):
+                    weights[order[q]] = np.empty(len(w))
+                    weights[order[q]][perms[order[q]]] = w
+                back.append(tuple(np.concatenate(weights)))
+            if base.count:
+                np.testing.assert_allclose(sorted(back), _float_tuples(base), rtol=0, atol=1e-9)
+            games += 1
+    assert games == 45
+
+
 def test_zero_game_raises_on_full_support(zero_game):
     with pytest.raises(SingularSystem) as exc:
         solve_support(zero_game, SupportProfile(((0, 1), (0, 1))))
@@ -611,8 +644,8 @@ def test_singular_jacobian_at_a_root():
     assert candidates
     np.testing.assert_allclose([c.weights[1] for c in candidates],
                                [[2 / 3, 1 / 3]] * len(candidates), rtol=0, atol=1e-9)
-    system = genericity._family_system(game, canonical_equilibrium_family(game, support),
-                                       (0, 0, 0))[0]
+    plan = genericity._face_plan((2, 2, 2), canonical_equilibrium_family(game, support), (0, 0, 0))
+    system = genericity._face_system(game, plan.system)[0]
     z = np.array([[w[1] for w in c.weights] for c in candidates])
     assert not genericity._svd_ranks(system(z)[1])[2].any()
     assert enumerate_nash(game).continuum
@@ -782,15 +815,16 @@ def test_continuum_with_tiny_max_min_weight_is_witnessed():
     assert 0 < min(witness.weights[1]) == Fraction(1, n + 1) <= 1e-6
 
 
-@pytest.mark.parametrize("payoffs", [[3.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
+@pytest.mark.parametrize("payoffs", [[3.0, 1.0, 2.0], [1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 0.0]])
 def test_one_player_game(payoffs):
-    # one player: the slope equalities are constant and the Jacobian is
-    # zero, so a mixed support has no root (untied payoffs) or a continuum
+    # one player: the slope equalities are integer constants, solved
+    # exactly, so a mixed support has no solution (untied payoffs, however
+    # near a tie) or a positive-dimensional one, whose witness is exact
     game = make_game([3], [np.array(payoffs)])
     tied = payoffs[0] == payoffs[1]
     for supp in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
         if tied and supp == (0, 1):
-            with pytest.raises(SingularSystem, match="continuum"):
+            with pytest.raises(SingularSystem, match="positive-dimensional solution set"):
                 solve_support(game, SupportProfile((supp,)))
         else:
             assert solve_support(game, SupportProfile((supp,))) == []
@@ -798,9 +832,11 @@ def test_one_player_game(payoffs):
     assert result.continuum == tied
     if tied:
         assert result.equilibria == []
+        assert [list(w) for w in result.continuum_witness.weights] == [[0.5, 0.5, 0.0]]
         assert best_reply_check(game, result.continuum_witness).all_ok
     else:
-        assert _float_tuples(result) == [(1.0, 0.0, 0.0)]
+        assert result.warnings == []
+        assert _float_tuples(result) == [tuple(float(j == np.argmax(payoffs)) for j in range(3))]
 
 
 def test_witness_mentions_support(dup_row_game):
@@ -1075,8 +1111,7 @@ def test_certificate_margin_is_a_function_of_the_point():
     # the 85 mixed equilibria of the 2x2x2 fixture games of seeds
     # 40000-40099: the certificate's smallest singular value is the one of
     # the point's Jacobian read from a stack of 2, 5 or 7 points, the point
-    # first or last; for 12 of them one point alone reads other bits, as
-    # NumPy's matmul sums a single row in another order than a stack
+    # first or last
     mixed = 0
     for seed in range(40_000, 40_100):
         game = random_game((2, 2, 2), seed=seed)
@@ -1087,14 +1122,49 @@ def test_certificate_margin_is_a_function_of_the_point():
             if not z.size:
                 continue
             mixed += 1
-            system = genericity._family_system(
-                game, canonical_equilibrium_family(game, cert.support), (0, 0, 0))[0]
+            plan = genericity._face_plan(
+                (2, 2, 2), canonical_equilibrium_family(game, cert.support), (0, 0, 0))
+            system = genericity._face_system(game, plan.system)[0]
             others = rng.normal(0.0, 1.0, (6, z.size))
             for jac in (system(np.stack([z, z]))[1][0], system(np.stack([z] * 5))[1][0],
                         system(np.vstack([z, others]))[1][0],
                         system(np.vstack([others, z]))[1][-1]):
                 assert genericity._svd_ranks(jac)[1] == cert.smallest_singular_value, seed
     assert mixed == 85
+
+
+def test_a_point_reads_the_same_bits_alone_and_in_any_stack():
+    # the face system's one evaluation rule: at random points of every
+    # support's canonical face of 2x2x2, 2x3x2 and 3x3 games, in both
+    # modes, system(z) (1-D, and as a stack of one) is bit for bit the
+    # matching row of stacks of 2, 5 and 7 points, the point at every
+    # place, residual and Jacobian alike, though NumPy's matmul sums one
+    # row in another order than a stack
+    rng = np.random.default_rng(40)
+    checked = 0
+    for shape in [(2, 2, 2), (2, 3, 2), (3, 3)]:
+        base = random_game(shape, seed=40_000)
+        for game in (base, make_game(shape, base.utilities, mode=RATIONAL)):
+            chart = (0,) * len(shape)
+            for support in enumerate_supports(game):
+                plan = genericity._face_plan(
+                    shape, canonical_equilibrium_family(game, support), chart).system
+                if not plan.n:
+                    continue
+                system = genericity._face_system(game, plan)[0]
+                z = rng.normal(0.0, 1.0, plan.n)
+                alone = [(f.tobytes(), jac.tobytes())
+                         for f, jac in (system(z), (a[0] for a in system(z[None])))]
+                assert alone[0] == alone[1]
+                for size in (2, 5, 7):
+                    for place in range(size):
+                        stack = rng.normal(0.0, 1.0, (size, plan.n))
+                        stack[place] = z
+                        f, jac = system(stack)
+                        assert (f[place].tobytes(), jac[place].tobytes()) == alone[0], (
+                            shape, game.mode, support, size, place)
+                checked += 1
+    assert checked == 2 * ((27 - 8) + (63 - 12) + (49 - 9))
 
 
 def test_certificate_exact_is_its_points_flag():

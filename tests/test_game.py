@@ -31,7 +31,7 @@ from nashatlas import (
     support_of,
 )
 from nashatlas import game as game_module
-from nashatlas.game import _pair_rows
+from nashatlas.game import _face_table
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -218,21 +218,27 @@ def test_integer_rows_index_own_then_opponents_in_c_order():
                          for pure in itertools.product(*(range(triple.strategy_counts[b])
                                                           for b in others))]
                         for own in range(triple.strategy_counts[k])]
-    # the exact solve's pair tables, one per held profile, are strided
-    # slices of those rows: every player outside the pair at its held
-    # strategy, the partner free
-    for pair in itertools.combinations(range(3), 2):
-        [held] = [b for b in range(3) if b not in pair]
-        for k, partner in (pair, pair[::-1]):
-            tables = _pair_rows(triple, k, partner)
-            assert len(tables) == triple.strategy_counts[held]
-            for h in range(triple.strategy_counts[held]):
-                index = [slice(None)] * 3
-                index[held] = h
-                want = u[k][tuple(index)]
-                if k > partner:
-                    want = want.T
-                assert tables[h] == want.astype(int).tolist()
+    # the exact solve's face tables, of this game and of a 2x3x2x2 one:
+    # one key per pair and held profile, in C order, each pair player's
+    # table the _face_table of its [own][partner] slice of the payoffs,
+    # every player outside the pair at its held strategy
+    quad = make_game((2, 3, 2, 2), [np.arange(24.0).reshape(2, 3, 2, 2) * (k + 1) - 5 * k
+                                    for k in range(4)])
+    for g in (triple, quad):
+        m, counts = g.num_players, g.strategy_counts
+        keys = list(g._face_rows)
+        for pair in itertools.combinations(range(m), 2):
+            held = [b for b in range(m) if b not in pair]
+            profiles = list(itertools.product(*(range(counts[b]) for b in held)))
+            assert [key for key in keys if key[:2] == pair] == [(*pair, h) for h in profiles]
+            for h in profiles:
+                index = [slice(None)] * m
+                for b, x in zip(held, h):
+                    index[b] = x
+                slices = [g.utilities[k][tuple(index)].astype(int) for k in pair]
+                # the solving player's table from its partner's payoffs
+                want = (_face_table(slices[1].T.tolist()), _face_table(slices[0].tolist()))
+                assert g._face_rows[(*pair, h)] == want
 
 
 def test_parse_game_float():

@@ -320,7 +320,8 @@ def test_face_jacobian_signs_are_indices():
                     total += 1
                     continue
                 family = canonical_equilibrium_family(game, cert.support)
-                system = genericity._family_system(game, family, chart)[0]
+                plan = genericity._face_plan(shape, family, chart)
+                system = genericity._face_system(game, plan.system)[0]
                 total += int(np.sign(np.linalg.det(system(z)[1])))
             assert total == 1, (shape, seed)
 
@@ -481,7 +482,8 @@ def test_a_malformed_family_is_a_value_error(data):
     # a wrong entry count, an out-of-range label or pair, a reversed pair,
     # or a label or pair entry that is not an integer (never truncated):
     # good_family, the probe and transversal_at each raise a ValueError
-    # that names the defect, never an IndexError or a numpy error
+    # that names the defect, never an IndexError or a numpy error; the
+    # last kind is raised by GoodFamily itself
     shape = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2, 2)]), label="shape")
     m = len(shape)
     T, R = [[] for _ in shape], [[(0, 1)] for _ in shape]
@@ -508,12 +510,18 @@ def test_a_malformed_family_is_a_value_error(data):
         j = data.draw(st.integers(0, n - 1))
         R[i].append((float(j), j + data.draw(st.sampled_from([0.5, 0.7, 1.7]))))
     g = random_game(shape, seed=1)
-    family = GoodFamily(tuple(map(tuple, T)), tuple(map(tuple, R)))
     point = chart_zero_point(profile_from_weights([[1 / c] * c for c in shape]))
     message = ("family needs one T and one R entry per player|out of range|must satisfy|>= 0"
                "|is not an integer")
     with pytest.raises(ValueError, match=message):
         good_family(g, T, R)
+    if defect.startswith("fractional"):
+        # a hand-built family names such an entry when it is built, as a
+        # support profile does
+        with pytest.raises(ValueError, match=r"^[CD]:\d.*is not an integer$"):
+            GoodFamily(tuple(map(tuple, T)), tuple(map(tuple, R)))
+        return
+    family = GoodFamily(tuple(map(tuple, T)), tuple(map(tuple, R)))
     with pytest.raises(ValueError, match=message):
         regular_value_probe(g, family, (0,) * m, seed=0)
     with pytest.raises(ValueError, match=message):
@@ -563,8 +571,8 @@ def test_probe_exact_game_matches_float_twin():
 
 
 def test_probe_equations_are_the_defining_maps():
-    # _family_system builds the probe's equations and the equilibrium
-    # route's. At random points of the face, in every chart that does not
+    # _face_plan, then _face_system, builds the probe's equations and the
+    # equilibrium route's. At random points of the face, in every chart that does not
     # exclude the family, each residual entry times its player's payoff
     # unit is the value of that PayoffDiff's defining map at the chart
     # point. On the canonical family of every support, in chart (0, 0, 0),
@@ -583,8 +591,9 @@ def test_probe_equations_are_the_defining_maps():
     ]
     rng = np.random.default_rng(7)
     for family, chart, supports in inputs:
-        system, vectors, tilde_maps, weight_maps = genericity._family_system(
-            game, family, chart)
+        plan = genericity._face_plan(game.strategy_counts, family, chart)
+        system, vectors = genericity._face_system(game, plan.system)
+        tilde_maps, weight_maps = plan.maps, plan.system.weights
         diffs = [h for h in family.hypersurfaces() if isinstance(h, PayoffDiff)]
         exponents = np.array([game.payoff_exponents[h.player] for h in diffs], dtype=int)
         forms = [defining_map(game, h, chart) for h in diffs]
@@ -721,7 +730,8 @@ def test_transversal_jacobian_is_coordinate_rows_over_the_face_jacobian():
                     row = np.zeros(bounds[-1])
                     row[bounds[i]: bounds[i + 1]] = np.delete(vec, chart[i])
                     rows.append(row)
-            system = genericity._family_system(game, good_family(game, R=R), chart)[0]
+            plan = genericity._face_plan(game.strategy_counts, good_family(game, R=R), chart)
+            system = genericity._face_system(game, plan.system)[0]
             want = np.vstack([rows, system(np.concatenate(coords))[1]])
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (seed, chart)
             points += 1
@@ -793,7 +803,7 @@ def _unequal_blocks_case():
     game = random_game((2, 3, 2, 2), seed=7)
     family = canonical_equilibrium_family(
         game, SupportProfile(((0, 1), (0, 1, 2), (0, 1), (0,))))
-    maps = genericity._family_system(game, family, (0, 0, 0, 0))[3]
+    maps = genericity._face_plan(game.strategy_counts, family, (0, 0, 0, 0)).system.weights
     assert [a.shape[1] - 1 for a in maps] == [1, 2, 1, 0]
     return game, family.R, maps, _newton_starts((2, 3, 2), 0)
 
@@ -1098,7 +1108,7 @@ def test_face_system_matches_the_contraction_reference():
     # game that builds its plan, then on a second game of the same shape
     # that reads that plan, kept; the reference's weight maps are built
     # here, apart from the plans
-    genericity._cached_face_plan.cache_clear()
+    genericity._build_face_plan.cache_clear()
     rng = np.random.default_rng(11)
     seen, warm = set(), 0
     for shape in [(3,), (2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 2, 2)]:
@@ -1109,18 +1119,19 @@ def test_face_system_matches_the_contraction_reference():
                 for chart in _open_charts(shape, family):
                     maps = genericity._face_maps(shape, family, chart)
                     for game in games:
-                        face = genericity._family_system(game, family, chart)
+                        plan = genericity._face_plan(shape, family, chart)
                         if maps is None:
-                            assert face is None, (shape, family, chart)
+                            assert plan.maps is plan.system is None, (shape, family, chart)
                             continue
                         weights = [_basis_matrix(len(a), False) @ a for a in maps]
-                        for a, b in zip(face[2:], (maps, weights)):
+                        for a, b in zip((plan.maps, plan.system.weights), (maps, weights)):
                             assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+                        system = genericity._face_system(game, plan.system)[0]
                         n = sum(a.shape[1] - 1 for a in maps)
                         want = _contract_face_system(game, family.R, weights)
                         for z in [rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (5, n)),
                                   np.zeros((0, n))]:
-                            for a, w in zip(face[0](z), want):
+                            for a, w in zip(system(z), want):
                                 b = w(z)
                                 assert a.shape == b.shape, (shape, family, chart)
                                 assert np.abs(a - b).max(initial=0.0) <= (
@@ -1138,7 +1149,7 @@ def test_face_system_matches_the_contraction_reference():
                         seen.add("a zero-dimensional block")
     assert {"m=1", "m=4", "no equations", "a player without pairs",
             "a zero-dimensional block"} <= seen
-    assert genericity._cached_face_plan.cache_info().hits >= warm
+    assert genericity._build_face_plan.cache_info().hits >= warm
 
 
 def _probe_bits(report):
@@ -1161,7 +1172,7 @@ def test_face_plans_are_kept_read_only_per_chart_and_errors_are_not_kept():
     assert len(charts) == 8
     cold = []
     for chart in charts:
-        genericity._cached_face_plan.cache_clear()
+        genericity._build_face_plan.cache_clear()
         cold.append(_probe_bits(regular_value_probe(game, family, chart, seed=1)))
     for _ in range(2):  # the second pass reads every plan the first one kept
         warm = [_probe_bits(regular_value_probe(game, family, chart, seed=1))
@@ -1175,11 +1186,10 @@ def test_face_plans_are_kept_read_only_per_chart_and_errors_are_not_kept():
     arrays = [*plan.maps, *system.weights, system.gather, system.place,
               *(a for player in system.players for a in player[1:3])]
     assert len(arrays) == 3 + 3 + 2 + 2 * 3
-    for a in arrays + list(genericity._family_system(game, family, charts[-1])[2:]):
-        for x in (a if isinstance(a, tuple) else [a]):
-            assert not x.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                x[(0,) * x.ndim] = 1.0
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] = 1.0
 
     cycle = GoodFamily(((), (), ()), (((0, 1),), ((0, 1), (1, 2), (0, 2)), ((0, 1),)))
     bad_member = GoodFamily(((), (3,), ()), (((0, 1),), ((0, 1),), ((0, 1),)))
@@ -1196,6 +1206,39 @@ def test_face_plans_are_kept_read_only_per_chart_and_errors_are_not_kept():
                 regular_value_probe(game, fam, chart)
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
+
+
+def test_a_single_root_probe_reads_its_root_as_a_row_of_any_stack():
+    # the probes of the full-support family (pairs (0, k), no labels) of
+    # 2x2x2, 2x3x2 and 3x3 games, in every chart, that find one root (126
+    # of 290): its residual and rank are the ones read from the face
+    # system's row of that root in stacks of 2, 5 and 7 points, though
+    # NumPy's matmul sums one row in another order than a stack
+    rng = np.random.default_rng(5)
+    single = 0
+    for shape in [(2, 2, 2), (2, 3, 2), (3, 3)]:
+        for seed in range(40_000, 40_010):
+            game = random_game(shape, seed=seed)
+            family = good_family(game, R=[[(0, k) for k in range(1, c)] for c in shape])
+            exponents = np.repeat(game.payoff_exponents, [len(p) for p in family.R])
+            for chart in _open_charts(shape, family):
+                report = regular_value_probe(game, family, chart, seed=seed)
+                if len(report.roots) != 1:
+                    continue
+                [root] = report.roots
+                # no labels: the face coordinates are the chart coordinates
+                z = np.concatenate(root.point.coords)
+                plan = genericity._face_plan(shape, family, chart).system
+                system = genericity._face_system(game, plan)[0]
+                for size in (2, 5, 7):
+                    stack = rng.normal(0.0, 1.0, (size, z.size))
+                    place = rng.integers(size)
+                    stack[place] = z
+                    f, jac = (a[place] for a in system(stack))
+                    assert np.abs(np.ldexp(f, exponents)).max() == root.residual, (shape, seed)
+                    assert genericity._svd_ranks(jac)[0] == root.rank, (shape, seed)
+                single += 1
+    assert single == 126
 
 
 def _double_root_game():
