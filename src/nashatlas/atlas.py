@@ -265,14 +265,14 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
 def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
     """Membership test: |defining value| <= tol after normalizing the
     form by its largest coefficient, tol 0 for an exact form (a rational
-    game) at an exact point (game._exact on its chart coordinates), else
-    MEMBERSHIP_TOL. An identically zero form means the hypersurface
-    degenerated to the whole space, so every point passes.
+    game) at an exact point (game._exact), else MEMBERSHIP_TOL, compared
+    exactly for an exact form. An identically zero form means the
+    hypersurface degenerated to the whole space, so every point passes.
     """
     form = defining_map(game, h, point.chart)
     value = form.eval([point.coords[b] for b in form.blocks])
     tol = 0 if form.is_rational and _exact(point.coords) else MEMBERSHIP_TOL
-    return abs(value) <= tol * form.max_abs_coeff()
+    return abs(value) <= Fraction(tol) * np.abs(form.coeffs).max(initial=0)
 
 
 def format_chart(chart) -> str:

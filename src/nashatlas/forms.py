@@ -80,9 +80,6 @@ class MultilinearForm:
         one = Fraction(1) if self.is_rational else 1.0
         return np.insert(vec, p, one)
 
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self.coeffs).max(initial=0.0))
-
     def _inputs(self, points, keep: int | None = None, lift=None) -> list:
         """One block vector per participating block, lifted by lift(t,
         vec) (default lift_input), None at position keep; a wrong count

@@ -7,8 +7,9 @@ pair graph is a forest; good families are the ones whose transversality
 generic payoffs guarantee.
 
 Transversality at a point is checked through the stacked Jacobian of
-the defining maps of the hypersurfaces that contain the point, each
-payoff-difference row in its player's payoff unit: full rank means
+the defining maps of the hypersurfaces that contain the point
+(full_gradient), each payoff-difference row the face system's (below),
+in its player's payoff unit taken exactly: full rank means
 transversal. An equilibrium's canonical square family is transversal
 iff the family's face system in chart (0, ..., 0) has a nonsingular
 Jacobian there (rank_split_equivalence_test);
@@ -83,7 +84,7 @@ from .atlas import (
     defining_map,
     on_hypersurface,
 )
-from .forms import MultilinearForm, _basis_matrix
+from .forms import _basis_matrix
 from .game import (
     DEDUP_TOL,
     NEWTON_HALVINGS,
@@ -211,26 +212,6 @@ class TransversalityReport:
     rank: int
     smallest_singular_value: float
     verdict: str  # "transversal" or "degenerate"
-
-
-def _coord_offsets(game: FiniteGame) -> tuple[list[int], int]:
-    offsets, total = [], 0
-    for c in game.strategy_counts:
-        offsets.append(total)
-        total += c - 1
-    return offsets, total
-
-
-def full_gradient(game: FiniteGame, form: MultilinearForm, point: ChartPoint) -> np.ndarray:
-    """Gradient of a chart-local form with respect to all chart
-    coordinates, zero on blocks the form does not read."""
-    offsets, total = _coord_offsets(game)
-    out = np.zeros(total)
-    inputs = [point.coords[b] for b in form.blocks]
-    for b in form.blocks:
-        grad = form.grad(inputs, b)
-        out[offsets[b]: offsets[b] + len(grad)] = grad
-    return out
 
 
 def _svd_ranks(a: np.ndarray):
@@ -485,6 +466,29 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
     return system, vectors
 
 
+def full_gradient(game: FiniteGame, members, point: ChartPoint) -> np.ndarray:
+    """The Jacobian at a chart point of the members' defining maps in all
+    chart coordinates, row r members[r]'s: a coordinate hyperplane's row
+    its defining map's constant vector less the chart slot, in its
+    player's columns; the payoff-difference rows the face system's
+    Jacobian (T empty, _face_plan then _face_system) at z = the chart
+    coordinates, in each player's payoff unit taken exactly."""
+    R = tuple(tuple(sorted({h.pair for h in members if isinstance(h, PayoffDiff) and h.player == i}))
+              for i in range(game.num_players))
+    plan = _face_plan(game.strategy_counts, GoodFamily(((),) * len(R), R), point.chart).system
+    jac = _face_system(game, plan)[0](np.concatenate(point.coords).astype(float))[1]
+    rows = dict(zip(((i, p) for i, ps in enumerate(R) for p in ps), jac))
+    out = np.zeros((len(members), plan.n))
+    for r, h in enumerate(members):
+        if isinstance(h, PayoffDiff):
+            out[r] = rows[h.player, h.pair]
+        else:
+            lo, hi = plan.spans[h.player]
+            out[r, lo:hi] = np.delete(defining_map(game, h, point.chart).coeffs,
+                                      point.chart[h.player])
+    return out
+
+
 def transversal_at(
     game: FiniteGame,
     family: GoodFamily,
@@ -500,7 +504,8 @@ def transversal_at(
     Pass `active` to pin the active set instead of detecting it by
     membership (where activity is known, as for an equilibrium's
     canonical family). Verdict is transversal iff the stacked Jacobian
-    (payoff-difference rows in payoff units) has full row rank.
+    (full_gradient: row r active[r]'s, payoff-difference rows the face
+    system's, in exact payoff units) has full row rank.
     """
     chart = _validate_chart(point.chart, game.strategy_counts)
     _validate_coords(game, point.coords)
@@ -511,11 +516,7 @@ def transversal_at(
         active = [h for h in members if on_hypersurface(game, h, point)]
     else:
         _check_in_chart(game.strategy_counts, active, chart)
-    total = _coord_offsets(game)[1]
-    rows = [np.ldexp(full_gradient(game, defining_map(game, h, chart), point),
-                     -game.payoff_exponents[h.player] if isinstance(h, PayoffDiff) else 0)
-            for h in active]
-    jac = np.array(rows, dtype=float).reshape(len(rows), total)
+    jac = full_gradient(game, active, point)
     rank, smin, full = _svd_ranks(jac)
     return TransversalityReport(
         chart=chart,

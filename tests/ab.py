@@ -55,9 +55,11 @@ shows. Then it prints how many records differ, and how many of those differ
 apart from their numbers (each listed with the field where it first
 does). For each field name it prints how many of its numbers differ, in
 which kinds of record (a label's first word), and the largest move,
-absolute and in ulps of the larger of the two floats ("-" when a
-Fraction or an integer moved). A number belongs to the innermost field
-name or JSON key that holds it. The exit code is 1 when any record
+absolute and in ulps of its record's scale ("-" when a Fraction or an
+integer moved). A record's scale is the largest finite magnitude of any
+number in either answer, so a rounding move of a number near 0 reads as
+small as it is. A number belongs to the innermost field name or JSON key
+that holds it. The exit code is 1 when any record
 differs. The script is not a test module: pytest does not collect it.
 """
 
@@ -125,6 +127,19 @@ def _number(x) -> bool:
     return isinstance(x, NUMBERS) and not isinstance(x, bool)
 
 
+def magnitudes(x):
+    """The magnitude of every number in tree x (canon's), as a float: inf
+    for one beyond the float range."""
+    if _number(x):
+        try:
+            yield abs(float(x))
+        except OverflowError:
+            yield math.inf
+    elif isinstance(x, (dict, list, tuple)):
+        for v in x.values() if isinstance(x, dict) else x:
+            yield from magnitudes(v)
+
+
 def walk(x, y, field: str, moves: list) -> str | None:
     """Append (field, u, v) to moves for every number u of tree x that is
     v != u at its place in tree y, under the innermost field name or key
@@ -172,16 +187,19 @@ class AB:
             self.cpu[side] += seconds
         self.records += 1
         moves = []
-        bad = walk(*(canon(answers[side]) for side in SIDES), "answer", moves)
+        trees = [canon(answers[side]) for side in SIDES]
+        bad = walk(*trees, "answer", moves)
         self.differ += bool(bad or moves)
         if bad:  # its numbers are not counted
             self.structure.append((label, bad))
             return answers
+        if moves:
+            scale = max((m for m in magnitudes(trees) if m < math.inf), default=0.0)
         for field, u, v in moves:
             count, largest, ulps, kinds = self.moved.setdefault(field, [0, 0.0, 0.0, Counter()])
             move = abs(float(u) - float(v))
             if isinstance(u, float) and isinstance(v, float) and ulps != "-":
-                ulps = max(ulps, move / math.ulp(max(abs(u), abs(v))))
+                ulps = max(ulps, move / math.ulp(scale))
             else:
                 ulps = "-"
             kinds[label.split()[0]] += 1
@@ -195,7 +213,7 @@ class AB:
             where = ", ".join(f"{k} {n}" for k, n in kinds.items())
             ulps = ulps if ulps == "-" else f"{ulps:.3g}"
             print(f"  {field}: {count} values differ ({where}), largest move {largest:.3g}, "
-                  f"{ulps} ulps of the larger")
+                  f"{ulps} ulps of the record's scale")
         for label, field in self.structure:
             print(f"  differs apart from its numbers: {label} (at {field})")
 
@@ -349,7 +367,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         libs = {side: load_side(root.resolve(), side, Path(tmp))
                 for side, root in zip(SIDES, (args.parent, HERE))}
-        for lib in libs.values():  # the LP witness path and its lazy scipy import
+        for lib in libs.values():  # the continuum witness path, once before any timing
             lib.enumerate_nash(lib.make_game((2, 2), [np.zeros((2, 2))] * 2))
         ab = AB(libs)
         for name in args.only or sections:

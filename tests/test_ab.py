@@ -1,5 +1,8 @@
 """tests/ab.py, the in-process A/B run of two trees, on its tied section."""
 
+import dataclasses
+import importlib.util
+import math
 import re
 import shutil
 import subprocess
@@ -53,3 +56,31 @@ def test_ab_prints_a_workloads_cold_round_apart_from_the_others():
     assert re.search(rf"^atlas-probe: round 1 \(caches cold\) {cpu}; rounds 2-2 {cpu}$",
                      run.stdout, re.M), run.stdout
     assert re.search(rf"^atlas-probe: 210 records, {cpu}$", run.stdout, re.M), run.stdout
+
+
+@dataclasses.dataclass
+class Root:
+    residual: float
+    value: float
+
+
+def test_a_move_is_measured_in_ulps_of_its_records_scale(capsys):
+    # two fake sides whose answers differ by rounding: a residual near 0
+    # moves by 2e-17, a fifth of an ulp of the record's largest finite
+    # number (inf and an integer beyond the float range do not set it),
+    # where in ulps of the residual itself it would read about 3e15; a
+    # value of 0.75 moves by one ulp (both inside a dataclass)
+    spec = importlib.util.spec_from_file_location("ab", AB)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    answers = {"parent": {"root": Root(1e-17, 0.75), "margin": math.inf, "big": 10**400},
+               "change": {"root": Root(3e-17, math.nextafter(0.75, 1)), "margin": math.inf,
+                          "big": 10**400}}
+    run = ab.AB({side: side for side in ab.SIDES})
+    run("probe 1", lambda side: lambda: answers[side])
+    run.summary()
+    out = capsys.readouterr().out
+    assert out.startswith("1 of 1 records differ; 0 apart from their numbers\n"), out
+    assert "  residual: 1 values differ (probe 1), largest move 2e-17, 0.18 ulps of " in out, out
+    assert re.search(r"^  value: 1 values differ \(probe 1\), largest move 1.11e-16, 1 ulps of "
+                     r"the record's scale$", out, re.M), out

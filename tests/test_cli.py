@@ -262,10 +262,11 @@ def test_input_errors_name_the_bad_input(mp_file, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message.format(mp=mp_file)}\n"
 
 
-def test_payoffs_beyond_the_float_range_solve_or_fail_with_an_error_line(tmp_path):
+def test_payoffs_beyond_the_float_range_solve_and_certify(tmp_path):
     # matching pennies times 10**400, read exactly: solve certifies its
-    # equilibrium in the payoff unit (it died in OverflowError), and
-    # certifying a point, whose float rows overflow, is an error line
+    # equilibrium in the payoff unit (it died in OverflowError), and so
+    # does certify at an exact or a float point (both died in float
+    # division, in the membership test and in the rows)
     big = _write(tmp_path, "big.game", "players 2\nstrategies 2 2\n"
                  "payoff 1\n1e400 -1e400\n-1e400 1e400\npayoff 2\n-1e400 1e400\n1e400 -1e400\n")
     run = "import sys; from nashatlas.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -274,9 +275,11 @@ def test_payoffs_beyond_the_float_range_solve_or_fail_with_an_error_line(tmp_pat
     [eq] = json.loads(solved.stdout)["results"]["equilibria"]
     assert eq["point"] == [["1/2", "1/2"], ["1/2", "1/2"]]
     assert eq["jacobian_verdict"] == "regular" and 0 < eq["smallest_singular_value"] < math.inf
-    failed = fresh_python("-c", run, "certify", big, "--exact", "--point", "1/2,1/2;1/2,1/2")
-    assert failed.returncode == 1 and failed.stdout == ""
-    assert failed.stderr.startswith("error: ") and "Traceback" not in failed.stderr
+    for point in ("1/2,1/2;1/2,1/2", "0.5,0.5;0.5,0.5"):
+        certified = fresh_python("-c", run, "certify", big, "--exact", "--point", point)
+        assert certified.returncode == 0, certified.stderr
+        assert "rank: 2 of 2\n" in certified.stdout, certified.stdout
+        assert "verdict: transversal\n" in certified.stdout, certified.stdout
 
 
 @pytest.mark.parametrize("argv", [

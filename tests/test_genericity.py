@@ -36,6 +36,7 @@ from nashatlas import (
     rank_split_equivalence_test,
     regular_value_probe,
     support_of,
+    transition,
     transversal_at,
     witness_cycle,
 )
@@ -704,38 +705,66 @@ def test_probe_residuals_beyond_the_float_range_read_inf():
         (r.rank, [c.tobytes() for c in r.point.coords]) for r in base.roots]
 
 
+def _retired_jacobian(game, members, point):
+    """The Jacobian as transversal_at built it one member at a time: the
+    gradient of each defining map per block it reads (MultilinearForm.grad),
+    a payoff-difference row scaled by 2**-e_i into its player's unit."""
+    bounds = np.cumsum([0] + [c - 1 for c in game.strategy_counts])
+    rows = []
+    for h in members:
+        form = defining_map(game, h, point.chart)
+        inputs = [point.coords[b] for b in form.blocks]
+        row = np.zeros(bounds[-1])
+        for b in form.blocks:
+            row[bounds[b]: bounds[b + 1]] = form.grad(inputs, b)
+        rows.append(np.ldexp(row, -game.payoff_exponents[h.player]) if isinstance(h, PayoffDiff)
+                    else row)
+    return np.array(rows).reshape(len(rows), bounds[-1])
+
+
 def test_transversal_jacobian_is_coordinate_rows_over_the_face_jacobian():
-    # transversal_at builds its rows one defining map at a time. They are
-    # the active coordinate rows (row t of forms._basis_matrix, or e_0 for
-    # INF, chart slot dropped) stacked on the Jacobian of the face system
-    # of the family with T emptied, at z = the chart coordinates
+    # transversal_at's rows are the active coordinate rows and the face
+    # system's Jacobian rows of the family with T emptied (full_gradient);
+    # they are the gradients of the members' defining maps, per block, in
+    # each player's payoff unit, here 2**-30, 1 and 2**40 in turn
     T = [(2,), (INF,), ()]
     R = [((0, 1), (1, 2)), ((0, 1),), ((0, 2),)]
     rng = np.random.default_rng(0)
     points = 0
     for seed in range(20):
-        game = random_game((3, 2, 3), seed=seed)
+        base = random_game((3, 2, 3), seed=seed)
+        game = make_game(base.strategy_counts, [
+            u * 2.0 ** k for u, k in zip(base.utilities, np.roll([-30, 0, 40], seed))])
         family = good_family(game, T, R)
-        bounds = np.cumsum([0] + [c - 1 for c in game.strategy_counts])
         for chart in _open_charts(game.strategy_counts, family):
             coords = tuple(rng.normal(size=c - 1) for c in game.strategy_counts)
-            got = transversal_at(game, family, ChartPoint(chart, coords),
-                                 active=family.hypersurfaces()).jacobian
-            rows = []
-            for h in family.hypersurfaces():
-                if isinstance(h, Coordinate):
-                    i = h.player
-                    c = game.strategy_counts[i]
-                    vec = np.eye(c)[0] if h.index == INF else _basis_matrix(c, False)[h.index]
-                    row = np.zeros(bounds[-1])
-                    row[bounds[i]: bounds[i + 1]] = np.delete(vec, chart[i])
-                    rows.append(row)
-            plan = genericity._face_plan(game.strategy_counts, good_family(game, R=R), chart)
-            system = genericity._face_system(game, plan.system)[0]
-            want = np.vstack([rows, system(np.concatenate(coords))[1]])
+            point = ChartPoint(chart, coords)
+            got = transversal_at(game, family, point, active=family.hypersurfaces()).jacobian
+            want = _retired_jacobian(game, family.hypersurfaces(), point)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (seed, chart)
             points += 1
     assert points == 120
+
+
+def test_transversal_rows_follow_the_active_order():
+    # row r of the Jacobian belongs to report.active[r], in whatever order
+    # the members come: a shuffled active list permutes the rows alike
+    T = [(2,), (INF,), ()]
+    R = [((0, 1), (1, 2)), ((0, 1),), ((0, 2),)]
+    rng = np.random.default_rng(1)
+    for seed in range(5):
+        game = random_game((3, 2, 3), seed=seed)
+        family = good_family(game, T, R)
+        members = family.hypersurfaces()
+        for chart in _open_charts(game.strategy_counts, family):
+            point = ChartPoint(chart, tuple(rng.normal(size=c - 1) for c in game.strategy_counts))
+            base = transversal_at(game, family, point, active=members)
+            for _ in range(3):
+                order = rng.permutation(len(members))
+                shuffled = transversal_at(game, family, point, active=[members[r] for r in order])
+                assert shuffled.active == tuple(members[r] for r in order)
+                assert np.array_equal(shuffled.jacobian, base.jacobian[order]), (seed, chart)
+                assert (shuffled.rank, shuffled.verdict) == (base.rank, base.verdict)
 
 
 def _greedy_dedup(rows):
@@ -1298,12 +1327,18 @@ def test_newton_finds_every_full_support_root_of_a_2x2x2_game():
 
 
 def test_full_gradient_placement(mp_float):
-    from nashatlas import defining_map
-
-    form = defining_map(mp_float, PayoffDiff(0, (0, 1)), (0, 0))
+    # each row in its member's place and in its player's block of columns:
+    # D:1:0:1 reads player 2's weight (-4 in matching pennies' payoff unit
+    # 2, so -2), C:2:1 is player 2's weight_1 = 0 and C:1:0 player 1's
+    # tilde_0 - tilde_1 = 0, which chart (1, 0) reads with the other slot
     point = chart_zero_point(profile_from_weights([[0.5, 0.5], [0.5, 0.5]]))
-    grad = full_gradient(mp_float, form, point)
-    np.testing.assert_allclose(grad, [0.0, -4.0])
+    members = [Coordinate(1, 1), PayoffDiff(0, (0, 1)), Coordinate(0, 0)]
+    np.testing.assert_array_equal(full_gradient(mp_float, members, point),
+                                  [[0.0, 1.0], [0.0, -2.0], [-1.0, 0.0]])
+    moved = transition(point, (1, 0))
+    np.testing.assert_array_equal(full_gradient(mp_float, members, moved),
+                                  [[0.0, 1.0], [0.0, -2.0], [1.0, 0.0]])
+    assert full_gradient(mp_float, [], point).shape == (0, 2)
 
 
 def test_rank_split_basic_cases():
