@@ -48,7 +48,6 @@ from .forms import (
     HomogeneousDecomposition,
     LambdaDecomposition,
     MultilinearForm,
-    from_tilde_coordinates,
     homogeneous_decomposition,
     lambda_decomposition,
     payoff_form,
@@ -78,7 +77,6 @@ from .genericity import (
     canonical_equilibrium_family,
     good_family,
     is_good,
-    rank_split_equivalence_test,
     regular_value_probe,
     transversal_at,
     witness_cycle,
@@ -121,7 +119,6 @@ __all__ = [
     "enumerate_supports",
     "excluded_hypersurfaces",
     "format_chart",
-    "from_tilde_coordinates",
     "good_family",
     "homogeneous_decomposition",
     "is_good",
@@ -135,7 +132,6 @@ __all__ = [
     "payoff_slice_values",
     "profile_from_weights",
     "random_game",
-    "rank_split_equivalence_test",
     "read_chart",
     "regular_value_probe",
     "serialize_game",

@@ -197,8 +197,10 @@ def _pinned_hyperplane(i: int, l: int) -> Coordinate:
 
 
 def chart_excludes(chart: tuple[int, ...], h: Hypersurface) -> bool:
-    """Whether the hypersurface misses the chart entirely."""
-    return h == _pinned_hyperplane(h.player, chart[h.player])
+    """Whether the hypersurface misses the chart entirely: it is the
+    hyperplane the chart pins (_pinned_hyperplane)."""
+    l = chart[h.player]
+    return isinstance(h, Coordinate) and h.index == (INF if l == 0 else l)
 
 
 def excluded_hypersurfaces(game: FiniteGame, chart) -> list[Coordinate]:

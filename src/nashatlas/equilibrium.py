@@ -287,7 +287,7 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
         sol_i = solve_affine(rows_i, len(si) - 1)
         rows_j = _face_block(table_j, sj, si)
         sol_j = solve_affine(rows_j, len(sj) - 1)
-        if sol_i.nums is None or sol_j.nums is None:  # is_empty; most supports end here
+        if sol_i.nums is None or sol_j.nums is None:  # no solution; most supports end here
             return None
         found, unique = {}, sol_i.is_unique and sol_j.is_unique
         for k, sol, rows in ((i, sol_i, rows_i), (j, sol_j, rows_j)):

@@ -43,10 +43,6 @@ class AffineSolutionSet:
     free: int
 
     @property
-    def is_empty(self) -> bool:
-        return self.nums is None
-
-    @property
     def is_unique(self) -> bool:
         return self.nums is not None and not self.free
 

@@ -72,28 +72,39 @@ class MultilinearForm:
         return full if self.pinned[t] is None else full - 1
 
     def lift_input(self, t: int, vec) -> np.ndarray:
-        """Insert the pinned 1 into a block's input vector."""
+        """Insert the pinned 1 into a block's input, a vector or a batch of
+        them, along its last axis."""
         vec = _coerce_vector(vec, self.is_rational)
         p = self.pinned[t]
         if p is None:
             return vec
         one = Fraction(1) if self.is_rational else 1.0
-        return np.insert(vec, p, one)
+        return np.insert(vec, p, one, axis=-1)
 
-    def _inputs(self, points, keep: int | None = None, lift=None) -> list:
-        """One block vector per participating block, lifted by lift(t,
-        vec) (default lift_input), None at position keep; a wrong count
-        or a wrong lifted length is a ValueError."""
+    def _inputs(self, points, keep: int | None = None) -> list:
+        """One lifted block (lift_input) per participating block, None at
+        position keep. A block is a vector or a (B, s) batch, one B for
+        every batch; a wrong count, a block of more axes, another batch
+        size or a wrong lifted length is a ValueError naming it."""
         if len(points) != len(self.blocks):
             raise ValueError(
                 f"form takes {len(self.blocks)} block vectors, got {len(points)}"
             )
-        out = []
+        out, batch = [], None
         for k, vec in enumerate(points):
             if k == keep:
                 out.append(None)
                 continue
-            vec = (lift or self.lift_input)(k, vec)
+            vec = _coerce_vector(vec, self.is_rational)
+            if vec.ndim > 2:
+                raise ValueError(f"block {self.blocks[k]}: expected a vector or a (B, "
+                                 f"{self.input_length(k)}) batch, got shape {vec.shape}")
+            if vec.ndim == 2:
+                batch = len(vec) if batch is None else batch
+                if len(vec) != batch:
+                    raise ValueError(f"block {self.blocks[k]}: batch size {len(vec)}, "
+                                     f"expected {batch}")
+            vec = self.lift_input(k, vec)
             if vec.shape[-1] != self.coeffs.shape[k]:
                 raise ValueError(
                     f"block {self.blocks[k]}: expected length {self.input_length(k)}"
@@ -101,15 +112,18 @@ class MultilinearForm:
             out.append(vec)
         return out
 
-    def eval(self, points) -> float | Fraction:
-        """Evaluate at one coordinate vector per participating block."""
-        t = contract(self.coeffs, self._inputs(points))
-        return t.item() if isinstance(t, (np.ndarray, np.generic)) else t
+    def eval(self, points):
+        """Evaluate at one coordinate vector per participating block, or
+        at a batch of B points: then a block is a (B, s) array, or a vector
+        shared by every point (contract), and the result has shape (B,).
+        Exact on a rational form."""
+        t = np.asarray(contract(self.coeffs, self._inputs(points)))
+        return t if t.ndim else t.item()
 
     def grad(self, points, block: int) -> np.ndarray:
         """Gradient with respect to one block's (free) coordinates, at one
         coordinate vector per participating block (the block's own is not
-        read).
+        read), or at a batch of points as in eval, batch axis first.
 
         Exact contraction over all other blocks; for a pinned block the
         pinned slot is dropped from the result.
@@ -119,30 +133,8 @@ class MultilinearForm:
         pos = self.blocks.index(block)
         t = contract(self.coeffs, self._inputs(points, keep=pos))
         if self.pinned[pos] is not None:
-            t = np.delete(t, self.pinned[pos])
+            t = np.delete(t, self.pinned[pos], axis=-1)
         return t
-
-    def eval_batch(self, mats) -> np.ndarray:
-        """Vectorized float evaluation: mats[t] has shape (B, input_length(t)),
-        one batch size B for every block. A block that is not 2-D, or whose
-        batch size is not the first block's, is a ValueError naming it."""
-        batch = None
-
-        def lift(k, mat):
-            nonlocal batch
-            mat = np.asarray(mat, dtype=float)
-            if mat.ndim != 2:
-                raise ValueError(f"block {self.blocks[k]}: expected a (B, "
-                                 f"{self.input_length(k)}) batch, got shape {mat.shape}")
-            if batch is None:
-                batch = len(mat)
-            elif len(mat) != batch:
-                raise ValueError(f"block {self.blocks[k]}: batch size {len(mat)}, "
-                                 f"expected {batch}")
-            p = self.pinned[k]
-            return mat if p is None else np.insert(mat, p, 1.0, axis=1)
-
-        return contract(np.asarray(self.coeffs, dtype=float), self._inputs(mats, lift=lift))
 
 
 def contract(tensor: np.ndarray, vectors) -> np.ndarray:
@@ -167,9 +159,11 @@ def contract(tensor: np.ndarray, vectors) -> np.ndarray:
 
 
 def _coerce_vector(vec, rational: bool) -> np.ndarray:
+    """vec as the form's numbers, its shape kept (a scalar becomes a
+    vector of one)."""
     if isinstance(vec, np.ndarray) and (vec.dtype == object) == rational:
         return vec
-    return _numbers(vec, RATIONAL if rational else FLOAT)
+    return _numbers(vec, RATIONAL if rational else FLOAT).reshape(np.shape(vec) or -1)
 
 
 def zero_form(game: FiniteGame, blocks: tuple[int, ...]) -> MultilinearForm:
@@ -209,14 +203,13 @@ def _check_weights(game: FiniteGame, weights) -> None:
 
 # Basis change between the natural weights gamma and the homogenized
 # coordinates tilde(gamma): tilde_0 = sum_j gamma_j, tilde_j = gamma_j.
-# gamma = M tilde with M row 0 = (1, -1, ..., -1), row j = e_j; the
-# inverse M^-1 has row 0 = (1, 1, ..., 1), row j = e_j.
+# gamma = M tilde with M row 0 = (1, -1, ..., -1), row j = e_j.
 
 
-def _basis_matrix(size: int, rational: bool, inverse: bool = False) -> np.ndarray:
-    """M (gamma from tilde), or M^-1 (tilde from gamma) when inverse."""
+def _basis_matrix(size: int, rational: bool) -> np.ndarray:
+    """M, gamma from tilde."""
     m = np.eye(size, dtype=int)
-    m[0, 1:] = 1 if inverse else -1
+    m[0, 1:] = -1
     return _numbers(m, RATIONAL if rational else FLOAT).reshape(m.shape)
 
 
@@ -225,23 +218,14 @@ def _contract_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndar
     return np.moveaxis(out, -1, axis)
 
 
-def _change_basis(form: MultilinearForm, inverse: bool) -> MultilinearForm:
+def to_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
+    """Coefficients of the same polynomial in homogenized coordinates."""
     if any(p is not None for p in form.pinned):
         raise ValueError("basis change applies to homogeneous forms only")
     t = form.coeffs
     for axis in range(t.ndim):
-        t = _contract_axis(t, _basis_matrix(t.shape[axis], form.is_rational, inverse), axis)
+        t = _contract_axis(t, _basis_matrix(t.shape[axis], form.is_rational), axis)
     return MultilinearForm(form.blocks, t, form.pinned)
-
-
-def to_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
-    """Coefficients of the same polynomial in homogenized coordinates."""
-    return _change_basis(form, inverse=False)
-
-
-def from_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
-    """Inverse of to_tilde_coordinates."""
-    return _change_basis(form, inverse=True)
 
 
 @dataclass(frozen=True)
@@ -298,10 +282,9 @@ def homogeneous_decomposition(game: FiniteGame, i: int) -> HomogeneousDecomposit
     return HomogeneousDecomposition(i, K, tuple(Lambdas))
 
 
-def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = False) -> np.ndarray:
+def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
     """Vector over player i's own strategies: entry j is the payoff of
-    playing pure strategy j against the others' mixed weights, or with
-    ``relative`` that payoff minus strategy 0's.
+    playing pure strategy j against the others' mixed weights.
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
@@ -313,20 +296,16 @@ def payoff_slice_values(game: FiniteGame, i: int, weights, relative: bool = Fals
     i = _player(game, i)
     _check_weights(game, weights)
     nums, den = _slope_nums(game, i, [_integer_weights(w) for w in weights])
-    base = nums[0] if relative else 0
     if _exact(weights):
-        return np.array([Fraction(n - base, den) for n in nums], dtype=object)
-    return np.array([(n - base) / den for n in nums])
+        return np.array([Fraction(n, den) for n in nums], dtype=object)
+    return np.array([n / den for n in nums])
 
 
 def _integer_weights(w) -> tuple[list[int], int]:
     """Weights as integer numerators over the lcm of their denominators,
-    exactly: a float is a dyadic rational (float.as_integer_ratio), and a
-    NumPy integer, which has no as_integer_ratio, goes through int(), so
-    it never wraps."""
-    if _exact([w]):
-        lcm = math.lcm(*(x.denominator for x in w))
-        return [x.numerator * (lcm // x.denominator) for x in w], lcm
+    exactly: an int, a Fraction or a float (a dyadic rational) by its
+    as_integer_ratio, a NumPy integer, which has none, by int(), so it
+    never wraps."""
     ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio() for x in w]
     lcm = math.lcm(*(d for _, d in ratios))
     return [n * (lcm // d) for n, d in ratios], lcm

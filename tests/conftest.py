@@ -7,6 +7,10 @@ Fractions, the extreme equilibria of a two-player game, tied or not,
 come from brute-force vertex enumeration over Fractions, the
 full-support equilibria of a 2x2x2 game come from a quadratic in closed
 form, and gradients come from central finite differences.
+
+One helper uses a library routine on purpose: rank_split_equivalence_test
+counts ranks with genericity._svd_ranks, so that the block-triangular
+rank lemma is checked under the rank cutoff the certificate uses.
 """
 
 import itertools
@@ -22,6 +26,7 @@ import pytest
 
 import nashatlas
 from nashatlas import FLOAT, RATIONAL, make_game
+from nashatlas.genericity import _svd_ranks
 
 
 def fresh_python(*args, timeout=None):
@@ -121,6 +126,23 @@ def fd_gradient(form, points, block, step=1e-6):
         lo[pos][k] -= step
         out[k] = (form.eval(hi) - form.eval(lo)) / (2 * step)
     return out
+
+
+def rank_split_equivalence_test(full_jacobian, coordinate_block_size: int) -> bool:
+    """Check that full rank of the stacked matrix is equivalent to full
+    rank of the lower block restricted to the kernel of the (full-rank)
+    coordinate block, its first coordinate_block_size rows (0 to all of
+    them, else ValueError). Must hold whenever the first rows have full
+    rank; returning False would falsify the block-triangular rank
+    argument."""
+    a = np.asarray(full_jacobian, dtype=float)
+    b = int(coordinate_block_size)
+    if not 0 <= b <= len(a):
+        raise ValueError(f"coordinate block size {b} outside 0..{len(a)}")
+    top = a[:b]
+    # b = 0: the full SVD of the (0, n) top block has Vh = I, all kernel
+    kernel = np.linalg.svd(top)[2][_svd_ranks(top)[0]:].T
+    return bool(_svd_ranks(a)[2] == _svd_ranks(a[b:] @ kernel)[2])
 
 
 def _eliminate(rows, rhs):

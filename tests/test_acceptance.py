@@ -31,13 +31,12 @@ from nashatlas import (
     on_hypersurface,
     payoff_form,
     random_game,
-    rank_split_equivalence_test,
     transition,
     transversal_at,
 )
 from nashatlas.cli import main as cli_main
 
-from conftest import fd_gradient, oracle_enumerate_2p
+from conftest import fd_gradient, oracle_enumerate_2p, rank_split_equivalence_test
 from test_cli import DUP_ROW_TEXT, ZERO_TEXT
 
 SHAPES = [(2, 2), (3, 3), (2, 2, 2), (2, 3, 2)]
@@ -81,17 +80,17 @@ def test_criterion_01_decomposition_identities():
             points = _dirichlet_points(rng, shape, 1000)
             tildes = [_tilde(m) for m in points]
             for i in range(game.num_players):
-                direct = payoff_form(game, i).eval_batch(points)
+                direct = payoff_form(game, i).eval(points)
                 dec = lambda_decomposition(game, i)
                 others = [points[t][:, 1:] for t in dec.kappa.blocks]
-                affine = dec.kappa.eval_batch(others)
+                affine = dec.kappa.eval(others)
                 for j in range(1, shape[i]):
-                    affine = affine + points[i][:, j] * dec.lambdas[j].eval_batch(others)
+                    affine = affine + points[i][:, j] * dec.lambdas[j].eval(others)
                 hom = homogeneous_decomposition(game, i)
                 h_others = [tildes[t] for t in hom.K.blocks]
-                homog = tildes[i][:, 0] * hom.K.eval_batch(h_others)
+                homog = tildes[i][:, 0] * hom.K.eval(h_others)
                 for j in range(1, shape[i]):
-                    homog = homog + tildes[i][:, j] * hom.Lambdas[j].eval_batch(h_others)
+                    homog = homog + tildes[i][:, j] * hom.Lambdas[j].eval(h_others)
                 scale = np.maximum(1.0, np.abs(direct))
                 worst = max(
                     worst,

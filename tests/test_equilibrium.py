@@ -507,7 +507,7 @@ def test_support_system_residual_is_the_slope_differences():
                 np.testing.assert_allclose(a @ v, w, rtol=0, atol=1e-15)
             want = []
             for i, s in enumerate(supports):
-                c = payoff_slice_values(game, i, weights, relative=True)
+                c = payoff_slice_values(game, i, weights)
                 want.extend(np.ldexp(c[s[0]] - c[list(s[1:])], -game.payoff_exponents[i]))
             np.testing.assert_allclose(system(z)[0], want, rtol=1e-12, atol=1e-14)
 

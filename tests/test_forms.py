@@ -22,7 +22,6 @@ from nashatlas import (
     RATIONAL,
     MultilinearForm,
     best_reply_check,
-    from_tilde_coordinates,
     homogeneous_decomposition,
     lambda_decomposition,
     make_game,
@@ -138,34 +137,48 @@ def test_input_errors_name_the_bad_input(mp_float, call, message):
 @pytest.mark.parametrize("method", ["eval", "grad", "eval_batch"])
 @pytest.mark.parametrize("count", [1, 3])
 def test_every_method_checks_the_block_count(method, count):
-    # a missing block is not summed out, an extra one not ignored
+    # a missing block is not summed out, an extra one not ignored; the
+    # eval_batch case gives eval and grad each block as a batch of two
     form = payoff_form(random_game((2, 3), seed=1), 0)
     vectors = [np.full(2, 0.5), np.full(3, 1 / 3), np.ones(3)][:count]
-    args = {"eval": (vectors,), "grad": (vectors, 0),
-            "eval_batch": ([np.tile(v, (2, 1)) for v in vectors],)}[method]
-    with pytest.raises(ValueError, match=f"^form takes 2 block vectors, got {count}$"):
-        getattr(form, method)(*args)
+    if method == "eval_batch":
+        vectors = [np.tile(v, (2, 1)) for v in vectors]
+    calls = {"eval": [form.eval], "grad": [lambda v: form.grad(v, 0)]}
+    calls["eval_batch"] = calls["eval"] + calls["grad"]
+    for call in calls[method]:
+        with pytest.raises(ValueError, match=f"^form takes 2 block vectors, got {count}$"):
+            call(vectors)
 
 
 def test_eval_batch_checks_each_block_length():
     form = payoff_form(random_game((2, 3), seed=1), 0)
-    with pytest.raises(ValueError, match="^block 1: expected length 3$"):
-        form.eval_batch([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
+    mats = [np.full((2, 2), 0.5), np.full((2, 2), 0.5)]
+    for call in (form.eval, lambda m: form.grad(m, 0)):
+        with pytest.raises(ValueError, match="^block 1: expected length 3$"):
+            call(mats)
 
 
 @pytest.mark.parametrize("mats, message", [
     ([np.full((2, 2), 0.5), np.full((3, 3), 0.2)], "block 1: batch size 3, expected 2"),
     ([np.full((4, 2), 0.5), np.full((1, 3), 0.2)], "block 1: batch size 1, expected 4"),
-    ([np.full(2, 0.5), np.full((2, 3), 0.2)], "block 0: expected a (B, 2) batch, got shape (2,)"),
-    ([np.full((2, 2), 0.5), np.full(3, 0.2)], "block 1: expected a (B, 3) batch, got shape (3,)"),
+    ([np.array([0.3, 0.7]), np.full((2, 3), 0.2)], None),
+    ([np.array([[0.5, 0.5], [0.1, 0.9]]), np.array([0.2, 0.3, 0.5])], None),
     ([np.full((1, 2, 2), 0.5), np.full((2, 3), 0.2)],
-     "block 0: expected a (B, 2) batch, got shape (1, 2, 2)"),
+     "block 0: expected a vector or a (B, 2) batch, got shape (1, 2, 2)"),
 ], ids=["batch-sizes", "batch-size-1", "1-d-first", "1-d-second", "3-d"])
 def test_eval_batch_takes_one_batch_size_of_2d_blocks(mats, message):
-    # numpy would raise a bare broadcast error, or return a scalar for 1-D blocks
+    # numpy would raise a bare broadcast error; a vector block (message
+    # None) is shared by the batch
     form = payoff_form(random_game((2, 3), seed=1), 0)
+    if message is None:
+        got = form.eval(mats)
+        assert got.shape == (2,)
+        for k in range(2):
+            point = [m if m.ndim == 1 else m[k] for m in mats]
+            assert got[k] == pytest.approx(form.eval(point), rel=1e-14)
+        return
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        form.eval_batch(mats)
+        form.eval(mats)
 
 
 def test_eval_matches_loop_oracle():
@@ -278,8 +291,12 @@ def test_tilde_round_trip_exact():
     ]
     game = make_game((2, 2), tables, mode=RATIONAL)
     form = payoff_form(game, 0)
-    back = from_tilde_coordinates(to_tilde_coordinates(form))
-    assert np.array_equal(back.coeffs, form.coeffs)
+    # back through M^-1 (tilde from gamma), contracted on every axis
+    back = to_tilde_coordinates(form).coeffs
+    for axis, c in enumerate(back.shape):
+        inverse = _tilde_matrix(c).astype(int).astype(object)
+        back = np.moveaxis(np.tensordot(back, inverse, axes=([axis], [0])), -1, axis)
+    assert np.array_equal(back, form.coeffs)
 
 
 def test_tilde_eval_consistency():
@@ -325,9 +342,15 @@ def test_grad_rejects_missing_block(mp_float):
 
 
 def test_eval_batch_matches_eval():
-    # the 11-player form has more blocks than a one-letter einsum alphabet
+    # the 11-player form has more blocks than a one-letter einsum alphabet;
+    # grad on a batch is the per-point grad too, and the pinned forms drop
+    # their pinned slot along the last axis
+    game = random_game((2, 3, 2), seed=43)
+    dec = lambda_decomposition(game, 1)
     forms = [
-        payoff_form(random_game((2, 3, 2), seed=43), 1),
+        payoff_form(game, 1),
+        dec.kappa,
+        dec.lambdas[2],
         payoff_form(random_game((2,) * 11, seed=44), 5),
     ]
     rng = np.random.default_rng(9)
@@ -336,9 +359,21 @@ def test_eval_batch_matches_eval():
             rng.normal(size=(20, form.input_length(t)))
             for t in range(len(form.blocks))
         ]
-        batch = form.eval_batch(mats)
+        batch = form.eval(mats)
+        assert batch.shape == (20,)
+        grads = {b: form.grad(mats, b) for b in form.blocks}
         for k in range(20):
-            assert batch[k] == pytest.approx(form.eval([m[k] for m in mats]))
+            point = [m[k] for m in mats]
+            assert batch[k] == pytest.approx(form.eval(point))
+            for b, g in grads.items():
+                np.testing.assert_allclose(g[k], form.grad(point, b), rtol=1e-12, atol=1e-12)
+    # a rational form evaluates a batch exactly, in its own arithmetic
+    form = payoff_form(make_game((2, 3, 2), game.utilities, mode=RATIONAL), 0)
+    mats = [[[Fraction(int(x), 7) for x in row] for row in rng.integers(-7, 8, size=(5, c))]
+            for c in (2, 3, 2)]
+    batch = form.eval(mats)
+    assert list(batch) == [form.eval([m[k] for m in mats]) for k in range(5)]
+    assert all(type(x) is Fraction for x in batch)
 
 
 def test_lift_input_and_lengths():
@@ -359,8 +394,6 @@ def test_payoff_slice_values_match_pure_payoffs():
     for j in range(3):
         pure = [np.eye(3)[j], w[1], w[2]]
         assert slices[j] == pytest.approx(loop_payoff(game, 0, pure))
-    relative = payoff_slice_values(game, 0, w, relative=True)
-    np.testing.assert_allclose(relative, slices - slices[0], atol=1e-15)
 
 
 def test_payoff_slice_values_exact(mp_exact):
@@ -371,7 +404,6 @@ def test_payoff_slice_values_exact(mp_exact):
     vals = payoff_slice_values(mp_exact, 0, w)
     assert vals[0] == Fraction(-1, 3)
     assert vals[1] == Fraction(1, 3)
-    assert list(payoff_slice_values(mp_exact, 0, w, relative=True)) == [0, Fraction(2, 3)]
 
 
 def test_numpy_integer_weights_on_rational_game_do_not_wrap():

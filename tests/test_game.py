@@ -193,6 +193,17 @@ def test_payoff_exponents_are_exact():
                       (2**1100, 1100), (Fraction(3, 2**1101), -1100)]:
         game = make_game((2, 2), [[[0, 0], [spread, -spread]], [[5, 4], [0, 1]]], mode=RATIONAL)
         assert game.payoff_exponents == (e, 0), spread
+    # one player: its range along its own axis is one number
+    assert make_game((3,), [[3, -1, Fraction(1, 2)]], mode=RATIONAL).payoff_exponents == (2,)
+    assert make_game((3,), [np.array([0.0, 0.75, 0.25])]).payoff_exponents == (-1,)
+    # three players, each range the largest over the others' profiles: 10,
+    # 1/3 and 2**70
+    u = [np.empty((2, 2, 2), dtype=object) for _ in range(3)]
+    for a, b, c in itertools.product(range(2), repeat=3):
+        u[0][a, b, c] = Fraction(a * (1 + 9 * b) + 100 * c)
+        u[1][a, b, c] = Fraction(b, 3) + 7 * a
+        u[2][a, b, c] = c * 2**70 - Fraction(a * b, 5)
+    assert make_game((2, 2, 2), u, mode=RATIONAL).payoff_exponents == (3, -2, 70)
     # on float games, the float range's exponent
     for seed in range(20):
         game = random_game((2, 3, 2), seed)

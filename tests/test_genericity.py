@@ -33,7 +33,6 @@ from nashatlas import (
     payoff_slice_values,
     profile_from_weights,
     random_game,
-    rank_split_equivalence_test,
     regular_value_probe,
     support_of,
     transition,
@@ -62,7 +61,7 @@ from nashatlas.genericity import (
     full_gradient,
 )
 
-from conftest import oracle_full_support_2x2x2
+from conftest import oracle_full_support_2x2x2, rank_split_equivalence_test
 
 
 def nx_family_is_forest(family, counts):
@@ -611,7 +610,7 @@ def test_probe_equations_are_the_defining_maps():
                     np.testing.assert_allclose(a @ v, w, rtol=0, atol=1e-15)
                 want = []
                 for i, s in enumerate(supports):
-                    c = payoff_slice_values(game, i, weights, relative=True)
+                    c = payoff_slice_values(game, i, weights)
                     want.extend(np.ldexp(c[s[0]] - c[list(s[1:])], -game.payoff_exponents[i]))
                 np.testing.assert_allclose(system(z)[0], want, rtol=1e-12, atol=1e-14)
             point = ChartPoint(chart, tuple(
