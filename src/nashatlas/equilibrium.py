@@ -32,7 +32,8 @@ rule (_reply) at tolerance 0, player by player until the first who
 gains. Most candidates fail these off-support inequalities, so only a
 support's equilibrium becomes a Fraction profile, in either mode;
 enumerate_nash still checks it with best_reply_check, which builds its
-report, and rounds a float game's answers to float64 once, at the end.
+report, and rounds a float game's answers to float64 once, at the end,
+as best_reply_check rounds (_rounded: +-inf beyond the float range).
 A one-player game's player is solved so too, its partner held with no
 payoffs. When three or more players mix the system is multilinear, and
 only then does it run the damped multistart Newton loop of
@@ -40,7 +41,7 @@ genericity._newton_roots on its canonical family's face in chart (0,
 ..., 0), the system the probe solves too (genericity._face_plan, then
 _face_system): the unknowns are each player's weights on supp[1:], and
 player i's equations are slope(supp[0]) - slope(t), t in supp[1:], in
-its payoff unit, from payoffs taken before rounding. The starts
+its payoff unit, from exact payoff differences rounded once. The starts
 (_newton_starts) are simplex points without their first weight. The
 roots are floats, kept when every supported weight is > 0, however
 small, not above WEIGHT_TOL: a root by a face's boundary stays,
@@ -539,7 +540,9 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
             if cand.exact and game.mode == FLOAT:
                 # the one place a float game's exact answer becomes floats
                 cand = profile_from_weights(cand.weights)
-                residual, margins = float(residual), tuple(map(float, margins))
+                residual = _rounded(*residual.as_integer_ratio())
+                margins = tuple(m if m == math.inf else _rounded(*m.as_integer_ratio())
+                                for m in margins)
             found.append(
                 EquilibriumCertificate(
                     point=cand,

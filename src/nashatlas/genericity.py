@@ -68,7 +68,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -93,7 +92,6 @@ from .game import (
     NEWTON_MAX_ITERS,
     RANDOM_STARTS,
     RANK_TOL,
-    RATIONAL,
     RESIDUAL_TOL,
     FiniteGame,
     SupportProfile,
@@ -422,9 +420,9 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
 
     z concatenates the face coordinates z_b, and plan (_system_plan)
     holds everything that does not depend on the payoffs. Player i's
-    equations are slope_j - slope_k, (j, k) in its pairs: its payoffs
-    at j minus its payoffs at k (taken before rounding), in its payoff
-    unit (exactly, so rational payoffs of any size fit), as float. One
+    equations are slope_j - slope_k, (j, k) in its pairs: its exact
+    payoff differences (integer_utilities) in its payoff unit, each
+    rounded once to float, so payoffs of any size and mode fit. One
     einsum per player composes them with the other players' weight
     maps, so every equation is a multilinear form in the blocks (1,
     z_b), a linear form in their Segre monomials with coefficients C.
@@ -444,9 +442,8 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
     """
     blocks = []
     for i, js, ks, t_axes, operands, out_axes in plan.players:
-        u, e = game.utilities[i], game.payoff_exponents[i]
-        t = u.take(js) - u.take(ks)
-        t = np.asarray(t * Fraction(2) ** -e if game.mode == RATIONAL else np.ldexp(t, -e),
+        (ints, scale), e = game.integer_utilities[i], game.payoff_exponents[i]
+        t = np.asarray((ints.take(js) - ints.take(ks)) * 2**max(-e, 0) / (scale << max(e, 0)),
                        dtype=float)
         blocks.append(np.einsum(t, t_axes, *operands, out_axes).reshape(-1))
     kmat = np.concatenate(blocks + [_ZERO]).take(plan.place)
@@ -642,7 +639,7 @@ def regular_value_probe(
     atlas.defining_map, formed by _face_system. A root's residual is
     the largest absolute value of those maps there: in the game's own
     payoffs, not in payoff units, so it scales with the payoffs; one
-    beyond the float range (rational payoffs of that size) reads inf,
+    beyond the float range (payoff differences that large) reads inf,
     without a warning. An empty root set is a regular outcome; the probe
     only ever witnesses degeneracy, it cannot prove its absence. The
     seed of the random starts is an integer >= 0 (game._check_seed).

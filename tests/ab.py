@@ -27,7 +27,10 @@ Sections, in this order (``--only`` picks some of them):
 - ``shapes``: ``random_game`` solves of 8 2x3x2, 8 3x3x2 and 8 2x2x2x2
   games (seeds 40000+), and per shape the square good family of the
   largest face (bench/workloads.py's ``square_families``) of the seed
-  40000 game, probed in every chart;
+  40000 game, probed in every chart; then 4 2x2x2 and 4 3x3 games
+  (seeds 500-503) whose payoffs, ``1.875 * random_game(shape,
+  seed).utilities`` times 2**1023, are floats whose differences are
+  not, each solved and probed so;
 - ``cli``: the fixture's first 40 2x2, 40 3x3 and 20 2x2x2 games, written
   as game files and solved by ``nashatlas solve --seed SEED --json``
   (``solve``); every equilibrium k of that side's report is certified in
@@ -306,14 +309,31 @@ def shapes(square_families, ab, rounds):
         for seed in range(40_000, 40_008):
             ab(f"shapes {shape} {seed}", lambda lib: partial(
                 lib.enumerate_nash, lib.random_game(shape, seed=seed), seed=seed))
-        labels, pairs = max(square_families(shape), key=lambda f: sum(map(len, f[1])))
-        for k, chart in enumerate(itertools.product(*map(range, shape))):
-            if all(l == 0 or l not in t for l, t in zip(chart, labels)):
-                def probe(lib):
-                    game = lib.random_game(shape, seed=40_000)
-                    return partial(lib.regular_value_probe, game,
-                                   lib.good_family(game, labels, pairs), chart, seed=k)
-                ab(f"shapes {shape} probe {labels} {pairs} chart {chart}", probe)
+        probe_charts(ab, square_families, shape, f"shapes {shape}",
+                     lambda lib: lib.random_game(shape, seed=40_000))
+    # payoffs up to 1.875 * 2**1023 are floats, but their differences are not
+    for shape in [(2, 2, 2), (3, 3)]:
+        for seed in range(500, 504):
+            def near_max(lib):
+                return lib.make_game(shape, [1.875 * u * 2.0 ** 1023
+                                             for u in lib.random_game(shape, seed=seed).utilities])
+            ab(f"shapes {shape} {seed} near max", lambda lib: partial(
+                lib.enumerate_nash, near_max(lib), seed=seed))
+            probe_charts(ab, square_families, shape, f"shapes {shape} {seed} near max", near_max)
+
+
+def probe_charts(ab, square_families, shape, label, make):
+    """The square good family of the largest face of the shape
+    (square_families) on lib's game make(lib), probed in every chart that
+    poses it, chart k with seed k."""
+    labels, pairs = max(square_families(shape), key=lambda f: sum(map(len, f[1])))
+    for k, chart in enumerate(itertools.product(*map(range, shape))):
+        if all(l == 0 or l not in t for l, t in zip(chart, labels)):
+            def probe(lib):
+                game = make(lib)
+                return partial(lib.regular_value_probe, game,
+                               lib.good_family(game, labels, pairs), chart, seed=k)
+            ab(f"{label} probe {labels} {pairs} chart {chart}", probe)
 
 
 def cli_runs(ab, rounds):

@@ -23,6 +23,7 @@ from nashatlas import (
     regular_value_probe,
     serialize_game,
 )
+from nashatlas import cli
 from nashatlas.cli import main
 
 from conftest import fresh_python
@@ -295,6 +296,12 @@ def test_seed_must_be_non_negative(mp_file, tmp_path, capsys, argv):
     assert out == "" and err.endswith("error: argument --seed: must be >= 0\n")
 
 
+def test_seed_must_be_an_integer(mp_file, capsys):
+    assert main(["solve", mp_file, "--seed", "x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: argument --seed: invalid int value: 'x'\n")
+
+
 def test_sample_deterministic(capsys):
     args = ["sample", "2x2", "--count", "4", "--seed", "9", "--json"]
     assert main(args) == 0
@@ -313,6 +320,18 @@ def test_sample_text(capsys):
     out = capsys.readouterr().out
     assert "oddness rate" in out
     assert "degeneracy-witness rate" in out
+
+
+def test_sample_lists_games_not_odd_or_degenerate(monkeypatch, capsys):
+    # no uniform or normal game from 2x2 to 3x3x2 reached these lines in
+    # 300-400 seeds; an all-zero game, a continuum, does
+    monkeypatch.setattr(cli, "random_game", lambda counts, seed, distribution: make_game(
+        counts, [np.zeros(counts)] * len(counts)))
+    assert main(["sample", "2x2", "--count", "2", "--seed", "9"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["oddness rate: 0.000", "degeneracy-witness rate: 1.000",
+                       "  seed 9: count None, odd False, degeneracy True",
+                       "  seed 10: count None, odd False, degeneracy True"]
 
 
 def test_sample_bad_shape(capsys):

@@ -1255,6 +1255,21 @@ def test_three_player_answers_do_not_depend_on_payoff_scale():
         (1, []), (3, []), (3, []), (1, [])]
 
 
+def test_answers_at_the_edge_of_the_float_range_do_not_depend_on_payoff_scale():
+    # payoffs up to 1.875 * 2**1023 are floats, but their differences are
+    # not: face systems built from float differences raised (SVD did not
+    # converge) on 41 of these games, rounding an exact margin raised
+    # OverflowError on 17, and 3x3 seed 517 was certified singular with
+    # smallest singular value nan
+    for shape in [(2, 2, 2), (3, 3), (2, 3, 2), (4, 4)]:
+        for seed in range(500, 520):
+            base = make_game(shape, [1.875 * u for u in random_game(shape, seed).utilities])
+            answer = _scale_free_answer(_scaled(base, [1023] * len(shape)))
+            assert answer == _scale_free_answer(base), (shape, seed)
+            if (shape, seed) == ((3, 3), 517):
+                assert [c[3] for c in answer[0]] == ["regular"]
+
+
 @pytest.mark.parametrize("offset, grid", [(1000.0, 40), (Fraction(1000, 3), 60)])
 def test_three_player_answers_do_not_depend_on_payoff_offset(offset, grid):
     # payoffs of range about 2**-20 under a large offset: slopes contracted

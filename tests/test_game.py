@@ -99,6 +99,18 @@ def test_library_seeds_are_non_negative_integers(call, seed):
         call(seed)
 
 
+@pytest.mark.parametrize("seed", [2.0, np.int64(2)])
+def test_library_seeds_that_are_integral_act_as_ints(seed):
+    # an integral seed of another type is converted, not refused: the
+    # Newton starts are seed 2's
+    def answer(s):
+        result = enumerate_nash(THREE, seed=s)
+        return [(c.support, [w.tobytes() for w in c.point.as_floats()])
+                for c in result.equilibria], result.warnings
+
+    assert answer(seed) == answer(2)
+
+
 def test_readme_lists_the_tolerance_table():
     # README repeats the table at the top of nashatlas/game.py: the same
     # names in the same order, each with the constant's value

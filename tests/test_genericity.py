@@ -654,11 +654,14 @@ def test_probe_roots_lie_on_the_family(shape, T, R):
 
 
 @pytest.mark.parametrize("shape, T, R", SQUARE_FAMILIES)
-@pytest.mark.parametrize("powers", [(-1000, 30, -20), (1000, -20, 30)])
-def test_probe_does_not_depend_on_payoff_scale(shape, T, R, powers):
+@pytest.mark.parametrize("factor, powers", [(1.0, (-1000, 30, -20)), (1.0, (1000, -20, 30)),
+                                            (1.875, (1023,) * 3)],
+                         ids=["powers0", "powers1", "powers2"])
+def test_probe_does_not_depend_on_payoff_scale(shape, T, R, factor, powers):
     # each player's payoffs times its own power of two: the same roots,
-    # ranks and verdicts in every chart
-    game = random_game(shape, seed=3)
+    # ranks and verdicts in every chart; at factor 1.875 and 2**1023 the
+    # payoffs are floats whose differences lie beyond the float range
+    game = make_game(shape, [factor * u for u in random_game(shape, seed=3).utilities])
     scaled = make_game(shape, [u * 2.0 ** k for u, k in zip(game.utilities, powers)])
     fam = good_family(game, T, R)
 
