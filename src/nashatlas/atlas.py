@@ -18,7 +18,10 @@ Three kinds of hypersurface get chart-local defining functions:
   homogeneous payoff-slope difference of player i between own
   strategies j and k (index 0 contributing the zero form).
 
-Players (0-based), indices and pair entries are integral, stored as ints.
+Each is built exactly from the integer payoff tables (_exact_map):
+defining_map rounds it once into a float game's numbers, and
+on_hypersurface decides membership on it exactly. Players (0-based),
+indices and pair entries are integral, stored as ints.
 
 Chart l misses exactly the hyperplanes tilde^i_{l_i} = 0, i.e.
 Coordinate(i, l_i) for l_i >= 1 and Coordinate(i, INF) for l_i = 0;
@@ -29,12 +32,14 @@ lists it) raises ChartExcludesHypersurface.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .forms import MultilinearForm, _basis_matrix, homogeneous_decomposition
+from .forms import MultilinearForm, _basis_matrix, _quotients, _tilde_ints
+# homogeneous_decomposition is not called here: bench/spans.py traces it under this name
+from .forms import homogeneous_decomposition  # noqa: F401
 from .game import FLOAT, MEMBERSHIP_TOL, FiniteGame, MixedProfile, _exact, _integral, _numbers
 
 INF = float("inf")
@@ -241,40 +246,41 @@ def _check_in_chart(counts, hypersurfaces, chart) -> tuple[int, ...]:
     return chart
 
 
-def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
-    """Chart-local defining function, as a form ready for eval/grad.
-
-    The returned form's blocks say which players' chart coordinates it
-    reads; its pinned indices are the chart slots.
-    """
+def _exact_map(game: FiniteGame, h: Hypersurface, chart) -> tuple[MultilinearForm, int]:
+    """h's form in the chart (checked, _check_in_chart) in object ints, and
+    their scale: for a coordinate hyperplane e_0 (INF) or row j of M over 1,
+    for Lambda^i_j - Lambda^i_k player i's integer payoffs at j less those
+    at k (FiniteGame.integer_utilities) in tilde coordinates, over theirs."""
     chart = _check_in_chart(game.strategy_counts, (h,), chart)
     i = h.player
     if isinstance(h, Coordinate):
-        # weight_j = 0 is row j of M (gamma = M tilde, forms._basis_matrix);
-        # the hyperplane at infinity is tilde_0 = 0
         c = game.strategy_counts[i]
-        vec = np.eye(c)[0] if h.index == INF else _basis_matrix(c, False)[h.index]
-        return MultilinearForm((i,), _numbers(vec, game.mode), (chart[i],))
-
-    j, k = h.pair
-    decomp = homogeneous_decomposition(game, i)
-    coeffs = decomp.Lambdas[j].coeffs - decomp.Lambdas[k].coeffs
+        vec = np.eye(c, dtype=int)[0] if h.index == INF else _basis_matrix(c)[h.index]
+        return MultilinearForm((i,), vec.astype(object), (chart[i],)), 1
+    (ints, scale), (j, k) = game.integer_utilities[i], h.pair
     blocks = tuple(b for b in range(game.num_players) if b != i)
-    pinned = tuple(chart[b] for b in blocks)
-    return MultilinearForm(blocks, coeffs, pinned)
+    diff = np.asarray(ints.take(j, axis=i) - ints.take(k, axis=i), dtype=object)
+    return MultilinearForm(blocks, _tilde_ints(diff), tuple(chart[b] for b in blocks)), scale
+
+
+def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
+    """Chart-local defining function, as a form ready for eval/grad: blocks
+    the players whose chart coordinates it reads, pinned the chart slots.
+    _exact_map's form over its scale in the game's numbers, so each float
+    game coefficient is rounded once, +-inf beyond the float range."""
+    form, scale = _exact_map(game, h, chart)
+    return replace(form, coeffs=_quotients(form.coeffs, scale, game.utilities[0].dtype == object))
 
 
 def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
-    """Membership test: |defining value| <= tol after normalizing the
-    form by its largest coefficient, tol 0 for an exact form (a rational
-    game) at an exact point (game._exact), else MEMBERSHIP_TOL, compared
-    exactly for an exact form. An identically zero form means the
-    hypersurface degenerated to the whole space, so every point passes.
-    """
-    form = defining_map(game, h, point.chart)
+    """Membership, exactly: |_exact_map's form at the point|, a float
+    coordinate read by its binary value, is at most tol times its largest
+    |coefficient|, tol 0 at an exact point (game._exact, as best_reply_check
+    takes it), else MEMBERSHIP_TOL. A zero form (the whole space) holds all."""
+    form, _ = _exact_map(game, h, point.chart)
     value = form.eval([point.coords[b] for b in form.blocks])
-    tol = 0 if form.is_rational and _exact(point.coords) else MEMBERSHIP_TOL
-    return abs(value) <= Fraction(tol) * np.abs(form.coeffs).max(initial=0)
+    tol = 0 if _exact(point.coords) else MEMBERSHIP_TOL
+    return abs(value) <= Fraction(tol) * max(map(abs, form.coeffs.flat))
 
 
 def format_chart(chart) -> str:

@@ -33,7 +33,7 @@ gains. Most candidates fail these off-support inequalities, so only a
 support's equilibrium becomes a Fraction profile, in either mode;
 enumerate_nash still checks it with best_reply_check, which builds its
 report, and rounds a float game's answers to float64 once, at the end,
-as best_reply_check rounds (_rounded: +-inf beyond the float range).
+as best_reply_check rounds (game._rounded: +-inf beyond the float range).
 A one-player game's player is solved so too, its partner held with no
 payoffs. When three or more players mix the system is multilinear, and
 only then does it run the damped multistart Newton loop of
@@ -109,6 +109,7 @@ from .game import (
     MixedProfile,
     SupportProfile,
     _check_seed,
+    _rounded,
     profile_from_weights,
     support_of,
 )
@@ -164,14 +165,6 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
         residuals.append(number(residual, den))
         margins.append(margin if margin == math.inf else number(margin, den))
     return BestReplyReport(tuple(oks), tuple(residuals), tuple(margins), tuple(boundary))
-
-
-def _rounded(x: int, den: int) -> float:
-    """x / den rounded once to float, or +-inf where it leaves the float range."""
-    try:
-        return x / den
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _reply(game: FiniteGame, i: int, supp, nums, tol) -> tuple:

@@ -12,8 +12,9 @@ homogeneous coordinate to 1.
 The payoff of player i is a homogeneous form in all m blocks. Its
 decomposition into an own-weight-free part plus own-weight multiples on
 the homogenized space (K, Lambda) comes out of one basis change per
-block; on the simplex product (kappa, lambda) it is the same tensors
-read in each opponent's chart tilde_0 = 1.
+block, made exactly in ints and rounded once for a float game
+(to_tilde_coordinates); on the simplex product (kappa, lambda) it is
+the same tensors read in each opponent's chart tilde_0 = 1.
 
 payoff_slice_values gives player i's payoff slopes, one per own pure
 strategy, against the others' weights. Every weight is a rational (a
@@ -24,7 +25,7 @@ FiniteGame.integer_rows by the opponents' Segre monomials (the products
 of their numerators, one per pure profile of the opponents), held
 opponents included. Exact weights (game._exact, the test behind
 MixedProfile.exact) get the slopes as Fractions, float ones get them
-rounded once to float64.
+rounded once to float64 (_quotients).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import FLOAT, RATIONAL, FiniteGame, _exact, _integral, _numbers
+from .game import FLOAT, RATIONAL, FiniteGame, _exact, _integral, _numbers, _rounded
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,11 @@ def _check_weights(game: FiniteGame, weights) -> None:
 # gamma = M tilde with M row 0 = (1, -1, ..., -1), row j = e_j.
 
 
-def _basis_matrix(size: int, rational: bool) -> np.ndarray:
-    """M, gamma from tilde."""
+def _basis_matrix(size: int) -> np.ndarray:
+    """M, gamma from tilde, in ints."""
     m = np.eye(size, dtype=int)
     m[0, 1:] = -1
-    return _numbers(m, RATIONAL if rational else FLOAT).reshape(m.shape)
+    return m
 
 
 def _contract_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -218,14 +219,30 @@ def _contract_axis(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndar
     return np.moveaxis(out, -1, axis)
 
 
+def _tilde_ints(t: np.ndarray) -> np.ndarray:
+    """An object tensor of ints with M applied on every axis, exactly."""
+    for axis in range(t.ndim):
+        t = _contract_axis(t, _basis_matrix(t.shape[axis]), axis)
+    return t
+
+
+def _quotients(nums, den: int, exact: bool) -> np.ndarray:
+    """Ints over den > 0, the shape kept: Fractions if exact, else each
+    rounded once (game._rounded)."""
+    nums = np.asarray(nums, dtype=object)
+    number = Fraction if exact else _rounded
+    return np.array([number(n, den) for n in nums.reshape(-1).tolist()],
+                    dtype=object if exact else float).reshape(nums.shape)
+
+
 def to_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
-    """Coefficients of the same polynomial in homogenized coordinates."""
+    """Coefficients of the same polynomial in homogenized coordinates, contracted
+    exactly in ints (_integer_weights, _tilde_ints), a float form's rounded once."""
     if any(p is not None for p in form.pinned):
         raise ValueError("basis change applies to homogeneous forms only")
-    t = form.coeffs
-    for axis in range(t.ndim):
-        t = _contract_axis(t, _basis_matrix(t.shape[axis], form.is_rational), axis)
-    return MultilinearForm(form.blocks, t, form.pinned)
+    nums, den = _integer_weights(form.coeffs.reshape(-1).tolist())
+    ints = _tilde_ints(np.array(nums, dtype=object).reshape(form.coeffs.shape))
+    return MultilinearForm(form.blocks, _quotients(ints, den, form.is_rational), form.pinned)
 
 
 @dataclass(frozen=True)
@@ -274,12 +291,9 @@ def homogeneous_decomposition(game: FiniteGame, i: int) -> HomogeneousDecomposit
     tilde = to_tilde_coordinates(payoff_form(game, i))
     i = _integral(i, "player")
     others = _other_blocks(game, i)
-    slices = [np.take(tilde.coeffs, j, axis=i) for j in range(game.strategy_counts[i])]
-    K = MultilinearForm(others, slices[0])
-    Lambdas = [zero_form(game, others)]
-    for j in range(1, game.strategy_counts[i]):
-        Lambdas.append(MultilinearForm(others, slices[j]))
-    return HomogeneousDecomposition(i, K, tuple(Lambdas))
+    K, *Lambdas = (MultilinearForm(others, np.take(tilde.coeffs, j, axis=i))
+                   for j in range(game.strategy_counts[i]))
+    return HomogeneousDecomposition(i, K, (zero_form(game, others), *Lambdas))
 
 
 def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
@@ -296,9 +310,7 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
     i = _player(game, i)
     _check_weights(game, weights)
     nums, den = _slope_nums(game, i, [_integer_weights(w) for w in weights])
-    if _exact(weights):
-        return np.array([Fraction(n, den) for n in nums], dtype=object)
-    return np.array([n / den for n in nums])
+    return _quotients(nums, den, _exact(weights))
 
 
 def _integer_weights(w) -> tuple[list[int], int]:

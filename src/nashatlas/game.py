@@ -291,6 +291,14 @@ def _exact(weights) -> bool:
     return all(isinstance(x, (int, Fraction)) for w in weights for x in w)
 
 
+def _rounded(x: int, den: int) -> float:
+    """x / den rounded once to float, +-inf beyond the float range: the one rounding rule."""
+    try:
+        return x / den
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def support_of(profile: MixedProfile) -> SupportProfile:
     """Indices of the weights that count as nonzero, per player.
 

@@ -580,7 +580,7 @@ def _face_maps(counts, family: GoodFamily, chart):
             # solved for the first free slot; the pinned slot gives +-1
             if not free:
                 return None
-            g = _basis_matrix(c, False)[0]
+            g = _basis_matrix(c)[0]
             a[free[0]] = -(g @ a) / g[free[0]]
             a = np.delete(a, 1, axis=1)
         maps.append(a)
@@ -611,7 +611,7 @@ def _build_face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
     maps = _face_maps(counts, family, chart)
     system = None
     if maps is not None:
-        weights = [_basis_matrix(len(a), False) @ a for a in maps]
+        weights = [_basis_matrix(len(a)) @ a for a in maps]
         for a in maps + weights:
             a.setflags(write=False)
         maps, system = tuple(maps), _system_plan(family.R, weights)

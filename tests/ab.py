@@ -30,10 +30,13 @@ Sections, in this order (``--only`` picks some of them):
   40000 game, probed in every chart; then 4 2x2x2 and 4 3x3 games
   (seeds 500-503) whose payoffs, ``1.875 * random_game(shape,
   seed).utilities`` times 2**1023, are floats whose differences are
-  not, each solved and probed so;
+  not, each solved, each equilibrium's canonical family checked by
+  ``transversal_at`` at its point (the active set detected by
+  membership), and the family probed as above;
 - ``cli``: the fixture's first 40 2x2, 40 3x3 and 20 2x2x2 games, written
   as game files and solved by ``nashatlas solve --seed SEED --json``
-  (``solve``); every equilibrium k of that side's report is certified in
+  (``solve``); the first LAMBDA_GAMES (10) games of each shape print each
+  player's decomposition (``nashatlas lambda FILE --player P --json``); every equilibrium k of that side's report is certified in
   every chart l (``nashatlas certify FILE --from-json REPORT --index k
   --chart l --json``), and given as ``--point`` with 5e-10 and then 2e-9
   added to every player's first weight, in the default chart
@@ -89,6 +92,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+LAMBDA_GAMES = 10  # per shape, the first cli games whose decompositions are printed
 NUMBERS = (int, float, Fraction)
 
 
@@ -319,7 +323,17 @@ def shapes(square_families, ab, rounds):
                                              for u in lib.random_game(shape, seed=seed).utilities])
             ab(f"shapes {shape} {seed} near max", lambda lib: partial(
                 lib.enumerate_nash, near_max(lib), seed=seed))
+            ab(f"shapes {shape} {seed} near max transversal", lambda lib: partial(
+                transversal_reports, lib, near_max(lib), seed))
             probe_charts(ab, square_families, shape, f"shapes {shape} {seed} near max", near_max)
+
+
+def transversal_reports(lib, game, seed):
+    """transversal_at of each equilibrium's canonical family at its point in
+    chart (0, ..., 0), its active set detected by membership."""
+    return [lib.transversal_at(game, lib.canonical_equilibrium_family(game, c.support),
+                               lib.chart_zero_point(c.point))
+            for c in lib.enumerate_nash(game, seed=seed).equilibria]
 
 
 def probe_charts(ab, square_families, shape, label, make):
@@ -344,6 +358,9 @@ def cli_runs(ab, rounds):
                 (lib.home / "game.txt").write_text(lib.serialize_game(game), encoding="utf-8")
                 return partial(cli, lib, "solve", lib.home / "game.txt", "--seed", seed, "--json")
             solved = ab(f"solve {shape} {seed}", solve)
+            for player in range(1, len(shape) + 1) if seed < 40_000 + LAMBDA_GAMES else ():
+                ab(f"lambda {shape} {seed} player {player}", lambda lib: partial(
+                    cli, lib, "lambda", lib.home / "game.txt", "--player", player, "--json"))
             points = {}
             for side, (_, report, *_) in solved.items():  # an error's report is its message
                 (ab.libs[side].home / "solve.json").write_text(json.dumps(report),

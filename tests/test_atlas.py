@@ -21,6 +21,7 @@ from nashatlas import (
     defining_map,
     excluded_hypersurfaces,
     format_chart,
+    make_game,
     on_hypersurface,
     parse_chart,
     parse_hypersurface,
@@ -250,6 +251,32 @@ def test_on_hypersurface_membership(mp_float):
 def test_on_hypersurface_zero_form_matches_everything(zero_game):
     pt = chart_point(zero_game, (0, 0), [[0.3], [0.9]])
     assert on_hypersurface(zero_game, PayoffDiff(0, (0, 1)), pt)
+
+
+def test_membership_tolerance_is_the_points(mp_float, mp_exact):
+    # D:1:0:1 is 2 - 4y in chart (0, 0): a point 10**-10 off it is off when
+    # exact (tolerance 0), and on as floats (within MEMBERSHIP_TOL of the
+    # largest coefficient), whatever the game's mode
+    h = PayoffDiff(0, (0, 1))
+    coords = [[Fraction(1, 2)], [Fraction(1, 2) + Fraction(1, 10**10)]]
+    exact = chart_point(mp_float, (0, 0), coords, mode=RATIONAL)
+    floats = chart_point(mp_float, (0, 0), coords)
+    for game in (mp_float, mp_exact):
+        assert not on_hypersurface(game, h, exact)
+        assert on_hypersurface(game, h, floats)
+
+
+def test_one_player_forms_stay_exact():
+    # a one-player game's payoff differences are forms in no blocks, 0-d
+    # coefficient arrays; a rational game's stay exact, and membership
+    # reads them at an exact point and at a float one
+    game = make_game((3,), [[1, 1, 0]], mode=RATIONAL)
+    form = defining_map(game, PayoffDiff(0, (0, 2)), (0,))
+    assert form.is_rational and form.coeffs.shape == () and form.coeffs.item() == 1
+    members = [PayoffDiff(0, (0, 1)), PayoffDiff(0, (0, 2)), Coordinate(0, 1), Coordinate(0, 2)]
+    for mode in (RATIONAL, "float"):
+        point = chart_point(game, (0,), [[0, 1]], mode=mode)  # weights (0, 0, 1)
+        assert [on_hypersurface(game, h, point) for h in members] == [True, False, True, False]
 
 
 def test_membership_invariant_across_charts():

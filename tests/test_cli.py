@@ -416,6 +416,16 @@ def test_certify_exact_point_on_exact_form(tmp_path, capsys):
     assert "rank: 1 of 1" in out
 
 
+def test_certify_a_one_player_game_exactly(tmp_path, capsys):
+    # its payoff differences are forms in no blocks; in exact mode their
+    # membership once raised AttributeError, a traceback
+    game = _write(tmp_path, "one.game", "players 1\nstrategies 3\npayoff 1\n1 1 0\n")
+    code = main(["certify", game, "--exact", "--point", "0,0,1", "--r", "1:0-2", "--t", "1:1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "active: C:1:1\n" in out and "verdict: transversal" in out
+
+
 def test_solve_exact_tiny_dominance_is_not_degenerate(tmp_path, capsys):
     # player 1's row 1 beats row 0 by exactly 1/10**10: one strict equilibrium
     game = _write(tmp_path, "eps.game", EPS_DOMINANCE_TEXT)

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 from nashatlas import (
     RATIONAL,
     MultilinearForm,
+    PayoffDiff,
     best_reply_check,
+    defining_map,
     homogeneous_decomposition,
     lambda_decomposition,
     make_game,
@@ -265,21 +267,34 @@ def test_two_decomposition_routes_agree(game):
     ((3,), [[3, 1, 2]]),
     ((2, 3), [[[1, Fraction(-1, 2), 0], [2, 3, Fraction(3, 4)]],
               [[0, 1, -2], [Fraction(5, 8), 1, 1]]]),
+    *(pytest.param(shape, random_game(shape, seed).utilities,
+                   id=f"{'x'.join(map(str, shape))}-seed{seed}")
+      for shape in [(2, 2, 2), (2, 3, 2)] for seed in range(20)),
 ])
 def test_rational_decomposition_matches_float_twin(decompose, shape, payoffs):
-    # one player: every part is a form in no blocks, a 0-d coefficient array
-    exact = decompose(make_game(shape, payoffs, mode=RATIONAL), 0)
-    twin = decompose(make_game(shape, [np.asarray(p, dtype=object).astype(float)
-                                       for p in payoffs]), 0)
+    # every part and every payoff-difference defining map of a float game
+    # is its rational twin's, each coefficient rounded once; float basis
+    # changes rounded some three-player coefficients more than once. One
+    # player: every form is in no blocks, a 0-d coefficient array
+    exact = make_game(shape, payoffs, mode=RATIONAL)
+    twin = make_game(shape, [np.asarray(p, dtype=object).astype(float) for p in payoffs])
 
     def parts(dec):  # kappa and lambdas, or K and Lambdas
         one, many = (getattr(dec, f.name) for f in fields(dec)[1:])
         return [one, *many]
 
-    for a, b in zip(parts(exact), parts(twin), strict=True):
+    def rounded_once(a, b):
         assert a.is_rational and not b.is_rational
         assert (a.blocks, a.pinned, a.coeffs.shape) == (b.blocks, b.pinned, b.coeffs.shape)
         assert [float(x) for x in a.coeffs.flat] == b.coeffs.reshape(-1).tolist()
+
+    chart = (0,) * len(shape)
+    for i, c in enumerate(shape):
+        for a, b in zip(parts(decompose(exact, i)), parts(decompose(twin, i)), strict=True):
+            rounded_once(a, b)
+        for pair in itertools.combinations(range(c), 2):
+            h = PayoffDiff(i, pair)
+            rounded_once(defining_map(exact, h, chart), defining_map(twin, h, chart))
 
 
 def test_tilde_round_trip_exact():
@@ -415,6 +430,16 @@ def test_numpy_integer_weights_on_rational_game_do_not_wrap():
     w = [np.array([1, 0]), np.array([10, 0])]
     assert payoff_slice_values(game, 0, w)[0] == 10**19
     assert payoff_form(game, 0).eval(w) == 10**19
+
+
+def test_slopes_beyond_the_float_range_read_inf():
+    # float weights that sum to a little more than 1 against payoffs at
+    # the float maximum: the exact slopes leave the float range, and read
+    # inf, as best_reply_check rounds, instead of raising OverflowError
+    top = np.finfo(float).max
+    game = make_game((2, 2), [[[top, top], [-top, -top]], [[0, 0], [0, 0]]])
+    w = [[0.5, 0.5], [0.5, 0.5000000000000001]]
+    assert payoff_slice_values(game, 0, w).tolist() == [math.inf, -math.inf]
 
 
 @settings(max_examples=40, deadline=None)

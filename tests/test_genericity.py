@@ -674,6 +674,39 @@ def test_probe_does_not_depend_on_payoff_scale(shape, T, R, factor, powers):
         assert answer(scaled, chart) == answer(game, chart), chart
 
 
+def test_membership_and_defining_maps_do_not_depend_on_payoff_scale():
+    # payoffs up to 1.875 * 2**1023 are floats, but their differences are
+    # not: defining maps built by float basis changes overflowed, and at the
+    # mixed equilibrium of 3x3 seed 3 membership dropped D:1:1:2 without a
+    # warning; the 80 games of the equilibrium test at the same edge follow
+    games = [((3, 3), 3)] + [(shape, seed) for shape in [(2, 2, 2), (3, 3), (2, 3, 2), (4, 4)]
+                             for seed in range(500, 520)]
+    found = []  # the active sets of 3x3 seed 3
+    for shape, seed in games:
+        base = make_game(shape, [1.875 * u for u in random_game(shape, seed).utilities])
+        big = make_game(shape, [u * 2.0 ** 1023 for u in base.utilities])
+        chart = (0,) * len(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in [PayoffDiff(i, p) for i, c in enumerate(shape)
+                      for p in itertools.combinations(range(c), 2)]:
+                got = defining_map(big, h, chart).coeffs
+                with np.errstate(over="ignore"):
+                    want = np.ldexp(defining_map(base, h, chart).coeffs, 1023)
+                assert np.array_equal(got, want), (shape, seed, h)
+            for eq in enumerate_nash(base).equilibria:
+                if all(len(s) == 1 for s in eq.support.supports):
+                    continue
+                family = canonical_equilibrium_family(base, eq.support)
+                point = chart_zero_point(eq.point)
+                answers = [(r.active, r.rank, r.verdict)
+                           for r in (transversal_at(g, family, point) for g in (base, big))]
+                assert answers[1] == answers[0], (shape, seed, eq.support)
+                if (shape, seed) == ((3, 3), 3):
+                    found.append(", ".join(map(str, answers[0][0])))
+    assert "C:1:0, C:2:1, D:1:1:2, D:2:0:2" in found
+
+
 @pytest.mark.parametrize("k", [20, -40])
 def test_probe_residuals_scale_with_the_payoffs(k):
     # a root's residual is the defining maps' value, in the game's own
@@ -1154,7 +1187,7 @@ def test_face_system_matches_the_contraction_reference():
                         if maps is None:
                             assert plan.maps is plan.system is None, (shape, family, chart)
                             continue
-                        weights = [_basis_matrix(len(a), False) @ a for a in maps]
+                        weights = [_basis_matrix(len(a)) @ a for a in maps]
                         for a, b in zip((plan.maps, plan.system.weights), (maps, weights)):
                             assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
                         system = genericity._face_system(game, plan.system)[0]
