@@ -20,8 +20,9 @@ Three kinds of hypersurface get chart-local defining functions:
 
 Each is built exactly from the integer payoff tables (_exact_map):
 defining_map rounds it once into a float game's numbers, and
-on_hypersurface decides membership on it exactly. Players (0-based),
-indices and pair entries are integral, stored as ints.
+on_hypersurface decides membership on it exactly. A chart point is
+exact, and finite, by its coordinates' values (game._exact), never by
+their dtype. Players (0-based), indices and pair entries are integral.
 
 Chart l misses exactly the hyperplanes tilde^i_{l_i} = 0, i.e.
 Coordinate(i, l_i) for l_i >= 1 and Coordinate(i, INF) for l_i = 0;
@@ -112,8 +113,9 @@ class ChartPoint:
         return len(self.chart)
 
     def full_vector(self, i: int) -> np.ndarray:
-        one = Fraction(1) if self.coords[i].dtype == object else 1.0
-        return np.insert(self.coords[i], self.chart[i], one)
+        if _exact([self.coords[i]]):  # as objects: an int stays a Python int
+            return np.insert(np.asarray(self.coords[i], dtype=object), self.chart[i], Fraction(1))
+        return np.insert(self.coords[i], self.chart[i], 1.0)
 
     def full_vectors(self) -> tuple[np.ndarray, ...]:
         return tuple(self.full_vector(i) for i in range(self.num_players))
@@ -132,19 +134,19 @@ def _validate_chart(chart, counts) -> tuple[int, ...]:
 
 
 def _validate_coords(game: FiniteGame, coords) -> None:
-    """One finite length-n_i coordinate array per player, or a ValueError
-    naming the 1-based player."""
+    """One length-n_i coordinate sequence per player of finite values (as
+    forms._check_weights reads them), or a ValueError naming the player."""
     if len(coords) != game.num_players:
         k = min(len(coords), game.num_players) + 1
         missing = "has none" if len(coords) < game.num_players else "is not in the game"
         raise ValueError(f"one coordinate vector per player required: player {k} {missing}")
     for i, arr in enumerate(coords):
-        if arr.dtype != object and not np.isfinite(arr).all():
-            raise ValueError(f"non-finite coordinate for player {i + 1}")
-        if arr.shape != (game.strategy_counts[i] - 1,):
+        if np.shape(arr) != (game.strategy_counts[i] - 1,):
             raise ValueError(
                 f"player {i + 1} takes {game.strategy_counts[i] - 1} chart coordinates"
             )
+        if any(isinstance(x, (float, np.floating)) and not np.isfinite(x) for x in arr):
+            raise ValueError(f"non-finite coordinate for player {i + 1}")
 
 
 def chart_point(game: FiniteGame, chart, coords, mode: str = FLOAT) -> ChartPoint:
@@ -168,13 +170,14 @@ def read_chart(vectors, chart) -> ChartPoint:
     chart = _validate_chart(chart, [len(v) for v in vectors])
     coords = []
     for i, (v, l) in enumerate(zip(vectors, chart)):
-        v = np.asarray(v)
+        exact = _exact([v])
+        v = np.asarray(v, dtype=object if exact else None)
         d = v[l]
         if d == 0:
             raise ZeroDivisionError(
                 f"player {i + 1}: coordinate {l} is zero; point is outside chart"
             )
-        scaled = v * (1 / Fraction(d)) if v.dtype == object else v / d
+        scaled = v * (1 / Fraction(d)) if exact else v / d
         coords.append(np.delete(scaled, l))
     return ChartPoint(chart, tuple(coords))
 
@@ -273,11 +276,12 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
 
 
 def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
-    """Membership, exactly: |_exact_map's form at the point|, a float
-    coordinate read by its binary value, is at most tol times its largest
-    |coefficient|, tol 0 at an exact point (game._exact, as best_reply_check
-    takes it), else MEMBERSHIP_TOL. A zero form (the whole space) holds all."""
+    """Membership, exactly, at a point checked as transversal_at checks it:
+    |_exact_map's form at the point|, a float coordinate read by its binary
+    value, is at most tol times its largest |coefficient|, tol 0 at an exact
+    point (game._exact), else MEMBERSHIP_TOL. A zero form holds all."""
     form, _ = _exact_map(game, h, point.chart)
+    _validate_coords(game, point.coords)
     value = form.eval([point.coords[b] for b in form.blocks])
     tol = 0 if _exact(point.coords) else MEMBERSHIP_TOL
     return abs(value) <= Fraction(tol) * max(map(abs, form.coeffs.flat))

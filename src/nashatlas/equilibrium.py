@@ -90,7 +90,7 @@ import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
 # payoff_slice_values is not called here: bench/spans.py traces it under this name
-from .forms import _check_weights, _integer_weights, _slope_nums, payoff_slice_values
+from .forms import _check_weights, _slope_nums, payoff_slice_values
 from .genericity import (
     _face_plan,
     _face_system,
@@ -109,6 +109,7 @@ from .game import (
     MixedProfile,
     SupportProfile,
     _check_seed,
+    _integer_ratio,
     _rounded,
     profile_from_weights,
     support_of,
@@ -154,7 +155,7 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     """
     _check_weights(game, profile.weights)
     supports = support_of(profile).supports
-    nums = [_integer_weights(w) for w in profile.weights]
+    nums = [_integer_ratio(w) for w in profile.weights]
     number = Fraction if profile.exact else _rounded
     oks, residuals, margins, boundary = [], [], [], []
     for i, supp in enumerate(supports):
@@ -497,6 +498,15 @@ def support_label(support: SupportProfile) -> str:
     return " | ".join(",".join(map(str, s)) for s in support.supports)
 
 
+def _answer(game: FiniteGame, profile: MixedProfile, *numbers) -> tuple:
+    """(profile, *numbers) as reported: the one place a float game's exact answer
+    becomes floats, each weight and number (inf kept) rounded once (game._rounded)."""
+    if game.mode != FLOAT or not profile.exact:
+        return profile, *numbers
+    return profile_from_weights(profile.weights), *(
+        x if x == math.inf else _rounded(*x.as_integer_ratio()) for x in numbers)
+
+
 def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
     """Enumerate all Nash equilibria support by support.
 
@@ -520,28 +530,19 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
             if exc.witness is not None and not result.continuum:
                 if best_reply_check(game, exc.witness).all_ok:
                     result.continuum = True
-                    witness = exc.witness
-                    if game.mode == FLOAT:
-                        witness = profile_from_weights(witness.weights)
-                    result.continuum_witness = witness
+                    result.continuum_witness = _answer(game, exc.witness)[0]
         for cand in candidates:
             report = best_reply_check(game, cand)
             if not report.all_ok:
                 continue
-            residual = max(report.equality_residuals)
-            margins = report.inequality_margins
-            if cand.exact and game.mode == FLOAT:
-                # the one place a float game's exact answer becomes floats
-                cand = profile_from_weights(cand.weights)
-                residual = _rounded(*residual.as_integer_ratio())
-                margins = tuple(m if m == math.inf else _rounded(*m.as_integer_ratio())
-                                for m in margins)
+            point, residual, *margins = _answer(game, cand, max(report.equality_residuals),
+                                                *report.inequality_margins)
             found.append(
                 EquilibriumCertificate(
-                    point=cand,
+                    point=point,
                     support=support,
                     equality_residual=residual,
-                    inequality_margins=margins,
+                    inequality_margins=tuple(margins),
                     boundary_degenerate=any(report.boundary),
                 )
             )

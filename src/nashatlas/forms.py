@@ -11,15 +11,15 @@ homogeneous coordinate to 1.
 
 The payoff of player i is a homogeneous form in all m blocks. Its
 decomposition into an own-weight-free part plus own-weight multiples on
-the homogenized space (K, Lambda) comes out of one basis change per
-block, made exactly in ints and rounded once for a float game
-(to_tilde_coordinates); on the simplex product (kappa, lambda) it is
-the same tensors read in each opponent's chart tilde_0 = 1.
+the homogenized space (K, Lambda) is player i's integer payoff table
+(FiniteGame.integer_utilities) changed basis exactly (_tilde_ints) and
+rounded once for a float game; on the simplex product (kappa, lambda) it
+is the same tensors read in each opponent's chart tilde_0 = 1.
 
 payoff_slice_values gives player i's payoff slopes, one per own pure
 strategy, against the others' weights. Every weight is a rational (a
 float is a dyadic one), so the weights become integer numerators over
-one positive denominator (_integer_weights) for the one integer slope
+one positive denominator (_integer_ratio) for the one integer slope
 kernel, _slope_nums: one loop that multiplies each row of
 FiniteGame.integer_rows by the opponents' Segre monomials (the products
 of their numerators, one per pure profile of the opponents), held
@@ -37,7 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import FLOAT, RATIONAL, FiniteGame, _exact, _integral, _numbers, _rounded
+from .game import (FLOAT, RATIONAL, FiniteGame, _exact, _integer_ratio, _integral, _numbers,
+                   _rounded)
 
 
 @dataclass(frozen=True)
@@ -160,16 +161,11 @@ def contract(tensor: np.ndarray, vectors) -> np.ndarray:
 
 
 def _coerce_vector(vec, rational: bool) -> np.ndarray:
-    """vec as the form's numbers, its shape kept (a scalar becomes a
-    vector of one)."""
-    if isinstance(vec, np.ndarray) and (vec.dtype == object) == rational:
+    """vec as the form's numbers, its shape kept (a scalar becomes a vector
+    of one); a rational form keeps only exact arrays (game._exact)."""
+    if isinstance(vec, np.ndarray) and (_exact([vec.flat]) if rational else vec.dtype == float):
         return vec
     return _numbers(vec, RATIONAL if rational else FLOAT).reshape(np.shape(vec) or -1)
-
-
-def zero_form(game: FiniteGame, blocks: tuple[int, ...]) -> MultilinearForm:
-    shape = tuple(game.strategy_counts[b] for b in blocks)
-    return MultilinearForm(blocks, _numbers(np.zeros(shape, dtype=int), game.mode).reshape(shape))
 
 
 def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
@@ -237,10 +233,10 @@ def _quotients(nums, den: int, exact: bool) -> np.ndarray:
 
 def to_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
     """Coefficients of the same polynomial in homogenized coordinates, contracted
-    exactly in ints (_integer_weights, _tilde_ints), a float form's rounded once."""
+    exactly in ints (_integer_ratio, _tilde_ints), a float form's rounded once."""
     if any(p is not None for p in form.pinned):
         raise ValueError("basis change applies to homogeneous forms only")
-    nums, den = _integer_weights(form.coeffs.reshape(-1).tolist())
+    nums, den = _integer_ratio(form.coeffs.reshape(-1).tolist())
     ints = _tilde_ints(np.array(nums, dtype=object).reshape(form.coeffs.shape))
     return MultilinearForm(form.blocks, _quotients(ints, den, form.is_rational), form.pinned)
 
@@ -269,10 +265,6 @@ class HomogeneousDecomposition:
     Lambdas: tuple[MultilinearForm, ...]
 
 
-def _other_blocks(game: FiniteGame, i: int) -> tuple[int, ...]:
-    return tuple(k for k in range(game.num_players) if k != i)
-
-
 def lambda_decomposition(game: FiniteGame, i: int) -> LambdaDecomposition:
     """Split player i's payoff on the simplex product: the homogeneous
     split with slot 0 (the weight sum tilde_0) of every part pinned to 1."""
@@ -286,14 +278,16 @@ def lambda_decomposition(game: FiniteGame, i: int) -> LambdaDecomposition:
 
 
 def homogeneous_decomposition(game: FiniteGame, i: int) -> HomogeneousDecomposition:
-    """Own-index slices of the homogenized payoff tensor: slice 0 is K,
-    slice j >= 1 is Lambda_j."""
-    tilde = to_tilde_coordinates(payoff_form(game, i))
-    i = _integral(i, "player")
-    others = _other_blocks(game, i)
-    K, *Lambdas = (MultilinearForm(others, np.take(tilde.coeffs, j, axis=i))
-                   for j in range(game.strategy_counts[i]))
-    return HomogeneousDecomposition(i, K, (zero_form(game, others), *Lambdas))
+    """Own-index slices of player i's integer payoffs (integer_utilities) in
+    tilde coordinates over their scale (_quotients): slice 0 is K, slice j >=
+    1 is Lambda_j, and Lambda_0 is slice 0 times 0."""
+    i = _player(game, i)
+    ints, scale = game.integer_utilities[i]
+    tilde = np.moveaxis(_tilde_ints(ints), i, 0)
+    others = tuple(b for b in range(game.num_players) if b != i)
+    K, *Lambdas = (MultilinearForm(others, _quotients(t, scale, game.mode == RATIONAL))
+                   for t in (tilde[0], 0 * tilde[0], *tilde[1:]))
+    return HomogeneousDecomposition(i, K, tuple(Lambdas))
 
 
 def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
@@ -303,24 +297,14 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
     Inputs are checked (_player, _check_weights). The slopes are computed
-    exactly in integers (_integer_weights, _slope_nums), for float
+    exactly in integers (_integer_ratio, _slope_nums), for float
     weights too: Fractions for exact weights (game._exact), else each
     exact value rounded once to float.
     """
     i = _player(game, i)
     _check_weights(game, weights)
-    nums, den = _slope_nums(game, i, [_integer_weights(w) for w in weights])
+    nums, den = _slope_nums(game, i, [_integer_ratio(w) for w in weights])
     return _quotients(nums, den, _exact(weights))
-
-
-def _integer_weights(w) -> tuple[list[int], int]:
-    """Weights as integer numerators over the lcm of their denominators,
-    exactly: an int, a Fraction or a float (a dyadic rational) by its
-    as_integer_ratio, a NumPy integer, which has none, by int(), so it
-    never wraps."""
-    ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio() for x in w]
-    lcm = math.lcm(*(d for _, d in ratios))
-    return [n * (lcm // d) for n, d in ratios], lcm
 
 
 def _slope_nums(game: FiniteGame, i: int, nums) -> tuple[list[int], int]:

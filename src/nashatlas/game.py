@@ -68,11 +68,8 @@ class FiniteGame:
         lcm of the entries' denominators (a power of two in float mode)."""
         out = []
         for u in self.utilities:
-            ratios = [x.as_integer_ratio() for x in u.reshape(-1).tolist()]
-            scale = math.lcm(*(d for _, d in ratios))
-            ints = np.empty(u.shape, dtype=object)
-            ints.reshape(-1)[:] = [n * (scale // d) for n, d in ratios]
-            out.append((ints, scale))
+            nums, scale = _integer_ratio(u.reshape(-1).tolist())
+            out.append((np.array(nums, dtype=object).reshape(u.shape), scale))
         return tuple(out)
 
     @cached_property
@@ -291,6 +288,16 @@ def _exact(weights) -> bool:
     return all(isinstance(x, (int, Fraction)) for w in weights for x in w)
 
 
+def _integer_ratio(values) -> tuple[list[int], int]:
+    """Numbers as integer numerators over the lcm of their denominators,
+    exactly, the one rule that makes integers of numbers: an int, a Fraction
+    or a float (a dyadic rational) by its as_integer_ratio, a NumPy integer,
+    which has none, by int(), so it never wraps."""
+    ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio() for x in values]
+    lcm = math.lcm(*(d for _, d in ratios))
+    return [n * (lcm // d) for n, d in ratios], lcm
+
+
 def _rounded(x: int, den: int) -> float:
     """x / den rounded once to float, +-inf beyond the float range: the one rounding rule."""
     try:
@@ -414,9 +421,11 @@ def parse_game(text: str, mode: str | None = None) -> FiniteGame:
             try:
                 if mode == RATIONAL:
                     entries.append(Fraction(tok))
-                else:
-                    entries.append(float(Fraction(tok)) if "/" in tok else float(tok))
-            except (ValueError, ZeroDivisionError):
+                elif math.isfinite(x := float(Fraction(tok)) if "/" in tok else float(tok)):
+                    entries.append(x)
+                else:  # inf, nan, or beyond the float range
+                    raise ValueError
+            except (ValueError, ZeroDivisionError, OverflowError):
                 raise GameFormatError(f"bad number {tok!r}", line) from None
         tensors.append(entries)
     if pos != len(tokens):

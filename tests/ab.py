@@ -23,7 +23,9 @@ Sections, in this order (``--only`` picks some of them):
   ``default_rng(11)``, every player's payoffs ``rng.integers(-2, 3,
   shape)``, each solved in float and in rational mode (the 5x5 games,
   drawn last, leave the others' indices as they were; they bring
-  positive-dimensional two-player blocks and max-min witnesses);
+  positive-dimensional two-player blocks and max-min witnesses), and in
+  each mode every player's ``homogeneous_decomposition`` and
+  ``lambda_decomposition`` as one more record;
 - ``shapes``: ``random_game`` solves of 8 2x3x2, 8 3x3x2 and 8 2x2x2x2
   games (seeds 40000+), and per shape the square good family of the
   largest face (bench/workloads.py's ``square_families``) of the seed
@@ -65,13 +67,16 @@ absolute and in ulps of its record's scale ("-" when a Fraction or an
 integer moved). A record's scale is the largest finite magnitude of any
 number in either answer, so a rounding move of a number near 0 reads as
 small as it is. A number belongs to the innermost field name or JSON key
-that holds it. The exit code is 1 when any record
-differs. The script is not a test module: pytest does not collect it.
+that holds it. Last it prints each tree's src code lines and their
+difference: the lines of src/nashatlas that its statements span (``ast``),
+docstrings, comments and blank lines left out. The exit code is 1 when any
+record differs. The script is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import importlib
@@ -306,6 +311,14 @@ def tied(ab, rounds):
         for mode in ("float", "rational"):
             ab(f"tied {k} {shape} {mode}", lambda lib: partial(
                 lib.enumerate_nash, lib.make_game(shape, payoffs, mode=mode)))
+            ab(f"tied {k} {shape} {mode} decompositions", lambda lib: partial(
+                decompositions, lib, lib.make_game(shape, payoffs, mode=mode)))
+
+
+def decompositions(lib, game):
+    """Every player's homogeneous and lambda decompositions."""
+    return [(lib.homogeneous_decomposition(game, i), lib.lambda_decomposition(game, i))
+            for i in range(game.num_players)]
 
 
 def shapes(square_families, ab, rounds):
@@ -383,6 +396,36 @@ def cli_runs(ab, rounds):
                     ab(f"certify {shape} {seed} {k} point {miss}", certify)
 
 
+def code_lines(root: Path) -> int:
+    """The lines of root's src/nashatlas that its statements span: a simple
+    statement's every line, a compound one's first line and the lines of
+    its expressions and parameters (decorators, tests, arguments),
+    docstrings, comments and blank lines left out."""
+    total = 0
+    for path in sorted((root / "src" / "nashatlas").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        docstrings = {id(node.body[0]) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        lines, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if id(node) in docstrings:
+                continue
+            if isinstance(node, ast.stmt):
+                compound = hasattr(node, "body")
+                lines.update(range(node.lineno, (node.lineno if compound else node.end_lineno) + 1))
+            elif isinstance(node, (ast.expr, ast.arg)):
+                lines.update(range(node.lineno, node.end_lineno + 1))
+            stack.extend(ast.iter_child_nodes(node))
+        source = text.splitlines()
+        total += sum(1 for n in lines if source[n - 1].strip()
+                     and not source[n - 1].lstrip().startswith("#"))
+    return total
+
+
 def main(argv=None) -> int:
     # bench/workloads.py builds the workloads' tasks with this tree's nashatlas
     sys.path[:0] = [str(HERE / "src"), str(HERE / "bench")]
@@ -413,6 +456,8 @@ def main(argv=None) -> int:
             sections[name](ab, args.rounds)
             print(f"{name}: {ab.records - records} records, {_cpu_ratio(ab.cpu)}", flush=True)
         ab.summary()
+    parent, change = (code_lines(root.resolve()) for root in (args.parent, HERE))
+    print(f"src code lines: parent {parent}, change {change}, change - parent {change - parent}")
     print(f"wall time {time.perf_counter() - start:.1f} s")
     return int(bool(ab.differ))
 

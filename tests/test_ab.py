@@ -34,8 +34,12 @@ def _ab(parent, *args):
 def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
     same = _ab(ROOT)
     assert same.returncode == 0, same.stdout + same.stderr
-    assert "0 of 140 records differ; 0 apart from their numbers" in same.stdout
-    assert re.search(r"^tied: 140 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
+    # 70 games in two modes: each solve and each game's decompositions
+    assert "0 of 280 records differ; 0 apart from their numbers" in same.stdout
+    assert re.search(r"^tied: 280 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
+    # one tree has as many code lines as itself
+    assert re.search(r"^src code lines: parent (\d+), change \1, change - parent 0$",
+                     same.stdout, re.M), same.stdout
 
     shutil.copytree(ROOT / "src" / "nashatlas", tmp_path / "src" / "nashatlas",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -43,8 +47,11 @@ def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
         f.write(REVERSED)
     moved = _ab(tmp_path)
     assert moved.returncode == 1, moved.stdout + moved.stderr
-    assert re.search(r"^\d+ of 140 records differ", moved.stdout, re.M)
+    assert re.search(r"^\d+ of 280 records differ", moved.stdout, re.M)
     assert re.search(r"^  point: \d+ values differ \(tied \d+\)", moved.stdout, re.M)
+    # the parent side is the copy, REVERSED's five statement lines longer
+    assert re.search(r"^src code lines: parent \d+, change \d+, change - parent -5$",
+                     moved.stdout, re.M), moved.stdout
 
 
 def test_ab_prints_a_workloads_cold_round_apart_from_the_others():
@@ -56,6 +63,43 @@ def test_ab_prints_a_workloads_cold_round_apart_from_the_others():
     assert re.search(rf"^atlas-probe: round 1 \(caches cold\) {cpu}; rounds 2-2 {cpu}$",
                      run.stdout, re.M), run.stdout
     assert re.search(rf"^atlas-probe: 210 records, {cpu}$", run.stdout, re.M), run.stdout
+
+
+def _load_ab():
+    spec = importlib.util.spec_from_file_location("ab", AB)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    return ab
+
+
+CODE = '''"""A module docstring
+of two lines."""
+
+# a comment
+import math
+
+
+@staticmethod
+def f(
+    x,
+    y,
+):
+    """A function docstring."""
+
+    # another comment
+    if x:  # a trailing comment
+        return math.hypot(
+            x,
+            y)
+    return 0
+'''
+
+
+def test_code_lines_count_statements_without_docstrings_or_comments(tmp_path):
+    # import; decorator; def, x, y; if; the return of three lines; return 0
+    (tmp_path / "src" / "nashatlas").mkdir(parents=True)
+    (tmp_path / "src" / "nashatlas" / "m.py").write_text(CODE, encoding="utf-8")
+    assert _load_ab().code_lines(tmp_path) == 10
 
 
 @dataclasses.dataclass
@@ -70,9 +114,7 @@ def test_a_move_is_measured_in_ulps_of_its_records_scale(capsys):
     # number (inf and an integer beyond the float range do not set it),
     # where in ulps of the residual itself it would read about 3e15; a
     # value of 0.75 moves by one ulp (both inside a dataclass)
-    spec = importlib.util.spec_from_file_location("ab", AB)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = _load_ab()
     answers = {"parent": {"root": Root(1e-17, 0.75), "margin": math.inf, "big": 10**400},
                "change": {"root": Root(3e-17, math.nextafter(0.75, 1)), "margin": math.inf,
                           "big": 10**400}}

@@ -13,7 +13,9 @@ from nashatlas import (
     INF,
     RATIONAL,
     ChartExcludesHypersurface,
+    ChartPoint,
     Coordinate,
+    GoodFamily,
     PayoffDiff,
     all_charts,
     chart_point,
@@ -29,6 +31,7 @@ from nashatlas import (
     random_game,
     read_chart,
     transition,
+    transversal_at,
 )
 from nashatlas.atlas import chart_excludes
 
@@ -264,6 +267,49 @@ def test_membership_tolerance_is_the_points(mp_float, mp_exact):
     for game in (mp_float, mp_exact):
         assert not on_hypersurface(game, h, exact)
         assert on_hypersurface(game, h, floats)
+
+
+# matching pennies, and the family of both players' payoff differences
+PENNIES = ((2, 2), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+DIFFS = GoodFamily(((), ()), (((0, 1),), ((0, 1),)))
+
+
+def _objects(*coords):
+    return tuple(np.array(c, dtype=object) for c in coords)
+
+
+@pytest.mark.parametrize("point, target, active", [
+    # floats in object arrays are floats: 1e-12 off D:1:0:1 is on it
+    (ChartPoint((0, 0), _objects([0.5], [0.5 + 1e-12])), (1, 1),
+     (PayoffDiff(0, (0, 1)), PayoffDiff(1, (0, 1)))),
+    # ints in lists are exact, as Fractions are: 1e-12 off it is off it
+    (ChartPoint((1, 1), ([2], [2 - Fraction(1, 10**12)])), (0, 0), (PayoffDiff(1, (0, 1)),)),
+], ids=["object floats", "list ints"])
+def test_a_point_keeps_its_tolerance_in_every_chart(point, target, active):
+    game = make_game(*PENNIES)
+    for p in (point, transition(point, target)):
+        assert transversal_at(game, DIFFS, p).active == active, p
+
+
+def test_chart_coords_may_be_lists():
+    game = make_game(*PENNIES)
+    lists, arrays = ChartPoint((0, 0), ([0.5], [0.5])), chart_point(game, (0, 0), [[0.5], [0.5]])
+    got, want = (transversal_at(game, DIFFS, p) for p in (lists, arrays))
+    assert (got.active, got.verdict, got.rank) == (want.active, want.verdict, want.rank)
+    np.testing.assert_array_equal(got.jacobian, want.jacobian)
+    assert on_hypersurface(game, PayoffDiff(0, (0, 1)), lists)
+
+
+@pytest.mark.parametrize("coords", [_objects([np.inf], [0.5]), _objects([np.nan], [0.5]),
+                                    (np.array([np.inf]), np.array([0.5]))],
+                         ids=["object inf", "object nan", "float64 inf"])
+@pytest.mark.parametrize("call", [
+    lambda game, point: on_hypersurface(game, PayoffDiff(1, (0, 1)), point),
+    lambda game, point: transversal_at(game, DIFFS, point),
+], ids=["on_hypersurface", "transversal_at"])
+def test_a_non_finite_chart_coordinate_is_named(coords, call):
+    with pytest.raises(ValueError, match="^non-finite coordinate for player 1$"):
+        call(make_game(*PENNIES), ChartPoint((0, 0), coords))
 
 
 def test_one_player_forms_stay_exact():

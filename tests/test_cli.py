@@ -194,6 +194,13 @@ def test_solve_bad_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_names_a_non_finite_float_payoff_at_its_line(tmp_path, capsys):
+    path = _write(tmp_path, "big.game",
+                  "players 2\nstrategies 2 2\npayoff 1\n1 0 0 1\npayoff 2\n0 1e400 1 0\n")
+    assert main(["solve", path]) == 1
+    assert capsys.readouterr().err == "error: line 6: bad number '1e400'\n"
+
+
 def test_lambda_output(mp_file, capsys):
     assert main(["lambda", mp_file, "--player", "1"]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,7 @@ basis.
 """
 
 import itertools
+import json
 import math
 import re
 from dataclasses import fields
@@ -31,8 +32,10 @@ from nashatlas import (
     payoff_slice_values,
     profile_from_weights,
     random_game,
+    serialize_game,
     to_tilde_coordinates,
 )
+from nashatlas.cli import main
 
 from conftest import fd_gradient, loop_payoff
 
@@ -64,6 +67,24 @@ def test_mp_frozen_values(mp_float):
     hom = homogeneous_decomposition(mp_float, 0)
     np.testing.assert_allclose(hom.K.coeffs, [1.0, -2.0])
     np.testing.assert_allclose(hom.Lambdas[1].coeffs, [-2.0, 4.0])
+
+
+@pytest.mark.parametrize("exact, zero", [(True, Fraction(0)), (False, 0.0)])
+def test_lambda_0_is_zero_in_the_games_numbers(tmp_path, capsys, exact, zero):
+    # Fraction(0) in rational mode, 0.0 in float mode, in both
+    # decompositions and in `nashatlas lambda --json` ("0" and 0.0)
+    game = make_game((2, 2), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                     mode=RATIONAL if exact else "float")
+    for i in range(2):
+        for lam0 in (lambda_decomposition(game, i).lambdas[0],
+                     homogeneous_decomposition(game, i).Lambdas[0]):
+            assert [(type(x), x) for x in lam0.coeffs.tolist()] == [(type(zero), zero)] * 2
+    path = tmp_path / "mp.game"
+    path.write_text(serialize_game(game))
+    assert main(["lambda", str(path), "--player", "1", "--json"] + ["--exact"] * exact) == 0
+    lambda_0 = json.loads(capsys.readouterr().out)["results"]["lambdas"][0]
+    want = "0" if exact else 0.0
+    assert [(type(x), x) for x in lambda_0.values()] == [(type(want), want)] * 2
 
 
 def test_mp_payoff_value(mp_float):

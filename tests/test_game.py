@@ -336,6 +336,9 @@ PARSE_ERRORS = {
         "line 3: expected payoff block for player 1, got '2'",
     "players 1\nstrategies 2\npayoff 1\n1 1/0\n": "line 4: bad number '1/0'",
     "players 1\nstrategies 2\npayoff 1\n1 2\n\n3 # extra\n": "line 6: trailing content '3'",
+    # a float-mode payoff that is no finite float: inf, nan, beyond the float range
+    **{f"players 2\nstrategies 2 2\npayoff 1\n1 0 0 1\npayoff 2\n0 1\n{tok} 0\n":
+       f"line 7: bad number '{tok}'" for tok in ("inf", "-inf", "nan", "1e400")},
 }
 
 
