@@ -20,9 +20,10 @@ Three kinds of hypersurface get chart-local defining functions:
 
 Each is built exactly from the integer payoff tables (_exact_map):
 defining_map rounds it once into a float game's numbers, and
-on_hypersurface decides membership on it exactly. A chart point is
-exact, and finite, by its coordinates' values (game._exact), never by
-their dtype. Players (0-based), indices and pair entries are integral.
+on_hypersurface decides membership on it exactly. A chart point's
+coordinates are checked by game._check_blocks (one (n_i,) block of
+numbers per player) and are exact by their values (game._exact), never
+by their dtype. Players (0-based), indices and pair entries are integral.
 
 Chart l misses exactly the hyperplanes tilde^i_{l_i} = 0, i.e.
 Coordinate(i, l_i) for l_i >= 1 and Coordinate(i, INF) for l_i = 0;
@@ -41,7 +42,8 @@ import numpy as np
 from .forms import MultilinearForm, _basis_matrix, _quotients, _tilde_ints
 # homogeneous_decomposition is not called here: bench/spans.py traces it under this name
 from .forms import homogeneous_decomposition  # noqa: F401
-from .game import FLOAT, MEMBERSHIP_TOL, FiniteGame, MixedProfile, _exact, _integral, _numbers
+from .game import (FLOAT, MEMBERSHIP_TOL, RATIONAL, FiniteGame, MixedProfile, _check_blocks, _exact,
+                   _integral, _numbers)
 
 INF = float("inf")
 
@@ -133,28 +135,17 @@ def _validate_chart(chart, counts) -> tuple[int, ...]:
     return chart
 
 
-def _validate_coords(game: FiniteGame, coords) -> None:
-    """One length-n_i coordinate sequence per player of finite values (as
-    forms._check_weights reads them), or a ValueError naming the player."""
-    if len(coords) != game.num_players:
-        k = min(len(coords), game.num_players) + 1
-        missing = "has none" if len(coords) < game.num_players else "is not in the game"
-        raise ValueError(f"one coordinate vector per player required: player {k} {missing}")
-    for i, arr in enumerate(coords):
-        if np.shape(arr) != (game.strategy_counts[i] - 1,):
-            raise ValueError(
-                f"player {i + 1} takes {game.strategy_counts[i] - 1} chart coordinates"
-            )
-        if any(isinstance(x, (float, np.floating)) and not np.isfinite(x) for x in arr):
-            raise ValueError(f"non-finite coordinate for player {i + 1}")
+def _check_coords(game: FiniteGame, coords, mode: str | None = None) -> None:
+    """One sequence of n_i chart coordinates per player (game._check_blocks)."""
+    _check_blocks(coords, [c - 1 for c in game.strategy_counts], "chart coordinate", mode)
 
 
 def chart_point(game: FiniteGame, chart, coords, mode: str = FLOAT) -> ChartPoint:
-    """Validated chart point; coords has one length-n_i vector per player."""
+    """Validated chart point; coords has one length-n_i vector per player,
+    checked (_check_coords) and then read as the mode's numbers."""
     chart = _validate_chart(chart, game.strategy_counts)
-    out = tuple(_numbers(c, mode) for c in coords)
-    _validate_coords(game, out)
-    return ChartPoint(chart, out)
+    _check_coords(game, coords, mode)
+    return ChartPoint(chart, tuple(_numbers(c, mode, "chart coordinate") for c in coords))
 
 
 def all_charts(game: FiniteGame) -> list[tuple[int, ...]]:
@@ -272,7 +263,7 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
     _exact_map's form over its scale in the game's numbers, so each float
     game coefficient is rounded once, +-inf beyond the float range."""
     form, scale = _exact_map(game, h, chart)
-    return replace(form, coeffs=_quotients(form.coeffs, scale, game.utilities[0].dtype == object))
+    return replace(form, coeffs=_quotients(form.coeffs, scale, game.mode == RATIONAL))
 
 
 def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
@@ -281,7 +272,7 @@ def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> boo
     value, is at most tol times its largest |coefficient|, tol 0 at an exact
     point (game._exact), else MEMBERSHIP_TOL. A zero form holds all."""
     form, _ = _exact_map(game, h, point.chart)
-    _validate_coords(game, point.coords)
+    _check_coords(game, point.coords)
     value = form.eval([point.coords[b] for b in form.blocks])
     tol = 0 if _exact(point.coords) else MEMBERSHIP_TOL
     return abs(value) <= Fraction(tol) * max(map(abs, form.coeffs.flat))

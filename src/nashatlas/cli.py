@@ -47,6 +47,7 @@ from .game import (
     RATIONAL,
     FiniteGame,
     GameFormatError,
+    _check_blocks,
     make_game,
     parse_game,
     profile_from_weights,
@@ -168,34 +169,13 @@ def _parse_family(game: FiniteGame, t_specs, r_specs):
     return good_family(game, T, R)
 
 
-def _parse_point(game: FiniteGame, spec: str):
+def _parse_point(game: FiniteGame, spec: str) -> list[list[str]]:
     blocks = spec.split(";")
     if len(blocks) != game.num_players:
         raise ValueError(
             f"point needs {game.num_players} weight blocks separated by ';'"
         )
-    return _point_from_lists(game, [b.split(",") for b in blocks])
-
-
-def _point_from_lists(game: FiniteGame, blocks):
-    rational = any(isinstance(x, str) and "/" in x for b in blocks for x in b)
-    weights = []
-    for i, b in enumerate(blocks):
-        if len(b) != game.strategy_counts[i]:
-            raise ValueError(
-                f"player {i + 1} needs {game.strategy_counts[i]} weights"
-            )
-        weights.append([])
-        for x in b:
-            try:
-                weights[i].append(Fraction(str(x)) if rational else float(x))
-            except (ValueError, ZeroDivisionError, TypeError):
-                raise ValueError(f"player {i + 1}: bad weight {x!r}") from None
-    profile = profile_from_weights(weights, RATIONAL if rational else FLOAT)
-    # a p/q point sums to exactly 1; a float point within rounding
-    if not profile.in_A():
-        raise ValueError("point weights must sum to 1 per player")
-    return profile
+    return [b.split(",") for b in blocks]
 
 
 def _solve_payload(result: EnumerationResult, payoffs) -> dict:
@@ -379,7 +359,7 @@ def _cmd_sample(args):
                    distribution=args.distribution), lines, EXIT_OK
 
 
-def _point_from_solve_json(game: FiniteGame, path: str, index: int):
+def _point_from_solve_json(path: str, index: int):
     if index < 0:
         raise ValueError("--index must be >= 0")
     try:
@@ -396,7 +376,7 @@ def _point_from_solve_json(game: FiniteGame, path: str, index: int):
         raise ValueError(
             f"{path} has no equilibrium point at index {index}"
         ) from None
-    return _point_from_lists(game, point)
+    return point
 
 
 def _cmd_certify(args):
@@ -404,9 +384,17 @@ def _cmd_certify(args):
         raise ValueError("--index needs --from-json")
     game = _load_game(args)
     if args.point is not None:
-        profile = _parse_point(game, args.point)
+        blocks = _parse_point(game, args.point)
     else:
-        profile = _point_from_solve_json(game, args.from_json, args.index or 0)
+        blocks = _point_from_solve_json(args.from_json, args.index or 0)
+    # each weight as typed (a JSON number by its repr); any p/q makes the point exact
+    text = [[str(x) for x in b] for b in blocks]
+    mode = RATIONAL if any("/" in x for b in text for x in b) else FLOAT
+    _check_blocks(text, game.strategy_counts, "weight", mode)
+    profile = profile_from_weights(text, mode)
+    # a p/q point sums to exactly 1; a float point within rounding
+    if not profile.in_A():
+        raise ValueError("point weights must sum to 1 per player")
     chart = (
         parse_chart(args.chart, game)
         if args.chart

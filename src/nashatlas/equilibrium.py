@@ -90,7 +90,7 @@ import numpy as np
 
 from .exact import AffineSolutionSet, max_min_point, solve_affine
 # payoff_slice_values is not called here: bench/spans.py traces it under this name
-from .forms import _check_weights, _slope_nums, payoff_slice_values
+from .forms import _slope_nums, payoff_slice_values
 from .genericity import (
     _face_plan,
     _face_system,
@@ -108,6 +108,7 @@ from .game import (
     FiniteGame,
     MixedProfile,
     SupportProfile,
+    _check_blocks,
     _check_seed,
     _integer_ratio,
     _rounded,
@@ -153,9 +154,9 @@ def best_reply_check(game: FiniteGame, profile: MixedProfile) -> BestReplyReport
     exact values rounded once to float, +-inf beyond the float range (a
     game whose payoffs lie beyond it); the verdicts stay in integers.
     """
-    _check_weights(game, profile.weights)
+    _check_blocks(profile.weights, game.strategy_counts, "weight")
     supports = support_of(profile).supports
-    nums = [_integer_ratio(w) for w in profile.weights]
+    nums = [_integer_ratio(w, "weight") for w in profile.weights]
     number = Fraction if profile.exact else _rounded
     oks, residuals, margins, boundary = [], [], [], []
     for i, supp in enumerate(supports):

@@ -30,15 +30,14 @@ rounded once to float64 (_quotients).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .game import (FLOAT, RATIONAL, FiniteGame, _exact, _integer_ratio, _integral, _numbers,
-                   _rounded)
+from .game import (FLOAT, RATIONAL, FiniteGame, _check_blocks, _exact, _integer_ratio, _integral,
+                   _numbers, _rounded)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class MultilinearForm:
 
     def lift_input(self, t: int, vec) -> np.ndarray:
         """Insert the pinned 1 into a block's input, a vector or a batch of
-        them, along its last axis."""
+        them (_coerce_vector), along its last axis."""
         vec = _coerce_vector(vec, self.is_rational)
         p = self.pinned[t]
         if p is None:
@@ -84,10 +83,10 @@ class MultilinearForm:
         return np.insert(vec, p, one, axis=-1)
 
     def _inputs(self, points, keep: int | None = None) -> list:
-        """One lifted block (lift_input) per participating block, None at
-        position keep. A block is a vector or a (B, s) batch, one B for
-        every batch; a wrong count, a block of more axes, another batch
-        size or a wrong lifted length is a ValueError naming it."""
+        """One lifted block (lift_input, the one coercion) per participating
+        block, None at position keep. A block is a vector or a (B, s) batch,
+        one B for every batch; a wrong count, a block of more axes, another
+        batch size or a wrong lifted length is a ValueError naming it."""
         if len(points) != len(self.blocks):
             raise ValueError(
                 f"form takes {len(self.blocks)} block vectors, got {len(points)}"
@@ -97,16 +96,15 @@ class MultilinearForm:
             if k == keep:
                 out.append(None)
                 continue
-            vec = _coerce_vector(vec, self.is_rational)
+            vec = self.lift_input(k, vec)
             if vec.ndim > 2:
                 raise ValueError(f"block {self.blocks[k]}: expected a vector or a (B, "
-                                 f"{self.input_length(k)}) batch, got shape {vec.shape}")
+                                 f"{self.input_length(k)}) batch, got shape {np.shape(points[k])}")
             if vec.ndim == 2:
                 batch = len(vec) if batch is None else batch
                 if len(vec) != batch:
                     raise ValueError(f"block {self.blocks[k]}: batch size {len(vec)}, "
                                      f"expected {batch}")
-            vec = self.lift_input(k, vec)
             if vec.shape[-1] != self.coeffs.shape[k]:
                 raise ValueError(
                     f"block {self.blocks[k]}: expected length {self.input_length(k)}"
@@ -161,11 +159,12 @@ def contract(tensor: np.ndarray, vectors) -> np.ndarray:
 
 
 def _coerce_vector(vec, rational: bool) -> np.ndarray:
-    """vec as the form's numbers, its shape kept (a scalar becomes a vector
-    of one); a rational form keeps only exact arrays (game._exact)."""
+    """vec as the form's numbers (game._numbers), its shape kept (a scalar
+    becomes a vector of one); a float64 array is taken as it is, and a
+    rational form keeps only exact arrays (game._exact)."""
     if isinstance(vec, np.ndarray) and (_exact([vec.flat]) if rational else vec.dtype == float):
         return vec
-    return _numbers(vec, RATIONAL if rational else FLOAT).reshape(np.shape(vec) or -1)
+    return _numbers(vec, RATIONAL if rational else FLOAT, "form input").reshape(np.shape(vec) or -1)
 
 
 def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
@@ -181,21 +180,6 @@ def _player(game: FiniteGame, i) -> int:
     if not 0 <= i < game.num_players:
         raise ValueError(f"no player {i + 1}")
     return i
-
-
-def _check_weights(game: FiniteGame, weights) -> None:
-    """One weight vector per player, each of that player's strategy
-    count and with finite entries, or a ValueError naming the 1-based
-    player."""
-    if len(weights) > game.num_players:
-        raise ValueError(f"no player {game.num_players + 1}")
-    for i, c in enumerate(game.strategy_counts):
-        got = len(weights[i]) if i < len(weights) else 0
-        if got != c:
-            raise ValueError(f"player {i + 1} takes {c} weights, got {got}")
-        for x in weights[i]:
-            if isinstance(x, (float, np.floating)) and not math.isfinite(x):
-                raise ValueError(f"player {i + 1}: weight {float(x)} is not finite")
 
 
 # Basis change between the natural weights gamma and the homogenized
@@ -236,7 +220,7 @@ def to_tilde_coordinates(form: MultilinearForm) -> MultilinearForm:
     exactly in ints (_integer_ratio, _tilde_ints), a float form's rounded once."""
     if any(p is not None for p in form.pinned):
         raise ValueError("basis change applies to homogeneous forms only")
-    nums, den = _integer_ratio(form.coeffs.reshape(-1).tolist())
+    nums, den = _integer_ratio(form.coeffs.reshape(-1).tolist(), "coefficient")
     ints = _tilde_ints(np.array(nums, dtype=object).reshape(form.coeffs.shape))
     return MultilinearForm(form.blocks, _quotients(ints, den, form.is_rational), form.pinned)
 
@@ -296,14 +280,14 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
-    Inputs are checked (_player, _check_weights). The slopes are computed
+    Inputs are checked (_player, game._check_blocks). The slopes are computed
     exactly in integers (_integer_ratio, _slope_nums), for float
     weights too: Fractions for exact weights (game._exact), else each
     exact value rounded once to float.
     """
     i = _player(game, i)
-    _check_weights(game, weights)
-    nums, den = _slope_nums(game, i, [_integer_ratio(w) for w in weights])
+    _check_blocks(weights, game.strategy_counts, "weight")
+    nums, den = _slope_nums(game, i, [_integer_ratio(w, "weight") for w in weights])
     return _quotients(nums, den, _exact(weights))
 
 

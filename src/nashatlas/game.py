@@ -4,6 +4,12 @@ A game holds one dense payoff tensor per player, indexed by the pure
 strategy combination (j_1, ..., j_m) with j_k in {0, ..., n_k}. Two
 numeric modes exist: "float" (float64 tensors) and "rational"
 (object tensors of ``fractions.Fraction``), fixed at construction.
+
+Every number from outside (a payoff, a weight, a chart coordinate, a
+game file's token) is read by one rule, _number, and every per-player
+block of them is checked by _check_blocks, built on it: a value that is
+no number is one ValueError naming the input and the value, in both
+modes.
 """
 
 from __future__ import annotations
@@ -31,6 +37,11 @@ RANK_TOL = 1e-8  # the largest singular value (at least 1): rank cutoff
 NEWTON_MAX_ITERS = 100  # a count: Newton steps per start
 NEWTON_HALVINGS = 9  # a count: step lengths 2**-r tried per Newton step
 RANDOM_STARTS = 32  # a count: random Newton starts per system
+
+# The largest decimal exponent a numeral string may carry where it becomes
+# a Fraction (10**4300 has the 4,300 digits that Python allows an int
+# string): a game file's parse costs in proportion to its length.
+_MAX_EXPONENT = 4300
 
 
 class GameFormatError(ValueError):
@@ -68,7 +79,7 @@ class FiniteGame:
         lcm of the entries' denominators (a power of two in float mode)."""
         out = []
         for u in self.utilities:
-            nums, scale = _integer_ratio(u.reshape(-1).tolist())
+            nums, scale = _integer_ratio(u.reshape(-1).tolist(), "payoff")
             out.append((np.array(nums, dtype=object).reshape(u.shape), scale))
         return tuple(out)
 
@@ -222,8 +233,8 @@ def make_game(
     """Validate shapes and entries and build a FiniteGame.
 
     utilities may be nested sequences or arrays of any shape with the
-    right number of entries, read row-major; entries become the mode's
-    numbers (_numbers).
+    right number of entries, read row-major; each entry becomes the
+    mode's number (_number).
     """
     counts = tuple(_integral(c, "strategy count") for c in strategy_counts)
     if len(counts) < 1:
@@ -243,42 +254,74 @@ def make_game(
         flat = np.asarray(u, dtype=object).reshape(-1)
         if flat.size != size:
             raise ValueError(f"utility tensor {i} has {flat.size} entries, expected {size}")
-        # inf and nan have no Fraction: rational mode tests its floats first
-        finite = mode == FLOAT or all(math.isfinite(x) for x in flat if isinstance(x, float))
-        arr = _numbers(flat, mode).reshape(counts) if finite else None
-        if not finite or mode == FLOAT and not np.isfinite(arr).all():
-            raise ValueError(f"utility tensor {i} contains non-finite entries")
-        tensors.append(arr)
+        tensors.append(_numbers(flat, mode, f"utility tensor {i} entry").reshape(counts))
     return FiniteGame(counts, tuple(tensors), mode=mode)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"cannot convert {x!r} to Fraction")
-        return Fraction(x)  # exact binary value
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot convert {x!r} to Fraction")
+def _number(x, what: str, mode: str | None = None):
+    """The one rule for a number from outside, named by what: an int, a
+    Fraction, a NumPy integer, a float or a NumPy float, and where a mode
+    is given also a numeral string (p/q too; a decimal exponent beyond
+    _MAX_EXPONENT is refused before any Fraction is built). mode None
+    returns x as it is (checked, not converted), FLOAT float(x) and
+    RATIONAL x as a Fraction, exactly. A float must be finite, and so must
+    float(x) in FLOAT mode. Anything else is a ValueError naming what and x."""
+    if (isinstance(x, float) and mode != RATIONAL and math.isfinite(x)
+            or type(x) is Fraction and mode != FLOAT):
+        return x  # the common case: already a number of the mode
+    y = None
+    try:
+        if isinstance(x, str) and mode is not None:
+            if mode == FLOAT and "/" not in x:
+                y = float(x)
+            elif x.lstrip("+-").isdigit():  # an integer numeral, read without Fraction's regex
+                y = Fraction(int(x))
+            elif abs(int(x.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
+                y = Fraction(x)
+        elif isinstance(x, (int, float, Fraction, np.integer, np.floating)):
+            y = x
+        if mode == FLOAT:
+            y = float(y)
+        elif mode == RATIONAL and type(y) is not Fraction:
+            y = Fraction(int(y)) if isinstance(y, np.integer) else Fraction(*y.as_integer_ratio())
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError, AttributeError):
+        y = None
+    if y is None or isinstance(y, (float, np.floating)) and not math.isfinite(y):
+        raise ValueError(f"{what} {x} is not a number")
+    return y
 
 
-def _numbers(values, mode: str) -> np.ndarray:
-    """values, flattened row-major, as the mode's numbers: a 1-D object
-    array of Fractions (_as_fraction) in RATIONAL mode, float64 otherwise."""
-    if mode != RATIONAL:
-        return np.asarray(values, dtype=float).reshape(-1)
-    out = np.array(values, dtype=object).reshape(-1)
-    out[:] = [_as_fraction(x) for x in out]
-    return out
+def _numbers(values, mode: str, what: str) -> np.ndarray:
+    """values, flattened row-major, as a 1-D array of the mode's numbers
+    (Fractions in an object array for RATIONAL, else float64), each read
+    by _number."""
+    flat = np.asarray(values, dtype=object).reshape(-1).tolist()
+    return np.array([_number(x, what, mode) for x in flat],
+                    dtype=object if mode == RATIONAL else float)
+
+
+def _check_blocks(blocks, counts, what: str, mode: str | None = None) -> None:
+    """One sequence of counts[i] numbers per player i: a wrong block count,
+    a block whose shape is not (counts[i],) or an entry that is no number
+    (_number in mode) is a ValueError naming the 1-based player. The blocks
+    are checked, not converted, so their exactness stays _exact's."""
+    if len(blocks) > len(counts):
+        raise ValueError(f"no player {len(counts) + 1}")
+    for i, c in enumerate(counts):
+        block = np.asarray(blocks[i] if i < len(blocks) else (), dtype=object)
+        if block.shape != (c,):
+            got = len(block) if block.ndim == 1 else block.shape
+            raise ValueError(f"player {i + 1} takes {c} {what}s, got {got}")
+        name = f"player {i + 1} {what}"
+        for x in block.tolist():
+            _number(x, name, mode)
 
 
 def profile_from_weights(weights, mode: str = FLOAT) -> MixedProfile:
-    """Build a MixedProfile from per-player weight sequences."""
-    return MixedProfile(tuple(_numbers(w, mode) for w in weights))
+    """Build a MixedProfile from per-player weight sequences, each weight
+    read by _number."""
+    return MixedProfile(tuple(_numbers(w, mode, f"player {i + 1} weight")
+                              for i, w in enumerate(weights)))
 
 
 def _exact(weights) -> bool:
@@ -288,12 +331,19 @@ def _exact(weights) -> bool:
     return all(isinstance(x, (int, Fraction)) for w in weights for x in w)
 
 
-def _integer_ratio(values) -> tuple[list[int], int]:
+def _integer_ratio(values, what: str) -> tuple[list[int], int]:
     """Numbers as integer numerators over the lcm of their denominators,
     exactly, the one rule that makes integers of numbers: an int, a Fraction
     or a float (a dyadic rational) by its as_integer_ratio, a NumPy integer,
-    which has none, by int(), so it never wraps."""
-    ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio() for x in values]
+    which has none, by int(), so it never wraps. A value with no integer
+    ratio is _number's ValueError, naming it as what."""
+    try:
+        ratios = [(int(x), 1) if isinstance(x, np.integer) else x.as_integer_ratio()
+                  for x in values]
+    except (AttributeError, OverflowError, ValueError):
+        for x in values:
+            _number(x, what)
+        raise
     lcm = math.lcm(*(d for _, d in ratios))
     return [n * (lcm // d) for n, d in ratios], lcm
 
@@ -419,13 +469,8 @@ def parse_game(text: str, mode: str | None = None) -> FiniteGame:
         for _ in range(total):
             tok, line = need("payoff entry")
             try:
-                if mode == RATIONAL:
-                    entries.append(Fraction(tok))
-                elif math.isfinite(x := float(Fraction(tok)) if "/" in tok else float(tok)):
-                    entries.append(x)
-                else:  # inf, nan, or beyond the float range
-                    raise ValueError
-            except (ValueError, ZeroDivisionError, OverflowError):
+                entries.append(_number(tok, "payoff", mode))
+            except ValueError:
                 raise GameFormatError(f"bad number {tok!r}", line) from None
         tensors.append(entries)
     if pos != len(tokens):

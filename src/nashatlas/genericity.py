@@ -78,8 +78,8 @@ from .atlas import (
     Hypersurface,
     PayoffDiff,
     _check_in_chart,
+    _check_coords,
     _validate_chart,
-    _validate_coords,
     _validate_hypersurface,
     chart_excludes,
     defining_map,
@@ -507,7 +507,7 @@ def transversal_at(
     system's, in exact payoff units) has full row rank.
     """
     chart = _validate_chart(point.chart, game.strategy_counts)
-    _validate_coords(game, point.coords)
+    _check_coords(game, point.coords)
     if active is None:
         members = [h for h in _family_members(game.strategy_counts, family)
                    if not chart_excludes(chart, h)]

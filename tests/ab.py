@@ -42,7 +42,15 @@ Sections, in this order (``--only`` picks some of them):
   every chart l (``nashatlas certify FILE --from-json REPORT --index k
   --chart l --json``), and given as ``--point`` with 5e-10 and then 2e-9
   added to every player's first weight, in the default chart
-  (``certify``).
+  (``certify``);
+- ``errors``: every entry path of a number from outside (``parse_game``,
+  ``nashatlas solve``, ``make_game``, ``profile_from_weights``,
+  ``chart_point``, ``payoff_slice_values``, ``best_reply_check``,
+  ``transversal_at``, ``on_hypersurface``, ``nashatlas certify --point``)
+  in both modes, each given one malformed value in turn (BAD: None,
+  +-inf, nan, "x", 1j, a nested block, 10**400 and the token
+  1e10000000); an answer is the call's repr (an error, as always, its
+  exception type and message).
 
 Each item's inputs are built by each side's own library (``random_game``,
 ``make_game``, ``good_family``, ``serialize_game``). The item then runs on
@@ -98,6 +106,9 @@ import numpy as np
 HERE = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 LAMBDA_GAMES = 10  # per shape, the first cli games whose decompositions are printed
+# the errors section's malformed values, by label
+BAD = {"None": None, "inf": math.inf, "-inf": -math.inf, "nan": math.nan, "x": "x", "1j": 1j,
+       "nested": [0, 1], "10**400": 10**400, "1e10000000": "1e10000000"}
 NUMBERS = (int, float, Fraction)
 
 
@@ -396,6 +407,84 @@ def cli_runs(ab, rounds):
                     ab(f"certify {shape} {seed} {k} point {miss}", certify)
 
 
+def errors(ab, rounds):
+    for mode in ("float", "rational"):
+        for label, x in BAD.items():
+            for entry, call in ENTRIES.items():
+                ab(f"errors {entry} {mode} {label}",
+                   lambda lib: partial(shown, partial(call, lib, x, mode)))
+
+
+def shown(call) -> str:
+    """call()'s repr, or its type's name where an int in it is too long for
+    Python to print."""
+    out = call()
+    try:
+        return repr(out)
+    except ValueError:
+        return f"{type(out).__name__} holding an int beyond the int-string limit"
+
+
+def bad_file(lib, x) -> Path:
+    """A one-player game file in lib.home whose second payoff token is x."""
+    path = lib.home / "bad.txt"
+    path.write_text(f"players 1\nstrategies 2\npayoff 1\n0 {str(x).replace(' ', '')}\n",
+                    encoding="utf-8")
+    return path
+
+
+def game_3x3(lib, mode):
+    return lib.make_game((3, 3), lib.random_game((3, 3), seed=1).utilities, mode)
+
+
+def game_file(lib, mode) -> Path:
+    """game_3x3 as a game file in lib.home."""
+    path = lib.home / "game3.txt"
+    path.write_text(lib.serialize_game(game_3x3(lib, mode)), encoding="utf-8")
+    return path
+
+
+def block(x, mode) -> np.ndarray:
+    """A block of three of the mode's numbers: x, 1/4 and 1/4."""
+    quarter = Fraction(1, 4) if mode == "rational" else 0.25
+    return np.array([x, quarter, quarter], dtype=object)
+
+
+def half(mode):
+    return Fraction(1, 2) if mode == "rational" else 0.5
+
+
+def chart_coords(x, mode) -> tuple:
+    """Chart (0, 0) coordinates of a 3x3 game, x player 2's first."""
+    return block(half(mode), mode)[1:], block(x, mode)[:2]
+
+
+ENTRIES = {
+    "parse_game": lambda lib, x, mode: lib.parse_game(bad_file(lib, x).read_text(), mode),
+    "solve": lambda lib, x, mode: cli(lib, "solve", bad_file(lib, x), "--json",
+                                      *["--exact"] * (mode == "rational")),
+    "make_game": lambda lib, x, mode: lib.make_game((2, 2), [[x, 0, 0, 0], [0] * 4], mode),
+    "profile_from_weights": lambda lib, x, mode: lib.profile_from_weights(
+        [block(half(mode), mode), block(x, mode)], mode),
+    "chart_point": lambda lib, x, mode: lib.chart_point(
+        game_3x3(lib, mode), (0, 0), chart_coords(x, mode), mode),
+    "payoff_slice_values": lambda lib, x, mode: lib.payoff_slice_values(
+        game_3x3(lib, mode), 0, [block(half(mode), mode), block(x, mode)]),
+    "best_reply_check": lambda lib, x, mode: lib.best_reply_check(
+        game_3x3(lib, mode), lib.MixedProfile((block(half(mode), mode), block(x, mode)))),
+    "transversal_at": lambda lib, x, mode: lib.transversal_at(
+        game_3x3(lib, mode), lib.good_family(game_3x3(lib, mode), R=[[(0, 1)], [(0, 1)]]),
+        lib.ChartPoint((0, 0), chart_coords(x, mode))),
+    "on_hypersurface": lambda lib, x, mode: lib.on_hypersurface(
+        game_3x3(lib, mode), lib.PayoffDiff(0, (0, 1)),
+        lib.ChartPoint((0, 0), chart_coords(x, mode))),
+    "certify": lambda lib, x, mode: cli(
+        lib, "certify", game_file(lib, mode), "--point",
+        ";".join(",".join(map(str, b)) for b in (block(half(mode), mode), block(x, mode))),
+        *["--exact"] * (mode == "rational")),
+}
+
+
 def code_lines(root: Path) -> int:
     """The lines of root's src/nashatlas that its statements span: a simple
     statement's every line, a compound one's first line and the lines of
@@ -434,7 +523,7 @@ def main(argv=None) -> int:
     sections = {"fixture": fixture,
                 **{name: partial(workload, kind) for name, kind in workloads.WORKLOADS.items()},
                 "tied": tied, "shapes": partial(shapes, workloads.square_families),
-                "cli": cli_runs}
+                "cli": cli_runs, "errors": errors}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent's tree")
     parser.add_argument("--only", nargs="+", choices=sections, help="sections (default: all)")

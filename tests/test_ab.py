@@ -1,4 +1,4 @@
-"""tests/ab.py, the in-process A/B run of two trees, on its tied section."""
+"""tests/ab.py, the in-process A/B run of two trees, on its tied and errors sections."""
 
 import dataclasses
 import importlib.util
@@ -27,16 +27,19 @@ def enumerate_nash(game, seed=0):
 
 
 def _ab(parent, *args):
-    return subprocess.run([sys.executable, str(AB), str(parent), *(args or ("--only", "tied"))],
+    return subprocess.run([sys.executable, str(AB), str(parent),
+                           *(args or ("--only", "tied", "errors"))],
                           capture_output=True, text=True, timeout=60)
 
 
 def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
     same = _ab(ROOT)
     assert same.returncode == 0, same.stdout + same.stderr
-    # 70 games in two modes: each solve and each game's decompositions
-    assert "0 of 280 records differ; 0 apart from their numbers" in same.stdout
+    # 70 games in two modes: each solve and each game's decompositions;
+    # 10 entry paths in two modes, each given 9 malformed values
+    assert "0 of 460 records differ; 0 apart from their numbers" in same.stdout
     assert re.search(r"^tied: 280 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
+    assert re.search(r"^errors: 180 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
     # one tree has as many code lines as itself
     assert re.search(r"^src code lines: parent (\d+), change \1, change - parent 0$",
                      same.stdout, re.M), same.stdout
@@ -47,7 +50,7 @@ def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
         f.write(REVERSED)
     moved = _ab(tmp_path)
     assert moved.returncode == 1, moved.stdout + moved.stderr
-    assert re.search(r"^\d+ of 280 records differ", moved.stdout, re.M)
+    assert re.search(r"^\d+ of 460 records differ", moved.stdout, re.M)
     assert re.search(r"^  point: \d+ values differ \(tied \d+\)", moved.stdout, re.M)
     # the parent side is the copy, REVERSED's five statement lines longer
     assert re.search(r"^src code lines: parent \d+, change \d+, change - parent -5$",

@@ -58,7 +58,10 @@ def test_chart_point_validation(mp_float):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda g: chart_point(g, (0, 0), [[np.inf], [0.5]]), "non-finite coordinate for player 1"),
+    # the id of the row's old message
+    pytest.param(lambda g: chart_point(g, (0, 0), [[np.inf], [0.5]]),
+                 "player 1 chart coordinate inf is not a number",
+                 id="<lambda>-non-finite coordinate for player 1"),
     (lambda g: parse_chart("a,b", g), "bad chart spec 'a,b': expected l1,l2,..."),
 ])
 def test_input_errors_name_the_bad_input(mp_float, call, message):
@@ -308,7 +311,8 @@ def test_chart_coords_may_be_lists():
     lambda game, point: transversal_at(game, DIFFS, point),
 ], ids=["on_hypersurface", "transversal_at"])
 def test_a_non_finite_chart_coordinate_is_named(coords, call):
-    with pytest.raises(ValueError, match="^non-finite coordinate for player 1$"):
+    value = coords[0][0]
+    with pytest.raises(ValueError, match=f"^player 1 chart coordinate {value} is not a number$"):
         call(make_game(*PENNIES), ChartPoint((0, 0), coords))
 
 

@@ -256,9 +256,14 @@ def test_goodcheck_bad_spec(capsys):
     (["goodcheck", "--shape", "2x2", "--t", "1:5"], "C:1:5: coordinate index 5 out of range"),
     (["goodcheck", "--shape", "2x2", "--r", "1:1-0"], "D:1:1:0: pair must satisfy 0 <= j < k"),
     (["goodcheck", "--shape", "2x3", "--r", "1:0-2"], "D:1:0:2: pair index 2 out of range"),
-    (["certify", "{mp}", "--point", "1/0,1;1,0"], "player 1: bad weight '1/0'"),
-    (["certify", "{mp}", "--point", "0.5,0.5;x,0.5"], "player 2: bad weight 'x'"),
-    (["certify", "{mp}", "--point", "0.5,0.5;1"], "player 2 needs 2 weights"),
+    # the next three rows keep the ids of their old messages
+    pytest.param(["certify", "{mp}", "--point", "1/0,1;1,0"], "player 1 weight 1/0 is not a number",
+                 id="argv7-player 1: bad weight '1/0'"),
+    pytest.param(["certify", "{mp}", "--point", "0.5,0.5;x,0.5"],
+                 "player 2 weight x is not a number",
+                 id="argv8-player 2: bad weight 'x'"),
+    pytest.param(["certify", "{mp}", "--point", "0.5,0.5;1"], "player 2 takes 2 weights, got 1",
+                 id="argv9-player 2 needs 2 weights"),
     (["sample", "2x2", "--count", "0"], "--count must be >= 1"),
     (["certify", "{mp}", "--from-json", "{mp}.missing"],
      "cannot read {mp}.missing: No such file or directory"),

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from nashatlas import (
     RATIONAL,
+    FiniteGame,
+    MixedProfile,
     MultilinearForm,
     PayoffDiff,
     best_reply_check,
@@ -72,13 +74,19 @@ def test_mp_frozen_values(mp_float):
 @pytest.mark.parametrize("exact, zero", [(True, Fraction(0)), (False, 0.0)])
 def test_lambda_0_is_zero_in_the_games_numbers(tmp_path, capsys, exact, zero):
     # Fraction(0) in rational mode, 0.0 in float mode, in both
-    # decompositions and in `nashatlas lambda --json` ("0" and 0.0)
+    # decompositions and in `nashatlas lambda --json` ("0" and 0.0); the
+    # defining maps take the game's numbers too, and a rational game built
+    # directly from float tensors is read by its mode, not its dtype
     game = make_game((2, 2), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
                      mode=RATIONAL if exact else "float")
-    for i in range(2):
-        for lam0 in (lambda_decomposition(game, i).lambdas[0],
-                     homogeneous_decomposition(game, i).Lambdas[0]):
-            assert [(type(x), x) for x in lam0.coeffs.tolist()] == [(type(zero), zero)] * 2
+    direct = FiniteGame((2, 2), tuple(u.astype(float) for u in game.utilities), game.mode)
+    for g in (game, direct):
+        for i in range(2):
+            for lam0 in (lambda_decomposition(g, i).lambdas[0],
+                         homogeneous_decomposition(g, i).Lambdas[0]):
+                assert [(type(x), x) for x in lam0.coeffs.tolist()] == [(type(zero), zero)] * 2
+            diff = defining_map(g, PayoffDiff(i, (0, 1)), (0, 0)).coeffs
+            assert {type(x) for x in diff.tolist()} == {type(zero)}
     path = tmp_path / "mp.game"
     path.write_text(serialize_game(game))
     assert main(["lambda", str(path), "--player", "1", "--json"] + ["--exact"] * exact) == 0
@@ -142,15 +150,23 @@ def _rational(game):
      "player 2 takes 2 weights, got 3"),
     (lambda g: payoff_slice_values(g, 1, [[1, 0]]), "player 2 takes 2 weights, got 0"),
     (lambda g: payoff_slice_values(g, 1, [[0.5, 0.5]] * 3), "no player 3"),
-    # a non-finite weight, against a float and a rational game
-    (lambda g: payoff_slice_values(g, 0, [[0.5, 0.5], [math.nan, 1.0]]),
-     "player 2: weight nan is not finite"),
-    (lambda g: payoff_slice_values(_rational(g), 1, [[math.inf, 0.0], [0.5, 0.5]]),
-     "player 1: weight inf is not finite"),
-    (lambda g: best_reply_check(g, profile_from_weights([[math.nan, 1.0], [0.5, 0.5]])),
-     "player 1: weight nan is not finite"),
-    (lambda g: best_reply_check(_rational(g), profile_from_weights([[0.5, 0.5], [-math.inf, 1]])),
-     "player 2: weight -inf is not finite"),
+    # a non-finite weight, against a float and a rational game (each row
+    # keeps the id of its old message); profile_from_weights refuses the
+    # non-finite weight itself, so best_reply_check gets it in a MixedProfile
+    pytest.param(lambda g: payoff_slice_values(g, 0, [[0.5, 0.5], [math.nan, 1.0]]),
+                 "player 2 weight nan is not a number",
+                 id="<lambda>-player 2: weight nan is not finite"),
+    pytest.param(lambda g: payoff_slice_values(_rational(g), 1, [[math.inf, 0.0], [0.5, 0.5]]),
+                 "player 1 weight inf is not a number",
+                 id="<lambda>-player 1: weight inf is not finite"),
+    pytest.param(lambda g: best_reply_check(g, MixedProfile((np.array([math.nan, 1.0]),
+                                                             np.array([0.5, 0.5])))),
+                 "player 1 weight nan is not a number",
+                 id="<lambda>-player 1: weight nan is not finite"),
+    pytest.param(lambda g: best_reply_check(_rational(g), MixedProfile(
+                     (np.array([0.5, 0.5]), np.array([-math.inf, 1])))),
+                 "player 2 weight -inf is not a number",
+                 id="<lambda>-player 2: weight -inf is not finite"),
 ])
 def test_input_errors_name_the_bad_input(mp_float, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,8 +1,12 @@
 """Game construction, parsing, serialization, and profile helpers."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,26 +18,34 @@ from hypothesis import strategies as st
 from nashatlas import (
     FLOAT,
     RATIONAL,
+    ChartPoint,
     GameFormatError,
     MixedProfile,
+    PayoffDiff,
     SupportProfile,
     best_reply_check,
     enumerate_nash,
     chart_point,
     good_family,
     make_game,
+    on_hypersurface,
     parse_game,
+    payoff_slice_values,
     profile_from_weights,
     random_game,
     regular_value_probe,
     serialize_game,
     solve_support,
     support_of,
+    transversal_at,
 )
 from nashatlas import game as game_module
+from nashatlas.cli import main
 from nashatlas.game import _face_table
 
 
+# a row whose message changed keeps the id it had (its old message), so
+# that it stays one row under one name
 @pytest.mark.parametrize("call, error, message", [
     (lambda: game_module.SupportProfile(((),)), ValueError, "supports must be nonempty"),
     (lambda: game_module.SupportProfile(((1, 0),)), ValueError,
@@ -41,19 +53,26 @@ from nashatlas.game import _face_table
     (lambda: make_game((), []), ValueError, "need at least one player"),
     (lambda: make_game((2, 2), [np.zeros((2, 2))] * 2, mode="exact"), ValueError,
      "unknown mode 'exact'"),
-    (lambda: make_game((2, 2), [np.array([[np.inf, 0], [0, 0]]), np.zeros((2, 2))]), ValueError,
-     "utility tensor 0 contains non-finite entries"),
+    pytest.param(lambda: make_game((2, 2), [np.array([[np.inf, 0], [0, 0]]), np.zeros((2, 2))]),
+                 ValueError, "utility tensor 0 entry inf is not a number",
+                 id="<lambda>-ValueError-utility tensor 0 contains non-finite entries"),
+    # rational mode: the float mode's ValueError, not a TypeError
     (lambda: make_game((2, 2), [np.array([[None, 0], [0, 0]]), np.zeros((2, 2))], mode=RATIONAL),
-     TypeError, "cannot convert None to Fraction"),
+     ValueError, "utility tensor 0 entry None is not a number"),
     # rational mode: the float mode's message, not float.as_integer_ratio's error
-    (lambda: make_game((2, 2), [[0] * 4, [np.inf, 0, 0, 0]], mode=RATIONAL), ValueError,
-     "utility tensor 1 contains non-finite entries"),
-    (lambda: make_game((2, 2), [[0] * 4, [0, np.nan, 0, 0]], mode=RATIONAL), ValueError,
-     "utility tensor 1 contains non-finite entries"),
-    (lambda: profile_from_weights([[np.inf, 0], [1, 0]], RATIONAL), ValueError,
-     "cannot convert inf to Fraction"),
-    (lambda: chart_point(random_game((2, 2), seed=1), (0, 0), [[np.nan], [0]], mode=RATIONAL),
-     ValueError, "cannot convert nan to Fraction"),
+    pytest.param(lambda: make_game((2, 2), [[0] * 4, [np.inf, 0, 0, 0]], mode=RATIONAL),
+                 ValueError, "utility tensor 1 entry inf is not a number",
+                 id="<lambda>-ValueError-utility tensor 1 contains non-finite entries0"),
+    pytest.param(lambda: make_game((2, 2), [[0] * 4, [0, np.nan, 0, 0]], mode=RATIONAL),
+                 ValueError, "utility tensor 1 entry nan is not a number",
+                 id="<lambda>-ValueError-utility tensor 1 contains non-finite entries1"),
+    pytest.param(lambda: profile_from_weights([[np.inf, 0], [1, 0]], RATIONAL), ValueError,
+                 "player 1 weight inf is not a number",
+                 id="<lambda>-ValueError-cannot convert inf to Fraction"),
+    pytest.param(lambda: chart_point(random_game((2, 2), seed=1), (0, 0), [[np.nan], [0]],
+                                     mode=RATIONAL),
+                 ValueError, "player 1 chart coordinate nan is not a number",
+                 id="<lambda>-ValueError-cannot convert nan to Fraction"),
     (lambda: support_of(profile_from_weights([[0.0, 0.0], [1.0, 0.0]])), ValueError,
      "profile has an all-zero weight vector"),
     (lambda: random_game((2, 2), seed=1, distribution="cauchy"), ValueError,
@@ -163,6 +182,99 @@ def test_non_integral_inputs_are_value_errors_naming_them(what, call, value):
     # TypeError, and no message of Python's own
     with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {value} is not an integer')}$"):
         call(value)
+
+
+_GAMES = {FLOAT: random_game((3, 3), seed=1)}
+_GAMES[RATIONAL] = make_game((3, 3), _GAMES[FLOAT].utilities, RATIONAL)
+_QUARTER = {FLOAT: 0.25, RATIONAL: Fraction(1, 4)}
+
+
+def _block(x, mode):
+    """Player 2's block of three numbers of the mode, x first."""
+    return np.array([x, _QUARTER[mode], _QUARTER[mode]], dtype=object)
+
+
+def _point(x, mode):
+    """A chart (0, 0) point of the 3x3 games, x player 2's first coordinate."""
+    return ChartPoint((0, 0), (np.array([_QUARTER[mode]] * 2, dtype=object), _block(x, mode)[:2]))
+
+
+def _certify(x, mode, tmp):
+    """nashatlas certify at a point read from a solve report whose player 2
+    weights are x, 1/4 and 1/4 (p/q strings for RATIONAL, JSON numbers
+    otherwise; inf and nan as JSON's Infinity and NaN, 1j as "1j"); the
+    CLI's error line raised as the ValueError it reports."""
+    (tmp / "game.txt").write_text(serialize_game(_GAMES[mode]), encoding="utf-8")
+    quarter = "1/4" if mode == RATIONAL else 0.25
+    point = [[quarter, quarter, "1/2" if mode == RATIONAL else 0.5], [x, quarter, quarter]]
+    report = {"results": {"equilibria": [{"point": point}]}}
+    (tmp / "solve.json").write_text(json.dumps(report, default=str), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["certify", str(tmp / "game.txt"), "--from-json", str(tmp / "solve.json")]
+                    + ["--exact"] * (mode == RATIONAL))
+    if code == 1:
+        raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
+
+
+_ENTRIES = {
+    "make_game": ("utility tensor 1 entry", lambda x, mode, tmp: make_game(
+        (3, 3), [np.zeros(9), [0] * 4 + [x] + [0] * 4], mode)),
+    "profile_from_weights": ("player 2 weight", lambda x, mode, tmp: profile_from_weights(
+        [[_QUARTER[mode]] * 3, _block(x, mode)], mode)),
+    "chart_point": ("player 2 chart coordinate", lambda x, mode, tmp: chart_point(
+        _GAMES[mode], (0, 0), [[0.25, 0.25], [x, 0.25]], mode)),
+    "payoff_slice_values": ("player 2 weight", lambda x, mode, tmp: payoff_slice_values(
+        _GAMES[mode], 0, [[_QUARTER[mode]] * 3, _block(x, mode)])),
+    "best_reply_check": ("player 2 weight", lambda x, mode, tmp: best_reply_check(
+        _GAMES[mode], MixedProfile((_block(0, mode), _block(x, mode))))),
+    "transversal_at": ("player 2 chart coordinate", lambda x, mode, tmp: transversal_at(
+        _GAMES[mode], good_family(_GAMES[mode], R=[[(0, 1)], [(0, 1)]]), _point(x, mode))),
+    "on_hypersurface": ("player 2 chart coordinate", lambda x, mode, tmp: on_hypersurface(
+        _GAMES[mode], PayoffDiff(0, (0, 1)), _point(x, mode))),
+    "certify": ("player 2 weight", _certify),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None, "x", 1j, [0, 1]],
+                         ids=["inf", "-inf", "nan", "None", "x", "1j", "nested"])
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_a_value_that_is_no_number_is_one_value_error_naming_it(entry, mode, value, tmp_path):
+    # one rule (game._number) for every number from outside, in both
+    # modes: a ValueError naming the input and the value, never a
+    # TypeError, AttributeError or OverflowError, and never a profile or
+    # point holding a non-finite number
+    what, call = _ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {value} is not a number')}$"):
+        call(value, mode, tmp_path)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "x", "1j", "1/0", "1e10000000"])
+def test_parse_game_names_a_bad_number_in_both_modes(token, mode):
+    # the 10-byte token 1e10000000 is refused in rational mode before its
+    # 33-million-bit integer is built
+    text = f"players 1\nstrategies 2\npayoff 1\n1\n{token}\n"
+    start = time.process_time()
+    with pytest.raises(GameFormatError, match=f"^line 5: bad number {re.escape(repr(token))}$"):
+        parse_game(text, mode)
+    assert time.process_time() - start < 0.1
+
+
+def test_a_big_exponent_is_refused_in_time_and_a_moderate_one_read_exactly(tmp_path):
+    # 1e400 is an exact payoff in rational mode; 1e10000000, beyond the
+    # exponent bound, is a bad number at its line through solve --exact
+    exact = parse_game("players 1\nstrategies 2\npayoff 1\n1e400 -1e-400\n", RATIONAL)
+    assert exact.utilities[0].tolist() == [10 ** 400, Fraction(-1, 10 ** 400)]
+    big = tmp_path / "big.txt"
+    big.write_text("players 1\nstrategies 2\npayoff 1\n0\n1e10000000\n", encoding="utf-8")
+    err = io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stderr(err):
+        assert main(["solve", str(big), "--exact"]) == 1
+    assert time.process_time() - start < 0.1
+    assert err.getvalue() == "error: line 5: bad number '1e10000000'\n"
 
 
 def test_make_game_rejects_shape_mismatch():

@@ -43,7 +43,7 @@ from nashatlas import equilibrium, genericity
 from nashatlas.atlas import chart_excludes, defining_map
 from nashatlas.equilibrium import SingularSystem, _newton_starts, solve_support
 from nashatlas.forms import _basis_matrix, _contract_axis, contract
-from nashatlas.game import SupportProfile
+from nashatlas.game import WEIGHT_TOL, SupportProfile
 from nashatlas.genericity import (
     DEDUP_TOL,
     NEWTON_HALVINGS,
@@ -458,8 +458,7 @@ def test_transversal_at_checks_the_coordinate_count():
     g = random_game((2, 2), seed=0)
     family = good_family(g, R=[[(0, 1)]] * 2)
     point = ChartPoint((0, 0), (np.array([0.5]),))
-    with pytest.raises(ValueError, match="^one coordinate vector per player required: "
-                                         "player 2 has none$"):
+    with pytest.raises(ValueError, match="^player 2 takes 1 chart coordinates, got 0$"):
         transversal_at(g, family, point)
 
 
@@ -469,7 +468,7 @@ def test_transversal_at_checks_the_coordinate_lengths():
     g = random_game((2, 2), seed=0)
     family = good_family(g, R=[[(0, 1)]] * 2)
     point = ChartPoint((0, 0), (np.array([0.5, 0.5]), np.array([0.5])))
-    message = "^player 1 takes 1 chart coordinates$"
+    message = "^player 1 takes 1 chart coordinates, got 2$"
     with pytest.raises(ValueError, match=message):
         transversal_at(g, family, point)
     with pytest.raises(ValueError, match=message):
@@ -1328,6 +1327,36 @@ def test_isolated_double_root_is_not_a_continuum():
     assert len(found) == 1
     for weights in found[0].weights:
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-6)
+
+
+def _projective(point) -> np.ndarray:
+    """A chart point's full tilde vectors, each scaled so that its entry of
+    largest magnitude is 1: one key per point of the product of P^{c_i-1},
+    whichever chart it was read in."""
+    return np.concatenate([v / v[np.argmax(np.abs(v))]
+                           for v in (np.asarray(w, dtype=float) for w in point.full_vectors())])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 26: regular_value_probe searches one chart "
+                                       "and misses, without saying so, roots that lie in it")
+def test_every_chart_finds_every_root_that_lies_in_it():
+    # the largest-face family of random_game((2, 2, 2, 2), 40000): the 16
+    # charts find 6, 6, 4, 5, 3, 5, 3, 5, 6, 5, 3, 4, 8, 5, 4 and 3 roots
+    # (seed 0), 9 distinct over all of them, each in every chart
+    g = random_game((2, 2, 2, 2), seed=40000)
+    family = good_family(g, R=[[(0, 1)]] * 4)
+    found = {chart: [_projective(r.point) for r in regular_value_probe(g, family, chart).roots]
+             for chart in itertools.product(range(2), repeat=4)}
+    union = []
+    for key in itertools.chain(*found.values()):
+        if not any(np.abs(key - u).max() < DEDUP_TOL for u in union):
+            union.append(key)
+    assert len(union) == 9
+    for chart, keys in found.items():
+        inside = [u for u in union
+                  if all(abs(u[2 * i + l]) > WEIGHT_TOL for i, l in enumerate(chart))]
+        missed = [u for u in inside if not any(np.abs(k - u).max() < DEDUP_TOL for k in keys)]
+        assert not missed, (chart, len(keys), len(inside))
 
 
 # 2x2x2 games with two full-support equilibria; no seed in the ranges
