@@ -6,7 +6,7 @@ tilde_j (j >= 1) are the plain weights. Chart l = (l_1, ..., l_m) is
 the affine piece where every player's tilde coordinate l_i equals 1;
 its free coordinates are the remaining tilde entries. Every chart label
 that comes in, a transition target included, is checked by
-_validate_chart: one integral index per player, each in range.
+_validate_chart: one index per player (game._indices), each in range.
 
 Three kinds of hypersurface get chart-local defining functions:
 
@@ -20,10 +20,13 @@ Three kinds of hypersurface get chart-local defining functions:
 
 Each is built exactly from the integer payoff tables (_exact_map):
 defining_map rounds it once into a float game's numbers, and
-on_hypersurface decides membership on it exactly. A chart point's
-coordinates are checked by game._check_blocks (one (n_i,) block of
-numbers per player) and are exact by their values (game._exact), never
-by their dtype. Players (0-based), indices and pair entries are integral.
+on_hypersurface decides membership on it exactly (_on). Both check
+their inputs first; _exact_map and _on take checked ones. A chart
+point's coordinates are checked by game._check_blocks (one (n_i,) block
+of numbers per player) and are exact by their values (game._exact),
+never by their dtype. A hypersurface's player (0-based), coordinate
+index and pair entries are indices (game._index); one whose fields are
+not is named by its repr, as its label needs them.
 
 Chart l misses exactly the hyperplanes tilde^i_{l_i} = 0, i.e.
 Coordinate(i, l_i) for l_i >= 1 and Coordinate(i, INF) for l_i = 0;
@@ -43,7 +46,7 @@ from .forms import MultilinearForm, _basis_matrix, _quotients, _tilde_ints
 # homogeneous_decomposition is not called here: bench/spans.py traces it under this name
 from .forms import homogeneous_decomposition  # noqa: F401
 from .game import (FLOAT, MEMBERSHIP_TOL, RATIONAL, FiniteGame, MixedProfile, _check_blocks, _exact,
-                   _integral, _numbers)
+                   _index, _indices, _numbers, _sequence)
 
 INF = float("inf")
 
@@ -61,10 +64,8 @@ class Coordinate:
 
     def __post_init__(self):
         _normalise_player(self)
-        if self.index != INF:
-            if self.index < 0:
-                raise ValueError(f"{self}: coordinate index must be >= 0 or INF")
-            object.__setattr__(self, "index", _integral(self.index, f"{self}: coordinate index"))
+        if (type(self.index) is not int or self.index < 0) and self.index != INF:
+            object.__setattr__(self, "index", _index(self.index, f"{self!r}: coordinate index"))
 
     def __str__(self) -> str:
         j = "inf" if self.index == INF else str(self.index)
@@ -80,9 +81,13 @@ class PayoffDiff:
 
     def __post_init__(self):
         _normalise_player(self)
-        j, k = (_integral(x, f"{self}: pair entry") for x in self.pair)
-        object.__setattr__(self, "pair", (j, k))
-        if not 0 <= j < k:
+        pair = self.pair
+        if type(pair) is not tuple or len(pair) != 2 or not all(type(x) is int and x >= 0
+                                                                 for x in pair):
+            name = f"{self!r}: pair"
+            pair = tuple(_index(x, f"{name} entry") for x in _sequence(pair, name, 2))
+            object.__setattr__(self, "pair", pair)
+        if pair[0] >= pair[1]:
             raise ValueError(f"{self}: pair must satisfy 0 <= j < k")
 
     def __str__(self) -> str:
@@ -94,12 +99,9 @@ Hypersurface = Coordinate | PayoffDiff
 
 
 def _normalise_player(h: Hypersurface) -> None:
-    """Make h.player an int (_integral), or raise a ValueError naming h
-    when it is not an integer >= 0."""
-    if type(h.player) is not int:
-        object.__setattr__(h, "player", _integral(h.player, f"{h}: player index"))
-    if h.player < 0:
-        raise ValueError(f"{h}: player index must be >= 0")
+    """Make h.player an int, or raise _index's ValueError naming h."""
+    if type(h.player) is not int or h.player < 0:
+        object.__setattr__(h, "player", _index(h.player, f"{h!r}: player index"))
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,10 @@ class ChartPoint:
 
 
 def _validate_chart(chart, counts) -> tuple[int, ...]:
-    """The chart label as ints, once it has one integral index l_i per
-    player with 0 <= l_i < counts[i]; otherwise a ValueError."""
-    chart = tuple(_integral(l, "chart index") for l in chart)
-    if len(chart) != len(counts):
-        raise ValueError(f"chart needs {len(counts)} indices")
-    for i, (l, c) in enumerate(zip(chart, counts)):
-        if not 0 <= l < c:
-            raise ValueError(f"chart index {l} out of range for player {i + 1}")
-    return chart
+    """The chart label as a tuple of ints, once it is a sequence of one
+    index l_i per player with 0 <= l_i < counts[i] (game._indices);
+    otherwise a ValueError naming it."""
+    return _indices(chart, "chart", "player {} chart index", counts)
 
 
 def _check_coords(game: FiniteGame, coords, mode: str | None = None) -> None:
@@ -198,8 +195,7 @@ def _pinned_hyperplane(i: int, l: int) -> Coordinate:
 def chart_excludes(chart: tuple[int, ...], h: Hypersurface) -> bool:
     """Whether the hypersurface misses the chart entirely: it is the
     hyperplane the chart pins (_pinned_hyperplane)."""
-    l = chart[h.player]
-    return isinstance(h, Coordinate) and h.index == (INF if l == 0 else l)
+    return h == _pinned_hyperplane(h.player, chart[h.player])
 
 
 def excluded_hypersurfaces(game: FiniteGame, chart) -> list[Coordinate]:
@@ -209,43 +205,53 @@ def excluded_hypersurfaces(game: FiniteGame, chart) -> list[Coordinate]:
 
 
 def _validate_hypersurface(counts, h: Hypersurface) -> None:
-    """Raise ValueError, naming h, unless h is a hypersurface of a game
-    with these strategy counts."""
-    if not 0 <= h.player < len(counts):
-        raise ValueError(f"{h}: no player {h.player + 1}")
-    n = counts[h.player] - 1
-    if isinstance(h, Coordinate):
-        if h.index != INF and h.index > n:
-            raise ValueError(f"{h}: coordinate index {h.index} out of range")
-    elif h.pair[1] > n:
-        raise ValueError(f"{h}: pair index {h.pair[1]} out of range")
+    """Raise _index's ValueError, naming h, unless h is a hypersurface of
+    a game with these strategy counts: its player below their number, its
+    coordinate index or its pair's larger entry below that player's
+    count."""
+    _index(h.player, f"{h}: player index", len(counts))
+    if isinstance(h, PayoffDiff):
+        _index(h.pair[1], f"{h}: pair index", counts[h.player])
+    elif h.index != INF:
+        _index(h.index, f"{h}: coordinate index", counts[h.player])
 
 
-def _check_in_chart(counts, hypersurfaces, chart) -> tuple[int, ...]:
-    """The validated chart, once each hypersurface is checked against the
-    strategy counts and the chart: ValueError for one listed twice,
-    ChartExcludesHypersurface for one the chart misses."""
-    chart = _validate_chart(chart, counts)
-    seen = set()
-    for h in hypersurfaces:
+def _check_members(counts, hypersurfaces) -> list[Hypersurface]:
+    """The hypersurfaces as a list, once each is one of a game with these
+    strategy counts (_validate_hypersurface) and none is listed twice."""
+    members, seen = list(hypersurfaces), set()
+    for h in members:
         _validate_hypersurface(counts, h)
         if h in seen:
             raise ValueError(f"{h} is listed twice")
         seen.add(h)
+    return members
+
+
+def _check_in_chart(chart, hypersurfaces) -> None:
+    """Checked hypersurfaces (_check_members) against a checked chart:
+    ChartExcludesHypersurface for one the chart misses."""
+    for h in hypersurfaces:
         if chart_excludes(chart, h):
             raise ChartExcludesHypersurface(
                 f"{h} has no points in chart {format_chart(chart)}: the chart "
                 "pins that tilde coordinate to 1"
             )
+
+
+def _checked_chart(game: FiniteGame, h: Hypersurface, chart) -> tuple[int, ...]:
+    """The chart (_validate_chart), once h is a hypersurface of the game
+    (_check_members) that meets it (_check_in_chart)."""
+    chart = _validate_chart(chart, game.strategy_counts)
+    _check_in_chart(chart, _check_members(game.strategy_counts, (h,)))
     return chart
 
 
 def _exact_map(game: FiniteGame, h: Hypersurface, chart) -> tuple[MultilinearForm, int]:
-    """h's form in the chart (checked, _check_in_chart) in object ints, and
+    """h's form in a chart it meets (both checked) in object ints, and
     their scale: for a coordinate hyperplane e_0 (INF) or row j of M over 1,
     for Lambda^i_j - Lambda^i_k player i's integer payoffs at j less those
     at k (FiniteGame.integer_utilities) in tilde coordinates, over theirs."""
-    chart = _check_in_chart(game.strategy_counts, (h,), chart)
     i = h.player
     if isinstance(h, Coordinate):
         c = game.strategy_counts[i]
@@ -261,21 +267,36 @@ def defining_map(game: FiniteGame, h: Hypersurface, chart) -> MultilinearForm:
     """Chart-local defining function, as a form ready for eval/grad: blocks
     the players whose chart coordinates it reads, pinned the chart slots.
     _exact_map's form over its scale in the game's numbers, so each float
-    game coefficient is rounded once, +-inf beyond the float range."""
-    form, scale = _exact_map(game, h, chart)
+    game coefficient is rounded once, +-inf beyond the float range. h and
+    the chart are checked first (_checked_chart)."""
+    form, scale = _exact_map(game, h, _checked_chart(game, h, chart))
     return replace(form, coeffs=_quotients(form.coeffs, scale, game.mode == RATIONAL))
 
 
 def on_hypersurface(game: FiniteGame, h: Hypersurface, point: ChartPoint) -> bool:
-    """Membership, exactly, at a point checked as transversal_at checks it:
-    |_exact_map's form at the point|, a float coordinate read by its binary
-    value, is at most tol times its largest |coefficient|, tol 0 at an exact
-    point (game._exact), else MEMBERSHIP_TOL. A zero form holds all."""
-    form, _ = _exact_map(game, h, point.chart)
+    """Membership (_on), exactly, once h, the point's chart
+    (_checked_chart) and its coordinates (_check_coords) are checked, as
+    genericity.transversal_at checks them."""
+    chart = _checked_chart(game, h, point.chart)
     _check_coords(game, point.coords)
-    value = form.eval([point.coords[b] for b in form.blocks])
-    tol = 0 if _exact(point.coords) else MEMBERSHIP_TOL
-    return abs(value) <= Fraction(tol) * max(map(abs, form.coeffs.flat))
+    return bool(_on(game, [h], chart, point.coords))
+
+
+def _on(game: FiniteGame, hypersurfaces, chart, coords) -> list:
+    """The hypersurfaces that contain a point, all checked, decided
+    exactly: h holds when |_exact_map's form at the chart coordinates|,
+    each read once as its exact value (a float by its binary one), is at
+    most tol times its largest |coefficient|, tol 0 at an exact point
+    (game._exact), else MEMBERSHIP_TOL. A zero form holds all."""
+    tol = Fraction(0 if _exact(coords) else MEMBERSHIP_TOL)
+    coords = [_numbers(c, RATIONAL, "chart coordinate") for c in coords]
+    out = []
+    for h in hypersurfaces:
+        form = _exact_map(game, h, chart)[0]
+        value = form.eval([coords[b] for b in form.blocks])
+        if abs(value) <= tol * max(map(abs, form.coeffs.flat)):
+            out.append(h)
+    return out
 
 
 def format_chart(chart) -> str:

@@ -48,6 +48,7 @@ from .game import (
     FiniteGame,
     GameFormatError,
     _check_blocks,
+    _index,
     make_game,
     parse_game,
     profile_from_weights,
@@ -111,7 +112,8 @@ def _load_game(args) -> FiniteGame:
 
 def _zero_game(shape_text: str) -> FiniteGame:
     counts = _parse_shape(shape_text)
-    return make_game(counts, [np.zeros(counts) for _ in counts])
+    # make_game checks the counts before it reads a tensor of that shape
+    return make_game(counts, (np.zeros(counts) for _ in counts))
 
 
 def _seed(text: str) -> int:
@@ -126,16 +128,11 @@ def _seed(text: str) -> int:
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
+    """The strategy counts of a --shape; make_game checks them."""
     try:
-        counts = tuple(int(p) for p in text.lower().split("x"))
+        return tuple(int(p) for p in text.lower().split("x"))
     except ValueError:
         raise ValueError(f"bad shape {text!r}: expected like 2x3x2") from None
-    for c in counts:
-        if c < 2:
-            raise ValueError(
-                f"bad shape {text!r}: every player needs at least 2 strategies"
-            )
-    return counts
 
 
 def _parse_family(game: FiniteGame, t_specs, r_specs):
@@ -147,13 +144,11 @@ def _parse_family(game: FiniteGame, t_specs, r_specs):
         """Player index and parsed items of one --t or --r spec."""
         try:
             head, rest = spec.split(":")
-            i = int(head) - 1
+            player = int(head)
             items = [item(part) for part in rest.split(",") if part]
         except ValueError:
             raise ValueError(f"bad {flag} spec {spec!r}: expected {form}") from None
-        if not 0 <= i < m:
-            raise ValueError(f"no player {head}")
-        return i, items
+        return _index(player, f"{flag} spec {spec!r}: player", m + 1, 1) - 1, items
 
     def pair(part: str) -> tuple[int, int]:
         j, k = part.split("-")
@@ -167,15 +162,6 @@ def _parse_family(game: FiniteGame, t_specs, r_specs):
         i, pairs = entries(spec, "--r", "i:j-k[,j-k...]", pair)
         R[i] += pairs
     return good_family(game, T, R)
-
-
-def _parse_point(game: FiniteGame, spec: str) -> list[list[str]]:
-    blocks = spec.split(";")
-    if len(blocks) != game.num_players:
-        raise ValueError(
-            f"point needs {game.num_players} weight blocks separated by ';'"
-        )
-    return [b.split(",") for b in blocks]
 
 
 def _solve_payload(result: EnumerationResult, payoffs) -> dict:
@@ -264,7 +250,7 @@ def _monomial_entries(form):
 
 def _cmd_lambda(args):
     game = _load_game(args)
-    dec = lambda_decomposition(game, args.player - 1)
+    dec = lambda_decomposition(game, _index(args.player, "--player", game.num_players + 1, 1) - 1)
 
     def render(name, form):
         entries = _monomial_entries(form)
@@ -310,8 +296,7 @@ def _cmd_goodcheck(args):
 
 def _cmd_sample(args):
     counts = _parse_shape(args.shape)
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
+    _index(args.count, "--count", start=1)
     rows = []
     odd_hits = 0
     witness_hits = 0
@@ -360,8 +345,7 @@ def _cmd_sample(args):
 
 
 def _point_from_solve_json(path: str, index: int):
-    if index < 0:
-        raise ValueError("--index must be >= 0")
+    _index(index, "--index")
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -384,7 +368,7 @@ def _cmd_certify(args):
         raise ValueError("--index needs --from-json")
     game = _load_game(args)
     if args.point is not None:
-        blocks = _parse_point(game, args.point)
+        blocks = [b.split(",") for b in args.point.split(";")]
     else:
         blocks = _point_from_solve_json(args.from_json, args.index or 0)
     # each weight as typed (a JSON number by its repr); any p/q makes the point exact
@@ -404,7 +388,7 @@ def _cmd_certify(args):
         family = _parse_family(game, args.t, args.r)
     else:
         family = canonical_equilibrium_family(game, support_of(profile))
-    _check_in_chart(game.strategy_counts, family.hypersurfaces(), chart)
+    _check_in_chart(chart, family.hypersurfaces())
     point = chart_zero_point(profile)
     if chart != point.chart:
         point = transition(point, chart)

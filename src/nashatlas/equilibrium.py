@@ -109,7 +109,8 @@ from .game import (
     MixedProfile,
     SupportProfile,
     _check_blocks,
-    _check_seed,
+    _check_support,
+    _index,
     _integer_ratio,
     _rounded,
     profile_from_weights,
@@ -422,16 +423,12 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     support's equilibrium or nothing, not every positive solution; its
     profiles are Fractions in either mode. Three or more mixed players
     make the system multilinear; only those supports take multistart
-    Newton (_newton_solve). The seed of the Newton starts is an integer
-    >= 0 (game._check_seed), checked on every route."""
-    seed = _check_seed(seed)
-    supports, counts = support.supports, game.strategy_counts
-    if len(supports) != len(counts):
-        raise ValueError(f"support has {len(supports)} blocks, expected {len(counts)}")
-    for i, (supp, c) in enumerate(zip(supports, counts)):
-        if supp[0] < 0 or supp[-1] >= c:
-            raise ValueError(f"support index out of range for player {i + 1}")
-    if len(counts) > 2 and sum(len(s) > 1 for s in supports) > 2:
+    Newton (_newton_solve). The seed of the Newton starts is an index
+    (game._index), and the support is checked against the game
+    (game._check_support), on every route."""
+    seed = _index(seed, "seed")
+    supports = _check_support(support, game.strategy_counts)
+    if len(supports) > 2 and sum(len(s) > 1 for s in supports) > 2:
         return _newton_solve(game, support, seed)
     return _exact_pair_solve(game, support)
 
@@ -516,10 +513,10 @@ def enumerate_nash(game: FiniteGame, seed: int = 0) -> EnumerationResult:
     Degenerate strata become warnings; a witnessed equilibrium continuum
     makes the result report the continuum instead of a (meaningless)
     finite list. Each certificate carries the verdict of
-    certify_equilibrium. The seed of the Newton starts is an integer >= 0
-    (game._check_seed).
+    certify_equilibrium. The seed of the Newton starts is an index
+    (game._index).
     """
-    seed = _check_seed(seed)
+    seed = _index(seed, "seed")
     result = EnumerationResult()
     found: list[EquilibriumCertificate] = []
     for support in enumerate_supports(game):

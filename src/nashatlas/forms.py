@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import (FLOAT, RATIONAL, FiniteGame, _check_blocks, _exact, _integer_ratio, _integral,
+from .game import (FLOAT, RATIONAL, FiniteGame, _check_blocks, _exact, _index, _integer_ratio,
                    _numbers, _rounded)
 
 
@@ -160,26 +160,22 @@ def contract(tensor: np.ndarray, vectors) -> np.ndarray:
 
 def _coerce_vector(vec, rational: bool) -> np.ndarray:
     """vec as the form's numbers (game._numbers), its shape kept (a scalar
-    becomes a vector of one); a float64 array is taken as it is, and a
-    rational form keeps only exact arrays (game._exact)."""
-    if isinstance(vec, np.ndarray) and (_exact([vec.flat]) if rational else vec.dtype == float):
+    becomes a vector of one); a finite float64 array is taken as it is
+    (one holding inf or nan goes through the rule, which refuses it), and
+    a rational form keeps only exact arrays (game._exact)."""
+    if isinstance(vec, np.ndarray) and (_exact([vec.flat]) if rational else
+                                        vec.dtype == float and np.isfinite(vec).all()):
         return vec
     return _numbers(vec, RATIONAL if rational else FLOAT, "form input").reshape(np.shape(vec) or -1)
 
 
 def payoff_form(game: FiniteGame, i: int) -> MultilinearForm:
     """Player i's payoff as a homogeneous form in all blocks (the
-    multilinear extension of the pure payoff tensor). Player i is 0-based
-    and integral (2.0 is player 2); a ValueError for one outside the game
-    names it 1-based (_player)."""
-    return MultilinearForm(tuple(range(game.num_players)), game.utilities[_player(game, i)].copy())
-
-
-def _player(game: FiniteGame, i) -> int:
-    i = _integral(i, "player")
-    if not 0 <= i < game.num_players:
-        raise ValueError(f"no player {i + 1}")
-    return i
+    multilinear extension of the pure payoff tensor). Player i is a
+    0-based index below the player count (game._index; 2.0 is player
+    index 2), as in every function of a player here."""
+    i = _index(i, "player index", game.num_players)
+    return MultilinearForm(tuple(range(game.num_players)), game.utilities[i].copy())
 
 
 # Basis change between the natural weights gamma and the homogenized
@@ -265,7 +261,7 @@ def homogeneous_decomposition(game: FiniteGame, i: int) -> HomogeneousDecomposit
     """Own-index slices of player i's integer payoffs (integer_utilities) in
     tilde coordinates over their scale (_quotients): slice 0 is K, slice j >=
     1 is Lambda_j, and Lambda_0 is slice 0 times 0."""
-    i = _player(game, i)
+    i = _index(i, "player index", game.num_players)
     ints, scale = game.integer_utilities[i]
     tilde = np.moveaxis(_tilde_ints(ints), i, 0)
     others = tuple(b for b in range(game.num_players) if b != i)
@@ -280,12 +276,12 @@ def payoff_slice_values(game: FiniteGame, i: int, weights) -> np.ndarray:
 
     Differences of entries are exactly the lambda differences that the
     best-reply conditions compare, for profiles on the sum-to-one set.
-    Inputs are checked (_player, game._check_blocks). The slopes are computed
+    Inputs are checked (game._index, game._check_blocks). The slopes are computed
     exactly in integers (_integer_ratio, _slope_nums), for float
     weights too: Fractions for exact weights (game._exact), else each
     exact value rounded once to float.
     """
-    i = _player(game, i)
+    i = _index(i, "player index", game.num_players)
     _check_blocks(weights, game.strategy_counts, "weight")
     nums, den = _slope_nums(game, i, [_integer_ratio(w, "weight") for w in weights])
     return _quotients(nums, den, _exact(weights))

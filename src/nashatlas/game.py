@@ -9,7 +9,11 @@ Every number from outside (a payoff, a weight, a chart coordinate, a
 game file's token) is read by one rule, _number, and every per-player
 block of them is checked by _check_blocks, built on it: a value that is
 no number is one ValueError naming the input and the value, in both
-modes.
+modes. Every index from outside (a player, a strategy, a chart slot, a
+coordinate label, a strategy count) is read by one rule too, _index, and
+a sequence of them by _sequence and _indices, built on it: a value that
+is no index, or a sequence of the wrong type or length, is one
+ValueError naming the input and the value.
 """
 
 from __future__ import annotations
@@ -184,14 +188,18 @@ class MixedProfile:
 @dataclass(frozen=True)
 class SupportProfile:
     """Per player, the sorted indices of strategies used with nonzero
-    weight; integral entries (_integral) become ints."""
+    weight: one sequence of indices (_index) per player, as a tuple of
+    tuples of ints once built."""
 
     supports: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not all(type(j) is int for supp in self.supports for j in supp):
+        if type(self.supports) is not tuple or not all(  # not yet a tuple of tuples of indices
+                type(supp) is tuple and all(type(j) is int and j >= 0 for j in supp)
+                for supp in self.supports):
             object.__setattr__(self, "supports", tuple(
-                tuple(_integral(j, "support entry") for j in supp) for supp in self.supports))
+                _indices(supp, f"player {i + 1} support", f"player {i + 1} support entry")
+                for i, supp in enumerate(_sequence(self.supports, "support"))))
         for supp in self.supports:
             if not supp:
                 raise ValueError("supports must be nonempty")
@@ -199,30 +207,65 @@ class SupportProfile:
                 raise ValueError("supports must be sorted and duplicate-free")
 
 
-def _integral(x, what: str) -> int:
-    """x as an int when it is integral (2, 2.0, a NumPy integer), or a
-    ValueError naming it: an index or a count is never truncated, and
-    what int() refuses (None, inf, nan, a string that is no number) is
-    that ValueError too."""
+def _check_support(support: SupportProfile, counts) -> tuple[tuple[int, ...], ...]:
+    """support.supports once it has one support per player and player i's
+    entries (sorted ints >= 0, SupportProfile) lie below counts[i]: else
+    _sequence's or _index's ValueError. The one support check against a
+    game."""
+    supports = support.supports
+    if len(supports) != len(counts):
+        _sequence(supports, "support", len(counts))
+    for i, (supp, c) in enumerate(zip(supports, counts)):
+        if supp[-1] >= c:
+            _index(supp[-1], f"player {i + 1} support entry", c)
+    return supports
+
+
+def _index(x, what: str, stop: float = math.inf, start: int = 0) -> int:
+    """The one rule for an index from outside, named by what: x as an int
+    when it is integral (2, 2.0, a NumPy integer; never truncated), at
+    least start and below stop; else a ValueError naming what and x. What
+    int() refuses (None, inf, nan, a string, a sequence) is that
+    ValueError too."""
+    if type(x) is not int:
+        try:
+            i = int(x)
+            if i != x:  # never truncated
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{what} {x} is not an integer") from None
+        x = i
+    if not start <= x < stop:
+        raise ValueError(f"{what} {x} must be >= {start}" if x < start else f"{what} {x} out of range")
+    return x
+
+
+def _sequence(xs, what: str, length: int | None = None) -> tuple:
+    """xs as a tuple when it is a sequence (anything iterable but a
+    string) of length entries, or of any length when length is None;
+    else a ValueError naming what and xs."""
     try:
-        i = int(x)
-        integral = i == x
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValueError(f"{what} {x} is not an integer")
-    return i
+        if isinstance(xs, str):
+            raise TypeError
+        xs = tuple(xs)  # a tuple as it is
+    except TypeError:
+        raise ValueError(f"{what} {xs} is not a sequence") from None
+    if length is not None and len(xs) != length:
+        raise ValueError(f"{what} {xs} has length {len(xs)}, expected {length}")
+    return xs
 
 
-def _check_seed(seed) -> int:
-    """A library seed as an int when it is integral (_integral) and >= 0,
-    the rule of the CLI's --seed, or a ValueError naming it (None too)."""
-    if type(seed) is int and seed >= 0:  # the common case, every check passed
-        return seed
-    seed = _integral(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed {seed} must be >= 0")
-    return seed
+def _indices(xs, name: str, what: str, stops=None, start: int = 0) -> tuple[int, ...]:
+    """A sequence of indices from outside as a tuple of ints: xs a
+    sequence named name (_sequence), its entry k an index (_index) named
+    what.format(k + 1) ("player {} chart index" names player k + 1) of at
+    least start and, with stops given, one entry per stop, below stops[k].
+    A tuple of ints that passes is returned as it is, after one pass."""
+    xs = _sequence(xs, name, None if stops is None else len(stops))
+    stops = stops or [math.inf] * len(xs)
+    if all(type(x) is int and start <= x < s for x, s in zip(xs, stops)):
+        return xs  # the common case, every check passed
+    return tuple(_index(x, what.format(k + 1), s, start) for k, (x, s) in enumerate(zip(xs, stops)))
 
 
 def make_game(
@@ -232,15 +275,14 @@ def make_game(
 ) -> FiniteGame:
     """Validate shapes and entries and build a FiniteGame.
 
-    utilities may be nested sequences or arrays of any shape with the
-    right number of entries, read row-major; each entry becomes the
-    mode's number (_number).
+    strategy_counts is a sequence of at least one count, each an index
+    (_indices) of at least 2. utilities may be nested sequences or arrays
+    of any shape with the right number of entries, read row-major; each
+    entry becomes the mode's number (_number).
     """
-    counts = tuple(_integral(c, "strategy count") for c in strategy_counts)
+    counts = _indices(strategy_counts, "strategy counts", "player {} strategy count", start=2)
     if len(counts) < 1:
         raise ValueError("need at least one player")
-    if any(c < 2 for c in counts):
-        raise ValueError("each player needs at least 2 pure strategies (n_i >= 1)")
     if mode not in (FLOAT, RATIONAL):
         raise ValueError(f"unknown mode {mode!r}")
     utilities = list(utilities)
@@ -378,9 +420,10 @@ def random_game(strategy_counts, seed: int, distribution: str = "uniform") -> Fi
     """Seeded random game with i.i.d. entries, float mode.
 
     distribution: "uniform" for uniform[-1, 1], "normal" for standard normal.
+    The strategy counts are checked as make_game checks them (_indices).
     """
-    counts = tuple(_integral(c, "strategy count") for c in strategy_counts)
-    rng = np.random.default_rng(_check_seed(seed))
+    counts = _indices(strategy_counts, "strategy counts", "player {} strategy count", start=2)
+    rng = np.random.default_rng(_index(seed, "seed"))
     tensors = []
     for _ in counts:
         if distribution == "uniform":

@@ -34,8 +34,9 @@ monomials and one matrix product, and a lone point is evaluated as a
 row of a stack, so its bits do not depend on the stack.
 
 What does not depend on the payoffs is built once and kept. A face plan
-(_face_plan), one per (strategy counts, family, chart), holds the
-family's and the chart's checks, the face and weight maps and, per
+(_face_plan), one per (strategy counts, family, chart), is built for a
+chart and a family already checked (the probe checks a family once per
+key, _check_family) and holds the face and weight maps and, per
 equation player, the payoff indices of its pairs and its einsum layout;
 a Segre table (_segre_tables), one per (block sizes, equations per
 player), holds the monomial gather table and the index that takes the
@@ -77,17 +78,18 @@ from .atlas import (
     Coordinate,
     Hypersurface,
     PayoffDiff,
-    _check_in_chart,
     _check_coords,
+    _check_in_chart,
+    _check_members,
+    _on,
     _validate_chart,
-    _validate_hypersurface,
     chart_excludes,
     defining_map,
-    on_hypersurface,
 )
 from .forms import _basis_matrix
 from .game import (
     DEDUP_TOL,
+    FLOAT,
     NEWTON_HALVINGS,
     NEWTON_MAX_ITERS,
     RANDOM_STARTS,
@@ -95,8 +97,9 @@ from .game import (
     RESIDUAL_TOL,
     FiniteGame,
     SupportProfile,
-    _check_seed,
-    _integral,
+    _check_support,
+    _index,
+    _sequence,
 )
 
 
@@ -104,20 +107,23 @@ from .game import (
 class GoodFamily:
     """Per player: coordinate labels T^i (ints or INF) and strategy
     pairs R^i with j < k, as tuples of ints (and INF) once built, so that
-    every family is a key of the face plans: an entry of another type is
-    normalised by its member (atlas.Coordinate, atlas.PayoffDiff), whose
-    ValueError names it."""
+    every family is a key of the face plans: T, R and each player's
+    entries are sequences (game._sequence), and an entry of another type
+    is normalised by its member (atlas.Coordinate, atlas.PayoffDiff),
+    whose ValueError names it."""
 
     T: tuple[tuple, ...]
     R: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "T", tuple(tuple(
-            t if type(t) is int else Coordinate(i, t).index for t in ts)
-            for i, ts in enumerate(self.T)))
+            t if type(t) is int else Coordinate(i, t).index
+            for t in _sequence(ts, f"player {i + 1} coordinate labels"))
+            for i, ts in enumerate(_sequence(self.T, "coordinate labels"))))
         object.__setattr__(self, "R", tuple(tuple(
             p if type(p) is tuple and set(map(type, p)) == {int} else PayoffDiff(i, p).pair
-            for p in ps) for i, ps in enumerate(self.R)))
+            for p in _sequence(ps, f"player {i + 1} pairs"))
+            for i, ps in enumerate(_sequence(self.R, "pairs"))))
 
     def hypersurfaces(self) -> list[Hypersurface]:
         out: list[Hypersurface] = []
@@ -134,29 +140,21 @@ class GoodFamily:
 
 def _family_members(counts, family: GoodFamily) -> list[Hypersurface]:
     """The family's hypersurfaces, once it has one T and one R entry per
-    player and each member is a hypersurface of a game with these
-    strategy counts."""
+    player and its members are hypersurfaces of a game with these
+    strategy counts, none listed twice (atlas._check_members)."""
     if not len(family.T) == len(family.R) == len(counts):
         raise ValueError("family needs one T and one R entry per player")
-    members = family.hypersurfaces()
-    for h in members:
-        _validate_hypersurface(counts, h)
-    return members
+    return _check_members(counts, family.hypersurfaces())
 
 
 def good_family(game: FiniteGame, T=None, R=None) -> GoodFamily:
-    """Validated family (_family_members), labels and pairs sorted and
-    deduplicated per player; a missing T or R selects nothing, and a
-    label or pair entry that is not an integer is a ValueError."""
+    """Validated family (GoodFamily, then _family_members), labels and
+    pairs sorted and deduplicated per player; a missing T or R selects
+    nothing."""
     empty = [()] * game.num_players
-    T = empty if T is None else T
-    R = empty if R is None else R
-    family = GoodFamily(
-        tuple(tuple(sorted({t if t == INF else _integral(t, "coordinate label") for t in ts},
-                           key=float)) for ts in T),
-        tuple(tuple(sorted({(_integral(j, "pair entry"), _integral(k, "pair entry"))
-                            for j, k in ps})) for ps in R),
-    )
+    family = GoodFamily(empty if T is None else T, empty if R is None else R)
+    family = GoodFamily(tuple(tuple(sorted(set(ts), key=float)) for ts in family.T),
+                        tuple(tuple(sorted(set(ps))) for ps in family.R))
     _family_members(game.strategy_counts, family)
     return family
 
@@ -467,11 +465,12 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
 
 def full_gradient(game: FiniteGame, members, point: ChartPoint) -> np.ndarray:
     """The Jacobian at a chart point of the members' defining maps in all
-    chart coordinates, row r members[r]'s: a coordinate hyperplane's row
-    its defining map's constant vector less the chart slot, in its
-    player's columns; the payoff-difference rows the face system's
-    Jacobian (T empty, _face_plan then _face_system) at z = the chart
-    coordinates, in each player's payoff unit taken exactly."""
+    chart coordinates, row r members[r]'s, all checked (transversal_at's
+    door): a coordinate hyperplane's row its defining map's constant
+    vector less the chart slot, in its player's columns; the
+    payoff-difference rows the face system's Jacobian (T empty,
+    _face_plan then _face_system) at z = the chart coordinates, in
+    each player's payoff unit taken exactly."""
     R = tuple(tuple(sorted({h.pair for h in members if isinstance(h, PayoffDiff) and h.player == i}))
               for i in range(game.num_players))
     plan = _face_plan(game.strategy_counts, GoodFamily(((),) * len(R), R), point.chart).system
@@ -496,26 +495,33 @@ def transversal_at(
 ) -> TransversalityReport:
     """Transversality of the family at one chart point.
 
-    The point (its chart and coordinates), and the family unless
-    `active` is given, are checked against the game first. Hypersurfaces
-    not containing the point are ignored; those the chart excludes cannot
-    contain it and are skipped, and one listed twice raises ValueError.
-    Pass `active` to pin the active set instead of detecting it by
-    membership (where activity is known, as for an equilibrium's
-    canonical family). Verdict is transversal iff the stacked Jacobian
-    (full_gradient: row r active[r]'s, payoff-difference rows the face
-    system's, in exact payoff units) has full row rank.
+    One door checks every input once: the point's chart and coordinates,
+    each a number with a float (the Jacobian is float; an exact one
+    beyond the float range is a ValueError naming it), and the family,
+    or `active` when it is given, against the game. Membership (atlas._on)
+    and the Jacobian are then computed on the checked inputs.
+    Hypersurfaces not containing the point are ignored; those the chart
+    excludes cannot contain it and are skipped, and one listed twice
+    raises ValueError. Pass `active` to pin the active set instead of
+    detecting it by membership (where activity is known, as for an
+    equilibrium's canonical family). Verdict is transversal iff the
+    stacked Jacobian (full_gradient: row r active[r]'s, payoff-difference
+    rows the face system's, in exact payoff units) has full row rank.
     """
-    chart = _validate_chart(point.chart, game.strategy_counts)
+    counts = game.strategy_counts
+    chart = _validate_chart(point.chart, counts)
     _check_coords(game, point.coords)
+    try:
+        floats = tuple(np.asarray(c, dtype=float) for c in point.coords)
+    except OverflowError:
+        _check_coords(game, point.coords, FLOAT)  # names the coordinate beyond the float range
+        raise
     if active is None:
-        members = [h for h in _family_members(game.strategy_counts, family)
-                   if not chart_excludes(chart, h)]
-        _check_in_chart(game.strategy_counts, members, chart)
-        active = [h for h in members if on_hypersurface(game, h, point)]
+        members = [h for h in _family_members(counts, family) if not chart_excludes(chart, h)]
+        active = _on(game, members, chart, point.coords)
     else:
-        _check_in_chart(game.strategy_counts, active, chart)
-    jac = full_gradient(game, active, point)
+        _check_in_chart(chart, _check_members(counts, active))
+    jac = full_gradient(game, active, ChartPoint(chart, floats))
     rank, smin, full = _svd_ranks(jac)
     return TransversalityReport(
         chart=chart,
@@ -531,9 +537,10 @@ def transversal_at(
 def canonical_equilibrium_family(game: FiniteGame, support: SupportProfile) -> GoodFamily:
     """Off-support coordinate hyperplanes plus the star of in-support
     slope equalities; its size is the chart dimension, so the Jacobian
-    at an equilibrium is square."""
+    at an equilibrium is square. The support is checked against the game
+    (game._check_support)."""
     T, R = [], []
-    for i, supp in enumerate(support.supports):
+    for i, supp in enumerate(_check_support(support, game.strategy_counts)):
         T.append(tuple(j for j in range(game.strategy_counts[i]) if j not in supp))
         jstar = supp[0]
         R.append(tuple((jstar, j) for j in supp[1:]))
@@ -590,24 +597,22 @@ def _face_maps(counts, family: GoodFamily, chart):
 @dataclass(frozen=True)
 class _FacePlan:
     """A family's face in a chart, for a game's strategy counts
-    (_face_plan): the validated chart, whether the family is good (the
-    probe's check), the face maps ((1, z_b) -> tilde) and the system
-    plan; maps and system are None when the face misses the chart."""
+    (_face_plan): the face maps ((1, z_b) -> tilde) and the system
+    plan, both None when the face misses the chart."""
 
-    chart: tuple[int, ...]
-    good: bool
     maps: tuple[np.ndarray, ...] | None
     system: _SystemPlan | None
 
 
 @functools.lru_cache(maxsize=FACE_PLANS)
-def _build_face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
-    """The family checked against the counts and the chart (ValueError or
-    ChartExcludesHypersurface, as atlas._check_in_chart raises them);
-    then _face_maps' maps, turned into weights by forms._basis_matrix's
-    M (gamma_0 = tilde_0 - sum_{j>=1} tilde_j, gamma_j = tilde_j), and
-    their _system_plan."""
-    chart = _check_in_chart(counts, _family_members(counts, family), chart)
+def _face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
+    """The plan of a family and a chart (a tuple of ints) already checked
+    against the counts, built once per key and kept: by its caller's door
+    (regular_value_probe, transversal_at) or, for an equilibrium's
+    canonical family in chart (0, ..., 0), by the support check
+    (game._check_support). _face_maps' maps, turned into weights by
+    forms._basis_matrix's M (gamma_0 = tilde_0 - sum_{j>=1} tilde_j,
+    gamma_j = tilde_j), and their _system_plan."""
     maps = _face_maps(counts, family, chart)
     system = None
     if maps is not None:
@@ -615,14 +620,19 @@ def _build_face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
         for a in maps + weights:
             a.setflags(write=False)
         maps, system = tuple(maps), _system_plan(family.R, weights)
-    return _FacePlan(chart, is_good(family), maps, system)
+    return _FacePlan(maps, system)
 
 
-def _face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
-    """_build_face_plan's plan, built once per (counts, family, chart)
-    key and kept, the chart validated (as ints) before the lookup; a bad
-    family or chart raises on every call, as nothing is kept for it."""
-    return _build_face_plan(counts, family, _validate_chart(chart, counts))
+@functools.lru_cache(maxsize=FACE_PLANS)
+def _check_family(counts, family: GoodFamily, chart) -> None:
+    """The probe's check of a family, once per key: against the counts
+    (_family_members) and a checked chart (atlas._check_in_chart:
+    ValueError or ChartExcludesHypersurface), then that it is good
+    (is_good); a bad family or chart raises on every call, as nothing is
+    kept for it."""
+    _check_in_chart(chart, _family_members(counts, family))
+    if not is_good(family):
+        raise ValueError("family is not good (some pair graph has a cycle)")
 
 
 def regular_value_probe(
@@ -642,23 +652,22 @@ def regular_value_probe(
     beyond the float range (payoff differences that large) reads inf,
     without a warning. An empty root set is a regular outcome; the probe
     only ever witnesses degeneracy, it cannot prove its absence. The
-    seed of the random starts is an integer >= 0 (game._check_seed).
+    seed of the random starts is an index (game._index).
     """
-    seed = _check_seed(seed)
+    seed = _index(seed, "seed")
+    chart = _validate_chart(chart, game.strategy_counts)
+    _check_family(game.strategy_counts, family, chart)
     plan = _face_plan(game.strategy_counts, family, chart)
-    if not plan.good:
-        raise ValueError("family is not good (some pair graph has a cycle)")
     if family.num_pairs == 0:
         raise ValueError("family has no payoff-difference pairs to probe")
-    chart, maps = plan.chart, plan.maps
-    if maps is None:
+    if plan.maps is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
     system, vectors = _face_system(game, plan.system)
     total_dim = plan.system.n
 
     def point_of(z) -> ChartPoint:
         return ChartPoint(chart, tuple(
-            np.delete(a @ v, l) for a, v, l in zip(maps, vectors(z), chart)
+            np.delete(a @ v, l) for a, v, l in zip(plan.maps, vectors(z), chart)
         ))
 
     rng = np.random.default_rng(seed)

@@ -49,7 +49,11 @@ Sections, in this order (``--only`` picks some of them):
   ``transversal_at``, ``on_hypersurface``, ``nashatlas certify --point``)
   in both modes, each given one malformed value in turn (BAD: None,
   +-inf, nan, "x", 1j, a nested block, 10**400 and the token
-  1e10000000); an answer is the call's repr (an error, as always, its
+  1e10000000); then every public entry path of an index or a sequence of
+  indices (INDEX_ENTRIES, on a 2x2 game), each given one malformed index
+  in turn (BAD_INDICES: None, "x", 1.5, -1 and a nested sequence; the
+  index one past the entry's range; a scalar where its sequence of
+  indices goes); an answer is the call's repr (an error, as always, its
   exception type and message).
 
 Each item's inputs are built by each side's own library (``random_game``,
@@ -76,8 +80,9 @@ integer moved). A record's scale is the largest finite magnitude of any
 number in either answer, so a rounding move of a number near 0 reads as
 small as it is. A number belongs to the innermost field name or JSON key
 that holds it. Last it prints each tree's src code lines and their
-difference: the lines of src/nashatlas that its statements span (``ast``),
-docstrings, comments and blank lines left out. The exit code is 1 when any
+difference, in all and per module: the lines of src/nashatlas that its
+statements span (``ast``), docstrings, comments and blank lines left
+out. The exit code is 1 when any
 record differs. The script is not a test module: pytest does not collect it.
 """
 
@@ -109,6 +114,10 @@ LAMBDA_GAMES = 10  # per shape, the first cli games whose decompositions are pri
 # the errors section's malformed values, by label
 BAD = {"None": None, "inf": math.inf, "-inf": -math.inf, "nan": math.nan, "x": "x", "1j": 1j,
        "nested": [0, 1], "10**400": 10**400, "1e10000000": "1e10000000"}
+# the errors section's malformed indices, by label, besides each index
+# entry's index one past its range ("past") and a scalar in place of its
+# sequence of indices ("scalar")
+BAD_INDICES = {"None": None, "x": "x", "1.5": 1.5, "-1": -1, "nested": (0, 1)}
 NUMBERS = (int, float, Fraction)
 
 
@@ -413,6 +422,12 @@ def errors(ab, rounds):
             for entry, call in ENTRIES.items():
                 ab(f"errors {entry} {mode} {label}",
                    lambda lib: partial(shown, partial(call, lib, x, mode)))
+    for entry, (call, past, sequence) in INDEX_ENTRIES.items():
+        cases = [(label, call, x) for label, x in BAD_INDICES.items()]
+        cases += [("past", call, past)] * (past is not None)
+        cases += [("scalar", sequence, 0)] * (sequence is not None)
+        for label, run, x in cases:
+            ab(f"errors {entry} {label}", lambda lib: partial(shown, partial(run, lib, x)))
 
 
 def shown(call) -> str:
@@ -485,12 +500,82 @@ ENTRIES = {
 }
 
 
-def code_lines(root: Path) -> int:
-    """The lines of root's src/nashatlas that its statements span: a simple
-    statement's every line, a compound one's first line and the lines of
-    its expressions and parameters (decorators, tests, arguments),
-    docstrings, comments and blank lines left out."""
-    total = 0
+def game_2x2(lib):
+    return lib.random_game((2, 2), seed=1)
+
+
+def half_point(lib):
+    """Every weight 1/2 in chart (0, 0) of a 2x2 game."""
+    return lib.chart_zero_point(lib.profile_from_weights([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def probe_family(lib):
+    return lib.good_family(game_2x2(lib), R=[[(0, 1)], [(0, 1)]])
+
+
+# every public entry path of an index or a sequence of indices: the call
+# with x where one index goes, the index one past the range (None: there is
+# no range without a game), and the call with s in place of the sequence of
+# indices (None: the entry takes one index)
+INDEX_ENTRIES = {
+    "Coordinate-index": (lambda lib, x: lib.defining_map(
+        game_2x2(lib), lib.Coordinate(0, x), (0, 0)), 2, None),
+    "Coordinate-player": (lambda lib, x: lib.defining_map(
+        game_2x2(lib), lib.Coordinate(x, 1), (0, 0)), 2, None),
+    "PayoffDiff-pair": (lambda lib, x: lib.defining_map(
+        game_2x2(lib), lib.PayoffDiff(0, (0, x)), (0, 0)), 2,
+        lambda lib, s: lib.defining_map(game_2x2(lib), lib.PayoffDiff(0, s), (0, 0))),
+    "PayoffDiff-player": (lambda lib, x: lib.defining_map(
+        game_2x2(lib), lib.PayoffDiff(x, (0, 1)), (0, 0)), 2, None),
+    "GoodFamily": (lambda lib, x: lib.transversal_at(
+        game_2x2(lib), lib.GoodFamily(((), (x,)), ((), ())), half_point(lib)), 2,
+        lambda lib, s: lib.GoodFamily(((), s), ((), ()))),
+    "good_family-T": (lambda lib, x: lib.good_family(game_2x2(lib), T=[[], [x]]), 2,
+                      lambda lib, s: lib.good_family(game_2x2(lib), T=[[], s])),
+    "good_family-R": (lambda lib, x: lib.good_family(game_2x2(lib), R=[[], [(0, x)]]), 2,
+                      lambda lib, s: lib.good_family(game_2x2(lib), R=[[], [s]])),
+    "SupportProfile": (lambda lib, x: lib.SupportProfile(((0,), (x,))), None,
+                       lambda lib, s: lib.SupportProfile(((0,), s))),
+    "solve_support": (lambda lib, x: lib.solve_support(
+        game_2x2(lib), lib.SupportProfile(((0,), (x,)))), 2,
+        lambda lib, s: lib.solve_support(game_2x2(lib), lib.SupportProfile(((0,), s)))),
+    "canonical_equilibrium_family": (lambda lib, x: lib.canonical_equilibrium_family(
+        game_2x2(lib), lib.SupportProfile(((0,), (x,)))), 2,
+        lambda lib, s: lib.canonical_equilibrium_family(
+            game_2x2(lib), lib.SupportProfile(((0,), s)))),
+    "chart_point": (lambda lib, x: lib.chart_point(game_2x2(lib), (0, x), [[0.5], [0.5]]), 2,
+                    lambda lib, s: lib.chart_point(game_2x2(lib), s, [[0.5], [0.5]])),
+    "read_chart": (lambda lib, x: lib.read_chart(half_point(lib).full_vectors(), (0, x)), 2,
+                   lambda lib, s: lib.read_chart(half_point(lib).full_vectors(), s)),
+    "transition": (lambda lib, x: lib.transition(half_point(lib), (0, x)), 2,
+                   lambda lib, s: lib.transition(half_point(lib), s)),
+    "excluded_hypersurfaces": (
+        lambda lib, x: lib.excluded_hypersurfaces(game_2x2(lib), (0, x)), 2,
+        lambda lib, s: lib.excluded_hypersurfaces(game_2x2(lib), s)),
+    "regular_value_probe": (
+        lambda lib, x: lib.regular_value_probe(game_2x2(lib), probe_family(lib), (0, x)), 2,
+        lambda lib, s: lib.regular_value_probe(game_2x2(lib), probe_family(lib), s)),
+    "transversal_at": (lambda lib, x: lib.transversal_at(
+        game_2x2(lib), probe_family(lib), lib.ChartPoint((0, x), half_point(lib).coords)), 2,
+        lambda lib, s: lib.transversal_at(game_2x2(lib), probe_family(lib),
+                                          lib.ChartPoint(s, half_point(lib).coords))),
+    "make_game": (lambda lib, x: lib.make_game((2, x), [np.zeros(4)] * 2), 1,
+                  lambda lib, s: lib.make_game(s, [np.zeros(4)] * 2)),
+    "random_game": (lambda lib, x: lib.random_game((2, x), 0), 1,
+                    lambda lib, s: lib.random_game(s, 0)),
+    "payoff_form": (lambda lib, x: lib.payoff_form(game_2x2(lib), x), 2, None),
+    "homogeneous_decomposition": (
+        lambda lib, x: lib.homogeneous_decomposition(game_2x2(lib), x), 2, None),
+    "lambda_decomposition": (lambda lib, x: lib.lambda_decomposition(game_2x2(lib), x), 2, None),
+}
+
+
+def code_lines(root: Path) -> dict[str, int]:
+    """Per module of root's src/nashatlas, the lines that its statements
+    span: a simple statement's every line, a compound one's first line and
+    the lines of its expressions and parameters (decorators, tests,
+    arguments), docstrings, comments and blank lines left out."""
+    out = {}
     for path in sorted((root / "src" / "nashatlas").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
@@ -510,9 +595,9 @@ def code_lines(root: Path) -> int:
                 lines.update(range(node.lineno, node.end_lineno + 1))
             stack.extend(ast.iter_child_nodes(node))
         source = text.splitlines()
-        total += sum(1 for n in lines if source[n - 1].strip()
-                     and not source[n - 1].lstrip().startswith("#"))
-    return total
+        out[path.name] = sum(1 for n in lines if source[n - 1].strip()
+                             and not source[n - 1].lstrip().startswith("#"))
+    return out
 
 
 def main(argv=None) -> int:
@@ -546,7 +631,11 @@ def main(argv=None) -> int:
             print(f"{name}: {ab.records - records} records, {_cpu_ratio(ab.cpu)}", flush=True)
         ab.summary()
     parent, change = (code_lines(root.resolve()) for root in (args.parent, HERE))
-    print(f"src code lines: parent {parent}, change {change}, change - parent {change - parent}")
+    rows = [("src code lines", sum(parent.values()), sum(change.values()))]
+    rows += [(f"  {name}", parent.get(name, 0), change.get(name, 0))
+             for name in sorted(parent.keys() | change.keys())]
+    for name, p, c in rows:
+        print(f"{name}: parent {p}, change {c}, change - parent {c - p}")
     print(f"wall time {time.perf_counter() - start:.1f} s")
     return int(bool(ab.differ))
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 AB = Path(__file__).with_name("ab.py")
 ROOT = AB.parents[1]
+MODULES = sorted(p.name for p in (ROOT / "src" / "nashatlas").glob("*.py"))
 
 # appended to a copy's equilibrium.py: its enumerate_nash lists the same
 # equilibria in reverse order
@@ -36,13 +37,17 @@ def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
     same = _ab(ROOT)
     assert same.returncode == 0, same.stdout + same.stderr
     # 70 games in two modes: each solve and each game's decompositions;
-    # 10 entry paths in two modes, each given 9 malformed values
-    assert "0 of 460 records differ; 0 apart from their numbers" in same.stdout
+    # 10 number entry paths in two modes, each given 9 malformed values,
+    # and 21 index entry paths, each given 5 to 7 malformed indices (140)
+    assert "0 of 600 records differ; 0 apart from their numbers" in same.stdout
     assert re.search(r"^tied: 280 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
-    assert re.search(r"^errors: 180 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
-    # one tree has as many code lines as itself
+    assert re.search(r"^errors: 320 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
+    # one tree has as many code lines as itself, in all and per module
     assert re.search(r"^src code lines: parent (\d+), change \1, change - parent 0$",
                      same.stdout, re.M), same.stdout
+    per_module = re.findall(r"^  (\S+): parent (\d+), change \2, change - parent 0$",
+                            same.stdout, re.M)
+    assert [name for name, _ in per_module] == MODULES, same.stdout
 
     shutil.copytree(ROOT / "src" / "nashatlas", tmp_path / "src" / "nashatlas",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -50,11 +55,15 @@ def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
         f.write(REVERSED)
     moved = _ab(tmp_path)
     assert moved.returncode == 1, moved.stdout + moved.stderr
-    assert re.search(r"^\d+ of 460 records differ", moved.stdout, re.M)
+    assert re.search(r"^\d+ of 600 records differ", moved.stdout, re.M)
     assert re.search(r"^  point: \d+ values differ \(tied \d+\)", moved.stdout, re.M)
-    # the parent side is the copy, REVERSED's five statement lines longer
+    # the parent side is the copy, REVERSED's five statement lines longer,
+    # all of them in equilibrium.py
     assert re.search(r"^src code lines: parent \d+, change \d+, change - parent -5$",
                      moved.stdout, re.M), moved.stdout
+    assert re.search(r"^  equilibrium.py: parent \d+, change \d+, change - parent -5$",
+                     moved.stdout, re.M), moved.stdout
+    assert len(re.findall(r"change - parent 0$", moved.stdout, re.M)) == len(MODULES) - 1
 
 
 def test_ab_prints_a_workloads_cold_round_apart_from_the_others():
@@ -102,7 +111,7 @@ def test_code_lines_count_statements_without_docstrings_or_comments(tmp_path):
     # import; decorator; def, x, y; if; the return of three lines; return 0
     (tmp_path / "src" / "nashatlas").mkdir(parents=True)
     (tmp_path / "src" / "nashatlas" / "m.py").write_text(CODE, encoding="utf-8")
-    assert _load_ab().code_lines(tmp_path) == 10
+    assert _load_ab().code_lines(tmp_path) == {"m.py": 10}
 
 
 @dataclasses.dataclass

@@ -52,7 +52,7 @@ def test_chart_point_validation(mp_float):
     with pytest.raises(ValueError):
         chart_point(mp_float, (0, 0), [[0.5, 0.5], [0.5]])
     # a chart index is never truncated: (1.9, 0) is no chart (1, 0)
-    with pytest.raises(ValueError, match="^chart index 1.9 is not an integer$"):
+    with pytest.raises(ValueError, match="^player 1 chart index 1.9 is not an integer$"):
         chart_point(mp_float, (1.9, 0), [[0.5], [0.5]])
     assert chart_point(mp_float, (np.int64(1), 0.0), [[0.5], [0.5]]).chart == (1, 0)
 
@@ -103,12 +103,17 @@ def test_transition_undefined_raises(mp_float):
         transition(p, (1, 0))
 
 
+# each row keeps the id of its old message
 @pytest.mark.parametrize("chart, message", [
-    ((-1, 0), "chart index -1 out of range for player 1"),
-    ((0, 3), "chart index 3 out of range for player 2"),
-    ((5, 0), "chart index 5 out of range for player 1"),
-    ((0.5, 0), "chart index 0.5 is not an integer"),
-    ((0,), "chart needs 2 indices"),
+    pytest.param((-1, 0), "player 1 chart index -1 must be >= 0",
+                 id="chart0-chart index -1 out of range for player 1"),
+    pytest.param((0, 3), "player 2 chart index 3 out of range",
+                 id="chart1-chart index 3 out of range for player 2"),
+    pytest.param((5, 0), "player 1 chart index 5 out of range",
+                 id="chart2-chart index 5 out of range for player 1"),
+    pytest.param((0.5, 0), "player 1 chart index 0.5 is not an integer",
+                 id="chart3-chart index 0.5 is not an integer"),
+    pytest.param((0,), "chart (0,) has length 1, expected 2", id="chart4-chart needs 2 indices"),
 ])
 def test_transition_and_read_chart_check_the_chart(chart, message):
     # a negative index must not wrap around to another slot of the point
@@ -378,12 +383,12 @@ def test_hypersurface_names_round_trip():
 
 
 def test_hypersurface_errors_name_the_member():
-    # players are 1-based in the name and in the message: player 3 of a
-    # 2-player game, not "no player 2"
+    # players are 1-based in the name and 0-based as a player index: C:3:1
+    # of a 2-player game has player index 2
     g = random_game((2, 3), seed=0)
-    with pytest.raises(ValueError, match="^C:3:1: no player 3$"):
+    with pytest.raises(ValueError, match="^C:3:1: player index 2 out of range$"):
         parse_hypersurface("C:3:1", g)
-    with pytest.raises(ValueError, match="^D:3:0:1: no player 3$"):
+    with pytest.raises(ValueError, match="^D:3:0:1: player index 2 out of range$"):
         defining_map(g, PayoffDiff(2, (0, 1)), (0, 0))
     with pytest.raises(ValueError, match="^C:2:3: coordinate index 3 out of range$"):
         defining_map(g, Coordinate(1, 3), (0, 0))
@@ -391,15 +396,20 @@ def test_hypersurface_errors_name_the_member():
         parse_hypersurface("D:1:0:2", g)
     with pytest.raises(ValueError, match="^D:1:1:1: pair must satisfy 0 <= j < k$"):
         PayoffDiff(0, (1, 1))
-    with pytest.raises(ValueError, match="^C:1:-1: coordinate index must be >= 0 or INF$"):
+    # a member whose fields are not indices is named by its repr, as its
+    # 1-based label needs them
+    with pytest.raises(ValueError, match=re.escape(
+            "Coordinate(player=0, index=-1): coordinate index -1 must be >= 0")):
         Coordinate(0, -1)
     # a player is an integer: 1.0 is player 1 (printed 1-based), 0.5 is
     # no player
     assert Coordinate(1.0, 1) == Coordinate(1, 1) and str(Coordinate(1.0, 1)) == "C:2:1"
     assert defining_map(g, PayoffDiff(1.0, (0, 1)), (0, 0)).blocks == (0,)
-    with pytest.raises(ValueError, match="^C:1.5:1: player index 0.5 is not an integer$"):
+    with pytest.raises(ValueError, match=re.escape(
+            "Coordinate(player=0.5, index=1): player index 0.5 is not an integer")):
         Coordinate(0.5, 1)
-    with pytest.raises(ValueError, match=r"^D:1.5:0:1: player index 0.5 is not an integer$"):
+    with pytest.raises(ValueError, match=re.escape(
+            "PayoffDiff(player=0.5, pair=(0, 1)): player index 0.5 is not an integer")):
         PayoffDiff(0.5, (0, 1))
 
 

@@ -209,9 +209,10 @@ def test_lambda_output(mp_file, capsys):
 
 
 def test_lambda_bad_player(mp_file, capsys):
-    for player in ("0", "3"):
+    # --player is 1-based, and named as typed
+    for player, message in (("0", "--player 0 must be >= 1"), ("3", "--player 3 out of range")):
         assert main(["lambda", mp_file, "--player", player]) == 1
-        assert capsys.readouterr().err == f"error: no player {player}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_goodcheck_good(capsys):
@@ -264,11 +265,19 @@ def test_goodcheck_bad_spec(capsys):
                  id="argv8-player 2: bad weight 'x'"),
     pytest.param(["certify", "{mp}", "--point", "0.5,0.5;1"], "player 2 takes 2 weights, got 1",
                  id="argv9-player 2 needs 2 weights"),
-    (["sample", "2x2", "--count", "0"], "--count must be >= 1"),
+    pytest.param(["sample", "2x2", "--count", "0"], "--count 0 must be >= 1",
+                 id="argv10---count must be >= 1"),
     (["certify", "{mp}", "--from-json", "{mp}.missing"],
      "cannot read {mp}.missing: No such file or directory"),
     (["certify", "{mp}", "--from-json", "{mp}"],
      "{mp} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    # a shape's counts, a spec's player and --player are checked by the one
+    # index rule; a negative count is its error, not NumPy's
+    (["goodcheck", "--shape", "1x2"], "player 1 strategy count 1 must be >= 2"),
+    (["charts", "--shape=-1x2"], "player 1 strategy count -1 must be >= 2"),
+    (["sample", "2x-1", "--count", "1"], "player 2 strategy count -1 must be >= 2"),
+    (["goodcheck", "--shape", "2x2", "--r", "5:0-1"], "--r spec '5:0-1': player 5 out of range"),
+    (["goodcheck", "--shape", "2x2", "--t", "0:1"], "--t spec '0:1': player 0 must be >= 1"),
 ])
 def test_input_errors_name_the_bad_input(mp_file, capsys, argv, message):
     assert main([a.format(mp=mp_file) for a in argv]) == 1
@@ -413,7 +422,7 @@ def test_certify_from_json_negative_index(bos_file, tmp_path, capsys):
     for index in ("-1", "-4"):
         code = main(["certify", bos_file, "--from-json", str(report_path), "--index", index])
         assert code == 1
-        assert capsys.readouterr().err == "error: --index must be >= 0\n"
+        assert capsys.readouterr().err == f"error: --index {index} must be >= 0\n"
 
 
 def test_certify_exact_point_on_exact_form(tmp_path, capsys):

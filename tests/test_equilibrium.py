@@ -137,7 +137,7 @@ def test_support_entries_are_integers():
     assert SupportProfile(((0, 1.0), (0, np.int64(1)))).supports == ((0, 1), (0, 1))
     assert solve_support(g, SupportProfile(((0, 1.0), (0, 1)))) == \
         solve_support(g, SupportProfile(((0, 1), (0, 1)))) == []
-    with pytest.raises(ValueError, match="^support entry 0.5 is not an integer$"):
+    with pytest.raises(ValueError, match="^player 1 support entry 0.5 is not an integer$"):
         SupportProfile(((0, 0.5), (0, 1)))
 
 

@@ -106,15 +106,17 @@ def pure_slices(game, i):
     return payoff_slice_values(game, i, [[1] + [0] * (c - 1) for c in game.strategy_counts])
 
 
-@pytest.mark.parametrize("i", [-1, 2])
-def test_payoff_form_names_the_player_1_based(mp_float, i):
-    with pytest.raises(ValueError, match=f"^no player {i + 1}$"):
+@pytest.mark.parametrize("i, message", [(-1, "player index -1 must be >= 0"),
+                                        (2, "player index 2 out of range")])
+def test_payoff_form_names_the_player_index(mp_float, i, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         payoff_form(mp_float, i)
 
 
-@pytest.mark.parametrize("i", [-1, 2])
-def test_payoff_slice_values_names_the_player_1_based(mp_float, i):
-    with pytest.raises(ValueError, match=f"^no player {i + 1}$"):
+@pytest.mark.parametrize("i, message", [(-1, "player index -1 must be >= 0"),
+                                        (2, "player index 2 out of range")])
+def test_payoff_slice_values_names_the_player_index(mp_float, i, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         pure_slices(mp_float, i)
 
 
@@ -128,7 +130,7 @@ def test_payoff_form_takes_an_integral_float_player(mp_float):
 
 @pytest.mark.parametrize("call", [payoff_form, lambda_decomposition, pure_slices])
 def test_a_fractional_player_is_a_value_error(mp_float, call):
-    with pytest.raises(ValueError, match="^player 0.5 is not an integer$"):
+    with pytest.raises(ValueError, match="^player index 0.5 is not an integer$"):
         call(mp_float, 0.5)
 
 
@@ -494,3 +496,24 @@ def test_eval_linear_in_each_block(seed, alpha, beta):
     mixed = form.eval([u[0], alpha * u[1] + beta * v])
     split = alpha * form.eval([u[0], u[1]]) + beta * form.eval([u[0], v])
     assert mixed == pytest.approx(split, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_form_input_is_refused_as_a_list_and_as_an_array(bad):
+    # a float64 array holding inf or nan goes through the number rule, as
+    # the same numbers given as a list do: one ValueError naming the value,
+    # in eval and grad, for a vector and for a batch
+    form = payoff_form(random_game((2, 2), seed=1), 0)
+    half = np.array([0.5, 0.5])
+    message = f"^form input {bad} is not a number$"
+    for block in ([bad, 0.0], np.array([bad, 0.0]), np.array([[0.5, 0.5], [bad, 0.0]])):
+        with pytest.raises(ValueError, match=message):
+            form.eval([block, half])
+        with pytest.raises(ValueError, match=message):
+            form.grad([half, block], 0)
+
+
+def test_to_tilde_coordinates_names_a_coefficient_with_no_integer_ratio():
+    # game._integer_ratio's except branch: inf has no integer ratio
+    with pytest.raises(ValueError, match="^coefficient inf is not a number$"):
+        to_tilde_coordinates(MultilinearForm((0,), np.array([np.inf, 1.0])))

@@ -19,24 +19,35 @@ from nashatlas import (
     FLOAT,
     RATIONAL,
     ChartPoint,
+    Coordinate,
     GameFormatError,
+    GoodFamily,
     MixedProfile,
     PayoffDiff,
     SupportProfile,
     best_reply_check,
-    enumerate_nash,
+    canonical_equilibrium_family,
     chart_point,
+    chart_zero_point,
+    defining_map,
+    enumerate_nash,
+    excluded_hypersurfaces,
     good_family,
+    homogeneous_decomposition,
+    lambda_decomposition,
     make_game,
     on_hypersurface,
     parse_game,
+    payoff_form,
     payoff_slice_values,
     profile_from_weights,
     random_game,
+    read_chart,
     regular_value_probe,
     serialize_game,
     solve_support,
     support_of,
+    transition,
     transversal_at,
 )
 from nashatlas import game as game_module
@@ -160,7 +171,7 @@ def test_make_game_rejects_single_strategy():
 def test_make_game_rejects_fractional_strategy_count():
     # 2.5 strategies is an error, not a 2x2 game; integral counts of any
     # numeric type are accepted
-    with pytest.raises(ValueError, match="^strategy count 2.5 is not an integer$"):
+    with pytest.raises(ValueError, match="^player 1 strategy count 2.5 is not an integer$"):
         make_game((2.5, 2), [np.zeros(4), np.zeros(4)])
     assert make_game((2.0, np.int64(2)), [np.zeros(4), np.zeros(4)]).strategy_counts == (2, 2)
 
@@ -171,15 +182,18 @@ _PROBED = random_game((2, 2), seed=1)
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None, "x", "2", 2.5])
 @pytest.mark.parametrize("what, call", [
     ("seed", lambda x: enumerate_nash(_PROBED, seed=x)),
-    ("chart index", lambda x: regular_value_probe(
+    ("player 2 chart index", lambda x: regular_value_probe(
         _PROBED, good_family(_PROBED, R=[[(0, 1)], []]), (0, x))),
-    ("pair entry", lambda x: good_family(_PROBED, R=[[(0, x)], []])),
-    ("strategy count", lambda x: make_game((2, x), [np.zeros(4), np.zeros(4)])),
+    # a member whose pair is not one of indices is named by its repr
+    ("PayoffDiff(player=0, pair=(0, {value!r})): pair entry",
+     lambda x: good_family(_PROBED, R=[[(0, x)], []])),
+    ("player 2 strategy count", lambda x: make_game((2, x), [np.zeros(4), np.zeros(4)])),
 ], ids=["seed", "chart-index", "pair-entry", "strategy-count"])
 def test_non_integral_inputs_are_value_errors_naming_them(what, call, value):
     # what int() refuses (None, inf, nan, a string) is the same ValueError,
     # naming the input and its value, as a fraction; no OverflowError or
     # TypeError, and no message of Python's own
+    what = what.format(value=value)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {value} is not an integer')}$"):
         call(value)
 
@@ -248,6 +262,89 @@ def test_a_value_that_is_no_number_is_one_value_error_naming_it(entry, mode, val
     what, call = _ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {value} is not a number')}$"):
         call(value, mode, tmp_path)
+
+
+_G22 = random_game((2, 2), seed=1)
+_HALF = chart_zero_point(profile_from_weights([[0.5, 0.5], [0.5, 0.5]]))
+
+# every public entry that takes an index or a sequence of indices, on a 2x2
+# game: the name its message gives the input, the call with x where one
+# index goes, the index one past the range (None: no range without a game),
+# and the call with s in place of the sequence of indices (None: one index)
+_INDEX_ENTRIES = {
+    "Coordinate index": ("coordinate index", lambda x: defining_map(_G22, Coordinate(0, x), (0, 0)),
+                         2, None),
+    "Coordinate player": ("player index", lambda x: defining_map(_G22, Coordinate(x, 1), (0, 0)),
+                          2, None),
+    "PayoffDiff pair": ("pair", lambda x: defining_map(_G22, PayoffDiff(0, (0, x)), (0, 0)), 2,
+                        lambda s: defining_map(_G22, PayoffDiff(0, s), (0, 0))),
+    "PayoffDiff player": ("player index",
+                          lambda x: defining_map(_G22, PayoffDiff(x, (0, 1)), (0, 0)), 2, None),
+    "GoodFamily": ("coordinate", lambda x: transversal_at(
+        _G22, GoodFamily(((), (x,)), ((), ())), _HALF), 2,
+        lambda s: GoodFamily(((), s), ((), ()))),
+    "good_family T": ("coordinate", lambda x: good_family(_G22, T=[[], [x]]), 2,
+                      lambda s: good_family(_G22, T=[[], s])),
+    "good_family R": ("pair", lambda x: good_family(_G22, R=[[], [(0, x)]]), 2,
+                      lambda s: good_family(_G22, R=[[], [s]])),
+    "SupportProfile": ("support", lambda x: SupportProfile(((0,), (x,))), None,
+                       lambda s: SupportProfile(((0,), s))),
+    "solve_support": ("support", lambda x: solve_support(_G22, SupportProfile(((0,), (x,)))), 2,
+                      lambda s: solve_support(_G22, SupportProfile(((0,), s)))),
+    "canonical_equilibrium_family": (
+        "support", lambda x: canonical_equilibrium_family(_G22, SupportProfile(((0,), (x,)))), 2,
+        lambda s: canonical_equilibrium_family(_G22, SupportProfile(((0,), s)))),
+    "chart_point": ("chart", lambda x: chart_point(_G22, (0, x), [[0.5], [0.5]]), 2,
+                    lambda s: chart_point(_G22, s, [[0.5], [0.5]])),
+    "read_chart": ("chart", lambda x: read_chart(_HALF.full_vectors(), (0, x)), 2,
+                   lambda s: read_chart(_HALF.full_vectors(), s)),
+    "transition": ("chart", lambda x: transition(_HALF, (0, x)), 2,
+                   lambda s: transition(_HALF, s)),
+    "excluded_hypersurfaces": ("chart", lambda x: excluded_hypersurfaces(_G22, (0, x)), 2,
+                               lambda s: excluded_hypersurfaces(_G22, s)),
+    "regular_value_probe": ("chart", lambda x: regular_value_probe(
+        _G22, good_family(_G22, R=[[(0, 1)], [(0, 1)]]), (0, x)), 2,
+        lambda s: regular_value_probe(_G22, good_family(_G22, R=[[(0, 1)], [(0, 1)]]), s)),
+    "transversal_at": ("chart", lambda x: transversal_at(
+        _G22, good_family(_G22, R=[[(0, 1)], [(0, 1)]]), ChartPoint((0, x), _HALF.coords)), 2,
+        lambda s: transversal_at(_G22, good_family(_G22, R=[[(0, 1)], [(0, 1)]]),
+                                 ChartPoint(s, _HALF.coords))),
+    "make_game": ("strategy count", lambda x: make_game((2, x), [np.zeros(4)] * 2), 1,
+                  lambda s: make_game(s, [np.zeros(4)] * 2)),
+    "random_game": ("strategy count", lambda x: random_game((2, x), 0), 1,
+                    lambda s: random_game(s, 0)),
+    "payoff_form": ("player index", lambda x: payoff_form(_G22, x), 2, None),
+    "homogeneous_decomposition": ("player index", lambda x: homogeneous_decomposition(_G22, x), 2,
+                                  None),
+    "lambda_decomposition": ("player index", lambda x: lambda_decomposition(_G22, x), 2, None),
+}
+_BAD_INDICES = {"None": None, "x": "x", "1.5": 1.5, "-1": -1, "nested": (0, 1)}
+
+
+def _index_cases():
+    for entry, (_, _, past, sequence) in _INDEX_ENTRIES.items():
+        labels = [*_BAD_INDICES] + ["past"] * (past is not None) + ["scalar"] * (sequence is not None)
+        for label in labels:
+            yield pytest.param(entry, label, id=f"{entry}-{label}")
+
+
+@pytest.mark.parametrize("entry, label", _index_cases())
+def test_a_malformed_index_is_one_value_error_naming_it(entry, label):
+    # one rule (game._index, with game._sequence and game._indices) for
+    # every index from outside: None, a string, a fraction, a negative
+    # index, one past the range, a scalar where a sequence of indices
+    # belongs and a nested sequence are each one ValueError, not a
+    # TypeError, AttributeError or IndexError, and none is an answer
+    name, call, past, sequence = _INDEX_ENTRIES[entry]
+    if label == "scalar":
+        value, run = 0, sequence
+    else:
+        value, run = (past if label == "past" else _BAD_INDICES[label]), call
+    with pytest.raises(Exception) as info:
+        run(value)
+    message = str(info.value)
+    assert type(info.value) is ValueError, f"{type(info.value).__name__}: {message}"
+    assert name in message and str(value) in message, message
 
 
 @pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
@@ -433,7 +530,7 @@ PARSE_ERRORS = {
     "players 2\nstrategies 2 2\npayoff 1\n1 1 1 1\n":
         "line 4: unexpected end of file, expected 'payoff'",
     "players 2\nstrategies 1 2\npayoff 1\n1 1\npayoff 2\n1 1\n":
-        "each player needs at least 2 pure strategies (n_i >= 1)",
+        "player 1 strategy count 1 must be >= 2",
     "players 2\nstrategies 2 2\nbogus\npayoff 1\n1 1 1 1\npayoff 2\n1 1 1 1\n":
         "line 3: expected 'payoff', got 'bogus'",
     "players 2\nstrategies 2 2\npayoff 1\n1 x 1 1\npayoff 2\n1 1 1 1\n":
