@@ -117,6 +117,9 @@ class ChartPoint:
         return len(self.chart)
 
     def full_vector(self, i: int) -> np.ndarray:
+        """Player i's full tilde vector, the chart slot's 1 put back; i is
+        a player index (game._index)."""
+        i = _index(i, "player index", self.num_players)
         if _exact([self.coords[i]]):  # as objects: an int stays a Python int
             return np.insert(np.asarray(self.coords[i], dtype=object), self.chart[i], Fraction(1))
         return np.insert(self.coords[i], self.chart[i], 1.0)
@@ -154,12 +157,17 @@ def read_chart(vectors, chart) -> ChartPoint:
     """Inverse of ChartPoint.full_vectors up to projective scaling:
     rescale each player's vector so the chart slot is 1, then drop that
     slot. The chart is checked against the vectors' lengths
-    (_validate_chart)."""
-    chart = _validate_chart(chart, [len(v) for v in vectors])
+    (_validate_chart) and their entries are numbers (_check_blocks); an
+    exact vector (game._exact) is read exactly, any other as floats, each
+    entry a finite one (game._numbers)."""
+    counts = [len(v) for v in vectors]
+    chart = _validate_chart(chart, counts)
+    _check_blocks(vectors, counts, "tilde coordinate")
     coords = []
     for i, (v, l) in enumerate(zip(vectors, chart)):
         exact = _exact([v])
-        v = np.asarray(v, dtype=object if exact else None)
+        name = f"player {i + 1} tilde coordinate"
+        v = np.asarray(v, dtype=object) if exact else _numbers(v, FLOAT, name)
         d = v[l]
         if d == 0:
             raise ZeroDivisionError(
@@ -174,8 +182,9 @@ def transition(point: ChartPoint, target) -> ChartPoint:
     """The same projective point read in another chart.
 
     Raises ValueError for a target that is not a chart of the point's
-    game (read_chart), and ZeroDivisionError when the point lies on a
-    hyperplane tilde^i_{t_i} = 0 excluded from the target chart.
+    game or a coordinate that is no number (read_chart), and
+    ZeroDivisionError when the point lies on a hyperplane tilde^i_{t_i}
+    = 0 excluded from the target chart.
     """
     return read_chart(point.full_vectors(), target)
 
@@ -300,7 +309,9 @@ def _on(game: FiniteGame, hypersurfaces, chart, coords) -> list:
 
 
 def format_chart(chart) -> str:
-    return ",".join(str(int(l)) for l in chart)
+    """The chart label as text, l1,l2,...; each entry is an index
+    (game._indices)."""
+    return ",".join(map(str, _indices(chart, "chart", "player {} chart index")))
 
 
 def parse_chart(text: str, game: FiniteGame) -> tuple[int, ...]:

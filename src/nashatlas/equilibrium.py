@@ -374,22 +374,19 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     supports = support.supports
     mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
     plan = _face_plan(game.strategy_counts, canonical_equilibrium_family(game, support),
-                      (0,) * game.num_players).system
-    system, vectors = _face_system(game, plan)
-
-    def weights_from(z):
-        return [v @ a.T for a, v in zip(plan.weights, vectors(z))]
+                      (0,) * game.num_players)
+    system = _face_system(game, plan)
 
     def positive(x):
         # (k, n) stack of roots -> mask of those inside the open face: every
         # supported weight > 0, whatever its size (support_of and the
         # best-reply check then flag a weight under WEIGHT_TOL as boundary)
-        w = weights_from(x)
+        w = plan.weights_at(x)
         return np.all([(w[i][:, supports[i]] > 0).all(axis=1) for i in mixed], axis=0)
 
     starts = _newton_starts(tuple(len(supports[i]) for i in mixed), seed)
     roots = _newton_roots(system, starts, accept=positive)
-    profiles = [profile_from_weights(weights_from(r)) for r in roots]
+    profiles = [profile_from_weights(plan.weights_at(r)) for r in roots]
 
     # all root-pair midpoints at once; triu_indices lists the pairs in
     # itertools.combinations order, so the first solving pair is the witness
@@ -400,7 +397,7 @@ def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
         raise SingularSystem(
             support,
             "continuum of solutions (midpoint of two roots also solves)",
-            witness=profile_from_weights(weights_from(mids[np.argmax(solves)])),
+            witness=profile_from_weights(plan.weights_at(mids[np.argmax(solves)])),
             candidates=profiles,
         )
 
@@ -464,7 +461,7 @@ def certify_equilibrium(game: FiniteGame, cert: EquilibriumCertificate) -> Equil
     if z.size:
         plan = _face_plan(game.strategy_counts, canonical_equilibrium_family(game, support),
                           (0,) * game.num_players)
-        _, smin, regular = _svd_ranks(_face_system(game, plan.system)[0](z)[1])
+        _, smin, regular = _svd_ranks(_face_system(game, plan)(z)[1])
     else:
         smin, regular = math.inf, True
     return replace(cert, jacobian_verdict="regular" if regular else "singular",

@@ -36,18 +36,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import (FLOAT, RATIONAL, FiniteGame, _check_blocks, _exact, _index, _integer_ratio,
-                   _numbers, _rounded)
+from .game import (FLOAT, RATIONAL, FiniteGame, _check_blocks, _exact, _index, _indices,
+                   _integer_ratio, _numbers, _rounded, _sequence)
 
 
 @dataclass(frozen=True)
 class MultilinearForm:
     """Dense coefficient tensor over one axis per participating block.
 
-    blocks: ascending player indices (0-based) the form depends on.
-    pinned: per block, the coordinate index fixed to 1, or None for a
-        homogeneous block. A pinned block of full size s takes input
-        vectors of length s - 1.
+    blocks: strictly ascending player indices (0-based) the form depends
+        on.
+    pinned: per block, the coordinate index fixed to 1, below the block's
+        axis size, or None for a homogeneous block. A pinned block of full
+        size s takes input vectors of length s - 1.
+    Both are checked when the form is built (game._indices, game._index).
     """
 
     blocks: tuple[int, ...]
@@ -58,23 +60,33 @@ class MultilinearForm:
         # a form in no blocks may arrive as a scalar (np.take or arithmetic
         # on a 0-d object array gives a bare Fraction): keep it an array
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
-        if not self.pinned:
-            object.__setattr__(self, "pinned", (None,) * len(self.blocks))
-        if len(self.blocks) != self.coeffs.ndim or len(self.pinned) != self.coeffs.ndim:
+        blocks = _indices(self.blocks, "form blocks", "form block")
+        if any(a >= b for a, b in zip(blocks, blocks[1:])):
+            raise ValueError(f"form blocks {blocks} are not strictly ascending")
+        pinned = _sequence(self.pinned or (), "pinned slots") or (None,) * len(blocks)
+        if len(blocks) != self.coeffs.ndim or len(pinned) != self.coeffs.ndim:
             raise ValueError("blocks/pinned must match tensor rank")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "pinned", tuple(
+            p if p is None else _index(p, f"block {b} pinned slot", s)
+            for p, b, s in zip(pinned, blocks, self.coeffs.shape)))
 
     @property
     def is_rational(self) -> bool:
         return self.coeffs.dtype == object
 
     def input_length(self, t: int) -> int:
-        """Expected vector length for the t-th participating block."""
+        """Expected vector length for the t-th participating block; t is a
+        position among the blocks (game._index)."""
+        t = _index(t, "block position", len(self.blocks))
         full = self.coeffs.shape[t]
         return full if self.pinned[t] is None else full - 1
 
     def lift_input(self, t: int, vec) -> np.ndarray:
-        """Insert the pinned 1 into a block's input, a vector or a batch of
-        them (_coerce_vector), along its last axis."""
+        """Insert the pinned 1 into the input of the t-th participating
+        block (t as in input_length), a vector or a batch of them
+        (_coerce_vector), along its last axis."""
+        t = _index(t, "block position", len(self.blocks))
         vec = _coerce_vector(vec, self.is_rational)
         p = self.pinned[t]
         if p is None:

@@ -465,7 +465,9 @@ def parse_game(text: str, mode: str | None = None) -> FiniteGame:
     """Parse the game file format; mode None means infer from the tokens.
 
     A malformed file raises GameFormatError with the offending token's
-    line; one reader checks each keyword and one each count."""
+    line; one reader checks each keyword and one each count, and each
+    strategy count is an index of at least 2 (_index), as make_game
+    reads it."""
     tokens = list(_tokenize(text))
     pos = 0
 
@@ -496,7 +498,13 @@ def parse_game(text: str, mode: str | None = None) -> FiniteGame:
     if m < 1:
         raise GameFormatError("player count must be >= 1", line)
     keyword("strategies")
-    counts = [count("strategy count")[0] for _ in range(m)]
+    counts = []
+    for k in range(1, m + 1):
+        c, line = count("strategy count")
+        try:
+            counts.append(_index(c, f"player {k} strategy count", start=2))
+        except ValueError as e:
+            raise GameFormatError(str(e), line) from None
     total = math.prod(counts)
 
     if mode is None:

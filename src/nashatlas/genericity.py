@@ -22,32 +22,35 @@ same kind of object: a common zero of a family's payoff-difference
 hypersurfaces on the face its coordinate hyperplanes cut out in a chart
 (an equilibrium's: its canonical family in chart (0, ..., 0), unknowns
 the weights on supp[1:], rows slope(supp[0]) - slope(t)). The probe,
-equilibrium's Newton solve and its certificate reach it one way,
-_face_plan then _face_system, and _newton_roots, a damped multistart
-Newton loop, finds its roots from the caller's starts. Every equation is
-multilinear in the blocks (1, z_b), so _face_system holds the system as
-one coefficient matrix over the Segre monomials of the blocks, and its
-Jacobian too (the coefficients of each derivative, placed at the
-monomials that do not involve the block differentiated by): the
-residuals and Jacobians of a stack of points are one gather of the
-monomials and one matrix product, and a lone point is evaluated as a
-row of a stack, so its bits do not depend on the stack.
+equilibrium's Newton solve and its certificate reach it one way: one
+face plan (_face_plan), then its face system (_face_system), and
+_newton_roots, a damped multistart Newton loop, finds its roots from
+the caller's starts. Every equation is multilinear in the blocks (1,
+z_b), so _face_system holds the system as one coefficient matrix over
+the Segre monomials of the blocks, and its Jacobian too (the
+coefficients of each derivative, placed at the monomials that do not
+involve the block differentiated by): the residuals and Jacobians of a
+stack of points are one gather of the monomials and one matrix
+product, and a lone point is evaluated as a row of a stack, so its
+bits do not depend on the stack.
 
 What does not depend on the payoffs is built once and kept. A face plan
-(_face_plan), one per (strategy counts, family, chart), is built for a
+(_FacePlan), one per (strategy counts, family, chart), is built for a
 chart and a family already checked (the probe checks a family once per
-key, _check_family) and holds the face and weight maps and, per
-equation player, the payoff indices of its pairs and its einsum layout;
-a Segre table (_segre_tables), one per (block sizes, equations per
-player), holds the monomial gather table and the index that takes the
-matrix [C | K_J] from the players' coefficients in one take. So a call
-on a kept plan does only payoff arithmetic: per equation player two
-takes, a difference, the unit scaling and one einsum, then that one
-take. Each cache keeps its FACE_PLANS (1024) most recently used keys. A
-plan takes 3-4 kB for shapes up to 3x3x3, so 1024 of them about 4 MB; a
-table's largest array, the take index, has prod(1 + d_b) * n_eq * (1 +
-n) entries (32 kB for a full 6x6 support, 105 kB for 8x8), and tables
-are few (11 serve all 2,442 square (family, chart) keys of 3x3 games).
+key, _check_family, beside the plan) and holds the chart, the face and
+weight maps and, per equation player, the payoff indices of its pairs
+and its einsum layout, and it reads its own points (vectors,
+weights_at, point_at). A Segre table (_segre_tables), one per (block
+sizes, equations per player), holds the monomial gather table and the
+index that takes the matrix [C | K_J] from the players' coefficients in
+one take. So a call on a kept plan does only payoff arithmetic: per
+equation player two takes, a difference, the unit scaling and one
+einsum, then that one take. Each cache keeps its FACE_PLANS (1024) most
+recently used keys. A plan takes 3-4 kB for shapes up to 3x3x3, so 1024
+of them about 4 MB; a table's largest array, the take index, has
+prod(1 + d_b) * n_eq * (1 + n) entries (32 kB for a full 6x6 support,
+105 kB for 8x8), and tables are few (11 serve all 2,442 square (family,
+chart) keys of 3x3 games).
 Every key hashes (GoodFamily holds ints, the chart is validated first);
 a bad family or chart is not kept: it raises again on every call.
 
@@ -324,13 +327,20 @@ FACE_PLANS = 1024
 
 
 @dataclass(frozen=True)
-class _SystemPlan:
-    """What _face_system needs besides the payoffs (_system_plan): the
-    weight maps, the block sizes' coordinate spans, per equation player
-    (i, js, ks, t's einsum axes, the other players' weight maps with
-    their axes, the output axes), and _segre_tables' gather table and
-    take index of K. Every array is read-only."""
+class _FacePlan:
+    """A family's face in a chart and everything of its system that does
+    not depend on the payoffs (_plan): the chart, per player the face map
+    taking (1, z_b) to the full tilde vector (chart slot included) and the
+    weight map taking it to the weights, the blocks' coordinate spans in
+    z, per equation player (i, js, ks, t's einsum axes, the other players'
+    weight maps with their axes, the output axes), and _segre_tables'
+    gather table and take index of K. Every array is read-only. The plan
+    reads its own points, one z of shape (n,) or a stack (B, n), batch
+    axis first: vectors(z) the per-player (1, z_b), weights_at(z) their
+    weights and point_at(z) the chart point of one z."""
 
+    chart: tuple[int, ...]
+    maps: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
     spans: tuple[tuple[int, int], ...]
     n: int
@@ -338,6 +348,17 @@ class _SystemPlan:
     players: tuple
     gather: np.ndarray
     place: np.ndarray
+
+    def vectors(self, z) -> list[np.ndarray]:
+        one = np.ones(z.shape[:-1] + (1,))
+        return [np.concatenate((one, z[..., lo:hi]), axis=-1) for lo, hi in self.spans]
+
+    def weights_at(self, z) -> list[np.ndarray]:
+        return [v @ a.T for a, v in zip(self.weights, self.vectors(z))]
+
+    def point_at(self, z) -> ChartPoint:
+        return ChartPoint(self.chart, tuple(
+            np.delete(a @ v, l) for a, v, l in zip(self.maps, self.vectors(z), self.chart)))
 
 
 @functools.lru_cache(maxsize=FACE_PLANS)
@@ -379,14 +400,19 @@ def _segre_tables(dims: tuple[int, ...], eqs: tuple[tuple[int, int], ...]):
     return gather, place
 
 
-def _system_plan(pairs, weights) -> _SystemPlan:
-    """The payoff-free part of _face_system for the own-strategy pairs
-    (one tuple per player) and weight maps weights[b], a (c_b, 1 + d_b)
-    matrix taking (1, z_b) to player b's weights. Player i's equations
-    slope_j - slope_k are u_i at js minus u_i at ks, flat indices into
-    u_i laid out as (the other players' axes, the pairs), and one einsum
-    with the other players' weight maps turns them into their
-    coefficients (_segre_tables)."""
+def _plan(maps, pairs, chart) -> _FacePlan:
+    """The plan of the face maps maps[b], a (c_b, 1 + d_b) matrix taking
+    (1, z_b) to player b's tilde vector, in the chart, for the
+    own-strategy pairs (one tuple per player). The weight maps are
+    forms._basis_matrix's M times the face maps (gamma_0 = tilde_0 -
+    sum_{j>=1} tilde_j, gamma_j = tilde_j). Player i's equations slope_j
+    - slope_k are u_i at js minus u_i at ks, flat indices into u_i laid
+    out as (the other players' axes, the pairs), and one einsum with the
+    other players' weight maps turns them into their coefficients
+    (_segre_tables)."""
+    weights = [_basis_matrix(len(a)) @ a for a in maps]
+    for a in (*maps, *weights):
+        a.setflags(write=False)
     m = len(weights)
     counts = tuple(a.shape[0] for a in weights)
     dims = tuple(a.shape[1] - 1 for a in weights)
@@ -404,19 +430,20 @@ def _system_plan(pairs, weights) -> _SystemPlan:
         players.append((i, js, ks, (*others, 2 * m), operands, (*(m + b for b in others), 2 * m)))
     eqs = tuple((i, len(pairs[i])) for i, *_ in players)
     ends = np.cumsum(dims).tolist()
-    return _SystemPlan(tuple(weights), tuple((e - d, e) for d, e in zip(dims, ends)),
-                       sum(dims), sum(k for _, k in eqs), tuple(players),
-                       *_segre_tables(dims, eqs))
+    return _FacePlan(chart, tuple(maps), tuple(weights),
+                     tuple((e - d, e) for d, e in zip(dims, ends)),
+                     sum(dims), sum(k for _, k in eqs), tuple(players),
+                     *_segre_tables(dims, eqs))
 
 
 _ZERO = np.zeros(1)
 _ZERO.setflags(write=False)
 
 
-def _face_system(game: FiniteGame, plan: _SystemPlan):
+def _face_system(game: FiniteGame, plan: _FacePlan):
     """The payoff-difference system restricted to a coordinate face.
 
-    z concatenates the face coordinates z_b, and plan (_system_plan)
+    z concatenates the face coordinates z_b, and plan (_face_plan)
     holds everything that does not depend on the payoffs. Player i's
     equations are slope_j - slope_k, (j, k) in its pairs: its exact
     payoff differences (integer_utilities) in its payoff unit, each
@@ -428,15 +455,15 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
     is C's slot k on axis q, read at the monomials whose block-q slot is
     0 (v_q[0] = 1, so those are the other blocks' monomials), zero at
     the others. So one matrix K = [C | K_J], one take of the players'
-    coefficients (plan.place), gives both: system(z) gathers the
-    monomials from (z, 1) in one indexing and one product, and returns
-    monomials @ K split into the residual (n_eq,) and the Jacobian
-    (n_eq, n). vectors(z) gives the per-player (1, z_b). Each takes one
-    point z of shape (n,) or a stack of B points of shape (B, n), and
-    then puts the batch axis first in its results. system evaluates a
-    lone point (1-D z, or a stack of one) as row 0 of a stack of two, as
-    NumPy's matmul sums one row in another order than a stack: a point's
-    residual and Jacobian are the same bits alone or in any stack.
+    coefficients (plan.place), gives both: the returned system(z)
+    gathers the monomials from (z, 1) in one indexing and one product,
+    and returns monomials @ K split into the residual (n_eq,) and the
+    Jacobian (n_eq, n). It takes one point z of shape (n,) or a stack of
+    B points of shape (B, n), and then puts the batch axis first in its
+    results. It evaluates a lone point (1-D z, or a stack of one) as row
+    0 of a stack of two, as NumPy's matmul sums one row in another order
+    than a stack: a point's residual and Jacobian are the same bits alone
+    or in any stack.
     """
     blocks = []
     for i, js, ks, t_axes, operands, out_axes in plan.players:
@@ -445,11 +472,7 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
                        dtype=float)
         blocks.append(np.einsum(t, t_axes, *operands, out_axes).reshape(-1))
     kmat = np.concatenate(blocks + [_ZERO]).take(plan.place)
-    gather, spans, n, n_eq = plan.gather, plan.spans, plan.n, plan.n_eq
-
-    def vectors(z):
-        one = np.ones(z.shape[:-1] + (1,))
-        return [np.concatenate((one, z[..., lo:hi]), axis=-1) for lo, hi in spans]
+    gather, n, n_eq = plan.gather, plan.n, plan.n_eq
 
     def system(z):
         b = len(z) if z.ndim == 2 else 1
@@ -460,7 +483,7 @@ def _face_system(game: FiniteGame, plan: _SystemPlan):
         f, jac = out[:, :n_eq], out[:, n_eq:].reshape(b, n_eq, n)
         return (f[0], jac[0]) if z.ndim == 1 else (f, jac)
 
-    return system, vectors
+    return system
 
 
 def full_gradient(game: FiniteGame, members, point: ChartPoint) -> np.ndarray:
@@ -473,8 +496,8 @@ def full_gradient(game: FiniteGame, members, point: ChartPoint) -> np.ndarray:
     each player's payoff unit taken exactly."""
     R = tuple(tuple(sorted({h.pair for h in members if isinstance(h, PayoffDiff) and h.player == i}))
               for i in range(game.num_players))
-    plan = _face_plan(game.strategy_counts, GoodFamily(((),) * len(R), R), point.chart).system
-    jac = _face_system(game, plan)[0](np.concatenate(point.coords).astype(float))[1]
+    plan = _face_plan(game.strategy_counts, GoodFamily(((),) * len(R), R), point.chart)
+    jac = _face_system(game, plan)(np.concatenate(point.coords).astype(float))[1]
     rows = dict(zip(((i, p) for i, ps in enumerate(R) for p in ps), jac))
     out = np.zeros((len(members), plan.n))
     for r, h in enumerate(members):
@@ -594,33 +617,16 @@ def _face_maps(counts, family: GoodFamily, chart):
     return maps
 
 
-@dataclass(frozen=True)
-class _FacePlan:
-    """A family's face in a chart, for a game's strategy counts
-    (_face_plan): the face maps ((1, z_b) -> tilde) and the system
-    plan, both None when the face misses the chart."""
-
-    maps: tuple[np.ndarray, ...] | None
-    system: _SystemPlan | None
-
-
 @functools.lru_cache(maxsize=FACE_PLANS)
-def _face_plan(counts, family: GoodFamily, chart) -> _FacePlan:
-    """The plan of a family and a chart (a tuple of ints) already checked
-    against the counts, built once per key and kept: by its caller's door
-    (regular_value_probe, transversal_at) or, for an equilibrium's
-    canonical family in chart (0, ..., 0), by the support check
-    (game._check_support). _face_maps' maps, turned into weights by
-    forms._basis_matrix's M (gamma_0 = tilde_0 - sum_{j>=1} tilde_j,
-    gamma_j = tilde_j), and their _system_plan."""
+def _face_plan(counts, family: GoodFamily, chart) -> _FacePlan | None:
+    """The plan of a family and a chart (_plan of _face_maps' maps), or
+    None when the face misses the chart, built once per key and kept.
+    The family and the chart (a tuple of ints) are checked against the
+    counts before: by the caller's door (regular_value_probe,
+    transversal_at) or, for an equilibrium's canonical family in chart
+    (0, ..., 0), by the support check (game._check_support)."""
     maps = _face_maps(counts, family, chart)
-    system = None
-    if maps is not None:
-        weights = [_basis_matrix(len(a)) @ a for a in maps]
-        for a in maps + weights:
-            a.setflags(write=False)
-        maps, system = tuple(maps), _system_plan(family.R, weights)
-    return _FacePlan(maps, system)
+    return None if maps is None else _plan(maps, family.R, chart)
 
 
 @functools.lru_cache(maxsize=FACE_PLANS)
@@ -660,18 +666,11 @@ def regular_value_probe(
     plan = _face_plan(game.strategy_counts, family, chart)
     if family.num_pairs == 0:
         raise ValueError("family has no payoff-difference pairs to probe")
-    if plan.maps is None:
+    if plan is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
-    system, vectors = _face_system(game, plan.system)
-    total_dim = plan.system.n
-
-    def point_of(z) -> ChartPoint:
-        return ChartPoint(chart, tuple(
-            np.delete(a @ v, l) for a, v, l in zip(plan.maps, vectors(z), chart)
-        ))
-
+    system = _face_system(game, plan)
     rng = np.random.default_rng(seed)
-    starts = np.vstack([np.zeros(total_dim), rng.normal(0.0, 1.0, (RANDOM_STARTS, total_dim))])
+    starts = np.vstack([np.zeros(plan.n), rng.normal(0.0, 1.0, (RANDOM_STARTS, plan.n))])
     roots = _newton_roots(system, starts)
     f, jac = system(roots)
     # each equation's residual (in payoff units) times its player's unit
@@ -681,12 +680,12 @@ def regular_value_probe(
         residuals = _inf_norm(np.ldexp(f, exponents))
 
     ranks, _, full = _svd_ranks(jac)
-    out = tuple(ProbeRoot(point=point_of(z), residual=float(res), rank=int(rank), regular=bool(ok))
+    out = tuple(ProbeRoot(plan.point_at(z), float(res), int(rank), bool(ok))
                 for z, res, rank, ok in zip(roots, residuals, ranks, full))
     return ProbeReport(
         chart=chart,
         family=family,
-        dimension=total_dim,
+        dimension=plan.n,
         num_equations=family.num_pairs,
         empty_face=False,
         roots=out,

@@ -46,8 +46,8 @@ Sections, in this order (``--only`` picks some of them):
 - ``errors``: every entry path of a number from outside (``parse_game``,
   ``nashatlas solve``, ``make_game``, ``profile_from_weights``,
   ``chart_point``, ``payoff_slice_values``, ``best_reply_check``,
-  ``transversal_at``, ``on_hypersurface``, ``nashatlas certify --point``)
-  in both modes, each given one malformed value in turn (BAD: None,
+  ``transversal_at``, ``on_hypersurface``, ``nashatlas certify --point``,
+  ``read_chart``'s vector entries) in both modes, each given one malformed value in turn (BAD: None,
   +-inf, nan, "x", 1j, a nested block, 10**400 and the token
   1e10000000); then every public entry path of an index or a sequence of
   indices (INDEX_ENTRIES, on a 2x2 game), each given one malformed index
@@ -497,6 +497,8 @@ ENTRIES = {
         lib, "certify", game_file(lib, mode), "--point",
         ";".join(",".join(map(str, b)) for b in (block(half(mode), mode), block(x, mode))),
         *["--exact"] * (mode == "rational")),
+    "read_chart": lambda lib, x, mode: lib.read_chart(
+        [block(half(mode), mode), block(x, mode)], (0, 1)),
 }
 
 
@@ -511,6 +513,11 @@ def half_point(lib):
 
 def probe_family(lib):
     return lib.good_family(game_2x2(lib), R=[[(0, 1)], [(0, 1)]])
+
+
+def counts_file(x) -> str:
+    """A 2x2 game file whose second strategy count is the token x."""
+    return f"players 2\nstrategies 2 {x}\npayoff 1\n0 0 0 0\npayoff 2\n0 0 0 0\n"
 
 
 # every public entry path of an index or a sequence of indices: the call
@@ -567,6 +574,17 @@ INDEX_ENTRIES = {
     "homogeneous_decomposition": (
         lambda lib, x: lib.homogeneous_decomposition(game_2x2(lib), x), 2, None),
     "lambda_decomposition": (lambda lib, x: lib.lambda_decomposition(game_2x2(lib), x), 2, None),
+    "full_vector": (lambda lib, x: half_point(lib).full_vector(x), 2, None),
+    "input_length": (lambda lib, x: lib.payoff_form(game_2x2(lib), 0).input_length(x), 2, None),
+    "lift_input": (lambda lib, x: lib.payoff_form(game_2x2(lib), 0).lift_input(x, [0.5, 0.5]),
+                   2, None),
+    "format_chart": (lambda lib, x: lib.format_chart((0, x)), None,
+                     lambda lib, s: lib.format_chart(s)),
+    "MultilinearForm-blocks": (lambda lib, x: lib.MultilinearForm((0, x), np.ones((2, 2))), None,
+                               lambda lib, s: lib.MultilinearForm(s, np.ones((2, 2)))),
+    "MultilinearForm-pinned": (lambda lib, x: lib.MultilinearForm(
+        (0, 1), np.ones((2, 2)), (None, x)), 2, None),
+    "parse_game-counts": (lambda lib, x: lib.parse_game(counts_file(x)), 1, None),
 }
 
 

@@ -37,11 +37,12 @@ def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
     same = _ab(ROOT)
     assert same.returncode == 0, same.stdout + same.stderr
     # 70 games in two modes: each solve and each game's decompositions;
-    # 10 number entry paths in two modes, each given 9 malformed values,
-    # and 21 index entry paths, each given 5 to 7 malformed indices (140)
-    assert "0 of 600 records differ; 0 apart from their numbers" in same.stdout
+    # 11 number entry paths in two modes, each given 9 malformed values
+    # (198), and 28 index entry paths, each given 5 to 7 malformed indices
+    # (182)
+    assert "0 of 660 records differ; 0 apart from their numbers" in same.stdout
     assert re.search(r"^tied: 280 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
-    assert re.search(r"^errors: 320 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
+    assert re.search(r"^errors: 380 records, parent [\d.]+ s, change [\d.]+ s", same.stdout, re.M)
     # one tree has as many code lines as itself, in all and per module
     assert re.search(r"^src code lines: parent (\d+), change \1, change - parent 0$",
                      same.stdout, re.M), same.stdout
@@ -55,7 +56,7 @@ def test_ab_reads_no_difference_on_one_tree_and_names_a_moved_point(tmp_path):
         f.write(REVERSED)
     moved = _ab(tmp_path)
     assert moved.returncode == 1, moved.stdout + moved.stderr
-    assert re.search(r"^\d+ of 600 records differ", moved.stdout, re.M)
+    assert re.search(r"^\d+ of 660 records differ", moved.stdout, re.M)
     assert re.search(r"^  point: \d+ values differ \(tied \d+\)", moved.stdout, re.M)
     # the parent side is the copy, REVERSED's five statement lines longer,
     # all of them in equilibrium.py

@@ -1,6 +1,7 @@
 """Charts, transitions, hypersurfaces, and membership."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -86,6 +87,31 @@ def test_read_chart_rescales(mp_float):
 def test_read_chart_zero_pivot_raises(mp_float):
     with pytest.raises(ZeroDivisionError):
         read_chart([np.array([0.0, 1.0]), np.array([1.0, 1.0])], (0, 0))
+
+
+@pytest.mark.parametrize("vector, chart, message", [
+    ([1, math.nan], (0, 0), "player 1 tilde coordinate nan is not a number"),
+    ([1, math.inf], (1, 0), "player 1 tilde coordinate inf is not a number"),
+    ([1.0, 10**400], (0, 0), f"player 1 tilde coordinate {10**400} is not a number"),
+    (["x", 1], (1, 0), "player 1 tilde coordinate x is not a number"),
+    ([None, 1], (1, 0), "player 1 tilde coordinate None is not a number"),
+], ids=["nan", "inf", "10**400", "x", "None"])
+def test_read_chart_reads_vector_entries_by_the_number_rule(vector, chart, message):
+    # a vector entry that is no number, or no float in a float vector, is
+    # one ValueError naming the player and the value, never a nan or 0.
+    # coordinate, a NumPy warning or a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_chart([vector, [1, 2]], chart)
+
+
+def test_read_chart_keeps_exact_vectors_exact_and_a_zero_slot_divides_by_zero():
+    p = read_chart([[2, 1], [Fraction(1, 3), 1]], (0, 1))
+    assert [c.tolist() for c in p.coords] == [[Fraction(1, 2)], [Fraction(1, 3)]]
+    assert all(c.dtype == object for c in p.coords)
+    assert read_chart([[2**1100, 1], [1, 1]], (1, 0)).coords[0].tolist() == [2**1100]
+    for vector in ([0, 1], [0.0, 1.0]):
+        with pytest.raises(ZeroDivisionError):
+            read_chart([vector, [1, 1]], (0, 0))
 
 
 def test_transition_frozen_example(mp_float):
@@ -364,6 +390,11 @@ def test_membership_invariant_across_charts():
 
 def test_format_parse_chart(mp_float):
     assert format_chart((1, 0)) == "1,0"
+    assert format_chart([np.int64(1), 2.0]) == "1,2"
+    for chart, message in [((1.5, 0), "player 1 chart index 1.5 is not an integer"),
+                           (None, "chart None is not a sequence")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            format_chart(chart)
     assert parse_chart("1,0", mp_float) == (1, 0)
     with pytest.raises(ValueError):
         parse_chart("2,0", mp_float)

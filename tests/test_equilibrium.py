@@ -496,14 +496,13 @@ def test_support_system_residual_is_the_slope_differences():
         for support in enumerate_supports(game):
             supports = support.supports
             family = canonical_equilibrium_family(game, support)
-            plan = genericity._face_plan(game.strategy_counts, family, chart).system
-            system, vectors = genericity._face_system(game, plan)
-            weight_maps = plan.weights
+            plan = genericity._face_plan(game.strategy_counts, family, chart)
+            system = genericity._face_system(game, plan)
             weights = [np.zeros(c) for c in game.strategy_counts]
             for w, s in zip(weights, supports):
                 w[list(s)] = rng.dirichlet(np.ones(len(s)))
             z = np.concatenate([w[list(s[1:])] for w, s in zip(weights, supports)])
-            for w, a, v in zip(weights, weight_maps, vectors(z)):
+            for w, a, v in zip(weights, plan.weights, plan.vectors(z)):
                 np.testing.assert_allclose(a @ v, w, rtol=0, atol=1e-15)
             want = []
             for i, s in enumerate(supports):
@@ -645,7 +644,7 @@ def test_singular_jacobian_at_a_root():
     np.testing.assert_allclose([c.weights[1] for c in candidates],
                                [[2 / 3, 1 / 3]] * len(candidates), rtol=0, atol=1e-9)
     plan = genericity._face_plan((2, 2, 2), canonical_equilibrium_family(game, support), (0, 0, 0))
-    system = genericity._face_system(game, plan.system)[0]
+    system = genericity._face_system(game, plan)
     z = np.array([[w[1] for w in c.weights] for c in candidates])
     assert not genericity._svd_ranks(system(z)[1])[2].any()
     assert enumerate_nash(game).continuum
@@ -1124,7 +1123,7 @@ def test_certificate_margin_is_a_function_of_the_point():
             mixed += 1
             plan = genericity._face_plan(
                 (2, 2, 2), canonical_equilibrium_family(game, cert.support), (0, 0, 0))
-            system = genericity._face_system(game, plan.system)[0]
+            system = genericity._face_system(game, plan)
             others = rng.normal(0.0, 1.0, (6, z.size))
             for jac in (system(np.stack([z, z]))[1][0], system(np.stack([z] * 5))[1][0],
                         system(np.vstack([z, others]))[1][0],
@@ -1148,10 +1147,10 @@ def test_a_point_reads_the_same_bits_alone_and_in_any_stack():
             chart = (0,) * len(shape)
             for support in enumerate_supports(game):
                 plan = genericity._face_plan(
-                    shape, canonical_equilibrium_family(game, support), chart).system
+                    shape, canonical_equilibrium_family(game, support), chart)
                 if not plan.n:
                     continue
-                system = genericity._face_system(game, plan)[0]
+                system = genericity._face_system(game, plan)
                 z = rng.normal(0.0, 1.0, plan.n)
                 alone = [(f.tobytes(), jac.tobytes())
                          for f, jac in (system(z), (a[0] for a in system(z[None])))]

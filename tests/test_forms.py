@@ -134,6 +134,34 @@ def test_a_fractional_player_is_a_value_error(mp_float, call):
         call(mp_float, 0.5)
 
 
+@pytest.mark.parametrize("blocks, pinned, message", [
+    ((0.5,), (), "form block 0.5 is not an integer"),
+    (("a",), (), "form block a is not an integer"),
+    ((1, 0), (), "form blocks (1, 0) are not strictly ascending"),
+    ((0, 0), (), "form blocks (0, 0) are not strictly ascending"),
+    ((0,), (-1,), "block 0 pinned slot -1 must be >= 0"),
+    ((0,), (5,), "block 0 pinned slot 5 out of range"),
+    ((1,), (2,), "block 1 pinned slot 2 out of range"),
+    ((0,), (0.5,), "block 0 pinned slot 0.5 is not an integer"),
+    ((0,), 3, "pinned slots 3 is not a sequence"),
+])
+def test_a_form_checks_its_blocks_and_pinned_slots_when_built(blocks, pinned, message):
+    # blocks are strictly ascending player indices and a pinned slot is
+    # None or an index below its axis size (here 2), checked when the
+    # form is built, not later in eval
+    coeffs = np.ones((2,) * (len(blocks)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultilinearForm(blocks, coeffs, pinned)
+
+
+def test_a_form_takes_checked_blocks_and_pinned_slots_as_ints():
+    form = MultilinearForm([np.int64(0), 2.0], np.ones((2, 3)), [None, np.int64(2)])
+    assert form.blocks == (0, 2) and form.pinned == (None, 2)
+    assert all(type(x) is int for x in (*form.blocks, form.pinned[1]))
+    assert form.input_length(1) == 2 and form.input_length(1.0) == 2
+    assert MultilinearForm((0,), np.ones(2)).pinned == (None,)
+
+
 def _rational(game):
     return make_game(game.strategy_counts, game.utilities, mode=RATIONAL)
 

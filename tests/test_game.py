@@ -23,6 +23,7 @@ from nashatlas import (
     GameFormatError,
     GoodFamily,
     MixedProfile,
+    MultilinearForm,
     PayoffDiff,
     SupportProfile,
     best_reply_check,
@@ -32,6 +33,7 @@ from nashatlas import (
     defining_map,
     enumerate_nash,
     excluded_hypersurfaces,
+    format_chart,
     good_family,
     homogeneous_decomposition,
     lambda_decomposition,
@@ -247,6 +249,11 @@ _ENTRIES = {
     "on_hypersurface": ("player 2 chart coordinate", lambda x, mode, tmp: on_hypersurface(
         _GAMES[mode], PayoffDiff(0, (0, 1)), _point(x, mode))),
     "certify": ("player 2 weight", _certify),
+    # a point's full tilde vectors: player 2's x, 1/4 and 1/4
+    "read_chart": ("player 2 tilde coordinate", lambda x, mode, tmp: read_chart(
+        [[_QUARTER[mode]] * 3, _block(x, mode)], (0, 0))),
+    "transition": ("player 2 tilde coordinate", lambda x, mode, tmp: transition(
+        _point(x, mode), (1, 1))),
 }
 
 
@@ -317,6 +324,15 @@ _INDEX_ENTRIES = {
     "homogeneous_decomposition": ("player index", lambda x: homogeneous_decomposition(_G22, x), 2,
                                   None),
     "lambda_decomposition": ("player index", lambda x: lambda_decomposition(_G22, x), 2, None),
+    "ChartPoint.full_vector": ("player index", lambda x: _HALF.full_vector(x), 2, None),
+    "MultilinearForm.input_length": ("block position",
+                                     lambda x: payoff_form(_G22, 0).input_length(x), 2, None),
+    "MultilinearForm.lift_input": ("block position",
+                                   lambda x: payoff_form(_G22, 0).lift_input(x, [0.5, 0.5]), 2,
+                                   None),
+    "MultilinearForm blocks": ("form block", lambda x: MultilinearForm((0, x), np.ones((2, 2))),
+                               None, lambda s: MultilinearForm(s, np.ones((2, 2)))),
+    "format_chart": ("chart", lambda x: format_chart((0, x)), None, format_chart),
 }
 _BAD_INDICES = {"None": None, "x": "x", "1.5": 1.5, "-1": -1, "nested": (0, 1)}
 
@@ -529,8 +545,11 @@ PARSE_ERRORS = {
         "line 5: bad number 'payoff'",
     "players 2\nstrategies 2 2\npayoff 1\n1 1 1 1\n":
         "line 4: unexpected end of file, expected 'payoff'",
+    # a strategy count is an index of at least 2, refused at its line
     "players 2\nstrategies 1 2\npayoff 1\n1 1\npayoff 2\n1 1\n":
-        "player 1 strategy count 1 must be >= 2",
+        "line 2: player 1 strategy count 1 must be >= 2",
+    "players 2\nstrategies 2 -1\npayoff 1\n1 1\npayoff 2\n1 1\n":
+        "line 2: player 2 strategy count -1 must be >= 2",
     "players 2\nstrategies 2 2\nbogus\npayoff 1\n1 1 1 1\npayoff 2\n1 1 1 1\n":
         "line 3: expected 'payoff', got 'bogus'",
     "players 2\nstrategies 2 2\npayoff 1\n1 x 1 1\npayoff 2\n1 1 1 1\n":

@@ -56,8 +56,8 @@ from nashatlas.genericity import (
     _face_system,
     _newton_roots,
     _newton_step,
+    _plan,
     _svd_ranks,
-    _system_plan,
     full_gradient,
 )
 
@@ -321,7 +321,7 @@ def test_face_jacobian_signs_are_indices():
                     continue
                 family = canonical_equilibrium_family(game, cert.support)
                 plan = genericity._face_plan(shape, family, chart)
-                system = genericity._face_system(game, plan.system)[0]
+                system = genericity._face_system(game, plan)
                 total += int(np.sign(np.linalg.det(system(z)[1])))
             assert total == 1, (shape, seed)
 
@@ -604,12 +604,11 @@ def test_probe_equations_are_the_defining_maps():
     rng = np.random.default_rng(7)
     for family, chart, supports in inputs:
         plan = genericity._face_plan(game.strategy_counts, family, chart)
-        system, vectors = genericity._face_system(game, plan.system)
-        tilde_maps, weight_maps = plan.maps, plan.system.weights
+        system = genericity._face_system(game, plan)
         diffs = [h for h in family.hypersurfaces() if isinstance(h, PayoffDiff)]
         exponents = np.array([game.payoff_exponents[h.player] for h in diffs], dtype=int)
         forms = [defining_map(game, h, chart) for h in diffs]
-        n = sum(a.shape[1] - 1 for a in tilde_maps)
+        n = sum(a.shape[1] - 1 for a in plan.maps)
         for _ in range(5):
             if supports is None:
                 z = rng.normal(0.0, 1.0, n)
@@ -618,15 +617,14 @@ def test_probe_equations_are_the_defining_maps():
                 for w, s in zip(weights, supports):
                     w[list(s)] = rng.dirichlet(np.ones(len(s)))
                 z = np.concatenate([w[list(s[1:])] for w, s in zip(weights, supports)])
-                for w, a, v in zip(weights, weight_maps, vectors(z)):
+                for w, a, v in zip(weights, plan.weights, plan.vectors(z)):
                     np.testing.assert_allclose(a @ v, w, rtol=0, atol=1e-15)
                 want = []
                 for i, s in enumerate(supports):
                     c = payoff_slice_values(game, i, weights)
                     want.extend(np.ldexp(c[s[0]] - c[list(s[1:])], -game.payoff_exponents[i]))
                 np.testing.assert_allclose(system(z)[0], want, rtol=1e-12, atol=1e-14)
-            point = ChartPoint(chart, tuple(
-                np.delete(a @ v, l) for a, v, l in zip(tilde_maps, vectors(z), chart)))
+            point = plan.point_at(z)
             want = [f.eval([point.coords[b] for b in f.blocks]) for f in forms]
             np.testing.assert_allclose(np.ldexp(system(z)[0], exponents), want,
                                        rtol=1e-13, atol=0)
@@ -855,9 +853,15 @@ def _per_start_newton(residual, jacobian, starts, accept=None):
     return _greedy_dedup(limits)
 
 
+# face maps whose weight maps (forms._basis_matrix's M times them) are the
+# identity (1, z_b) -> (1, z_b): M's inverse
+IDENTITY_WEIGHTS = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
 def _square_test_game():
-    """A 2x2x2 game whose pair-(0, 1) payoff differences, with the maps
-    (1, z_b) -> (1, z_b), are the equations of the test below: u_0[0] = I,
+    """A 2x2x2 game whose pair-(0, 1) payoff differences, with the weight
+    maps (1, z_b) -> (1, z_b) (IDENTITY_WEIGHTS), are the equations of the
+    test below: u_0[0] = I,
     u_1[:, 0, :] = diag(-1, 1), u_2[:, :, 0] = I, every other entry 0;
     each player's payoff unit is 1."""
     u = np.zeros((3, 2, 2, 2))
@@ -873,13 +877,13 @@ def _unequal_blocks_case():
     """A 2x3x2x2 game's support system with blocks of sizes d = 1, 2, 1
     and 0: the first three players mix on every strategy, the fourth
     plays its first (canonical family, chart (0, 0, 0, 0)): its game,
-    pairs and weight maps, and the Newton starts of support sizes
+    pairs and face maps, and the Newton starts of support sizes
     (2, 3, 2). It has two real roots, one with a negative third
     coordinate."""
     game = random_game((2, 3, 2, 2), seed=7)
     family = canonical_equilibrium_family(
         game, SupportProfile(((0, 1), (0, 1, 2), (0, 1), (0,))))
-    maps = genericity._face_plan(game.strategy_counts, family, (0, 0, 0, 0)).system.weights
+    maps = genericity._face_plan(game.strategy_counts, family, (0, 0, 0, 0)).maps
     assert [a.shape[1] - 1 for a in maps] == [1, 2, 1, 0]
     return game, family.R, maps, _newton_starts((2, 3, 2), 0)
 
@@ -900,7 +904,7 @@ def test_newton_roots_matches_per_start_reference(square, accept):
     if square == "unequal_blocks":
         game, pairs, maps, starts = _unequal_blocks_case()
     else:
-        game, maps = _square_test_game(), [np.eye(2)] * 3
+        game, maps = _square_test_game(), [IDENTITY_WEIGHTS] * 3
         pairs = [[(0, 1)], [(0, 1)], [(0, 1)] if square else []]
         starts = [
             np.array([-0.1, 0.03, 0.04]),  # to A after several damped steps
@@ -910,8 +914,10 @@ def test_newton_roots_matches_per_start_reference(square, accept):
             np.array([-0.7, 1.3, -1.2]),  # to A again, undamped
             np.array([3.0, 0.1, -2.0]),  # damped steps
         ]
-    system = _face_system(game, _system_plan(pairs, maps))[0]
-    expected = _per_start_newton(*_contract_face_system(game, pairs, maps), starts, accept)
+    plan = _plan(maps, pairs, (0,) * len(maps))
+    system = _face_system(game, plan)
+    expected = _per_start_newton(*_contract_face_system(game, pairs, plan.weights), starts,
+                                 accept)
     got = _newton_roots(system, starts, accept)
     assert expected
     assert len(got) == len(expected)
@@ -921,9 +927,9 @@ def test_newton_roots_matches_per_start_reference(square, accept):
 
 def _square_test_system():
     # the square system of the test above, and its contraction reference
-    game, pairs, maps = _square_test_game(), [[(0, 1)]] * 3, [np.eye(2)] * 3
-    return (_face_system(game, _system_plan(pairs, maps))[0],
-            _contract_face_system(game, pairs, maps))
+    game, pairs = _square_test_game(), [[(0, 1)]] * 3
+    plan = _plan([IDENTITY_WEIGHTS] * 3, pairs, (0, 0, 0))
+    return _face_system(game, plan), _contract_face_system(game, pairs, plan.weights)
 
 
 def test_newton_roots_all_starts_on_step_floor():
@@ -1197,12 +1203,12 @@ def test_face_system_matches_the_contraction_reference():
                     for game in games:
                         plan = genericity._face_plan(shape, family, chart)
                         if maps is None:
-                            assert plan.maps is plan.system is None, (shape, family, chart)
+                            assert plan is None, (shape, family, chart)
                             continue
                         weights = [_basis_matrix(len(a)) @ a for a in maps]
-                        for a, b in zip((plan.maps, plan.system.weights), (maps, weights)):
+                        for a, b in zip((plan.maps, plan.weights), (maps, weights)):
                             assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
-                        system = genericity._face_system(game, plan.system)[0]
+                        system = genericity._face_system(game, plan)
                         n = sum(a.shape[1] - 1 for a in maps)
                         want = _contract_face_system(game, family.R, weights)
                         for z in [rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, (5, n)),
@@ -1262,9 +1268,8 @@ def test_face_plans_are_kept_read_only_per_chart_and_errors_are_not_kept():
     hits = genericity._face_plan.cache_info().hits
     regular_value_probe(game, family, list(charts[-1]), seed=1)
     assert genericity._face_plan.cache_info().hits == hits + 1
-    system = plan.system
-    arrays = [*plan.maps, *system.weights, system.gather, system.place,
-              *(a for player in system.players for a in player[1:3])]
+    arrays = [*plan.maps, *plan.weights, plan.gather, plan.place,
+              *(a for player in plan.players for a in player[1:3])]
     assert len(arrays) == 3 + 3 + 2 + 2 * 3
     for x in arrays:
         assert not x.flags.writeable
@@ -1308,8 +1313,8 @@ def test_a_single_root_probe_reads_its_root_as_a_row_of_any_stack():
                 [root] = report.roots
                 # no labels: the face coordinates are the chart coordinates
                 z = np.concatenate(root.point.coords)
-                plan = genericity._face_plan(shape, family, chart).system
-                system = genericity._face_system(game, plan)[0]
+                plan = genericity._face_plan(shape, family, chart)
+                system = genericity._face_system(game, plan)
                 for size in (2, 5, 7):
                     stack = rng.normal(0.0, 1.0, (size, z.size))
                     place = rng.integers(size)
