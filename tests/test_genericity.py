@@ -625,6 +625,7 @@ def test_probe_equations_are_the_defining_maps():
                     want.extend(np.ldexp(c[s[0]] - c[list(s[1:])], -game.payoff_exponents[i]))
                 np.testing.assert_allclose(system(z)[0], want, rtol=1e-12, atol=1e-14)
             point = plan.point_at(z)
+            assert point.chart == chart
             want = [f.eval([point.coords[b] for b in f.blocks]) for f in forms]
             np.testing.assert_allclose(np.ldexp(system(z)[0], exponents), want,
                                        rtol=1e-13, atol=0)
@@ -861,9 +862,8 @@ IDENTITY_WEIGHTS = np.array([[1.0, 1.0], [0.0, 1.0]])
 def _square_test_game():
     """A 2x2x2 game whose pair-(0, 1) payoff differences, with the weight
     maps (1, z_b) -> (1, z_b) (IDENTITY_WEIGHTS), are the equations of the
-    test below: u_0[0] = I,
-    u_1[:, 0, :] = diag(-1, 1), u_2[:, :, 0] = I, every other entry 0;
-    each player's payoff unit is 1."""
+    test below: u_0[0] = I, u_1[:, 0, :] = diag(-1, 1), u_2[:, :, 0] = I,
+    every other entry 0; each player's payoff unit is 1."""
     u = np.zeros((3, 2, 2, 2))
     u[0][0] = np.eye(2)
     u[1][:, 0, :] = np.diag([-1.0, 1.0])
