@@ -156,11 +156,13 @@ def all_charts(game: FiniteGame) -> list[tuple[int, ...]]:
 def read_chart(vectors, chart) -> ChartPoint:
     """Inverse of ChartPoint.full_vectors up to projective scaling:
     rescale each player's vector so the chart slot is 1, then drop that
-    slot. The chart is checked against the vectors' lengths
+    slot. The vectors are a sequence of one sequence per player
+    (game._sequence), the chart is checked against their lengths
     (_validate_chart) and their entries are numbers (_check_blocks); an
     exact vector (game._exact) is read exactly, any other as floats, each
     entry a finite one (game._numbers)."""
-    counts = [len(v) for v in vectors]
+    vectors = _sequence(vectors, "tilde vectors")
+    counts = [len(_sequence(v, f"player {i + 1} tilde vector")) for i, v in enumerate(vectors)]
     chart = _validate_chart(chart, counts)
     _check_blocks(vectors, counts, "tilde coordinate")
     coords = []

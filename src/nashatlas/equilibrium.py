@@ -35,8 +35,19 @@ enumerate_nash still checks it with best_reply_check, which builds its
 report, and rounds a float game's answers to float64 once, at the end,
 as best_reply_check rounds (game._rounded: +-inf beyond the float range).
 A one-player game's player is solved so too, its partner held with no
-payoffs. When three or more players mix the system is multilinear, and
-only then does it run the damped multistart Newton loop of
+payoffs. When three or more players mix the system is multilinear.
+Where exactly three mix, each over two strategies, the others held, it
+is still decided in integers (_exact_triple_solve): each mixed player's
+slope difference is bilinear in the other two players' weights on
+supp[1], eliminating two weights leaves one integer quadratic in the
+third, the sign of every weight and of its complement at each root is
+the sign of an a + b sqrt(D), settled by comparing a^2 with b^2 D, and
+each weight is reported as the float nearest its exact value; a root
+with a weight exactly 0 is on the face's boundary and is dropped. Where
+that closed form cannot decide (a vanishing eliminant or denominator,
+a denominator vanishing at a root, a double root), and wherever more
+than three players mix or one of three mixes over more than two
+strategies, the support runs the damped multistart Newton loop of
 genericity._newton_roots on its canonical family's face in chart (0,
 ..., 0), the system the probe solves too (genericity._face_plan, then
 _face_system): the unknowns are each player's weights on supp[1:], and
@@ -349,6 +360,129 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile) -> list[MixedPr
     return [_rational_profile(point)]
 
 
+def _exact_triple_solve(game: FiniteGame, support: SupportProfile) -> list[MixedProfile] | None:
+    """Supports on which exactly three players a < b < c mix, each over
+    two strategies, the others held at their one strategy: every root of
+    the slope equalities with all six weights and their complements > 0,
+    exactly, each weight the float nearest its exact value; None when the
+    closed form below cannot decide them.
+
+    With x, y, z the weights of a, b, c on supp[1], each player's slope
+    difference slope(supp[1]) - slope(supp[0]) is bilinear in the other
+    two weights, in integer_utilities' integers. a's gives y = ny(z) /
+    py(z) and b's x = nx(z) / px(z); c's, times px * py, is the eliminant
+    E(z) = k0 + k1 z + k2 z^2. The roots are the roots of E, each z =
+    (A + B sqrt(D)) / C (_quadratic_roots), and every weight and its
+    complement is a ratio of two linear polynomials in z, so its sign at
+    a root is that of an a + b sqrt(D) (_sign) and its float is refined
+    from integer square roots (_nearest): no tolerance anywhere. A weight
+    exactly 0 puts the root on the face's boundary, and it is dropped.
+
+    None (the caller runs Newton) when E vanishes identically, a
+    denominator px or py does, a denominator vanishes at a root of E, or
+    E has a double root. Otherwise the roots are simple and the
+    denominators nonzero there, and det J = -E'(z*) in (x, y, z): every
+    root is regular, so this route never raises SingularSystem."""
+    supports = support.supports
+    mixed = [i for i, s in enumerate(supports) if len(s) > 1]
+    # each mixed player's integers on the support's pure profiles: a 2x2x2
+    # cube over (a, b, c), the held players' axes of length 1 dropped
+    grid = np.ix_(*supports)
+    bilinear = []
+    for k, i in enumerate(mixed):
+        cube = np.moveaxis(game.integer_utilities[i][0][grid].reshape(2, 2, 2), k, 0)
+        (d00, d01), (d10, d11) = (cube[1] - cube[0]).tolist()
+        # c0 + c1 s + c2 t + c3 s t, s and t the other two players' weights in order
+        bilinear.append((d00, d10 - d00, d01 - d00, d11 - d10 - d01 + d00))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = bilinear
+    (ny, py), (nx, px) = ((-a0, -a2), (a1, a3)), ((-b0, -b2), (b1, b3))
+
+    def times(p, q):
+        # the product of two linear polynomials in z, (constant, slope)
+        return p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]
+
+    terms = ((c0, times(px, py)), (c1, times(nx, py)), (c2, times(ny, px)), (c3, times(nx, ny)))
+    k0, k1, k2 = (sum(c * t[j] for c, t in terms) for j in range(3))
+    # E(-p0 / p1) * p1^2 == 0: the denominator's one zero is a root of E
+    if not any((k0, k1, k2)) or any(
+            p == (0, 0) or p[1] and k0 * p[1] ** 2 - k1 * p[0] * p[1] + k2 * p[0] ** 2 == 0
+            for p in (px, py)):
+        return None
+    roots = _quadratic_roots(k0, k1, k2)
+    if roots is None:
+        return None
+    # per mixed player, its weight on supp[1] as a ratio of linear polynomials in z
+    ratios = ((nx, px), (ny, py), ((0, 1), (1, 0)))
+    found = []
+    for A, B, C, D in roots:
+        values = []
+        for (n0, n1), (p0, p1) in ratios:
+            # the weight n / p and its complement (p - n) / p at z, each
+            # polynomial times C an a + b sqrt(D)
+            na, nb, pa, pb = n0 * C + n1 * A, n1 * B, p0 * C + p1 * A, p1 * B
+            sign = _sign(pa, pb, D)
+            if _sign(na, nb, D) != sign or _sign(pa - na, pb - nb, D) != sign:
+                break
+            values.append((_nearest(pa - na, pb - nb, pa, pb, D), _nearest(na, nb, pa, pb, D)))
+        else:
+            weights = [np.zeros(c) for c in game.strategy_counts]
+            for w, supp in zip(weights, supports):
+                w[supp[0]] = 1.0
+            for i, pair in zip(mixed, values):
+                weights[i][list(supports[i])] = pair
+            found.append(MixedProfile(tuple(weights)))
+    return found
+
+
+def _quadratic_roots(k0: int, k1: int, k2: int):
+    """The real roots of k0 + k1 z + k2 z^2 (not all three 0), each as
+    integers (A, B, C, D) with z = (A + B sqrt(D)) / C, C > 0 and B in
+    (-1, 0, 1), B = 0 for a rational root, smaller root first; None for a
+    double root (k2 != 0 and discriminant 0)."""
+    if k2 == 0:
+        return [] if k1 == 0 else [(-k0 * (1 if k1 > 0 else -1), 0, abs(k1), 0)]
+    D = k1 * k1 - 4 * k0 * k2
+    if D <= 0:
+        return [] if D < 0 else None
+    sign = 1 if k2 > 0 else -1
+    A, C = -k1 * sign, 2 * k2 * sign
+    r = math.isqrt(D)
+    if r * r == D:
+        return [(A - r, 0, C, 0), (A + r, 0, C, 0)]
+    return [(A, -1, C, D), (A, 1, C, D)]
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """The sign of a + b sqrt(d), d > 0 wherever b != 0, in integers:
+    where a and b differ in sign, the larger of a^2 and b^2 d decides
+    (they tie only when d is a square)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    lhs, rhs = a * a, b * b * d
+    return sa * ((lhs > rhs) - (lhs < rhs))
+
+
+def _nearest(a: int, b: int, c: int, d: int, r: int) -> float:
+    """The float nearest (a + b sqrt(r)) / (c + d sqrt(r)), its denominator
+    nonzero: rounded once (game._rounded) when b = d = 0, else from
+    sqrt(r) bracketed by [s, s + 1] / 2^k (math.isqrt), k doubled until
+    both ends round to the same float. The ratio is monotone in sqrt(r)
+    between them once the denominator keeps its sign there; an irrational
+    ratio is no midpoint of two floats, so the doubling ends."""
+    if b == d == 0:
+        return _rounded(a, c)
+    k = 64
+    while True:
+        s = math.isqrt(r << 2 * k)
+        (n0, m0), (n1, m1) = (((a << k) + b * t, (c << k) + d * t) for t in (s, s + 1))
+        if (m0 > 0) == (m1 > 0) and m0 and m1:
+            low = _rounded(n0, m0)
+            if low == _rounded(n1, m1):
+                return low
+        k *= 2
+
+
 def _newton_starts(sizes: tuple[int, ...], seed: int) -> np.ndarray:
     """The (B, sum(sizes) - len(sizes)) Newton starts for mixed players
     with the given support sizes: the centroid, one start pulled towards
@@ -370,7 +504,8 @@ def _newton_starts(sizes: tuple[int, ...], seed: int) -> np.ndarray:
 def _newton_solve(game: FiniteGame, support: SupportProfile, seed: int):
     """Multistart damped Newton on the support's canonical face in chart
     (0, ..., 0) (genericity._face_plan, then _face_system): supports on
-    which three or more players mix."""
+    which three or more players mix that _exact_triple_solve does not
+    decide."""
     supports = support.supports
     mixed = [i for i in range(game.num_players) if len(supports[i]) >= 2]
     plan = _face_plan(game.strategy_counts, canonical_equilibrium_family(game, support),
@@ -419,14 +554,21 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     integers for every player's best reply, so the list holds the
     support's equilibrium or nothing, not every positive solution; its
     profiles are Fractions in either mode. Three or more mixed players
-    make the system multilinear; only those supports take multistart
-    Newton (_newton_solve). The seed of the Newton starts is an index
-    (game._index), and the support is checked against the game
-    (game._check_support), on every route."""
+    make the system multilinear. With exactly three mixed over two
+    strategies each, it is decided in integers (_exact_triple_solve):
+    every root with all weights > 0, each weight the float nearest its
+    exact value, in either mode. The supports that closed form cannot
+    decide, and those where more players mix or over more strategies,
+    take multistart Newton (_newton_solve). The seed of the Newton
+    starts is an index (game._index), and the support is checked against
+    the game (game._check_support), on every route."""
     seed = _index(seed, "seed")
     supports = _check_support(support, game.strategy_counts)
-    if len(supports) > 2 and sum(len(s) > 1 for s in supports) > 2:
-        return _newton_solve(game, support, seed)
+    if len(supports) > 2:
+        sizes = [len(s) for s in supports if len(s) > 1]
+        if len(sizes) > 2:
+            found = _exact_triple_solve(game, support) if sizes == [2, 2, 2] else None
+            return _newton_solve(game, support, seed) if found is None else found
     return _exact_pair_solve(game, support)
 
 

@@ -47,9 +47,11 @@ class MultilinearForm:
     blocks: strictly ascending player indices (0-based) the form depends
         on.
     pinned: per block, the coordinate index fixed to 1, below the block's
-        axis size, or None for a homogeneous block. A pinned block of full
-        size s takes input vectors of length s - 1.
-    Both are checked when the form is built (game._indices, game._index).
+        axis size, or None for a homogeneous block; None or an empty
+        sequence pins no block. A pinned block of full size s takes input
+        vectors of length s - 1.
+    Both are checked when the form is built (game._indices, game._sequence,
+    game._index).
     """
 
     blocks: tuple[int, ...]
@@ -63,7 +65,8 @@ class MultilinearForm:
         blocks = _indices(self.blocks, "form blocks", "form block")
         if any(a >= b for a, b in zip(blocks, blocks[1:])):
             raise ValueError(f"form blocks {blocks} are not strictly ascending")
-        pinned = _sequence(self.pinned or (), "pinned slots") or (None,) * len(blocks)
+        pinned = () if self.pinned is None else _sequence(self.pinned, "pinned slots")
+        pinned = pinned or (None,) * len(blocks)
         if len(blocks) != self.coeffs.ndim or len(pinned) != self.coeffs.ndim:
             raise ValueError("blocks/pinned must match tensor rank")
         object.__setattr__(self, "blocks", blocks)

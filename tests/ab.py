@@ -53,8 +53,12 @@ Sections, in this order (``--only`` picks some of them):
   indices (INDEX_ENTRIES, on a 2x2 game), each given one malformed index
   in turn (BAD_INDICES: None, "x", 1.5, -1 and a nested sequence; the
   index one past the entry's range; a scalar where its sequence of
-  indices goes); an answer is the call's repr (an error, as always, its
-  exception type and message).
+  indices goes); then every public entry path of a sequence that holds
+  no indices (SEQUENCE_ENTRIES: ``read_chart``'s vectors, one player's
+  vector, ``MultilinearForm``'s pinned slots), each given one malformed
+  sequence in turn (BAD_SEQUENCES: None, 0, "x" and the empty tuple); an
+  answer is the call's repr (an error, as always, its exception type and
+  message).
 
 Each item's inputs are built by each side's own library (``random_game``,
 ``make_game``, ``good_family``, ``serialize_game``). The item then runs on
@@ -118,6 +122,8 @@ BAD = {"None": None, "inf": math.inf, "-inf": -math.inf, "nan": math.nan, "x": "
 # entry's index one past its range ("past") and a scalar in place of its
 # sequence of indices ("scalar")
 BAD_INDICES = {"None": None, "x": "x", "1.5": 1.5, "-1": -1, "nested": (0, 1)}
+# the errors section's malformed sequences (of numbers or of slots), by label
+BAD_SEQUENCES = {"None": None, "0": 0, "x": "x", "empty": ()}
 NUMBERS = (int, float, Fraction)
 
 
@@ -428,6 +434,9 @@ def errors(ab, rounds):
         cases += [("scalar", sequence, 0)] * (sequence is not None)
         for label, run, x in cases:
             ab(f"errors {entry} {label}", lambda lib: partial(shown, partial(run, lib, x)))
+    for entry, call in SEQUENCE_ENTRIES.items():
+        for label, s in BAD_SEQUENCES.items():
+            ab(f"errors {entry} {label}", lambda lib: partial(shown, partial(call, lib, s)))
 
 
 def shown(call) -> str:
@@ -585,6 +594,15 @@ INDEX_ENTRIES = {
     "MultilinearForm-pinned": (lambda lib, x: lib.MultilinearForm(
         (0, 1), np.ones((2, 2)), (None, x)), 2, None),
     "parse_game-counts": (lambda lib, x: lib.parse_game(counts_file(x)), 1, None),
+}
+
+
+# every public entry path of a sequence that holds no indices: the call
+# with s in place of the sequence
+SEQUENCE_ENTRIES = {
+    "read_chart-vectors": lambda lib, s: lib.read_chart(s, (0, 0)),
+    "read_chart-vector": lambda lib, s: lib.read_chart([s, [1, 2]], (0, 0)),
+    "MultilinearForm-pinned-slots": lambda lib, s: lib.MultilinearForm((0,), np.ones(2), s),
 }
 
 

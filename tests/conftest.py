@@ -299,18 +299,17 @@ def oracle_equilibria_2p(A, B):
     return found, continuum
 
 
-def oracle_full_support_2x2x2(game):
-    """The full-support equilibria of a 2x2x2 game in closed form, each
-    as (x, y, z), the three players' weights on strategy 1; None when the
-    closed form does not decide them: a zero leading coefficient or
-    discriminant, or a denominator that vanishes at a root.
+def eliminant_2x2x2(game):
+    """The closed form of a 2x2x2 game's full support in exact Fractions:
+    ((k0, k1, k2), (ny, py), (nx, px)), the eliminant k0 + k1 z + k2 z^2
+    and y = ny(z) / py(z), x = nx(z) / px(z), each linear polynomial as
+    (constant, slope), with x, y, z the three players' weights on
+    strategy 1.
 
     Each player's slope difference (strategy 1 minus strategy 0) is
     bilinear in the other two players' weights on strategy 1. Players 1
     and 2 give y and x as linear fractions of z; player 3's equation
-    times both denominators is a quadratic in z with exact Fraction
-    coefficients. Its real roots are taken to 40 digits, and those with
-    (x, y, z) in the open cube kept.
+    times both denominators is the eliminant.
     """
     def bilinear(i):
         # (c0, c1, c2, c3) of c0 + c1 s + c2 t + c3 s t, where s and t are
@@ -328,7 +327,20 @@ def oracle_full_support_2x2x2(game):
     c0, c1, c2, c3 = bilinear(2)  # in (x, y)
     ny, py, nx, px = (-a0, -a2), (a1, a3), (-b0, -b2), (b1, b3)
     terms = [(c0, times(py, px)), (c1, times(nx, py)), (c2, times(ny, px)), (c3, times(nx, ny))]
-    k0, k1, k2 = (sum(c * t[j] for c, t in terms) for j in range(3))
+    k = tuple(sum(c * t[j] for c, t in terms) for j in range(3))
+    return k, (ny, py), (nx, px)
+
+
+def oracle_full_support_2x2x2(game):
+    """The full-support equilibria of a 2x2x2 game in closed form, each
+    as (x, y, z), the three players' weights on strategy 1; None when the
+    closed form does not decide them: a zero leading coefficient or
+    discriminant, or a denominator that vanishes at a root.
+
+    The eliminant's (eliminant_2x2x2) real roots are taken to 40 digits,
+    and those with (x, y, z) in the open cube kept.
+    """
+    (k0, k1, k2), (ny, py), (nx, px) = eliminant_2x2x2(game)
     disc = k1 * k1 - 4 * k2 * k0
     if k2 == 0 or disc == 0:
         return None

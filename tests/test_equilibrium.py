@@ -33,7 +33,7 @@ from nashatlas import game as game_module
 from nashatlas.exact import max_min_point, rref, solve_affine
 from nashatlas.forms import contract
 
-from conftest import fresh_python, oracle_enumerate_2p, oracle_equilibria_2p
+from conftest import eliminant_2x2x2, fresh_python, oracle_enumerate_2p, oracle_equilibria_2p
 
 
 def _weight_tuples(result):
@@ -396,6 +396,138 @@ def test_linear_supports_agree_with_newton():
                     np.testing.assert_allclose(a, b, atol=1e-8)
                 solved += mixed == 2 and bool(got)
     assert solved >= 10
+
+
+def _three_mixed(support) -> bool:
+    # exactly three players mix, each over two strategies
+    return [len(s) for s in support.supports if len(s) > 1] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("shape, seeds", [((2, 3, 2), range(1000, 1006)),
+                                          ((3, 3, 2), range(1000, 1003)),
+                                          ((2, 2, 2, 2), range(1000, 1004))])
+def test_three_mixed_route_matches_newton(shape, seeds):
+    # on every support where three players mix over two strategies each,
+    # the others held, the exact route decides the roots, solve_support
+    # returns them, and Newton run directly finds the same number, each
+    # point within 1e-9
+    supports = roots = 0
+    for seed in seeds:
+        game = random_game(shape, seed=seed)
+        for support in filter(_three_mixed, enumerate_supports(game)):
+            exact = equilibrium._exact_triple_solve(game, support)
+            assert exact is not None, (seed, support)
+            got = _points(exact)
+            assert _points(solve_support(game, support, seed)) == got
+            want = _points(_newton_solve(game, support, seed))
+            assert len(got) == len(want), (seed, support)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+            supports, roots = supports + 1, roots + len(got)
+    assert supports >= 3 * len(seeds) and roots > 0
+
+
+@pytest.mark.parametrize("a, b, d, sign", [
+    (0, 3, 2, 1), (0, -3, 2, -1), (0, 0, 2, 0),  # a = 0
+    (5, 0, 7, 1), (-5, 0, 7, -1),  # b = 0
+    (6, -2, 9, 0), (-6, 2, 9, 0),  # a^2 = b^2 d, d a square
+    (7, -2, 9, 1), (5, -2, 9, -1), (-7, 2, 9, -1), (-5, 2, 9, 1),
+    (3, -1, 8, 1), (3, -1, 10, -1), (-3, 1, 8, -1), (4, 1, 3, 1), (-4, -1, 3, -1),
+])
+def test_sign_of_a_plus_b_sqrt_d(a, b, d, sign):
+    assert equilibrium._sign(a, b, d) == sign
+
+
+def _sqrt_bits(q, bits: int = 200) -> Fraction:
+    # a Fraction within 2**-bits of sqrt(q), q >= 0 rational; exact when
+    # q is the square of a rational
+    q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    return Fraction(math.isqrt(n * d << 2 * bits), d << bits)
+
+
+def test_signs_at_the_roots_of_a_quadratic_of_either_leading_sign():
+    # each real root of k0 + k1 z + k2 z^2 is (A + B sqrt(D)) / C with
+    # C > 0, the smaller first, whatever k2's sign, and the sign of
+    # p + q z there is that of its 200-bit value, or of its exact value
+    # at a rational root, where it may be 0
+    rng = np.random.default_rng(8)
+    negative = zero = 0
+    for k0, k1, k2, p, q in rng.integers(-6, 7, (600, 5)).tolist():
+        if not any((k0, k1, k2)):
+            continue
+        roots = equilibrium._quadratic_roots(k0, k1, k2)
+        disc = k1 * k1 - 4 * k0 * k2
+        if roots is None:
+            assert k2 != 0 and disc == 0
+            continue
+        assert len(roots) == (bool(k1) if k2 == 0 else 2 * (disc > 0))
+        zs = [Fraction(A, C) + B * _sqrt_bits(D) / C for A, B, C, D in roots]
+        assert zs == sorted(zs) and all(C > 0 for _, _, C, _ in roots)
+        for (A, B, C, D), z in zip(roots, zs):
+            assert abs(k0 + k1 * z + k2 * z * z) < Fraction(1, 2**150)
+            value = p + q * z
+            want = (value > 0) - (value < 0)
+            assert B == 0 or q == 0 or value != 0
+            assert equilibrium._sign(p * C + q * A, q * B, D) == want, (k0, k1, k2, p, q)
+            negative += k2 < 0
+            zero += want == 0
+    assert negative > 50 and zero > 0
+
+
+def test_three_mixed_weights_are_the_nearest_floats():
+    # every weight the exact route reports on a 2x2x2 full support, and
+    # each complement, is the float nearest its exact value: the roots of
+    # the oracle's eliminant in Fractions (conftest.eliminant_2x2x2), the
+    # square root to 200 bits, each weight rounded once by float(); small
+    # integer games have rational roots and roots on the face's boundary
+    full = SupportProfile(((0, 1),) * 3)
+    rng = np.random.default_rng(3)
+    games = [random_game((2, 2, 2), seed=seed) for seed in range(1000, 1300)]
+    games += [make_game((2, 2, 2), rng.integers(-3, 4, (3, 8)).tolist()) for _ in range(200)]
+    decided = roots = rational = boundary = 0
+    for game in games:
+        got = equilibrium._exact_triple_solve(game, full)
+        if got is None:
+            continue
+        (k0, k1, k2), (ny, py), (nx, px) = eliminant_2x2x2(game)
+        disc = k1 * k1 - 4 * k0 * k2
+        if k2 == 0:
+            zs = [-k0 / k1] if k1 else []
+        else:
+            zs = [] if disc < 0 else [(-k1 + sign * _sqrt_bits(disc)) / (2 * k2)
+                                      for sign in (-1, 1)]
+        want = []
+        for z in zs:
+            x = (nx[0] + nx[1] * z) / (px[0] + px[1] * z)
+            y = (ny[0] + ny[1] * z) / (py[0] + py[1] * z)
+            if all(0 < v < 1 for v in (x, y, z)):
+                want.append([[float(1 - v), float(v)] for v in (x, y, z)])
+            boundary += all(0 <= v <= 1 for v in (x, y, z)) and not all(0 < v < 1 for v in (x, y, z))
+        assert sorted([w.tolist() for w in p.weights] for p in got) == sorted(want)
+        decided, roots = decided + 1, roots + len(want)
+        rational += bool(want) and (k2 == 0 or _sqrt_bits(disc) ** 2 == disc)
+    # 460 decided, 104 interior roots, 8 of them rational, 10 boundary roots
+    assert decided >= 450 and roots >= 100 and rational >= 5 and boundary >= 5
+
+
+def test_a_root_on_the_face_boundary_is_dropped():
+    # the full support's one root in this tied game has player 3's weight
+    # on strategy 1 exactly 0: it is the equilibrium ((1/2, 1/2), (1/5,
+    # 4/5), (1, 0)) of a smaller support. Newton reaches it with that
+    # weight 8.4e-13 > 0 and keeps it, so enumeration reported it twice
+    u1 = [[[2, -1], [1, 0]], [[-2, 2], [2, -2]]]
+    u2 = [[[-1, 2], [-2, 1]], [[-1, 1], [0, 0]]]
+    u3 = [[[-1, 0], [0, -2]], [[1, 0], [0, 2]]]
+    game = make_game((2, 2, 2), [u1, u2, u3])
+    full = SupportProfile(((0, 1),) * 3)
+    assert len(_newton_solve(game, full, 0)) == 1
+    assert equilibrium._exact_triple_solve(game, full) == []
+    result = enumerate_nash(game)
+    assert result.count == 2 and not result.warnings and not result.continuum
+    assert all(cert.support != full for cert in result.equilibria)
+    [cert] = [c for c in result.equilibria if c.support.supports == ((0, 1), (0, 1), (0,))]
+    assert np.concatenate(cert.point.weights).tolist() == [0.5, 0.5, 0.2, 0.8, 1.0, 0.0]
 
 
 def _assert_screen_is_the_check(game, support):

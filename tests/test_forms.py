@@ -144,6 +144,8 @@ def test_a_fractional_player_is_a_value_error(mp_float, call):
     ((1,), (2,), "block 1 pinned slot 2 out of range"),
     ((0,), (0.5,), "block 0 pinned slot 0.5 is not an integer"),
     ((0,), 3, "pinned slots 3 is not a sequence"),
+    ((0,), 0, "pinned slots 0 is not a sequence"),
+    ((0,), "", "pinned slots  is not a sequence"),
 ])
 def test_a_form_checks_its_blocks_and_pinned_slots_when_built(blocks, pinned, message):
     # blocks are strictly ascending player indices and a pinned slot is
@@ -160,6 +162,9 @@ def test_a_form_takes_checked_blocks_and_pinned_slots_as_ints():
     assert all(type(x) is int for x in (*form.blocks, form.pinned[1]))
     assert form.input_length(1) == 2 and form.input_length(1.0) == 2
     assert MultilinearForm((0,), np.ones(2)).pinned == (None,)
+    # only None and an empty sequence pin nothing; a falsy 0 is no sequence
+    assert MultilinearForm((0,), np.ones(2), None).pinned == (None,)
+    assert MultilinearForm((0,), np.ones(2), []).pinned == (None,)
 
 
 def _rational(game):

@@ -969,7 +969,8 @@ def test_newton_step_makes_one_residual_call(monkeypatch):
         return _newton_roots(counted, starts, accept)
 
     monkeypatch.setattr(equilibrium, "_newton_roots", newton_roots)
-    solve_support(random_game((2, 2, 2), seed=1), SupportProfile(((0, 1),) * 3))
+    # solve_support decides this support exactly; Newton is run directly
+    equilibrium._newton_solve(random_game((2, 2, 2), seed=1), SupportProfile(((0, 1),) * 3), 0)
     assert steps[0] > 1
     assert calls[0] == steps[0] + 1
 
@@ -1010,15 +1011,20 @@ def test_newton_roots_drops_a_start_that_needs_a_shorter_step():
 
 
 def test_fixture_games_bound_newton_steps(monkeypatch):
-    # stalled starts stop early instead of running to the step limit, and
-    # only supports on which all three players mix take Newton: Newton
-    # steps (_newton_step calls) over the 2x2x2 games of the acceptance
-    # fixture's first 20 seeds (1,383 with 25 halvings, 726 with every
-    # support on Newton, 366 with the full support only)
+    # stalled starts stop early instead of running to the step limit:
+    # Newton steps (_newton_step calls) on the full supports of the 2x2x2
+    # games of the acceptance fixture's first 20 seeds (1,383 with 25
+    # halvings, 366 now). solve_support decides these supports exactly,
+    # so Newton is run directly, and enumeration takes no Newton step
     steps = _counted_steps(monkeypatch)
     for seed in range(40_000, 40_020):
-        enumerate_nash(random_game((2, 2, 2), seed=seed), seed=seed)
+        game = random_game((2, 2, 2), seed=seed)
+        equilibrium._newton_solve(game, SupportProfile(((0, 1),) * 3), seed)
     assert steps[0] <= 400
+    newton = steps[0]
+    for seed in range(40_000, 40_020):
+        enumerate_nash(random_game((2, 2, 2), seed=seed), seed=seed)
+    assert steps[0] == newton
 
 
 def _per_start_newton_starts(sizes, seed):
@@ -1388,8 +1394,10 @@ TWO_ROOT_GAMES = [("uniform", 100_497), ("uniform", 100_600),
 
 
 def test_newton_finds_every_full_support_root_of_a_2x2x2_game():
-    # Newton's roots against the closed form of an independent oracle,
-    # matched one to one: none missed, none extra
+    # the roots of solve_support, which decides these supports exactly
+    # (equilibrium._exact_triple_solve), and of Newton run directly,
+    # against the closed form of an independent oracle, matched one to
+    # one: none missed, none extra
     corpus = ([("uniform", seed) for seed in range(100_000, 100_200)]
               + [("normal", seed) for seed in range(200_000, 200_100)] + TWO_ROOT_GAMES)
     full = SupportProfile(((0, 1),) * 3)
@@ -1400,12 +1408,12 @@ def test_newton_finds_every_full_support_root_of_a_2x2x2_game():
         if want is None:
             skipped += 1
             continue
-        got = np.array([[w[1] for w in p.weights] for p in solve_support(game, full)])
-        got = got.reshape(len(got), 3)
-        matches = [np.flatnonzero(np.abs(got - root).max(axis=1, initial=0.0) <= 1e-7)
-                   for root in want]
-        assert all(len(m) == 1 for m in matches), (distribution, seed)
-        assert sorted(int(m[0]) for m in matches) == list(range(len(got))), (distribution, seed)
+        for solved in (solve_support(game, full), equilibrium._newton_solve(game, full, 0)):
+            got = np.array([[w[1] for w in p.weights] for p in solved]).reshape(len(solved), 3)
+            matches = [np.flatnonzero(np.abs(got - root).max(axis=1, initial=0.0) <= 1e-7)
+                       for root in want]
+            assert all(len(m) == 1 for m in matches), (distribution, seed)
+            assert sorted(int(m[0]) for m in matches) == list(range(len(got))), (distribution, seed)
         sizes.append(len(want))
     assert skipped == 0
     assert sizes.count(2) == len(TWO_ROOT_GAMES) and sizes.count(1) > 0
