@@ -161,8 +161,9 @@ def read_chart(vectors, chart) -> ChartPoint:
     (_validate_chart) and their entries are numbers (_check_blocks); an
     exact vector (game._exact) is read exactly, any other as floats, each
     entry a finite one (game._numbers)."""
-    vectors = _sequence(vectors, "tilde vectors")
-    counts = [len(_sequence(v, f"player {i + 1} tilde vector")) for i, v in enumerate(vectors)]
+    vectors = [_sequence(v, f"player {i + 1} tilde vector")
+               for i, v in enumerate(_sequence(vectors, "tilde vectors"))]
+    counts = [len(v) for v in vectors]
     chart = _validate_chart(chart, counts)
     _check_blocks(vectors, counts, "tilde coordinate")
     coords = []

@@ -42,8 +42,11 @@ slope difference is bilinear in the other two players' weights on
 supp[1], eliminating two weights leaves one integer quadratic in the
 third, the sign of every weight and of its complement at each root is
 the sign of an a + b sqrt(D), settled by comparing a^2 with b^2 D, and
-each weight is reported as the float nearest its exact value; a root
-with a weight exactly 0 is on the face's boundary and is dropped. Where
+each weight is reported as the float nearest its exact value. A root
+with a weight exactly 0 lies on the face's boundary and is kept, as
+Newton keeps a tiny weight below: best_reply_check reads that margin as
+0 (boundary-degenerate), and the point may be reported by no smaller
+support, whose solution set can be positive-dimensional. Where
 that closed form cannot decide (a vanishing eliminant or denominator,
 a denominator vanishing at a root, a double root), and wherever more
 than three players mix or one of three mixes over more than two
@@ -363,8 +366,7 @@ def _exact_pair_solve(game: FiniteGame, support: SupportProfile) -> list[MixedPr
 def _exact_triple_solve(game: FiniteGame, support: SupportProfile) -> list[MixedProfile] | None:
     """Supports on which exactly three players a < b < c mix, each over
     two strategies, the others held at their one strategy: every root of
-    the slope equalities with all six weights and their complements > 0,
-    exactly, each weight the float nearest its exact value; None when the
+    the slope equalities with all six weights >= 0, exactly, each weight the float nearest its exact value; None when the
     closed form below cannot decide them.
 
     With x, y, z the weights of a, b, c on supp[1], each player's slope
@@ -376,7 +378,8 @@ def _exact_triple_solve(game: FiniteGame, support: SupportProfile) -> list[Mixed
     complement is a ratio of two linear polynomials in z, so its sign at
     a root is that of an a + b sqrt(D) (_sign) and its float is refined
     from integer square roots (_nearest): no tolerance anywhere. A weight
-    exactly 0 puts the root on the face's boundary, and it is dropped.
+    exactly 0 puts the root on the face's boundary; it is kept, and
+    best_reply_check flags it boundary-degenerate.
 
     None (the caller runs Newton) when E vanishes identically, a
     denominator px or py does, a denominator vanishes at a root of E, or
@@ -421,7 +424,7 @@ def _exact_triple_solve(game: FiniteGame, support: SupportProfile) -> list[Mixed
             # polynomial times C an a + b sqrt(D)
             na, nb, pa, pb = n0 * C + n1 * A, n1 * B, p0 * C + p1 * A, p1 * B
             sign = _sign(pa, pb, D)
-            if _sign(na, nb, D) != sign or _sign(pa - na, pb - nb, D) != sign:
+            if _sign(na, nb, D) == -sign or _sign(pa - na, pb - nb, D) == -sign:
                 break
             values.append((_nearest(pa - na, pb - nb, pa, pb, D), _nearest(na, nb, pa, pb, D)))
         else:
@@ -469,7 +472,10 @@ def _nearest(a: int, b: int, c: int, d: int, r: int) -> float:
     sqrt(r) bracketed by [s, s + 1] / 2^k (math.isqrt), k doubled until
     both ends round to the same float. The ratio is monotone in sqrt(r)
     between them once the denominator keeps its sign there; an irrational
-    ratio is no midpoint of two floats, so the doubling ends."""
+    ratio is no midpoint of two floats, so the doubling ends. A zero
+    numerator is 0.0, never -0.0."""
+    if a == b == 0:
+        return 0.0
     if b == d == 0:
         return _rounded(a, c)
     k = 64
@@ -556,7 +562,7 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     profiles are Fractions in either mode. Three or more mixed players
     make the system multilinear. With exactly three mixed over two
     strategies each, it is decided in integers (_exact_triple_solve):
-    every root with all weights > 0, each weight the float nearest its
+    every root with all weights >= 0, each weight the float nearest its
     exact value, in either mode. The supports that closed form cannot
     decide, and those where more players mix or over more strategies,
     take multistart Newton (_newton_solve). The seed of the Newton

@@ -110,13 +110,20 @@ def test_read_chart_reads_vector_entries_by_the_number_rule(vector, chart, messa
     ([[1, 2], "ab"], "player 2 tilde vector ab is not a sequence"),
     (None, "tilde vectors None is not a sequence"),
     (3, "tilde vectors 3 is not a sequence"),
-], ids=["scalar", "None-vector", "string", "None", "int"])
+    ([iter([1, None]), [1, 2]], "player 1 tilde coordinate None is not a number"),
+], ids=["scalar", "None-vector", "string", "None", "int", "iterator"])
 def test_read_chart_reads_its_vectors_by_the_sequence_rule(vectors, message):
     # the vectors and each player's vector are sequences, checked before
     # any length is taken: one ValueError naming the player, never a
-    # TypeError
+    # TypeError; a one-shot iterator is read once, and its entries are
+    # what the later checks see
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_chart(vectors, (0, 0))
+
+
+def test_read_chart_reads_one_shot_iterators_once():
+    p = read_chart(iter([iter([2, 1]), iter([1, 3])]), (0, 1))
+    assert [c.tolist() for c in p.coords] == [[Fraction(1, 2)], [Fraction(1, 3)]]
 
 
 def test_read_chart_keeps_exact_vectors_exact_and_a_zero_slot_divides_by_zero():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashatlas import (
+    FLOAT,
     RATIONAL,
     EquilibriumCertificate,
     SingularSystem,
@@ -480,7 +481,8 @@ def test_three_mixed_weights_are_the_nearest_floats():
     # each complement, is the float nearest its exact value: the roots of
     # the oracle's eliminant in Fractions (conftest.eliminant_2x2x2), the
     # square root to 200 bits, each weight rounded once by float(); small
-    # integer games have rational roots and roots on the face's boundary
+    # integer games have rational roots and roots on the face's boundary,
+    # which are kept, each weight exactly 0 there a 0.0 (never -0.0)
     full = SupportProfile(((0, 1),) * 3)
     rng = np.random.default_rng(3)
     games = [random_game((2, 2, 2), seed=seed) for seed in range(1000, 1300)]
@@ -501,34 +503,84 @@ def test_three_mixed_weights_are_the_nearest_floats():
         for z in zs:
             x = (nx[0] + nx[1] * z) / (px[0] + px[1] * z)
             y = (ny[0] + ny[1] * z) / (py[0] + py[1] * z)
-            if all(0 < v < 1 for v in (x, y, z)):
+            if all(0 <= v <= 1 for v in (x, y, z)):
                 want.append([[float(1 - v), float(v)] for v in (x, y, z)])
-            boundary += all(0 <= v <= 1 for v in (x, y, z)) and not all(0 < v < 1 for v in (x, y, z))
+                boundary += not all(0 < v < 1 for v in (x, y, z))
         assert sorted([w.tolist() for w in p.weights] for p in got) == sorted(want)
+        assert all(math.copysign(1, x) == 1 for p in got for w in p.weights for x in w)
         decided, roots = decided + 1, roots + len(want)
         rational += bool(want) and (k2 == 0 or _sqrt_bits(disc) ** 2 == disc)
-    # 460 decided, 104 interior roots, 8 of them rational, 10 boundary roots
+    # 463 decided, 115 roots in 17 games with a rational one, 11 boundary roots
     assert decided >= 450 and roots >= 100 and rational >= 5 and boundary >= 5
 
 
-def test_a_root_on_the_face_boundary_is_dropped():
+def test_a_root_on_the_face_boundary_is_kept_and_flagged():
     # the full support's one root in this tied game has player 3's weight
     # on strategy 1 exactly 0: it is the equilibrium ((1/2, 1/2), (1/5,
-    # 4/5), (1, 0)) of a smaller support. Newton reaches it with that
-    # weight 8.4e-13 > 0 and keeps it, so enumeration reported it twice
+    # 4/5), (1, 0)) of a smaller support too. Newton reaches it with that
+    # weight 8.4e-13 > 0; the exact route with the weight 0.0. Either way
+    # it is kept, and enumeration flags it boundary-degenerate
     u1 = [[[2, -1], [1, 0]], [[-2, 2], [2, -2]]]
     u2 = [[[-1, 2], [-2, 1]], [[-1, 1], [0, 0]]]
     u3 = [[[-1, 0], [0, -2]], [[1, 0], [0, 2]]]
     game = make_game((2, 2, 2), [u1, u2, u3])
     full = SupportProfile(((0, 1),) * 3)
     assert len(_newton_solve(game, full, 0)) == 1
-    assert equilibrium._exact_triple_solve(game, full) == []
+    [root] = equilibrium._exact_triple_solve(game, full)
+    assert np.concatenate(root.weights).tolist() == [0.5, 0.5, 0.2, 0.8, 1.0, 0.0]
     result = enumerate_nash(game)
-    assert result.count == 2 and not result.warnings and not result.continuum
-    assert all(cert.support != full for cert in result.equilibria)
+    assert result.count == 3 and not result.warnings and not result.continuum
+    [cert] = [c for c in result.equilibria if c.support == full]
+    assert cert.boundary_degenerate
+    assert np.concatenate(cert.point.weights).tolist() == [0.5, 0.5, 0.2, 0.8, 1.0, 0.0]
     [cert] = [c for c in result.equilibria if c.support.supports == ((0, 1), (0, 1), (0,))]
     assert np.concatenate(cert.point.weights).tolist() == [0.5, 0.5, 0.2, 0.8, 1.0, 0.0]
 
+
+#: tied integer games with an isolated equilibrium ((x, 1 - x), ...) that
+#: only the full support's boundary root reports: the smaller support it
+#: lies on has a positive-dimensional solution set, and that support's
+#: witness fails a held player's best reply. (payoffs, the point in
+#: Fractions, its support) for game 10 of tests/ab.py's tied section and
+#: games 135 and 185 of default_rng(5)'s 2x3x2 corpus, payoffs in -2..2
+BOUNDARY_ONLY_GAMES = [
+    ((2, 2, 2), [[[[-2, -2], [1, -2]], [[2, 0], [-1, 1]]],
+                 [[[-2, -1], [0, 1]], [[-2, -1], [-2, -2]]],
+                 [[[-1, -1], [2, -1]], [[-2, 2], [0, -2]]]],
+     [(0, 1), (Fraction(1, 3), Fraction(2, 3)), (1, 0)], ((1,), (0, 1), (0,))),
+    ((2, 3, 2), [[[[-2, 0], [-2, 0], [0, 1]], [[2, 1], [-2, -2], [-1, 1]]],
+                 [[[2, 0], [-2, -1], [-2, 1]], [[2, -1], [0, -1], [1, 0]]],
+                 [[[-1, -1], [1, 2], [0, 0]], [[-2, 0], [2, -1], [-1, -2]]]],
+     [(1, 0), (Fraction(1, 9), 0, Fraction(8, 9)), (Fraction(1, 5), Fraction(4, 5))],
+     ((0,), (0, 2), (0, 1))),
+    ((2, 3, 2), [[[[1, -2], [1, 2], [-2, 1]], [[-1, -1], [2, -2], [2, 1]]],
+                 [[[1, -1], [1, 0], [2, 2]], [[-2, 2], [0, -2], [1, -2]]],
+                 [[[-2, -2], [0, 0], [-1, 1]], [[2, 2], [1, 0], [-2, 2]]]],
+     [(Fraction(5, 12), Fraction(7, 12)), (1, 0, 0), (Fraction(1, 3), Fraction(2, 3))],
+     ((0, 1), (0,), (0, 1))),
+]
+
+
+@pytest.mark.parametrize("shape, payoffs, point, own", BOUNDARY_ONLY_GAMES,
+                         ids=["tied-10", "2x3x2-135", "2x3x2-185"])
+@pytest.mark.parametrize("mode", [FLOAT, RATIONAL])
+def test_an_equilibrium_only_a_boundary_root_reports_is_kept(shape, payoffs, point, own, mode):
+    # the point is an equilibrium exactly, its own support raises
+    # "positive-dimensional solution set", and enumeration still counts
+    # three equilibria: the point among them, from the full support's
+    # boundary root, flagged boundary-degenerate
+    game = make_game(shape, payoffs, mode=mode)
+    exact = MixedProfile(tuple(np.array(w, dtype=object) for w in point))
+    assert best_reply_check(game, exact).all_ok
+    assert support_of(exact).supports == own
+    with pytest.raises(SingularSystem, match="positive-dimensional"):
+        solve_support(game, SupportProfile(own))
+    result = enumerate_nash(game)
+    assert result.count == 3 and not result.continuum
+    want = np.concatenate([np.array(w, dtype=float) for w in point])
+    [cert] = [c for c in result.equilibria
+              if np.abs(np.concatenate(c.point.as_floats()) - want).max() < 1e-12]
+    assert _three_mixed(cert.support) and cert.boundary_degenerate
 
 def _assert_screen_is_the_check(game, support):
     # solve_support returns exactly the unscreened candidates that pass
