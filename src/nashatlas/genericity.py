@@ -25,7 +25,8 @@ the weights on supp[1:], rows slope(supp[0]) - slope(t)). The probe,
 equilibrium's Newton solve and its certificate reach it one way: one
 face plan (_face_plan), then its face system (_face_system), and
 _newton_roots, a damped multistart Newton loop, finds its roots from
-the caller's starts. Every equation is multilinear in the blocks (1,
+the caller's starts (but for the probe's triangular systems, below).
+Every equation is multilinear in the blocks (1,
 z_b), so _face_system holds the system as one coefficient matrix over
 the Segre monomials of the blocks, and its Jacobian too (the
 coefficients of each derivative, placed at the monomials that do not
@@ -34,12 +35,31 @@ stack of points are one gather of the monomials and one matrix
 product, and a lone point is evaluated as a row of a stack, so its
 bits do not depend on the stack.
 
+The probe has two routes. A triangular face system, whose blocks can be
+solved in an order where each step's equations read at most one block
+not yet solved (_steps, kept on the plan), is decided exactly before
+Newton is tried (_exact_root): every two-player family's is, since each
+player's equations read only the other block. A block's equations are
+linear in it once the blocks they also read are solved, so its integer
+rows [A | b] come from the one integer slope kernel (forms._slope_nums)
+at those blocks' points times the block's integer weight map, and
+exact.solve_affine solves them. A nonzero constant row or an
+inconsistent block means no root, so a triangular system's "regular"
+is decided in its chart, not only witnessed. Otherwise the probe
+reports one root, its free coordinates 0 and each coordinate its exact
+value rounded once, and its exact rank: a positive-dimensional root set
+gives one witness root. A cycle (each player left reads two unsolved
+blocks, as on the full face of a 2x2x2 game) and a positive-dimensional
+block that a later step reads go to _newton_roots from the seed's
+starts; only this route reads the seed.
+
 What does not depend on the payoffs is built once and kept. A face plan
 (_FacePlan), one per (strategy counts, family, chart), is built for a
 chart and a family already checked (the probe checks a family once per
 key, _check_family, beside the plan) and holds the chart, the face and
-weight maps and, per equation player, the payoff indices of its pairs
-and its einsum layout, and it reads its own points (vectors,
+weight maps (and the weight maps' columns as Python ints), per equation
+player the payoff indices of its pairs and its einsum layout, and the
+triangular order of its blocks, and it reads its own points (vectors,
 weights_at, point_at). A Segre table (_segre_tables), one per (block
 sizes, equations per player), holds the monomial gather table and the
 index that takes the matrix [C | K_J] from the players' coefficients in
@@ -71,6 +91,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +110,8 @@ from .atlas import (
     chart_excludes,
     defining_map,
 )
-from .forms import _basis_matrix
+from .exact import solve_affine
+from .forms import _basis_matrix, _slope_nums
 from .game import (
     DEDUP_TOL,
     FLOAT,
@@ -102,6 +124,7 @@ from .game import (
     SupportProfile,
     _check_support,
     _index,
+    _rounded,
     _sequence,
 )
 
@@ -337,7 +360,10 @@ class _FacePlan:
     gather table and take index of K. Every array is read-only. The plan
     reads its own points, one z of shape (n,) or a stack (B, n), batch
     axis first: vectors(z) the per-player (1, z_b), weights_at(z) their
-    weights and point_at(z) the chart point of one z."""
+    weights and point_at(z) the chart point of one z. For the exact
+    route (_exact_root) it also holds the weight maps' columns as tuples
+    of Python ints and the triangular order of the blocks (_steps), None
+    when the system is not triangular."""
 
     chart: tuple[int, ...]
     maps: tuple[np.ndarray, ...]
@@ -348,6 +374,8 @@ class _FacePlan:
     players: tuple
     gather: np.ndarray
     place: np.ndarray
+    columns: tuple[tuple[tuple[int, ...], ...], ...]
+    steps: tuple | None
 
     def vectors(self, z) -> list[np.ndarray]:
         one = np.ones(z.shape[:-1] + (1,))
@@ -433,7 +461,39 @@ def _plan(maps, pairs, chart) -> _FacePlan:
     return _FacePlan(chart, tuple(maps), tuple(weights),
                      tuple((e - d, e) for d, e in zip(dims, ends)),
                      sum(dims), sum(k for _, k in eqs), tuple(players),
-                     *_segre_tables(dims, eqs))
+                     *_segre_tables(dims, eqs),
+                     tuple(tuple(map(tuple, a.T.astype(int).tolist())) for a in weights),
+                     _steps(dims, pairs))
+
+
+def _steps(dims, pairs) -> tuple | None:
+    """The triangular order of a face system, from its block sizes dims
+    and per player its pairs, or None when it has none. Player i's
+    equations read every block b != i with dims[b] > 0 (a block of no
+    coordinates is a fixed point). A step takes the equation players
+    that read at most one block not yet solved and groups them by that
+    block: each group is (q, ((i, pairs[i]), ...), upstream), q None for
+    players that read no unsolved block (constant rows), upstream when a
+    player of a later step reads q. Constant groups come first in a
+    step, then the blocks in order. None when some step finds no such
+    player: a cycle, each player left reads two unsolved blocks."""
+    reads = {i: {b for b, d in enumerate(dims) if d and b != i}
+             for i, own in enumerate(pairs) if own}
+    solved, steps = set(), []
+    while reads:
+        groups = {}
+        for i, blocks in reads.items():
+            if len(blocks - solved) <= 1:
+                groups.setdefault(min(blocks - solved, default=None), []).append(i)
+        if not groups:
+            return None
+        for q in sorted(groups, key=lambda q: -1 if q is None else q):
+            for i in groups[q]:
+                del reads[i]
+            upstream = any(q in blocks for blocks in reads.values())
+            steps.append((q, tuple((i, tuple(pairs[i])) for i in groups[q]), upstream))
+        solved |= groups.keys() - {None}
+    return tuple(steps)
 
 
 _ZERO = np.zeros(1)
@@ -641,6 +701,52 @@ def _check_family(counts, family: GoodFamily, chart) -> None:
         raise ValueError("family is not good (some pair graph has a cycle)")
 
 
+def _exact_root(game: FiniteGame, plan: _FacePlan):
+    """A triangular face system (plan.steps) decided in integers: None
+    when Newton must decide it (a positive-dimensional block that a later
+    step reads), else (roots, ranks), a (k, n) array of k = 0 or 1 roots
+    and their ranks.
+
+    Each group of a step builds its block's integer rows [A | b], one per
+    pair of its players, by the one integer slope kernel
+    (forms._slope_nums): the slope differences at the other blocks'
+    points (fixed, or solved before), once per column of the block's
+    integer weight map, give b from column 0 and A from the others;
+    exact.solve_affine solves them (a constant group: no unknowns). An
+    inconsistent group means no root. Otherwise each block is its exact
+    solution, free coordinates 0, each coordinate rounded once, and
+    unread blocks are 0. The Jacobian is block-triangular, and every
+    block a later step reads has full column rank, so its rank is the
+    sum of the blocks' d_q - free_q, exactly."""
+    # a block of no coordinates is its one point; the others are solved in
+    # turn, and a player's own block, which its slopes do not read, holds ()
+    points = [(cols[0] if len(cols) == 1 else (), 1) for cols in plan.columns]
+    z, rank = np.zeros(plan.n), 0
+    for q, players, upstream in plan.steps:
+        cols = (None,) if q is None else plan.columns[q]
+        rows = []
+        for i, pairs in players:
+            diffs = []
+            for col in cols:
+                if q is not None:
+                    points[q] = (col, 1)
+                slopes, _ = _slope_nums(game, i, points)
+                diffs.append([slopes[j] - slopes[k] for j, k in pairs])
+            rows += ([*a, -b] for b, *a in zip(*diffs))
+        solution = solve_affine(rows, len(cols) - 1)
+        if solution.nums is None:
+            return np.zeros((0, plan.n)), []
+        if solution.free and upstream:
+            return None
+        if q is not None:
+            lo, hi = plan.spans[q]
+            z[lo:hi] = [_rounded(x, solution.den) for x in solution.nums]
+            v = (solution.den, *solution.nums)
+            points[q] = ([sum(map(operator.mul, v, w)) for w in zip(*cols)], solution.den)
+            rank += hi - lo - solution.free
+    return z[None], [rank]
+
+
 def regular_value_probe(
     game: FiniteGame,
     family: GoodFamily,
@@ -656,9 +762,16 @@ def regular_value_probe(
     the largest absolute value of those maps there: in the game's own
     payoffs, not in payoff units, so it scales with the payoffs; one
     beyond the float range (payoff differences that large) reads inf,
-    without a warning. An empty root set is a regular outcome; the probe
-    only ever witnesses degeneracy, it cannot prove its absence. The
-    seed of the random starts is an index (game._index).
+    without a warning. An empty root set is a regular outcome.
+
+    A triangular system (module docstring) is decided exactly, in
+    integers (_exact_root): its "regular" is decided in this chart, not
+    only witnessed, and a positive-dimensional root set gives one witness
+    root, free coordinates 0, with its exact rank. Any other system goes
+    to damped multistart Newton, which only ever witnesses degeneracy and
+    cannot prove its absence. The seed of Newton's random starts is an
+    index (game._index), checked on either route and read only by
+    Newton's.
     """
     seed = _index(seed, "seed")
     chart = _validate_chart(chart, game.strategy_counts)
@@ -668,20 +781,25 @@ def regular_value_probe(
         raise ValueError("family has no payoff-difference pairs to probe")
     if plan is None:
         return ProbeReport(chart, family, 0, family.num_pairs, True, (), "regular")
-    system = _face_system(game, plan)
-    rng = np.random.default_rng(seed)
-    starts = np.vstack([np.zeros(plan.n), rng.normal(0.0, 1.0, (RANDOM_STARTS, plan.n))])
-    roots = _newton_roots(system, starts)
-    f, jac = system(roots)
+    found = None if plan.steps is None else _exact_root(game, plan)
+    if found is None:
+        system = _face_system(game, plan)
+        rng = np.random.default_rng(seed)
+        starts = np.vstack([np.zeros(plan.n), rng.normal(0.0, 1.0, (RANDOM_STARTS, plan.n))])
+        roots = _newton_roots(system, starts)
+        f, jac = system(roots)
+        ranks = _svd_ranks(jac)[0]
+    else:
+        roots, ranks = found
+        f = _face_system(game, plan)(roots)[0] if len(roots) else np.zeros((0, plan.n_eq))
     # each equation's residual (in payoff units) times its player's unit
     # 2^e_i, inf where that leaves the float range
     exponents = np.repeat(game.payoff_exponents, [len(pairs) for pairs in family.R])
     with np.errstate(over="ignore"):
         residuals = _inf_norm(np.ldexp(f, exponents))
 
-    ranks, _, full = _svd_ranks(jac)
-    out = tuple(ProbeRoot(plan.point_at(z), float(res), int(rank), bool(ok))
-                for z, res, rank, ok in zip(roots, residuals, ranks, full))
+    out = tuple(ProbeRoot(plan.point_at(z), float(res), int(rank), int(rank) == plan.n_eq)
+                for z, res, rank in zip(roots, residuals, ranks))
     return ProbeReport(
         chart=chart,
         family=family,

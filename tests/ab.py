@@ -25,7 +25,10 @@ Sections, in this order (``--only`` picks some of them):
   drawn last, leave the others' indices as they were; they bring
   positive-dimensional two-player blocks and max-min witnesses), and in
   each mode every player's ``homogeneous_decomposition`` and
-  ``lambda_decomposition`` as one more record;
+  ``lambda_decomposition`` as one more record; each two-player game is
+  also probed in each mode by its largest-face family (no labels, each
+  player's pairs the star (0, j)) in every chart, chart k with seed k,
+  so that changed witness counts and verdicts on degenerate games show;
 - ``shapes``: ``random_game`` solves of 8 2x3x2, 8 3x3x2 and 8 2x2x2x2
   games (seeds 40000+), and per shape the square good family of the
   largest face (bench/workloads.py's ``square_families``) of the seed
@@ -339,6 +342,10 @@ def tied(ab, rounds):
                 lib.enumerate_nash, lib.make_game(shape, payoffs, mode=mode)))
             ab(f"tied {k} {shape} {mode} decompositions", lambda lib: partial(
                 decompositions, lib, lib.make_game(shape, payoffs, mode=mode)))
+            if len(shape) == 2:
+                stars = tuple(tuple((0, j) for j in range(1, c)) for c in shape)
+                probe_charts(ab, (((),) * 2, stars), shape, f"tied {k} {shape} {mode}",
+                             lambda lib: lib.make_game(shape, payoffs, mode=mode))
 
 
 def decompositions(lib, game):
@@ -352,7 +359,7 @@ def shapes(square_families, ab, rounds):
         for seed in range(40_000, 40_008):
             ab(f"shapes {shape} {seed}", lambda lib: partial(
                 lib.enumerate_nash, lib.random_game(shape, seed=seed), seed=seed))
-        probe_charts(ab, square_families, shape, f"shapes {shape}",
+        probe_charts(ab, largest_face(square_families, shape), shape, f"shapes {shape}",
                      lambda lib: lib.random_game(shape, seed=40_000))
     # payoffs up to 1.875 * 2**1023 are floats, but their differences are not
     for shape in [(2, 2, 2), (3, 3)]:
@@ -364,7 +371,8 @@ def shapes(square_families, ab, rounds):
                 lib.enumerate_nash, near_max(lib), seed=seed))
             ab(f"shapes {shape} {seed} near max transversal", lambda lib: partial(
                 transversal_reports, lib, near_max(lib), seed))
-            probe_charts(ab, square_families, shape, f"shapes {shape} {seed} near max", near_max)
+            probe_charts(ab, largest_face(square_families, shape), shape,
+                         f"shapes {shape} {seed} near max", near_max)
 
 
 def transversal_reports(lib, game, seed):
@@ -375,11 +383,16 @@ def transversal_reports(lib, game, seed):
             for c in lib.enumerate_nash(game, seed=seed).equilibria]
 
 
-def probe_charts(ab, square_families, shape, label, make):
-    """The square good family of the largest face of the shape
-    (square_families) on lib's game make(lib), probed in every chart that
-    poses it, chart k with seed k."""
-    labels, pairs = max(square_families(shape), key=lambda f: sum(map(len, f[1])))
+def largest_face(square_families, shape) -> tuple:
+    """The square good family (labels, pairs) of the largest face of the
+    shape (square_families)."""
+    return max(square_families(shape), key=lambda f: sum(map(len, f[1])))
+
+
+def probe_charts(ab, family, shape, label, make):
+    """The family (labels, pairs) on lib's game make(lib), probed in every
+    chart that poses it, chart k with seed k."""
+    labels, pairs = family
     for k, chart in enumerate(itertools.product(*map(range, shape))):
         if all(l == 0 or l not in t for l, t in zip(chart, labels)):
             def probe(lib):

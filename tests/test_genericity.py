@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -1330,6 +1331,187 @@ def test_a_single_root_probe_reads_its_root_as_a_row_of_any_stack():
                     assert genericity._svd_ranks(jac)[0] == root.rank, (shape, seed)
                 single += 1
     assert single == 126
+
+
+def _newton_probe(game, family, chart, seed, starts=None):
+    """Reference: the probe's Newton route, _face_system then _newton_roots
+    from the zero start and RANDOM_STARTS normal ones drawn from the seed
+    (or from the given starts): the roots' chart points, their ranks and
+    the verdict."""
+    plan = genericity._face_plan(game.strategy_counts, family, chart)
+    system = _face_system(game, plan)
+    if starts is None:
+        rng = np.random.default_rng(seed)
+        starts = np.vstack([np.zeros(plan.n), rng.normal(0.0, 1.0, (RANDOM_STARTS, plan.n))])
+    roots = _newton_roots(system, starts)
+    ranks, _, full = _svd_ranks(system(roots)[1])
+    return [plan.point_at(z) for z in roots], list(ranks), "regular" if full.all() else "degenerate"
+
+
+def _square_families(shape):
+    """Every square good family of the shape, as (labels, pairs): per
+    player fewer than c coordinate labels from 0 .. c - 1 and inf, and a
+    forest of its own pairs (networkx), the pair count the face
+    dimension sum(c - 1 - |T|) > 0."""
+    per_player = []
+    for c in shape:
+        graphs = []
+        for k in range(c):
+            for edges in itertools.combinations(itertools.combinations(range(c), 2), k):
+                graph = nx.Graph(edges)
+                graph.add_nodes_from(range(c))
+                if nx.is_forest(graph):
+                    graphs.append(edges)
+        per_player.append([(labels, edges) for k in range(c)
+                           for labels in itertools.combinations([*range(c), INF], k)
+                           for edges in graphs])
+    return [tuple(zip(*combo)) for combo in itertools.product(*per_player)
+            if 0 < sum(len(e) for _, e in combo) == sum(
+                c - 1 - len(t) for c, (t, _) in zip(shape, combo))]
+
+
+def _triangular(dims, R):
+    """Reference order: blocks are solved in turn, each from the players
+    whose equations read it as their one unsolved block (player i reads
+    every block b != i of dims[b] > 0); triangular when every player with
+    pairs is reached so and each block a later player reads has at least
+    as many rows as coordinates."""
+    unsolved = {b for b, d in enumerate(dims) if d}
+    reads = {i: unsolved - {i} for i, pairs in enumerate(R) if pairs}
+    while reads:
+        ready = {i for i, blocks in reads.items() if len(blocks & unsolved) <= 1}
+        if not ready:
+            return False
+        for q in set().union(*(reads[i] & unsolved for i in ready)):
+            rows = sum(len(R[i]) for i in ready if q in reads[i])
+            if rows < dims[q] and any(q in reads[i] for i in reads.keys() - ready):
+                return False
+        unsolved -= set().union(*(reads.pop(i) for i in ready))
+    return True
+
+
+def _counted_newton(monkeypatch) -> list:
+    """A list that grows by one on every call of the probe's Newton loop."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _newton_roots(*args, **kwargs)
+
+    monkeypatch.setattr(genericity, "_newton_roots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (4, 4), (2, 2, 2), (2, 3, 2)])
+def test_triangular_probes_match_the_newton_reference(shape, monkeypatch):
+    # every square good family of a generic game, in every chart that does
+    # not exclude it (of 4x4's families a seeded 60). A triangular
+    # system never reaches Newton, and it reads the reference's roots
+    # (within 1e-12), ranks and verdict; its report does not depend on
+    # the seed. Where the reference's starts miss a root far from them,
+    # Newton started at that root converges to it with the same rank.
+    # Every other system is the reference's, bit for bit.
+    game = random_game(shape, seed=7)
+    families = _square_families(shape)
+    if shape == (4, 4):
+        families = [families[k] for k in np.random.default_rng(7).choice(len(families), 60)]
+    calls = _counted_newton(monkeypatch)
+    seen = Counter()
+    for labels, pairs in families:
+        family = good_family(game, labels, pairs)
+        dims = [c - 1 - len(t) for c, t in zip(shape, labels)]
+        for chart in _open_charts(shape, family):
+            before = len(calls)
+            report = regular_value_probe(game, family, chart, seed=3)
+            if report.empty_face:
+                continue
+            points, ranks, verdict = _newton_probe(game, family, chart, 3)
+            if not _triangular(dims, pairs):
+                assert len(calls) == before + 1, (labels, pairs, chart)
+                assert [(r.rank, [c.tobytes() for c in r.point.coords]) for r in report.roots] == [
+                    (k, [c.tobytes() for c in p.coords]) for k, p in zip(ranks, points)]
+                assert report.verdict == verdict
+                seen["newton"] += 1
+                continue
+            assert len(calls) == before, (labels, pairs, chart)
+            assert _probe_bits(regular_value_probe(game, family, chart, seed=4)) == _probe_bits(
+                report)
+            seen["exact"] += 1
+            seen["roots"] += len(report.roots)
+            if len(report.roots) > len(points):
+                plan = genericity._face_plan(shape, family, chart)
+                [z] = genericity._exact_root(game, plan)[0]
+                assert np.abs(z).max() > 3, (labels, pairs, chart)
+                points, ranks, verdict = _newton_probe(game, family, chart, 3, z[None])
+                seen["missed"] += 1
+            assert len(report.roots) == len(points), (labels, pairs, chart)
+            assert [r.rank for r in report.roots] == ranks
+            assert report.verdict == verdict
+            for root, point in zip(report.roots, points):
+                assert np.abs(np.concatenate(root.point.coords)
+                              - np.concatenate(point.coords)).max() <= 1e-12
+    assert seen["roots"] and seen["missed"] <= seen["exact"] // 100, seen
+    assert bool(seen["newton"]) == (len(shape) == 3), seen
+
+
+def _tied_3x3(player_1):
+    """A rational 3x3 game: player 1's payoffs as given, player 2's a fixed
+    integer table whose full-support system is regular."""
+    return make_game((3, 3), [player_1, [[2, -1, 0], [0, 3, 1], [1, 1, -2]]], mode=RATIONAL)
+
+
+def test_degenerate_triangular_probes_are_decided_exactly(zero_game, monkeypatch):
+    calls = _counted_newton(monkeypatch)
+    # the zero game: every point of the face is a root; one witness, the
+    # origin of the face, of rank 0 (Newton read 33)
+    report = regular_value_probe(zero_game, good_family(zero_game, R=[[(0, 1)]] * 2), (0, 0))
+    assert [(r.rank, r.regular, r.residual) for r in report.roots] == [(0, False, 0.0)]
+    assert [c.tolist() for c in report.roots[0].point.coords] == [[0.0], [0.0]]
+    assert report.verdict == "degenerate"
+    full = [[(0, 1), (0, 2)]] * 2
+    # player 1's strategies 0 and 1 tie: its block reads one row of rank 1
+    # in two coordinates, so the root set is a line; one witness root, its
+    # exact rank 1 + 2, which the Jacobian's SVD at it confirms
+    game = _tied_3x3([[1, 2, 0], [1, 2, 0], [3, -1, 2]])
+    family = good_family(game, R=full)
+    report = regular_value_probe(game, family, (0, 0))
+    [root] = report.roots
+    assert (root.rank, root.regular, report.verdict) == (3, False, "degenerate")
+    for h in family.hypersurfaces():
+        assert on_hypersurface(game, h, root.point), h
+    z = np.concatenate(root.point.coords)
+    system = _face_system(game, genericity._face_plan((3, 3), family, (0, 0)))
+    assert _svd_ranks(system(z)[1])[0] == 3
+    # strategy 1 pays player 1 exactly 1 more than strategy 0 against
+    # everything: slope(0) - slope(1) is -1 on the chart, no root
+    game = _tied_3x3([[1, 2, 0], [2, 3, 1], [3, -1, 2]])
+    report = regular_value_probe(game, good_family(game, R=full), (0, 0))
+    assert (report.roots, report.verdict) == ((), "regular")
+    assert not calls
+
+
+def test_a_positive_dimensional_upstream_block_falls_back_to_newton(monkeypatch):
+    # player 1 held at strategy 0: player 2's row reads player 3's block
+    # alone, and player 1's row reads that block again once it is solved.
+    # On a generic game the system is decided exactly; where player 2's
+    # payoffs tie against player 1's strategy 0, the block is a whole line
+    # and the probe is the Newton reference, bit for bit, as on the
+    # full-face family, a cycle
+    calls = _counted_newton(monkeypatch)
+    generic = random_game((2, 2, 2), seed=3)
+    family = good_family(generic, T=[(1,), (), ()], R=[[(0, 1)], [(0, 1)], []])
+    report = regular_value_probe(generic, family, (0, 0, 0), seed=2)
+    assert len(report.roots) == 1 and report.verdict == "regular" and not calls
+    tied = [u.copy() for u in generic.utilities]
+    tied[1][0, 1, :] = tied[1][0, 0, :]
+    full = good_family(generic, R=[[(0, 1)]] * 3)
+    for game, fam in [(make_game((2, 2, 2), tied), family), (generic, full)]:
+        report = regular_value_probe(game, fam, (0, 0, 0), seed=2)
+        points, ranks, verdict = _newton_probe(game, fam, (0, 0, 0), 2)
+        assert [(r.rank, [c.tobytes() for c in r.point.coords]) for r in report.roots] == [
+            (k, [c.tobytes() for c in p.coords]) for k, p in zip(ranks, points)]
+        assert report.verdict == verdict and report.roots
+    assert len(calls) == 2
 
 
 def _double_root_game():
