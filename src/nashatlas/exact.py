@@ -7,23 +7,27 @@ block reaches solve_affine in face coordinates, chart (0, ..., 0),
 without its sum rule: |O| - 1 slope rows over the |S| - 1 weights on
 supp[1:]. Only max_min_point takes a whole block, sum row included.
 Every pivot is fraction-free (Bareiss 1968): the update is an exact
-integer division by the previous pivot, so entries stay integers over
-one common denominator. The first pivot's previous pivot is 1, and a
-division by 1 is skipped. rref and solve_affine run Gauss-Jordan
-elimination with it, which replaces rows and never edits an input row
-(a support block's rows are the game's face-table lists, shared by
-every support that reads them); solve_affine reports an
-AffineSolutionSet: one particular solution as integer numerators over
-one positive denominator, and the number of free unknowns, which is all
-a support block needs, and one shared answer for every inconsistent
-system. max_min_point
-runs a two-phase simplex method with Bland's rule on the same pivot
-(integer pivoting, as in Avis's lrs), and answers in integer numerators
-over its final denominator.
+integer division by the previous pivot, so entries stay integers (each
+one a minor). The first pivot's previous pivot is 1, and a division by
+1 is skipped. rref runs forward elimination with it, each pivot
+updating only the rows below it, in the columns right of it; it
+replaces rows and never edits an input row (a support block's rows are
+the game's face-table lists, shared by every support that reads them).
+solve_affine reads the last pivot d of that echelon form and
+back-substitutes b alone, free unknowns 0: the last pivot row's b entry
+already is d x, and every earlier entry of d x is an exact division
+(Cramer). It reports an AffineSolutionSet: one particular solution as
+integer numerators over one positive denominator, and the number of
+free unknowns, which is all a support block needs, and one shared
+answer for every inconsistent system. max_min_point runs a two-phase
+simplex method with Bland's rule on _eliminate, the same pivot in
+Gauss-Jordan form (integer pivoting, as in Avis's lrs), and answers in
+integer numerators over its final denominator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -48,10 +52,11 @@ class AffineSolutionSet:
 
 
 def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
-    """Fraction-free pivot on mat[r][c]: replace every other row of mat
-    by one with column c cleared, editing no row. The division by the
-    previous pivot ``prev`` is exact: every entry stays a minor (Sylvester).
-    When ``prev`` is 1, as it is for the first pivot, the division is
+    """The simplex's fraction-free Gauss-Jordan pivot on mat[r][c]
+    (max_min_point, _bland): replace every other row of mat by one with
+    column c cleared, editing no row. The division by the previous pivot
+    ``prev`` is exact: every entry stays a minor (Sylvester). When
+    ``prev`` is 1, as it is for the first pivot, the division is
     skipped."""
     top = mat[r]
     piv = top[c]
@@ -64,35 +69,53 @@ def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
                 mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
 
 
+# rref keeps its name, though it stops at row echelon form: bench/spans.py
+# traces it under this name
 def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free reduced row echelon form of integer rows, such as a
-    system's [A | b], which it never edits (the result may share them).
+    """Fraction-free row echelon form of integer rows, such as a system's
+    [A | b], which it never edits (the result may share them): Bareiss
+    forward elimination.
 
-    Returns (matrix, pivot column indices). Every pivot entry of the
-    matrix equals the same nonzero integer d, the other entries of pivot
-    columns are zero, and matrix / d is the reduced row echelon form.
+    Returns (pivot rows, pivot column indices): one row per pivot, from
+    its pivot column on, so row r starts with its nonzero pivot at column
+    pivots[r]; rows without a pivot are left out. Each column's pivot row
+    is the first row below the earlier pivot rows with a nonzero entry
+    there, swapped with the first of them. Row r's entries are minors of
+    order r + 1 (Sylvester), and the last pivot d is the determinant of
+    the pivot rows in the pivot columns.
     """
     if not rows:
         return [], []
-    mat = list(rows)
-    nrows, ncols = len(mat), len(mat[0])
+    echelon: list[list[int]] = []
     pivots: list[int] = []
+    rest = list(rows)  # the rows not yet pivot rows, each from column start on
+    start = 0
     prev = 1
-    r = 0
-    for c in range(ncols):
-        for pivot_row in range(r, nrows):
-            if mat[pivot_row][c]:
-                break
-        else:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        _eliminate(mat, r, c, prev)
-        prev = mat[r][c]
+    for c in range(len(rows[0])):
+        k = c - start
+        top = rest[0]
+        if not top[k]:
+            for i, row in enumerate(rest):
+                if row[k]:
+                    break
+            else:
+                continue
+            top = rest[i]
+            rest[i] = rest[0]
+        echelon.append(top[k:] if k else top)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(rest) == 1:
             break
-    return mat, pivots
+        piv, tail = top[k], top[k + 1:]
+        below = []
+        for row in rest[1:]:
+            f, after = row[k], row[k + 1:]
+            if prev == 1:
+                below.append([piv * x - f * y for x, y in zip(after, tail)])
+            else:
+                below.append([(piv * x - f * y) // prev for x, y in zip(after, tail)])
+        rest, start, prev = below, c + 1, piv
+    return echelon, pivots
 
 
 #: The one answer of every inconsistent system, shared and never edited.
@@ -101,16 +124,29 @@ _INCONSISTENT = AffineSolutionSet(nums=None, den=1, free=0)
 
 def solve_affine(rows: list[list[int]], n: int) -> AffineSolutionSet:
     """Solution set of A x = b in n unknowns, given as the integer rows
-    [A | b] (possibly none); _INCONSISTENT when there is none."""
-    mat, pivots = rref(rows)
-    if pivots and pivots[-1] == n:  # pivot columns ascend; b is column n
+    [A | b] (possibly none); _INCONSISTENT when there is none.
+
+    The particular solution, free unknowns 0, is |d| x over |d|, d the
+    last pivot of rref (Cramer: d x is an integer vector). It is b
+    back-substituted alone: the last pivot row's b entry is d x at its
+    pivot, and row r gives d x at pivots[r] as (d b_r - the sum of its
+    later entries times d x) / d_r, an exact division.
+    """
+    echelon, pivots = rref(rows)
+    if not pivots:
+        return AffineSolutionSet(nums=[0] * n, den=1, free=n)
+    if pivots[-1] == n:  # pivot columns ascend; b is column n
         return _INCONSISTENT
-    den = mat[0][pivots[0]] if pivots else 1
-    sign = -1 if den < 0 else 1  # a pivot may be negative; keep den > 0
+    d = echelon[-1][0]
     nums = [0] * n
-    for r, c in enumerate(pivots):
-        nums[c] = sign * mat[r][n]
-    return AffineSolutionSet(nums=nums, den=sign * den, free=n - len(pivots))
+    nums[pivots[-1]] = echelon[-1][-1]
+    for r in range(len(pivots) - 2, -1, -1):
+        row, c = echelon[r], pivots[r]
+        nums[c] = (d * row[-1] - sum(map(operator.mul, row[1:-1], nums[c + 1:]))) // row[0]
+    free = n - len(pivots)
+    if d < 0:  # a pivot may be negative; keep den > 0
+        return AffineSolutionSet(nums=[-x for x in nums], den=-d, free=free)
+    return AffineSolutionSet(nums=nums, den=d, free=free)
 
 
 def max_min_point(rows: list[list[int]]) -> tuple[int, list[int], int] | None:
@@ -124,9 +160,9 @@ def max_min_point(rows: list[list[int]]) -> tuple[int, list[int], int] | None:
     artificial unknown per row and minimises their sum; artificials left
     basic at zero are pivoted out, or their rows dropped as redundant.
     Phase 2 maximises t from that feasible basis. Bland's rule keeps the
-    degenerate pivots of tied systems from cycling. Pivots are
-    fraction-free as in rref, over one positive common denominator, the
-    answer's d.
+    degenerate pivots of tied systems from cycling. Pivots are Bareiss's
+    fraction-free Gauss-Jordan steps (_eliminate), over one positive
+    common denominator, the answer's d.
     """
     n, m = len(rows[0]) - 1, len(rows)
     # columns: s_0 .. s_{n-1}, t, one artificial per row, right-hand side

@@ -1,16 +1,22 @@
-"""Fraction-free elimination against plain Fraction Gauss-Jordan, a
-support block in face coordinates against the whole block, and the
-exact max-min simplex against a search over every basis. Every system
-is a list of integer rows [A | b], the right-hand side last."""
+"""Fraction-free elimination against plain Fraction Gauss-Jordan and,
+bit for bit, against fraction-free Gauss-Jordan; a support block in face
+coordinates against the whole block; and the exact max-min simplex
+against a search over every basis. Every system is a list of integer
+rows [A | b], the right-hand side last."""
 
+import contextlib
 import copy
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashatlas import RATIONAL, SingularSystem, enumerate_supports, make_game, random_game
+from nashatlas import equilibrium
 from nashatlas.equilibrium import _face_block, _positive_point, _simplex_nums
 from nashatlas.exact import max_min_point, rref, solve_affine
 from nashatlas.game import _face_table
@@ -86,16 +92,99 @@ def int_systems(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(int_systems())
-def test_rref_is_scaled_reference(system):
+def test_rref_is_an_echelon_form_of_the_reference(system):
+    # one row per pivot, from its pivot column on, each starting with its
+    # nonzero int pivot; padded back to full width, with zero rows for the
+    # rows without a pivot, the rows reduce to the input's reduced form
     rows, _ = system
-    mat, pivots = rref(rows)
-    want, want_pivots = _reference_rref([[Fraction(x) for x in r] for r in rows])
-    assert pivots == want_pivots
-    assert all(isinstance(x, int) for r in mat for x in r)
-    if pivots:
-        den = mat[0][pivots[0]]
-        assert all(mat[r][c] == den for r, c in enumerate(pivots))
-        assert [[Fraction(x, den) for x in r] for r in mat] == want
+    echelon, pivots = rref(rows)
+    want = _reference_rref([[Fraction(x) for x in r] for r in rows])
+    assert pivots == want[1]
+    assert len(echelon) == len(pivots)
+    assert all(type(x) is int for r in echelon for x in r)
+    assert all(r[0] for r in echelon)
+    width = len(rows[0]) if rows else 0
+    padded = [[0] * c + r for r, c in zip(echelon, pivots)]
+    assert all(len(r) == width for r in padded)
+    padded += [[0] * width for _ in range(len(rows) - len(pivots))]
+    assert _reference_rref([[Fraction(x) for x in r] for r in padded]) == want
+
+
+def _gauss_jordan_solve(rows, n):
+    """solve_affine's (nums, den, free) by Bareiss's fraction-free
+    Gauss-Jordan elimination on the same pivot rows: every pivot clears
+    its column in every other row, so every pivot entry ends equal to the
+    last pivot d, and d x (free unknowns 0) is read off column n, signed
+    so the denominator is > 0. None for nums when the system is
+    inconsistent."""
+    mat, pivots, prev, r = list(rows), [], 1, 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        top = mat[r]
+        mat = [row if i == r else [(top[c] * x - row[c] * y) // prev for x, y in zip(row, top)]
+               for i, row in enumerate(mat)]
+        prev = top[c]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    if pivots and pivots[-1] == n:
+        return None, 1, 0
+    den = mat[0][pivots[0]] if pivots else 1
+    sign = -1 if den < 0 else 1
+    nums = [0] * n
+    for r, c in enumerate(pivots):
+        nums[c] = sign * mat[r][n]
+    return nums, sign * den, n - len(pivots)
+
+
+def _assert_gauss_jordan_bitwise(rows, n):
+    sol = solve_affine(rows, n)
+    assert (sol.nums, sol.den, sol.free) == _gauss_jordan_solve(rows, n), (rows, n)
+    assert all(type(x) is int for x in [*(sol.nums or ()), sol.den, sol.free])
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_systems())
+def test_solve_affine_matches_gauss_jordan_bitwise(system):
+    _assert_gauss_jordan_bitwise(*system)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_solve_affine_matches_gauss_jordan_on_game_blocks(tied, monkeypatch):
+    # every block the exact route solves in a float 6x6 game, or in a
+    # rational 4x4 game with small ties, recorded where the pair route
+    # calls solve_affine; the tied game's blocks include inconsistent,
+    # unique and positive-dimensional ones
+    calls = []
+
+    def recorded(rows, n):
+        calls.append((rows, n))
+        return solve_affine(rows, n)
+
+    monkeypatch.setattr(equilibrium, "solve_affine", recorded)
+    if tied:
+        rng = np.random.default_rng(44)
+        shape = (4, 4)
+        game = make_game(shape, [[Fraction(int(p), int(q)) for p, q in zip(
+            rng.integers(-3, 4, math.prod(shape)), rng.integers(1, 4, math.prod(shape)))]
+            for _ in shape], mode=RATIONAL)
+    else:
+        game = random_game((6, 6), seed=6)
+    supports = list(enumerate_supports(game))
+    for support in supports:
+        with contextlib.suppress(SingularSystem):
+            equilibrium._integer_solution(game, support)
+    assert len(calls) == 2 * len(supports)
+    for rows, n in calls:
+        _assert_gauss_jordan_bitwise(rows, n)
+    if tied:
+        kinds = {(nums is None, free > 0) for nums, _, free in
+                 (_gauss_jordan_solve(rows, n) for rows, n in calls)}
+        assert kinds == {(True, False), (False, False), (False, True)}
 
 
 def _particular(sol):
@@ -130,10 +219,10 @@ def test_solve_affine_examples():
     sol = solve_affine([[2, 4, 2]], 2)
     assert _particular(sol) == [1, 0] and sol.free == 1 and not sol.is_unique
     # x = 1, -y = 1: the last fraction-free pivot is -1, the common
-    # denominator of rref; the solution set carries it as +1
+    # denominator; the solution set carries it as +1
     rows = [[1, 0, 1], [0, -1, 1]]
-    mat, pivots = rref(rows)
-    assert mat[0][pivots[0]] == -1
+    echelon, _ = rref(rows)
+    assert echelon[-1][0] == -1
     sol = solve_affine(rows, 2)
     assert (sol.nums, sol.den, sol.free) == ([1, -1], 1, 0)
     assert _particular(sol) == [1, -1]
