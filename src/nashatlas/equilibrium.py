@@ -17,8 +17,8 @@ with w_{supp[0]} recovered from the sum rule. A block's rows depend
 only on the solving player's support, the partner's first supported
 strategy and the partner's other ones, so every row of every support
 is built once per game (FiniteGame._face_rows, per solving pair and
-held profile of the other players) and a support picks its rows from
-that table (_face_block). Exact numbers take no
+held profile of the other players) and a support reads its rows straight
+from that table (_integer_solution). Exact numbers take no
 tolerance: a weight is positive when it is > 0. One pass looks for a
 positive point block by block and stops at the first block without one:
 a unique solution is decided on its integer numerators, and a
@@ -27,7 +27,7 @@ simplex (exact.max_min_point) on the whole block, sum rule included,
 since the set has a positive point exactly when its largest smallest
 weight is > 0. Both blocks' points witness a continuum, or make the one
 candidate (_integer_solution). The candidate is screened in Python ints
-before any Fraction is built (_exact_pair_solve) by best_reply_check's
+before any Fraction is built (solve_support) by best_reply_check's
 rule (_reply) at tolerance 0, player by player until the first who
 gains. Most candidates fail these off-support inequalities, so only a
 support's equilibrium becomes a Fraction profile, in either mode;
@@ -226,19 +226,6 @@ def _support_profiles(counts: tuple[int, ...]) -> tuple[SupportProfile, ...]:
     return tuple(SupportProfile(combo) for combo in itertools.product(*per_player))
 
 
-def _face_block(table, supp, osupp) -> list[list[int]]:
-    """The solving player's block in face coordinates, its weights z on
-    supp[1:] (chart (0, ..., 0)), as integer rows [A | b]: one row per j
-    in osupp[1:], read from the solving player's face table
-    (nashatlas.game._face_table, table[supp][o][j], one of the game's
-    _face_rows) at o = osupp[0]. With a_js = u[j][s] - u[o][s] and
-    s0 = supp[0], the row is (a_js - a_{j,s0}, s in supp[1:] | -a_{j,s0}):
-    the partner's slope equalities with w_{s0} = 1 - sum(z) substituted.
-    The rows are the table's own lists, which no caller edits."""
-    rows = table[supp][osupp[0]]
-    return [rows[j] for j in osupp[1:]]
-
-
 def _simplex_nums(sol: AffineSolutionSet) -> list[int]:
     """The numerators over sol.den of the whole weight vector at the face
     solution ``sol``: w_{supp[0]} = (den - sum(nums)) / den, then nums."""
@@ -248,8 +235,8 @@ def _simplex_nums(sol: AffineSolutionSet) -> list[int]:
 def _positive_point(sol: AffineSolutionSet, rows) -> tuple[list[int], int] | None:
     """A weight vector whose every entry is > 0 in the positive-dimensional
     solution set ``sol`` of the face block ``rows`` = [A | b]
-    (_face_block), as integer numerators over one positive denominator, or
-    None.
+    (_integer_solution), as integer numerators over one positive
+    denominator, or None.
 
     It is the exact max-min point (exact.max_min_point) of the whole
     block, a row [-b_j, a_j - b_j | 0] (x - b_j over [a_j | b_j] ends in
@@ -266,43 +253,52 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
     that solve its slope equalities and are all > 0, as one (numerators,
     den) per player over its whole strategy set, den > 0; None when there
     are none. Two players i < j are solved for (both of a two-player
-    game, else the mixed ones, with a pure partner when one mixes), from
-    each other's slope equalities, in face coordinates (_face_block) as
-    the Newton route does; every other player is held at its one strategy,
-    and with none mixed the candidate is the support's vertex. Exact: the
-    blocks are read from the game's integer face tables, built once per
-    game (game._face_rows, keyed by the pair and the held strategies), and
-    the positive scale they carry does not change the solution set.
+    game, key (0, 1, ()), else the mixed ones, with a pure partner when
+    one mixes, _pair_key), from each other's slope equalities, in face
+    coordinates as the Newton route does; every other player is held at
+    its one strategy, and with none mixed the candidate is the support's
+    vertex. Exact: the blocks are read straight from the game's integer
+    face tables, built once per game (game._face_rows, keyed by the pair
+    and the held strategies), and the positive scale they carry does not
+    change the solution set.
+
+    The solving player's block, its weights z on supp[1:] (chart (0, ...,
+    0)), is the integer rows [A | b] table[supp][o][t] of its face table
+    (game._face_table) at the partner's o = osupp[0], one per t in
+    osupp[1:]. With a_ts = u[t][s] - u[o][s] and s0 = supp[0], the row
+    is (a_ts - a_{t,s0}, s in supp[1:] | -a_{t,s0}): the partner's slope
+    equalities with w_{s0} = 1 - sum(z) substituted. The rows are the
+    table's own lists, which no caller edits.
 
     Both blocks are eliminated, and an empty one ends the support before
     anything else is built. Otherwise one pass looks for a positive point
     block by block and stops at the first block without one: a unique
-    solution is decided on its integer numerators (_simplex_nums), a
-    positive-dimensional one by its max-min point (_positive_point). A
-    positive-dimensional solution set raises SingularSystem, with both
-    blocks' points as its witness (a Fraction profile) when both have
-    one. A one-player game's partner has one strategy and no payoffs
-    (game._face_rows): its block holds the player's constant slope
-    differences."""
+    solution (no free unknown) is decided on its integer numerators
+    (_simplex_nums), a positive-dimensional one by its max-min point
+    (_positive_point). A positive-dimensional solution set raises
+    SingularSystem, with both blocks' points as its witness (a Fraction
+    profile) when both have one. A one-player game's partner has one
+    strategy and no payoffs (game._face_rows): its block holds the
+    player's constant slope differences."""
     supports = support.supports
     if len(supports) == 1:
         supports += ((0,),)
-    key = _pair_key(supports)
+    key = (0, 1, ()) if len(supports) == 2 else _pair_key(supports)
     if key is None:
         found, unique = {}, True
     else:
         i, j, _ = key
         table_i, table_j = game._face_rows[key]
         si, sj = supports[i], supports[j]
-        rows_i = _face_block(table_i, si, sj)
+        rows_i = [table_i[si][sj[0]][t] for t in sj[1:]]
         sol_i = solve_affine(rows_i, len(si) - 1)
-        rows_j = _face_block(table_j, sj, si)
+        rows_j = [table_j[sj][si[0]][t] for t in si[1:]]
         sol_j = solve_affine(rows_j, len(sj) - 1)
         if sol_i.nums is None or sol_j.nums is None:  # no solution; most supports end here
             return None
-        found, unique = {}, sol_i.is_unique and sol_j.is_unique
+        found, unique = {}, not (sol_i.free or sol_j.free)
         for k, sol, rows in ((i, sol_i, rows_i), (j, sol_j, rows_j)):
-            block = (_simplex_nums(sol), sol.den) if sol.is_unique else _positive_point(sol, rows)
+            block = _positive_point(sol, rows) if sol.free else (_simplex_nums(sol), sol.den)
             if block is None or min(block[0]) <= 0:
                 if unique:
                     return None
@@ -324,12 +320,11 @@ def _integer_solution(game: FiniteGame, support: SupportProfile):
 
 
 def _pair_key(supports) -> tuple[int, int, tuple[int, ...]] | None:
-    """The key of game._face_rows a support's blocks are read from: the
-    solving pair i < j (both players of a two-player game, else the mixed
-    ones, with the first pure player as partner when one mixes) and the
-    other players' one strategies; None when nobody mixes."""
-    if len(supports) == 2:
-        return 0, 1, ()
+    """The key of game._face_rows a support of three or more players reads
+    its blocks from: the solving pair i < j (the mixed players, with the
+    first pure player as partner when one mixes) and the other players'
+    one strategies; None when nobody mixes. A two-player support's key is
+    (0, 1, ()) (_integer_solution)."""
     pair = [k for k, s in enumerate(supports) if len(s) > 1]
     if not pair:
         return None
@@ -346,21 +341,6 @@ def _rational_profile(point) -> MixedProfile:
     player."""
     return profile_from_weights([[Fraction(n, den) for n in nums] for nums, den in point],
                                 RATIONAL)
-
-
-def _exact_pair_solve(game: FiniteGame, support: SupportProfile) -> list[MixedProfile]:
-    """Supports on which at most two players mix: the support's
-    equilibrium, as a one-element list of a Fraction profile in either
-    mode, with e_s on every held player, or []. The candidate
-    (_integer_solution) is screened in integers by the one rule (_reply)
-    at tolerance 0, player by player until the first who gains, and
-    becomes a Fraction profile only when it passes; a positive-dimensional
-    solution set raises SingularSystem from _integer_solution."""
-    point = _integer_solution(game, support)
-    if point is None or not all(_reply(game, k, supp, point, 0)[0]
-                                for k, supp in enumerate(support.supports)):
-        return []
-    return [_rational_profile(point)]
 
 
 def _exact_triple_solve(game: FiniteGame, support: SupportProfile) -> list[MixedProfile] | None:
@@ -554,12 +534,15 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
     Raises SingularSystem on degenerate strata.
 
     A support on which at most two players mix has linear slope
-    equations and is solved exactly (_exact_pair_solve): every support
+    equations and is solved exactly (_integer_solution): every support
     of a one- or two-player game, and those of a larger game on which the
-    other players are pure. There the solution is also screened in
-    integers for every player's best reply, so the list holds the
-    support's equilibrium or nothing, not every positive solution; its
-    profiles are Fractions in either mode. Three or more mixed players
+    other players are pure. There the candidate is also screened in
+    integers by the one best-reply rule (_reply) at tolerance 0, player
+    by player until the first who gains, and becomes a Fraction profile
+    only when it passes, in either mode: the list holds the support's
+    equilibrium or nothing, not every positive solution, and a
+    positive-dimensional solution set raises SingularSystem from
+    _integer_solution. Three or more mixed players
     make the system multilinear. With exactly three mixed over two
     strategies each, it is decided in integers (_exact_triple_solve):
     every root with all weights >= 0, each weight the float nearest its
@@ -575,7 +558,11 @@ def solve_support(game: FiniteGame, support: SupportProfile, seed: int = 0):
         if len(sizes) > 2:
             found = _exact_triple_solve(game, support) if sizes == [2, 2, 2] else None
             return _newton_solve(game, support, seed) if found is None else found
-    return _exact_pair_solve(game, support)
+    point = _integer_solution(game, support)
+    if point is None or not all(_reply(game, k, supp, point, 0)[0]
+                                for k, supp in enumerate(supports)):
+        return []
+    return [_rational_profile(point)]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ Every pivot is fraction-free (Bareiss 1968): the update is an exact
 integer division by the previous pivot, so entries stay integers (each
 one a minor). The first pivot's previous pivot is 1, and a division by
 1 is skipped. rref runs forward elimination with it, each pivot
-updating only the rows below it, in the columns right of it; it
+updating only the rows below it, in the columns right of it, and stops
+at a pivot in the last column (b), right of which nothing is left; it
 replaces rows and never edits an input row (a support block's rows are
-the game's face-table lists, shared by every support that reads them).
+the game's face-table lists, shared by every support that reads them),
+and copies the caller's list of rows only to swap two of them.
 solve_affine reads the last pivot d of that echelon form and
 back-substitutes b alone, free unknowns 0: the last pivot row's b entry
 already is d x, and every earlier entry of d x is an exact division
@@ -73,25 +75,28 @@ def _eliminate(mat: list[list[int]], r: int, c: int, prev: int) -> None:
 # traces it under this name
 def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of integer rows, such as a system's
-    [A | b], which it never edits (the result may share them): Bareiss
-    forward elimination.
+    [A | b], which it never edits (the result may share them), nor their
+    list, which it copies only to swap two rows: Bareiss forward
+    elimination.
 
     Returns (pivot rows, pivot column indices): one row per pivot, from
     its pivot column on, so row r starts with its nonzero pivot at column
     pivots[r]; rows without a pivot are left out. Each column's pivot row
     is the first row below the earlier pivot rows with a nonzero entry
-    there, swapped with the first of them. Row r's entries are minors of
-    order r + 1 (Sylvester), and the last pivot d is the determinant of
-    the pivot rows in the pivot columns.
+    there, swapped with the first of them. A pivot in the last column
+    ends the elimination: the rows below it would be updated in no column.
+    Row r's entries are minors of order r + 1 (Sylvester), and the last
+    pivot d is the determinant of the pivot rows in the pivot columns.
     """
     if not rows:
         return [], []
     echelon: list[list[int]] = []
     pivots: list[int] = []
-    rest = list(rows)  # the rows not yet pivot rows, each from column start on
+    rest = rows  # the rows not yet pivot rows, each from column start on
     start = 0
     prev = 1
-    for c in range(len(rows[0])):
+    last = len(rows[0]) - 1
+    for c in range(last + 1):
         k = c - start
         top = rest[0]
         if not top[k]:
@@ -101,10 +106,12 @@ def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             else:
                 continue
             top = rest[i]
+            if rest is rows:  # the caller's list: copy it before the swap
+                rest = list(rows)
             rest[i] = rest[0]
         echelon.append(top[k:] if k else top)
         pivots.append(c)
-        if len(rest) == 1:
+        if c == last or len(rest) == 1:
             break
         piv, tail = top[k], top[k + 1:]
         below = []

@@ -105,7 +105,7 @@ class FiniteGame:
         i's, each from the [own][partner] tables of integer_utilities by
         one axis move and one reshape (the held axes keep player order). A
         one-player game's partner has one strategy and no payoffs.
-        equilibrium._face_block picks a support's block from them."""
+        equilibrium._integer_solution reads a support's blocks from them."""
         counts, ints = self.strategy_counts, [u for u, _ in self.integer_utilities]
         if len(counts) == 1:
             counts += (1,)

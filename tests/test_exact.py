@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from nashatlas import RATIONAL, SingularSystem, enumerate_supports, make_game, random_game
 from nashatlas import equilibrium
-from nashatlas.equilibrium import _face_block, _positive_point, _simplex_nums
+from nashatlas.equilibrium import _positive_point, _simplex_nums
 from nashatlas.exact import max_min_point, rref, solve_affine
 from nashatlas.game import _face_table
 
@@ -228,6 +228,37 @@ def test_solve_affine_examples():
     assert _particular(sol) == [1, -1]
 
 
+def test_rref_swap_leaves_the_callers_list_alone():
+    # the first row is 0 at the first pivot column, so rref swaps a later
+    # row up: on a copy of the list, never on the caller's own
+    rows = [[0, 2, 1], [0, 0, 3], [3, 1, 2]]
+    before, ids = copy.deepcopy(rows), [id(row) for row in rows]
+    echelon, pivots = rref(rows)
+    assert rows == before and [id(row) for row in rows] == ids
+    assert pivots == [0, 1, 2] and echelon[0] is rows[2]
+    assert pivots == _reference_rref([[Fraction(x) for x in r] for r in rows])[1]
+
+
+@pytest.mark.parametrize("rows, n, want", [
+    # x = 1 and 2 x = 3: the b pivot at row 2 of 4
+    ([[1, 1], [2, 3], [1, 2], [5, -4]], 1, [0, 1]),
+    # x + y = 1 and x + y = 2: no pivot in y, the b pivot at row 2 of 3
+    ([[1, 1, 1], [1, 1, 2], [3, 1, 4]], 2, [0, 1, 2]),
+    # a consistent tall block for contrast: no b pivot, all rows read
+    ([[1, 1, 3], [1, -1, 1], [2, 0, 4], [0, 2, 2]], 2, [0, 1]),
+])
+def test_rref_stops_at_a_pivot_in_the_b_column(rows, n, want):
+    # a tall block whose pivot in b lands before its last row: rref stops
+    # there, with the reference's pivots, and solve_affine's answer is
+    # fraction-free Gauss-Jordan's, which eliminates every row
+    echelon, pivots = rref(rows)
+    assert pivots == want == _reference_rref([[Fraction(x) for x in r] for r in rows])[1]
+    assert len(echelon) == len(pivots) and all(r[0] for r in echelon)
+    sol = solve_affine(rows, n)
+    assert (sol.nums, sol.den, sol.free) == _gauss_jordan_solve(rows, n)
+    assert (n in pivots) == (sol.nums is None)
+
+
 @pytest.mark.parametrize("strict", [Fraction(0), Fraction(1e-9), 0.0, 1e-9])
 def test_positive_point_is_strict(strict):
     # face block -q y = -p (x = 1 - y is recovered): y = p / q over a
@@ -283,12 +314,12 @@ def pair_tables(draw):
 @settings(max_examples=400, deadline=None)
 @given(pair_tables())
 def test_face_block_matches_the_whole_block(table):
-    # the face block (|O| - 1 rows, |S| - 1 unknowns) with w_{supp[0]}
-    # recovered agrees with the whole block (the partner's slope
-    # equalities plus the sum rule) on emptiness, dimension, particular
-    # point and positive point
+    # the face block (|O| - 1 rows, |S| - 1 unknowns), read from the face
+    # table as the exact route reads it, with w_{supp[0]} recovered agrees
+    # with the whole block (the partner's slope equalities plus the sum
+    # rule) on emptiness, dimension, particular point and positive point
     u, supp, osupp = table
-    rows = _face_block(_face_table(u), supp, osupp)
+    rows = [_face_table(u)[supp][osupp[0]][t] for t in osupp[1:]]
     assert len(rows) == len(osupp) - 1 and all(len(r) == len(supp) for r in rows)
     whole = ([[u[j][s] - u[osupp[0]][s] for s in supp] + [0] for j in osupp[1:]]
              + [[1] * (len(supp) + 1)])
@@ -394,7 +425,7 @@ def test_max_min_point_rejects_an_unbounded_program():
 @settings(max_examples=200, deadline=None)
 @given(int_systems())
 def test_exact_routines_leave_their_input_rows_unchanged(system):
-    # rref copies only the list of rows: elimination must replace rows,
+    # rref copies the list only to swap: elimination must replace rows,
     # never edit one. max_min_point gets the system as a block it can
     # take, A w = |b| with the sum row w_1 + ... + w_n = 1 appended.
     rows, n = system
